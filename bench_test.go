@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per figure and per quantitative claim
-// of the paper (the experiment ids E1..E14 are indexed in DESIGN.md and
-// the measured outcomes recorded in EXPERIMENTS.md). Each benchmark
+// of the paper (the experiment ids E1..E14 are indexed, and the measured
+// outcomes recorded, in EXPERIMENTS.md). Each benchmark
 // executes the full experiment per iteration and prints the reproduced
 // rows once.
 package nwsenv

@@ -31,7 +31,7 @@
 // A→B and B→A run concurrently; on a half-duplex shared segment each
 // achieves about half its solo rate, on a switched segment both keep
 // full rate. This is a user-level observable in the exact spirit of the
-// original tests and is documented as a substitution in DESIGN.md.
+// original tests and is documented as a substitution in EXPERIMENTS.md.
 package env
 
 import (

@@ -2,30 +2,5 @@
 // request/reply server answering §2.1's four-step forecast flow over a
 // deployment's memory servers, discovered through the unified query
 // plane. The statistical machinery itself — the predictor battery and
-// the Prediction vocabulary — lives in the leaf package predict; the
-// aliases below keep this package's historical surface working for
-// callers that predate the split.
+// the Prediction vocabulary — lives in the leaf package predict.
 package forecast
-
-import "nwsenv/internal/nws/predict"
-
-// Prediction is the battery's answer for the next value of a series.
-//
-// Alias of predict.Prediction (the canonical home since the statistical
-// core moved to its leaf package).
-type Prediction = predict.Prediction
-
-// Battery runs the full NWS predictor set in parallel and forecasts
-// with the historically most accurate member. Alias of predict.Battery.
-type Battery = predict.Battery
-
-// Predictor produces one-step-ahead forecasts from a stream of values.
-// Alias of predict.Predictor.
-type Predictor = predict.Predictor
-
-// NewBattery assembles the standard predictor set. See predict.NewBattery.
-func NewBattery() *Battery { return predict.NewBattery() }
-
-// Run replays a whole series through a fresh battery and returns the
-// final one-step forecast. See predict.Run.
-func Run(values []float64) (Prediction, bool) { return predict.Run(values) }

@@ -87,11 +87,11 @@ func predictSeries(series string, samples []proto.Sample) proto.ForecastResult {
 	if len(samples) == 0 {
 		return proto.ForecastResult{Series: series, Error: "series " + series + " is empty"}
 	}
-	values := make([]float64, len(samples))
-	for i, sm := range samples {
-		values[i] = sm.Value
+	b := predict.NewBattery()
+	for _, sm := range samples {
+		b.Update(sm.Value)
 	}
-	pred, ok := predict.Run(values)
+	pred, ok := b.Forecast()
 	if !ok {
 		return proto.ForecastResult{Series: series, Error: "insufficient history for " + series}
 	}
@@ -189,13 +189,15 @@ func NewClient(st proto.Port, host string) *Client {
 }
 
 // Forecast asks for the next value of series, optionally bounding the
-// history length used.
-func (c *Client) Forecast(series string, history int) (Prediction, error) {
+// history length used. Over the wire Prediction.N is that history length
+// (the reply's Count), not the best member's scored-sample count that an
+// in-process predict.Run reports.
+func (c *Client) Forecast(series string, history int) (predict.Prediction, error) {
 	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgForecast, Series: series, Count: history}, c.Timeout)
 	if err != nil {
-		return Prediction{}, err
+		return predict.Prediction{}, err
 	}
-	return Prediction{Value: reply.Value, MAE: reply.MAE, MSE: reply.MSE, Method: reply.Method, N: reply.Count}, nil
+	return predict.Prediction{Value: reply.Value, MAE: reply.MAE, MSE: reply.MSE, Method: reply.Method, N: reply.Count}, nil
 }
 
 // BatchForecast asks for many series in one round-trip. Results keep

@@ -6,6 +6,7 @@ import (
 
 	"nwsenv/internal/nws/memory"
 	"nwsenv/internal/nws/nameserver"
+	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
@@ -40,7 +41,7 @@ func rig(t *testing.T) (*vclock.Sim, *proto.Station) {
 
 func TestServerForecastsStoredSeries(t *testing.T) {
 	sim, cli := rig(t)
-	var pred Prediction
+	var pred predict.Prediction
 	var err error
 	sim.Go("test", func() {
 		mc := memory.NewClient(cli, "mem")
@@ -77,7 +78,7 @@ func TestServerUnknownSeries(t *testing.T) {
 
 func TestServerHistoryBound(t *testing.T) {
 	sim, cli := rig(t)
-	var pred Prediction
+	var pred predict.Prediction
 	var err error
 	sim.Go("test", func() {
 		mc := memory.NewClient(cli, "mem")

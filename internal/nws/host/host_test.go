@@ -10,6 +10,7 @@ import (
 	"nwsenv/internal/nws/forecast"
 	"nwsenv/internal/nws/memory"
 	"nwsenv/internal/nws/nameserver"
+	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/simnet"
@@ -103,7 +104,7 @@ func TestForecastFourStepFlow(t *testing.T) {
 	if err := sim.RunUntil(3 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	var pred forecast.Prediction
+	var pred predict.Prediction
 	var err error
 	sim.Go("client", func() {
 		fc := forecast.NewClient(agents[2].Station(), "h0")

@@ -13,11 +13,7 @@
 // pure computation.
 package predict
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Predictor produces one-step-ahead forecasts from a stream of values.
 type Predictor interface {
@@ -57,83 +53,149 @@ func (p *runningMean) Predict() (float64, bool) {
 }
 func (p *runningMean) Observe(v float64) { p.sum += v; p.n++ }
 
+// window is a fixed-capacity ring holding the most recent values in
+// arrival order.
 type window struct {
-	buf  []float64
-	size int
+	name string
+	buf  []float64 // grows to its capacity, then wraps
+	head int       // index of the oldest value once full
 }
 
-func (w *window) push(v float64) {
-	w.buf = append(w.buf, v)
-	if len(w.buf) > w.size {
-		w.buf = w.buf[1:]
+func newWindow(name string, size int) window {
+	return window{name: name, buf: make([]float64, 0, size)}
+}
+
+func (w *window) Name() string { return w.name }
+
+// push stores v, returning the value it evicted once the ring is full.
+func (w *window) push(v float64) (old float64, evicted bool) {
+	if len(w.buf) < cap(w.buf) {
+		w.buf = append(w.buf, v)
+		return 0, false
 	}
+	old = w.buf[w.head]
+	w.buf[w.head] = v
+	if w.head++; w.head == len(w.buf) {
+		w.head = 0
+	}
+	return old, true
 }
 
 type slidingMean struct{ window }
 
-func (p *slidingMean) Name() string { return fmt.Sprintf("mean%d", p.size) }
 func (p *slidingMean) Predict() (float64, bool) {
 	if len(p.buf) == 0 {
 		return 0, false
 	}
+	// Summed oldest to newest, not kept as a running sum: the rounding of
+	// every forecast depends on this order.
 	var s float64
-	for _, v := range p.buf {
+	for _, v := range p.buf[p.head:] {
+		s += v
+	}
+	for _, v := range p.buf[:p.head] {
 		s += v
 	}
 	return s / float64(len(p.buf)), true
 }
 func (p *slidingMean) Observe(v float64) { p.push(v) }
 
-type slidingMedian struct{ window }
+// sortedWindow is a window that also keeps its values in the order
+// sort.Float64s would give them (ascending, NaNs first), maintained by
+// one insertion and one removal per sample, so order statistics are read
+// off without copying or sorting.
+type sortedWindow struct {
+	window
+	sorted []float64
+}
 
-func (p *slidingMedian) Name() string { return fmt.Sprintf("median%d", p.size) }
+func newSortedWindow(name string, size int) sortedWindow {
+	return sortedWindow{window: newWindow(name, size), sorted: make([]float64, 0, size)}
+}
+
+// lowerBound returns the first index of ascending s whose value does not
+// order before v; s[i] is v's equal (or both are NaN) when v is in s.
+func lowerBound(s []float64, v float64) int {
+	if v != v {
+		return 0
+	}
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] >= v {
+			hi = mid
+		} else { // smaller, or a NaN
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+func (w *sortedWindow) Observe(v float64) {
+	s := w.sorted
+	i := lowerBound(s, v)
+	old, evicted := w.push(v)
+	if !evicted {
+		s = append(s, 0)
+		copy(s[i+1:], s[i:])
+		s[i] = v
+		w.sorted = s
+		return
+	}
+	// Close the evicted value's slot and open v's in one shift of the
+	// values between them.
+	if r := lowerBound(s, old); r < i {
+		copy(s[r:], s[r+1:i])
+		s[i-1] = v
+	} else {
+		copy(s[i+1:r+1], s[i:r])
+		s[i] = v
+	}
+}
+
+type slidingMedian struct{ sortedWindow }
+
 func (p *slidingMedian) Predict() (float64, bool) {
-	n := len(p.buf)
+	n := len(p.sorted)
 	if n == 0 {
 		return 0, false
 	}
-	tmp := append([]float64(nil), p.buf...)
-	sort.Float64s(tmp)
 	if n%2 == 1 {
-		return tmp[n/2], true
+		return p.sorted[n/2], true
 	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2, true
+	return (p.sorted[n/2-1] + p.sorted[n/2]) / 2, true
 }
-func (p *slidingMedian) Observe(v float64) { p.push(v) }
 
 type trimmedMean struct {
-	window
+	sortedWindow
 	trim float64 // fraction trimmed at each end
 }
 
-func (p *trimmedMean) Name() string { return fmt.Sprintf("trim%d", p.size) }
 func (p *trimmedMean) Predict() (float64, bool) {
-	n := len(p.buf)
+	n := len(p.sorted)
 	if n == 0 {
 		return 0, false
 	}
-	tmp := append([]float64(nil), p.buf...)
-	sort.Float64s(tmp)
 	k := int(float64(n) * p.trim)
-	tmp = tmp[k : n-k]
-	if len(tmp) == 0 {
+	kept := p.sorted[k : n-k]
+	if len(kept) == 0 {
 		return 0, false
 	}
 	var s float64
-	for _, v := range tmp {
+	for _, v := range kept {
 		s += v
 	}
-	return s / float64(len(tmp)), true
+	return s / float64(len(kept)), true
 }
-func (p *trimmedMean) Observe(v float64) { p.push(v) }
 
 type expSmooth struct {
+	name string
 	gain float64
 	v    float64
 	has  bool
 }
 
-func (p *expSmooth) Name() string { return fmt.Sprintf("exp%.2f", p.gain) }
+func (p *expSmooth) Name() string { return p.name }
 func (p *expSmooth) Predict() (float64, bool) {
 	return p.v, p.has
 }
@@ -222,19 +284,19 @@ func NewBattery() *Battery {
 	ps := []Predictor{
 		&lastValue{},
 		&runningMean{},
-		&slidingMean{window{size: 5}},
-		&slidingMean{window{size: 10}},
-		&slidingMean{window{size: 21}},
-		&slidingMean{window{size: 51}},
-		&slidingMedian{window{size: 5}},
-		&slidingMedian{window{size: 21}},
-		&slidingMedian{window{size: 51}},
-		&trimmedMean{window: window{size: 31}, trim: 0.1},
-		&expSmooth{gain: 0.05},
-		&expSmooth{gain: 0.1},
-		&expSmooth{gain: 0.3},
-		&expSmooth{gain: 0.5},
-		&expSmooth{gain: 0.9},
+		&slidingMean{newWindow("mean5", 5)},
+		&slidingMean{newWindow("mean10", 10)},
+		&slidingMean{newWindow("mean21", 21)},
+		&slidingMean{newWindow("mean51", 51)},
+		&slidingMedian{newSortedWindow("median5", 5)},
+		&slidingMedian{newSortedWindow("median21", 21)},
+		&slidingMedian{newSortedWindow("median51", 51)},
+		&trimmedMean{sortedWindow: newSortedWindow("trim31", 31), trim: 0.1},
+		&expSmooth{name: "exp0.05", gain: 0.05},
+		&expSmooth{name: "exp0.10", gain: 0.1},
+		&expSmooth{name: "exp0.30", gain: 0.3},
+		&expSmooth{name: "exp0.50", gain: 0.5},
+		&expSmooth{name: "exp0.90", gain: 0.9},
 		&ar1{},
 	}
 	b := &Battery{}

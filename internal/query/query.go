@@ -122,7 +122,10 @@ type Result struct {
 	Err     error
 }
 
-// ForecastResult is one series' answer from ForecastMany.
+// ForecastResult is one series' answer from ForecastMany. Prediction.N
+// is the history length the forecaster used (proto.ForecastResult.Count),
+// not the best member's scored-sample count that an in-process
+// predict.Run reports: the wire does not carry the latter.
 type ForecastResult struct {
 	Series     string
 	Prediction predict.Prediction
