@@ -342,8 +342,11 @@ func (d *decoder) boolByte() (bool, error) {
 }
 
 // samples decodes one sample run into a subslice of the shared backing
-// array, growing it as needed. The returned subslice has its capacity
-// pinned so append never bleeds into a neighbor's samples.
+// array. The first non-empty run sizes the array for every sample the
+// unread bytes could still hold (9 bytes each at least, as count
+// assumes), so later runs never regrow it and a hostile count cannot
+// allocate more than the frame justifies. The returned subslice has its
+// capacity pinned so append never bleeds into a neighbor's samples.
 func (d *decoder) samples(backing []Sample) ([]Sample, []Sample, error) {
 	n, err := d.count(9)
 	if err != nil {
@@ -351,6 +354,9 @@ func (d *decoder) samples(backing []Sample) ([]Sample, []Sample, error) {
 	}
 	if n == 0 {
 		return nil, backing, nil
+	}
+	if backing == nil {
+		backing = make([]Sample, 0, (len(d.b)-d.pos)/9)
 	}
 	start := len(backing)
 	for i := 0; i < n; i++ {
@@ -423,8 +429,8 @@ func Decode(data []byte, m *Message) error {
 		return err
 	}
 	// One backing array for every sample in the message: Samples plus
-	// each Results[i].Samples. Size it from the remaining payload later
-	// runs will fill; starting nil keeps empty messages allocation-free.
+	// each Results[i].Samples; starting nil keeps messages without
+	// samples allocation-free.
 	var backing []Sample
 	if m.Samples, backing, err = d.samples(nil); err != nil {
 		return err

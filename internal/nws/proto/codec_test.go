@@ -3,6 +3,7 @@ package proto
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -103,6 +104,50 @@ func TestDecodeSharedBackingCapPinned(t *testing.T) {
 	_ = append(back.Results[0].Samples, Sample{At: 99, Value: 99})
 	if back.Results[1].Samples[0].Value != 2 {
 		t.Fatal("append on result 0 clobbered result 1: backing capacity not pinned")
+	}
+}
+
+// batchReply builds the gateway's fetch reply shape: nSeries results of
+// perSeries samples each, with realistic nanosecond timestamps.
+func batchReply(nSeries, perSeries int) Message {
+	m := Message{Type: MsgQueryFetchReply, Version: V3, From: "gw", ID: 9, ReplyTo: 8}
+	for i := 0; i < nSeries; i++ {
+		s := make([]Sample, perSeries)
+		for k := range s {
+			s[k] = Sample{At: time.Duration(k+1) * 10 * time.Second, Value: float64(i*perSeries+k) * 0.5}
+		}
+		m.Results = append(m.Results, SeriesResult{Series: fmt.Sprintf("cpu.host-%03d", i), Samples: s})
+	}
+	return m
+}
+
+// TestDecodeAllocsIndependentOfSampleCount: the shared sample backing is
+// sized once, so a reply costs the same allocations whether it carries 8
+// or 256 samples a series — From, the Results slice, one string per
+// series and one sample array — and nothing is regrown or abandoned.
+func TestDecodeAllocsIndependentOfSampleCount(t *testing.T) {
+	for _, per := range []int{8, 256} {
+		m := batchReply(20, per)
+		enc := AppendEncode(nil, &m)
+		var back Message
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := Decode(enc, &back); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(len(m.Results) + 3); allocs != want {
+			t.Errorf("20x%d reply: %v allocations per Decode, want %v", per, allocs, want)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("20x%d reply: round-trip mismatch", per)
+		}
+		total := 0
+		for _, r := range back.Results {
+			total += cap(r.Samples)
+		}
+		if total != 20*per {
+			t.Errorf("20x%d reply: pinned capacities sum to %d, want %d", per, total, 20*per)
+		}
 	}
 }
 

@@ -88,7 +88,14 @@ func TestInteropV3BothEnds(t *testing.T) {
 
 	interopCall(t, sa, "b", V3)
 
+	// The replier counts its encode after the write returns, which can be
+	// after the caller already holds the reply: wait for it.
 	flat := reg.Snapshot().Flatten()
+	deadline := time.Now().Add(2 * time.Second)
+	for flat["proto/encode_total{version=3}"] < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		flat = reg.Snapshot().Flatten()
+	}
 	if flat["proto/encode_total{version=3}"] < 2 { // request + reply
 		t.Fatalf("want >=2 v3 encodes, metrics %v", flat)
 	}

@@ -241,6 +241,35 @@ func TestWireSizeGrowsWithSamples(t *testing.T) {
 	}
 }
 
+// pongServer answers every request st receives with a Pong until st
+// closes.
+func pongServer(st *Station) {
+	for {
+		req, ok := st.Recv()
+		if !ok {
+			return
+		}
+		st.Reply(req, Message{Type: MsgPong})
+	}
+}
+
+// tcpStationPair opens stations "a" and "b" on one loopback TCP
+// transport, closed when the test or benchmark ends.
+func tcpStationPair(tb testing.TB) (sa, sb *Station) {
+	tb.Helper()
+	tr := NewTCPTransport()
+	var st [2]*Station
+	for i, host := range []string{"a", "b"} {
+		ep, err := tr.Open(host)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		st[i] = NewStation(tr.Runtime(), ep)
+		tb.Cleanup(func() { st[i].Close() })
+	}
+	return st[0], st[1]
+}
+
 func TestTCPPeerRestartReconnects(t *testing.T) {
 	tr := NewTCPTransport()
 	epA, err := tr.Open("a")
@@ -255,16 +284,7 @@ func TestTCPPeerRestartReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := NewStation(tr.Runtime(), epB)
-	echo := func(st *Station) {
-		for {
-			req, ok := st.Recv()
-			if !ok {
-				return
-			}
-			st.Reply(req, Message{Type: MsgPong})
-		}
-	}
-	go echo(sb)
+	go pongServer(sb)
 	if _, err := sa.Call("b", Message{Type: MsgPing}, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +301,7 @@ func TestTCPPeerRestartReconnects(t *testing.T) {
 	}
 	sb2 := NewStation(tr.Runtime(), epB2)
 	defer sb2.Close()
-	go echo(sb2)
+	go pongServer(sb2)
 	// The first call after restart may hit the stale cached conn; the
 	// transport drops it and the retry succeeds.
 	var callErr error
@@ -324,5 +344,31 @@ func TestSimTransportBlockedPairs(t *testing.T) {
 	})
 	if err := sim.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTCPCallSurvivesUnservedBacklog: a station that is not serving its
+// application inbox must still get the replies to its own calls. The
+// peer floods it with one-way messages and then answers its ping on the
+// same connection, so the reply sits behind the whole backlog; a bounded
+// mailbox wedges the pump (and the socket reader behind it) before the
+// reply is routed.
+func TestTCPCallSurvivesUnservedBacklog(t *testing.T) {
+	const backlog = 3000
+	sa, sb := tcpStationPair(t)
+	for i := 0; i < backlog; i++ {
+		if err := sb.Send("a", Message{Type: MsgStore, Count: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go pongServer(sb)
+	if _, err := sa.Call("b", Message{Type: MsgPing}, 2*time.Second); err != nil {
+		t.Fatalf("call from a station with %d unserved messages: %v", backlog, err)
+	}
+	for i := 0; i < backlog; i++ {
+		m, ok := sa.RecvTimeout(2 * time.Second)
+		if !ok || m.Count != i {
+			t.Fatalf("backlog message %d: got Count %d ok=%v", i, m.Count, ok)
+		}
 	}
 }

@@ -22,7 +22,10 @@ type Runtime interface {
 	NewInbox(name string) Inbox
 }
 
-// Inbox is an unbounded mailbox of messages.
+// Inbox is an unbounded FIFO mailbox of messages, on both runtimes: Send
+// never blocks and never applies backpressure. Load is shed where it is
+// admitted — the gateway's admission queue, the replica fan-out's
+// bounded in-flight window — not here. Several receivers may share one.
 type Inbox interface {
 	// Recv blocks until a message arrives; ok=false after Close.
 	Recv() (Message, bool)
@@ -30,9 +33,9 @@ type Inbox interface {
 	RecvTimeout(d time.Duration) (Message, bool)
 	// TryRecv never blocks.
 	TryRecv() (Message, bool)
-	// Send enqueues m.
+	// Send enqueues m; after Close it drops m.
 	Send(m Message)
-	// Close releases receivers.
+	// Close releases receivers once the messages already queued are taken.
 	Close()
 }
 
@@ -71,7 +74,8 @@ func (b *simInbox) Close()         { b.ch.Close() }
 // ---- Real-time runtime ----
 
 // RealRuntime implements Runtime on the wall clock, for running NWS
-// components over real sockets.
+// components over real sockets. Processes are goroutines (names are
+// ignored) and inboxes are growable mailboxes.
 type RealRuntime struct{ epoch time.Time }
 
 // NewRealRuntime returns a runtime whose Now starts at zero.
@@ -86,62 +90,113 @@ func (r *RealRuntime) After(d time.Duration, fn func()) func() {
 }
 
 func (r *RealRuntime) NewInbox(name string) Inbox {
-	return &realInbox{ch: make(chan Message, 1024), done: make(chan struct{})}
+	return &realInbox{wake: make(chan struct{}, 1)}
 }
 
+// inboxRetain is the largest ring (in messages) a drained realInbox
+// keeps for its next burst; a larger one is given back to the collector.
+const inboxRetain = 64
+
+// realInbox is a growable mailbox: a mutex-guarded ring of messages, so
+// an inbox costs what it holds. Receivers park on wake, a 1-slot channel
+// holding a token whenever the ring may be non-empty; Close closes it,
+// which releases every receiver for good.
 type realInbox struct {
-	ch   chan Message
-	done chan struct{}
-	once sync.Once
+	mu     sync.Mutex
+	buf    []Message // ring; len is zero or a power of two
+	head   int       // index of the oldest message
+	n      int       // messages queued
+	closed bool
+	wake   chan struct{}
 }
 
-func (b *realInbox) Recv() (Message, bool) {
+// arm leaves a wake token unless one is already there. Called with mu
+// held and the box open, so it cannot meet Close's close(wake).
+func (b *realInbox) arm() {
 	select {
-	case m := <-b.ch:
-		return m, true
-	case <-b.done:
-		// Drain any residual buffered message first.
-		select {
-		case m := <-b.ch:
-			return m, true
-		default:
-			return Message{}, false
-		}
-	}
-}
-
-func (b *realInbox) RecvTimeout(d time.Duration) (Message, bool) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-b.ch:
-		return m, true
-	case <-b.done:
-		select {
-		case m := <-b.ch:
-			return m, true
-		default:
-			return Message{}, false
-		}
-	case <-t.C:
-		return Message{}, false
-	}
-}
-
-func (b *realInbox) TryRecv() (Message, bool) {
-	select {
-	case m := <-b.ch:
-		return m, true
+	case b.wake <- struct{}{}:
 	default:
-		return Message{}, false
 	}
 }
 
 func (b *realInbox) Send(m Message) {
-	select {
-	case b.ch <- m:
-	case <-b.done:
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	if b.n == len(b.buf) {
+		grown := make([]Message, max(1, 2*b.n))
+		k := copy(grown, b.buf[b.head:])
+		copy(grown[k:], b.buf[:b.head])
+		b.buf, b.head = grown, 0
+	}
+	b.buf[(b.head+b.n)&(len(b.buf)-1)] = m
+	b.n++
+	b.arm()
+}
+
+// pop moves the oldest message, if any, into m.
+func (b *realInbox) pop(m *Message) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.n == 0 {
+		return false
+	}
+	*m = b.buf[b.head]
+	b.buf[b.head] = Message{} // drop the slot's payload references
+	b.head = (b.head + 1) & (len(b.buf) - 1)
+	b.n--
+	switch {
+	case b.n == 0 && len(b.buf) > inboxRetain:
+		b.buf, b.head = nil, 0
+	case b.n > 0 && !b.closed:
+		// Receivers sharing the box each took one token for one message:
+		// the next one must not sleep on what is left.
+		b.arm()
+	}
+	return true
+}
+
+func (b *realInbox) TryRecv() (m Message, ok bool) {
+	ok = b.pop(&m)
+	return m, ok
+}
+
+func (b *realInbox) Recv() (m Message, ok bool) {
+	for !b.pop(&m) {
+		if _, open := <-b.wake; !open {
+			ok = b.pop(&m) // what was queued before Close
+			return m, ok
+		}
+	}
+	return m, true
+}
+
+// RecvTimeout takes a queued message before it allocates a timer.
+func (b *realInbox) RecvTimeout(d time.Duration) (m Message, ok bool) {
+	if b.pop(&m) {
+		return m, true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	for {
+		select {
+		case _, open := <-b.wake:
+			if ok = b.pop(&m); ok || !open {
+				return m, ok
+			}
+		case <-t.C:
+			return m, false
+		}
 	}
 }
 
-func (b *realInbox) Close() { b.once.Do(func() { close(b.done) }) }
+func (b *realInbox) Close() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.closed = true
+		close(b.wake)
+	}
+}

@@ -212,6 +212,8 @@ type Client struct {
 	forecastTTL time.Duration
 	timeout     time.Duration
 	workers     int
+	// Runtime names of the fan-out inbox and its workers, built once.
+	fanoutName, workerName string
 
 	mu          sync.Mutex
 	series      map[string]regEntry // series -> owning memory registration
@@ -248,6 +250,8 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 		forecastTTL: DefaultForecastTTL,
 		timeout:     DefaultTimeout,
 		workers:     DefaultWorkers,
+		fanoutName:  "query:fanout:" + port.Host(),
+		workerName:  "query:worker:" + port.Host(),
 		series:      map[string]regEntry{},
 		flights:     map[string]*flight{},
 		forecasts:   map[string]fcEntry{},
@@ -326,11 +330,11 @@ func (c *Client) fanOut(n int, fn func(int)) {
 		}
 		return
 	}
-	done := c.rt.NewInbox("query:fanout:" + c.port.Host())
+	done := c.rt.NewInbox(c.fanoutName)
 	var mu sync.Mutex
 	next := 0
 	for w := 0; w < k; w++ {
-		c.rt.Go("query:worker:"+c.port.Host(), func() {
+		c.rt.Go(c.workerName, func() {
 			for {
 				mu.Lock()
 				i := next
