@@ -3,10 +3,10 @@
 // 100/500/1000 hosts. Each size runs two variants over the same stack:
 //
 //   - QuerySeq is the pre-query-plane client behavior — a fresh
-//     directory lookup plus one blocking single-series fetch per
+//     directory lookup plus one blocking batch-of-one fetch per
 //     series, strictly sequential.
 //   - QueryBatch is query.Client.FetchMany — one bulk directory
-//     round-trip, then one batched V2 fetch per owning memory server,
+//     round-trip, then one batched fetch per owning memory server,
 //     fanned out concurrently.
 //
 // CI regenerates BENCH_query.json with cmd/benchjson and fails on ns/op
@@ -164,7 +164,7 @@ func BenchmarkQuerySeq(b *testing.B) {
 }
 
 // BenchmarkQueryBatch: the query plane — a cold query.Client resolves
-// the whole sweep with one bulk lookup and issues one batched V2 fetch
+// the whole sweep with one bulk lookup and issues one batched fetch
 // per memory server, concurrently.
 func BenchmarkQueryBatch(b *testing.B) {
 	for _, hosts := range []int{100, 500, 1000} {
@@ -194,7 +194,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryForecastBatch: ForecastMany over the sweep — one V2
+// BenchmarkQueryForecastBatch: ForecastMany over the sweep — one
 // round-trip to the forecaster, which groups its history fetches into
 // one batched fetch per memory server.
 func BenchmarkQueryForecastBatch(b *testing.B) {

@@ -137,10 +137,9 @@ func main() {
 }
 
 // wireCodecTelemetry attaches the transport's codec counters
-// (proto/encode_total{version=...}, proto/bytes_out, proto/bytes_in)
-// to reg. Both transport implementations expose the hook; the
-// interface assertion keeps main agnostic of which one the platform
-// carries.
+// (proto/encode_total, proto/bytes_out, proto/bytes_in) to reg. Both
+// transport implementations expose the hook; the interface assertion
+// keeps main agnostic of which one the platform carries.
 func wireCodecTelemetry(p platform.Platform, reg *telemetry.Registry) {
 	if t, ok := p.Transport().(interface {
 		SetTelemetry(*telemetry.Registry)
@@ -616,7 +615,7 @@ func reportSim(net *simnet.Network, duration time.Duration) {
 
 // gatewayEstimator locates the deployment's query gateway through the
 // directory and builds an estimator querying through it — each pair's
-// latency and bandwidth series travel in one batched V2 round-trip.
+// latency and bandwidth series travel in one batched round-trip.
 // Deployments without a gateway (plans predating the query plane) fall
 // back to the direct query-plane client.
 func gatewayEstimator(st proto.Port, dep *deploy.Deployment) *deploy.Estimator {

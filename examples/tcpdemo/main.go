@@ -3,7 +3,7 @@
 // The TCPPlatform supplies a static segment view for mapping and a
 // canned prober (loopback has no interesting bandwidth), but every
 // registry, storage, token-ring and forecasting message of the deployed
-// system is a real gob-encoded TCP exchange, driven by the exact same
+// system is a real codec-framed TCP exchange, driven by the exact same
 // pipeline code path the simulator uses.
 //
 //	go run ./examples/tcpdemo
@@ -84,7 +84,7 @@ func main() {
 	defer client.Close()
 
 	// One query-plane client answers both questions: the fetch and the
-	// forecast each cost one batched V2 round-trip, with discovery
+	// forecast each cost one batched round-trip, with discovery
 	// (which memory server owns the series? which forecaster is up?)
 	// cached behind the facade.
 	qc := query.New(client, m.Resolve[pr.Plan.NameServer])

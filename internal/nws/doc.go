@@ -1,6 +1,6 @@
 // Package nws groups the Network Weather Service reproduction: the wire
-// protocol and transports (proto; V1 single-shot plus the V2 batch
-// query vocabulary), the directory (nameserver; its client owns the one
+// protocol and transports (proto; one binary codec under a batch query
+// vocabulary), the directory (nameserver; its client owns the one
 // registration-refresh lifecycle every long-lived role rides), series
 // storage (memory), measurement processes (sensor), the statistical
 // forecasting core as a dependency-free leaf package (predict), the

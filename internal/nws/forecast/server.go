@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"nwsenv/internal/nws/nameserver"
@@ -14,8 +15,8 @@ import (
 // Server is a running NWS forecaster. Each request follows the four-step
 // flow of §2.1: the client asks the forecaster (1), the forecaster asks
 // the name server which memory server holds the series (2), fetches its
-// history (3), and replies with the battery's prediction (4). Batch
-// requests (V2) answer many series in one round-trip.
+// history (3), and replies with the battery's prediction (4). Requests
+// are batches: many series (or one) answered in one round-trip.
 //
 // Steps 2 and 3 go through an embedded query.Client — the same unified
 // resolution plane every other consumer of the deployment uses — so the
@@ -61,8 +62,6 @@ func (s *Server) Run() {
 			return
 		}
 		switch req.Type {
-		case proto.MsgForecast:
-			s.handleForecast(req)
 		case proto.MsgBatchForecast:
 			s.handleBatchForecast(req)
 		case proto.MsgPing:
@@ -101,39 +100,7 @@ func predictSeries(series string, samples []proto.Sample) proto.ForecastResult {
 	}
 }
 
-func (s *Server) handleForecast(req proto.Message) {
-	// Steps 2+3: resolve the owning memory server and fetch the history
-	// through the query plane.
-	samples, err := s.qc.Fetch(req.Series, s.boundedCount(req.Count))
-	switch {
-	case errors.Is(err, query.ErrSeriesUnknown):
-		s.st.ReplyError(req, "forecaster: unknown series %q", req.Series)
-		return
-	case errors.Is(err, query.ErrDegraded):
-		// A lagging replica's window is still a usable history: predict
-		// from what arrived rather than failing the forecast.
-	case err != nil:
-		s.st.ReplyError(req, "forecaster: fetch: %v", err)
-		return
-	}
-	// Step 4: predict and answer.
-	res := predictSeries(req.Series, samples)
-	if res.Error != "" {
-		s.st.ReplyError(req, "forecaster: %s", res.Error)
-		return
-	}
-	s.st.Reply(req, proto.Message{
-		Type:   proto.MsgForecastReply,
-		Series: req.Series,
-		Value:  res.Value,
-		MAE:    res.MAE,
-		MSE:    res.MSE,
-		Method: res.Method,
-		Count:  res.Count,
-	})
-}
-
-// handleBatchForecast answers a V2 batch: one FetchMany through the
+// handleBatchForecast answers a batch: one FetchMany through the
 // query plane resolves every series (bulk directory discovery on a cold
 // cache, a directory outage failing the unresolved remainder at once)
 // and groups the history fetches into one batched round-trip per owning
@@ -144,10 +111,6 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 	if req.Version > proto.V3 {
 		s.st.ReplyError(req, "forecaster: unsupported protocol version %d (max %d)", req.Version, proto.V3)
 		return
-	}
-	ver := req.Version
-	if ver < proto.V2 {
-		ver = proto.V2
 	}
 	fetches := make([]proto.SeriesRequest, len(req.Queries))
 	for i, q := range req.Queries {
@@ -173,7 +136,7 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 			results[i].Code = proto.CodeDegraded
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Version: ver, Forecasts: results})
+	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Version: proto.V3, Forecasts: results})
 }
 
 // Client requests forecasts from a forecaster server.
@@ -193,11 +156,20 @@ func NewClient(st proto.Port, host string) *Client {
 // (the reply's Count), not the best member's scored-sample count that an
 // in-process predict.Run reports.
 func (c *Client) Forecast(series string, history int) (predict.Prediction, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgForecast, Series: series, Count: history}, c.Timeout)
+	res, err := c.BatchForecast([]proto.SeriesRequest{{Series: series, Count: history}})
 	if err != nil {
 		return predict.Prediction{}, err
 	}
-	return predict.Prediction{Value: reply.Value, MAE: reply.MAE, MSE: reply.MSE, Method: reply.Method, N: reply.Count}, nil
+	if len(res) != 1 {
+		return predict.Prediction{}, fmt.Errorf("forecaster: %d results for a batch of one", len(res))
+	}
+	f := res[0]
+	// A degraded result still carries its prediction (made from a lagging
+	// replica's history); any other per-series failure fails the call.
+	if f.Error != "" && f.Code != proto.CodeDegraded {
+		return predict.Prediction{}, fmt.Errorf("forecaster: %s", f.Error)
+	}
+	return predict.Prediction{Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count}, nil
 }
 
 // BatchForecast asks for many series in one round-trip. Results keep

@@ -1,6 +1,6 @@
 // Package gateway implements the NWS Query Gateway: a deployable role
 // that fronts the versioned query plane for end users. Clients talk to
-// one well-known address with the V2 batch vocabulary; the gateway
+// one well-known address with the batch vocabulary; the gateway
 // resolves, batches and fans out across the memory servers and
 // forecasters behind it through an embedded query.Client, so its
 // discovery cache, lookup singleflight and forecast cache are shared by
@@ -137,7 +137,7 @@ func (s *Server) Run() {
 				// even when the gateway is saturated — and count it apart
 				// from real traffic.
 				s.probes.Inc()
-				s.st.Reply(req, proto.Message{Type: queryReplyType(req.Type), Version: replyVersion(req.Version)})
+				s.st.Reply(req, proto.Message{Type: queryReplyType(req.Type), Version: proto.V3})
 				continue
 			}
 			if req.Type == proto.MsgQueryFetch {
@@ -174,7 +174,7 @@ func (s *Server) admit(req proto.Message, name string, handle func(proto.Message
 		s.shedTotal.Inc()
 		s.st.Reply(req, proto.Message{
 			Type:       queryReplyType(req.Type),
-			Version:    replyVersion(req.Version),
+			Version:    proto.V3,
 			Error:      fmt.Sprintf("gateway %s overloaded: %d requests waiting", s.st.Host(), s.waiting.Load()),
 			Code:       proto.CodeOverloaded,
 			RetryAfter: overloadRetryAfter,
@@ -236,7 +236,7 @@ func (s *Server) handleFetch(req proto.Message) {
 			}
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgQueryFetchReply, Version: replyVersion(req.Version), Results: out})
+	s.st.Reply(req, proto.Message{Type: proto.MsgQueryFetchReply, Version: proto.V3, Results: out})
 }
 
 func (s *Server) handleForecast(req proto.Message) {
@@ -268,19 +268,7 @@ func (s *Server) handleForecast(req proto.Message) {
 			}
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgQueryForecastReply, Version: replyVersion(req.Version), Forecasts: out})
-}
-
-// replyVersion echoes a request's version so each caller gets replies
-// priced (and encoded) at its own wire version, clamped to [V2, V3].
-func replyVersion(v int) int {
-	if v < proto.V2 {
-		return proto.V2
-	}
-	if v > proto.V3 {
-		return proto.V3
-	}
-	return v
+	s.st.Reply(req, proto.Message{Type: proto.MsgQueryForecastReply, Version: proto.V3, Forecasts: out})
 }
 
 // Client is an end user's handle on a deployment's query gateways. It

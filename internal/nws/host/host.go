@@ -287,10 +287,10 @@ func (a *Agent) dispatch() {
 		switch msg.Type {
 		case proto.MsgRegister, proto.MsgRegisterBulk, proto.MsgUnregister, proto.MsgLookup:
 			key = keyNS
-		case proto.MsgStore, proto.MsgFetch, proto.MsgBatchFetch,
+		case proto.MsgStore, proto.MsgBatchFetch,
 			proto.MsgReplStore, proto.MsgReplWindow, proto.MsgReplSync, proto.MsgReplRepair:
 			key = keyMemory
-		case proto.MsgForecast, proto.MsgBatchForecast:
+		case proto.MsgBatchForecast:
 			key = keyForecast
 		case proto.MsgQueryFetch, proto.MsgQueryForecast:
 			key = keyGateway

@@ -5,6 +5,7 @@ package memory
 
 import (
 	"encoding/gob"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -130,8 +131,6 @@ func (s *Server) Run() {
 		switch req.Type {
 		case proto.MsgStore:
 			s.handleStore(req)
-		case proto.MsgFetch:
-			s.handleFetch(req)
 		case proto.MsgBatchFetch:
 			s.handleBatchFetch(req)
 		case proto.MsgReplStore:
@@ -231,37 +230,13 @@ func (s *Server) isRegistered(series string) bool {
 	return s.registered[series]
 }
 
-// lastN copies the newest n samples of buf (all of them when n <= 0 or
-// n exceeds the retained window). Callers hold s.mu.
-func lastN(buf []proto.Sample, n int) []proto.Sample {
-	if n <= 0 || n > len(buf) {
-		n = len(buf)
-	}
-	out := make([]proto.Sample, n)
-	copy(out, buf[len(buf)-n:])
-	return out
-}
-
-func (s *Server) handleFetch(req proto.Message) {
-	s.mu.Lock()
-	out := lastN(s.series[req.Series], req.Count)
-	s.mu.Unlock()
-	s.st.Reply(req, proto.Message{Type: proto.MsgFetchReply, Series: req.Series, Samples: out})
-}
-
 // handleBatchFetch answers a batch fetch: every requested series in
-// one round-trip. Unknown series come back empty (like single Fetch);
-// results keep the request order. The reply echoes the request's
-// version so V2 and V3 callers each get replies priced (and encoded)
-// at their own wire version.
+// one round-trip. Unknown series come back empty; results keep the
+// request order.
 func (s *Server) handleBatchFetch(req proto.Message) {
 	if req.Version > proto.V3 {
 		s.st.ReplyError(req, "memory: unsupported protocol version %d (max %d)", req.Version, proto.V3)
 		return
-	}
-	ver := req.Version
-	if ver < proto.V2 {
-		ver = proto.V2
 	}
 	results := make([]proto.SeriesResult, len(req.Queries))
 	s.mu.Lock()
@@ -288,7 +263,7 @@ func (s *Server) handleBatchFetch(req proto.Message) {
 		}
 	}
 	s.mu.Unlock()
-	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: ver, Results: results})
+	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: proto.V3, Results: results})
 }
 
 // handleReplStore applies one fan-out append from a primary. An owned
@@ -564,15 +539,18 @@ func (c *Client) Store(series string, samples ...proto.Sample) error {
 // retention cap); n larger than the window is clamped to it. An unknown
 // series is not an error: it returns an empty slice.
 func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
-	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgFetch, Series: series, Count: n}, c.Timeout)
+	res, err := c.BatchFetch([]proto.SeriesRequest{{Series: series, Count: n}})
 	if err != nil {
 		return nil, err
 	}
-	return reply.Samples, nil
+	if len(res) != 1 {
+		return nil, fmt.Errorf("memory: %d results for a batch of one", len(res))
+	}
+	return res[0].Samples, nil
 }
 
-// BatchFetch returns many series in one round-trip (V2). Results keep
-// the request order; per-series Count semantics match Fetch.
+// BatchFetch returns many series in one round-trip. Results keep the
+// request order; per-series Count semantics match Fetch.
 func (c *Client) BatchFetch(reqs []proto.SeriesRequest) ([]proto.SeriesResult, error) {
 	reply, err := c.St.Call(c.Host, proto.Message{Type: proto.MsgBatchFetch, Version: proto.V3, Queries: reqs}, c.Timeout)
 	if err != nil {

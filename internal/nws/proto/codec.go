@@ -8,15 +8,16 @@ import (
 	"time"
 )
 
-// V3 wire codec: a hand-rolled length-prefixed binary encoding for the
-// whole Message vocabulary, replacing gob's per-message reflection on
-// the hot query plane. Layout is positional — every field of Message in
-// declaration order — with varints for integers (zigzag for signed),
-// 8-byte little-endian IEEE 754 for floats and uvarint-length-prefixed
-// bytes for strings. Slices are uvarint counts followed by elements.
+// The wire codec: a hand-rolled length-prefixed binary encoding for the
+// whole Message vocabulary — the only encoding, on sockets and in the
+// simulator's byte accounting. Layout is positional — every field of
+// Message in declaration order — with varints for integers (zigzag for
+// signed), 8-byte little-endian IEEE 754 for floats and
+// uvarint-length-prefixed bytes for strings. Slices are uvarint counts
+// followed by elements.
 //
-// A frame on a V3 stream is a 4-byte little-endian payload length
-// followed by the payload. The codec is allocation-disciplined: encoding
+// A frame is a 4-byte little-endian payload length followed by the
+// payload. The codec is allocation-disciplined: encoding
 // appends into a caller-supplied (pooled) buffer, EncodedSize prices a
 // message exactly without encoding it, and decoding allocates one
 // backing array per sample-carrying field group instead of one slice

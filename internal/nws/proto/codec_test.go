@@ -21,13 +21,16 @@ func codecShapes() []Message {
 		{},
 		{Type: MsgPing, From: "h0", ID: 7},
 		{Type: MsgPong, From: "h1", ID: 9, ReplyTo: 7},
-		{Type: MsgRegister, Version: V1, From: "h1", ID: 1, Reg: reg},
+		{Type: MsgRegister, From: "h1", ID: 1, Reg: reg},
 		{Type: MsgLookup, From: "h2", ID: 2, Kind: "series", Name: "cpu.h1"},
 		{Type: MsgLookupReply, From: "ns", ID: 3, ReplyTo: 2, Regs: []Registration{reg, {Name: "b"}}},
 		{Type: MsgStore, From: "s", ID: 4, Series: "cpu.h1", Samples: samples},
-		{Type: MsgFetch, From: "c", ID: 5, Series: "cpu.h1", Count: -1},
-		{Type: MsgFetchReply, From: "m", ID: 6, ReplyTo: 5, Series: "cpu.h1", Samples: samples},
-		{Type: MsgForecastReply, From: "f", ID: 8, ReplyTo: 7, Series: "cpu.h1",
+		{Type: MsgReplSync, From: "c", ID: 5, Series: "cpu.h1", Count: -1},
+		{Type: MsgStoreAck, From: "m", ID: 6, ReplyTo: 5, Series: "cpu.h1", Samples: samples},
+		// The top-level forecast fields: no message type fills them since
+		// the single-shot forecast reply went, but the flat struct and the
+		// positional codec still carry them.
+		{Type: MsgBatchForecastReply, From: "f", ID: 8, ReplyTo: 7, Series: "cpu.h1",
 			Value: 0.5, MAE: 0.01, MSE: 0.002, Method: "mean", Count: 16},
 		{Type: MsgToken, From: "h3", ID: 10, Clique: "cl0", TokenSeq: 41, Epoch: 1 << 20},
 		{Type: MsgBatchFetch, Version: V3, From: "gw", ID: 11,

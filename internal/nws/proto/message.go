@@ -2,8 +2,9 @@
 // exchanged between sensors, memory servers, forecasters and the name
 // server (§2.1), a request/reply station with correlation and timeouts,
 // and two interchangeable transports — a simulated one running on the
-// simnet/vclock substrate and a real TCP transport using encoding/gob
-// over loopback sockets.
+// simnet/vclock substrate and a real TCP transport over loopback
+// sockets. Both speak one encoding, the binary codec in codec.go: TCP
+// writes its frames, the simulator charges their exact length.
 package proto
 
 import (
@@ -24,12 +25,6 @@ const (
 	// Time-series storage (memory server).
 	MsgStore
 	MsgStoreAck
-	MsgFetch
-	MsgFetchReply
-
-	// Forecaster.
-	MsgForecast
-	MsgForecastReply
 
 	// Clique token-ring protocol.
 	MsgToken
@@ -46,9 +41,9 @@ const (
 	MsgPing
 	MsgPong
 
-	// Versioned query plane (V2). Batch messages answer many series in
-	// one round-trip; Query* are the gateway's client-facing forms.
-	// New types append here so old wire values stay stable.
+	// Query plane. Batch messages answer many series in one round-trip
+	// (memory server, forecaster); Query* are the gateway's
+	// client-facing forms.
 	MsgBatchFetch
 	MsgBatchFetchReply
 	MsgBatchForecast
@@ -62,7 +57,7 @@ const (
 	// host owns (Regs carries the batch; the ack is MsgRegisterAck).
 	MsgRegisterBulk
 
-	// Replication plane (V3). ReplStore appends fan-out samples on a
+	// Replication plane. ReplStore appends fan-out samples on a
 	// replica (Total carries the primary's cumulative per-series count,
 	// so the replica can compute its lag watermark); ReplWindow replaces
 	// a replica's retained window wholesale (anti-entropy backfill);
@@ -85,8 +80,6 @@ var msgNames = map[MsgType]string{
 	MsgUnregister: "Unregister",
 	MsgLookup:     "Lookup", MsgLookupReply: "LookupReply",
 	MsgStore: "Store", MsgStoreAck: "StoreAck",
-	MsgFetch: "Fetch", MsgFetchReply: "FetchReply",
-	MsgForecast: "Forecast", MsgForecastReply: "ForecastReply",
 	MsgToken: "Token", MsgTokenAck: "TokenAck",
 	MsgElection: "Election", MsgElectionOK: "ElectionOK",
 	MsgCoordinator: "Coordinator",
@@ -129,19 +122,9 @@ type Sample struct {
 	Value float64
 }
 
-// Protocol versions. Version 1 is the original single-shot vocabulary;
-// version 2 adds the batch query plane (BatchFetch/BatchForecast and
-// the gateway's Query* forms); version 3 keeps the V2 vocabulary but
-// switches the encoding to the compact length-prefixed binary codec
-// (codec.go) on transports that negotiate it, with exact WireSize
-// accounting in simulation. A zero Version on the wire means V1: old
-// clients keep working unchanged.
-const (
-	V1 = 1
-	V2 = 2
-	// V3 is the current query-plane version.
-	V3 = 3
-)
+// V3 is the protocol version: the byte the TCP handshake exchanges and
+// the highest Message.Version a server accepts. There is no other.
+const V3 = 3
 
 // Per-series error codes carried inside batch results, so structured
 // errors survive serialization without clients sniffing message text.
@@ -208,11 +191,11 @@ type ForecastResult struct {
 }
 
 // Message is the single flat wire message. Unused fields stay at their
-// zero values; a flat struct keeps gob encoding trivial and the protocol
-// easy to trace.
+// zero values; a flat struct keeps the positional codec one pass over
+// the fields and the protocol easy to trace.
 type Message struct {
 	Type    MsgType
-	Version int    // protocol version (0 means V1; batch messages carry V2)
+	Version int    // protocol version the sender stamped (0 = unstamped); servers reject > V3
 	From    string // sending host
 	ID      int64  // request correlation id (unique per sender)
 	ReplyTo int64  // id of the request this message answers (0 = not a reply)
@@ -229,12 +212,14 @@ type Message struct {
 	Samples []Sample
 	Count   int
 
-	// Batch query-plane fields (V2).
+	// Batch query-plane fields.
 	Queries   []SeriesRequest
 	Results   []SeriesResult
 	Forecasts []ForecastResult
 
-	// Forecast fields.
+	// Forecast fields. No message type fills them (forecasts travel in
+	// Forecasts); they stay part of the positional layout until Message
+	// is split into header + payload.
 	Value  float64
 	MAE    float64
 	MSE    float64
@@ -261,39 +246,8 @@ type Message struct {
 }
 
 // WireSize is the byte cost the simulated transport charges for a
-// message. V3 messages are priced at their exact encoded frame length
-// (payload plus the 4-byte length prefix), so simulated bandwidth
-// costs track the real wire; V1/V2 messages keep the historical gob
-// estimate so pre-V3 timings stay comparable.
+// message: its exact encoded frame length (codec payload plus the
+// 4-byte length prefix), the same bytes the TCP transport writes.
 func (m *Message) WireSize() int64 {
-	if m.Version >= V3 {
-		return int64(EncodedSize(m)) + frameHeaderSize
-	}
-	n := int64(128)
-	n += int64(len(m.From) + len(m.Error) + len(m.Kind) + len(m.Name) + len(m.Series) + len(m.Method) + len(m.Clique) + len(m.Code))
-	n += int64(len(m.Samples)) * 16
-	n += regEstimate(&m.Reg)
-	for i := range m.Regs {
-		n += regEstimate(&m.Regs[i])
-	}
-	for _, q := range m.Queries {
-		n += int64(len(q.Series)) + 8
-	}
-	for i := range m.Results {
-		r := &m.Results[i]
-		n += int64(len(r.Series)+len(r.Error)+len(r.Code)) + int64(len(r.Samples))*16 + 16
-	}
-	for i := range m.Forecasts {
-		f := &m.Forecasts[i]
-		n += int64(len(f.Series)+len(f.Method)+len(f.Error)+len(f.Code)) + 40
-	}
-	return n
-}
-
-func regEstimate(r *Registration) int64 {
-	n := int64(len(r.Name)+len(r.Kind)+len(r.Host)+len(r.Owner)) + 16
-	for _, h := range r.Replicas {
-		n += int64(len(h)) + 8
-	}
-	return n
+	return int64(EncodedSize(m)) + frameHeaderSize
 }

@@ -204,12 +204,12 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 			if !ok {
 				return
 			}
-			if req.Type == MsgFetch {
-				sa.Reply(req, Message{Type: MsgFetchReply, Samples: []Sample{{At: time.Second, Value: 3.5}}})
+			if req.Type == MsgBatchFetch {
+				sa.Reply(req, Message{Type: MsgBatchFetchReply, Samples: []Sample{{At: time.Second, Value: 3.5}}})
 			}
 		}
 	}()
-	reply, err := sb.Call("alpha", Message{Type: MsgFetch, Series: "bw.a.b"}, 2*time.Second)
+	reply, err := sb.Call("alpha", Message{Type: MsgBatchFetch, Series: "bw.a.b"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,8 @@ func TestTCPUnknownHost(t *testing.T) {
 }
 
 func TestWireSizeGrowsWithSamples(t *testing.T) {
-	small := (&Message{Type: MsgFetchReply}).WireSize()
-	big := (&Message{Type: MsgFetchReply, Samples: make([]Sample, 100)}).WireSize()
+	small := (&Message{Type: MsgBatchFetchReply}).WireSize()
+	big := (&Message{Type: MsgBatchFetchReply, Samples: make([]Sample, 100)}).WireSize()
 	if big <= small {
 		t.Fatalf("wire size small=%d big=%d", small, big)
 	}

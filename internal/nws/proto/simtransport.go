@@ -9,9 +9,9 @@ import (
 )
 
 // SimTransport delivers messages over a simnet.Network: each message is
-// charged the one-way path latency plus serialization of its estimated
-// wire size; firewall zones apply. Host endpoints can be taken down and
-// brought back up to inject failures.
+// charged the one-way path latency plus serialization of its exact
+// frame length (Message.WireSize); firewall zones apply. Host endpoints
+// can be taken down and brought back up to inject failures.
 type SimTransport struct {
 	net *simnet.Network
 	rt  *SimRuntime
@@ -20,7 +20,7 @@ type SimTransport struct {
 	eps     map[string]*simEndpoint
 	down    map[string]bool
 	blocked map[string]bool // "a|b" unordered pair -> messages dropped
-	stats   *wireStats
+	stats   wireStats
 }
 
 // NewSimTransport builds a transport over net.
@@ -35,9 +35,9 @@ func NewSimTransport(net *simnet.Network) *SimTransport {
 }
 
 // SetTelemetry wires the transport's codec counters
-// (proto/encode_total{version=...}, proto/bytes_out, proto/bytes_in)
-// into reg. Simulated messages are never byte-encoded, so each is
-// counted at its WireSize — the same cost the network charges.
+// (proto/encode_total, proto/bytes_out, proto/bytes_in) into reg.
+// Simulated messages are never byte-encoded, so each is counted at its
+// WireSize — the cost the network charges and the bytes TCP would write.
 func (t *SimTransport) SetTelemetry(reg *telemetry.Registry) {
 	t.mu.Lock()
 	t.stats = newWireStats(reg)
@@ -133,15 +133,8 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		return nil
 	}
 	if to == e.host {
-		// Local delivery: no network charge, but the codec counters
-		// still tick — the TCP transport encodes loopback traffic (a
-		// self-dial runs through the framing layer), and the telemetry
-		// planes must agree on what "encoded" means.
-		if stats != nil {
-			size := m.WireSize()
-			stats.encoded(wireVersionOf(&m), size)
-			stats.received(size)
-		}
+		// Local delivery: no network charge and nothing counted, as on
+		// TCP, where a self-send goes straight to the inbox.
 		e.inbox.Send(m)
 		return nil
 	}
@@ -151,7 +144,7 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		return nil
 	}
 	size := m.WireSize()
-	stats.encoded(wireVersionOf(&m), size)
+	stats.encoded(size)
 	return t.net.Deliver(e.host, to, size, func() {
 		t.mu.Lock()
 		dst := t.eps[to]

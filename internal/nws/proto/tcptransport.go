@@ -3,24 +3,30 @@ package proto
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"nwsenv/internal/telemetry"
 )
 
-// Wire negotiation. A negotiating dialer opens every connection with a
-// 5-byte hello — the 4-byte magic followed by the highest wire version
-// it speaks. The acceptor answers with one byte, min(its max, the
-// dialer's max), and both sides use that version for the life of the
-// connection: compact length-prefixed frames (codec.go) at V3, gob at
-// V2/V1. A peer that opens with anything other than the magic is a
-// legacy raw-gob dialer and is served gob from byte zero, so old
-// binaries keep working without reconfiguration.
-const wireMagic = "NWS\x01"
+// Handshake. A dialer opens every connection with the 5-byte hello —
+// the 4-byte magic followed by the wire version — and the acceptor
+// answers with the one version byte. There is one version, V3: length-
+// prefixed codec frames (codec.go) for the life of the connection. An
+// acceptor that reads anything but the hello closes the connection
+// without answering; a dialer that is answered anything but V3 fails the
+// Send with an error naming the version.
+const wireHello = "NWS\x01" + string(rune(V3))
+
+// handshakeTimeout bounds the dial and each side's half of the
+// handshake, so a peer that accepts (or connects) and then stays silent
+// costs one timeout instead of wedging the connection's sender or an
+// acceptor goroutine. Endpoints are loopback sockets: a healthy
+// handshake takes microseconds.
+const handshakeTimeout = 2 * time.Second
 
 // TCPTransport delivers messages between hosts over real TCP sockets on
 // the local machine. Host names are mapped to listen addresses by an
@@ -28,48 +34,33 @@ const wireMagic = "NWS\x01"
 // proving the NWS components run on the plain standard library network
 // stack, not only in simulation.
 type TCPTransport struct {
-	rt     Runtime
-	maxVer int
-	hello  []byte
+	rt Runtime
 
 	mu    sync.Mutex
 	addrs map[string]string // host -> "127.0.0.1:port"
 	eps   map[string]*tcpEndpoint
-	stats *wireStats
+	stats wireStats
 }
 
-// NewTCPTransport returns a transport using real time, negotiating up
-// to the current wire version (V3).
-func NewTCPTransport() *TCPTransport { return NewTCPTransportMaxVersion(V3) }
-
-// NewTCPTransportMaxVersion caps the highest wire version the transport
-// will negotiate, dialing or accepting. A V2-capped transport behaves
-// exactly like a pre-V3 binary on the wire — the lever the
-// mixed-version interop tests use.
-func NewTCPTransportMaxVersion(maxVer int) *TCPTransport {
-	if maxVer < V1 || maxVer > V3 {
-		maxVer = V3
-	}
+// NewTCPTransport returns a transport using real time.
+func NewTCPTransport() *TCPTransport {
 	return &TCPTransport{
-		rt:     NewRealRuntime(),
-		maxVer: maxVer,
-		hello:  append([]byte(wireMagic), byte(maxVer)),
-		addrs:  map[string]string{},
-		eps:    map[string]*tcpEndpoint{},
+		rt:    NewRealRuntime(),
+		addrs: map[string]string{},
+		eps:   map[string]*tcpEndpoint{},
 	}
 }
 
 // SetTelemetry wires the transport's codec counters
-// (proto/encode_total{version=...}, proto/bytes_out, proto/bytes_in)
-// into reg. Call before opening endpoints; a nil registry leaves the
-// counters unwired.
+// (proto/encode_total, proto/bytes_out, proto/bytes_in) into reg. Call
+// before opening endpoints; a nil registry leaves the counters unwired.
 func (t *TCPTransport) SetTelemetry(reg *telemetry.Registry) {
 	t.mu.Lock()
 	t.stats = newWireStats(reg)
 	t.mu.Unlock()
 }
 
-func (t *TCPTransport) statsRef() *wireStats {
+func (t *TCPTransport) statsRef() wireStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.stats
@@ -122,11 +113,8 @@ func (t *TCPTransport) Active(host string) bool {
 
 type outConn struct {
 	mu   sync.Mutex
-	conn net.Conn
-	ver  int             // negotiated wire version
-	enc  *gob.Encoder    // gob fallback stream (ver < V3)
-	cw   *countingWriter // under enc, for bytes_out accounting
-	buf  []byte          // reusable V3 frame buffer
+	conn net.Conn // nil until dialed, and again after a failed write
+	buf  []byte   // reusable frame buffer
 }
 
 type tcpEndpoint struct {
@@ -163,9 +151,9 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the first bytes of an inbound connection: the wire
-// magic starts a version handshake; anything else is a legacy raw-gob
-// stream and the peeked bytes are replayed into the gob decoder.
+// serveConn answers the dialer's hello and then pumps frames into the
+// inbox until the connection fails. The handshake runs under a deadline;
+// the frame loop does not (an idle peer is a healthy peer).
 func (e *tcpEndpoint) serveConn(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -173,34 +161,24 @@ func (e *tcpEndpoint) serveConn(c net.Conn) {
 		delete(e.accepted, c)
 		e.mu.Unlock()
 	}()
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReaderSize(c, 32<<10)
-	head, err := br.Peek(len(wireMagic))
-	if err == nil && string(head) == wireMagic {
-		br.Discard(len(wireMagic))
-		vb, err := br.ReadByte()
-		if err != nil {
-			return
-		}
-		ver := min(e.t.maxVer, int(vb))
-		if ver < V1 {
-			ver = V1
-		}
-		if _, err := c.Write([]byte{byte(ver)}); err != nil {
-			return
-		}
-		if ver >= V3 {
-			e.readV3(br)
-			return
-		}
+	var hello [len(wireHello)]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil || string(hello[:]) != wireHello {
+		return
 	}
-	e.readGob(br)
+	if _, err := c.Write([]byte{V3}); err != nil {
+		return
+	}
+	c.SetDeadline(time.Time{})
+	e.readFrames(br)
 }
 
-// readV3 pumps compact frames: a 4-byte little-endian payload length,
-// then the codec payload. The payload buffer is reused across frames;
-// Decode copies strings and gives samples fresh backing, so nothing in
-// a delivered Message aliases it.
-func (e *tcpEndpoint) readV3(r io.Reader) {
+// readFrames pumps frames: a 4-byte little-endian payload length, then
+// the codec payload. The payload buffer is reused across frames; Decode
+// copies strings and gives samples fresh backing, so nothing in a
+// delivered Message aliases it.
+func (e *tcpEndpoint) readFrames(r io.Reader) {
 	stats := e.t.statsRef()
 	var hdr [frameHeaderSize]byte
 	var buf []byte
@@ -224,20 +202,6 @@ func (e *tcpEndpoint) readV3(r io.Reader) {
 			return
 		}
 		stats.received(int64(n) + frameHeaderSize)
-		e.inbox.Send(m)
-	}
-}
-
-func (e *tcpEndpoint) readGob(r io.Reader) {
-	stats := e.t.statsRef()
-	cr := &countingReader{r: r}
-	dec := gob.NewDecoder(cr)
-	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			return
-		}
-		stats.received(cr.take())
 		e.inbox.Send(m)
 	}
 }
@@ -274,66 +238,46 @@ func (e *tcpEndpoint) Send(to string, m Message) error {
 			return err
 		}
 	}
-	if oc.ver >= V3 {
-		b := append(oc.buf[:0], 0, 0, 0, 0)
-		b = AppendEncode(b, &m)
-		oc.buf = b
-		payload := len(b) - frameHeaderSize
-		if int64(payload) > MaxFrameSize {
-			return fmt.Errorf("proto: %w (%d bytes)", ErrFrameTooLarge, payload)
-		}
-		binary.LittleEndian.PutUint32(b[:frameHeaderSize], uint32(payload))
-		if _, err := oc.conn.Write(b); err != nil {
-			oc.reset()
-			return err
-		}
-		stats.encoded(V3, int64(len(b)))
-		return nil
+	b := append(oc.buf[:0], 0, 0, 0, 0)
+	b = AppendEncode(b, &m)
+	oc.buf = b
+	payload := len(b) - frameHeaderSize
+	if int64(payload) > MaxFrameSize {
+		return fmt.Errorf("proto: %w (%d bytes)", ErrFrameTooLarge, payload)
 	}
-	if err := oc.enc.Encode(&m); err != nil {
-		oc.reset()
+	binary.LittleEndian.PutUint32(b[:frameHeaderSize], uint32(payload))
+	if _, err := oc.conn.Write(b); err != nil {
+		// Drop the failed connection so the next Send re-dials.
+		oc.conn.Close()
+		oc.conn = nil
 		return err
 	}
-	stats.encoded(oc.ver, oc.cw.take())
+	stats.encoded(int64(len(b)))
 	return nil
 }
 
-// dial connects and runs the version handshake. Called with oc.mu held.
+// dial connects and runs the handshake, both under handshakeTimeout.
+// Called with oc.mu held.
 func (e *tcpEndpoint) dial(oc *outConn, addr string) error {
-	c, err := net.Dial("tcp", addr)
+	c, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return err
 	}
-	if _, err := c.Write(e.t.hello); err != nil {
-		c.Close()
-		return err
-	}
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	var vb [1]byte
-	if _, err := io.ReadFull(c, vb[:]); err != nil {
+	if _, err = io.WriteString(c, wireHello); err == nil {
+		_, err = io.ReadFull(c, vb[:])
+	}
+	if err == nil && vb[0] != V3 {
+		err = fmt.Errorf("peer answered wire version %d, want %d", vb[0], V3)
+	}
+	if err != nil {
 		c.Close()
-		return err
+		return fmt.Errorf("proto: handshake with %s: %w", addr, err)
 	}
-	ver := int(vb[0])
-	if ver < V1 || ver > e.t.maxVer {
-		c.Close()
-		return fmt.Errorf("proto: peer negotiated unsupported wire version %d", ver)
-	}
-	oc.conn, oc.ver = c, ver
-	if ver < V3 {
-		oc.cw = &countingWriter{w: c}
-		oc.enc = gob.NewEncoder(oc.cw)
-	}
+	c.SetDeadline(time.Time{})
+	oc.conn = c
 	return nil
-}
-
-// reset drops a failed connection so the next Send re-dials. Called
-// with oc.mu held.
-func (oc *outConn) reset() {
-	if oc.conn != nil {
-		oc.conn.Close()
-	}
-	oc.conn, oc.enc, oc.cw = nil, nil, nil
-	oc.ver = 0
 }
 
 func (e *tcpEndpoint) Close() error {
@@ -369,40 +313,4 @@ func (e *tcpEndpoint) Close() error {
 	}
 	e.inbox.Close()
 	return err
-}
-
-// countingReader / countingWriter meter gob streams, whose codec does
-// not expose encoded sizes.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) take() int64 {
-	n := c.n
-	c.n = 0
-	return n
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingWriter) take() int64 {
-	n := c.n
-	c.n = 0
-	return n
 }

