@@ -193,3 +193,33 @@ func TestCLIGracefulShutdown(t *testing.T) {
 		}
 	}
 }
+
+// TestCLITCPPairwise: -pairwise must reach the TCP platform too. The
+// loopback segment is one switched clique; under the pairwise scheduler
+// it measures every pair without ever passing a token, so the run's
+// telemetry carries bandwidth readings but no clique/token_passes.
+func TestCLITCPPairwise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := filepath.Join(t.TempDir(), "nwsmanager")
+	if msg, err := exec.Command("go", "build", "-o", bin, "./cmd/nwsmanager").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, msg)
+	}
+	tele := t.TempDir()
+	out, err := exec.Command(bin, "-tcp", "-hosts", "alpha,beta,gamma", "-duration", "2s",
+		"-pairwise", "-telemetry", tele).CombinedOutput()
+	if err != nil {
+		t.Fatalf("nwsmanager -tcp -pairwise: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "alpha -> beta") {
+		t.Fatalf("pairwise run measured nothing:\n%s", out)
+	}
+	metrics, err := os.ReadFile(filepath.Join(tele, "metrics.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(metrics), "clique/token_passes") {
+		t.Fatalf("-tcp -pairwise still ran a token ring:\n%s", metrics)
+	}
+}

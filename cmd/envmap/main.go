@@ -62,8 +62,8 @@ func main() {
 
 	opts := []core.Option{core.WithGridLabel("Grid1"), core.WithAutoAliases()}
 	if *verbose {
-		opts = append(opts, core.WithObserver(func(ph core.Phase, detail string) {
-			fmt.Fprintf(os.Stderr, "[%s] %s\n", ph, detail)
+		opts = append(opts, core.WithObserver(func(e core.Event) {
+			fmt.Fprintf(os.Stderr, "[%s] %s\n", e.Phase, e.Detail)
 		}))
 	}
 	pl := core.NewPipeline(se.Plat, opts...)

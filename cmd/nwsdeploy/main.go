@@ -60,8 +60,8 @@ func mapAndPlan(topoFile, master, mappingOut, out string) {
 	runs := se.MapRuns()
 	opts := []core.Option{
 		core.WithAutoAliases(),
-		core.WithObserver(func(ph core.Phase, detail string) {
-			fmt.Fprintf(os.Stderr, "[%s] %s\n", ph, detail)
+		core.WithObserver(func(e core.Event) {
+			fmt.Fprintf(os.Stderr, "[%s] %s\n", e.Phase, e.Detail)
 		}),
 	}
 	if master != "" {

@@ -52,35 +52,48 @@ import (
 	"nwsenv/internal/scenlab"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/telemetry"
-	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
 )
 
+// options are the parsed flags.
+type options struct {
+	topoFile, hostsCSV    string
+	planFile, gridmlFile  string
+	tcp, watch, pairwise  bool
+	duration, interval    time.Duration
+	query                 string
+	replicas, gateways    int
+	scenario, scenarioDir string
+	seed                  int64
+	teleDir               string
+}
+
 func main() {
-	topoFile := flag.String("topo", "", "topology spec file (required unless -tcp)")
-	planFile := flag.String("plan", "", "plan/config file from nwsdeploy")
-	gridmlFile := flag.String("gridml", "", "GridML file for name resolution (optional)")
+	var o options
+	flag.StringVar(&o.topoFile, "topo", "", "topology spec file (required unless -tcp)")
+	flag.StringVar(&o.planFile, "plan", "", "plan/config file from nwsdeploy")
+	flag.StringVar(&o.gridmlFile, "gridml", "", "GridML file for name resolution (optional)")
 	auto := flag.Bool("auto", false, "run the full Map→Plan→Apply pipeline instead of reading -plan")
-	tcp := flag.Bool("tcp", false, "drive a real loopback TCP platform end to end (with -hosts)")
-	hostsCSV := flag.String("hosts", "", "with -tcp: comma-separated host IDs")
-	duration := flag.Duration("duration", 5*time.Minute, "monitoring duration (virtual, or wall-clock with -tcp)")
-	query := flag.String("query", "", "host pair to estimate afterwards: from,to")
-	pairwise := flag.Bool("pairwise", false, "drive switched cliques with the pairwise scheduler (§6 relaxation)")
-	replicas := flag.Int("replicas", 0, "replication factor k: every memory server's series get k replicas on distinct switches (0 = off)")
-	gateways := flag.Int("gateways", 0, "query-gateway replica count N: primary on the master plus N-1 replicas on distinct switches (0/1 = single gateway)")
-	watch := flag.Bool("watch", false, "run the self-healing reconcile loop over the deployment")
-	scenario := flag.String("scenario", "none", "with -watch on a topo: fault scenario — a name resolved in -scenarios (crash, partition, ...), a .json path, or none")
-	scenarioDir := flag.String("scenarios", "scenarios", "directory of declarative scenario files -scenario names resolve in")
-	seed := flag.Int64("seed", 42, "seed for all scenario randomness (fault timing, victim choice, churn order)")
-	interval := flag.Duration("reconcile-interval", 2*time.Minute, "reconcile round period (virtual, or wall-clock with -tcp)")
-	teleDir := flag.String("telemetry", "", "directory for telemetry artifacts: metrics.jsonl, trace.jsonl and snapshot.json (periodic under -watch, final flush on exit or SIGINT)")
+	flag.BoolVar(&o.tcp, "tcp", false, "drive a real loopback TCP platform end to end (with -hosts)")
+	flag.StringVar(&o.hostsCSV, "hosts", "", "with -tcp: comma-separated host IDs")
+	flag.DurationVar(&o.duration, "duration", 5*time.Minute, "monitoring duration (virtual, or wall-clock with -tcp)")
+	flag.StringVar(&o.query, "query", "", "host pair to estimate afterwards: from,to")
+	flag.BoolVar(&o.pairwise, "pairwise", false, "drive switched cliques with the pairwise scheduler (§6 relaxation)")
+	flag.IntVar(&o.replicas, "replicas", 0, "replication factor k: every memory server's series get k replicas on distinct switches (0 = off)")
+	flag.IntVar(&o.gateways, "gateways", 0, "query-gateway replica count N: primary on the master plus N-1 replicas on distinct switches (0/1 = single gateway)")
+	flag.BoolVar(&o.watch, "watch", false, "run the self-healing reconcile loop over the deployment")
+	flag.StringVar(&o.scenario, "scenario", "none", "with -watch on a topo: fault scenario — a name resolved in -scenarios (crash, partition, ...), a .json path, or none")
+	flag.StringVar(&o.scenarioDir, "scenarios", "scenarios", "directory of declarative scenario files -scenario names resolve in")
+	flag.Int64Var(&o.seed, "seed", 42, "seed for all scenario randomness (fault timing, victim choice, churn order)")
+	flag.DurationVar(&o.interval, "reconcile-interval", 2*time.Minute, "reconcile round period (virtual, or wall-clock with -tcp)")
+	flag.StringVar(&o.teleDir, "telemetry", "", "directory for telemetry artifacts: metrics.jsonl, trace.jsonl and snapshot.json (periodic under -watch, final flush on exit or SIGINT)")
 	pprofAddr := flag.String("pprof", "", "with -tcp: serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	flag.Parse()
-	if *interval <= 0 {
+	if o.interval <= 0 {
 		// The reconciler and the scenario builder both pace off the
 		// interval; a non-positive value would desynchronize them (and
 		// starve the fault jitter), so fall back to the default.
-		*interval = 2 * time.Minute
+		o.interval = 2 * time.Minute
 	}
 
 	// Long-running modes stop cleanly on SIGINT/SIGTERM: the context
@@ -89,15 +102,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	observer := core.WithObserver(func(ph core.Phase, detail string) {
-		fmt.Fprintf(os.Stderr, "[%s] %s\n", ph, detail)
-	})
-
 	if *pprofAddr != "" {
 		// pprof only makes sense where the process does wall-clock
 		// work: the TCP platform. Simulated runs finish in milliseconds
 		// and would tear the server down before a profile lands.
-		if !*tcp {
+		if !o.tcp {
 			fmt.Fprintln(os.Stderr, "nwsmanager: -pprof requires -tcp")
 			os.Exit(2)
 		}
@@ -113,27 +122,19 @@ func main() {
 		defer ln.Close()
 	}
 
-	if *tcp {
-		runTCP(ctx, strings.Split(*hostsCSV, ","), *duration, *query, *watch, *interval, *replicas, *gateways, *teleDir, observer)
-		return
-	}
-	if *topoFile == "" {
+	if !o.tcp && o.topoFile == "" {
 		fmt.Fprintln(os.Stderr, "nwsmanager: -topo is required")
 		os.Exit(2)
 	}
-	if *watch {
-		runWatchSim(ctx, *topoFile, *duration, *interval, *scenario, *scenarioDir, *seed, *pairwise, *replicas, *gateways, *teleDir, observer)
-		return
-	}
-	if *auto {
-		runAuto(*topoFile, *duration, *query, *pairwise, *replicas, *gateways, *teleDir, observer)
-		return
-	}
-	if *planFile == "" {
+	if o.tcp || o.watch || *auto {
+		o.planFile = "" // the pipeline maps and plans for itself
+	} else if o.planFile == "" {
 		fmt.Fprintln(os.Stderr, "nwsmanager: -plan is required (or use -auto)")
 		os.Exit(2)
 	}
-	runFromPlan(*topoFile, *planFile, *gridmlFile, *duration, *query, *pairwise)
+	if !run(ctx, o) {
+		os.Exit(1)
+	}
 }
 
 // wireCodecTelemetry attaches the transport's codec counters
@@ -148,217 +149,235 @@ func wireCodecTelemetry(p platform.Platform, reg *telemetry.Registry) {
 	}
 }
 
-// runAuto drives the whole pipeline on the simulated platform: one
-// command instead of the topogen→envmap→nwsdeploy→nwsmanager file
-// relay.
-func runAuto(topoFile string, duration time.Duration, query string, pairwise bool, replicas, gateways int, teleDir string, observer core.Option) {
-	se, err := cli.LoadSim(topoFile)
-	check(err)
-	sim, net := se.Sim, se.Net
-	runs := se.MapRuns()
-	reg := telemetry.New(sim.Now)
-	simnet.RegisterTelemetry(reg, net)
-	wireCodecTelemetry(se.Plat, reg)
-	opts := []core.Option{core.WithAutoAliases(), core.WithTokenGap(time.Second), core.WithTelemetry(reg), observer}
-	if pairwise {
+// pipelineOptions is the one place the flags become pipeline options.
+// The simulated platform maps real routes across firewall sides, so it
+// guesses gateway aliases and paces cliques at a virtual second; the
+// loopback platform is one labelled segment pacing at 50 ms of wall
+// clock.
+func pipelineOptions(o options, reg *telemetry.Registry) []core.Option {
+	opts := []core.Option{
+		core.WithTelemetry(reg),
+		core.WithReplication(o.replicas),
+		core.WithGateways(o.gateways),
+		core.WithObserver(func(e core.Event) {
+			fmt.Fprintf(os.Stderr, "[%s] %s\n", e.Phase, e.Detail)
+		}),
+	}
+	if o.pairwise {
 		opts = append(opts, core.WithPairwiseSwitched())
 	}
-	if replicas > 0 {
-		opts = append(opts, core.WithReplication(replicas))
+	if o.tcp {
+		return append(opts, core.WithGridLabel("loopback"), core.WithTokenGap(50*time.Millisecond))
 	}
-	if gateways > 1 {
-		opts = append(opts, core.WithGateways(gateways))
-	}
-	pl := core.NewPipeline(se.Plat, opts...)
-
-	var out *core.Outcome
-	var pipeErr error
-	done := false
-	sim.Go("pipeline", func() {
-		out, pipeErr = pl.Deploy(context.Background(), runs...)
-		done = true
-	})
-	// Advance virtual time in small steps: once the deployment is
-	// applied, its agents generate events forever, so a single long
-	// RunUntil would simulate hours of monitoring before returning.
-	for t := sim.Now() + time.Minute; !done && t <= 240*time.Hour; t += time.Minute {
-		check(sim.RunUntil(t))
-	}
-	check(pipeErr)
-	if !done {
-		check(fmt.Errorf("pipeline did not finish within the virtual time budget"))
-	}
-
-	base := sim.Now()
-	check(sim.RunUntil(base + duration))
-	reportSim(net, duration)
-	if query != "" {
-		querySim(sim, out.Deployment, out.Plan, query, base+duration)
-	}
-	out.Deployment.Stop()
-	flushTelemetry(reg, teleDir)
+	return append(opts, core.WithAutoAliases(), core.WithTokenGap(time.Second))
 }
 
-// runWatchSim deploys on the simulated platform, then hands the system
-// to the reconcile control plane while a seeded fault scenario plays
-// out: §4.3's platform evolution end to end. It exits non-zero when the
-// loop has not converged on a valid deployment by the end (unless it
-// was interrupted).
-func runWatchSim(ctx context.Context, topoFile string, duration, interval time.Duration, scenario, scenarioDir string, seed int64, pairwise bool, replicas, gateways int, teleDir string, observer core.Option) {
-	se, err := cli.LoadSim(topoFile)
-	check(err)
-	sim, net := se.Sim, se.Net
-	runs := se.MapRuns()
-	reg := telemetry.New(sim.Now)
-	simnet.RegisterTelemetry(reg, net)
-	wireCodecTelemetry(se.Plat, reg)
-	opts := []core.Option{core.WithAutoAliases(), core.WithTokenGap(time.Second), core.WithTelemetry(reg), observer}
-	if pairwise {
-		opts = append(opts, core.WithPairwiseSwitched())
+// run is the one body of every mode: deploy (a published -plan, or the
+// whole staged pipeline with -auto, -watch and -tcp), with -watch hand
+// the system to the §4.3 reconcile control plane (while a seeded fault
+// scenario plays out on the simulator), let the clock run for the
+// duration, report, and answer -query. One code path drives the
+// simulator and real loopback sockets; what differs is how the clock is
+// driven and where the report reads its measurements. It returns false
+// when a simulated watch has not converged on a valid deployment by the
+// end (unless it was interrupted).
+func run(ctx context.Context, o options) bool {
+	var se *cli.SimEnv // nil on the TCP platform
+	var plat platform.Platform
+	var runs []core.MapRun
+	if o.tcp {
+		hosts := tcpHosts(o.hostsCSV)
+		plat, runs = platform.NewTCPPlatform(hosts), []core.MapRun{{Master: hosts[0], Hosts: hosts}}
+	} else {
+		var err error
+		se, err = cli.LoadSim(o.topoFile)
+		check(err)
+		plat, runs = se.Plat, se.MapRuns()
 	}
-	if replicas > 0 {
-		opts = append(opts, core.WithReplication(replicas))
+	// The registry reads the platform's clock: deterministic readings on
+	// the simulator, honest wall-clock timings on sockets.
+	reg := telemetry.New(plat.Runtime().Now)
+	if se != nil {
+		simnet.RegisterTelemetry(reg, se.Net)
 	}
-	if gateways > 1 {
-		opts = append(opts, core.WithGateways(gateways))
-	}
-	pl := core.NewPipeline(se.Plat, opts...)
+	wireCodecTelemetry(plat, reg)
+	pl := core.NewPipeline(plat, pipelineOptions(o, reg)...)
 
 	var out *core.Outcome
-	var pipeErr error
-	done := false
-	sim.Go("pipeline", func() {
-		out, pipeErr = pl.Deploy(context.Background(), runs...)
-		done = true
-	})
-	for at := sim.Now() + time.Minute; !done && at <= 240*time.Hour; at += time.Minute {
-		check(sim.RunUntil(at))
+	var err error
+	switch {
+	case se == nil:
+		out, err = pl.Deploy(ctx, runs...)
+	case o.planFile != "":
+		out, err = applyPlanFile(se, o)
+	default:
+		out, err = cli.DeploySim(se.Sim, pl, runs)
 	}
-	check(pipeErr)
-	if !done {
-		check(fmt.Errorf("pipeline did not finish within the virtual time budget"))
-	}
-
-	base := sim.Now()
-	scen, err := buildScenario(scenario, scenarioDir, seed, base, net.Topology(), out)
 	check(err)
+	dep := out.Deployment
+
 	var scenRun *simnet.ScenarioRun
-	if len(scen.Events) > 0 {
-		fmt.Fprintf(os.Stderr, "[reconcile] scenario %s (seed %d): %d events\n", scen.Name, seed, len(scen.Events))
-		for _, e := range scen.Events {
-			fmt.Fprintf(os.Stderr, "[reconcile]   t+%-8s %s\n", (e.At - base).Round(time.Second), e)
+	var rec *reconcile.Reconciler
+	wctx, stopWatch := context.WithCancel(ctx)
+	defer stopWatch()
+	loopDone := make(chan struct{})
+	if o.watch {
+		if se != nil {
+			scenRun = scheduleScenario(o, se, out)
 		}
-		scenRun = scen.Schedule(net)
+		rec = reconcile.New(pl, dep, reconcile.Config{
+			Runs:     runs,
+			Interval: o.interval,
+			OnRound: func(rd reconcile.Round) {
+				if rd.Err != nil {
+					fmt.Fprintf(os.Stderr, "[reconcile] round %d: transient: %v\n", rd.Index, rd.Err)
+				}
+			},
+		})
+		plat.Runtime().Go("reconcile", func() {
+			defer close(loopDone)
+			rec.Run(wctx)
+		})
 	}
 
-	rec := reconcile.New(pl, out.Deployment, reconcile.Config{
-		Runs:     runs,
-		Interval: interval,
-		OnRound: func(rd reconcile.Round) {
-			if rd.Err != nil {
-				fmt.Fprintf(os.Stderr, "[reconcile] round %d: transient: %v\n", rd.Index, rd.Err)
-			}
-		},
-	})
-	sim.Go("reconcile", func() { rec.Run(context.Background()) })
-
-	// Drive virtual time in wall-clock-interruptible steps, refreshing
-	// the live telemetry snapshot every ten virtual minutes.
-	interrupted := false
-	step := 0
-	for at := base + time.Minute; at <= base+duration; at += time.Minute {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
+	var elapsed time.Duration
+	if se != nil {
+		elapsed = runSimClock(ctx, se.Sim, o.duration, func() { writeSnapshot(reg, o.teleDir) })
+	} else {
+		if o.watch {
+			fmt.Printf("watching %d hosts over loopback TCP for %v (reconcile every %v) ...\n", len(runs[0].Hosts), o.duration, o.interval)
+		} else {
+			fmt.Printf("monitoring %d hosts over loopback TCP for %v ...\n", len(runs[0].Hosts), o.duration)
 		}
-		check(sim.RunUntil(at))
-		if step++; teleDir != "" && step%10 == 0 {
-			writeSnapshot(reg, teleDir)
+		select {
+		case <-time.After(o.duration):
+		case <-ctx.Done():
+			fmt.Println("interrupted: flushing final report")
 		}
 	}
-	elapsed := sim.Now() - base
+	interrupted := ctx.Err() != nil
+	// Stop the reconcile loop before touching the deployment, so no
+	// repair races the teardown. A simulation process only runs while
+	// the clock is driven, so there the canceled loop needs no join.
+	stopWatch()
+	if rec != nil && se == nil {
+		<-loopDone
+	}
 
-	// Final metrics report: what the watch saw and what it cost.
+	healthy := true
+	if se != nil {
+		healthy = reportSimRun(se.Net, rec, scenRun, elapsed)
+		if o.query != "" {
+			querySim(se.Sim, dep, o.query)
+		}
+	} else {
+		reportTCP(plat, rec, dep, runs[0].Hosts, o.query)
+	}
+	dep.Stop()
+	// The final flush happens on the SIGINT path too: an interrupted run
+	// still leaves complete artifacts behind.
+	flushTelemetry(reg, o.teleDir)
+	if interrupted {
+		fmt.Println("interrupted: shut down cleanly")
+		return true
+	}
+	return healthy
+}
+
+// runSimClock advances the virtual clock by d in one-minute steps, so
+// a SIGINT lands between steps, calling tick every ten virtual minutes
+// (the live telemetry snapshot). It returns the virtual time actually
+// covered.
+func runSimClock(ctx context.Context, sim *vclock.Sim, d time.Duration, tick func()) time.Duration {
+	base := sim.Now()
+	for step := 1; sim.Now() < base+d && ctx.Err() == nil; step++ {
+		check(sim.RunUntil(min(base+time.Duration(step)*time.Minute, base+d)))
+		if step%10 == 0 {
+			tick()
+		}
+	}
+	return sim.Now() - base
+}
+
+// reportSimRun prints the final metrics report of a simulated run that
+// covered elapsed of virtual time: what the watch (if any) saw and what
+// it cost, then the §2.3 observability report. It returns false when a
+// watch ended on an incomplete or still-drifting deployment.
+func reportSimRun(net *simnet.Network, rec *reconcile.Reconciler, scenRun *simnet.ScenarioRun, elapsed time.Duration) bool {
+	if rec == nil {
+		reportSim(net, elapsed)
+		return true
+	}
+	now := net.Sim().Now()
 	rounds := rec.Rounds()
-	repairsN, errsN := 0, 0
-	for _, rd := range rounds {
-		if rd.Repaired() {
-			repairsN++
-		}
-		if rd.Err != nil {
-			errsN++
-		}
-	}
+	repairs, transient := reconcile.Tally(rounds)
 	fmt.Printf("watched %v of virtual time: %d reconcile rounds, %d repairs, %d transient errors\n",
-		elapsed, len(rounds), repairsN, errsN)
+		elapsed, len(rounds), repairs, transient)
 	if scenRun != nil {
 		report := rec.RecoveryReport(scenRun.Injected())
 		fmt.Print(report)
-		dis := metrics.ProbeDisruption(net, "clique:", reconcile.RepairWindows(report), base, sim.Now())
+		dis := metrics.ProbeDisruption(net, "clique:", reconcile.RepairWindows(report), now-elapsed, now)
 		fmt.Printf("probe disruption: baseline %.2f/min, during repair %.2f/min (drop %.0f%%)\n",
 			dis.BaselinePerMinute, dis.RepairPerMinute, dis.Drop*100)
 	}
 	reportSim(net, elapsed)
 
-	dep := rec.Deployment()
-	v := deploy.ValidateConnectivity(dep.Plan)
+	plan := rec.Deployment().Plan
+	v := deploy.ValidateConnectivity(plan)
 	converged := len(rounds) > 0 && rounds[len(rounds)-1].Err == nil && !rounds[len(rounds)-1].Drifted()
-	fmt.Printf("final deployment: %d hosts, complete=%v, converged=%v\n", len(dep.Plan.Hosts), v.Complete, converged)
-	dep.Stop()
-	// Final flush happens on the SIGINT path too: an interrupted watch
-	// still leaves complete artifacts behind.
-	flushTelemetry(reg, teleDir)
-	if interrupted {
-		fmt.Println("interrupted: shut down cleanly")
-		return
-	}
-	if !v.Complete || !converged {
-		os.Exit(1)
-	}
+	fmt.Printf("final deployment: %d hosts, complete=%v, converged=%v\n", len(plan.Hosts), v.Complete, converged)
+	return v.Complete && converged
 }
 
-// buildScenario compiles a declarative scenario file's fault plan
-// against the deployed system. The name resolves to <dir>/<name>.json
-// unless it already looks like a path; an unknown name lists what the
-// scenario directory offers. Victim derivation and all randomness flow
-// from the seed exactly as in the scenario lab, so a given (topology,
-// scenario file, seed) triple replays the same faults, and the master
-// is never a victim.
-func buildScenario(name, dir string, seed int64, base time.Duration, tp *simnet.Topology, out *core.Outcome) (simnet.Scenario, error) {
+// scheduleScenario compiles the -scenario file's fault plan against the
+// deployed system and schedules it on the simulated network (nil for
+// "none"). The name resolves to <dir>/<name>.json unless it already
+// looks like a path; an unknown name lists what the scenario directory
+// offers. Victim derivation and all randomness flow from the seed
+// exactly as in the scenario lab, so a given (topology, scenario file,
+// seed) triple replays the same faults, and the master is never a
+// victim.
+func scheduleScenario(o options, se *cli.SimEnv, out *core.Outcome) *simnet.ScenarioRun {
+	name, dir := o.scenario, o.scenarioDir
 	if name == "" || name == "none" {
-		return simnet.Scenario{Name: "none"}, nil
+		return nil
 	}
 	path := name
 	if !strings.ContainsRune(name, os.PathSeparator) && !strings.HasSuffix(name, ".json") {
 		path = filepath.Join(dir, name+".json")
 	}
 	f, err := scenlab.LoadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			if paths, lerr := scenlab.ListDir(dir); lerr == nil && len(paths) > 0 {
-				names := make([]string, len(paths))
-				for i, p := range paths {
-					names[i] = strings.TrimSuffix(filepath.Base(p), ".json")
-				}
-				return simnet.Scenario{}, fmt.Errorf(
-					"unknown scenario %q: %s/ offers %s", name, dir, strings.Join(names, ", "))
+	if errors.Is(err, os.ErrNotExist) {
+		err = fmt.Errorf("unknown scenario %q (no scenario files under %s/)", name, dir)
+		if paths, lerr := scenlab.ListDir(dir); lerr == nil && len(paths) > 0 {
+			names := make([]string, len(paths))
+			for i, p := range paths {
+				names[i] = strings.TrimSuffix(filepath.Base(p), ".json")
 			}
-			return simnet.Scenario{}, fmt.Errorf("unknown scenario %q (no scenario files under %s/)", name, dir)
+			err = fmt.Errorf("unknown scenario %q: %s/ offers %s", name, dir, strings.Join(names, ", "))
 		}
-		return simnet.Scenario{}, err
 	}
-	victims, links := scenlab.PlanVictimsFor(f.Spec.Fault, out.Plan, out.Resolve, tp)
+	check(err)
+	victims, links := scenlab.PlanVictimsFor(f.Spec.Fault, out.Plan, out.Resolve, se.Topo)
 	if len(victims) == 0 {
-		return simnet.Scenario{}, fmt.Errorf("scenario %s: no non-master victims", f.Spec.Name)
+		check(fmt.Errorf("scenario %s: no non-master victims", f.Spec.Name))
 	}
-	return f.Spec.Fault.Compile(seed, base, victims, links)
+	base := se.Sim.Now()
+	scen, err := f.Spec.Fault.Compile(o.seed, base, victims, links)
+	check(err)
+	if len(scen.Events) == 0 {
+		return nil
+	}
+	fmt.Fprintf(os.Stderr, "[reconcile] scenario %s (seed %d): %d events\n", scen.Name, o.seed, len(scen.Events))
+	for _, e := range scen.Events {
+		fmt.Fprintf(os.Stderr, "[reconcile]   t+%-8s %s\n", (e.At - base).Round(time.Second), e)
+	}
+	return scen.Schedule(se.Net)
 }
 
-// runTCP drives the staged pipeline over real loopback TCP sockets: the
-// same code path as the simulator, on the wall clock. With watch, the
-// reconcile loop maintains the deployment until the duration elapses or
-// the context is canceled (SIGINT).
-func runTCP(ctx context.Context, hosts []string, duration time.Duration, queryPair string, watch bool, interval time.Duration, replicas, gateways int, teleDir string, observer core.Option) {
+// tcpHosts parses and checks -hosts.
+func tcpHosts(csv string) []string {
+	hosts := strings.Split(csv, ",")
 	seen := map[string]bool{}
 	for i, h := range hosts {
 		h = strings.TrimSpace(h)
@@ -377,84 +396,26 @@ func runTCP(ctx context.Context, hosts []string, duration time.Duration, queryPa
 		fmt.Fprintln(os.Stderr, "nwsmanager: -tcp needs -hosts with at least two IDs")
 		os.Exit(2)
 	}
-	plat := platform.NewTCPPlatform(hosts)
-	// On the TCP platform the registry reads the wall clock: the same
-	// instruments, honest timings instead of deterministic ones.
-	reg := telemetry.New(plat.Runtime().Now)
-	wireCodecTelemetry(plat, reg)
-	defer flushTelemetry(reg, teleDir)
-	tcpOpts := []core.Option{
-		core.WithGridLabel("loopback"),
-		core.WithTokenGap(50 * time.Millisecond),
-		core.WithTelemetry(reg),
-		observer,
-	}
-	if replicas > 0 {
-		tcpOpts = append(tcpOpts, core.WithReplication(replicas))
-	}
-	if gateways > 1 {
-		tcpOpts = append(tcpOpts, core.WithGateways(gateways))
-	}
-	pl := core.NewPipeline(plat, tcpOpts...)
+	return hosts
+}
 
-	run := core.MapRun{Master: hosts[0], Hosts: hosts}
-	m, err := pl.Map(ctx, run)
-	check(err)
-	pr, err := pl.Plan(m)
-	check(err)
-	dep, err := pl.Apply(ctx, pr)
-	check(err)
-	defer dep.Stop()
-
-	var rec *reconcile.Reconciler
-	recDone := make(chan struct{})
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	if watch {
-		rec = reconcile.New(pl, dep, reconcile.Config{Runs: []core.MapRun{run}, Interval: interval})
-		go func() {
-			defer close(recDone)
-			rec.Run(wctx)
-		}()
-		fmt.Printf("watching %d hosts over loopback TCP for %v (reconcile every %v) ...\n", len(hosts), duration, interval)
-	} else {
-		close(recDone)
-		fmt.Printf("monitoring %d hosts over loopback TCP for %v ...\n", len(hosts), duration)
-	}
-	select {
-	case <-time.After(duration):
-	case <-ctx.Done():
-		fmt.Println("interrupted: flushing final report")
-	}
-	// Stop the reconcile loop before touching the deployment, so no
-	// repair races the teardown.
-	wcancel()
-	<-recDone
+// reportTCP reads the freshest samples back through a real client
+// station — an end user of the query plane, one batched round-trip for
+// every pair instead of a blocking fetch per series — and answers
+// -query over the same discovered gateways.
+func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.Deployment, hosts []string, queryPair string) {
 	if rec != nil {
 		rounds := rec.Rounds()
-		repairs, errs := 0, 0
-		for _, rd := range rounds {
-			if rd.Repaired() {
-				repairs++
-			}
-			if rd.Err != nil {
-				errs++
-			}
-		}
+		repairs, transient := reconcile.Tally(rounds)
 		fmt.Printf("watch: %d reconcile rounds, %d repairs, %d transient errors, %d hosts live\n",
-			len(rounds), repairs, errs, len(dep.Plan.Hosts))
+			len(rounds), repairs, transient, len(dep.Plan.Hosts))
 	}
-
-	// Read back the freshest samples through a real client station: an
-	// end user of the query plane, one batched gateway round-trip for
-	// every pair instead of a blocking fetch per series.
 	ep, err := plat.Transport().Open("nwsmanager-client")
 	check(err)
 	client := proto.NewStation(plat.Runtime(), ep)
 	defer client.Close()
-	// The reconciled deployment's view, not the initial plan's: a -watch
-	// repair may have re-homed the name server.
-	nsHost := dep.Resolve[dep.Plan.NameServer]
+	fetch := queryPlane(client, dep)
+
 	var pairs [][2]string
 	var reqs []proto.SeriesRequest
 	for _, a := range hosts {
@@ -464,28 +425,11 @@ func runTCP(ctx context.Context, hosts []string, duration time.Duration, queryPa
 			}
 			pairs = append(pairs, [2]string{a, b})
 			reqs = append(reqs, proto.SeriesRequest{
-				Series: sensor.BandwidthSeries(m.Resolve[a], m.Resolve[b]), Count: 1,
+				Series: sensor.BandwidthSeries(dep.Resolve[a], dep.Resolve[b]), Count: 1,
 			})
 		}
 	}
-	// Prefer one batched round-trip through the gateway; a deployment
-	// momentarily without a working one (registration TTL gap after a
-	// crash, plan predating the query plane) degrades to the direct
-	// query client instead of aborting the readback. The discovered
-	// client is reused for the -query estimate below.
-	var res []query.Result
-	var gwc *gateway.Client
-	var gwName string
-	if c, err := gateway.Connect(client, nsHost); err == nil {
-		gwc = c
-		gwName = fmt.Sprintf("%d gateway replica(s), primary %s", len(c.Hosts()), c.Host)
-		if r, err := gwc.FetchMany(reqs); err == nil {
-			res = r
-		}
-	}
-	if res == nil {
-		res = query.New(client, nsHost).FetchMany(reqs)
-	}
+	res, _ := fetch(reqs) // per-series failures ride in the results
 	fmt.Println("  latest bandwidth readings:")
 	for i, r := range res {
 		if r.Err != nil || len(r.Samples) == 0 {
@@ -495,45 +439,23 @@ func runTCP(ctx context.Context, hosts []string, duration time.Duration, queryPa
 			pairs[i][0]+" -> "+pairs[i][1], r.Samples[0].Value, len(r.Samples))
 	}
 	if queryPair != "" {
-		parts := strings.SplitN(queryPair, ",", 2)
-		if len(parts) != 2 {
-			check(fmt.Errorf("bad -query %q", queryPair))
-		}
-		// Reuse the gateway discovered for the readback instead of
-		// paying a second LookupKind + liveness probe.
-		var es *deploy.Estimator
-		if gwc != nil {
-			fmt.Printf("query gateway: %s\n", gwName)
-			es = deploy.NewEstimator(dep.Plan, dep.PairDataVia(gwc.FetchMany))
-		} else {
-			fmt.Println("query gateway: none registered, querying backends directly")
-			es = dep.Estimator(client)
-		}
-		est, err := es.Estimate(parts[0], parts[1])
-		check(err)
-		fmt.Printf("estimate %s -> %s: %.2f Mbps, %.2f ms RTT\n",
-			parts[0], parts[1], est.BandwidthMbps, est.LatencyMS)
+		check(estimate(dep, fetch, queryPair))
 	}
 }
 
-// runFromPlan keeps the file-based workflow: apply a published plan on
-// the simulated topology.
-func runFromPlan(topoFile, planFile, gridmlFile string, duration time.Duration, query string, pairwise bool) {
-	tdata, err := os.ReadFile(topoFile)
-	check(err)
-	spec, err := topo.DecodeSpec(tdata)
-	check(err)
-	tp, err := spec.Build()
-	check(err)
-	pdata, err := os.ReadFile(planFile)
+// applyPlanFile keeps the file-based workflow: apply the plan published
+// by nwsdeploy on the simulated topology, resolving its machine names
+// through the optional GridML mapping and the topology spec.
+func applyPlanFile(se *cli.SimEnv, o options) (*core.Outcome, error) {
+	pdata, err := os.ReadFile(o.planFile)
 	check(err)
 	plan, err := deploy.DecodeConfig(pdata)
 	check(err)
 
 	resolve := map[string]string{}
 	var doc *gridml.Document
-	if gridmlFile != "" {
-		gdata, err := os.ReadFile(gridmlFile)
+	if o.gridmlFile != "" {
+		gdata, err := os.ReadFile(o.gridmlFile)
 		check(err)
 		doc, err = gridml.Decode(gdata)
 		check(err)
@@ -549,12 +471,12 @@ func runFromPlan(topoFile, planFile, gridmlFile string, duration time.Duration, 
 			resolve[canonical] = id
 		}
 	}
-	for _, names := range spec.NamesOf {
+	for _, names := range se.Spec.NamesOf {
 		for id, name := range names {
 			record(id, name)
 		}
 	}
-	for _, n := range spec.Nodes {
+	for _, n := range se.Spec.Nodes {
 		if n.Kind == "host" {
 			if n.DNS != "" {
 				record(n.ID, n.DNS)
@@ -563,21 +485,11 @@ func runFromPlan(topoFile, planFile, gridmlFile string, duration time.Duration, 
 		}
 	}
 
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, tp)
-	tr := proto.NewSimTransport(net)
-	dep, err := deploy.Apply(tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{
+	dep, err := deploy.Apply(se.Plat.Transport(), se.Plat.Prober(), plan, resolve, deploy.ApplyOptions{
 		TokenGap:         time.Second,
-		PairwiseSwitched: pairwise,
+		PairwiseSwitched: o.pairwise,
 	})
-	check(err)
-
-	check(sim.RunUntil(duration))
-	reportSim(net, duration)
-	if query != "" {
-		querySim(sim, dep, plan, query, duration)
-	}
-	dep.Stop()
+	return &core.Outcome{Plan: plan, Resolve: resolve, Deployment: dep}, err
 }
 
 // reportSim prints the §2.3 observability report for a monitoring
@@ -613,53 +525,74 @@ func reportSim(net *simnet.Network, duration time.Duration) {
 	}
 }
 
-// gatewayEstimator locates the deployment's query gateway through the
-// directory and builds an estimator querying through it — each pair's
-// latency and bandwidth series travel in one batched round-trip.
-// Deployments without a gateway (plans predating the query plane) fall
-// back to the direct query-plane client.
-func gatewayEstimator(st proto.Port, dep *deploy.Deployment) *deploy.Estimator {
-	nsHost := dep.Resolve[dep.Plan.NameServer]
-	if c, err := gateway.Connect(st, nsHost); err == nil {
-		fmt.Printf("query gateway: %d live replica(s), primary %s\n", len(c.Hosts()), c.Host)
-		return deploy.NewEstimator(dep.Plan, dep.PairDataVia(c.FetchMany))
+// queryPlane locates the deployment's query gateways through the
+// directory — the reconciled deployment's, since a repair may have
+// re-homed the name server — and returns the batched fetch through
+// them: every series of a request travels in one round-trip. A
+// deployment momentarily without a working gateway (registration TTL
+// gap after a crash, plan predating the query plane) degrades to the
+// direct query-plane client.
+func queryPlane(st proto.Port, dep *deploy.Deployment) func([]proto.SeriesRequest) ([]query.Result, error) {
+	qc := dep.QueryClient(st)
+	direct := func(reqs []proto.SeriesRequest) ([]query.Result, error) { return qc.FetchMany(reqs), nil }
+	c, err := gateway.Connect(st, dep.Resolve[dep.Plan.NameServer])
+	if err != nil {
+		fmt.Println("query gateway: none registered, querying backends directly")
+		return direct
 	}
-	fmt.Println("query gateway: none registered, querying backends directly")
-	return dep.Estimator(st)
+	fmt.Printf("query gateway: %d live replica(s), primary %s\n", len(c.Hosts()), c.Host)
+	return func(reqs []proto.SeriesRequest) ([]query.Result, error) {
+		if res, err := c.FetchMany(reqs); err == nil {
+			return res, nil
+		}
+		return direct(reqs)
+	}
 }
 
-// querySim composes an end-to-end estimate from the running deployment,
-// queried through the gateway.
-func querySim(sim *vclock.Sim, dep *deploy.Deployment, plan *deploy.Plan, query string, until time.Duration) {
-	parts := strings.SplitN(query, ",", 2)
+// estimate composes the end-to-end -query estimate (§2.3) from the
+// running deployment's measurements, read through fetch.
+func estimate(dep *deploy.Deployment, fetch func([]proto.SeriesRequest) ([]query.Result, error), pair string) error {
+	parts := strings.SplitN(pair, ",", 2)
 	if len(parts) != 2 {
-		check(fmt.Errorf("bad -query %q", query))
+		return fmt.Errorf("bad -query %q", pair)
 	}
-	var est deploy.LinkEstimate
-	var qerr error
-	sim.Go("query", func() {
-		master := dep.Agents[plan.Master]
-		if master == nil {
-			qerr = fmt.Errorf("master agent %q missing", plan.Master)
-			return
-		}
-		es := gatewayEstimator(master.Station(), dep)
-		est, qerr = es.Estimate(parts[0], parts[1])
-	})
-	check(sim.RunUntil(until + time.Minute))
-	check(qerr)
+	est, err := deploy.NewEstimator(dep.Plan, dep.PairDataVia(fetch)).Estimate(parts[0], parts[1])
+	if err != nil {
+		return err
+	}
 	kind := "composed via " + strings.Join(est.Via, ", ")
 	if est.Direct {
 		kind = "direct measurement"
 	}
 	fmt.Printf("estimate %s -> %s: %.2f Mbps, %.2f ms RTT (%s)\n",
 		parts[0], parts[1], est.BandwidthMbps, est.LatencyMS, kind)
+	return nil
+}
+
+// querySim answers -query as an end user on the master's station,
+// inside the simulation, within a virtual minute.
+func querySim(sim *vclock.Sim, dep *deploy.Deployment, pair string) {
+	var err error
+	sim.Go("query", func() {
+		master := dep.Agents[dep.Plan.Master]
+		if master == nil {
+			err = fmt.Errorf("master agent %q missing", dep.Plan.Master)
+			return
+		}
+		err = estimate(dep, queryPlane(master.Station(), dep), pair)
+	})
+	check(sim.RunUntil(sim.Now() + time.Minute))
+	check(err)
 }
 
 // writeSnapshot refreshes the live snapshot.json under dir: the
-// -watch loop's periodic dump, overwritten in place so tailing it
-// always shows the current registry state.
+// periodic dump of a simulated run, overwritten in place so tailing it
+// always shows the current registry state. A no-op when no -telemetry
+// dir was requested.
 func writeSnapshot(reg *telemetry.Registry, dir string) {
+	if dir == "" {
+		return
+	}
 	check(os.MkdirAll(dir, 0o755))
 	check(os.WriteFile(filepath.Join(dir, "snapshot.json"), telemetry.SnapshotJSON(reg.Snapshot()), 0o644))
 }

@@ -10,8 +10,7 @@
 // The entry point for the paper's pipeline is internal/core.Pipeline:
 // a staged Map → Plan → Apply API over the platform abstraction of
 // internal/platform, so the same code path drives the simulated testbed
-// (SimPlatform) and real loopback TCP sockets (TCPPlatform);
-// core.AutoDeploy remains as a one-call wrapper over the simulator.
+// (SimPlatform) and real loopback TCP sockets (TCPPlatform).
 // Above the pipeline, internal/reconcile runs §4.3's "possible platform
 // evolution" as a self-healing control plane: it watches a live
 // deployment, detects drift (dead sensors, partitioned or degraded

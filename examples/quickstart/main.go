@@ -39,8 +39,8 @@ func main() {
 
 	pl := core.NewPipeline(plat,
 		core.WithTokenGap(time.Second),
-		core.WithObserver(func(ph core.Phase, detail string) {
-			fmt.Printf("[%s] %s\n", ph, detail)
+		core.WithObserver(func(e core.Event) {
+			fmt.Printf("[%s] %s\n", e.Phase, e.Detail)
 		}),
 	)
 

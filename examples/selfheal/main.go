@@ -20,6 +20,7 @@ import (
 	"log"
 	"time"
 
+	"nwsenv/internal/cli"
 	"nwsenv/internal/core"
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/metrics"
@@ -50,24 +51,13 @@ func main() {
 	}
 	pl := core.NewPipeline(plat,
 		core.WithTokenGap(time.Second),
-		core.WithObserver(func(ph core.Phase, detail string) {
-			fmt.Printf("[%s] %s\n", ph, detail)
+		core.WithObserver(func(e core.Event) {
+			fmt.Printf("[%s] %s\n", e.Phase, e.Detail)
 		}),
 	)
 	run := core.MapRun{Master: hosts[0], Hosts: hosts}
 
-	var out *core.Outcome
-	var err error
-	done := false
-	sim.Go("deploy", func() {
-		out, err = pl.Deploy(context.Background(), run)
-		done = true
-	})
-	for at := sim.Now() + time.Minute; !done; at += time.Minute {
-		if e := sim.RunUntil(at); e != nil {
-			log.Fatal(e)
-		}
-	}
+	out, err := cli.DeploySim(sim, pl, []core.MapRun{run})
 	if err != nil {
 		log.Fatal(err)
 	}

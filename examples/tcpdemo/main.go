@@ -53,8 +53,8 @@ func main() {
 	pl := core.NewPipeline(plat,
 		core.WithGridLabel("loopback"),
 		core.WithTokenGap(50*time.Millisecond),
-		core.WithObserver(func(ph core.Phase, detail string) {
-			fmt.Printf("[%s] %s\n", ph, detail)
+		core.WithObserver(func(e core.Event) {
+			fmt.Printf("[%s] %s\n", e.Phase, e.Detail)
 		}),
 	)
 

@@ -1,11 +1,14 @@
 // Package cli shares the simulated-platform bootstrap the command-line
-// tools repeat: read a topology spec, build the network, wrap it as a
-// Platform, and derive the pipeline's mapping runs from the spec
-// metadata.
+// tools and the scenario lab repeat: read a topology spec, build the
+// network, wrap it as a Platform, derive the pipeline's mapping runs
+// from the spec metadata, and drive the virtual clock through a deploy.
 package cli
 
 import (
+	"context"
+	"fmt"
 	"os"
+	"time"
 
 	"nwsenv/internal/core"
 	"nwsenv/internal/nws/proto"
@@ -58,4 +61,32 @@ func (e *SimEnv) MapRuns() []core.MapRun {
 		runs = append(runs, core.MapRun{Master: r.Master, Hosts: r.Hosts, Names: r.Names})
 	}
 	return runs
+}
+
+// DeploySim runs the whole pipeline in a simulation process and drives
+// the virtual clock until it finishes. Time advances a minute at a
+// time: once the deployment is applied its agents generate events
+// forever, so one long RunUntil would simulate hours of monitoring
+// before returning. The clock is left on the step boundary after the
+// deploy, the base every later timestamp of a run counts from.
+func DeploySim(sim *vclock.Sim, pl *core.Pipeline, runs []core.MapRun) (*core.Outcome, error) {
+	var out *core.Outcome
+	var pipeErr error
+	done := false
+	sim.Go("pipeline", func() {
+		out, pipeErr = pl.Deploy(context.Background(), runs...)
+		done = true
+	})
+	for at := sim.Now() + time.Minute; !done && at <= 240*time.Hour; at += time.Minute {
+		if err := sim.RunUntil(at); err != nil {
+			return nil, err
+		}
+	}
+	if pipeErr != nil {
+		return nil, pipeErr
+	}
+	if !done {
+		return nil, fmt.Errorf("pipeline did not finish within the virtual time budget")
+	}
+	return out, nil
 }

@@ -7,21 +7,11 @@
 // honors context cancellation. The platform (simulated testbed or real
 // TCP sockets) is injected through platform.Platform, so the same
 // pipeline code path drives both.
-//
-// AutoDeploy remains as a one-call convenience wrapper over the
-// simulated platform.
 package core
 
 import (
-	"context"
-	"time"
-
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
-	"nwsenv/internal/gridml"
-	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/platform"
-	"nwsenv/internal/simnet"
 )
 
 // MapRun describes one ENV run (one firewall side).
@@ -41,52 +31,6 @@ type MapRun struct {
 	Bidirectional bool
 }
 
-// Options configure AutoDeploy. New code should prefer NewPipeline with
-// functional options; Options remains as the configuration surface of
-// the compatibility wrapper.
-type Options struct {
-	// Runs lists the ENV runs; several runs are merged with Aliases
-	// (§4.3 firewall handling). At least one is required.
-	Runs []MapRun
-	// Aliases cross-identify gateways between runs.
-	Aliases []gridml.GatewayAlias
-	// GridLabel names the merged document.
-	GridLabel string
-	// Master (canonical machine name) hosts the name server and
-	// forecaster. Defaults to the first run's master.
-	Master string
-	// TokenGap paces the deployed cliques.
-	TokenGap time.Duration
-	// HostSensorPeriod enables CPU/memory sensors when > 0.
-	HostSensorPeriod time.Duration
-	// PlanOnly computes and validates the plan without starting agents.
-	PlanOnly bool
-}
-
-// options converts the positional struct to functional options.
-func (o Options) options() []Option {
-	var opts []Option
-	if o.GridLabel != "" {
-		opts = append(opts, WithGridLabel(o.GridLabel))
-	}
-	if o.Master != "" {
-		opts = append(opts, WithMaster(o.Master))
-	}
-	if len(o.Aliases) > 0 {
-		opts = append(opts, WithAliases(o.Aliases...))
-	}
-	if o.TokenGap > 0 {
-		opts = append(opts, WithTokenGap(o.TokenGap))
-	}
-	if o.HostSensorPeriod > 0 {
-		opts = append(opts, WithHostSensors(o.HostSensorPeriod))
-	}
-	if o.PlanOnly {
-		opts = append(opts, WithPlanOnly())
-	}
-	return opts
-}
-
 // Outcome is everything a full pipeline run produced.
 type Outcome struct {
 	// Results holds the per-run mapping results in Runs order.
@@ -98,33 +42,8 @@ type Outcome struct {
 	// Validation checks the plan's §2.3 constraints against the true
 	// topology.
 	Validation *deploy.Validation
-	// Deployment is the running system (nil with PlanOnly).
+	// Deployment is the running system.
 	Deployment *deploy.Deployment
 	// Resolve maps canonical machine names to node IDs.
 	Resolve map[string]string
-}
-
-// AutoDeploy maps the platform with ENV, plans the NWS deployment, and
-// applies it on the simulated testbed. It must be called from a
-// simulation process. It is a thin wrapper over the staged pipeline; use
-// NewPipeline directly for other platforms, cancellation, or stagewise
-// control.
-func AutoDeploy(net *simnet.Network, tr *proto.SimTransport, opts Options) (*Outcome, error) {
-	pl := NewPipeline(platform.NewSimPlatform(net, tr), opts.options()...)
-	return pl.Deploy(context.Background(), opts.Runs...)
-}
-
-// EnsLyonOptions returns the canonical two-run configuration for the
-// paper's testbed, given its metadata.
-func EnsLyonOptions(outsideMaster string, outsideHosts []string, outsideNames map[string]string,
-	insideMaster string, insideHosts []string, insideNames map[string]string,
-	aliases []gridml.GatewayAlias) Options {
-	return Options{
-		Runs: []MapRun{
-			{Master: outsideMaster, Hosts: outsideHosts, Names: outsideNames},
-			{Master: insideMaster, Hosts: insideHosts, Names: insideNames},
-		},
-		Aliases:  aliases,
-		TokenGap: time.Second,
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,31 +11,51 @@ import (
 	"nwsenv/internal/gridml"
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/platform"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
 )
 
-func ensLyonAutoDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network, *Outcome) {
-	t.Helper()
-	e := topo.NewEnsLyon()
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, e.Topo)
-	tr := proto.NewSimTransport(net)
-	opts := EnsLyonOptions(e.OutsideMaster, e.OutsideHosts, e.OutsideNames,
-		e.InsideMaster, e.InsideHosts, e.InsideNames, e.GatewayAliases)
-	opts.PlanOnly = planOnly
-	opts.HostSensorPeriod = 30 * time.Second
+// simDeploy runs the pipeline over a simulated platform inside a sim
+// process until the virtual-time budget: Map and Plan only when planOnly
+// (the Outcome then carries no Deployment), the full Deploy otherwise.
+func simDeploy(net *simnet.Network, budget time.Duration, planOnly bool, runs []MapRun, opts ...Option) (*Outcome, error) {
+	sim := net.Sim()
+	pl := NewPipeline(platform.NewSimPlatform(net, proto.NewSimTransport(net)), opts...)
 	var out *Outcome
 	var err error
 	sim.Go("autodeploy", func() {
-		out, err = AutoDeploy(net, tr, opts)
+		if !planOnly {
+			out, err = pl.Deploy(context.Background(), runs...)
+			return
+		}
+		var m *Mapping
+		if m, err = pl.Map(context.Background(), runs...); err != nil {
+			return
+		}
+		var pr *PlanResult
+		if pr, err = pl.Plan(m); err != nil {
+			return
+		}
+		out = &Outcome{Results: m.Results, Merged: m.Merged, Plan: pr.Plan, Validation: pr.Validation, Resolve: m.Resolve}
 	})
+	if er := sim.RunUntil(budget); er != nil {
+		return nil, er
+	}
+	return out, err
+}
+
+func ensLyonDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network, *Outcome) {
+	t.Helper()
+	e := topo.NewEnsLyon()
+	net := simnet.NewNetwork(vclock.New(), e.Topo)
 	// The mapping itself takes ~1 virtual minute; a 30-minute budget
 	// keeps the always-on host sensors from burning real test time.
-	if er := sim.RunUntil(30 * time.Minute); er != nil {
-		t.Fatal(er)
-	}
+	out, err := simDeploy(net, 30*time.Minute, planOnly, []MapRun{
+		{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
+		{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
+	}, WithAliases(e.GatewayAliases...), WithTokenGap(time.Second), WithHostSensors(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +63,7 @@ func ensLyonAutoDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Netw
 }
 
 func TestAutoDeployPlanOnly(t *testing.T) {
-	_, _, out := ensLyonAutoDeploy(t, true)
+	_, _, out := ensLyonDeploy(t, true)
 	if out.Plan == nil || out.Validation == nil {
 		t.Fatal("missing plan or validation")
 	}
@@ -63,7 +84,7 @@ func TestAutoDeployPlanOnly(t *testing.T) {
 }
 
 func TestAutoDeployEndToEnd(t *testing.T) {
-	e, net, out := ensLyonAutoDeploy(t, false)
+	e, net, out := ensLyonDeploy(t, false)
 	if out.Deployment == nil {
 		t.Fatal("no deployment")
 	}
@@ -95,26 +116,14 @@ func TestAutoDeployEndToEnd(t *testing.T) {
 
 func TestAutoDeploySingleRun(t *testing.T) {
 	tp, truth := topo.RandomLAN(11, 3, 3)
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, tp)
-	tr := proto.NewSimTransport(net)
+	net := simnet.NewNetwork(vclock.New(), tp)
 	var hosts []string
 	for _, h := range tp.HostIDs() {
 		if h != "world" {
 			hosts = append(hosts, h)
 		}
 	}
-	var out *Outcome
-	var err error
-	sim.Go("auto", func() {
-		out, err = AutoDeploy(net, tr, Options{
-			Runs:     []MapRun{{Master: hosts[0], Hosts: hosts}},
-			PlanOnly: true,
-		})
-	})
-	if e := sim.RunUntil(24 * time.Hour); e != nil {
-		t.Fatal(e)
-	}
+	out, err := simDeploy(net, 24*time.Hour, true, []MapRun{{Master: hosts[0], Hosts: hosts}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +157,8 @@ func TestAutoDeploySingleRun(t *testing.T) {
 
 func TestAutoDeployNoRuns(t *testing.T) {
 	e := topo.NewEnsLyon()
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, e.Topo)
-	tr := proto.NewSimTransport(net)
-	var err error
-	sim.Go("auto", func() { _, err = AutoDeploy(net, tr, Options{}) })
-	if er := sim.RunUntil(time.Minute); er != nil {
-		t.Fatal(er)
-	}
-	if err == nil {
+	net := simnet.NewNetwork(vclock.New(), e.Topo)
+	if _, err := simDeploy(net, time.Minute, false, nil); err == nil {
 		t.Fatal("expected configuration error")
 	}
 }
@@ -164,7 +166,7 @@ func TestAutoDeployNoRuns(t *testing.T) {
 func TestGridMLRoundTripDrivesPlanner(t *testing.T) {
 	// Save the merged mapping to GridML, reload it, and plan from the
 	// file: the administrator-publishes-the-mapping workflow of §4.3.
-	_, _, out := ensLyonAutoDeploy(t, true)
+	_, _, out := ensLyonDeploy(t, true)
 	enc, err := out.Merged.Doc.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -202,26 +204,15 @@ func TestAutoDeployScales(t *testing.T) {
 		t.Skip("large topology")
 	}
 	tp, truth := topo.RandomLAN(99, 10, 6)
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, tp)
-	tr := proto.NewSimTransport(net)
+	net := simnet.NewNetwork(vclock.New(), tp)
 	var hosts []string
 	for _, h := range tp.HostIDs() {
 		if h != "world" {
 			hosts = append(hosts, h)
 		}
 	}
-	var out *Outcome
-	var err error
-	sim.Go("auto", func() {
-		out, err = AutoDeploy(net, tr, Options{
-			Runs:     []MapRun{{Master: hosts[0], Hosts: hosts}},
-			TokenGap: 2 * time.Second,
-		})
-	})
-	if e := sim.RunUntil(3 * time.Hour); e != nil {
-		t.Fatal(e)
-	}
+	out, err := simDeploy(net, 3*time.Hour, false, []MapRun{{Master: hosts[0], Hosts: hosts}},
+		WithTokenGap(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +245,7 @@ func TestAutoDeployScales(t *testing.T) {
 // the forecaster predicts them — the non-network half of §2's monitoring
 // (CPU load and the time-slice a new process would get).
 func TestCPUForecastEndToEnd(t *testing.T) {
-	_, net, out := ensLyonAutoDeploy(t, false)
+	_, net, out := ensLyonDeploy(t, false)
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
@@ -285,29 +276,17 @@ func TestCPUForecastEndToEnd(t *testing.T) {
 // not duplicate networks or machines.
 func TestAutoDeployThreeRunsFold(t *testing.T) {
 	e := topo.NewEnsLyon()
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, e.Topo)
-	tr := proto.NewSimTransport(net)
+	net := simnet.NewNetwork(vclock.New(), e.Topo)
 	sciNames := map[string]string{}
 	sciHosts := []string{"sci0", "sci1", "sci2", "sci3", "sci4", "sci5", "sci6"}
 	for _, h := range sciHosts {
 		sciNames[h] = e.InsideNames[h]
 	}
-	opts := Options{
-		Runs: []MapRun{
-			{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
-			{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
-			{Master: "sci0", Hosts: sciHosts, Names: sciNames},
-		},
-		Aliases:  e.GatewayAliases,
-		PlanOnly: true,
-	}
-	var out *Outcome
-	var err error
-	sim.Go("auto", func() { out, err = AutoDeploy(net, tr, opts) })
-	if er := sim.RunUntil(2 * time.Hour); er != nil {
-		t.Fatal(er)
-	}
+	out, err := simDeploy(net, 2*time.Hour, true, []MapRun{
+		{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
+		{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
+		{Master: "sci0", Hosts: sciHosts, Names: sciNames},
+	}, WithAliases(e.GatewayAliases...))
 	if err != nil {
 		t.Fatal(err)
 	}

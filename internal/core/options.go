@@ -24,11 +24,6 @@ const (
 	PhaseReconcile Phase = "reconcile"
 )
 
-// ProgressFunc observes phase transitions and per-phase progress; detail
-// is a human-readable line. CLIs use it to report what the pipeline is
-// doing.
-type ProgressFunc func(phase Phase, detail string)
-
 // Field is one structured event attribute; fields are an ordered list
 // so renderings stay deterministic.
 type Field struct {
@@ -41,12 +36,10 @@ func F(key string, value interface{}) Field {
 	return Field{Key: key, Value: fmt.Sprint(value)}
 }
 
-// Event is one structured pipeline progress event. Name identifies the
-// step machine-readably ("env_run", "planned", "agents_starting", ...);
-// Fields carry the values the old printf observer interpolated; Detail
-// is the legacy human-readable line, rendered exactly as the printf
-// observer used to produce it, so ProgressFunc observers see unchanged
-// output.
+// Event is one pipeline progress event. Name identifies the step
+// machine-readably ("env_run", "planned", "agents_starting", ...),
+// Fields carry its values, and Detail is the same step as the
+// human-readable line CLIs print.
 type Event struct {
 	Phase  Phase
 	Name   string
@@ -54,10 +47,8 @@ type Event struct {
 	Detail string
 }
 
-// String renders the legacy progress line.
-func (e Event) String() string { return e.Detail }
-
-// EventFunc observes structured pipeline events.
+// EventFunc observes pipeline events: phase transitions and per-phase
+// progress.
 type EventFunc func(Event)
 
 // config collects the pipeline's tunables; Options build it.
@@ -70,10 +61,8 @@ type config struct {
 	replication      int
 	gateways         int
 	pairwiseSwitched bool
-	planOnly         bool
 	autoAliases      bool
-	observer         ProgressFunc
-	events           EventFunc
+	observer         EventFunc
 	tele             *telemetry.Registry
 }
 
@@ -149,23 +138,10 @@ func WithPairwiseSwitched() Option {
 	return func(c *config) { c.pairwiseSwitched = true }
 }
 
-// WithPlanOnly makes Deploy stop after planning and validation, without
-// starting agents. The staged API makes this implicit — just don't call
-// Apply — but the one-shot Deploy keeps it as an option.
-func WithPlanOnly() Option {
-	return func(c *config) { c.planOnly = true }
-}
-
-// WithObserver registers a progress hook for phase transitions.
-func WithObserver(fn ProgressFunc) Option {
+// WithObserver registers the progress hook: every stage report and every
+// Pipeline.Observe note flows through it.
+func WithObserver(fn EventFunc) Option {
 	return func(c *config) { c.observer = fn }
-}
-
-// WithEventObserver registers a structured-event hook. Every progress
-// report flows through it with a machine-readable name and fields; the
-// legacy ProgressFunc (if also set) receives the rendered Detail line.
-func WithEventObserver(fn EventFunc) Option {
-	return func(c *config) { c.events = fn }
 }
 
 // WithTelemetry wires a telemetry registry through the pipeline and

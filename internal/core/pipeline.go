@@ -37,19 +37,14 @@ func (p *Pipeline) Platform() platform.Platform { return p.plat }
 // plane — instrument themselves against the same registry.
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.cfg.tele }
 
-// emit is the single reporting path: it builds a structured Event,
-// hands it to the event observer, renders the legacy line for the
-// ProgressFunc observer, and counts it on the registry.
+// emit is the single reporting path: it builds the Event, hands it to
+// the observer, and counts it on the registry.
 func (p *Pipeline) emit(phase Phase, name string, fields []Field, format string, args ...interface{}) {
-	if p.cfg.observer == nil && p.cfg.events == nil && p.cfg.tele == nil {
+	if p.cfg.observer == nil && p.cfg.tele == nil {
 		return
 	}
-	detail := fmt.Sprintf(format, args...)
-	if p.cfg.events != nil {
-		p.cfg.events(Event{Phase: phase, Name: name, Fields: fields, Detail: detail})
-	}
 	if p.cfg.observer != nil {
-		p.cfg.observer(phase, detail)
+		p.cfg.observer(Event{Phase: phase, Name: name, Fields: fields, Detail: fmt.Sprintf(format, args...)})
 	}
 	p.cfg.tele.Counter("pipeline", "events", map[string]string{"phase": string(phase)}).Inc()
 }
@@ -59,7 +54,7 @@ func (p *Pipeline) span(name string, attrs ...telemetry.Attr) *telemetry.ActiveS
 	return p.cfg.tele.StartSpan("pipeline", name, attrs...)
 }
 
-// Observe reports progress through the pipeline's observers on behalf
+// Observe reports progress through the pipeline's observer on behalf
 // of a caller re-entering the pipeline (the reconcile control plane
 // narrates its rounds through the same hook the stages use). The event
 // is emitted with the generic name "note".
@@ -238,8 +233,8 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	return dep, nil
 }
 
-// Deploy chains Map, Plan and Apply (or stops after Plan with
-// WithPlanOnly) and bundles the artifacts as an Outcome.
+// Deploy chains Map, Plan and Apply and bundles the artifacts as an
+// Outcome.
 func (p *Pipeline) Deploy(ctx context.Context, runs ...MapRun) (*Outcome, error) {
 	m, err := p.Map(ctx, runs...)
 	if err != nil {
@@ -249,20 +244,16 @@ func (p *Pipeline) Deploy(ctx context.Context, runs ...MapRun) (*Outcome, error)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Results:    m.Results,
-		Merged:     m.Merged,
-		Plan:       pr.Plan,
-		Validation: pr.Validation,
-		Resolve:    m.Resolve,
-	}
-	if p.cfg.planOnly {
-		return out, nil
-	}
 	dep, err := p.Apply(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
-	out.Deployment = dep
-	return out, nil
+	return &Outcome{
+		Results:    m.Results,
+		Merged:     m.Merged,
+		Plan:       pr.Plan,
+		Validation: pr.Validation,
+		Deployment: dep,
+		Resolve:    m.Resolve,
+	}, nil
 }

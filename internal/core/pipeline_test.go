@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -167,7 +168,8 @@ func TestApplyCancellation(t *testing.T) {
 }
 
 // TestPipelineObserver: phase hooks fire in order across a staged sim
-// run.
+// run, and every event carries both its machine-readable name and the
+// line the CLIs print.
 func TestPipelineObserver(t *testing.T) {
 	tp, _ := topo.RandomLAN(7, 2, 3)
 	sim := vclock.New()
@@ -175,10 +177,15 @@ func TestPipelineObserver(t *testing.T) {
 	tr := proto.NewSimTransport(net)
 
 	var phases []Phase
+	details := map[string]string{}
 	pl := NewPipeline(platform.NewSimPlatform(net, tr),
-		WithObserver(func(ph Phase, detail string) {
-			if len(phases) == 0 || phases[len(phases)-1] != ph {
-				phases = append(phases, ph)
+		WithObserver(func(e Event) {
+			if e.Name == "" || e.Detail == "" {
+				t.Errorf("event %+v lacks a name or a detail line", e)
+			}
+			details[e.Name] = e.Detail
+			if len(phases) == 0 || phases[len(phases)-1] != e.Phase {
+				phases = append(phases, e.Phase)
 			}
 		}))
 	var hosts []string
@@ -200,6 +207,9 @@ func TestPipelineObserver(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := details["agents_starting"], fmt.Sprintf("starting %d agents on sim", len(hosts)); got != want {
+		t.Fatalf("agents_starting detail %q, want %q", got, want)
 	}
 	want := []Phase{PhaseMap, PhasePlan, PhaseApply}
 	if len(phases) != len(want) {

@@ -13,24 +13,25 @@ func EncodeConfig(p *Plan) ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// DecodeConfig parses a configuration file.
+// DecodeConfig parses a configuration file. A document written before
+// gateway replication names its one gateway under "gateway"; it decodes
+// to the one-element replica set.
 func DecodeConfig(data []byte) (*Plan, error) {
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	var doc struct {
+		Plan
+		LegacyGateway string `json:"gateway"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("deploy: config: %w", err)
 	}
+	p := &doc.Plan
 	if p.MemoryOf == nil {
 		p.MemoryOf = map[string]string{}
 	}
-	// Normalize the gateway fields across config vintages: a replicated
-	// plan keeps Gateway = primary for old readers; a legacy singleton
-	// config hydrates the replica set so new code sees one shape.
-	if len(p.Gateways) > 0 {
-		p.Gateway = p.Gateways[0]
-	} else if p.Gateway != "" {
-		p.Gateways = []string{p.Gateway}
+	if len(p.Gateways) == 0 && doc.LegacyGateway != "" {
+		p.Gateways = []string{doc.LegacyGateway}
 	}
-	return &p, nil
+	return p, nil
 }
 
 // Summary renders a human-readable view of the plan, shaped like
@@ -40,8 +41,8 @@ func (p *Plan) Summary() string {
 	fmt.Fprintf(&b, "deployment %s (master %s)\n", p.Label, p.Master)
 	fmt.Fprintf(&b, "  name server : %s\n", p.NameServer)
 	fmt.Fprintf(&b, "  forecaster  : %s\n", p.Forecaster)
-	if gs := p.GatewaySet(); len(gs) > 0 {
-		fmt.Fprintf(&b, "  gateway     : %s\n", strings.Join(gs, ", "))
+	if len(p.Gateways) > 0 {
+		fmt.Fprintf(&b, "  gateway     : %s\n", strings.Join(p.Gateways, ", "))
 	}
 	fmt.Fprintf(&b, "  memory      : %s\n", strings.Join(p.MemoryServers, ", "))
 	for _, c := range p.Cliques {

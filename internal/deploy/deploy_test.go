@@ -128,8 +128,8 @@ func TestPlanPlacement(t *testing.T) {
 	if p.NameServer != "the-doors.ens-lyon.fr" || p.Forecaster != "the-doors.ens-lyon.fr" {
 		t.Fatalf("NS/forecaster on %s/%s, want master", p.NameServer, p.Forecaster)
 	}
-	if p.Gateway != p.Master {
-		t.Fatalf("gateway on %q, want the master %q", p.Gateway, p.Master)
+	if len(p.Gateways) != 1 || p.Gateways[0] != p.Master {
+		t.Fatalf("gateways %v, want only the master %q", p.Gateways, p.Master)
 	}
 	// Two sites → two memory servers; the private site's one must be a
 	// gateway (reachable from both zones).

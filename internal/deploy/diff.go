@@ -110,18 +110,11 @@ func DiffPlans(old, new *Plan) *Diff {
 	if old.Forecaster != new.Forecaster {
 		d.ServerMoves = append(d.ServerMoves, fmt.Sprintf("forecaster: %s -> %s", old.Forecaster, new.Forecaster))
 	}
-	// Gateway moves compare the full replica set. Singleton sets keep
-	// the legacy "gateway: a -> b" rendering; replicated sets render as
-	// lists, so a dead replica's re-placement shows up as a move that
-	// rebuilds exactly the affected hosts.
-	ogs, ngs := old.GatewaySet(), new.GatewaySet()
-	if strings.Join(ogs, ",") != strings.Join(ngs, ",") {
-		if len(ogs) <= 1 && len(ngs) <= 1 {
-			d.ServerMoves = append(d.ServerMoves, fmt.Sprintf("gateway: %s -> %s", old.Gateway, new.Gateway))
-		} else {
-			d.ServerMoves = append(d.ServerMoves,
-				fmt.Sprintf("gateways: [%s] -> [%s]", strings.Join(ogs, ","), strings.Join(ngs, ",")))
-		}
+	// Gateway moves compare the full replica set, so a dead replica's
+	// re-placement shows up as a move that rebuilds exactly the affected
+	// hosts.
+	if ogs, ngs := strings.Join(old.Gateways, ","), strings.Join(new.Gateways, ","); ogs != ngs {
+		d.ServerMoves = append(d.ServerMoves, fmt.Sprintf("gateways: [%s] -> [%s]", ogs, ngs))
 	}
 	om, nm := strings.Join(old.MemoryServers, ","), strings.Join(new.MemoryServers, ",")
 	if om != nm {

@@ -26,11 +26,11 @@ func basePlan() *Plan {
 // TestDiffGatewayMove: relocating the query gateway is a server move.
 func TestDiffGatewayMove(t *testing.T) {
 	old := basePlan()
-	old.Gateway = "a"
+	old.Gateways = []string{"a"}
 	new := basePlan()
-	new.Gateway = "b"
+	new.Gateways = []string{"b"}
 	d := DiffPlans(old, new)
-	if len(d.ServerMoves) != 1 || !strings.Contains(d.ServerMoves[0], "gateway: a -> b") {
+	if len(d.ServerMoves) != 1 || !strings.Contains(d.ServerMoves[0], "gateways: [a] -> [b]") {
 		t.Fatalf("server moves %v", d.ServerMoves)
 	}
 	if d.Empty() {

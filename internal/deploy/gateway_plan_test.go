@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,15 +18,12 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gws := p.GatewaySet()
+	gws := p.Gateways
 	if len(gws) != 3 {
-		t.Fatalf("GatewaySet() = %v, want 3 replicas", gws)
+		t.Fatalf("Gateways = %v, want 3 replicas", gws)
 	}
 	if gws[0] != master {
 		t.Fatalf("primary gateway %q, want the master %q", gws[0], master)
-	}
-	if p.Gateway != master {
-		t.Fatalf("legacy Gateway = %q, want the primary %q", p.Gateway, master)
 	}
 	seen := map[string]bool{}
 	for _, g := range gws {
@@ -79,26 +77,49 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 		}
 	}
 
-	// The replica set survives the config round-trip, and a plan encoded
-	// before horizontal scaling (singleton Gateway only) still decodes to
-	// a usable singleton set.
+	// The replicated plan survives the config round-trip unchanged, and
+	// the document names its gateways under the one key.
 	data, err := EncodeConfig(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"gateway":`) {
+		t.Fatalf("encoded config still writes the singleton key:\n%s", data)
 	}
 	rt, err := DecodeConfig(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.GatewaySet(); strings.Join(got, ",") != strings.Join(gws, ",") {
-		t.Fatalf("round-trip GatewaySet() = %v, want %v", got, gws)
+	if !reflect.DeepEqual(rt, p) {
+		t.Fatalf("round-trip changed the plan:\n got %+v\nwant %+v", rt, p)
 	}
-	legacy, err := DecodeConfig([]byte(`{"label":"old","master":"m","gateway":"m","hosts":["m"],"memoryOf":{}}`))
+}
+
+// TestDecodeConfigLegacyGateway: a document written before gateway
+// replication names one gateway under "gateway"; it decodes to the
+// one-element replica set, and re-encoding it writes only "gateways".
+func TestDecodeConfigLegacyGateway(t *testing.T) {
+	legacy, err := DecodeConfig([]byte(`{"label":"old","master":"m","gateway":"a","hosts":["a","m"],"memoryOf":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := legacy.GatewaySet(); len(got) != 1 || got[0] != "m" {
-		t.Fatalf("legacy plan GatewaySet() = %v, want [m]", got)
+	if !reflect.DeepEqual(legacy.Gateways, []string{"a"}) {
+		t.Fatalf("legacy plan Gateways = %v, want [a]", legacy.Gateways)
+	}
+	data, err := EncodeConfig(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(data); strings.Contains(s, `"gateway":`) || !strings.Contains(s, `"gateways":`) {
+		t.Fatalf("upgraded config keys:\n%s", s)
+	}
+	// A document carrying both keys is a replicated one: the set wins.
+	both, err := DecodeConfig([]byte(`{"gateway":"a","gateways":["a","b"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(both.Gateways, []string{"a", "b"}) {
+		t.Fatalf("Gateways = %v, want [a b]", both.Gateways)
 	}
 }
 
@@ -124,7 +145,7 @@ func TestDiffPlansGatewayReplicaSet(t *testing.T) {
 			move = m
 		}
 	}
-	want := "gateways: [" + master + "] -> [" + strings.Join(replicated.GatewaySet(), ",") + "]"
+	want := "gateways: [" + master + "] -> [" + strings.Join(replicated.Gateways, ",") + "]"
 	if move != want {
 		t.Fatalf("gateway move %q, want %q", move, want)
 	}

@@ -269,11 +269,11 @@ func TestApplyDeltaGatewayMove(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
 	defer dep.Stop()
 
-	if plan.Gateway != plan.Master {
-		t.Fatalf("planner placed the gateway on %q, want the master %q", plan.Gateway, plan.Master)
+	if len(plan.Gateways) != 1 || plan.Gateways[0] != plan.Master {
+		t.Fatalf("planner placed the gateways on %v, want only the master %q", plan.Gateways, plan.Master)
 	}
 	next := copyPlan(plan)
-	next.Gateway = "moby.cri2000.ens-lyon.fr"
+	next.Gateways = []string{"moby.cri2000.ens-lyon.fr"}
 	rep := applyDelta(t, tr, dep, next, resolve)
 	if len(rep.Diff.ServerMoves) != 1 {
 		t.Fatalf("server moves %v", rep.Diff.ServerMoves)

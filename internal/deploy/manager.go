@@ -205,7 +205,7 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 		if name == plan.Forecaster {
 			roles.Forecaster = true
 		}
-		if contains(plan.GatewaySet(), name) {
+		if contains(plan.Gateways, name) {
 			roles.Gateway = true
 		}
 		if contains(plan.MemoryServers, name) {

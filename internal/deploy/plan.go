@@ -50,17 +50,12 @@ type Plan struct {
 	Master     string `json:"master"`
 	NameServer string `json:"nameServer"`
 	Forecaster string `json:"forecaster"`
-	// Gateway hosts the primary query gateway, the deployment's
-	// client-facing front door ("" in plans predating the query plane:
-	// no gateway). Kept alongside Gateways for wire/JSON compatibility;
-	// it is always Gateways[0] when the replica set is non-empty.
-	Gateway string `json:"gateway,omitempty"`
-	// Gateways lists every query-gateway replica host: the primary
-	// first, then the extra replicas sorted. Replicas are placed across
-	// distinct switches by the same machinery that places memory
-	// replicas, so clients keep a front door through a site loss. Empty
-	// in plans predating horizontal gateway scaling: the singleton
-	// Gateway stands alone.
+	// Gateways lists every query-gateway replica host, the deployment's
+	// client-facing front door: the primary first, then the extra
+	// replicas sorted. Replicas are placed across distinct switches by
+	// the same machinery that places memory replicas, so clients keep a
+	// front door through a site loss. Empty in plans predating the query
+	// plane: no gateway.
 	Gateways []string `json:"gateways,omitempty"`
 	// MemoryServers lists hosts running memory servers.
 	MemoryServers []string `json:"memoryServers"`
@@ -116,7 +111,6 @@ func NewPlan(m *env.Merged, cfg PlanConfig) (*Plan, error) {
 		Master:     master,
 		NameServer: master,
 		Forecaster: master,
-		Gateway:    master,
 		MemoryOf:   map[string]string{},
 		Hosts:      allHosts,
 	}
@@ -303,21 +297,6 @@ func (p *Plan) cliqueRepFor(network string) string {
 		}
 	}
 	return ""
-}
-
-// GatewaySet returns the effective gateway replica hosts: Gateways
-// when the plan carries the replicated form, else the singleton legacy
-// Gateway, else nothing (plans predating the query plane). In the
-// singleton case the legacy Gateway field is authoritative, so code
-// that re-homes a lone gateway by assigning Gateway keeps working.
-func (p *Plan) GatewaySet() []string {
-	if len(p.Gateways) > 1 {
-		return p.Gateways
-	}
-	if p.Gateway != "" {
-		return []string{p.Gateway}
-	}
-	return p.Gateways
 }
 
 // MeasuredPairs returns every ordered host pair some clique directly

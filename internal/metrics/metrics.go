@@ -12,6 +12,7 @@ import (
 
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/telemetry"
 )
 
 // Report aggregates one monitored run.
@@ -70,34 +71,10 @@ func Observe(net *simnet.Network, tagPrefix string, window time.Duration) Report
 		freqs = append(freqs, f)
 	}
 	sort.Float64s(freqs)
-	r.P50PairPerMinute = FloatPercentile(freqs, 0.50)
-	r.P95PairPerMinute = FloatPercentile(freqs, 0.95)
-	r.P99PairPerMinute = FloatPercentile(freqs, 0.99)
+	r.P50PairPerMinute = telemetry.Percentile(freqs, 0.50)
+	r.P95PairPerMinute = telemetry.Percentile(freqs, 0.95)
+	r.P99PairPerMinute = telemetry.Percentile(freqs, 0.99)
 	return r
-}
-
-// FloatPercentile returns the nearest-rank percentile of an already
-// sorted slice — the same convention as DurationPercentile, so the
-// frequency and latency percentiles of one report are comparable.
-// Zero on an empty slice.
-func FloatPercentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // PairAccuracy compares one composed estimate with ground truth.

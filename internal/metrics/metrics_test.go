@@ -6,6 +6,7 @@ import (
 
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/telemetry"
 	"nwsenv/internal/vclock"
 )
 
@@ -110,17 +111,17 @@ func TestObservePercentilesSinglePair(t *testing.T) {
 }
 
 func TestFloatPercentileBounds(t *testing.T) {
-	if got := FloatPercentile(nil, 0.95); got != 0 {
+	if got := telemetry.Percentile([]float64(nil), 0.95); got != 0 {
 		t.Fatalf("empty: %v", got)
 	}
 	sorted := []float64{1, 2, 3, 4}
-	if got := FloatPercentile(sorted, -1); got != 1 {
+	if got := telemetry.Percentile(sorted, -1); got != 1 {
 		t.Fatalf("p<0 must clamp to the minimum: %v", got)
 	}
-	if got := FloatPercentile(sorted, 2); got != 4 {
+	if got := telemetry.Percentile(sorted, 2); got != 4 {
 		t.Fatalf("p>1 must clamp to the maximum: %v", got)
 	}
-	if got := FloatPercentile(sorted, 0.5); got != 2 {
+	if got := telemetry.Percentile(sorted, 0.5); got != 2 {
 		t.Fatalf("p50 of [1 2 3 4] is 2 by nearest rank: %v", got)
 	}
 }

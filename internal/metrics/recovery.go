@@ -2,12 +2,12 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/telemetry"
 )
 
 // Recovery metrics for the self-healing control plane: §4.3 frames
@@ -91,29 +91,9 @@ func SummarizeRecovery(repairs []Repair, unrepaired int) RecoveryReport {
 	if len(repairs) > 0 {
 		rep.MeanTimeToDetect = detectSum / time.Duration(len(repairs))
 	}
-	rep.P95TimeToRepair = DurationPercentile(ttrs, 0.95)
+	slices.Sort(ttrs)
+	rep.P95TimeToRepair = telemetry.Percentile(ttrs, 0.95)
 	return rep
-}
-
-// DurationPercentile returns the p-th percentile (nearest-rank) of ds;
-// an empty input yields 0, p is clamped to [0, 1].
-func DurationPercentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // String renders the report as an operator table.

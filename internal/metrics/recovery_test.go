@@ -1,11 +1,13 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/telemetry"
 	"nwsenv/internal/vclock"
 )
 
@@ -74,17 +76,26 @@ func TestDurationPercentile(t *testing.T) {
 		{-1, 10 * time.Second},   // p clamped up to 0
 		{2, 50 * time.Second},    // p clamped down to 1
 	}
+	sorted := slices.Sorted(slices.Values(ds))
 	for _, c := range cases {
-		if got := DurationPercentile(ds, c.p); got != c.want {
+		if got := telemetry.Percentile(sorted, c.p); got != c.want {
 			t.Fatalf("percentile %v = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := DurationPercentile(nil, 0.95); got != 0 {
+	if got := telemetry.Percentile([]time.Duration(nil), 0.95); got != 0 {
 		t.Fatalf("empty percentile %v, want 0", got)
 	}
-	// The input slice must not be reordered.
-	if ds[0] != 40*time.Second || ds[4] != 50*time.Second {
-		t.Fatalf("input mutated: %v", ds)
+	// The report sorts its own copy: repairs arriving in any order give
+	// the same percentile, and the caller's slice is not reordered.
+	var repairs []Repair
+	for _, d := range ds {
+		repairs = append(repairs, Repair{RepairedAt: d})
+	}
+	if got := SummarizeRecovery(repairs, 0).P95TimeToRepair; got != 50*time.Second {
+		t.Fatalf("report p95 %v, want 50s", got)
+	}
+	if repairs[0].RepairedAt != 40*time.Second || repairs[4].RepairedAt != 50*time.Second {
+		t.Fatalf("input mutated: %v", repairs)
 	}
 }
 

@@ -132,16 +132,6 @@ type ForecastResult struct {
 	Err        error
 }
 
-// Stats counts the client's cache and batching behavior (for tests and
-// capacity planning).
-type Stats struct {
-	LookupHits    int // series resolved from the discovery cache
-	LookupCalls   int // directory round-trips (single + bulk)
-	BatchCalls    int // batched backend round-trips (fetch + forecast)
-	ForecastHits  int // forecasts answered from the forecast cache
-	ForecastCalls int // forecasts that went to a forecaster
-}
-
 // Option tunes a Client.
 type Option func(*Client)
 
@@ -164,19 +154,16 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithTelemetry mirrors the client's Stats counters onto the registry
-// (query/lookup_hits, query/lookup_calls, query/batch_calls,
-// query/forecast_hits, query/forecast_calls) and traces each batched
-// request (lookup, fan-out, per-backend round-trip) as spans.
+// WithTelemetry counts the client's cache and batching behavior on the
+// registry — query/lookup_hits (series resolved from the discovery
+// cache), query/lookup_calls (directory round-trips, single + bulk),
+// query/batch_calls (batched backend round-trips, fetch + forecast),
+// query/forecast_hits (forecasts answered from the forecast cache),
+// query/forecast_calls (forecasts that went to a forecaster) — and
+// traces each batched request (lookup, fan-out, per-backend round-trip)
+// as spans.
 func WithTelemetry(r *telemetry.Registry) Option {
 	return func(c *Client) { c.SetTelemetry(r) }
-}
-
-// Dialer is the slice of a platform a Client needs to open its own
-// endpoint: platform.Platform satisfies it.
-type Dialer interface {
-	Runtime() proto.Runtime
-	Transport() proto.Transport
 }
 
 // flight deduplicates concurrent directory lookups for one key: the
@@ -203,10 +190,9 @@ type fcEntry struct {
 
 // Client is the versioned query plane's client facade.
 type Client struct {
-	port     proto.Port
-	rt       proto.Runtime
-	ns       *nameserver.Client
-	ownsPort bool
+	port proto.Port
+	rt   proto.Runtime
+	ns   *nameserver.Client
 
 	ttl         time.Duration
 	forecastTTL time.Duration
@@ -225,10 +211,9 @@ type Client struct {
 	bulkFresh bool
 	flights   map[string]*flight
 	forecasts map[string]fcEntry
-	stats     Stats
 
-	// Registry mirrors of the Stats counters (nil-safe: an unwired
-	// client increments nil instruments, which no-op).
+	// Registry counters (nil-safe: an unwired client increments nil
+	// instruments, which no-op).
 	tele           *telemetry.Registry
 	tLookupHits    *telemetry.Counter
 	tLookupCalls   *telemetry.Counter
@@ -263,35 +248,7 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 	return c
 }
 
-// Dial opens a dedicated endpoint named clientHost on the platform's
-// transport and builds a Client over it. Close releases the endpoint.
-func Dial(p Dialer, clientHost, nsHost string, opts ...Option) (*Client, error) {
-	ep, err := p.Transport().Open(clientHost)
-	if err != nil {
-		return nil, fmt.Errorf("query: dial: %w", err)
-	}
-	c := New(proto.NewStation(p.Runtime(), ep), nsHost, opts...)
-	c.ownsPort = true
-	return c, nil
-}
-
-// Close releases the endpoint when the client owns one (built by Dial);
-// clients over borrowed ports are left untouched.
-func (c *Client) Close() error {
-	if c.ownsPort {
-		return c.port.Close()
-	}
-	return nil
-}
-
-// Stats returns a snapshot of the cache/batching counters.
-func (c *Client) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// SetTelemetry wires (or re-wires) the registry mirrors; see
+// SetTelemetry wires (or re-wires) the registry counters; see
 // WithTelemetry. Call before issuing traffic.
 func (c *Client) SetTelemetry(r *telemetry.Registry) {
 	c.tele = r
@@ -301,15 +258,6 @@ func (c *Client) SetTelemetry(r *telemetry.Registry) {
 	c.tForecastHits = r.Counter("query", "forecast_hits", nil)
 	c.tForecastCalls = r.Counter("query", "forecast_calls", nil)
 	c.tFailovers = r.Counter("replica", "failovers_total", nil)
-}
-
-// InvalidateSeries drops a series from the discovery cache (tests and
-// callers that know a migration happened).
-func (c *Client) InvalidateSeries(series string) {
-	c.mu.Lock()
-	delete(c.series, series)
-	c.bulkFresh = false
-	c.mu.Unlock()
 }
 
 // fanOut runs fn(i) for every i in [0, n) on at most workers concurrent
@@ -386,7 +334,6 @@ func (c *Client) resolve(series string, bulkHint bool) (proto.Registration, erro
 	defer c.mu.Unlock()
 	now := c.rt.Now()
 	if e, ok := c.series[series]; ok && e.expires > now {
-		c.stats.LookupHits++
 		c.tLookupHits.Inc()
 		if e.missing {
 			return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
@@ -414,7 +361,6 @@ func (c *Client) resolve(series string, bulkHint bool) (proto.Registration, erro
 		}
 		return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
 	}
-	c.stats.LookupCalls++
 	c.tLookupCalls.Inc()
 	c.mu.Unlock()
 	sp := c.tele.StartSpan("query", "lookup", telemetry.Attr{Key: "key", Value: key})
@@ -523,7 +469,6 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 			replicasOf[e.reg.Host] = e.reg.Replicas
 		}
 	}
-	c.stats.LookupHits += hits
 	c.mu.Unlock()
 	c.tLookupHits.Add(int64(hits))
 
@@ -587,9 +532,6 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 		host := hosts[w]
 		idxs := byHost[host]
 		batch := batches[w]
-		c.mu.Lock()
-		c.stats.BatchCalls++
-		c.mu.Unlock()
 		c.tBatchCalls.Inc()
 		var bsp *telemetry.ActiveSpan
 		if root != nil {
@@ -723,7 +665,6 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 		results[i].Series = q.Series
 		if e, ok := c.forecasts[fcKey(q)]; ok && e.expires > now {
 			results[i].Prediction = e.pred
-			c.stats.ForecastHits++
 			hits++
 			continue
 		}
@@ -766,10 +707,6 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 		for k, i := range idxs {
 			batch[k] = reqs[i]
 		}
-		c.mu.Lock()
-		c.stats.BatchCalls++
-		c.stats.ForecastCalls += len(idxs)
-		c.mu.Unlock()
 		c.tBatchCalls.Inc()
 		c.tForecastCalls.Add(int64(len(idxs)))
 		var bsp *telemetry.ActiveSpan
@@ -839,7 +776,6 @@ func (c *Client) forecasterList() ([]proto.Registration, error) {
 		}
 		return nil, fmt.Errorf("%w: no forecaster registered", ErrBackendDown)
 	}
-	c.stats.LookupCalls++
 	c.tLookupCalls.Inc()
 	c.mu.Unlock()
 	regs, err := c.ns.LookupKind("forecaster", "")

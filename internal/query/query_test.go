@@ -13,6 +13,7 @@ import (
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/telemetry"
 	"nwsenv/internal/vclock"
 )
 
@@ -93,6 +94,15 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
+// counters wires a per-test registry: the returned option counts the
+// client on it, and count reads one query/<name> counter back.
+func (r *rig) counters() (opt query.Option, count func(name string) int64) {
+	reg := telemetry.New(r.sim.Now)
+	return query.WithTelemetry(reg), func(name string) int64 {
+		return reg.Counter("query", name, nil).Value()
+	}
+}
+
 // seed stores samples through direct memory clients (the data plane,
 // not under test) from inside the simulation.
 func (r *rig) seed(t *testing.T) {
@@ -148,7 +158,8 @@ func (r *rig) run(t *testing.T, fn func()) {
 func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	qc := query.New(r.st, "ns")
+	counted, count := r.counters()
+	qc := query.New(r.st, "ns", counted)
 	reqs := []proto.SeriesRequest{
 		{Series: "a1", Count: 1}, {Series: "b1", Count: 1}, {Series: "a2", Count: 1},
 		{Series: "b2", Count: 1}, {Series: "a3", Count: 1},
@@ -184,16 +195,16 @@ func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 	if got := r.cnt.count(proto.MsgBatchFetch); got != 4 {
 		t.Errorf("MsgBatchFetch sent %d times, want 4", got)
 	}
-	st := qc.Stats()
-	if st.LookupHits == 0 || st.LookupCalls != 1 || st.BatchCalls != 4 {
-		t.Errorf("stats %+v", st)
+	if h, l, b := count("lookup_hits"), count("lookup_calls"), count("batch_calls"); h == 0 || l != 1 || b != 4 {
+		t.Errorf("lookup_hits %d, lookup_calls %d, batch_calls %d; want >0, 1, 4", h, l, b)
 	}
 }
 
 func TestFetchSemantics(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	qc := query.New(r.st, "ns")
+	counted, count := r.counters()
+	qc := query.New(r.st, "ns", counted)
 	r.run(t, func() {
 		// n <= 0: the full retained window.
 		all, err := qc.Fetch("a1", 0)
@@ -213,11 +224,11 @@ func TestFetchSemantics(t *testing.T) {
 		if _, err := qc.Fetch("nope", 1); !errors.Is(err, query.ErrSeriesUnknown) {
 			t.Errorf("unknown series: %v", err)
 		}
-		lookups := qc.Stats().LookupCalls
+		lookups := count("lookup_calls")
 		if _, err := qc.Fetch("nope", 1); !errors.Is(err, query.ErrSeriesUnknown) {
 			t.Errorf("unknown series (cached): %v", err)
 		}
-		if got := qc.Stats().LookupCalls; got != lookups {
+		if got := count("lookup_calls"); got != lookups {
 			t.Errorf("negative lookup not cached: %d -> %d directory calls", lookups, got)
 		}
 	})
@@ -257,7 +268,8 @@ func TestBackendDownIsPerSeries(t *testing.T) {
 func TestLookupSingleflight(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	qc := query.New(r.st, "ns")
+	counted, count := r.counters()
+	qc := query.New(r.st, "ns", counted)
 	r.run(t, func() {
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 8; i++ {
@@ -272,15 +284,16 @@ func TestLookupSingleflight(t *testing.T) {
 			done.Recv()
 		}
 	})
-	if st := qc.Stats(); st.LookupCalls != 1 {
-		t.Errorf("singleflight leaked: %d directory calls", st.LookupCalls)
+	if got := count("lookup_calls"); got != 1 {
+		t.Errorf("singleflight leaked: %d directory calls", got)
 	}
 }
 
 func TestForecastManyAndCache(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	qc := query.New(r.st, "ns", query.WithForecastTTL(30*time.Second))
+	counted, count := r.counters()
+	qc := query.New(r.st, "ns", query.WithForecastTTL(30*time.Second), counted)
 	reqs := []proto.SeriesRequest{{Series: "a1"}, {Series: "b1"}}
 	r.run(t, func() {
 		res := qc.ForecastMany(reqs)
@@ -294,7 +307,7 @@ func TestForecastManyAndCache(t *testing.T) {
 			}
 		}
 	})
-	calls := qc.Stats().BatchCalls
+	calls := count("batch_calls")
 	// Within the TTL the cache answers; no new backend traffic.
 	r.run(t, func() {
 		res := qc.ForecastMany(reqs)
@@ -302,12 +315,11 @@ func TestForecastManyAndCache(t *testing.T) {
 			t.Errorf("cached forecasts failed: %v %v", res[0].Err, res[1].Err)
 		}
 	})
-	st := qc.Stats()
-	if st.BatchCalls != calls {
-		t.Errorf("cached forecast went to the backend: %d -> %d batch calls", calls, st.BatchCalls)
+	if got := count("batch_calls"); got != calls {
+		t.Errorf("cached forecast went to the backend: %d -> %d batch calls", calls, got)
 	}
-	if st.ForecastHits != 2 {
-		t.Errorf("forecast hits %d, want 2", st.ForecastHits)
+	if got := count("forecast_hits"); got != 2 {
+		t.Errorf("forecast hits %d, want 2", got)
 	}
 	// After the TTL the entry expires and the backend is asked again.
 	r.run(t, func() {
@@ -316,7 +328,7 @@ func TestForecastManyAndCache(t *testing.T) {
 			t.Errorf("expired refetch: %v", res[0].Err)
 		}
 	})
-	if got := qc.Stats().BatchCalls; got == calls {
+	if got := count("batch_calls"); got == calls {
 		t.Error("expired forecast did not go back to the forecaster")
 	}
 	// Unknown series surfaces the structured error through the batch.

@@ -15,7 +15,7 @@ import (
 
 // servingPort is a stub backend answering directory lookups and batch
 // fetches from memory, with real goroutines underneath (RealRuntime):
-// the client's fan-out workers, the Stats() reader and the telemetry
+// the client's fan-out workers, the counter reader and the telemetry
 // snapshotter all run truly concurrently, so `go test -race` sees any
 // unsynchronized counter access on the hot path.
 type servingPort struct {
@@ -43,8 +43,8 @@ func (p *servingPort) Call(to string, m proto.Message, d time.Duration) (proto.M
 	return proto.Message{}, nil
 }
 
-// TestStatsDuringTrafficRace hammers Stats() and registry snapshots
-// while FetchMany traffic mutates the counters from fan-out workers.
+// TestStatsDuringTrafficRace hammers the query counters and registry
+// snapshots while FetchMany traffic bumps them from fan-out workers.
 func TestStatsDuringTrafficRace(t *testing.T) {
 	rt := proto.NewRealRuntime()
 	port := &servingPort{StubPort: prototest.StubPort{HostName: "c", RT: rt}}
@@ -86,11 +86,13 @@ func TestStatsDuringTrafficRace(t *testing.T) {
 		}()
 	}
 
-	// Read concurrently with the traffic: the client's stats snapshot
-	// and the registry's full snapshot + JSONL render.
-	var last query.Stats
+	// Read concurrently with the traffic: the live counters and the
+	// registry's full snapshot + JSONL render.
+	batchCalls := reg.Counter("query", "batch_calls", nil)
+	lookupCalls := reg.Counter("query", "lookup_calls", nil)
+	var last int64
 	for i := 0; i < 300; i++ {
-		last = c.Stats()
+		last = batchCalls.Value()
 		snap := reg.Snapshot()
 		if _, err := telemetry.RenderMetricsJSONL(snap); err != nil {
 			t.Fatal(err)
@@ -99,20 +101,20 @@ func TestStatsDuringTrafficRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	final := c.Stats()
-	if final.BatchCalls == 0 || final.LookupCalls == 0 {
-		t.Fatalf("no traffic recorded: %+v", final)
+	final := batchCalls.Value()
+	if final == 0 || lookupCalls.Value() == 0 {
+		t.Fatalf("no traffic recorded: %d batch calls, %d lookup calls", final, lookupCalls.Value())
 	}
-	if final.BatchCalls < last.BatchCalls {
-		t.Fatalf("counters went backwards: %+v then %+v", last, final)
+	if final < last {
+		t.Fatalf("batch_calls went backwards: %d then %d", last, final)
 	}
-	// The registry mirrors must agree with the client's own counters
-	// once the writers are quiesced.
+	// The snapshot must agree with the live counters once the writers
+	// are quiesced.
 	flat := reg.Snapshot().Flatten()
-	if got := flat["query/batch_calls"]; got != float64(final.BatchCalls) {
-		t.Fatalf("registry batch_calls %g != stats %d", got, final.BatchCalls)
+	if got := flat["query/batch_calls"]; got != float64(final) {
+		t.Fatalf("snapshot batch_calls %g != counter %d", got, final)
 	}
-	if got := flat["query/lookup_calls"]; got != float64(final.LookupCalls) {
-		t.Fatalf("registry lookup_calls %g != stats %d", got, final.LookupCalls)
+	if got := flat["query/lookup_calls"]; got != float64(lookupCalls.Value()) {
+		t.Fatalf("snapshot lookup_calls %g != counter %d", got, lookupCalls.Value())
 	}
 }

@@ -30,7 +30,7 @@ func TestReconcileGatewayReplicaKilledMidStorm(t *testing.T) {
 	base := e.sim.Now()
 	plan := e.out.Plan
 
-	gws := plan.GatewaySet()
+	gws := plan.Gateways
 	if len(gws) != 3 {
 		t.Fatalf("planned %d gateway replicas %v, want 3", len(gws), gws)
 	}
@@ -184,7 +184,7 @@ func TestReconcileGatewayReplicaKilledMidStorm(t *testing.T) {
 	// The control plane re-placed the replica: three gateways again,
 	// none on the dead host, primary still the master.
 	dep = rec.Deployment()
-	ngws := dep.Plan.GatewaySet()
+	ngws := dep.Plan.Gateways
 	if len(ngws) != 3 {
 		t.Fatalf("repaired plan has %d gateways %v, want 3", len(ngws), ngws)
 	}

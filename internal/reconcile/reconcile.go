@@ -75,6 +75,20 @@ func (r Round) Drifted() bool { return r.Diff != nil && !r.Diff.Empty() }
 // Repaired reports whether the round applied a repair successfully.
 func (r Round) Repaired() bool { return r.Delta != nil && r.Err == nil && r.RepairedAt > 0 }
 
+// Tally counts the rounds that applied a repair and the rounds that
+// failed transiently: the two numbers every watch report leads with.
+func Tally(rounds []Round) (repairs, transient int) {
+	for _, rd := range rounds {
+		if rd.Repaired() {
+			repairs++
+		}
+		if rd.Err != nil {
+			transient++
+		}
+	}
+	return repairs, transient
+}
+
 // Reconciler drives reconcile rounds over one deployment.
 type Reconciler struct {
 	pl  *core.Pipeline

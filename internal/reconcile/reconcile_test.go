@@ -198,8 +198,8 @@ func TestReconcileGatewayRehomed(t *testing.T) {
 	base := e.sim.Now()
 	master := e.out.Plan.Master
 	masterID := e.out.Resolve[master]
-	if e.out.Plan.Gateway != master {
-		t.Fatalf("gateway planned on %q, want the master %q", e.out.Plan.Gateway, master)
+	if gws := e.out.Plan.Gateways; len(gws) != 1 || gws[0] != master {
+		t.Fatalf("gateways planned on %v, want only the master %q", gws, master)
 	}
 
 	rec := e.watch(context.Background(), 2*time.Minute)
@@ -207,17 +207,18 @@ func TestReconcileGatewayRehomed(t *testing.T) {
 
 	advance(t, e.sim, base+12*time.Minute)
 	dep := rec.Deployment()
-	if dep.Plan.Gateway == master {
-		t.Fatalf("gateway still on dead master %s", master)
+	gws := dep.Plan.Gateways
+	if len(gws) != 1 || gws[0] == master {
+		t.Fatalf("gateways %v: want one, off the dead master %s", gws, master)
 	}
-	if dep.Plan.Gateway != dep.Plan.Master {
-		t.Fatalf("gateway %q re-homed away from the new master %q", dep.Plan.Gateway, dep.Plan.Master)
+	if gws[0] != dep.Plan.Master {
+		t.Fatalf("gateway %q re-homed away from the new master %q", gws[0], dep.Plan.Master)
 	}
 
 	// Give the rebuilt cliques a few rounds to measure, then query.
 	advance(t, e.sim, e.sim.Now()+5*time.Minute)
 	nsID := dep.Resolve[dep.Plan.NameServer]
-	gwID := dep.Resolve[dep.Plan.Gateway]
+	gwID := dep.Resolve[gws[0]]
 	pairs := dep.Plan.MeasuredPairs()
 	if len(pairs) == 0 {
 		t.Fatal("no measured pairs after failover")

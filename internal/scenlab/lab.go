@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"nwsenv/internal/cli"
 	"nwsenv/internal/core"
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/metrics"
@@ -100,36 +101,11 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	// proto/bytes_in) land in the same registry, so scenario SLOs can
 	// gate on wire traffic.
 	tr.SetTelemetry(reg)
-	opts := []core.Option{core.WithAutoAliases(), core.WithTokenGap(time.Second),
-		core.WithTelemetry(reg)}
-	if spec.Replication > 0 {
-		opts = append(opts, core.WithReplication(spec.Replication))
-	}
-	if spec.Gateways > 1 {
-		opts = append(opts, core.WithGateways(spec.Gateways))
-	}
-	pl := core.NewPipeline(plat, opts...)
-
-	// Deploy, driving virtual time in bounded steps (agents generate
-	// events forever once running, so one long RunUntil would never
-	// return).
-	var out *core.Outcome
-	var pipeErr error
-	done := false
-	sim.Go("pipeline", func() {
-		out, pipeErr = pl.Deploy(context.Background(), runs...)
-		done = true
-	})
-	for at := sim.Now() + time.Minute; !done && at <= 240*time.Hour; at += time.Minute {
-		if err := sim.RunUntil(at); err != nil {
-			return nil, err
-		}
-	}
-	if pipeErr != nil {
-		return nil, fmt.Errorf("scenlab: %s: deploy: %w", spec.Name, pipeErr)
-	}
-	if !done {
-		return nil, fmt.Errorf("scenlab: %s: deploy did not finish in the virtual time budget", spec.Name)
+	pl := core.NewPipeline(plat, core.WithAutoAliases(), core.WithTokenGap(time.Second),
+		core.WithTelemetry(reg), core.WithReplication(spec.Replication), core.WithGateways(spec.Gateways))
+	out, err := cli.DeploySim(sim, pl, runs)
+	if err != nil {
+		return nil, fmt.Errorf("scenlab: %s: deploy: %w", spec.Name, err)
 	}
 
 	base := sim.Now()
@@ -217,14 +193,7 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 			Probed:   probed,
 			Rounds:   len(rounds),
 		}
-		for _, rd := range rounds {
-			if rd.Repaired() {
-				s.Repairs++
-			}
-			if rd.Err != nil {
-				s.Transient++
-			}
-		}
+		s.Repairs, s.Transient = reconcile.Tally(rounds)
 		if len(rounds) > 0 {
 			s.Dead = len(rounds[len(rounds)-1].Dead)
 		}
@@ -271,14 +240,7 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	res.Injected = len(injected)
 	res.Recovery = rec.RecoveryReport(injected)
 	res.Rounds = len(rounds)
-	for _, rd := range rounds {
-		if rd.Repaired() {
-			res.Repairs++
-		}
-		if rd.Err != nil {
-			res.Transient++
-		}
-	}
+	res.Repairs, res.Transient = reconcile.Tally(rounds)
 	res.Converged = len(rounds) > 0 && rounds[len(rounds)-1].Err == nil && !rounds[len(rounds)-1].Drifted()
 	dep := rec.Deployment()
 	res.Complete = deploy.ValidateConnectivity(dep.Plan).Complete

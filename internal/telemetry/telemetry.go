@@ -12,6 +12,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -366,11 +367,15 @@ func (s Snapshot) Flatten() map[string]float64 {
 	return out
 }
 
-// Percentile returns the nearest-rank percentile of an already sorted
-// slice (same convention as metrics.DurationPercentile). Zero on empty.
-func Percentile(sorted []float64, p float64) float64 {
+// Percentile returns the nearest-rank p-th percentile of an already
+// sorted slice: the repo's one percentile rule, so every report's
+// latency and frequency percentiles are comparable. The rank is clamped
+// to the slice, so p <= 0 yields the minimum and p >= 1 the maximum;
+// zero on an empty slice.
+func Percentile[T cmp.Ordered](sorted []T, p float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	rank := int(math.Ceil(p * float64(len(sorted))))
 	if rank < 1 {

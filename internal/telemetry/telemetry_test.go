@@ -99,7 +99,7 @@ func TestInstrumentsAndSnapshot(t *testing.T) {
 }
 
 func TestPercentileNearestRank(t *testing.T) {
-	if got := Percentile(nil, 0.95); got != 0 {
+	if got := Percentile([]float64(nil), 0.95); got != 0 {
 		t.Fatalf("empty percentile = %v", got)
 	}
 	if got := Percentile([]float64{7}, 0.5); got != 7 {
