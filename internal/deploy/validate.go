@@ -68,8 +68,30 @@ func ValidateConnectivity(p *Plan) *Validation {
 // topology. resolve maps canonical machine names to simulator node IDs.
 func Validate(p *Plan, topo *simnet.Topology, resolve map[string]string) (*Validation, error) {
 	v := ValidateConnectivity(p)
+	risks, err := collisionRisks(p.Cliques, topo, resolve)
+	if err != nil {
+		return nil, err
+	}
+	v.CollisionRisks = risks
+	return v, nil
+}
 
-	// Inter-clique collision analysis on the physical topology.
+// cliquePaths is one clique's measurement paths on the physical
+// topology, resolved once per Validate.
+type cliquePaths struct {
+	pairs [][2]string
+	// res[i] lists the resources pairs[i] occupies; nil when the pair is
+	// unroutable (e.g. firewall): such experiments never run.
+	res [][]string
+	// first maps a resource to the smallest index in pairs using it.
+	first map[string]int
+}
+
+// collisionRisks is the inter-clique collision analysis: for each clique
+// pair (A before B in plan order) the first pair of A, in orderedPairs
+// order, whose path shares a resource with any path of B, with B's
+// first such pair as the witness.
+func collisionRisks(cliques []CliqueSpec, topo *simnet.Topology, resolve map[string]string) ([]CollisionRisk, error) {
 	id := func(name string) (string, error) {
 		if node, ok := resolve[name]; ok {
 			return node, nil
@@ -79,54 +101,61 @@ func Validate(p *Plan, topo *simnet.Topology, resolve map[string]string) (*Valid
 		}
 		return "", fmt.Errorf("deploy: cannot resolve %q to a topology node", name)
 	}
-	for i := 0; i < len(p.Cliques); i++ {
-		for j := i + 1; j < len(p.Cliques); j++ {
-			risk, err := cliquesCollide(p.Cliques[i], p.Cliques[j], topo, id)
+	paths := make([]cliquePaths, len(cliques))
+	for ci, c := range cliques {
+		node := make(map[string]string, len(c.Members))
+		for _, m := range c.Members {
+			n, err := id(m)
 			if err != nil {
 				return nil, err
 			}
-			if risk != nil {
-				v.CollisionRisks = append(v.CollisionRisks, *risk)
-			}
+			node[m] = n
 		}
-	}
-	return v, nil
-}
-
-func cliquesCollide(a, b CliqueSpec, topo *simnet.Topology, id func(string) (string, error)) (*CollisionRisk, error) {
-	for _, pa := range orderedPairs(a.Members) {
-		srcA, err := id(pa[0])
-		if err != nil {
-			return nil, err
-		}
-		dstA, err := id(pa[1])
-		if err != nil {
-			return nil, err
-		}
-		for _, pb := range orderedPairs(b.Members) {
-			srcB, err := id(pb[0])
+		cp := cliquePaths{pairs: orderedPairs(c.Members), first: map[string]int{}}
+		cp.res = make([][]string, len(cp.pairs))
+		for i, pr := range cp.pairs {
+			res, err := topo.PathResources(node[pr[0]], node[pr[1]])
 			if err != nil {
-				return nil, err
-			}
-			dstB, err := id(pb[1])
-			if err != nil {
-				return nil, err
-			}
-			shared, err := topo.SharedResources(srcA, dstA, srcB, dstB)
-			if err != nil {
-				// Unroutable pair (e.g. firewall): such experiments never
-				// run, skip.
 				continue
 			}
-			if shared {
-				return &CollisionRisk{
-					CliqueA: a.Name, CliqueB: b.Name,
-					PairA: pa, PairB: pb,
-				}, nil
+			cp.res[i] = res
+			for _, r := range res {
+				if _, ok := cp.first[r]; !ok {
+					cp.first[r] = i
+				}
+			}
+		}
+		paths[ci] = cp
+	}
+	var risks []CollisionRisk
+	for a := range paths {
+		for b := a + 1; b < len(paths); b++ {
+			if ia, ib := paths[a].collides(paths[b]); ia >= 0 {
+				risks = append(risks, CollisionRisk{
+					CliqueA: cliques[a].Name, CliqueB: cliques[b].Name,
+					PairA: paths[a].pairs[ia], PairB: paths[b].pairs[ib],
+				})
 			}
 		}
 	}
-	return nil, nil
+	return risks, nil
+}
+
+// collides returns the first pair of a sharing a resource with b and b's
+// first pair sharing one with it, or -1, -1.
+func (a cliquePaths) collides(b cliquePaths) (int, int) {
+	for i, res := range a.res {
+		witness := -1
+		for _, r := range res {
+			if j, ok := b.first[r]; ok && (witness < 0 || j < witness) {
+				witness = j
+			}
+		}
+		if witness >= 0 {
+			return i, witness
+		}
+	}
+	return -1, -1
 }
 
 func orderedPairs(members []string) [][2]string {

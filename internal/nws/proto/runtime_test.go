@@ -29,8 +29,11 @@ func numbered(i int) Message { return Message{Type: MsgPing, ID: int64(i)} }
 
 // wantNext reports whether the next message of box, taken by one of the
 // three receive calls in rotation, is number i. The helpers and cases
-// use t.Errorf and return: under the simulator they are not on the
-// test's goroutine.
+// use t.Errorf and return: what a case spawns with rt.Go is, on the
+// real runtime, a goroutine other than the test's. (Under the simulator
+// t.Fatal in a process would do the right thing — vclock carries a
+// process's Goexit to the goroutine that called Run — but the cases are
+// written once for both runtimes.)
 func wantNext(t *testing.T, box Inbox, i int) bool {
 	t.Helper()
 	var m Message

@@ -666,37 +666,44 @@ func (t *Topology) Traceroute(src, dst string) ([]TracerouteHop, error) {
 }
 
 // SharedResources reports whether concurrent flows src1→dst1 and src2→dst2
-// would compete for any resource (directed link or hub domain). Used by
-// the deployment validator to prove collision-freedom.
+// would compete for any resource (directed link or hub domain).
 func (t *Topology) SharedResources(src1, dst1, src2, dst2 string) (bool, error) {
-	r1, err := t.pathResourceKeys(src1, dst1)
+	r1, err := t.PathResources(src1, dst1)
 	if err != nil {
 		return false, err
 	}
-	r2, err := t.pathResourceKeys(src2, dst2)
+	r2, err := t.PathResources(src2, dst2)
 	if err != nil {
 		return false, err
 	}
-	for k := range r1 {
-		if _, ok := r2[k]; ok {
+	on1 := make(map[string]struct{}, len(r1))
+	for _, k := range r1 {
+		on1[k] = struct{}{}
+	}
+	for _, k := range r2 {
+		if _, ok := on1[k]; ok {
 			return true, nil
 		}
 	}
 	return false, nil
 }
 
-func (t *Topology) pathResourceKeys(src, dst string) (map[string]struct{}, error) {
+// PathResources lists the resources a flow src→dst occupies, one key
+// per directed link and per hub domain on its route. Two flows compete
+// exactly when their lists intersect; the deployment validator uses it
+// to prove collision-freedom.
+func (t *Topology) PathResources(src, dst string) ([]string, error) {
 	p, err := t.Path(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	keys := map[string]struct{}{}
+	keys := make([]string, 0, len(p))
 	for i := 0; i+1 < len(p); i++ {
-		keys["edge:"+p[i]+"->"+p[i+1]] = struct{}{}
+		keys = append(keys, "edge:"+p[i]+"->"+p[i+1])
 	}
 	for _, id := range p {
 		if t.nodes[id].Kind == Hub {
-			keys["hub:"+id] = struct{}{}
+			keys = append(keys, "hub:"+id)
 		}
 	}
 	return keys, nil

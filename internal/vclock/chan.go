@@ -16,20 +16,19 @@ type Chan[T any] struct {
 }
 
 // waiter is one blocked receive. Waiters are pooled per channel: the
-// signal channel and the deliver/timeout callbacks are built once and
-// reused for every block/wake cycle, so steady-state receive traffic
-// allocates nothing. Reuse is safe because each cycle produces exactly
-// one signal (wake and timeout exclude each other under sim.mu, and a
-// canceled timer event is skipped at heap pop, never run).
+// timeout callback is built once and reused for every block/wake cycle,
+// so steady-state receive traffic allocates nothing. Reuse is safe
+// because each cycle is ended exactly once, under sim.mu, by a wake or
+// by the timer: wake cancels the timer, and a canceled event is skipped
+// at heap pop, never run.
 type waiter[T any] struct {
 	c       *Chan[T]
-	ch      chan struct{} // cap 1; signaled by send, reused across cycles
+	p       *proc // the blocked receiver
 	v       T
 	ok      bool
 	done    bool
 	timer   *Event
-	deliver func()
-	timeout func()
+	timeout func() *proc
 }
 
 // NewChan creates a channel bound to sim. The name is used in diagnostics.
@@ -48,16 +47,16 @@ func (c *Chan[T]) Len() int {
 }
 
 // wake schedules delivery to w at the current instant: the value is
-// written here under sim.mu and the prebuilt deliver callback only
-// flips the process runnable. Caller holds sim.mu.
+// written here under sim.mu and the event only resumes the receiver.
+// Caller holds sim.mu.
 func (c *Chan[T]) wake(w *waiter[T], v T, ok bool) {
 	w.done = true
 	w.v, w.ok = v, ok
-	if w.timer != nil && !w.timer.fired {
+	if w.timer != nil {
 		w.timer.canceled = true
 	}
 	c.sim.blocked--
-	c.sim.scheduleEphemeral(c.sim.now, w.deliver)
+	c.sim.scheduleEphemeral(c.sim.now, w.p.resume)
 }
 
 // Send delivers v to a waiting receiver or buffers it. It may be called
@@ -114,9 +113,11 @@ func (c *Chan[T]) Close() {
 	c.waiters = nil
 }
 
-// Recv blocks the calling process until a value is available. ok is false
-// if the channel was closed and drained. It must only be called from a
-// process goroutine.
+// Recv blocks the calling process until a value is available: with
+// nothing buffered it queues itself as a waiter and switches to the
+// scheduler, and the Send or Close that serves it schedules its resume.
+// ok is false if the channel was closed and drained. It must only be
+// called by a process, on the process's own stack.
 func (c *Chan[T]) Recv() (v T, ok bool) {
 	return c.recv(0, false)
 }
@@ -153,27 +154,27 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (T, bool) {
 		var zero T
 		return zero, false
 	}
-	if s.busy <= 0 {
+	p := s.cur
+	if p == nil {
 		s.mu.Unlock()
 		panic("vclock: Recv on " + c.name + " called outside a simulation process")
 	}
 	w := c.getWaiterLocked()
+	w.p = p
 	c.waiters = append(c.waiters, w)
 	if timed {
 		w.timer = s.scheduleEphemeral(s.now+d, w.timeout)
 	}
-	s.busy--
 	s.blocked++
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	<-w.ch
+	p.yield(struct{}{})
 	v, ok := w.v, w.ok
 	c.putWaiter(w)
 	return v, ok
 }
 
 // getWaiterLocked pops a recycled waiter or builds a fresh one with its
-// callbacks. Caller holds sim.mu.
+// timeout callback. Caller holds sim.mu.
 func (c *Chan[T]) getWaiterLocked() *waiter[T] {
 	if n := len(c.free); n > 0 {
 		w := c.free[n-1]
@@ -181,30 +182,17 @@ func (c *Chan[T]) getWaiterLocked() *waiter[T] {
 		c.free = c.free[:n-1]
 		return w
 	}
-	w := &waiter[T]{c: c, ch: make(chan struct{}, 1)}
-	w.deliver = func() {
-		s := w.c.sim
-		s.mu.Lock()
-		s.busy++
-		s.mu.Unlock()
-		w.ch <- struct{}{}
-	}
-	w.timeout = func() {
-		s := w.c.sim
-		s.mu.Lock()
-		if w.done {
-			s.mu.Unlock()
-			return
-		}
+	w := &waiter[T]{c: c}
+	// Runs in the scheduler under sim.mu, only if no wake got there
+	// first (wake cancels the timer).
+	w.timeout = func() *proc {
 		w.done = true
 		w.ok = false
 		// Eager removal, not a lazy done-skip: the waiter is about to be
 		// recycled and must not linger in the waiters list.
 		w.c.removeWaiterLocked(w)
-		s.blocked--
-		s.busy++
-		s.mu.Unlock()
-		w.ch <- struct{}{}
+		w.c.sim.blocked--
+		return w.p
 	}
 	return w
 }
@@ -221,13 +209,13 @@ func (c *Chan[T]) removeWaiterLocked(w *waiter[T]) {
 	}
 }
 
-// putWaiter recycles w after its signal was consumed, dropping any
+// putWaiter recycles w once its receiver has resumed, dropping any
 // payload reference so pooled waiters don't retain messages.
 func (c *Chan[T]) putWaiter(w *waiter[T]) {
 	var zero T
 	w.v = zero
 	w.ok, w.done = false, false
-	w.timer = nil
+	w.timer, w.p = nil, nil
 	s := c.sim
 	s.mu.Lock()
 	if !c.closed {

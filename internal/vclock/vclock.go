@@ -1,14 +1,34 @@
 // Package vclock implements a deterministic discrete-event simulation
 // kernel with virtual time.
 //
-// Simulated activities run as ordinary goroutines ("processes") spawned
-// with Sim.Go. The kernel enforces run-to-block semantics: at any instant
-// at most one process executes, and the virtual clock advances only when
-// every process is blocked in a kernel primitive (Sleep, Chan.Recv, ...).
-// All wakeups are delivered through a single time-ordered event queue with
-// a monotonic sequence number as tie-breaker, so a simulation that performs
-// the same calls in the same order is fully deterministic, independent of
-// the Go scheduler.
+// Simulated activities ("processes") are spawned with Sim.Go and run as
+// coroutines of the goroutine that called Run: the scheduler resumes
+// one, it executes until it blocks in a kernel primitive (Sleep,
+// Chan.Recv, ...) or returns, and control comes straight back to the
+// scheduler, which pops the next event. Run-to-block is therefore
+// structural: exactly one of {scheduler, one process} executes at any
+// instant, a process switch is a direct coroutine switch that never
+// enters the Go scheduler, and the virtual clock advances only between
+// events. All wakeups are delivered through a single time-ordered event
+// queue with a monotonic sequence number as tie-breaker, so a
+// simulation that performs the same calls in the same order is fully
+// deterministic.
+//
+// What may be called from where: Sleep, Yield, Chan.Recv and
+// Chan.RecvTimeout block and may only be called by a process, on the
+// process's own stack (not from a goroutine the process started, and
+// not from an At/After callback). Everything else — Go, At, After,
+// Stop, Now, Chan.Send/TrySend/TryRecv/Close, Event.Cancel — is safe
+// from processes, from event callbacks, and from goroutines outside
+// the simulation, before, during or between runs. A process must not
+// block on anything but the kernel (a native channel, a WaitGroup)
+// waiting for another process: nothing else runs until it blocks in
+// the kernel.
+//
+// A panic in a process or callback surfaces from Run/RunUntil on the
+// caller's goroutine, wrapped with the process name and virtual time;
+// runtime.Goexit in a process (t.FailNow, t.Fatal) ends the goroutine
+// that called Run. Either way the Sim is left runnable.
 //
 // The kernel is the substrate for the simnet network simulator and, above
 // it, the NWS/ENV reproduction: probe durations, token-ring periods and
@@ -16,8 +36,9 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -25,16 +46,15 @@ import (
 // Sim is a discrete-event simulation. The zero value is not usable; create
 // one with New.
 type Sim struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	now    time.Duration
 	seq    int64
-	events eventHeap
+	events []queued // binary min-heap on (at, seq)
 
-	// busy counts process goroutines that are currently runnable. The
-	// scheduler pops events only while busy == 0.
-	busy int
+	// cur is the process executing now; nil while the scheduler or an
+	// event callback runs, and between runs.
+	cur *proc
 	// procs counts live (spawned, not yet finished) processes.
 	procs int
 	// blocked counts processes waiting on a Chan with no pending wakeup;
@@ -44,9 +64,9 @@ type Sim struct {
 	running bool
 	stopped bool
 
-	// sleepers recycles Sleep's signal channel + wake callback; bounded
-	// by the peak number of concurrently sleeping processes.
-	sleepers []*sleeper
+	// idle holds finished coroutines awaiting the next Go body, at most
+	// idleProcs of them.
+	idle []*proc
 	// evFree recycles ephemeral events (see scheduleEphemeral); bounded
 	// by the peak number of such events in flight.
 	evFree []*Event
@@ -54,22 +74,66 @@ type Sim struct {
 	err error
 }
 
-// sleeper is one pooled Sleep cycle: a cap-1 signal channel and a
-// prebuilt wake callback, reused so steady-state sleeping allocates
-// only the queue slot. Sleep events are never canceled, so by the time
-// the sleeping process consumes the signal and recycles the sleeper,
-// its event has already fired and left the heap.
-type sleeper struct {
+// idleProcs bounds the finished coroutines a Sim keeps for reuse: enough
+// that a fan-out of short-lived processes (a query batch, a probe round)
+// respawns without building coroutines, small enough that an abandoned
+// Sim strands little. A constant, not a setting.
+const idleProcs = 64
+
+// proc is one coroutine. It runs one Go body at a time: when the body
+// returns it yields with fn == nil, and the scheduler either parks it in
+// Sim.idle for the next Go or stops it.
+type proc struct {
 	s    *Sim
-	ch   chan struct{}
-	fire func()
+	name string
+	fn   func()
+	// next resumes the coroutine until it blocks or its body returns;
+	// stop ends a parked one. Built on the first resume, so a process
+	// that never starts costs no goroutine.
+	next func() (struct{}, bool)
+	stop func()
+	// yield switches back to the scheduler; only the coroutine itself
+	// may call it.
+	yield func(struct{}) bool
+	// resume is the prebuilt event payload for "continue this process"
+	// (start, sleep fire, chan deliver).
+	resume func() *proc
+}
+
+func (s *Sim) newProc() *proc {
+	p := &proc{s: s}
+	p.resume = func() *proc { return p }
+	return p
+}
+
+// loop is the coroutine: run a body, hand control back, repeat with
+// whatever body Go installed meanwhile. A false yield means stop.
+func (p *proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.runBody()
+		p.fn = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runBody runs the current body, labelling a panic with the process and
+// the virtual time: iter.Pull re-raises it from next on the goroutine
+// that called Run, where this coroutine's stack is gone.
+func (p *proc) runBody() {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Errorf("vclock: process %q panicked at %v: %v\n%s", p.name, p.s.Now(), r, debug.Stack()))
+		}
+	}()
+	p.fn()
 }
 
 // New returns a fresh simulation with the clock at zero.
 func New() *Sim {
-	s := &Sim{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &Sim{}
 }
 
 // Now returns the current virtual time.
@@ -81,9 +145,13 @@ func (s *Sim) Now() time.Duration {
 
 // Event is a cancelable scheduled callback.
 type Event struct {
-	at       time.Duration
-	seq      int64
+	at time.Duration
+	// Exactly one of fn and resume is set. fn is a caller's callback,
+	// run by the scheduler with s.mu released. resume is a kernel wake,
+	// evaluated under s.mu: it returns the process to switch to, or nil
+	// if there is none.
 	fn       func()
+	resume   func() *proc
 	canceled bool
 	fired    bool
 	// pooled marks an ephemeral event: recycled by the run loop the
@@ -112,24 +180,70 @@ func (e *Event) Cancel() bool {
 // When returns the virtual time at which the event is scheduled.
 func (e *Event) When() time.Duration { return e.at }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// queued is one heap slot. The ordering key is stored inline so sifting
+// compares without dereferencing events.
+type queued struct {
+	at  time.Duration
+	seq int64
+	ev  *Event
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (a queued) before(b queued) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// push enqueues ev at ev.at with the next sequence number. Callers must
+// hold s.mu.
+func (s *Sim) push(ev *Event) {
+	s.seq++
+	q := queued{at: ev.at, seq: s.seq, ev: ev}
+	h := append(s.events, q)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = q
+	s.events = h
+}
+
+// pop removes and returns the earliest event. Callers must hold s.mu and
+// guarantee the queue is not empty.
+func (s *Sim) pop() *Event {
+	h := s.events
+	top := h[0].ev
+	n := len(h) - 1
+	q := h[n]
+	h[n] = queued{}
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(q) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = q
+	return top
 }
 
 // schedule enqueues fn at absolute time at (clamped to now). Callers must
@@ -138,35 +252,32 @@ func (s *Sim) schedule(at time.Duration, fn func()) *Event {
 	if at < s.now {
 		at = s.now
 	}
-	s.seq++
-	ev := &Event{at: at, seq: s.seq, fn: fn, sim: s}
-	heap.Push(&s.events, ev)
+	ev := &Event{at: at, fn: fn, sim: s}
+	s.push(ev)
 	return ev
 }
 
-// scheduleEphemeral is schedule on a recycled Event. Only kernel call
-// sites whose *Event stays inside the kernel's documented lifecycle
-// (wake deliveries, sleep fires, process starts, receive timers) may
-// use it: the event returns to the pool as soon as it fires or is
-// popped canceled, so an external holder would observe reuse. Callers
-// must hold s.mu.
-func (s *Sim) scheduleEphemeral(at time.Duration, fn func()) *Event {
+// scheduleEphemeral enqueues a kernel wake on a recycled Event. Only
+// kernel call sites whose *Event stays inside the kernel's documented
+// lifecycle (wake deliveries, sleep fires, process starts, receive
+// timers) may use it: the event returns to the pool as soon as it fires
+// or is popped canceled, so an external holder would observe reuse.
+// Callers must hold s.mu.
+func (s *Sim) scheduleEphemeral(at time.Duration, resume func() *proc) *Event {
 	if at < s.now {
 		at = s.now
 	}
-	s.seq++
-	n := len(s.evFree)
-	if n == 0 {
-		ev := &Event{at: at, seq: s.seq, fn: fn, pooled: true, sim: s}
-		heap.Push(&s.events, ev)
-		return ev
+	var ev *Event
+	if n := len(s.evFree); n > 0 {
+		ev = s.evFree[n-1]
+		s.evFree[n-1] = nil
+		s.evFree = s.evFree[:n-1]
+		ev.canceled, ev.fired = false, false
+	} else {
+		ev = &Event{pooled: true, sim: s}
 	}
-	ev := s.evFree[n-1]
-	s.evFree[n-1] = nil
-	s.evFree = s.evFree[:n-1]
-	ev.at, ev.seq, ev.fn = at, s.seq, fn
-	ev.canceled, ev.fired = false, false
-	heap.Push(&s.events, ev)
+	ev.at, ev.resume = at, resume
+	s.push(ev)
 	return ev
 }
 
@@ -175,7 +286,7 @@ func (s *Sim) scheduleEphemeral(at time.Duration, fn func()) *Event {
 // canceled).
 func (s *Sim) recycleLocked(e *Event) {
 	if e.pooled {
-		e.fn = nil
+		e.resume = nil
 		s.evFree = append(s.evFree, e)
 	}
 }
@@ -197,64 +308,44 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 	return s.schedule(s.now+d, fn)
 }
 
-// Go spawns fn as a simulation process. The process does not start
+// Go spawns fn as a simulation process: a coroutine of whichever
+// goroutine calls Run, resumed by the scheduler and switched away from
+// whenever fn blocks in a kernel primitive. The process does not start
 // executing until the scheduler reaches its start event, so Go may be
-// called before Run as well as from processes and event callbacks.
+// called before Run as well as from processes, event callbacks and
+// goroutines outside the simulation. name labels a panic in fn.
 func (s *Sim) Go(name string, fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.procs++
-	s.scheduleEphemeral(s.now, func() {
-		s.mu.Lock()
-		s.busy++
-		s.mu.Unlock()
-		go func() {
-			defer func() {
-				s.mu.Lock()
-				s.busy--
-				s.procs--
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			}()
-			fn()
-		}()
-	})
-	_ = name
+	var p *proc
+	if n := len(s.idle); n > 0 {
+		p = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		p = s.newProc()
+	}
+	p.name, p.fn = name, fn
+	s.scheduleEphemeral(s.now, p.resume)
 }
 
-// Sleep blocks the calling process for d of virtual time. It must only be
-// called from a process goroutine.
+// Sleep blocks the calling process for d of virtual time: it schedules
+// its own wake and switches to the scheduler. It must only be called by
+// a process, on the process's own stack.
 func (s *Sim) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	s.mu.Lock()
-	if s.busy <= 0 {
+	p := s.cur
+	if p == nil {
 		s.mu.Unlock()
 		panic("vclock: Sleep called outside a simulation process")
 	}
-	var sl *sleeper
-	if n := len(s.sleepers); n > 0 {
-		sl = s.sleepers[n-1]
-		s.sleepers[n-1] = nil
-		s.sleepers = s.sleepers[:n-1]
-	} else {
-		sl = &sleeper{s: s, ch: make(chan struct{}, 1)}
-		sl.fire = func() {
-			sl.s.mu.Lock()
-			sl.s.busy++
-			sl.s.mu.Unlock()
-			sl.ch <- struct{}{}
-		}
-	}
-	s.scheduleEphemeral(s.now+d, sl.fire)
-	s.busy--
-	s.cond.Broadcast()
+	s.scheduleEphemeral(s.now+d, p.resume)
 	s.mu.Unlock()
-	<-sl.ch
-	s.mu.Lock()
-	s.sleepers = append(s.sleepers, sl)
-	s.mu.Unlock()
+	p.yield(struct{}{})
 }
 
 // Yield lets every other runnable work scheduled at the current instant
@@ -264,7 +355,9 @@ func (s *Sim) Yield() { s.Sleep(0) }
 // Run executes the simulation until the event queue is empty and all
 // processes have finished or are permanently blocked. It returns a
 // deadlock error if processes remain blocked on channels when no events
-// are left, and nil otherwise.
+// are left, and nil otherwise. Processes and event callbacks execute on
+// the calling goroutine's thread of control: a panic in one surfaces
+// here, and runtime.Goexit in a process ends the caller.
 func (s *Sim) Run() error {
 	return s.run(0, false)
 }
@@ -276,12 +369,13 @@ func (s *Sim) RunUntil(t time.Duration) error {
 	return s.run(t, true)
 }
 
-// Stop makes Run return after the currently executing step. It may be
-// called from event callbacks or processes.
+// Stop makes Run return before it takes another event: at once when
+// called from an event callback, and once the executing process has
+// blocked or finished when called from a process. It may also be called
+// from outside the simulation.
 func (s *Sim) Stop() {
 	s.mu.Lock()
 	s.stopped = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -294,24 +388,23 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 	s.running = true
 	s.stopped = false
 	s.err = nil
-	for {
-		for s.busy > 0 && !s.stopped {
-			s.cond.Wait()
+	// Runs with s.mu released: after the return below, or when a panic
+	// or Goexit unwinds out of a process or callback.
+	defer func() {
+		s.mu.Lock()
+		if s.cur != nil { // the executing process died
+			s.cur = nil
+			s.procs--
 		}
-		if s.stopped {
-			break
+		s.running = false
+		s.mu.Unlock()
+	}()
+
+	for !s.stopped {
+		for len(s.events) > 0 && s.events[0].ev.canceled {
+			s.recycleLocked(s.pop())
 		}
-		var ev *Event
-		for s.events.Len() > 0 {
-			e := heap.Pop(&s.events).(*Event)
-			if e.canceled {
-				s.recycleLocked(e)
-				continue
-			}
-			ev = e
-			break
-		}
-		if ev == nil {
+		if len(s.events) == 0 {
 			// Processes blocked forever are a deadlock for Run; for
 			// RunUntil they are normal (idle servers awaiting messages).
 			if s.blocked > 0 && !hasDeadline {
@@ -319,28 +412,65 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 			}
 			break
 		}
-		if hasDeadline && ev.at > deadline {
-			// Not due yet: put it back and stop at the deadline.
-			heap.Push(&s.events, ev)
+		at := s.events[0].at
+		if hasDeadline && at > deadline {
+			// Not due yet: stop at the deadline.
 			if s.now < deadline {
 				s.now = deadline
 			}
 			break
 		}
-		if ev.at > s.now {
-			s.now = ev.at
+		if at > s.now {
+			s.now = at
 		}
+		ev := s.pop()
 		ev.fired = true
-		fn := ev.fn
-		s.mu.Unlock()
-		fn()
-		s.mu.Lock()
+		if fn := ev.fn; fn != nil {
+			s.mu.Unlock()
+			fn()
+			s.mu.Lock()
+			continue
+		}
+		p := ev.resume()
 		s.recycleLocked(ev)
+		if p != nil {
+			s.switchTo(p)
+		}
 	}
-	s.running = false
+	if s.procs == 0 {
+		// Nothing is left to respawn into the idle coroutines; end them
+		// so a finished Sim strands no goroutine.
+		for i, p := range s.idle {
+			p.stop()
+			s.idle[i] = nil
+		}
+		s.idle = s.idle[:0]
+	}
 	err := s.err
 	s.mu.Unlock()
 	return err
+}
+
+// switchTo runs p until it blocks or its body returns, then retires a
+// finished p. Called, and returns, with s.mu held.
+func (s *Sim) switchTo(p *proc) {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.loop)
+	}
+	s.cur = p
+	s.mu.Unlock()
+	p.next()
+	s.mu.Lock()
+	s.cur = nil
+	if p.fn != nil {
+		return // blocked; a queued event or a Chan waiter holds it
+	}
+	s.procs--
+	if len(s.idle) < idleProcs {
+		s.idle = append(s.idle, p)
+	} else {
+		p.stop()
+	}
 }
 
 // PendingEvents returns the number of queued (non-canceled) events,
@@ -349,8 +479,8 @@ func (s *Sim) PendingEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, e := range s.events {
-		if !e.canceled {
+	for _, q := range s.events {
+		if !q.ev.canceled {
 			n++
 		}
 	}
