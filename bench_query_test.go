@@ -196,7 +196,10 @@ func BenchmarkQueryBatch(b *testing.B) {
 
 // BenchmarkQueryForecastBatch: ForecastMany over the sweep — one
 // round-trip to the forecaster, which groups its history fetches into
-// one batched fetch per memory server.
+// one batched fetch per memory server. The client is fresh each op but
+// the forecaster is not: from the second op on it is re-asked unchanged
+// series, so this prices its memo's hit path (fetch, compare, answer);
+// forecast.BenchmarkForecastBatch20/cold prices the replay.
 func BenchmarkQueryForecastBatch(b *testing.B) {
 	st := newQueryStack(b, 100, 16)
 	reqs := make([]proto.SeriesRequest, len(st.series))

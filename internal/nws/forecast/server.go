@@ -24,11 +24,38 @@ import (
 // bulk cold-batch discovery, negative caching, eviction of failed
 // backends, and one batched fetch per owning memory server, instead of
 // maintaining a parallel series→owner cache.
+//
+// Step 4 is remembered. The answer to a forecast is predict.Run over the
+// window just fetched, a pure function of that window's values, so the
+// server keeps, per series, the values it last replayed and the clean
+// result they gave. A request still fetches its window; when the fetched
+// window is bit-equal to the remembered one (same length, every Value
+// equal by math.Float64bits) the remembered result is the answer and the
+// battery is not replayed. Anything else — a new sample, a different
+// Count, a series re-created shorter after a memory-server restart —
+// fails the comparison and replays. The memo is therefore never stale;
+// it trades memory for CPU, where the gateway's TTL'd forecast cache
+// trades staleness for a round trip, and the two do not stand in for
+// each other. Only clean predictions are remembered: the per-request
+// degraded overlay (Replica, Lag, Code, Error) is applied after the
+// memo, and empty, insufficient-history and backend-error results are
+// never stored.
+//
+// The memo is owned by the server loop (Run answers one request at a
+// time on either runtime), so it takes no lock. It is bounded by
+// maxMemoSamples retained values — samples rather than entries, because
+// a request may ask for any Count up to the memory server's retention —
+// and evicts one victim at a time, picked from a dense slice by a
+// fixed-seed xorshift: no map-iteration order and no global rand, so
+// hit, miss and eviction counts repeat exactly under the virtual clock,
+// and a cyclic scan just over the bound loses a fraction of its hits
+// instead of all of them, as LRU or a reset-on-full would.
 type Server struct {
 	st      proto.Port
 	ns      *nameserver.Client
 	qc      *query.Client
 	history int
+	memo    memo
 }
 
 // NewServer creates a forecaster on st using the given directory client.
@@ -37,17 +64,30 @@ func NewServer(st proto.Port, ns *nameserver.Client, history int) *Server {
 	if history <= 0 {
 		history = 256
 	}
-	return &Server{st: st, ns: ns, qc: query.New(st, ns.NSHost), history: history}
+	return &Server{
+		st: st, ns: ns, qc: query.New(st, ns.NSHost), history: history,
+		memo: memo{index: map[string]int{}, max: maxMemoSamples, rng: 0x9E3779B97F4A7C15},
+	}
 }
 
 // Name returns the forecaster's directory name.
 func (s *Server) Name() string { return "forecaster." + s.st.Host() }
 
-// SetTelemetry instruments the forecaster's embedded query client
-// against r — cache hit/miss, lookup and, with replication on,
-// failover counters ride the same registry as every other role's.
-// Call before Run; a nil registry leaves the client uninstrumented.
-func (s *Server) SetTelemetry(r *telemetry.Registry) { s.qc.SetTelemetry(r) }
+// SetTelemetry instruments the forecaster against r: its embedded query
+// client's cache hit/miss, lookup and, with replication on, failover
+// counters ride the same registry as every other role's, and the
+// forecast memo reports forecast/memo_hits, memo_misses and
+// memo_evictions (counters) and memo_entries, memo_samples (gauges),
+// written by the server loop as it answers. Call before Run; a nil
+// registry leaves the forecaster uninstrumented.
+func (s *Server) SetTelemetry(r *telemetry.Registry) {
+	s.qc.SetTelemetry(r)
+	s.memo.hits = r.Counter("forecast", "memo_hits", nil)
+	s.memo.misses = r.Counter("forecast", "memo_misses", nil)
+	s.memo.evictions = r.Counter("forecast", "memo_evictions", nil)
+	s.memo.entriesG = r.Gauge("forecast", "memo_entries", nil)
+	s.memo.samplesG = r.Gauge("forecast", "memo_samples", nil)
+}
 
 // Run serves forecast requests until the station closes. The directory
 // registration is kept fresh so query-plane discovery (LookupKind
@@ -72,32 +112,14 @@ func (s *Server) Run() {
 	}
 }
 
-// boundedCount clamps a request's history bound to the server's default.
+// boundedCount applies the server's default history to a request that
+// names none. A larger Count is not clamped here: it is honoured up to
+// the owning memory server's retention.
 func (s *Server) boundedCount(n int) int {
 	if n <= 0 {
 		return s.history
 	}
 	return n
-}
-
-// predictSeries runs the battery over a fetched history and shapes the
-// result as a ForecastResult (Error set on empty/insufficient history).
-func predictSeries(series string, samples []proto.Sample) proto.ForecastResult {
-	if len(samples) == 0 {
-		return proto.ForecastResult{Series: series, Error: "series " + series + " is empty"}
-	}
-	b := predict.NewBattery()
-	for _, sm := range samples {
-		b.Update(sm.Value)
-	}
-	pred, ok := b.Forecast()
-	if !ok {
-		return proto.ForecastResult{Series: series, Error: "insufficient history for " + series}
-	}
-	return proto.ForecastResult{
-		Series: series, Value: pred.Value, MAE: pred.MAE, MSE: pred.MSE,
-		Method: pred.Method, Count: len(samples),
-	}
 }
 
 // handleBatchForecast answers a batch: one FetchMany through the
@@ -124,7 +146,7 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 			}
 			continue
 		}
-		results[i] = predictSeries(fr.Series, fr.Samples)
+		results[i] = s.memo.forecast(fr.Series, fr.Samples)
 		// A prediction computed from a degraded (replica-served, lagging)
 		// history keeps the staleness advisory: the lag watermark rides
 		// the result exactly as it does on the fetch path, so gateway
@@ -136,6 +158,8 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 			results[i].Code = proto.CodeDegraded
 		}
 	}
+	s.memo.entriesG.Set(float64(len(s.memo.entries)))
+	s.memo.samplesG.Set(float64(s.memo.samples))
 	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Version: proto.V3, Forecasts: results})
 }
 

@@ -5,38 +5,17 @@ import (
 	"time"
 
 	"nwsenv/internal/nws/memory"
-	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
 )
 
-// rig wires ns + memory + forecaster on three hosts and returns a client
-// station on a fourth.
+// rig is a simulated stack (see simStack) reduced to its clock and one
+// client station.
 func rig(t *testing.T) (*vclock.Sim, *proto.Station) {
 	t.Helper()
-	topo := simnet.NewTopology()
-	topo.AddSwitch("sw")
-	for i, h := range []string{"ns", "mem", "fc", "cli"} {
-		topo.AddHost(h, string(rune('1'+i)), h, "x")
-		topo.Connect(h, "sw")
-	}
-	sim := vclock.New()
-	tr := proto.NewSimTransport(simnet.NewNetwork(sim, topo))
-	rt := tr.Runtime()
-	open := func(h string) *proto.Station {
-		ep, err := tr.Open(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return proto.NewStation(rt, ep)
-	}
-	stNS, stMem, stFc, stCli := open("ns"), open("mem"), open("fc"), open("cli")
-	sim.Go("ns", nameserver.New(stNS).Run)
-	sim.Go("mem", memory.New(stMem, nameserver.NewClient(stMem, "ns")).Run)
-	sim.Go("fc", NewServer(stFc, nameserver.NewClient(stFc, "ns"), 64).Run)
-	return sim, stCli
+	sim, st := simStack(t, 64)
+	return sim, st.cli
 }
 
 func TestServerForecastsStoredSeries(t *testing.T) {
