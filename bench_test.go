@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"nwsenv/internal/baseline"
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
 	"nwsenv/internal/metrics"
@@ -172,7 +171,7 @@ func BenchmarkE4MappingCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		for _, n := range []int{5, 10, 15, 20, 30} {
-			r := row{n: n, naiveModel: baseline.NaiveMappingCost(n, 30*time.Second)}
+			r := row{n: n, naiveModel: NaiveMappingCost(n, 30*time.Second)}
 			// ENV cost measured on a random LAN with n hosts.
 			subnets := n / 5
 			if subnets < 1 {
@@ -313,9 +312,9 @@ func BenchmarkE6DeploymentQuality(b *testing.B) {
 			p    *deploy.Plan
 		}{
 			{"env-planned", envPlan},
-			{"mesh-public", baseline.FullMesh(public, envPlan.Master, time.Second)},
-			{"mesh-all", baseline.FullMesh(hosts, envPlan.Master, time.Second)},
-			{"blind-3way", baseline.BlindPartition(hosts, envPlan.Master, 3, time.Second)},
+			{"mesh-public", FullMesh(public, envPlan.Master, time.Second)},
+			{"mesh-all", FullMesh(hosts, envPlan.Master, time.Second)},
+			{"blind-3way", BlindPartition(hosts, envPlan.Master, 3, time.Second)},
 		}
 		for _, pl := range plans {
 			rep, _ := runDeployment(b, pl.p, resolve, window)

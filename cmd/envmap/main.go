@@ -22,7 +22,6 @@ import (
 	"nwsenv/internal/cli"
 	"nwsenv/internal/core"
 	"nwsenv/internal/env"
-	"nwsenv/internal/gridml"
 	"nwsenv/internal/simnet"
 )
 
@@ -113,14 +112,6 @@ func pickHosts(tp *simnet.Topology, csv string) []string {
 		}
 	}
 	return hosts
-}
-
-// guessAliases identifies gateways: machines appearing in both runs'
-// documents under different names but the same node (matched by IP).
-// Kept as a named entry point; the pipeline's WithAutoAliases uses the
-// same logic.
-func guessAliases(results []*env.Result) []gridml.GatewayAlias {
-	return env.GuessAliases(results)
 }
 
 func printTree(n *env.StructNode, depth int) {

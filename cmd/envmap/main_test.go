@@ -59,7 +59,7 @@ func TestGuessAliasesByIP(t *testing.T) {
 	}, &gridml.Machine{
 		Label: &gridml.Label{IP: "10.0.0.1", Name: "inner.priv.net"},
 	})
-	aliases := guessAliases([]*env.Result{outside, inside})
+	aliases := env.GuessAliases([]*env.Result{outside, inside})
 	if len(aliases) != 1 {
 		t.Fatalf("aliases %+v", aliases)
 	}

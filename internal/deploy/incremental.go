@@ -42,9 +42,6 @@ type DeltaReport struct {
 // rebuilt — the §4.3 measure of how incremental the transition was.
 func (r *DeltaReport) Redeployed() int { return len(r.Restarted) + len(r.Started) }
 
-// Touched counts every agent affected, including pure teardowns.
-func (r *DeltaReport) Touched() int { return r.Redeployed() + len(r.Stopped) }
-
 // String renders the report for operators.
 func (r *DeltaReport) String() string {
 	return fmt.Sprintf("delta: %d stopped, %d restarted, %d started, %d kept",

@@ -146,7 +146,7 @@ func TestApplyDeltaNoop(t *testing.T) {
 		agentsBefore[k] = v
 	}
 	rep := applyDelta(t, tr, dep, copyPlan(plan), resolve)
-	if !rep.Diff.Empty() || rep.Touched() != 0 {
+	if !rep.Diff.Empty() || rep.Redeployed()+len(rep.Stopped) != 0 {
 		t.Fatalf("noop delta touched agents: %s", rep)
 	}
 	if len(rep.Kept) != len(plan.Hosts) {

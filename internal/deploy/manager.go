@@ -15,15 +15,16 @@ import (
 	"nwsenv/internal/telemetry"
 )
 
+// staggerStep offsets successive clique bootstraps to de-synchronize
+// rings (reduces inter-clique collision windows).
+const staggerStep = 500 * time.Millisecond
+
 // ApplyOptions tune the deployment application.
 type ApplyOptions struct {
 	// TokenGap paces every clique (default 1s).
 	TokenGap time.Duration
 	// HostSensorPeriod enables host sensors when > 0.
 	HostSensorPeriod time.Duration
-	// StaggerStep offsets clique bootstraps to de-synchronize rings
-	// (reduces inter-clique collision windows). Default 500 ms.
-	StaggerStep time.Duration
 	// PairwiseSwitched replaces the token ring of switched-network
 	// cliques with the round-robin pairwise scheduler: the relaxation
 	// the paper's conclusion asks for ("a possibility to lock hosts
@@ -107,9 +108,6 @@ func (o ApplyOptions) withDefaults() ApplyOptions {
 	if o.TokenGap <= 0 {
 		o.TokenGap = time.Second
 	}
-	if o.StaggerStep <= 0 {
-		o.StaggerStep = 500 * time.Millisecond
-	}
 	return o
 }
 
@@ -148,7 +146,7 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 			Name:       spec.Name,
 			Members:    members,
 			TokenGap:   gap,
-			StartDelay: time.Duration(i) * opts.StaggerStep,
+			StartDelay: time.Duration(i) * staggerStep,
 			Epoch:      epochs[spec.Name],
 			Telemetry:  opts.Telemetry,
 		}

@@ -315,17 +315,6 @@ func (p *Plan) MeasuredPairs() [][2]string {
 	return out
 }
 
-// CliqueFor returns the cliques a host belongs to.
-func (p *Plan) CliqueFor(host string) []CliqueSpec {
-	var out []CliqueSpec
-	for _, c := range p.Cliques {
-		if contains(c.Members, host) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func uniqueSorted(in []string) []string {
 	seen := map[string]struct{}{}
 	var out []string

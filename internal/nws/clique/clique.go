@@ -54,8 +54,6 @@ type Config struct {
 	TokenTimeout time.Duration
 	// ElectTimeout bounds the wait for higher-priority election answers.
 	ElectTimeout time.Duration
-	// ProbeBytes overrides the bandwidth experiment size (default 64 KiB).
-	ProbeBytes int64
 	// StartDelay postpones member 0's token bootstrap; deployments
 	// stagger their cliques with it to de-synchronize rings.
 	StartDelay time.Duration
@@ -89,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ElectTimeout <= 0 {
 		c.ElectTimeout = 2 * time.Second
-	}
-	if c.ProbeBytes <= 0 {
-		c.ProbeBytes = sensor.BandwidthProbeBytes
 	}
 	return c
 }

@@ -353,8 +353,8 @@ func TestPairwiseSchedulerMeasuresAllPairs(t *testing.T) {
 	if err := sim.RunUntil(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if sch.RoundsRun() != 6 {
-		t.Fatalf("rounds run %d", sch.RoundsRun())
+	if sch.roundsRun != 6 {
+		t.Fatalf("rounds run %d", sch.roundsRun)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -24,12 +24,7 @@ type PairwiseScheduler struct {
 	// Rounds bounds the number of tournament rounds (0 = run forever).
 	Rounds int
 
-	stats struct {
-		roundsRun   int
-		cmdsSent    int
-		donesOK     int
-		donesFailed int
-	}
+	roundsRun int
 }
 
 // tournamentPairs returns the matching for round r of a round-robin
@@ -82,17 +77,11 @@ func (s *PairwiseScheduler) Run() {
 			if cycle%2 == 1 {
 				src, dst = dst, src
 			}
-			if src == s.Port.Host() {
-				// Local probe: run it in-process at round end? The
-				// scheduler host can also be a member; command itself
-				// like any other member for uniformity.
-			}
 			err := s.Port.Send(src, proto.Message{
 				Type: proto.MsgProbeCmd, Clique: cfg.Name, Name: dst, Epoch: int64(round),
 			})
 			if err == nil {
 				sent++
-				s.stats.cmdsSent++
 			}
 		}
 		// Collect completions.
@@ -108,23 +97,12 @@ func (s *PairwiseScheduler) Run() {
 			}
 			if msg.Type == proto.MsgProbeDone && msg.Clique == cfg.Name {
 				done++
-				if msg.Error == "" {
-					s.stats.donesOK++
-				} else {
-					s.stats.donesFailed++
-				}
 			}
 		}
-		s.stats.roundsRun++
+		s.roundsRun++
 		s.Port.Runtime().Sleep(cfg.TokenGap)
 	}
 }
-
-// RoundsRun reports completed rounds.
-func (s *PairwiseScheduler) RoundsRun() int { return s.stats.roundsRun }
-
-// ProbesSucceeded reports pairs measured successfully.
-func (s *PairwiseScheduler) ProbesSucceeded() int { return s.stats.donesOK }
 
 // ProbeAgent executes probe commands on a member host for the pairwise
 // scheduler.
@@ -161,11 +139,4 @@ func (a *ProbeAgent) Run() {
 		}
 		a.Port.Send(a.Scheduler, reply)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

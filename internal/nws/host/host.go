@@ -30,7 +30,6 @@ type PairwiseRole struct {
 	Scheduler string // host running the scheduler
 	// RunScheduler makes this host drive the rounds.
 	RunScheduler bool
-	Rounds       int
 }
 
 // Roles selects which NWS processes run on a host.
@@ -39,8 +38,6 @@ type Roles struct {
 	NameServer bool
 	// Memory runs a memory server here.
 	Memory bool
-	// MemoryRetention caps stored samples per series (0 = default).
-	MemoryRetention int
 	// MemoryReplicas lists the replica hosts (node IDs) this memory
 	// server fans accepted stores out to. Replica hosts run plain memory
 	// servers themselves (Memory set, empty MemoryReplicas unless they
@@ -48,8 +45,6 @@ type Roles struct {
 	MemoryReplicas []string
 	// Forecaster runs a forecaster here.
 	Forecaster bool
-	// ForecastHistory bounds samples fetched per forecast.
-	ForecastHistory int
 	// Gateway runs the query gateway here: the deployment's front door
 	// for end-user queries (requires NSHost).
 	Gateway bool
@@ -67,8 +62,6 @@ type Roles struct {
 
 	// HostSensorPeriod enables periodic CPU/memory sampling when > 0.
 	HostSensorPeriod time.Duration
-	// HostTrace overrides the synthetic host-resource trace.
-	HostTrace sensor.HostTrace
 
 	// Telemetry, when set, instruments the roles that report to the
 	// process-wide registry (gateway admission, clique ring traffic).
@@ -196,9 +189,6 @@ func (a *Agent) Start() {
 	}
 	if a.roles.Memory {
 		var opts []memory.Option
-		if a.roles.MemoryRetention > 0 {
-			opts = append(opts, memory.WithRetention(a.roles.MemoryRetention))
-		}
 		if len(a.roles.MemoryReplicas) > 0 {
 			opts = append(opts, memory.WithReplicas(a.roles.MemoryReplicas...))
 		}
@@ -214,7 +204,7 @@ func (a *Agent) Start() {
 		a.rt.Go("memory:"+hostName, srv.Run)
 	}
 	if a.roles.Forecaster {
-		srv := forecast.NewServer(a.port(keyForecast), nsc, a.roles.ForecastHistory)
+		srv := forecast.NewServer(a.port(keyForecast), nsc, 0)
 		srv.SetTelemetry(a.roles.Telemetry)
 		a.rt.Go("forecaster:"+hostName, srv.Run)
 	}
@@ -234,7 +224,7 @@ func (a *Agent) Start() {
 		pw := pw
 		if pw.RunScheduler {
 			sch := &clique.PairwiseScheduler{
-				Cfg: pw.Cfg, Port: a.port("pwsched:" + pw.Cfg.Name), Rounds: pw.Rounds,
+				Cfg: pw.Cfg, Port: a.port("pwsched:" + pw.Cfg.Name),
 			}
 			a.rt.Go("pwsched:"+pw.Cfg.Name, sch.Run)
 		}
@@ -258,7 +248,7 @@ func (a *Agent) Start() {
 	if a.roles.HostSensorPeriod > 0 && a.roles.MemoryHost != "" {
 		hs := &sensor.HostSensor{
 			St: a.st, NS: nsc, MemHost: a.roles.MemoryHost,
-			Period: a.roles.HostSensorPeriod, Trace: a.roles.HostTrace,
+			Period: a.roles.HostSensorPeriod,
 		}
 		a.rt.Go("hostsensor:"+hostName, hs.Run)
 	}

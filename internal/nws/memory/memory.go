@@ -17,7 +17,7 @@ import (
 	"nwsenv/internal/telemetry"
 )
 
-// DefaultRetention is the per-series sample cap when none is configured.
+// DefaultRetention is the per-series sample cap.
 const DefaultRetention = 1024
 
 // Server is a running memory server.
@@ -25,9 +25,6 @@ type Server struct {
 	st        proto.Port
 	ns        *nameserver.Client
 	retention int
-	// retentionSet records an explicit WithRetention: Restore then keeps
-	// the configured cap instead of adopting the persisted one.
-	retentionSet bool
 
 	// Replication plane. replicas is this primary's configured replica
 	// set (node IDs); fan is the async write fan-out feeding it; tracker
@@ -52,16 +49,6 @@ type Server struct {
 
 // Option configures the server.
 type Option func(*Server)
-
-// WithRetention caps the number of samples kept per series.
-func WithRetention(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.retention = n
-			s.retentionSet = true
-		}
-	}
-}
 
 // WithReplicas configures the replica hosts (node IDs) this primary
 // fans accepted stores out to. Replicas learn the set from directory
@@ -196,11 +183,7 @@ func (s *Server) handleStore(req proto.Message) {
 	// the sensor feed has rehomed here, so this server is its primary
 	// now and the stale replica bookkeeping must not shadow that.
 	delete(s.origin, req.Series)
-	buf := append(s.series[req.Series], req.Samples...)
-	if over := len(buf) - s.retention; over > 0 {
-		buf = append([]proto.Sample(nil), buf[over:]...)
-	}
-	s.series[req.Series] = buf
+	s.series[req.Series] = appendWindow(s.series[req.Series], req.Samples, s.retention)
 	s.mu.Unlock()
 	total := s.tracker.Bump(req.Series, len(req.Samples))
 	if s.fan != nil && len(req.Samples) > 0 {
@@ -277,11 +260,7 @@ func (s *Server) handleReplStore(req proto.Message) {
 		return
 	}
 	s.origin[req.Series] = req.From
-	buf := append(s.series[req.Series], req.Samples...)
-	if over := len(buf) - s.retention; over > 0 {
-		buf = append([]proto.Sample(nil), buf[over:]...)
-	}
-	s.series[req.Series] = buf
+	s.series[req.Series] = appendWindow(s.series[req.Series], req.Samples, s.retention)
 	s.mu.Unlock()
 	lag := s.tracker.Apply(req.Series, len(req.Samples), req.Total)
 	s.met.Lag.Observe(float64(lag))
@@ -300,11 +279,7 @@ func (s *Server) handleReplWindow(req proto.Message) {
 		return
 	}
 	s.origin[req.Series] = req.From
-	buf := append([]proto.Sample(nil), req.Samples...)
-	if over := len(buf) - s.retention; over > 0 {
-		buf = append([]proto.Sample(nil), buf[over:]...)
-	}
-	s.series[req.Series] = buf
+	s.series[req.Series] = appendWindow(nil, req.Samples, s.retention)
 	s.mu.Unlock()
 	s.tracker.SetApplied(req.Series, req.Total)
 	s.st.Reply(req, proto.Message{Type: proto.MsgReplAck})
@@ -388,11 +363,8 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 		if r.Series == "" {
 			continue
 		}
-		merged := mergeWindows(r.Samples, s.series[r.Series])
-		if over := len(merged) - s.retention; over > 0 {
-			merged = merged[over:]
-		}
-		s.series[r.Series] = append([]proto.Sample(nil), merged...)
+		window := appendWindow(nil, mergeWindows(r.Samples, s.series[r.Series]), s.retention)
+		s.series[r.Series] = window
 		delete(s.origin, r.Series)
 		if !s.registered[r.Series] {
 			s.registered[r.Series] = true
@@ -402,7 +374,7 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 		s.tracker.SetTotal(r.Series, r.Lag)
 		pushes = append(pushes, push{
 			name:    r.Series,
-			samples: append([]proto.Sample(nil), merged...),
+			samples: append([]proto.Sample(nil), window...),
 			total:   s.tracker.Total(r.Series),
 		})
 	}
@@ -416,6 +388,20 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 		}
 	}
 	return adopted, backfilled
+}
+
+// appendWindow appends add to the window buf and keeps the newest
+// retention samples, sliding them down in place: a series at retention —
+// the steady state of every long-lived feed — stores without
+// reallocating. add is copied in (a decoded frame is never retained), and
+// the slide is safe because no reader keeps buf's backing array past the
+// server lock: fetch, sync, persist and the fan-out all copy out.
+func appendWindow(buf, add []proto.Sample, retention int) []proto.Sample {
+	buf = append(buf, add...)
+	if over := len(buf) - retention; over > 0 {
+		buf = buf[:copy(buf, buf[over:])]
+	}
+	return buf
 }
 
 // mergeWindows prepends the survivor's window onto samples a rehomed
@@ -443,27 +429,15 @@ func clampCount(have, want int) int {
 	return want
 }
 
-// SeriesNames lists stored series (for tests and tools).
-func (s *Server) SeriesNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var names []string
-	for n := range s.series {
-		names = append(names, n)
-	}
-	return names
-}
-
 // persistedState is the gob image written by Persist. The replication
 // bookkeeping rides along so an in-place rebuild (incremental redeploy)
 // restores replica-held windows and watermarks, not just owned series.
 type persistedState struct {
-	Retention int
-	Series    map[string][]proto.Sample
-	Origin    map[string]string
-	Total     map[string]int64
-	Applied   map[string]int64
-	Seen      map[string]int64
+	Series  map[string][]proto.Sample
+	Origin  map[string]string
+	Total   map[string]int64
+	Applied map[string]int64
+	Seen    map[string]int64
 }
 
 // Persist writes the stored series (gob) — the "on disk" half of the
@@ -471,9 +445,8 @@ type persistedState struct {
 func (s *Server) Persist(w io.Writer) error {
 	s.mu.Lock()
 	st := persistedState{
-		Retention: s.retention,
-		Series:    map[string][]proto.Sample{},
-		Origin:    map[string]string{},
+		Series: map[string][]proto.Sample{},
+		Origin: map[string]string{},
 	}
 	for name, buf := range s.series {
 		st.Series[name] = append([]proto.Sample(nil), buf...)
@@ -487,10 +460,7 @@ func (s *Server) Persist(w io.Writer) error {
 }
 
 // Restore replaces the server's contents with series persisted by
-// Persist. A server explicitly configured with WithRetention keeps its
-// configured cap and truncates each restored series to its newest
-// samples; otherwise the persisted retention is adopted. Either way no
-// series ever exceeds the effective cap after Restore.
+// Persist, trimming each to its newest samples under the retention cap.
 func (s *Server) Restore(r io.Reader) error {
 	var st persistedState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -499,15 +469,9 @@ func (s *Server) Restore(r io.Reader) error {
 	s.tracker.Load(st.Total, st.Applied, st.Seen)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.retentionSet && st.Retention > 0 {
-		s.retention = st.Retention
-	}
 	s.series = map[string][]proto.Sample{}
 	for name, buf := range st.Series {
-		if over := len(buf) - s.retention; over > 0 {
-			buf = buf[over:]
-		}
-		s.series[name] = append([]proto.Sample(nil), buf...)
+		s.series[name] = appendWindow(nil, buf, s.retention)
 	}
 	s.origin = map[string]string{}
 	for name, from := range st.Origin {

@@ -45,7 +45,8 @@ func rig(t *testing.T, withNS bool) *rigT {
 		sim.Go("ns", nameserver.New(stNS).Run)
 		nsc = nameserver.NewClient(stM, "ns")
 	}
-	srv := New(stM, nsc, WithRetention(5))
+	srv := New(stM, nsc)
+	srv.retention = 5
 	sim.Go("memory", srv.Run)
 	return &rigT{sim: sim, stC: stC, srv: srv, nsUp: withNS}
 }
@@ -218,18 +219,17 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := fresh.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	names := fresh.SeriesNames()
-	if len(names) != 2 {
-		t.Fatalf("restored series %v", names)
+	if len(fresh.series) != 2 {
+		t.Fatalf("restored series %v", fresh.series)
 	}
 }
 
-// TestPersistRestoreUnderRetention: the round-trip through Persist/
-// Restore respects retention on both sides. An unconfigured restoring
-// server adopts the persisted cap; an explicitly configured one keeps
-// its own and truncates each series to its newest samples.
+// TestPersistRestoreUnderRetention: Restore trims every series to the
+// restoring server's cap, keeping the newest samples — whether the image
+// came from a server with the same cap, a larger one, or was hand-edited
+// past any cap.
 func TestPersistRestoreUnderRetention(t *testing.T) {
-	r := rig(t, false) // server configured WithRetention(5)
+	r := rig(t, false) // retention 5
 	r.run(t, func(c *Client) {
 		for i := 1; i <= 9; i++ {
 			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
@@ -241,36 +241,30 @@ func TestPersistRestoreUnderRetention(t *testing.T) {
 	}
 	img := buf.Bytes()
 
-	// Unconfigured server: adopts the persisted retention (5) and the
-	// retained window verbatim.
-	fresh := New(nil2(), nil)
-	if err := fresh.Restore(bytes.NewReader(img)); err != nil {
+	// Same cap: the retained window comes back verbatim.
+	same := New(nil2(), nil)
+	same.retention = 5
+	if err := same.Restore(bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.retention != 5 {
-		t.Fatalf("adopted retention %d, want 5", fresh.retention)
-	}
-	if got := fresh.series["s"]; len(got) != 5 || got[0].Value != 5 || got[4].Value != 9 {
+	if got := same.series["s"]; len(got) != 5 || got[0].Value != 5 || got[4].Value != 9 {
 		t.Fatalf("restored window %+v", got)
 	}
 
-	// Explicitly configured server: keeps its smaller cap and truncates
-	// the restored series (more samples than the cap) to the newest.
-	small := New(nil2(), nil, WithRetention(3))
+	// Smaller cap: the restored series (more samples than the cap) is
+	// truncated to the newest.
+	small := New(nil2(), nil)
+	small.retention = 3
 	if err := small.Restore(bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
-	}
-	if small.retention != 3 {
-		t.Fatalf("configured retention overwritten: %d", small.retention)
 	}
 	if got := small.series["s"]; len(got) != 3 || got[0].Value != 7 || got[2].Value != 9 {
 		t.Fatalf("truncated window %+v, want the newest 3", got)
 	}
 
-	// A corrupt/hand-edited image whose series exceed its own declared
-	// retention is re-capped on the way in.
+	// A corrupt/hand-edited image is re-capped on the way in.
 	var overfull bytes.Buffer
-	st := persistedState{Retention: 2, Series: map[string][]proto.Sample{}}
+	st := persistedState{Series: map[string][]proto.Sample{}}
 	for i := 1; i <= 6; i++ {
 		st.Series["x"] = append(st.Series["x"], proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
 	}
@@ -278,12 +272,89 @@ func TestPersistRestoreUnderRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	capped := New(nil2(), nil)
+	capped.retention = 2
 	if err := capped.Restore(&overfull); err != nil {
 		t.Fatal(err)
 	}
 	if got := capped.series["x"]; len(got) != 2 || got[0].Value != 5 || got[1].Value != 6 {
 		t.Fatalf("overfull image not re-capped: %+v", got)
 	}
+}
+
+// TestAppendWindowSteadyState: a series at retention takes single-sample
+// stores without reallocating its window, and the window is always the
+// newest retention samples.
+func TestAppendWindowSteadyState(t *testing.T) {
+	var buf []proto.Sample
+	at := 0
+	next := func() []proto.Sample {
+		at++
+		return []proto.Sample{{At: time.Duration(at) * time.Second, Value: float64(at)}}
+	}
+	for i := 0; i < DefaultRetention+10_000; i++ {
+		buf = appendWindow(buf, next(), DefaultRetention)
+	}
+	if len(buf) != DefaultRetention {
+		t.Fatalf("window holds %d samples, want %d", len(buf), DefaultRetention)
+	}
+	for i, sm := range buf {
+		if want := float64(at - DefaultRetention + 1 + i); sm.Value != want {
+			t.Fatalf("window[%d] = %v, want %v (the newest %d samples)", i, sm.Value, want, DefaultRetention)
+		}
+	}
+	one := next()
+	if allocs := testing.AllocsPerRun(100, func() { buf = appendWindow(buf, one, DefaultRetention) }); allocs != 0 {
+		t.Fatalf("a store onto a window at retention allocates %v times, want 0", allocs)
+	}
+}
+
+// TestFetchReplyOutlivesLaterStores pins "readers copy out", which
+// appendWindow's in-place slide relies on: a BatchFetch reply obtained
+// before later stores slid the window is unchanged by them.
+func TestFetchReplyOutlivesLaterStores(t *testing.T) {
+	r := rig(t, false) // retention 5
+	r.run(t, func(c *Client) {
+		for i := 1; i <= 7; i++ {
+			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
+		}
+		before, err := c.BatchFetch([]proto.SeriesRequest{{Series: "s"}})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 8; i <= 20; i++ {
+			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
+		}
+		for i, sm := range before[0].Samples {
+			if want := float64(3 + i); sm.Value != want {
+				t.Errorf("earlier reply changed under later stores: sample %d = %v, want %v", i, sm.Value, want)
+			}
+		}
+		if got, _ := c.Fetch("s", 0); len(got) != 5 || got[0].Value != 16 || got[4].Value != 20 {
+			t.Errorf("window after later stores %+v", got)
+		}
+	})
+}
+
+// TestReplWindowKeepsNewest: an anti-entropy window larger than the cap
+// is trimmed to its newest samples.
+func TestReplWindowKeepsNewest(t *testing.T) {
+	r := rig(t, false) // retention 5
+	r.run(t, func(c *Client) {
+		var window []proto.Sample
+		for i := 1; i <= 8; i++ {
+			window = append(window, proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
+		}
+		if _, err := c.St.Call("m", proto.Message{
+			Type: proto.MsgReplWindow, Series: "s", Samples: window, Total: 8,
+		}, c.Timeout); err != nil {
+			t.Error(err)
+			return
+		}
+		if got, _ := c.Fetch("s", 0); len(got) != 5 || got[0].Value != 4 || got[4].Value != 8 {
+			t.Errorf("replica window %+v, want the newest 5", got)
+		}
+	})
 }
 
 // nil2 builds a throwaway station for a standalone (never Run) server.

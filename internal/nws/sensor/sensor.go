@@ -63,8 +63,6 @@ const (
 func LatencySeries(from, to string) string   { return "latency." + from + "." + to }
 func BandwidthSeries(from, to string) string { return "bandwidth." + from + "." + to }
 func ConnectSeries(from, to string) string   { return "connectTime." + from + "." + to }
-func CPUSeries(host string) string           { return "cpu." + host }
-func MemorySeries(host string) string        { return "freeMemory." + host }
 
 // Measurement is one experiment result.
 type Measurement struct {

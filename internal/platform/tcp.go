@@ -20,16 +20,10 @@ type TCPPlatform struct {
 	tr     *proto.TCPTransport
 	sub    *StaticSubstrate
 	prober sensor.Prober
-	names  map[string]string
 }
 
 // TCPOption configures a TCPPlatform.
 type TCPOption func(*TCPPlatform)
-
-// WithTCPNames maps node IDs to display FQDNs.
-func WithTCPNames(names map[string]string) TCPOption {
-	return func(p *TCPPlatform) { p.names = names }
-}
 
 // WithTCPProber replaces the canned-value prober (e.g. with one running
 // real transfers between the hosts).
@@ -49,13 +43,6 @@ func WithTCPBandwidth(bps float64) TCPOption {
 	}
 }
 
-// WithTCPShared declares the segment a single collision domain, so the
-// mapper classifies it shared and the planner uses a representative
-// clique.
-func WithTCPShared() TCPOption {
-	return func(p *TCPPlatform) { p.sub.Shared = true }
-}
-
 // NewTCPPlatform builds a loopback platform for the given host IDs.
 func NewTCPPlatform(hosts []string, opts ...TCPOption) *TCPPlatform {
 	tr := proto.NewTCPTransport()
@@ -67,11 +54,6 @@ func NewTCPPlatform(hosts []string, opts ...TCPOption) *TCPPlatform {
 	p.sub.Clock = tr.Runtime().Now
 	for _, o := range opts {
 		o(p)
-	}
-	for id, name := range p.names {
-		info := p.sub.Hosts[id]
-		info.DNS = name
-		p.sub.Hosts[id] = info
 	}
 	return p
 }
@@ -91,8 +73,9 @@ func (p *TCPPlatform) Prober() sensor.Prober { return p.prober }
 // Substrate implements Platform.
 func (p *TCPPlatform) Substrate() env.Substrate { return p.sub }
 
-// NodeName implements Platform.
-func (p *TCPPlatform) NodeName(id string) string { return p.names[id] }
+// NodeName implements Platform: loopback hosts have no display name, so
+// callers fall back to the node ID.
+func (p *TCPPlatform) NodeName(id string) string { return "" }
 
 // Alive implements Health: a loopback host is alive while its agent's
 // endpoint is open. (Before Apply no endpoint exists, so health checks

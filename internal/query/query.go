@@ -135,24 +135,9 @@ type ForecastResult struct {
 // Option tunes a Client.
 type Option func(*Client)
 
-// WithTTL sets the discovery-cache lifetime.
-func WithTTL(d time.Duration) Option { return func(c *Client) { c.ttl = d } }
-
 // WithForecastTTL sets the per-series forecast cache lifetime (0
 // disables forecast caching).
 func WithForecastTTL(d time.Duration) Option { return func(c *Client) { c.forecastTTL = d } }
-
-// WithTimeout sets the per-call timeout.
-func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
-
-// WithWorkers bounds the concurrent backend fan-out.
-func WithWorkers(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.workers = n
-		}
-	}
-}
 
 // WithTelemetry counts the client's cache and batching behavior on the
 // registry — query/lookup_hits (series resolved from the discovery
@@ -196,7 +181,6 @@ type Client struct {
 
 	ttl         time.Duration
 	forecastTTL time.Duration
-	timeout     time.Duration
 	workers     int
 	// Runtime names of the fan-out inbox and its workers, built once.
 	fanoutName, workerName string
@@ -233,7 +217,6 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 		ns:          nameserver.NewClient(port, nsHost),
 		ttl:         DefaultTTL,
 		forecastTTL: DefaultForecastTTL,
-		timeout:     DefaultTimeout,
 		workers:     DefaultWorkers,
 		fanoutName:  "query:fanout:" + port.Host(),
 		workerName:  "query:worker:" + port.Host(),
@@ -244,7 +227,7 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	c.ns.Timeout = c.timeout
+	c.ns.Timeout = DefaultTimeout
 	return c
 }
 
@@ -540,7 +523,7 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 		}
 		reply, err := c.port.Call(host, proto.Message{
 			Type: proto.MsgBatchFetch, Version: proto.V3, Queries: batch,
-		}, c.timeout)
+		}, DefaultTimeout)
 		bsp.End()
 		from := host
 		if err != nil {
@@ -602,7 +585,7 @@ func (c *Client) failoverFetch(root *telemetry.ActiveSpan, replicas []string, ba
 		}
 		reply, err := c.port.Call(rh, proto.Message{
 			Type: proto.MsgBatchFetch, Version: proto.V3, Queries: batch,
-		}, c.timeout)
+		}, DefaultTimeout)
 		bsp.End()
 		if err != nil {
 			continue
@@ -716,7 +699,7 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 		}
 		reply, err := c.port.Call(host, proto.Message{
 			Type: proto.MsgBatchForecast, Version: proto.V3, Queries: batch,
-		}, c.timeout)
+		}, DefaultTimeout)
 		bsp.End()
 		if err != nil {
 			c.dropForecaster(host)

@@ -239,7 +239,7 @@ func TestFetchSemantics(t *testing.T) {
 func TestBackendDownIsPerSeries(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	qc := query.New(r.st, "ns", query.WithTimeout(5*time.Second))
+	qc := query.New(r.st, "ns")
 	reqs := []proto.SeriesRequest{{Series: "a1", Count: 1}, {Series: "b1", Count: 1}}
 	r.run(t, func() { qc.FetchMany(reqs) }) // warm the discovery cache
 	r.tr.SetDown("m2", true)
@@ -344,7 +344,8 @@ func TestForecastManyAndCache(t *testing.T) {
 func TestWorkerPoolBounded(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	qc := query.New(r.st, "ns", query.WithWorkers(1))
+	qc := query.New(r.st, "ns")
+	qc.SetWorkers(1)
 	r.run(t, func() {
 		res := qc.FetchMany([]proto.SeriesRequest{
 			{Series: "a1", Count: 1}, {Series: "b1", Count: 1}, {Series: "a2", Count: 1},

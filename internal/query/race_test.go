@@ -52,7 +52,8 @@ func TestStatsDuringTrafficRace(t *testing.T) {
 	// A very short TTL keeps the lookup counters churning: entries
 	// expire every few milliseconds, so resolves keep going back to the
 	// directory instead of settling into pure cache hits.
-	c := query.New(port, "ns", query.WithTTL(5*time.Millisecond), query.WithTelemetry(reg))
+	c := query.New(port, "ns", query.WithTelemetry(reg))
+	c.SetTTL(5 * time.Millisecond)
 
 	const writers = 4
 	stop := make(chan struct{})

@@ -125,7 +125,7 @@ func BenchmarkApplyDeltaNoop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Touched() != 0 {
+		if rep.Redeployed()+len(rep.Stopped) != 0 {
 			b.Fatal("noop delta touched agents")
 		}
 	}

@@ -10,13 +10,40 @@ import (
 	"nwsenv/internal/vclock"
 )
 
-// Differential property test: the incremental fair-share engine must
-// produce the same rates and completion times as the retained naive
-// reference engine (global progressive filling at every event) over
-// randomized arrival/departure/crash/degrade/cut sequences on seeded
-// topologies. Tolerances cover only the nanosecond event-grid ceiling
-// and float associativity; any real divergence (wrong component, stale
-// rate, missed completion) blows far past them.
+// Differential property test: Network's fair-share engine must produce
+// the same rates, completion times and completion order as the
+// independent reference simulator of reference_test.go (global
+// progressive filling at every event) over randomized
+// arrival/departure/crash/degrade/cut sequences on seeded topologies.
+// Tolerances cover only the nanosecond event-grid ceiling and float
+// associativity; any real divergence (wrong component, stale rate, missed
+// completion) blows far past them.
+
+// flowSim is what the differential tests drive: Network and
+// ReferenceNetwork both satisfy it.
+type flowSim interface {
+	Transfer(src, dst string, bytes int64, tag string) (TransferStats, error)
+	CrashHost(id string)
+	RestoreHost(id string)
+	DegradeLink(a, b string, factor float64)
+	RestoreLink(a, b string)
+	CutLink(a, b string)
+	HealLink(a, b string)
+	Records() []TransferStats
+}
+
+// newFlowSim builds the engine under test or the reference.
+func newFlowSim(sim *vclock.Sim, topo *Topology, reference bool) flowSim {
+	if reference {
+		return NewReferenceNetwork(sim, topo)
+	}
+	return NewNetwork(sim, topo)
+}
+
+const (
+	diffRateTol = 1e-6                 // relative AvgBps tolerance
+	diffEndTol  = 2 * time.Microsecond // absolute completion-time tolerance
+)
 
 type diffOpKind int
 
@@ -100,20 +127,10 @@ func genDiffOps(seed int64, subnets int, hosts []string) []diffOp {
 	return ops
 }
 
-// runDiffScenario executes the schedule on a fresh network built with
-// the selected engine and returns the per-op transfer outcomes.
-func runDiffScenario(t *testing.T, seed int64, naive bool) []diffResult {
+// runDiffOps executes the schedule on net and returns the per-op transfer
+// outcomes plus the completion records.
+func runDiffOps(t *testing.T, sim *vclock.Sim, net flowSim, ops []diffOp, horizon time.Duration) ([]diffResult, []TransferStats) {
 	t.Helper()
-	const subnets, perSubnet = 3, 3
-	topo, hosts := randomLAN(seed, subnets, perSubnet)
-	sim := vclock.New()
-	var net *Network
-	if naive {
-		net = NewNaiveNetwork(sim, topo)
-	} else {
-		net = NewNetwork(sim, topo)
-	}
-	ops := genDiffOps(seed, subnets, hosts)
 	results := make([]diffResult, len(ops))
 	for i, o := range ops {
 		i, o := i, o
@@ -138,111 +155,99 @@ func runDiffScenario(t *testing.T, seed int64, naive bool) []diffResult {
 			}
 		})
 	}
-	if err := sim.RunUntil(4 * time.Hour); err != nil {
-		t.Fatalf("seed %d naive=%v: %v", seed, naive, err)
+	if err := sim.RunUntil(horizon); err != nil {
+		t.Fatal(err)
 	}
-	return results
+	return results, net.Records()
+}
+
+// compareDiff requires the engine's per-op outcomes and completion
+// records to match the reference's.
+func compareDiff(t *testing.T, label string, inc, ref []diffResult, incRec, refRec []TransferStats) {
+	t.Helper()
+	near := func(a, b time.Duration) bool { d := a - b; return d <= diffEndTol && d >= -diffEndTol }
+	for i := range inc {
+		a, b := inc[i], ref[i]
+		if !a.ran || !b.ran {
+			continue // fault op
+		}
+		if (a.err != nil) != (b.err != nil) {
+			t.Errorf("%s op %d: error divergence: engine=%v reference=%v", label, i, a.err, b.err)
+			continue
+		}
+		if a.err != nil {
+			continue
+		}
+		if a.st.Bytes != b.st.Bytes || a.st.Src != b.st.Src || a.st.Dst != b.st.Dst {
+			t.Errorf("%s op %d: stats identity mismatch: %+v vs %+v", label, i, a.st, b.st)
+			continue
+		}
+		if rel := math.Abs(a.st.AvgBps-b.st.AvgBps) / b.st.AvgBps; rel > diffRateTol {
+			t.Errorf("%s op %d (%s->%s): rate divergence %.3g: engine %.6f Mbps vs reference %.6f Mbps",
+				label, i, a.st.Src, a.st.Dst, rel, a.st.AvgBps/1e6, b.st.AvgBps/1e6)
+		}
+		if !near(a.st.End, b.st.End) {
+			t.Errorf("%s op %d (%s->%s): completion divergence: engine %v vs reference %v",
+				label, i, a.st.Src, a.st.Dst, a.st.End, b.st.End)
+		}
+		if !near(a.st.Start, b.st.Start) {
+			t.Errorf("%s op %d: start divergence: engine %v vs reference %v", label, i, a.st.Start, b.st.Start)
+		}
+	}
+	if len(incRec) != len(refRec) {
+		t.Fatalf("%s: engine completed %d transfers, reference %d", label, len(incRec), len(refRec))
+	}
+	for i := range incRec {
+		a, b := incRec[i], refRec[i]
+		if a.Src != b.Src || a.Dst != b.Dst || a.Tag != b.Tag || a.Bytes != b.Bytes || !near(a.Start, b.Start) {
+			t.Errorf("%s: completion order diverges at record %d: engine %s->%s %dB @%v, reference %s->%s %dB @%v",
+				label, i, a.Src, a.Dst, a.Bytes, a.End, b.Src, b.Dst, b.Bytes, b.End)
+			break
+		}
+	}
 }
 
 func TestDifferentialIncrementalVsNaive(t *testing.T) {
-	const (
-		rateTol = 1e-6                 // relative AvgBps tolerance
-		endTol  = 2 * time.Microsecond // absolute completion-time tolerance
-	)
-	for seed := int64(1); seed <= 10; seed++ {
-		inc := runDiffScenario(t, seed, false)
-		ref := runDiffScenario(t, seed, true)
-		if len(inc) != len(ref) {
-			t.Fatalf("seed %d: op count mismatch %d vs %d", seed, len(inc), len(ref))
+	const subnets, perSubnet = 3, 3
+	for seed := int64(1); seed <= 50; seed++ {
+		run := func(reference bool) ([]diffResult, []TransferStats) {
+			topo, hosts := randomLAN(seed, subnets, perSubnet)
+			sim := vclock.New()
+			return runDiffOps(t, sim, newFlowSim(sim, topo, reference), genDiffOps(seed, subnets, hosts), 4*time.Hour)
 		}
-		for i := range inc {
-			a, b := inc[i], ref[i]
-			if !a.ran || !b.ran {
-				continue // fault op
-			}
-			if (a.err != nil) != (b.err != nil) {
-				t.Errorf("seed %d op %d: error divergence: incremental=%v reference=%v", seed, i, a.err, b.err)
-				continue
-			}
-			if a.err != nil {
-				continue
-			}
-			if a.st.Bytes != b.st.Bytes || a.st.Src != b.st.Src || a.st.Dst != b.st.Dst {
-				t.Errorf("seed %d op %d: stats identity mismatch: %+v vs %+v", seed, i, a.st, b.st)
-				continue
-			}
-			if rel := math.Abs(a.st.AvgBps-b.st.AvgBps) / b.st.AvgBps; rel > rateTol {
-				t.Errorf("seed %d op %d (%s->%s): rate divergence %.3g: incremental %.6f Mbps vs reference %.6f Mbps",
-					seed, i, a.st.Src, a.st.Dst, rel, a.st.AvgBps/1e6, b.st.AvgBps/1e6)
-			}
-			if d := a.st.End - b.st.End; d > endTol || d < -endTol {
-				t.Errorf("seed %d op %d (%s->%s): completion divergence %v: incremental %v vs reference %v",
-					seed, i, a.st.Src, a.st.Dst, d, a.st.End, b.st.End)
-			}
-			if d := a.st.Start - b.st.Start; d > endTol || d < -endTol {
-				t.Errorf("seed %d op %d: start divergence %v", seed, i, d)
-			}
-		}
+		inc, incRec := run(false)
+		ref, refRec := run(true)
+		compareDiff(t, fmt.Sprintf("seed %d", seed), inc, ref, incRec, refRec)
 	}
 }
 
 // TestDifferentialPureContention has no faults: dense overlapping
 // transfers between few hosts so every arrival and departure reshuffles
-// shares. Engines must agree pairwise on every completion.
+// shares. Engine and reference must agree pairwise on every completion.
 func TestDifferentialPureContention(t *testing.T) {
-	run := func(naive bool) []diffResult {
-		topo, hosts := randomLAN(99, 2, 3)
-		sim := vclock.New()
-		var net *Network
-		if naive {
-			net = NewNaiveNetwork(sim, topo)
-		} else {
-			net = NewNetwork(sim, topo)
-		}
-		rng := rand.New(rand.NewSource(4242))
-		var ops []diffOp
-		for i := 0; i < 40; i++ {
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			if src == dst {
-				continue
+	for seed := int64(1); seed <= 50; seed++ {
+		run := func(reference bool) ([]diffResult, []TransferStats) {
+			topo, hosts := randomLAN(98+seed, 2, 3)
+			sim := vclock.New()
+			rng := rand.New(rand.NewSource(4241 + seed))
+			var ops []diffOp
+			for i := 0; i < 40; i++ {
+				src := hosts[rng.Intn(len(hosts))]
+				dst := hosts[rng.Intn(len(hosts))]
+				if src == dst {
+					continue
+				}
+				ops = append(ops, diffOp{
+					at:   time.Duration(rng.Intn(3000)) * time.Millisecond,
+					kind: diffTransfer,
+					src:  src, dst: dst,
+					bytes: int64(1+rng.Intn(25)) * 999_983,
+				})
 			}
-			ops = append(ops, diffOp{
-				at:  time.Duration(rng.Intn(3000)) * time.Millisecond,
-				src: src, dst: dst,
-				bytes: int64(1+rng.Intn(25)) * 999_983,
-			})
+			return runDiffOps(t, sim, newFlowSim(sim, topo, reference), ops, time.Hour)
 		}
-		results := make([]diffResult, len(ops))
-		for i, o := range ops {
-			i, o := i, o
-			sim.Go(fmt.Sprintf("op%d", i), func() {
-				sim.Sleep(o.at)
-				st, err := net.Transfer(o.src, o.dst, o.bytes, "")
-				results[i] = diffResult{ran: true, err: err, st: st}
-			})
-		}
-		if err := sim.RunUntil(time.Hour); err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	inc, ref := run(false), run(true)
-	for i := range inc {
-		if !inc[i].ran {
-			continue
-		}
-		if (inc[i].err != nil) != (ref[i].err != nil) {
-			t.Fatalf("op %d: error divergence", i)
-		}
-		if inc[i].err != nil {
-			continue
-		}
-		if rel := math.Abs(inc[i].st.AvgBps-ref[i].st.AvgBps) / ref[i].st.AvgBps; rel > 1e-6 {
-			t.Errorf("op %d: rate divergence %.3g", i, rel)
-		}
-		if d := inc[i].st.End - ref[i].st.End; d > 2*time.Microsecond || d < -2*time.Microsecond {
-			t.Errorf("op %d: completion divergence %v", i, d)
-		}
+		inc, incRec := run(false)
+		ref, refRec := run(true)
+		compareDiff(t, fmt.Sprintf("seed %d", seed), inc, ref, incRec, refRec)
 	}
 }

@@ -7,20 +7,18 @@ import (
 	"time"
 )
 
-// Incremental max-min fair-share engine.
+// Max-min fair-share engine.
 //
-// The naive reference engine (naive.go) re-runs progressive filling over
-// every live flow and resource at every event, which makes each transfer
-// start/finish/fault cost O(total flows × path length). This engine
-// exploits the structure of the allocation problem instead: the max-min
-// fair allocation decomposes exactly over the connected components of
-// the flow⇄resource sharing graph, so a change (flow arrival, departure,
-// abort, link rescale) only perturbs the component of flows that
-// transitively share a bottleneck with the changed flows. Flows outside
-// the component keep their rates, their progress is settled lazily (a
-// flow's remaining bytes are only brought up to date when its own rate
-// changes), and the next completion is taken from a min-heap keyed by
-// projected completion time instead of a linear scan.
+// The max-min fair allocation decomposes exactly over the connected
+// components of the flow⇄resource sharing graph, so a change (flow
+// arrival, departure, abort, link rescale) only perturbs the component of
+// flows that transitively share a bottleneck with the changed flows.
+// Flows outside the component keep their rates, their progress is settled
+// lazily (a flow's remaining bytes are only brought up to date when its
+// own rate changes), and the next completion is taken from a min-heap
+// keyed by projected completion time. reference_test.go holds the
+// test-only simulator (global progressive filling at every event) this
+// engine is differential-tested and benchmarked against.
 
 // farFuture is the completion-heap key of a flow with no positive rate.
 const farFuture = time.Duration(math.MaxInt64)
@@ -114,8 +112,8 @@ func (n *Network) componentLocked(seeds []*flow) []*flow {
 // recomputeComponentLocked settles the seeds' connected component and
 // re-runs progressive filling restricted to it. Because every flow on a
 // component resource belongs to the component by construction, the
-// restricted filling reproduces the global algorithm's allocation for
-// those flows exactly (up to float associativity). Callers must follow
+// restricted filling reproduces a global filling's allocation for those
+// flows exactly (up to float associativity). Callers must follow
 // with scheduleNextLocked.
 func (n *Network) recomputeComponentLocked(seeds []*flow) {
 	if len(seeds) == 0 {
@@ -188,8 +186,7 @@ func (n *Network) recomputeComponentLocked(seeds []*flow) {
 }
 
 // projectCompletion returns the absolute instant at which f drains,
-// assuming its rate stays constant (ceil to the nanosecond grid, like
-// the reference engine's event scheduling).
+// assuming its rate stays constant (ceil to the nanosecond event grid).
 func projectCompletion(f *flow, now time.Duration) time.Duration {
 	if f.rate <= 0 {
 		return farFuture
@@ -228,27 +225,17 @@ func (n *Network) scheduleNextLocked() {
 	n.completion = n.sim.At(due, n.onCompletion)
 }
 
-// onCompletionIncremental pops every flow due at the current instant,
-// finishes it, and recomputes only the components its departure touched.
-func (n *Network) onCompletionIncremental() {
-	n.mu.Lock()
-	n.completion = nil
-	now := n.sim.Now()
-	var finished []*flow
-	for len(n.compHeap) > 0 && n.compHeap[0].compAt <= now {
-		f := heap.Pop(&n.compHeap).(*flow)
-		n.settleFlowLocked(f, now)
-		finished = append(finished, f)
-	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
-	for _, f := range finished {
+// departLocked drops the departed flows (sorted by id) from the engine
+// and recomputes only the components that shared a resource with them —
+// the only flows that can gain capacity — then reschedules the completion
+// event.
+func (n *Network) departLocked(departed []*flow) {
+	for _, f := range departed {
 		n.removeFlowLocked(f)
 	}
-	// The departures free capacity for the flows that shared a resource
-	// with them; recompute those components only.
 	seen := map[int64]bool{}
 	var neighbors []*flow
-	for _, f := range finished {
+	for _, f := range departed {
 		for _, r := range f.res {
 			for id, g := range r.flows {
 				if !seen[id] {
@@ -260,8 +247,24 @@ func (n *Network) onCompletionIncremental() {
 	}
 	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i].id < neighbors[j].id })
 	n.recomputeComponentLocked(neighbors)
-	stats := n.finishFlowsLocked(finished)
 	n.scheduleNextLocked()
+}
+
+// onCompletion pops every flow due at the current instant and finishes
+// it.
+func (n *Network) onCompletion() {
+	n.mu.Lock()
+	n.completion = nil
+	now := n.sim.Now()
+	var finished []*flow
+	for len(n.compHeap) > 0 && n.compHeap[0].compAt <= now {
+		f := heap.Pop(&n.compHeap).(*flow)
+		n.settleFlowLocked(f, now)
+		finished = append(finished, f)
+	}
+	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
+	n.departLocked(finished)
+	stats := n.finishFlowsLocked(finished)
 	n.mu.Unlock()
 	for i, f := range finished {
 		f.done.Send(xferOutcome{stats: stats[i]})

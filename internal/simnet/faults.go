@@ -11,10 +11,8 @@ import (
 // their endpoint or path abort with an error, and the max-min fair
 // shares of the survivors are recomputed — exactly what a deployed
 // monitoring system would observe when a machine dies or a link is cut.
-//
-// Under the incremental engine only the connected components of flows
-// actually touched by the fault are recomputed; the naive reference
-// engine recomputes everything, as it always did.
+// Only the connected components of flows actually touched by the fault
+// are recomputed.
 
 // CrashHost takes host id down: it stops sourcing, sinking and
 // forwarding traffic, its in-flight transfers abort, and routing flows
@@ -22,9 +20,6 @@ import (
 func (n *Network) CrashHost(id string) {
 	err := fmt.Errorf("simnet: host %s is down", id)
 	n.mu.Lock()
-	if n.naive {
-		n.settleAllLocked()
-	}
 	n.topo.SetNodeDown(id, true)
 	aborted := n.abortLocked(func(f *flow) bool { return f.src == id || f.dst == id })
 	n.mu.Unlock()
@@ -76,30 +71,12 @@ func (n *Network) RestoreLink(a, b string) {
 	n.mu.Unlock()
 }
 
-// LinkFactor returns the current degradation factor of the a-b link
-// (1 when the link runs at nominal capacity).
-func (n *Network) LinkFactor(a, b string) float64 {
-	l := n.topo.findLink(a, b)
-	if l == nil {
-		return 1
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if f, ok := n.linkFactor[l]; ok {
-		return f
-	}
-	return 1
-}
-
 // CutLink severs the a-b link: routing recomputes around it (a cut of
 // the only path partitions the network) and every in-flight flow
 // crossing it aborts with an error.
 func (n *Network) CutLink(a, b string) {
 	err := fmt.Errorf("simnet: link %s-%s is cut", a, b)
 	n.mu.Lock()
-	if n.naive {
-		n.settleAllLocked()
-	}
 	n.topo.SetLinkDisabled(a, b, true)
 	cut := map[*resource]bool{}
 	for _, key := range []string{"edge:" + a + "->" + b, "edge:" + b + "->" + a} {
@@ -128,15 +105,11 @@ func (n *Network) HealLink(a, b string) {
 
 // rescaleLinkLocked pushes the link's current factor into the live
 // resource table so running flows feel the change, and recomputes the
-// affected shares (only the components crossing the link under the
-// incremental engine).
+// shares of the components crossing the link.
 func (n *Network) rescaleLinkLocked(l *Link) {
 	factor, ok := n.linkFactor[l]
 	if !ok {
 		factor = 1
-	}
-	if n.naive {
-		n.settleAllLocked()
 	}
 	var touched []*flow
 	for _, key := range []string{"edge:" + l.A + "->" + l.B, "edge:" + l.B + "->" + l.A} {
@@ -149,15 +122,9 @@ func (n *Network) rescaleLinkLocked(l *Link) {
 		} else {
 			r.cap = l.BWBtoA * factor / 8
 		}
-		if !n.naive {
-			for _, f := range r.flows {
-				touched = append(touched, f)
-			}
+		for _, f := range r.flows {
+			touched = append(touched, f)
 		}
-	}
-	if n.naive {
-		n.recomputeNaiveLocked()
-		return
 	}
 	sort.Slice(touched, func(i, j int) bool { return touched[i].id < touched[j].id })
 	n.recomputeComponentLocked(touched)
@@ -165,48 +132,17 @@ func (n *Network) rescaleLinkLocked(l *Link) {
 }
 
 // abortLocked removes the flows matching pred from the active set,
-// recomputes the survivors' shares and returns the aborted flows; the
-// caller must fail them outside the lock.
+// recomputes the survivors' shares and returns the aborted flows in id
+// order; the caller must fail them outside the lock.
 func (n *Network) abortLocked(pred func(*flow) bool) []*flow {
 	var aborted []*flow
-	if n.naive {
-		for _, f := range n.order {
-			if pred(f) {
-				aborted = append(aborted, f)
-			}
-		}
-	} else {
-		for _, f := range n.active {
-			if pred(f) {
-				aborted = append(aborted, f)
-			}
-		}
-		sort.Slice(aborted, func(i, j int) bool { return aborted[i].id < aborted[j].id })
-	}
-	for _, f := range aborted {
-		n.removeFlowLocked(f)
-	}
-	if n.naive {
-		n.recomputeNaiveLocked()
-		return aborted
-	}
-	// Only the components that shared a resource with an aborted flow
-	// can gain capacity.
-	seen := map[int64]bool{}
-	var neighbors []*flow
-	for _, f := range aborted {
-		for _, r := range f.res {
-			for id, g := range r.flows {
-				if !seen[id] {
-					seen[id] = true
-					neighbors = append(neighbors, g)
-				}
-			}
+	for _, f := range n.active {
+		if pred(f) {
+			aborted = append(aborted, f)
 		}
 	}
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i].id < neighbors[j].id })
-	n.recomputeComponentLocked(neighbors)
-	n.scheduleNextLocked()
+	sort.Slice(aborted, func(i, j int) bool { return aborted[i].id < aborted[j].id })
+	n.departLocked(aborted)
 	return aborted
 }
 

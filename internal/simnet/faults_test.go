@@ -88,8 +88,8 @@ func TestDegradeLinkScalesThroughput(t *testing.T) {
 			t.Fatalf("nominal throughput %.1f Mbps", st.AvgBps/1e6)
 		}
 		net.DegradeLink("a", "sw", 0.25)
-		if f := net.LinkFactor("a", "sw"); f != 0.25 {
-			t.Fatalf("LinkFactor = %v", f)
+		if f := net.linkFactor[net.topo.findLink("a", "sw")]; f != 0.25 {
+			t.Fatalf("link factor = %v", f)
 		}
 		st, err = net.Transfer("a", "b", 10_000_000, "")
 		if err != nil {

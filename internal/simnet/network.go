@@ -9,9 +9,6 @@ import (
 	"nwsenv/internal/vclock"
 )
 
-// completionEps is the residual byte count below which a flow is complete.
-const completionEps = 1e-3
-
 // TransferStats describes a completed bulk transfer.
 type TransferStats struct {
 	Src, Dst string
@@ -50,8 +47,8 @@ type resource struct {
 	key string
 	cap float64 // bytes per second
 	// flows indexes the active flows crossing this resource; it is the
-	// flow⇄resource index the incremental fair-share engine walks to
-	// find the connected component a change can affect.
+	// flow⇄resource index the fair-share engine walks to find the
+	// connected component a change can affect.
 	flows map[int64]*flow
 }
 
@@ -67,10 +64,8 @@ type flow struct {
 	src, dst string
 	tag      string
 	bytes    float64
-	// remaining is the outstanding byte count as of settledAt. The naive
-	// engine settles every flow at every event (settledAt tracks the
-	// global lastSettle); the incremental engine settles a flow lazily,
-	// only when its own rate changes.
+	// remaining is the outstanding byte count as of settledAt: a flow is
+	// settled lazily, only when its own rate changes.
 	remaining float64
 	settledAt time.Duration
 	rate      float64 // bytes per second
@@ -78,43 +73,32 @@ type flow struct {
 	done      *vclock.Chan[xferOutcome]
 	started   time.Duration
 	aloneBps  float64
-	// heapIdx/compAt place the flow in the completion min-heap of the
-	// incremental engine (-1 when not enqueued).
+	// heapIdx/compAt place the flow in the completion min-heap (-1 when
+	// not enqueued).
 	heapIdx int
 	compAt  time.Duration
 }
 
 // Network executes transfers over a Topology in virtual time, sharing
-// capacity among concurrent flows by max-min fairness.
-//
-// Two fair-share engines are available. The default (incremental) engine
-// maintains a flow⇄resource index and recomputes, on each flow arrival,
-// departure or fault, only the connected component of flows that
-// transitively share a resource with the change; completions are
-// scheduled from a min-heap. NewNaiveNetwork retains the original
-// reference engine that re-runs progressive filling over every live flow
-// at every event; it exists to differential-test and benchmark the
-// incremental engine against.
+// capacity among concurrent flows by max-min fairness. It maintains a
+// flow⇄resource index and recomputes, on each flow arrival, departure or
+// fault, only the connected component of flows that transitively share a
+// resource with the change; completions are scheduled from a min-heap
+// (fairshare.go).
 type Network struct {
-	sim   *vclock.Sim
-	topo  *Topology
-	naive bool
+	sim  *vclock.Sim
+	topo *Topology
 
 	mu         sync.Mutex
 	nextFlowID int64
-	// active indexes all in-flight flows by id. The naive engine
-	// additionally keeps order (arrival order) because its reference
-	// algorithm iterates flows in that order.
+	// active indexes all in-flight flows by id.
 	active map[int64]*flow
-	order  []*flow
-	// compHeap orders active flows by projected completion time
-	// (incremental engine only).
+	// compHeap orders active flows by projected completion time.
 	compHeap  flowHeap
 	resources map[string]*resource
 	// linkFactor scales the capacity of degraded links (fault injection);
 	// absent links run at nominal capacity.
 	linkFactor map[*Link]float64
-	lastSettle time.Duration
 	completion *vclock.Event
 
 	records      []TransferStats
@@ -123,34 +107,18 @@ type Network struct {
 	probeBytes   map[string]int64 // bytes transferred per tag
 	probeCount   map[string]int
 	// settles counts individual flow-settle operations: the unit of
-	// work of the fair-share engines (both incremental and naive), so
-	// it is the flow engine's cost meter.
+	// work of the fair-share engine, so it is its cost meter.
 	settles int64
 }
 
-// NewNetwork binds a topology to a simulation using the incremental
-// fair-share engine.
+// NewNetwork binds a topology to a simulation.
 func NewNetwork(sim *vclock.Sim, topo *Topology) *Network {
-	return newNetwork(sim, topo, false)
-}
-
-// NewNaiveNetwork binds a topology to a simulation using the retained
-// reference engine: global progressive filling over every live flow at
-// every event. It is kept for differential tests and before/after
-// benchmarks of the incremental engine; simulation results are
-// equivalent up to floating-point scheduling noise.
-func NewNaiveNetwork(sim *vclock.Sim, topo *Topology) *Network {
-	return newNetwork(sim, topo, true)
-}
-
-func newNetwork(sim *vclock.Sim, topo *Topology, naive bool) *Network {
 	if err := topo.Validate(); err != nil {
 		panic(err)
 	}
 	return &Network{
 		sim:          sim,
 		topo:         topo,
-		naive:        naive,
 		active:       map[int64]*flow{},
 		resources:    map[string]*resource{},
 		linkFactor:   map[*Link]float64{},
@@ -200,32 +168,12 @@ func (n *Network) pathResources(path []string) []*resource {
 	return out
 }
 
-func (n *Network) checkEndpoints(src, dst string) error {
-	a, b := n.topo.Node(src), n.topo.Node(dst)
-	if a == nil || b == nil {
-		return fmt.Errorf("simnet: unknown endpoint %s or %s", src, dst)
-	}
-	if a.Kind != Host || b.Kind != Host {
-		return fmt.Errorf("simnet: transfer endpoints must be hosts (%s is %s, %s is %s)", src, a.Kind, dst, b.Kind)
-	}
-	if n.topo.NodeDown(src) {
-		return fmt.Errorf("simnet: host %s is down", src)
-	}
-	if n.topo.NodeDown(dst) {
-		return fmt.Errorf("simnet: host %s is down", dst)
-	}
-	if !a.SharesZone(b) {
-		return fmt.Errorf("simnet: firewall: %s and %s share no zone", src, dst)
-	}
-	return nil
-}
-
 // Transfer moves bytes from src to dst, blocking the calling process in
 // virtual time for the path latency plus the contention-dependent data
 // phase. A non-empty tag marks the flow as a measurement probe for
 // collision accounting. Must be called from a simulation process.
 func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferStats, error) {
-	if err := n.checkEndpoints(src, dst); err != nil {
+	if err := n.topo.checkEndpoints(src, dst); err != nil {
 		return TransferStats{}, err
 	}
 	if src == dst {
@@ -263,21 +211,14 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 	f.id = n.nextFlowID
 	f.settledAt = f.started
 	f.res = n.pathResources(path)
-	if n.naive {
-		n.settleAllLocked()
-	}
 	if tag != "" {
 		n.noteCollisionsLocked(f)
 		n.probeBytes[tag] += bytes
 		n.probeCount[tag]++
 	}
 	n.addFlowLocked(f)
-	if n.naive {
-		n.recomputeNaiveLocked()
-	} else {
-		n.recomputeComponentLocked([]*flow{f})
-		n.scheduleNextLocked()
-	}
+	n.recomputeComponentLocked([]*flow{f})
+	n.scheduleNextLocked()
 	n.mu.Unlock()
 
 	out, _ := f.done.Recv()
@@ -291,32 +232,19 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 // index.
 func (n *Network) addFlowLocked(f *flow) {
 	n.active[f.id] = f
-	if n.naive {
-		n.order = append(n.order, f)
-	}
 	for _, r := range f.res {
 		r.flows[f.id] = f
 	}
 }
 
 // removeFlowLocked drops f from the active set, the flow⇄resource index
-// and (incremental engine) the completion heap.
+// and the completion heap.
 func (n *Network) removeFlowLocked(f *flow) {
 	delete(n.active, f.id)
 	for _, r := range f.res {
 		delete(r.flows, f.id)
 	}
-	if f.heapIdx >= 0 {
-		n.compHeap.remove(f)
-	}
-	if n.naive {
-		for i, g := range n.order {
-			if g == f {
-				n.order = append(n.order[:i], n.order[i+1:]...)
-				break
-			}
-		}
-	}
+	n.compHeap.remove(f)
 }
 
 // Latency returns the one-way path latency from src to dst.
@@ -330,7 +258,7 @@ func (n *Network) Latency(src, dst string) (time.Duration, error) {
 // "a 4 byte TCP socket transfer is timed from one host to another one
 // and back").
 func (n *Network) Ping(src, dst string, bytes int64) (time.Duration, error) {
-	if err := n.checkEndpoints(src, dst); err != nil {
+	if err := n.topo.checkEndpoints(src, dst); err != nil {
 		return 0, err
 	}
 	fwd, err := n.topo.PathLatency(src, dst)
@@ -351,7 +279,7 @@ func (n *Network) Ping(src, dst string, bytes int64) (time.Duration, error) {
 // its duration (§2.2: "TCP socket connect-disconnect time is measured
 // directly").
 func (n *Network) ConnectTime(src, dst string) (time.Duration, error) {
-	if err := n.checkEndpoints(src, dst); err != nil {
+	if err := n.topo.checkEndpoints(src, dst); err != nil {
 		return 0, err
 	}
 	fwd, err := n.topo.PathLatency(src, dst)
@@ -381,7 +309,7 @@ func (n *Network) serialization(src, dst string, bytes int64) time.Duration {
 // the NWS control-plane transport; control messages are assumed too small
 // to contend for bandwidth.
 func (n *Network) Deliver(src, dst string, bytes int64, fn func()) error {
-	if err := n.checkEndpoints(src, dst); err != nil {
+	if err := n.topo.checkEndpoints(src, dst); err != nil {
 		return err
 	}
 	lat, err := n.topo.PathLatency(src, dst)
@@ -395,28 +323,20 @@ func (n *Network) Deliver(src, dst string, bytes int64, fn func()) error {
 // noteCollisionsLocked records probe-vs-probe contention created by
 // adding f: for each already-active tagged flow sharing at least one
 // resource with f, one collision on the first shared resource in f's
-// path order. The incremental engine finds candidates through the
-// flow⇄resource index instead of scanning every live flow.
+// path order. Candidates come from the flow⇄resource index, in flow-id
+// order.
 func (n *Network) noteCollisionsLocked(f *flow) {
+	seen := map[int64]bool{}
 	var candidates []*flow
-	if n.naive {
-		for _, g := range n.order {
-			if g.tag != "" {
+	for _, r := range f.res {
+		for id, g := range r.flows {
+			if g.tag != "" && !seen[id] {
+				seen[id] = true
 				candidates = append(candidates, g)
 			}
 		}
-	} else {
-		seen := map[int64]bool{}
-		for _, r := range f.res {
-			for id, g := range r.flows {
-				if g.tag != "" && !seen[id] {
-					seen[id] = true
-					candidates = append(candidates, g)
-				}
-			}
-		}
-		sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
 	}
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
 	for _, g := range candidates {
 		for _, rf := range f.res {
 			shared := false
@@ -448,8 +368,8 @@ func (n *Network) recordCollisionLocked(tagA, tagB, resource string) {
 	n.collisions = append(n.collisions, c)
 }
 
-// finishFlowsLocked settles the finished flows' statistics, removes them
-// from the active set and returns the outcome sends to perform outside
+// finishFlowsLocked records the finished flows' statistics and returns
+// them, one per flow, for the outcome sends the caller performs outside
 // the lock. finished must be sorted by flow id.
 func (n *Network) finishFlowsLocked(finished []*flow) []TransferStats {
 	now := n.sim.Now()
@@ -471,21 +391,6 @@ func (n *Network) finishFlowsLocked(finished []*flow) []TransferStats {
 		stats = append(stats, st)
 	}
 	return stats
-}
-
-func (n *Network) onCompletion() {
-	if n.naive {
-		n.onCompletionNaive()
-		return
-	}
-	n.onCompletionIncremental()
-}
-
-// ActiveFlows returns the number of in-flight transfers.
-func (n *Network) ActiveFlows() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.active)
 }
 
 // Records returns all completed transfer statistics, in completion order.

@@ -21,12 +21,8 @@ import (
 	"time"
 )
 
-// Bandwidth units, in bits per second.
-const (
-	Kbps float64 = 1e3
-	Mbps float64 = 1e6
-	Gbps float64 = 1e9
-)
+// Mbps is the bandwidth unit capacities are written in, in bits per second.
+const Mbps float64 = 1e6
 
 // NodeKind distinguishes the network element types of the model.
 type NodeKind int
@@ -133,10 +129,6 @@ func WithZones(zones ...string) NodeOption {
 	return func(n *Node) { n.Zones = zones }
 }
 
-// WithNoDNS marks the node as lacking a DNS entry; traceroute reports its
-// bare IP (the paper's "machines without hostname" issue).
-func WithNoDNS() NodeOption { return func(n *Node) { n.DNS = "" } }
-
 // WithNoTracerouteResponse makes a router silently drop TTL-exceeded
 // probes.
 func WithNoTracerouteResponse() NodeOption {
@@ -195,11 +187,6 @@ func LinkBWAsym(aToB, bToA float64) LinkOption {
 // LinkLatency sets a symmetric one-way latency.
 func LinkLatency(d time.Duration) LinkOption {
 	return func(l *Link) { l.LatAtoB, l.LatBtoA = d, d }
-}
-
-// LinkLatencyAsym sets per-direction one-way latencies.
-func LinkLatencyAsym(aToB, bToA time.Duration) LinkOption {
-	return func(l *Link) { l.LatAtoB, l.LatBtoA = aToB, bToA }
 }
 
 // LinkVLANs restricts the link to the given VLANs.

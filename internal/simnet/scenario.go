@@ -65,17 +65,6 @@ func (e FaultEvent) Apply(net *Network) {
 	}
 }
 
-// Disruptive reports whether the event breaks something (as opposed to
-// healing it). Restorations still cause drift — a returning machine
-// must be redeployed — but recovery times are measured per disruption.
-func (e FaultEvent) Disruptive() bool {
-	switch e.Kind {
-	case FaultCrash, FaultCut, FaultDegrade:
-		return true
-	}
-	return false
-}
-
 func (e FaultEvent) String() string {
 	switch e.Kind {
 	case FaultCrash, FaultRestore:

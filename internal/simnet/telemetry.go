@@ -3,8 +3,8 @@ package simnet
 import "nwsenv/internal/telemetry"
 
 // SettleCount returns how many individual flow-settle operations the
-// fair-share engine has performed — its cost meter (the incremental
-// engine exists to keep this sublinear in active flows).
+// fair-share engine has performed — its cost meter (component-scoped
+// recomputation exists to keep this sublinear in active flows).
 func (n *Network) SettleCount() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -86,8 +86,7 @@ func (t *Topology) addNode(n *Node) *Node {
 	return n
 }
 
-// AddHost adds an end system. The DNS name may be empty (see WithNoDNS on
-// routers; for hosts simply pass "").
+// AddHost adds an end system. The DNS name may be empty.
 func (t *Topology) AddHost(id, ip, dns, domain string, opts ...NodeOption) *Node {
 	n := &Node{ID: id, Kind: Host, IP: ip, DNS: dns, Domain: domain, TracerouteResponds: true}
 	for _, o := range opts {
@@ -329,12 +328,6 @@ func (t *Topology) SetLinkDisabled(a, b string, disabled bool) {
 	} else {
 		t.invalidateAllRoutesLocked()
 	}
-}
-
-// LinkDisabled reports the fault state of the a-b link.
-func (t *Topology) LinkDisabled(a, b string) bool {
-	l := t.findLink(a, b)
-	return l != nil && t.disabledLinks[l]
 }
 
 // pathHealthy reports whether every node and link of path is fault-free.
@@ -709,6 +702,28 @@ func (t *Topology) PathResources(src, dst string) ([]string, error) {
 	return keys, nil
 }
 
+// checkEndpoints reports why a src→dst exchange cannot start: an unknown
+// or non-host endpoint, a crashed endpoint, or no common firewall zone.
+func (t *Topology) checkEndpoints(src, dst string) error {
+	a, b := t.Node(src), t.Node(dst)
+	if a == nil || b == nil {
+		return fmt.Errorf("simnet: unknown endpoint %s or %s", src, dst)
+	}
+	if a.Kind != Host || b.Kind != Host {
+		return fmt.Errorf("simnet: transfer endpoints must be hosts (%s is %s, %s is %s)", src, a.Kind, dst, b.Kind)
+	}
+	if t.NodeDown(src) {
+		return fmt.Errorf("simnet: host %s is down", src)
+	}
+	if t.NodeDown(dst) {
+		return fmt.Errorf("simnet: host %s is down", dst)
+	}
+	if !a.SharesZone(b) {
+		return fmt.Errorf("simnet: firewall: %s and %s share no zone", src, dst)
+	}
+	return nil
+}
+
 // Validate checks structural consistency: connected endpoints, positive
 // capacities, override paths using existing links.
 func (t *Topology) Validate() error {
@@ -733,20 +748,4 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
-}
-
-// DomainsOf returns the sorted set of DNS domains present among hosts.
-func (t *Topology) DomainsOf() []string {
-	set := map[string]struct{}{}
-	for _, h := range t.Hosts() {
-		if h.Domain != "" {
-			set[h.Domain] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
