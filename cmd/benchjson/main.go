@@ -71,55 +71,77 @@ type Artifact struct {
 // benchLine matches "BenchmarkName-8   	  10   123456 ns/op  3.00 widgets ...".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
-func main() {
-	out := flag.String("out", "BENCH_reconcile.json", "output JSON file")
-	bench := flag.String("bench", ".", "benchmark pattern (go test -bench)")
-	benchtime := flag.String("benchtime", "1x", "per-benchmark budget (go test -benchtime)")
-	benchmem := flag.Bool("benchmem", true, "include allocation metrics")
-	compare := flag.Bool("compare", false, "compare two artifacts (old.json new.json) instead of running benchmarks")
-	threshold := flag.Float64("threshold", 0.25, "allowed ns/op regression fraction in -compare mode")
-	ratioNum := flag.String("ratio-num", "", "numerator benchmark name for the -ratio-min assertion on one artifact")
-	ratioDen := flag.String("ratio-den", "", "denominator benchmark name for the -ratio-min assertion")
-	ratioMin := flag.Float64("ratio-min", 0, "minimum ratio num/den; non-zero enables the assertion")
-	ratioMetric := flag.String("ratio-metric", "ns/op", "metric key the -ratio-min assertion compares")
-	assertMax := flag.String("assert-max", "", "comma-separated absolute ceilings 'bench:metric<=value' asserted on one artifact")
-	flag.Parse()
-	args := flag.Args()
+// options holds the command line.
+type options struct {
+	out, bench, benchtime  string
+	benchmem, compare      bool
+	threshold, ratioMin    float64
+	ratioNum, ratioDen     string
+	ratioMetric, assertMax string
+}
 
-	if *ratioMin > 0 {
+// newFlags defines the tool's flags on a fresh flag set filling o.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
+	fs.StringVar(&o.out, "out", "BENCH_reconcile.json", "output JSON file")
+	fs.StringVar(&o.bench, "bench", ".", "benchmark pattern (go test -bench)")
+	fs.StringVar(&o.benchtime, "benchtime", "1x", "per-benchmark budget (go test -benchtime)")
+	fs.BoolVar(&o.benchmem, "benchmem", true, "include allocation metrics")
+	fs.BoolVar(&o.compare, "compare", false, "compare two artifacts (old.json new.json) instead of running benchmarks")
+	fs.Float64Var(&o.threshold, "threshold", 0.25, "allowed ns/op regression fraction in -compare mode")
+	fs.StringVar(&o.ratioNum, "ratio-num", "", "numerator benchmark name for the -ratio-min assertion on one artifact")
+	fs.StringVar(&o.ratioDen, "ratio-den", "", "denominator benchmark name for the -ratio-min assertion")
+	fs.Float64Var(&o.ratioMin, "ratio-min", 0, "minimum ratio num/den; non-zero enables the assertion")
+	fs.StringVar(&o.ratioMetric, "ratio-metric", "ns/op", "metric key the -ratio-min assertion compares")
+	fs.StringVar(&o.assertMax, "assert-max", "", "comma-separated absolute ceilings 'bench:metric<=value' asserted on one artifact")
+	return fs
+}
+
+// baselineHint is the command that records a missing -compare baseline.
+func baselineHint(old string) string {
+	return "go run ./cmd/benchjson -out " + old + " ./..."
+}
+
+func main() {
+	var o options
+	fs := newFlags(&o)
+	fs.Parse(os.Args[1:])
+	args := fs.Args()
+
+	if o.ratioMin > 0 {
 		// Same-run ratio assertion: machine-independent, unlike the
 		// absolute ns/op gate of -compare.
-		if len(args) != 1 || *ratioNum == "" || *ratioDen == "" {
+		if len(args) != 1 || o.ratioNum == "" || o.ratioDen == "" {
 			fmt.Fprintln(os.Stderr, "benchjson: -ratio-min needs -ratio-num, -ratio-den and one artifact file")
 			os.Exit(2)
 		}
-		ratio, err := artifactRatio(args[0], *ratioNum, *ratioDen, *ratioMetric)
+		ratio, err := artifactRatio(args[0], o.ratioNum, o.ratioDen, o.ratioMetric)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson: %s / %s = %.1fx on %s (minimum %.1fx)\n", *ratioNum, *ratioDen, ratio, *ratioMetric, *ratioMin)
-		if ratio < *ratioMin {
-			fmt.Fprintf(os.Stderr, "benchjson: ratio %.2f below required %.2f\n", ratio, *ratioMin)
+		fmt.Printf("benchjson: %s / %s = %.1fx on %s (minimum %.1fx)\n", o.ratioNum, o.ratioDen, ratio, o.ratioMetric, o.ratioMin)
+		if ratio < o.ratioMin {
+			fmt.Fprintf(os.Stderr, "benchjson: ratio %.2f below required %.2f\n", ratio, o.ratioMin)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *assertMax != "" {
+	if o.assertMax != "" {
 		if len(args) != 1 {
 			fmt.Fprintln(os.Stderr, "benchjson: -assert-max needs one artifact file")
 			os.Exit(2)
 		}
-		if err := assertCeilings(args[0], *assertMax); err != nil {
+		if err := assertCeilings(args[0], o.assertMax); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *compare {
-		files, err := scrubCompareArgs(args, threshold)
+	if o.compare {
+		files, err := scrubCompareArgs(args, &o.threshold)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
@@ -128,12 +150,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two artifact files (old new)")
 			os.Exit(2)
 		}
-		report, regressed, err := compareArtifacts(files[0], files[1], *threshold)
+		report, regressed, err := compareArtifacts(files[0], files[1], o.threshold)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
 				fmt.Fprintf(os.Stderr, "benchjson: no baseline yet? record one first:\n")
-				fmt.Fprintf(os.Stderr, "benchjson:   benchjson -o %s ./...\n", files[0])
+				fmt.Fprintf(os.Stderr, "benchjson:   %s\n", baselineHint(files[0]))
 				fmt.Fprintf(os.Stderr, "benchjson: then re-run -compare against a fresh artifact\n")
 			}
 			os.Exit(1)
@@ -148,7 +170,7 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	runBenchmarks(*out, *bench, *benchtime, *benchmem, args)
+	runBenchmarks(o.out, o.bench, o.benchtime, o.benchmem, args)
 }
 
 func runBenchmarks(out, bench, benchtime string, benchmem bool, pkgs []string) {

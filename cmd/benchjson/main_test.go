@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,6 +108,26 @@ func TestCompareArtifactsMissingBaseline(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "absent.json") {
 		t.Fatalf("error should name the missing file: %v", err)
+	}
+}
+
+// TestBaselineHintParses: the command the missing-baseline hint prints
+// must be one this tool accepts, recording to the named file.
+func TestBaselineHintParses(t *testing.T) {
+	hint := baselineHint("BENCH_old.json")
+	args, ok := strings.CutPrefix(hint, "go run ./cmd/benchjson ")
+	if !ok {
+		t.Fatalf("hint %q does not run this tool", hint)
+	}
+	var o options
+	fs := newFlags(&o)
+	fs.Init(fs.Name(), flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(strings.Fields(args)); err != nil {
+		t.Fatalf("hint %q: %v", hint, err)
+	}
+	if o.out != "BENCH_old.json" || o.compare || len(fs.Args()) == 0 {
+		t.Fatalf("hint %q records to %q (compare=%v, packages %v)", hint, o.out, o.compare, fs.Args())
 	}
 }
 

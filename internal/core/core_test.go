@@ -55,7 +55,7 @@ func ensLyonDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network,
 	out, err := simDeploy(net, 30*time.Minute, planOnly, []MapRun{
 		{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
 		{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
-	}, WithAliases(e.GatewayAliases...), WithTokenGap(time.Second), WithHostSensors(30*time.Second))
+	}, WithAutoAliases(), WithTokenGap(time.Second), WithHostSensors(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestAutoDeployThreeRunsFold(t *testing.T) {
 		{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
 		{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
 		{Master: "sci0", Hosts: sciHosts, Names: sciNames},
-	}, WithAliases(e.GatewayAliases...))
+	}, WithAutoAliases())
 	if err != nil {
 		t.Fatal(err)
 	}

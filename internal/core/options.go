@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"nwsenv/internal/gridml"
 	"nwsenv/internal/telemetry"
 )
 
@@ -55,7 +54,6 @@ type EventFunc func(Event)
 type config struct {
 	gridLabel        string
 	master           string
-	aliases          []gridml.GatewayAlias
 	tokenGap         time.Duration
 	hostSensorPeriod time.Duration
 	replication      int
@@ -80,14 +78,8 @@ func WithMaster(name string) Option {
 	return func(c *config) { c.master = name }
 }
 
-// WithAliases cross-identifies gateways between mapping runs (§4.3
-// firewall handling).
-func WithAliases(aliases ...gridml.GatewayAlias) Option {
-	return func(c *config) { c.aliases = append(c.aliases, aliases...) }
-}
-
-// WithAutoAliases makes Map guess gateway aliases by matching machine
-// IPs across runs when no explicit aliases are configured: dual-homed
+// WithAutoAliases makes Map cross-identify gateways between mapping
+// runs (§4.3 firewall handling) by matching machine IPs: dual-homed
 // gateways appear in both firewall-side runs under different names but
 // the same address.
 func WithAutoAliases() Option {

@@ -6,6 +6,7 @@ import (
 
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
+	"nwsenv/internal/gridml"
 	"nwsenv/internal/platform"
 	"nwsenv/internal/telemetry"
 )
@@ -108,8 +109,8 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 		m.Results = append(m.Results, res)
 	}
 
-	aliases := p.cfg.aliases
-	if len(aliases) == 0 && p.cfg.autoAliases && len(m.Results) > 1 {
+	var aliases []gridml.GatewayAlias
+	if p.cfg.autoAliases && len(m.Results) > 1 {
 		aliases = env.GuessAliases(m.Results)
 		p.emit(PhaseMap, "aliases_guessed",
 			[]Field{F("aliases", len(aliases))},

@@ -24,7 +24,7 @@ import (
 // samples land in the memory server.
 func TestTCPPlatformPipeline(t *testing.T) {
 	hosts := []string{"alpha", "beta", "gamma"}
-	plat := platform.NewTCPPlatform(hosts, platform.WithTCPBandwidth(94e6))
+	plat := platform.NewTCPPlatform(hosts)
 	pl := NewPipeline(plat,
 		WithGridLabel("loopback"),
 		WithTokenGap(20*time.Millisecond),
@@ -84,7 +84,7 @@ func TestTCPPlatformPipeline(t *testing.T) {
 			got = len(samples)
 			if got >= 3 {
 				for _, s := range samples {
-					if s.Value != 94 { // Mbps
+					if s.Value != 100 { // Mbps, the platform's canned prober value
 						t.Fatalf("sample %+v", s)
 					}
 				}
@@ -139,7 +139,7 @@ func TestApplyCancellation(t *testing.T) {
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
 	tr := proto.NewSimTransport(net)
-	pl := NewPipeline(platform.NewSimPlatform(net, tr), WithAliases(e.GatewayAliases...))
+	pl := NewPipeline(platform.NewSimPlatform(net, tr), WithAutoAliases())
 
 	var applyErr error
 	sim.Go("pipeline", func() {

@@ -56,11 +56,10 @@ func forecastProbe(r *Rig) QueryFn {
 // failures must both carry the structured query errors.
 func gatewayProbe(r *Rig) QueryFn {
 	return func(series string) error {
-		reg, err := gateway.Discover(r.User, NSHost)
+		gc, err := gateway.Connect(r.User, NSHost)
 		if err != nil {
 			return err
 		}
-		gc := gateway.NewClient(r.User, reg.Host)
 		gc.Timeout = time.Minute // the gateway fans out with its own timeouts
 		res, err := gc.FetchMany([]proto.SeriesRequest{{Series: series, Count: 1}})
 		if err != nil {

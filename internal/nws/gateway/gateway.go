@@ -289,11 +289,6 @@ type Client struct {
 	failovers *telemetry.Counter // gateway/client_failovers
 }
 
-// NewClient returns a client for the single gateway on host.
-func NewClient(st proto.Port, host string) *Client {
-	return NewBalancedClient(st, []string{host})
-}
-
 // NewBalancedClient returns a client balancing across the given gateway
 // replicas. The pool order is the caller's; successive batches start
 // from successive replicas (round-robin) so concurrent clients spread.
@@ -392,29 +387,18 @@ func probe(st proto.Port, host string) bool {
 	return err == nil
 }
 
-// Discover finds a deployment's gateway through its name server. The
-// directory can hold stale entries for up to the registration TTL after
-// a planned gateway move (the old agent rebuilds without the role but
-// its entry lives on), so each candidate — in deterministic LookupKind
-// order, concurrent clients agree — is probed with an empty batch and
-// the first one actually serving the role wins.
+// DiscoverAll finds every live gateway replica of a deployment through
+// its name server. The directory can hold stale entries for up to the
+// registration TTL after a planned gateway move (the old agent rebuilds
+// without the role but its entry lives on), so each candidate of the
+// full kind="gateway" listing is probed with an empty batch and stale
+// entries are dropped. The surviving order is LookupKind's
+// deterministic order, so concurrent clients build identical pools.
 //
 // Failures are the query plane's structured errors: an unreachable
 // directory and an answerless candidate list both wrap
 // query.ErrBackendDown, so discovery fits the same errors.Is vocabulary
 // as every other resolution path.
-func Discover(st proto.Port, nsHost string) (proto.Registration, error) {
-	regs, err := DiscoverAll(st, nsHost)
-	if err != nil {
-		return proto.Registration{}, err
-	}
-	return regs[0], nil
-}
-
-// DiscoverAll finds every live gateway replica of a deployment: the
-// directory's full kind="gateway" listing, each candidate probed, stale
-// entries dropped. The surviving order is LookupKind's deterministic
-// order, so concurrent clients build identical pools.
 func DiscoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
 	regs, err := nameserver.NewClient(st, nsHost).LookupKind("gateway", "")
 	if err != nil {

@@ -150,15 +150,16 @@ func TestGatewayEndToEnd(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
 	r.run(t, func() {
-		reg, err := Discover(r.st, "ns")
+		regs, err := DiscoverAll(r.st, "ns")
 		if err != nil {
 			t.Errorf("discover: %v", err)
 			return
 		}
+		reg := regs[0]
 		if reg.Host != "gw" || reg.Name != "gateway.gw" {
 			t.Errorf("discovered %+v", reg)
 		}
-		gc := NewClient(r.st, reg.Host)
+		gc := NewBalancedClient(r.st, []string{reg.Host})
 		res, err := gc.FetchMany([]proto.SeriesRequest{
 			{Series: "x", Count: 1}, {Series: "y", Count: 0}, {Series: "ghost", Count: 1},
 		})
@@ -198,7 +199,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 }
 
 // TestDiscoverSkipsStaleRegistration: after a planned gateway move the
-// old host's directory entry lives until its TTL; Discover must probe
+// old host's directory entry lives until its TTL; DiscoverAll must probe
 // past it (the old host answers queries with "no role") and settle on
 // the candidate actually serving the role, even when the stale name
 // sorts first.
@@ -213,13 +214,13 @@ func TestDiscoverSkipsStaleRegistration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		reg, err := Discover(r.st, "ns")
+		regs, err := DiscoverAll(r.st, "ns")
 		if err != nil {
 			t.Errorf("discover: %v", err)
 			return
 		}
-		if reg.Host != "gw" {
-			t.Errorf("discovered %s, want the live gateway on gw", reg.Host)
+		if regs[0].Host != "gw" {
+			t.Errorf("discovered %s, want the live gateway on gw", regs[0].Host)
 		}
 	})
 }
@@ -230,7 +231,7 @@ func TestGatewayPipelinesConcurrentClients(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
 	r.run(t, func() {
-		gc := NewClient(r.st, "gw")
+		gc := NewBalancedClient(r.st, []string{"gw"})
 		done := r.st.Runtime().NewInbox("collect")
 		const users = 10
 		for i := 0; i < users; i++ {
@@ -257,7 +258,7 @@ func TestGatewayBackendDownSurfacesStructured(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
 	r.run(t, func() {
-		gc := NewClient(r.st, "gw")
+		gc := NewBalancedClient(r.st, []string{"gw"})
 		gc.Timeout = 30 * time.Second
 		gc.FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}, {Series: "y", Count: 1}})
 		r.tr.SetDown("m2", true)
@@ -285,7 +286,7 @@ func TestGatewayAdmissionSaturation(t *testing.T) {
 	r.seed(t)
 	r.run(t, func() {
 		r.digSeries(t, "slow")
-		gc := NewClient(r.st, "gw")
+		gc := NewBalancedClient(r.st, []string{"gw"})
 		gc.Timeout = 60 * time.Second
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 3; i++ {
@@ -341,7 +342,7 @@ func TestGatewayOverloadShedsTyped(t *testing.T) {
 	r.seed(t)
 	r.run(t, func() {
 		r.digSeries(t, "slow")
-		gc := NewClient(r.st, "gw")
+		gc := NewBalancedClient(r.st, []string{"gw"})
 		gc.Timeout = 60 * time.Second
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 2; i++ {
@@ -352,7 +353,7 @@ func TestGatewayOverloadShedsTyped(t *testing.T) {
 			r.pause(100 * time.Millisecond)
 		}
 		// One request holds the token, one waits — the line is full.
-		_, err := NewClient(r.st, "gw").FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}})
+		_, err := NewBalancedClient(r.st, []string{"gw"}).FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}})
 		if !errors.Is(err, query.ErrOverloaded) {
 			t.Errorf("want ErrOverloaded, got %v", err)
 		}
@@ -367,7 +368,7 @@ func TestGatewayOverloadShedsTyped(t *testing.T) {
 		}
 		done.Recv()
 		done.Recv()
-		if res, err := NewClient(r.st, "gw").FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}}); err != nil || res[0].Err != nil {
+		if res, err := NewBalancedClient(r.st, []string{"gw"}).FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}}); err != nil || res[0].Err != nil {
 			t.Errorf("post-storm fetch failed: %v %+v", err, res)
 		}
 	})
@@ -381,7 +382,7 @@ func TestBalancedClientRetriesOverloadedReplica(t *testing.T) {
 	r.seed(t)
 	r.run(t, func() {
 		r.digSeries(t, "slow")
-		hold := NewClient(r.st, "gw")
+		hold := NewBalancedClient(r.st, []string{"gw"})
 		hold.Timeout = 60 * time.Second
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 2; i++ {
@@ -457,7 +458,7 @@ func TestConnectDiscoversAllReplicas(t *testing.T) {
 		}
 		// Saturate the first gateway: token held + the waiter line full.
 		r.digSeries(t, "slow")
-		hold := NewClient(r.st, "gw")
+		hold := NewBalancedClient(r.st, []string{"gw"})
 		hold.Timeout = 60 * time.Second
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 2; i++ {
@@ -514,7 +515,7 @@ func TestClientForecastRehydratesDegraded(t *testing.T) {
 				})
 			}
 		})
-		res, err := NewClient(r.st, "hole").ForecastMany([]proto.SeriesRequest{{Series: "cpu"}})
+		res, err := NewBalancedClient(r.st, []string{"hole"}).ForecastMany([]proto.SeriesRequest{{Series: "cpu"}})
 		if err != nil {
 			t.Errorf("forecast many: %v", err)
 			return

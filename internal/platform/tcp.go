@@ -10,41 +10,19 @@ import (
 
 // TCPPlatform runs the pipeline over real loopback TCP sockets on the
 // wall clock: the RealRuntime for time and goroutines, codec-framed
-// messages between per-host listeners, and a pluggable prober (loopback
-// has no interesting bandwidth physics, so the default prober answers
-// canned values — swap in a real one for actual grid hosts). Mapping
-// reads from a StaticSubstrate describing the segment, so Map→Plan→Apply
-// drives a real-socket deployment end to end without a simulator in the
-// process.
+// messages between per-host listeners, and a prober answering canned
+// values (loopback has no interesting bandwidth physics: 100 Mbps,
+// 2 ms). Mapping reads from a StaticSubstrate describing the segment,
+// so Map→Plan→Apply drives a real-socket deployment end to end without
+// a simulator in the process.
 type TCPPlatform struct {
 	tr     *proto.TCPTransport
 	sub    *StaticSubstrate
 	prober sensor.Prober
 }
 
-// TCPOption configures a TCPPlatform.
-type TCPOption func(*TCPPlatform)
-
-// WithTCPProber replaces the canned-value prober (e.g. with one running
-// real transfers between the hosts).
-func WithTCPProber(pr sensor.Prober) TCPOption {
-	return func(p *TCPPlatform) { p.prober = pr }
-}
-
-// WithTCPBandwidth sets the nominal segment bandwidth in bits/s for both
-// the static mapping view and the default prober.
-func WithTCPBandwidth(bps float64) TCPOption {
-	return func(p *TCPPlatform) {
-		p.sub.BandwidthBps = bps
-		if sp, ok := p.prober.(staticProber); ok {
-			sp.bw = bps
-			p.prober = sp
-		}
-	}
-}
-
 // NewTCPPlatform builds a loopback platform for the given host IDs.
-func NewTCPPlatform(hosts []string, opts ...TCPOption) *TCPPlatform {
+func NewTCPPlatform(hosts []string) *TCPPlatform {
 	tr := proto.NewTCPTransport()
 	p := &TCPPlatform{
 		tr:     tr,
@@ -52,9 +30,6 @@ func NewTCPPlatform(hosts []string, opts ...TCPOption) *TCPPlatform {
 		prober: staticProber{bw: 100e6, lat: 2 * time.Millisecond},
 	}
 	p.sub.Clock = tr.Runtime().Now
-	for _, o := range opts {
-		o(p)
-	}
 	return p
 }
 

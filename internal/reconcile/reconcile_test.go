@@ -230,16 +230,15 @@ func TestReconcileGatewayRehomed(t *testing.T) {
 	e.sim.Go("user", func() {
 		defer func() { done = true }()
 		st := dep.Agents[dep.Plan.Master].Station()
-		reg, err := gateway.Discover(st, nsID)
+		gc, err := gateway.Connect(st, nsID)
 		if err != nil {
 			qerr = err
 			return
 		}
-		if reg.Host != gwID {
-			qerr = fmt.Errorf("discovered gateway on %s, want %s", reg.Host, gwID)
+		if gc.Host != gwID {
+			qerr = fmt.Errorf("discovered gateway on %s, want %s", gc.Host, gwID)
 			return
 		}
-		gc := gateway.NewClient(st, reg.Host)
 		samples, qerr = gc.Fetch(sensor.LatencySeries(src, dst), 1)
 	})
 	advance(t, e.sim, e.sim.Now()+2*time.Minute)

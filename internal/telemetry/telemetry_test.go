@@ -260,20 +260,28 @@ func TestRenderMetricsJSONLDeterministic(t *testing.T) {
 
 // TestSnapshotDuringTrafficRace is the snapshot-during-traffic hammer:
 // writers increment counters, set gauges, observe histograms, and
-// open/close spans while the main goroutine snapshots and renders.
-// Run with -race; it fails only on data races or torn reads.
+// open/close spans while the main goroutine snapshots and renders until
+// they finish. Run with -race; it fails only on data races or torn
+// reads. Each writer does a fixed number of operations: a histogram
+// keeps every observation, so unbounded writers make each snapshot's
+// sort grow without limit.
 func TestSnapshotDuringTrafficRace(t *testing.T) {
+	const workers, opsPerWorker = 4, 5000
 	r := New(func() time.Duration { return time.Microsecond })
-	stop := make(chan struct{})
+	// Writers pause halfway until the first snapshot is taken, so at
+	// least one snapshot lands mid-traffic however the scheduler runs.
+	halfway := make(chan struct{}, workers)
+	snapped := make(chan struct{})
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("load", "ops", nil)
 			g := r.Gauge("load", "depth", nil)
 			h := r.Histogram("load", "latency", nil)
-			for i := 0; ; i++ {
+			for i := 0; i < opsPerWorker; i++ {
 				c.Inc()
 				g.Set(float64(i % 100))
 				h.Observe(float64(i % 10))
@@ -282,15 +290,18 @@ func TestSnapshotDuringTrafficRace(t *testing.T) {
 				sp.End()
 				// New instruments mid-flight too.
 				r.Counter("load", "ops", map[string]string{"worker": string(rune('a' + w))}).Inc()
-				select {
-				case <-stop:
-					return
-				default:
+				if i == opsPerWorker/2 {
+					halfway <- struct{}{}
+					<-snapped
 				}
 			}
 		}(w)
 	}
-	for i := 0; i < 200; i++ {
+	go func() { wg.Wait(); close(done) }()
+	for w := 0; w < workers; w++ {
+		<-halfway
+	}
+	snapshot := func() {
 		snap := r.Snapshot()
 		if _, err := RenderMetricsJSONL(snap); err != nil {
 			t.Fatal(err)
@@ -300,11 +311,18 @@ func TestSnapshotDuringTrafficRace(t *testing.T) {
 		}
 		snap.Flatten()
 	}
-	close(stop)
-	wg.Wait()
-	final := r.Snapshot()
-	flat := final.Flatten()
-	if flat["load/ops"] == 0 {
-		t.Fatal("no traffic recorded")
+	snapshot()
+	close(snapped)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		snapshot()
+	}
+	flat := r.Snapshot().Flatten()
+	if got := flat["load/ops"]; got != workers*opsPerWorker {
+		t.Fatalf("load/ops = %g, want %d", got, workers*opsPerWorker)
 	}
 }

@@ -1,11 +1,13 @@
 // Reachability audit: nothing ships that only a test calls. Every
 // exported package-level func, type, const, var and method declared in a
 // non-test file under internal/ must be referenced from some non-test
-// file (product, cmd/, examples/, bench/) at a place other than its own
+// file (product, cmd/, bench/) at a place other than its own
 // declaration, or sit on reachAllow with the reason it stays. AST-only
 // (no type checking), so resolution is by name: a package-level symbol
 // is matched as a bare identifier inside its package and as pkg.Name
 // through each file's imports; a method is matched as any .Name selector.
+// TestMainsLiveUnderCmd keeps that caller set closed: no package main
+// outside cmd/ and bench/ exists to count as a caller.
 package nwsenv
 
 import (
@@ -41,16 +43,16 @@ var reachAllow = map[string]string{
 	"internal/nws/discoverytest.RunConformance":  "shared *test helper package: the discovery contract suite",
 
 	// Options kept because a caller outside the package sets a second value.
-	"internal/query.WithForecastTTL":     "root BenchmarkQueryForecastBatch disables the forecast cache",
-	"internal/platform.WithTCPBandwidth": "core's TCP pipeline test maps a 94 Mbps segment",
+	"internal/query.WithForecastTTL": "root BenchmarkQueryForecastBatch disables the forecast cache",
 
-	// Product API whose only callers today are tests in other packages.
+	// Product API whose only callers today are tests.
+	"internal/core.WithHostSensors":                "§2's CPU-monitoring half, enabled by TestCPUForecastEndToEnd",
 	"internal/env.NewMapper":                       "single-run mapper E1-E16 and deploy's tests drive; core goes through MapRuns",
 	"internal/metrics.Accuracy":                    "E13's scorer, shared by the root benchmark and metrics' unit tests",
 	"internal/deploy.Deployment.ForecastEstimator": "§5.1 composition over forecasts, pinned by failure_test; no CLI surface yet",
-	"internal/nws/gateway.Discover":                "client-side gateway discovery, pinned by gateway and nws integration tests",
 	"internal/nws/nameserver.Client.Unregister":    "client half of MsgUnregister, which the server handles",
 	"internal/nws/predict.Battery.Methods":         "names the battery's members for the differential test and fuzzer",
+	"internal/nws/predict.Battery.MethodError":     "E12's per-member MAE column and the predictor differential tests",
 	"internal/telemetry.Registry.RecordSpan":       "scenlab's lab test injects a finished span",
 	"internal/simnet.Network.CollisionCount":       "§2.3 collision total E6 and deploy's tests assert on",
 	"internal/simnet.Topology.Reachable":           "firewall reachability oracle of topo's generator tests",
@@ -71,8 +73,10 @@ type reachFile struct {
 	file *ast.File
 }
 
-func TestExportedSymbolsReachable(t *testing.T) {
-	fset := token.NewFileSet()
+// parseNonTest parses every non-test Go file of the repository,
+// bench/ included.
+func parseNonTest(t *testing.T, fset *token.FileSet) []reachFile {
+	t.Helper()
 	var files []reachFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -97,6 +101,12 @@ func TestExportedSymbolsReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+func TestExportedSymbolsReachable(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseNonTest(t, fset)
 
 	// Declarations under internal/.
 	var decls []reachDecl
@@ -211,6 +221,20 @@ func TestExportedSymbolsReachable(t *testing.T) {
 	sort.Strings(unreachable)
 	for _, key := range unreachable {
 		t.Errorf("%s is exported but referenced only from tests (or not at all): delete it, move it beside its test, or add it to reachAllow with a reason", key)
+	}
+}
+
+// TestMainsLiveUnderCmd: every package main outside the bench/ harness
+// is a command under cmd/. A demo belongs in an Example function with
+// an // Output: block, which tier-1 executes; a main nothing runs would
+// also count as a caller in the audit above.
+func TestMainsLiveUnderCmd(t *testing.T) {
+	for _, rf := range parseNonTest(t, token.NewFileSet()) {
+		if rf.file.Name.Name != "main" || strings.HasPrefix(rf.dir, "cmd/") ||
+			rf.dir == "bench" || strings.HasPrefix(rf.dir, "bench/") {
+			continue
+		}
+		t.Errorf("%s holds package main outside cmd/: make it a command or an Example test", rf.dir)
 	}
 }
 
