@@ -32,8 +32,7 @@ import (
 // maxConcurrentRequests bounds the requests a gateway serves at once:
 // admission control, so a traffic burst waits for a token (one parked
 // process per waiter) instead of fanning out unboundedly. Each admitted
-// request still fans out through the embedded client's own bounded
-// worker pool.
+// request scatters one batch per backend from its own process.
 const maxConcurrentRequests = 64
 
 // defaultShedThreshold bounds how many requests may wait for an
@@ -69,8 +68,8 @@ type Server struct {
 }
 
 // New creates a gateway on st, querying the deployment through the name
-// server on nsHost. Query-plane tuning (cache TTLs, worker bound) is
-// passed through to the embedded query.Client.
+// server on nsHost. Query-plane tuning (the forecast cache TTL,
+// telemetry) is passed through to the embedded query.Client.
 func New(st proto.Port, nsHost string, opts ...query.Option) *Server {
 	s := &Server{
 		st:    st,

@@ -77,8 +77,10 @@ type Agent struct {
 	roles  Roles
 	prober sensor.Prober
 
-	mu      sync.Mutex
-	inboxes map[string]proto.Inbox // routing key -> role inbox
+	mu sync.Mutex
+	// inboxes maps a routing key to its role's inbox. Start fills it
+	// before it installs the router, which reads it without mu.
+	inboxes map[string]proto.Inbox
 	members []*clique.Member
 	closed  bool
 
@@ -156,6 +158,9 @@ func (p *rolePort) Send(to string, m proto.Message) error {
 func (p *rolePort) Call(to string, m proto.Message, timeout time.Duration) (proto.Message, error) {
 	return p.a.st.Call(to, m, timeout)
 }
+func (p *rolePort) CallMany(reqs []proto.Request, timeout time.Duration, each func(int, proto.Message, error)) {
+	p.a.st.CallMany(reqs, timeout, each)
+}
 func (p *rolePort) Reply(req proto.Message, m proto.Message) error {
 	return p.a.st.Reply(req, m)
 }
@@ -176,7 +181,8 @@ func (a *Agent) port(key string) *rolePort {
 	return &rolePort{a: a, inbox: inbox}
 }
 
-// Start launches the dispatcher and every configured role.
+// Start launches every configured role, then routes the station's
+// application messages to them (those that arrived before Start first).
 func (a *Agent) Start() {
 	hostName := a.st.Host()
 	if a.roles.NameServer {
@@ -252,7 +258,7 @@ func (a *Agent) Start() {
 		}
 		a.rt.Go("hostsensor:"+hostName, hs.Run)
 	}
-	a.rt.Go("dispatch:"+hostName, a.dispatch)
+	a.st.Route(a.route)
 }
 
 // storeFn binds measurement storage to the configured memory server.
@@ -266,46 +272,41 @@ func (a *Agent) storeFn() clique.StoreFn {
 	}
 }
 
-// dispatch routes incoming application messages to role inboxes.
-func (a *Agent) dispatch() {
-	for {
-		msg, ok := a.st.Recv()
-		if !ok {
-			return
-		}
-		key := ""
-		switch msg.Type {
-		case proto.MsgRegister, proto.MsgRegisterBulk, proto.MsgUnregister, proto.MsgLookup:
-			key = keyNS
-		case proto.MsgStore, proto.MsgBatchFetch,
-			proto.MsgReplStore, proto.MsgReplWindow, proto.MsgReplSync, proto.MsgReplRepair:
-			key = keyMemory
-		case proto.MsgBatchForecast:
-			key = keyForecast
-		case proto.MsgQueryFetch, proto.MsgQueryForecast:
-			key = keyGateway
-		case proto.MsgToken, proto.MsgTokenAck, proto.MsgElection, proto.MsgElectionOK, proto.MsgCoordinator:
-			key = "clique:" + msg.Clique
-		case proto.MsgProbeCmd:
-			key = "pw:" + msg.Clique
-		case proto.MsgProbeDone:
-			key = "pwsched:" + msg.Clique
-		case proto.MsgPing:
-			a.st.Reply(msg, proto.Message{Type: proto.MsgPong})
-			continue
-		default:
-			a.st.ReplyError(msg, "host %s: no role for %v", a.st.Host(), msg.Type)
-			continue
-		}
-		a.mu.Lock()
-		inbox := a.inboxes[key]
-		a.mu.Unlock()
-		if inbox == nil {
-			a.st.ReplyError(msg, "host %s: role %s not deployed", a.st.Host(), key)
-			continue
-		}
-		inbox.Send(msg)
+// route is the station's application router: it hands each message to
+// the inbox of the role it addresses, on the delivering context. The
+// agent's own answers (pong, no such role) go out from a process of
+// their own, so the delivering context never sends.
+func (a *Agent) route(msg proto.Message) {
+	key := ""
+	switch msg.Type {
+	case proto.MsgRegister, proto.MsgRegisterBulk, proto.MsgUnregister, proto.MsgLookup:
+		key = keyNS
+	case proto.MsgStore, proto.MsgBatchFetch,
+		proto.MsgReplStore, proto.MsgReplWindow, proto.MsgReplSync, proto.MsgReplRepair:
+		key = keyMemory
+	case proto.MsgBatchForecast:
+		key = keyForecast
+	case proto.MsgQueryFetch, proto.MsgQueryForecast:
+		key = keyGateway
+	case proto.MsgToken, proto.MsgTokenAck, proto.MsgElection, proto.MsgElectionOK, proto.MsgCoordinator:
+		key = "clique:" + msg.Clique
+	case proto.MsgProbeCmd:
+		key = "pw:" + msg.Clique
+	case proto.MsgProbeDone:
+		key = "pwsched:" + msg.Clique
+	case proto.MsgPing:
+		a.rt.Go("pong:"+a.st.Host(), func() { a.st.Reply(msg, proto.Message{Type: proto.MsgPong}) })
+		return
+	default:
+		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(msg, "host %s: no role for %v", a.st.Host(), msg.Type) })
+		return
 	}
+	inbox := a.inboxes[key]
+	if inbox == nil {
+		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(msg, "host %s: role %s not deployed", a.st.Host(), key) })
+		return
+	}
+	inbox.Send(msg)
 }
 
 // Stop terminates all roles and detaches from the network.

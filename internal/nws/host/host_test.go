@@ -202,3 +202,87 @@ func TestUndeployedRoleRejected(t *testing.T) {
 		a.Stop()
 	}
 }
+
+// TestAgentCostsItsRolesProcesses: the agent routes its station's
+// traffic where it lands, so it costs exactly the processes its roles
+// run — one per role here — and answering a ping spawns none that
+// outlives the answer.
+func TestAgentCostsItsRolesProcesses(t *testing.T) {
+	topo := simnet.NewTopology()
+	topo.AddSwitch("sw")
+	for i, h := range []string{"h0", "h1"} {
+		topo.AddHost(h, fmt.Sprintf("10.0.0.%d", i+1), h+".lan", "lan")
+		topo.Connect(h, "sw")
+	}
+	sim := vclock.New()
+	tr := proto.NewSimTransport(simnet.NewNetwork(sim, topo))
+	a, err := NewAgent(tr, "h0", Roles{NameServer: true, Gateway: true, NSHost: "h0"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	if n := sim.Processes(); n != 2 {
+		t.Fatalf("agent with a name server and a gateway costs %d processes, want 2", n)
+	}
+	ep, err := tr.Open("h1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := proto.NewStation(tr.Runtime(), ep)
+	var pingErr error
+	sim.Go("ping", func() {
+		_, pingErr = client.Call("h0", proto.Message{Type: proto.MsgPing}, time.Second)
+	})
+	// The gateway's registration refresh loop is its role's own process.
+	if err := sim.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if pingErr != nil {
+		t.Fatal(pingErr)
+	}
+	if n := sim.Processes(); n != 3 {
+		t.Fatalf("after a ping the agent costs %d processes, want 3 (name server, gateway, its refresh loop)", n)
+	}
+	a.Stop()
+	client.Close()
+}
+
+// TestAgentServesRequestsQueuedBeforeStart: a request that lands before
+// Start waits on the station and reaches its role once Start installs
+// the router.
+func TestAgentServesRequestsQueuedBeforeStart(t *testing.T) {
+	topo := simnet.NewTopology()
+	topo.AddSwitch("sw")
+	for i, h := range []string{"h0", "h1"} {
+		topo.AddHost(h, fmt.Sprintf("10.0.0.%d", i+1), h+".lan", "lan")
+		topo.Connect(h, "sw")
+	}
+	sim := vclock.New()
+	tr := proto.NewSimTransport(simnet.NewNetwork(sim, topo))
+	a, err := NewAgent(tr, "h0", Roles{NameServer: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := tr.Open("h1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := proto.NewStation(tr.Runtime(), ep)
+	var found bool
+	var callErr error
+	sim.Go("lookup", func() {
+		_, found, callErr = nameserver.NewClient(client, "h0").LookupName("nothing")
+	})
+	if err := sim.RunUntil(100 * time.Millisecond); err != nil { // delivered, not served
+		t.Fatal(err)
+	}
+	a.Start()
+	if err := sim.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if callErr != nil || found {
+		t.Fatalf("lookup queued before Start: found=%v err=%v", found, callErr)
+	}
+	a.Stop()
+	client.Close()
+}

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// BenchmarkRealInboxLifecycle is what query.fanOut pays per FetchMany
-// and a Station pays per timed-out call: make a mailbox, pass one
-// message through it, drop it.
+// BenchmarkRealInboxLifecycle is what a Station pays per timed-out
+// call: make a mailbox, pass one message through it, drop it.
 func BenchmarkRealInboxLifecycle(b *testing.B) {
 	rt := NewRealRuntime()
 	m := Message{Type: MsgPing}
@@ -24,8 +23,8 @@ func BenchmarkRealInboxLifecycle(b *testing.B) {
 
 // BenchmarkRealInboxPingPong is the steady-state hand-off between two
 // goroutines through two long-lived mailboxes (one op = there and
-// back): the cost every message pays twice between the socket reader
-// and the caller, and the one number a mailbox change must not let grow.
+// back): the cost a message pays between the socket reader and the
+// caller, and the one number a mailbox change must not let grow.
 func BenchmarkRealInboxPingPong(b *testing.B) {
 	rt := NewRealRuntime()
 	ping, pong := rt.NewInbox("ping"), rt.NewInbox("pong")
@@ -52,8 +51,8 @@ func BenchmarkRealInboxPingPong(b *testing.B) {
 }
 
 // BenchmarkStationCallTCP is one ping round trip between two stations on
-// loopback TCP: encode, write, read, decode, endpoint inbox, pump, app
-// or call box — each way.
+// loopback TCP: encode, write, read, decode, then straight into the app
+// inbox or the call box — each way.
 func BenchmarkStationCallTCP(b *testing.B) {
 	sa, sb := tcpStationPair(b)
 	go pongServer(sb)

@@ -289,10 +289,11 @@ func TestTCPSendBoundedBySilentAcceptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
+	in := tap(tr.Runtime(), ep)
 	if err := srv.Send("mute", Message{Type: MsgPing, ID: 5}); err != nil {
 		t.Fatalf("Send after the peer was replaced: %v", err)
 	}
-	if got, ok := ep.Inbox().RecvTimeout(5 * time.Second); !ok || got.Type != MsgPing {
+	if got, ok := in.RecvTimeout(5 * time.Second); !ok || got.Type != MsgPing {
 		t.Fatalf("replacement peer got %+v ok=%v", got, ok)
 	}
 }
@@ -307,6 +308,7 @@ func FuzzTCPServeConn(f *testing.F) {
 	f.Add([]byte(wireHello + string(frame)))                // a proper peer
 	f.Add([]byte(wireHello + string(frame[:len(frame)/2]))) // truncated frame
 	f.Add([]byte(wireHello + "\xff\xff\xff\xff"))           // header over MaxFrameSize
+	f.Add([]byte(wireHello + hostileHeader))                // header just under it, no payload
 	f.Add([]byte("NWS\x01\x02"))                            // wrong version
 	f.Add([]byte("\x3f\xff\x81\x03\x01\x01\x07Message"))    // raw gob from byte zero
 	f.Add([]byte{})
@@ -317,6 +319,7 @@ func FuzzTCPServeConn(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { ep.Close() })
+	in := tap(tr.Runtime(), ep)
 	e := ep.(*tcpEndpoint)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -336,7 +339,7 @@ func FuzzTCPServeConn(f *testing.F) {
 			t.Fatal("serveConn still running after the peer hung up")
 		}
 		for { // whatever decoded was delivered; drain it for the next input
-			if _, ok := e.inbox.TryRecv(); !ok {
+			if _, ok := in.TryRecv(); !ok {
 				break
 			}
 		}

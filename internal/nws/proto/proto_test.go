@@ -20,6 +20,14 @@ func pair(t *testing.T) (*vclock.Sim, *SimTransport) {
 	return sim, NewSimTransport(simnet.NewNetwork(sim, topo))
 }
 
+// tap registers an inbox as ep's handler, for tests that read a bare
+// endpoint's arrivals.
+func tap(rt Runtime, ep Endpoint) Inbox {
+	in := rt.NewInbox("tap:" + ep.Host())
+	ep.Handle(in.Send)
+	return in
+}
+
 func TestSimCallRoundTrip(t *testing.T) {
 	sim, tr := pair(t)
 	epA, err := tr.Open("a")
@@ -351,8 +359,8 @@ func TestSimTransportBlockedPairs(t *testing.T) {
 // application inbox must still get the replies to its own calls. The
 // peer floods it with one-way messages and then answers its ping on the
 // same connection, so the reply sits behind the whole backlog; a bounded
-// mailbox wedges the pump (and the socket reader behind it) before the
-// reply is routed.
+// application mailbox wedges the socket reader before the reply is
+// routed.
 func TestTCPCallSurvivesUnservedBacklog(t *testing.T) {
 	const backlog = 3000
 	sa, sb := tcpStationPair(t)

@@ -21,6 +21,9 @@ type SimTransport struct {
 	down    map[string]bool
 	blocked map[string]bool // "a|b" unordered pair -> messages dropped
 	stats   wireStats
+	// free recycles delivery records; bounded by the peak number of
+	// messages in flight.
+	free []*delivery
 }
 
 // NewSimTransport builds a transport over net.
@@ -60,7 +63,7 @@ func (t *SimTransport) Open(host string) (Endpoint, error) {
 	if _, busy := t.eps[host]; busy {
 		return nil, fmt.Errorf("proto: endpoint %q already open", host)
 	}
-	ep := &simEndpoint{t: t, host: host, inbox: t.rt.NewInbox("ep:" + host)}
+	ep := &simEndpoint{t: t, host: host}
 	t.eps[host] = ep
 	return ep, nil
 }
@@ -106,13 +109,20 @@ func (t *SimTransport) isBlocked(a, b string) bool {
 }
 
 type simEndpoint struct {
-	t     *SimTransport
-	host  string
-	inbox Inbox
+	t    *SimTransport
+	host string
+	// handler receives every message delivered here; nil (before
+	// Handle, after Close) drops them.
+	handler func(Message)
 }
 
 func (e *simEndpoint) Host() string { return e.host }
-func (e *simEndpoint) Inbox() Inbox { return e.inbox }
+
+func (e *simEndpoint) Handle(h func(Message)) {
+	e.t.mu.Lock()
+	e.handler = h
+	e.t.mu.Unlock()
+}
 
 func (e *simEndpoint) Send(to string, m Message) error {
 	t := e.t
@@ -134,8 +144,13 @@ func (e *simEndpoint) Send(to string, m Message) error {
 	}
 	if to == e.host {
 		// Local delivery: no network charge and nothing counted, as on
-		// TCP, where a self-send goes straight to the inbox.
-		e.inbox.Send(m)
+		// TCP, where a self-send goes straight to the handler.
+		t.mu.Lock()
+		h := e.handler
+		t.mu.Unlock()
+		if h != nil {
+			h(m)
+		}
 		return nil
 	}
 	// Messages to dead hosts vanish (like packets to a crashed machine):
@@ -145,24 +160,75 @@ func (e *simEndpoint) Send(to string, m Message) error {
 	}
 	size := m.WireSize()
 	stats.encoded(size)
-	return t.net.Deliver(e.host, to, size, func() {
+	t.mu.Lock()
+	d := t.newDeliveryLocked()
+	t.mu.Unlock()
+	d.to, d.m, d.size, d.stats = to, m, size, stats
+	if err := t.net.Deliver(e.host, to, size, d.arrive); err != nil {
 		t.mu.Lock()
-		dst := t.eps[to]
-		deadNow := t.down[to]
+		t.recycleLocked(d)
 		t.mu.Unlock()
-		if dst == nil || deadNow || t.net.HostDown(to) {
-			return
-		}
-		stats.received(size)
-		dst.inbox.Send(m)
-	})
+		return err
+	}
+	return nil
+}
+
+// delivery is one message in flight. Records are pooled per transport
+// and each builds its arrival callback once, so steady-state traffic
+// allocates neither a callback nor a heap copy of the message.
+type delivery struct {
+	t      *SimTransport
+	to     string
+	m      Message
+	size   int64
+	stats  wireStats
+	arrive func()
+}
+
+func (t *SimTransport) newDeliveryLocked() *delivery {
+	if n := len(t.free); n > 0 {
+		d := t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
+		return d
+	}
+	d := &delivery{t: t}
+	d.arrive = d.land
+	return d
+}
+
+// recycleLocked clears d's references and returns it to the pool.
+func (t *SimTransport) recycleLocked(d *delivery) {
+	*d = delivery{t: t, arrive: d.arrive}
+	t.free = append(t.free, d)
+}
+
+// land hands the message to its destination's handler — unless the
+// destination closed or went down while it was in flight — and
+// recycles the record.
+func (d *delivery) land() {
+	t := d.t
+	to, m, size, stats := d.to, d.m, d.size, d.stats
+	t.mu.Lock()
+	var h func(Message)
+	if dst := t.eps[to]; dst != nil {
+		h = dst.handler
+	}
+	deadNow := t.down[to]
+	t.recycleLocked(d)
+	t.mu.Unlock()
+	if h == nil || deadNow || t.net.HostDown(to) {
+		return
+	}
+	stats.received(size)
+	h(m)
 }
 
 func (e *simEndpoint) Close() error {
 	t := e.t
 	t.mu.Lock()
 	delete(t.eps, e.host)
+	e.handler = nil
 	t.mu.Unlock()
-	e.inbox.Close()
 	return nil
 }

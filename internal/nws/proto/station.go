@@ -27,16 +27,22 @@ type Endpoint interface {
 	// Send delivers m to the endpoint of the named host (asynchronous,
 	// at-most-once; delivery fails silently if the peer is down).
 	Send(to string, m Message) error
-	// Inbox receives every message addressed to this host.
-	Inbox() Inbox
+	// Handle registers h, the function every message addressed to this
+	// host is handed to. NewStation calls it once, before the endpoint
+	// receives anything. h runs on the delivering context — a simulation
+	// event, a TCP reader goroutine, the sender of a self-send — so it
+	// only enqueues: it never parks, calls or writes a socket.
+	Handle(h func(Message))
 	// Close detaches the endpoint.
 	Close() error
 }
 
 // Station layers request/reply correlation on an Endpoint. Application
-// messages (requests and one-way messages) arrive through Recv; replies
-// to outstanding Call invocations are routed to the caller. A Station is
-// the communication object every NWS server is built on.
+// messages (requests and one-way messages) arrive through Recv, or
+// through the router Route installs; replies to outstanding calls go
+// straight to their caller's call box. Every message is routed where it
+// lands, in one hand-off. A Station is the communication object every
+// NWS server is built on.
 type Station struct {
 	rt Runtime
 	ep Endpoint
@@ -45,16 +51,21 @@ type Station struct {
 	nextID  int64
 	pending map[int64]Inbox
 	app     Inbox
-	closed  bool
+	// route, once Route sets it, receives the application messages
+	// instead of app.
+	route  func(Message)
+	closed bool
 	// boxes recycles drained call inboxes. Only the success path
-	// recycles: a reply is delivered after the pump removes the pending
-	// entry, so a consumed box can never receive a late duplicate. A
-	// timed-out call's box is closed instead — a straggler reply must
-	// land in a closed box and be dropped, not leak into the next call.
+	// recycles: every reply removes its pending entry before it is
+	// handed over, so a box that received one reply per request can
+	// never receive a late duplicate. A timed-out call's box is closed
+	// instead — a straggler reply must land in a closed box and be
+	// dropped, not leak into the next call.
 	boxes []Inbox
 }
 
-// NewStation wraps ep and starts the demultiplexing pump.
+// NewStation wraps ep and registers the station as the endpoint's
+// message handler.
 func NewStation(rt Runtime, ep Endpoint) *Station {
 	s := &Station{
 		rt:      rt,
@@ -62,7 +73,7 @@ func NewStation(rt Runtime, ep Endpoint) *Station {
 		pending: map[int64]Inbox{},
 		app:     rt.NewInbox("app:" + ep.Host()),
 	}
-	rt.Go("station:"+ep.Host(), s.pump)
+	ep.Handle(s.deliver)
 	return s
 }
 
@@ -72,26 +83,48 @@ func (s *Station) Host() string { return s.ep.Host() }
 // Runtime returns the station's runtime.
 func (s *Station) Runtime() Runtime { return s.rt }
 
-func (s *Station) pump() {
+// deliver is the endpoint's handler: a reply goes to the call box of the
+// call it answers (a late reply, whose call has given up, is dropped),
+// anything else to the application router.
+func (s *Station) deliver(m Message) {
+	s.mu.Lock()
+	if m.ReplyTo != 0 {
+		box := s.pending[m.ReplyTo]
+		delete(s.pending, m.ReplyTo)
+		s.mu.Unlock()
+		if box != nil {
+			box.Send(m)
+		}
+		return
+	}
+	route := s.route
+	if route == nil {
+		// Queued under the lock, so Route cannot miss it.
+		s.app.Send(m)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	route(m)
+}
+
+// Route hands every later application message to fn, on the delivering
+// context, instead of queueing it for Recv; the messages already queued
+// go to fn first, in order. fn has the endpoint handler's obligations:
+// it only enqueues. A host agent routes its roles' traffic this way.
+func (s *Station) Route(fn func(Message)) {
 	for {
-		m, ok := s.ep.Inbox().Recv()
+		// Arrivals keep queueing behind the backlog until it is empty
+		// under the lock, so none overtakes it.
+		s.mu.Lock()
+		m, ok := s.app.TryRecv()
 		if !ok {
-			s.app.Close()
+			s.route = fn
+			s.mu.Unlock()
 			return
 		}
-		if m.ReplyTo != 0 {
-			s.mu.Lock()
-			box := s.pending[m.ReplyTo]
-			delete(s.pending, m.ReplyTo)
-			s.mu.Unlock()
-			if box != nil {
-				box.Send(m)
-				continue
-			}
-			// Late reply after timeout: drop.
-			continue
-		}
-		s.app.Send(m)
+		s.mu.Unlock()
+		fn(m)
 	}
 }
 
@@ -111,58 +144,115 @@ func (s *Station) Send(to string, m Message) error {
 	return s.ep.Send(to, m)
 }
 
+// Request is one call of a scatter: a message and the host it goes to.
+type Request struct {
+	To  string
+	Msg Message
+}
+
 // Call sends a request and blocks the calling process until the matching
 // reply arrives or the timeout expires.
-func (s *Station) Call(to string, m Message, timeout time.Duration) (Message, error) {
-	m.From = s.ep.Host()
+func (s *Station) Call(to string, m Message, timeout time.Duration) (reply Message, err error) {
+	s.CallMany([]Request{{To: to, Msg: m}}, timeout, func(_ int, r Message, e error) { reply, err = r, e })
+	return reply, err
+}
+
+// CallMany sends every request, then blocks the calling process until
+// each has its reply or the one shared timeout expires. each(i, reply,
+// err) runs on the calling process exactly once per request: as its
+// reply arrives (in arrival order), when its Send fails, or at the
+// deadline. reply and err follow Call: a served error reply comes with
+// a non-nil err, a timeout or teardown with a zero reply.
+func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i int, reply Message, err error)) {
+	n := len(reqs)
+	host := s.ep.Host()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return Message{}, fmt.Errorf("%w: %s", ErrClosed, s.ep.Host())
+		for i := range reqs {
+			each(i, Message{}, fmt.Errorf("%w: %s", ErrClosed, host))
+		}
+		return
 	}
-	s.nextID++
-	m.ID = s.nextID
+	// The requests take consecutive IDs and share one call box: a reply's
+	// ReplyTo names its request's index.
+	base := s.nextID + 1
+	s.nextID += int64(n)
 	var box Inbox
-	if n := len(s.boxes); n > 0 {
-		box = s.boxes[n-1]
-		s.boxes[n-1] = nil
-		s.boxes = s.boxes[:n-1]
+	if k := len(s.boxes); k > 0 {
+		box = s.boxes[k-1]
+		s.boxes[k-1] = nil
+		s.boxes = s.boxes[:k-1]
 	} else {
-		box = s.rt.NewInbox("call:" + s.ep.Host())
+		box = s.rt.NewInbox("call:" + host)
 	}
-	s.pending[m.ID] = box
+	for i := range reqs {
+		s.pending[base+int64(i)] = box
+	}
 	s.mu.Unlock()
-	if err := s.ep.Send(to, m); err != nil {
-		s.mu.Lock()
-		delete(s.pending, m.ID)
-		s.boxes = append(s.boxes, box)
-		s.mu.Unlock()
-		return Message{}, err
+
+	var small [8]bool
+	done := small[:0]
+	if n <= len(small) {
+		done = small[:n]
+	} else {
+		done = make([]bool, n)
 	}
-	reply, ok := box.RecvTimeout(timeout)
-	if !ok {
-		s.mu.Lock()
-		closed := s.closed
-		delete(s.pending, m.ID)
+	waiting := n
+	for i := range reqs {
+		m := reqs[i].Msg
+		m.From, m.ID = host, base+int64(i)
+		if err := s.ep.Send(reqs[i].To, m); err != nil {
+			s.mu.Lock()
+			delete(s.pending, m.ID)
+			s.mu.Unlock()
+			done[i] = true
+			waiting--
+			each(i, Message{}, err)
+		}
+	}
+	deadline := s.rt.Now() + timeout
+	for waiting > 0 {
+		reply, ok := box.RecvTimeout(deadline - s.rt.Now())
+		if !ok {
+			break
+		}
+		i := int(reply.ReplyTo - base)
+		done[i] = true
+		waiting--
+		if reply.Error != "" {
+			each(i, reply, fmt.Errorf("proto: %s replied: %s", reqs[i].To, reply.Error))
+		} else {
+			each(i, reply, nil)
+		}
+	}
+	s.mu.Lock()
+	closed := s.closed
+	if waiting == 0 {
+		if !closed {
+			s.boxes = append(s.boxes, box)
+		}
 		s.mu.Unlock()
-		box.Close()
+		return
+	}
+	for i := range reqs {
+		delete(s.pending, base+int64(i))
+	}
+	s.mu.Unlock()
+	box.Close()
+	for i, r := range reqs {
+		if done[i] {
+			continue
+		}
 		// Distinguish teardown from a genuine timeout: Close releases
 		// pending boxes, and callers (retry loops like KeepRegistered)
 		// must see ErrClosed, not a fabricated timeout.
 		if closed {
-			return Message{}, fmt.Errorf("%w: %s", ErrClosed, s.ep.Host())
+			each(i, Message{}, fmt.Errorf("%w: %s", ErrClosed, host))
+		} else {
+			each(i, Message{}, fmt.Errorf("proto: %s: call %v to %s timed out after %v", host, r.Msg.Type, r.To, timeout))
 		}
-		return Message{}, fmt.Errorf("proto: %s: call %v to %s timed out after %v", s.ep.Host(), m.Type, to, timeout)
 	}
-	s.mu.Lock()
-	if !s.closed {
-		s.boxes = append(s.boxes, box)
-	}
-	s.mu.Unlock()
-	if reply.Error != "" {
-		return reply, fmt.Errorf("proto: %s replied: %s", to, reply.Error)
-	}
-	return reply, nil
 }
 
 // Reply answers request req with m.
@@ -185,7 +275,8 @@ func (s *Station) RecvTimeout(d time.Duration) (Message, bool) {
 	return s.app.RecvTimeout(d)
 }
 
-// Close detaches the endpoint and releases all waiters.
+// Close detaches the endpoint and releases all waiters: callers, and
+// the receivers of Recv once the queued messages are taken.
 func (s *Station) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -198,7 +289,9 @@ func (s *Station) Close() error {
 	}
 	s.boxes = nil
 	s.mu.Unlock()
-	return s.ep.Close()
+	err := s.ep.Close()
+	s.app.Close()
+	return err
 }
 
 // Port is the communication surface an NWS role (name server, memory
@@ -210,6 +303,9 @@ type Port interface {
 	Runtime() Runtime
 	Send(to string, m Message) error
 	Call(to string, m Message, timeout time.Duration) (Message, error)
+	// CallMany scatters requests and gathers their replies under one
+	// deadline; see Station.CallMany.
+	CallMany(reqs []Request, timeout time.Duration, each func(i int, reply Message, err error))
 	Reply(req Message, m Message) error
 	ReplyError(req Message, format string, args ...interface{}) error
 	Recv() (Message, bool)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,7 +70,9 @@ func (t *TCPTransport) statsRef() wireStats {
 // Runtime implements Transport.
 func (t *TCPTransport) Runtime() Runtime { return t.rt }
 
-// Open implements Transport: it binds a loopback listener for host.
+// Open implements Transport: it binds a loopback listener for host. The
+// endpoint accepts connections once a handler is registered (Handle);
+// a peer dialing before then waits in the listen backlog.
 func (t *TCPTransport) Open(host string) (Endpoint, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -84,13 +87,11 @@ func (t *TCPTransport) Open(host string) (Endpoint, error) {
 		t:        t,
 		host:     host,
 		ln:       ln,
-		inbox:    t.rt.NewInbox("tcp:" + host),
 		conns:    map[string]*outConn{},
 		accepted: map[net.Conn]struct{}{},
 	}
 	t.addrs[host] = ln.Addr().String()
 	t.eps[host] = ep
-	go ep.acceptLoop()
 	return ep, nil
 }
 
@@ -111,6 +112,16 @@ func (t *TCPTransport) Active(host string) bool {
 	return ok
 }
 
+// frameRetain is the largest frame buffer (in bytes) a connection keeps
+// for its next frame; a larger one is given back to the collector once
+// its frame is decoded or written. It holds the ≈72 KB replies of a
+// 20-series batch over 256-sample windows.
+const frameRetain = 128 << 10
+
+// frameGrowStep is the least a frame buffer grows by while its payload
+// arrives.
+const frameGrowStep = 4 << 10
+
 type outConn struct {
 	mu   sync.Mutex
 	conn net.Conn // nil until dialed, and again after a failed write
@@ -122,7 +133,9 @@ type tcpEndpoint struct {
 	host string
 	ln   net.Listener
 
-	inbox Inbox
+	// handler receives every message arriving here. Set once, by
+	// Handle, before the accept loop starts.
+	handler func(Message)
 
 	mu       sync.Mutex
 	conns    map[string]*outConn
@@ -131,7 +144,13 @@ type tcpEndpoint struct {
 }
 
 func (e *tcpEndpoint) Host() string { return e.host }
-func (e *tcpEndpoint) Inbox() Inbox { return e.inbox }
+
+// Handle registers the message handler and starts accepting
+// connections; it must be called once.
+func (e *tcpEndpoint) Handle(h func(Message)) {
+	e.handler = h
+	go e.acceptLoop()
+}
 
 func (e *tcpEndpoint) acceptLoop() {
 	for {
@@ -151,9 +170,10 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// serveConn answers the dialer's hello and then pumps frames into the
-// inbox until the connection fails. The handshake runs under a deadline;
-// the frame loop does not (an idle peer is a healthy peer).
+// serveConn answers the dialer's hello and then hands each frame's
+// message to the handler until the connection fails. The handshake runs
+// under a deadline; the frame loop does not (an idle peer is a healthy
+// peer).
 func (e *tcpEndpoint) serveConn(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -174,10 +194,11 @@ func (e *tcpEndpoint) serveConn(c net.Conn) {
 	e.readFrames(br)
 }
 
-// readFrames pumps frames: a 4-byte little-endian payload length, then
-// the codec payload. The payload buffer is reused across frames; Decode
-// copies strings and gives samples fresh backing, so nothing in a
-// delivered Message aliases it.
+// readFrames reads frames — a 4-byte little-endian payload length, then
+// the codec payload — and hands each decoded message to the handler.
+// The payload buffer is reused across frames; Decode copies strings and
+// gives samples fresh backing, so nothing in a delivered Message
+// aliases it.
 func (e *tcpEndpoint) readFrames(r io.Reader) {
 	stats := e.t.statsRef()
 	var hdr [frameHeaderSize]byte
@@ -190,25 +211,42 @@ func (e *tcpEndpoint) readFrames(r io.Reader) {
 		if int64(n) > MaxFrameSize {
 			return
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
+		var err error
+		if buf, err = readPayload(r, buf[:0], int(n)); err != nil {
 			return
 		}
 		var m Message
 		if err := Decode(buf, &m); err != nil {
 			return
 		}
+		if cap(buf) > frameRetain {
+			buf = nil
+		}
 		stats.received(int64(n) + frameHeaderSize)
-		e.inbox.Send(m)
+		e.handler(m)
 	}
+}
+
+// readPayload reads n bytes onto buf, growing it with the bytes that
+// actually arrive: a length prefix alone never allocates what it
+// claims.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), frameGrowStep)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 func (e *tcpEndpoint) Send(to string, m Message) error {
 	if to == e.host {
-		e.inbox.Send(m)
+		e.handler(m)
 		return nil
 	}
 	e.t.mu.Lock()
@@ -241,6 +279,9 @@ func (e *tcpEndpoint) Send(to string, m Message) error {
 	b := append(oc.buf[:0], 0, 0, 0, 0)
 	b = AppendEncode(b, &m)
 	oc.buf = b
+	if cap(b) > frameRetain {
+		oc.buf = nil
+	}
 	payload := len(b) - frameHeaderSize
 	if int64(payload) > MaxFrameSize {
 		return fmt.Errorf("proto: %w (%d bytes)", ErrFrameTooLarge, payload)
@@ -311,6 +352,5 @@ func (e *tcpEndpoint) Close() error {
 		}
 		oc.mu.Unlock()
 	}
-	e.inbox.Close()
 	return err
 }

@@ -71,16 +71,18 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 	tcpTr := NewTCPTransport()
 	tcpTr.SetTelemetry(tcpReg)
 
-	open := func(tr Transport, host string) Endpoint {
+	open := func(tr Transport, host string) (Endpoint, Inbox) {
 		ep, err := tr.Open(host)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ep.Close() })
-		return ep
+		return ep, tap(tr.Runtime(), ep)
 	}
-	simA, simB := open(simTr, "a"), open(simTr, "b")
-	tcpA, tcpB := open(tcpTr, "a"), open(tcpTr, "b")
+	simA, simAIn := open(simTr, "a")
+	_, simBIn := open(simTr, "b")
+	tcpA, tcpAIn := open(tcpTr, "a")
+	_, tcpBIn := open(tcpTr, "b")
 	counters := func(reg *telemetry.Registry) (out, in int64) {
 		flat := reg.Snapshot().Flatten()
 		return int64(flat["proto/bytes_out"]), int64(flat["proto/bytes_in"])
@@ -98,7 +100,7 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := simB.Inbox().TryRecv(); !ok {
+		if _, ok := simBIn.TryRecv(); !ok {
 			t.Fatalf("shape %d: sim did not deliver", i)
 		}
 		out1, in1 := counters(simReg)
@@ -110,7 +112,7 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 		if err := tcpA.Send("b", m); err != nil {
 			t.Fatalf("shape %d: tcp send: %v", i, err)
 		}
-		if _, ok := tcpB.Inbox().RecvTimeout(5 * time.Second); !ok {
+		if _, ok := tcpBIn.RecvTimeout(5 * time.Second); !ok {
 			t.Fatalf("shape %d: tcp did not deliver", i)
 		}
 		out1, in1 = counters(tcpReg)
@@ -123,13 +125,14 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 	for _, plane := range []struct {
 		name string
 		ep   Endpoint
+		in   Inbox
 		reg  *telemetry.Registry
-	}{{"sim", simA, simReg}, {"tcp", tcpA, tcpReg}} {
+	}{{"sim", simA, simAIn, simReg}, {"tcp", tcpA, tcpAIn, tcpReg}} {
 		before := plane.reg.Snapshot().Flatten()
 		if err := plane.ep.Send("a", Message{Type: MsgPing}); err != nil {
 			t.Fatalf("%s self-send: %v", plane.name, err)
 		}
-		if _, ok := plane.ep.Inbox().TryRecv(); !ok {
+		if _, ok := plane.in.TryRecv(); !ok {
 			t.Errorf("%s self-send not delivered", plane.name)
 		}
 		after := plane.reg.Snapshot().Flatten()

@@ -4,10 +4,10 @@
 // each did a fresh directory lookup and one blocking round-trip per
 // series, a query.Client keeps a TTL'd discovery cache, deduplicates
 // concurrent lookups (singleflight), batches multi-series queries into
-// one round-trip per backend, fans out across backends on a bounded
-// worker pool, caches forecasts per series, and reports failures as
-// structured errors (ErrSeriesUnknown, ErrBackendDown) instead of
-// stringly proto errors.
+// one round-trip per backend, scatters those round-trips from the
+// calling process and gathers them under one deadline, caches forecasts
+// per series, and reports failures as structured errors
+// (ErrSeriesUnknown, ErrBackendDown) instead of stringly proto errors.
 //
 // The facade runs identically on the simulated and the TCP platform:
 // all concurrency goes through the proto.Runtime (virtual-clock-safe
@@ -93,7 +93,6 @@ const (
 	DefaultTTL         = time.Minute      // discovery cache lifetime
 	DefaultForecastTTL = 10 * time.Second // per-series forecast cache
 	DefaultTimeout     = 10 * time.Second // per-call timeout
-	DefaultWorkers     = 8                // concurrent backend fan-out
 
 	// bulkThreshold is the number of unresolved series above which a
 	// batch resolves with one bulk directory listing instead of
@@ -181,9 +180,6 @@ type Client struct {
 
 	ttl         time.Duration
 	forecastTTL time.Duration
-	workers     int
-	// Runtime names of the fan-out inbox and its workers, built once.
-	fanoutName, workerName string
 
 	mu          sync.Mutex
 	series      map[string]regEntry // series -> owning memory registration
@@ -217,9 +213,6 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 		ns:          nameserver.NewClient(port, nsHost),
 		ttl:         DefaultTTL,
 		forecastTTL: DefaultForecastTTL,
-		workers:     DefaultWorkers,
-		fanoutName:  "query:fanout:" + port.Host(),
-		workerName:  "query:worker:" + port.Host(),
 		series:      map[string]regEntry{},
 		flights:     map[string]*flight{},
 		forecasts:   map[string]fcEntry{},
@@ -243,46 +236,30 @@ func (c *Client) SetTelemetry(r *telemetry.Registry) {
 	c.tFailovers = r.Counter("replica", "failovers_total", nil)
 }
 
-// fanOut runs fn(i) for every i in [0, n) on at most workers concurrent
-// runtime processes and returns when all are done. Coordination uses a
-// runtime inbox, so on the simulated platform the virtual clock keeps
-// advancing while the caller waits.
-func (c *Client) fanOut(n int, fn func(int)) {
-	if n <= 0 {
-		return
+// scatter issues one batched request per host, all from the calling
+// process under one shared deadline, and hands each host's outcome to
+// done as it lands. With telemetry it traces one "backend" child span
+// per host, opened at the scatter and ended at that host's reply.
+func (c *Client) scatter(root *telemetry.ActiveSpan, typ proto.MsgType, hosts []string, batches [][]proto.SeriesRequest, done func(w int, reply proto.Message, err error)) {
+	reqs := make([]proto.Request, len(hosts))
+	var spans []*telemetry.ActiveSpan
+	if root != nil {
+		spans = make([]*telemetry.ActiveSpan, len(hosts))
 	}
-	k := c.workers
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	for w, host := range hosts {
+		reqs[w] = proto.Request{To: host, Msg: proto.Message{Type: typ, Version: proto.V3, Queries: batches[w]}}
+		if root != nil {
+			spans[w] = root.Child("backend", telemetry.Attr{Key: "host", Value: host},
+				telemetry.Attr{Key: "series", Value: fmt.Sprint(len(batches[w]))})
 		}
-		return
 	}
-	done := c.rt.NewInbox(c.fanoutName)
-	var mu sync.Mutex
-	next := 0
-	for w := 0; w < k; w++ {
-		c.rt.Go(c.workerName, func() {
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					break
-				}
-				fn(i)
-			}
-			done.Send(proto.Message{})
-		})
-	}
-	for w := 0; w < k; w++ {
-		done.Recv()
-	}
-	done.Close()
+	c.tBatchCalls.Add(int64(len(hosts)))
+	c.port.CallMany(reqs, DefaultTimeout, func(w int, reply proto.Message, err error) {
+		if spans != nil {
+			spans[w].End()
+		}
+		done(w, reply, err)
+	})
 }
 
 // await joins an in-progress flight for key, or registers a new one and
@@ -410,9 +387,9 @@ func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
 }
 
 // FetchMany answers every requested series, batching into one
-// round-trip per owning memory server and fanning out across backends
-// on the bounded worker pool. Results keep the request order; failures
-// are per-series (a dead backend fails only its series).
+// round-trip per owning memory server, all of them in flight at once.
+// Results keep the request order; failures are per-series (a dead
+// backend fails only its series).
 func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	var root *telemetry.ActiveSpan
 	if c.tele != nil {
@@ -428,8 +405,8 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	// Resolve owners and group the fetches per backend. The warm path is
 	// one pass under one lock: every series fresh in the discovery cache
 	// binds to its host without touching the singleflight machinery. The
-	// replica set each owner advertised rides along, captured here so the
-	// fan-out workers can fail over without another cache pass.
+	// replica set each owner advertised rides along, captured here so a
+	// failed backend can fail over without another cache pass.
 	byHost := make(map[string][]int, 8)
 	replicasOf := make(map[string][]string, 8)
 	var unresolvedIdx []int
@@ -497,8 +474,7 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	}
 	sort.Strings(hosts)
 
-	// Per-host request batches carved from one backing array, built
-	// before the fan-out so workers only do wire round-trips.
+	// Per-host request batches carved from one backing array.
 	backing := make([]proto.SeriesRequest, 0, total)
 	batches := make([][]proto.SeriesRequest, len(hosts))
 	for w, host := range hosts {
@@ -510,65 +486,67 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 		batches[w] = backing[start:len(backing):len(backing)]
 	}
 
-	// One batched round-trip per backend, concurrently.
-	c.fanOut(len(hosts), func(w int) {
-		host := hosts[w]
-		idxs := byHost[host]
-		batch := batches[w]
-		c.tBatchCalls.Inc()
-		var bsp *telemetry.ActiveSpan
-		if root != nil {
-			bsp = root.Child("backend", telemetry.Attr{Key: "host", Value: host},
-				telemetry.Attr{Key: "series", Value: fmt.Sprint(len(batch))})
-		}
-		reply, err := c.port.Call(host, proto.Message{
-			Type: proto.MsgBatchFetch, Version: proto.V3, Queries: batch,
-		}, DefaultTimeout)
-		bsp.End()
-		from := host
-		if err != nil {
-			// The primary stopped answering: evict its cached bindings and
-			// retry the whole batch against its advertised replica set
-			// before giving up. A replica that answers serves the same
-			// windows (marked Replica on the wire, with its apply lag), so
-			// the batch survives the crash without waiting for the
-			// directory TTL or a reconcile round.
-			c.dropBackend(host)
-			var ferr error
-			reply, from, ferr = c.failoverFetch(root, replicasOf[host], batch)
-			if ferr != nil {
-				for _, i := range idxs {
-					results[i].Err = fmt.Errorf("%w: memory %s: %v", ErrBackendDown, host, err)
-				}
-				return
-			}
-		}
-		var served []string
-		for k, i := range idxs {
-			if k >= len(reply.Results) {
-				results[i].Err = fmt.Errorf("%w: memory %s: short batch reply", ErrBackendDown, from)
-				continue
-			}
-			r := reply.Results[k]
-			if r.Error != "" {
-				results[i].Err = fmt.Errorf("%w: memory %s: %s", ErrBackendDown, from, r.Error)
-				continue
-			}
-			results[i].Samples = r.Samples
-			if r.Replica && r.Lag > 0 {
-				// Served from a lagging replica: the samples stand, the
-				// error reports how far behind the window may be.
-				results[i].Err = &DegradedError{Lag: r.Lag, Msg: "memory " + from}
-			}
-			if from != host {
-				served = append(served, results[i].Series)
-			}
-		}
-		if from != host {
-			c.rebind(served, from, replicasOf[host], host)
+	// One batched round-trip per backend, all in flight at once. A
+	// backend that failed is retried against its replicas after the
+	// gather.
+	errs := make([]error, len(hosts))
+	c.scatter(root, proto.MsgBatchFetch, hosts, batches, func(w int, reply proto.Message, err error) {
+		if errs[w] = err; err == nil {
+			c.fetchAnswered(results, byHost[hosts[w]], reply, hosts[w], hosts[w], nil)
 		}
 	})
+	for w, err := range errs {
+		if err == nil {
+			continue
+		}
+		// The primary stopped answering: evict its cached bindings and
+		// retry the whole batch against its advertised replica set
+		// before giving up. A replica that answers serves the same
+		// windows (marked Replica on the wire, with its apply lag), so
+		// the batch survives the crash without waiting for the
+		// directory TTL or a reconcile round.
+		host := hosts[w]
+		c.dropBackend(host)
+		reply, from, ferr := c.failoverFetch(root, replicasOf[host], batches[w])
+		if ferr != nil {
+			for _, i := range byHost[host] {
+				results[i].Err = fmt.Errorf("%w: memory %s: %v", ErrBackendDown, host, err)
+			}
+			continue
+		}
+		c.fetchAnswered(results, byHost[host], reply, host, from, replicasOf[host])
+	}
 	return results
+}
+
+// fetchAnswered fills the results at idxs from a batch reply that from
+// served for the primary host; a replica's answer re-homes the series
+// it served onto from.
+func (c *Client) fetchAnswered(results []Result, idxs []int, reply proto.Message, host, from string, replicas []string) {
+	var served []string
+	for k, i := range idxs {
+		if k >= len(reply.Results) {
+			results[i].Err = fmt.Errorf("%w: memory %s: short batch reply", ErrBackendDown, from)
+			continue
+		}
+		r := reply.Results[k]
+		if r.Error != "" {
+			results[i].Err = fmt.Errorf("%w: memory %s: %s", ErrBackendDown, from, r.Error)
+			continue
+		}
+		results[i].Samples = r.Samples
+		if r.Replica && r.Lag > 0 {
+			// Served from a lagging replica: the samples stand, the
+			// error reports how far behind the window may be.
+			results[i].Err = &DegradedError{Lag: r.Lag, Msg: "memory " + from}
+		}
+		if from != host {
+			served = append(served, results[i].Series)
+		}
+	}
+	if from != host {
+		c.rebind(served, from, replicas, host)
+	}
 }
 
 // failoverFetch retries a fetch batch against a failed primary's
@@ -676,31 +654,23 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 	}
 	var active [][]int
 	var hosts []string
+	var batches [][]proto.SeriesRequest
 	for s, idxs := range shards {
 		if len(idxs) > 0 {
+			batch := make([]proto.SeriesRequest, len(idxs))
+			for k, i := range idxs {
+				batch[k] = reqs[i]
+			}
 			active = append(active, idxs)
 			hosts = append(hosts, fcs[s].Host)
+			batches = append(batches, batch)
 		}
 	}
+	c.tForecastCalls.Add(int64(len(missIdx)))
 
-	c.fanOut(len(active), func(w int) {
+	c.scatter(root, proto.MsgBatchForecast, hosts, batches, func(w int, reply proto.Message, err error) {
 		idxs := active[w]
 		host := hosts[w]
-		batch := make([]proto.SeriesRequest, len(idxs))
-		for k, i := range idxs {
-			batch[k] = reqs[i]
-		}
-		c.tBatchCalls.Inc()
-		c.tForecastCalls.Add(int64(len(idxs)))
-		var bsp *telemetry.ActiveSpan
-		if root != nil {
-			bsp = root.Child("backend", telemetry.Attr{Key: "host", Value: host},
-				telemetry.Attr{Key: "series", Value: fmt.Sprint(len(batch))})
-		}
-		reply, err := c.port.Call(host, proto.Message{
-			Type: proto.MsgBatchForecast, Version: proto.V3, Queries: batch,
-		}, DefaultTimeout)
-		bsp.End()
 		if err != nil {
 			c.dropForecaster(host)
 			for _, i := range idxs {

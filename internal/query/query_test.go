@@ -339,25 +339,45 @@ func TestForecastManyAndCache(t *testing.T) {
 	})
 }
 
-// TestWorkerPoolBounded: a one-worker pool serializes the fan-out but
-// answers every series correctly.
-func TestWorkerPoolBounded(t *testing.T) {
+// TestFetchManySpawnsNoProcess: a FetchMany over two backends scatters
+// both batches from the calling process and gathers the replies there —
+// no process is alive during the call that was not alive before it —
+// and answers every series correctly.
+func TestFetchManySpawnsNoProcess(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
 	qc := query.New(r.st, "ns")
-	qc.SetWorkers(1)
-	r.run(t, func() {
-		res := qc.FetchMany([]proto.SeriesRequest{
-			{Series: "a1", Count: 1}, {Series: "b1", Count: 1}, {Series: "a2", Count: 1},
-		})
-		for _, rr := range res {
-			if rr.Err != nil || len(rr.Samples) != 1 {
-				t.Errorf("series %s: %+v err %v", rr.Series, rr.Samples, rr.Err)
-			}
+	reqs := []proto.SeriesRequest{
+		{Series: "a1", Count: 1}, {Series: "b1", Count: 1}, {Series: "a2", Count: 1},
+	}
+	r.run(t, func() { qc.FetchMany(reqs) }) // warm the discovery cache
+
+	before := r.sim.Processes()
+	peak, calling := 0, true
+	var sample func()
+	sample = func() {
+		peak = max(peak, r.sim.Processes())
+		if calling {
+			r.sim.After(10*time.Microsecond, sample)
 		}
+	}
+	var res []query.Result
+	r.run(t, func() {
+		r.sim.After(0, sample)
+		res = qc.FetchMany(reqs)
+		calling = false
 	})
-	if got := r.cnt.count(proto.MsgBatchFetch); got != 2 {
-		t.Errorf("MsgBatchFetch sent %d times, want 2", got)
+	for _, rr := range res {
+		if rr.Err != nil || len(rr.Samples) != 1 {
+			t.Errorf("series %s: %+v err %v", rr.Series, rr.Samples, rr.Err)
+		}
+	}
+	// The driver process itself is the one extra.
+	if peak != before+1 {
+		t.Errorf("%d processes alive during FetchMany, want %d (the caller's)", peak-before, 1)
+	}
+	if got := r.cnt.count(proto.MsgBatchFetch); got != 4 {
+		t.Errorf("MsgBatchFetch sent %d times over two calls, want 4", got)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // servingPort is a stub backend answering directory lookups and batch
 // fetches from memory, with real goroutines underneath (RealRuntime):
-// the client's fan-out workers, the counter reader and the telemetry
+// the client's callers, the counter reader and the telemetry
 // snapshotter all run truly concurrently, so `go test -race` sees any
 // unsynchronized counter access on the hot path.
 type servingPort struct {
@@ -43,8 +43,12 @@ func (p *servingPort) Call(to string, m proto.Message, d time.Duration) (proto.M
 	return proto.Message{}, nil
 }
 
+func (p *servingPort) CallMany(reqs []proto.Request, d time.Duration, each func(int, proto.Message, error)) {
+	prototest.CallEach(p.Call, reqs, d, each)
+}
+
 // TestStatsDuringTrafficRace hammers the query counters and registry
-// snapshots while FetchMany traffic bumps them from fan-out workers.
+// snapshots while FetchMany traffic bumps them from concurrent callers.
 func TestStatsDuringTrafficRace(t *testing.T) {
 	rt := proto.NewRealRuntime()
 	port := &servingPort{StubPort: prototest.StubPort{HostName: "c", RT: rt}}

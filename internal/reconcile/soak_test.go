@@ -27,8 +27,8 @@ import (
 //     least one prediction; the final steady-state round must answer
 //     every probed pair; and
 //   - no resolver process leaks: after the loop is cancelled and the
-//     deployment stopped, every process — query fan-out workers,
-//     singleflight flights, and the KeepRegistered refresh loops of
+//     deployment stopped, every process — singleflight flights and
+//     the KeepRegistered refresh loops of
 //     memory servers, forecaster and gateway (which notice teardown on
 //     their next tick) — drains to zero on the virtual-clock scheduler.
 //

@@ -179,15 +179,7 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 	if src == dst {
 		return TransferStats{}, fmt.Errorf("simnet: transfer to self (%s)", src)
 	}
-	lat, err := n.topo.PathLatency(src, dst)
-	if err != nil {
-		return TransferStats{}, err
-	}
-	path, err := n.topo.Path(src, dst)
-	if err != nil {
-		return TransferStats{}, err
-	}
-	alone, err := n.topo.AloneBandwidth(src, dst)
+	r, err := n.topo.route(src, dst)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -195,14 +187,14 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 		bytes = 1
 	}
 
-	n.sim.Sleep(lat)
+	n.sim.Sleep(r.lat)
 
 	f := &flow{
 		src: src, dst: dst, tag: tag,
 		bytes: float64(bytes), remaining: float64(bytes),
 		done:     vclock.NewChan[xferOutcome](n.sim, "xfer:"+src+"->"+dst),
 		started:  n.sim.Now(),
-		aloneBps: alone,
+		aloneBps: r.bw,
 		heapIdx:  -1,
 	}
 
@@ -210,7 +202,7 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 	n.nextFlowID++
 	f.id = n.nextFlowID
 	f.settledAt = f.started
-	f.res = n.pathResources(path)
+	f.res = n.pathResources(r.path)
 	if tag != "" {
 		n.noteCollisionsLocked(f)
 		n.probeBytes[tag] += bytes
@@ -261,7 +253,7 @@ func (n *Network) Ping(src, dst string, bytes int64) (time.Duration, error) {
 	if err := n.topo.checkEndpoints(src, dst); err != nil {
 		return 0, err
 	}
-	fwd, err := n.topo.PathLatency(src, dst)
+	fwd, err := n.topo.route(src, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -269,9 +261,8 @@ func (n *Network) Ping(src, dst string, bytes int64) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	ser := n.serialization(src, dst, bytes)
 	start := n.sim.Now()
-	n.sim.Sleep(fwd + ser + back)
+	n.sim.Sleep(fwd.lat + serialization(fwd.bw, bytes) + back)
 	return n.sim.Now() - start, nil
 }
 
@@ -295,10 +286,10 @@ func (n *Network) ConnectTime(src, dst string) (time.Duration, error) {
 	return n.sim.Now() - start, nil
 }
 
-// serialization approximates the transmission delay for a small message.
-func (n *Network) serialization(src, dst string, bytes int64) time.Duration {
-	bw, err := n.topo.AloneBandwidth(src, dst)
-	if err != nil || bw <= 0 {
+// serialization approximates the transmission delay of a small message
+// of bytes at bw bits/s.
+func serialization(bw float64, bytes int64) time.Duration {
+	if bw <= 0 {
 		return 0
 	}
 	return time.Duration(float64(bytes*8) / bw * float64(time.Second))
@@ -307,16 +298,16 @@ func (n *Network) serialization(src, dst string, bytes int64) time.Duration {
 // Deliver schedules fn to run after the one-way message delay from src to
 // dst (latency plus serialization of bytes). It is the primitive used by
 // the NWS control-plane transport; control messages are assumed too small
-// to contend for bandwidth.
+// to contend for bandwidth. The route and its cost are one cache lookup.
 func (n *Network) Deliver(src, dst string, bytes int64, fn func()) error {
 	if err := n.topo.checkEndpoints(src, dst); err != nil {
 		return err
 	}
-	lat, err := n.topo.PathLatency(src, dst)
+	r, err := n.topo.route(src, dst)
 	if err != nil {
 		return err
 	}
-	n.sim.After(lat+n.serialization(src, dst, bytes), fn)
+	n.sim.After(r.lat+serialization(r.bw, bytes), fn)
 	return nil
 }
 

@@ -45,13 +45,14 @@ type Topology struct {
 	downNodes     map[string]bool
 	disabledLinks map[*Link]bool
 
-	// routeCache holds computed paths (src/dst pair → node path, nil for
-	// a proven absence of route). The key is a struct, not "src->dst",
-	// so the per-message lookup on the delivery hot path never builds a
-	// key string. nodeRouteIdx and linkRouteIdx index the positive
-	// entries by the elements they traverse, so a fault evicts only the
-	// paths it actually breaks instead of wiping the cache.
-	routeCache   map[routeKey][]string
+	// routeCache holds computed routes (src/dst pair → path and its
+	// cost, a nil path for a proven absence of route). The key is a
+	// struct, not "src->dst", so the per-message lookup on the delivery
+	// hot path never builds a key string. nodeRouteIdx and linkRouteIdx
+	// index the positive entries by the elements they traverse, so a
+	// fault evicts only the paths it actually breaks instead of wiping
+	// the cache.
+	routeCache   map[routeKey]route
 	nodeRouteIdx map[string]map[routeKey]struct{}
 	linkRouteIdx map[*Link]map[routeKey]struct{}
 
@@ -68,7 +69,7 @@ func NewTopology() *Topology {
 		routeOverride: map[string][]string{},
 		downNodes:     map[string]bool{},
 		disabledLinks: map[*Link]bool{},
-		routeCache:    map[routeKey][]string{},
+		routeCache:    map[routeKey]route{},
 		nodeRouteIdx:  map[string]map[routeKey]struct{}{},
 		linkRouteIdx:  map[*Link]map[routeKey]struct{}{},
 	}
@@ -217,7 +218,7 @@ func (t *Topology) invalidateAllRoutesLocked() {
 	if len(t.routeCache) == 0 {
 		return
 	}
-	t.routeCache = map[routeKey][]string{}
+	t.routeCache = map[routeKey]route{}
 	t.nodeRouteIdx = map[string]map[routeKey]struct{}{}
 	t.linkRouteIdx = map[*Link]map[routeKey]struct{}{}
 }
@@ -245,8 +246,9 @@ func (t *Topology) invalidateLinkRoutes(l *Link) {
 // element it traversed, so a re-cached route is never spuriously
 // evicted by a later fault on the old path and the index stays exact.
 func (t *Topology) dropRouteKey(key routeKey) {
-	p, ok := t.routeCache[key]
+	r, ok := t.routeCache[key]
 	delete(t.routeCache, key)
+	p := r.path
 	if !ok || p == nil {
 		return
 	}
@@ -260,12 +262,13 @@ func (t *Topology) dropRouteKey(key routeKey) {
 	}
 }
 
-// cacheRoute stores a computed path and indexes it by every element it
-// traverses.
-func (t *Topology) cacheRoute(key routeKey, p []string) {
-	t.routeCache[key] = p
+// cacheRoute prices a computed path, stores it and indexes it by every
+// element it traverses. It returns the priced route.
+func (t *Topology) cacheRoute(key routeKey, p []string) route {
+	r := t.costRoute(p)
+	t.routeCache[key] = r
 	if p == nil {
-		return
+		return r
 	}
 	for _, id := range p {
 		set := t.nodeRouteIdx[id]
@@ -284,6 +287,7 @@ func (t *Topology) cacheRoute(key routeKey, p []string) {
 		}
 		set[key] = struct{}{}
 	}
+	return r
 }
 
 // RouteCacheStats reports cumulative route-cache hits and misses (a miss
@@ -360,8 +364,15 @@ func (t *Topology) RouteOverrides() map[string][]string {
 // on every layer-2 link of the path) and per-direction latencies as edge
 // weights. It returns an error if no route exists.
 func (t *Topology) Path(src, dst string) ([]string, error) {
+	r, err := t.route(src, dst)
+	return r.path, err
+}
+
+// route resolves the src→dst route with its cost: one cache lookup on
+// the hot path. Override routes are priced on the fly.
+func (t *Topology) route(src, dst string) (route, error) {
 	if src == dst {
-		return []string{src}, nil
+		return t.costRoute([]string{src}), nil
 	}
 	// The override lookup builds a key string; skip it entirely in the
 	// common no-override case so steady-state delivery stays allocation
@@ -370,24 +381,21 @@ func (t *Topology) Path(src, dst string) ([]string, error) {
 		if p, ok := t.routeOverride[src+"->"+dst]; ok && t.pathHealthy(p) {
 			// A faulted override falls back to dynamic routing, as real
 			// routing tables reconverge around a dead segment.
-			return p, nil
+			return t.costRoute(p), nil
 		}
 	}
 	key := routeKey{src, dst}
-	if p, ok := t.routeCache[key]; ok {
+	r, ok := t.routeCache[key]
+	if ok {
 		t.cacheHits++
-		if p == nil {
-			return nil, fmt.Errorf("simnet: no route from %s to %s", src, dst)
-		}
-		return p, nil
+	} else {
+		t.cacheMisses++
+		r = t.cacheRoute(key, t.dijkstra(src, dst))
 	}
-	t.cacheMisses++
-	p := t.dijkstra(src, dst)
-	t.cacheRoute(key, p)
-	if p == nil {
-		return nil, fmt.Errorf("simnet: no route from %s to %s", src, dst)
+	if r.path == nil {
+		return route{}, fmt.Errorf("simnet: no route from %s to %s", src, dst)
 	}
-	return p, nil
+	return r, nil
 }
 
 // retagVLANs returns the VLAN ids a router could usefully re-tag onto
@@ -413,6 +421,38 @@ func (t *Topology) retagVLANs(srcVLAN, dstVLAN int) []int {
 // string concatenation a "src->dst" key would cost per lookup.
 type routeKey struct {
 	src, dst string
+}
+
+// route is a path priced once, when it is resolved: what a message
+// crossing it pays is read from here instead of re-walking its hops.
+type route struct {
+	path []string // nil: no route
+	// lat is the one-way latency, the sum of the directed hop latencies.
+	lat time.Duration
+	// bw is the alone bandwidth (bits/s): the minimum directed link
+	// capacity and hub domain capacity along the path.
+	bw float64
+}
+
+// costRoute prices path p in one walk over its hops.
+func (t *Topology) costRoute(p []string) route {
+	r := route{path: p, bw: math.Inf(1)}
+	for i := 0; i+1 < len(p); i++ {
+		l := t.findLink(p[i], p[i+1])
+		if l.A == p[i] {
+			r.lat += l.LatAtoB
+			r.bw = min(r.bw, l.BWAtoB)
+		} else {
+			r.lat += l.LatBtoA
+			r.bw = min(r.bw, l.BWBtoA)
+		}
+	}
+	for _, id := range p {
+		if n := t.nodes[id]; n.Kind == Hub {
+			r.bw = min(r.bw, n.HubCapacity)
+		}
+	}
+	return r
 }
 
 // vlanKey is the Dijkstra search state: a packet's position and current
@@ -567,20 +607,8 @@ func (t *Topology) dijkstra(src, dst string) []string {
 
 // PathLatency sums one-way latencies along the routed path from src to dst.
 func (t *Topology) PathLatency(src, dst string) (time.Duration, error) {
-	p, err := t.Path(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	var total time.Duration
-	for i := 0; i+1 < len(p); i++ {
-		l := t.findLink(p[i], p[i+1])
-		if l.A == p[i] {
-			total += l.LatAtoB
-		} else {
-			total += l.LatBtoA
-		}
-	}
-	return total, nil
+	r, err := t.route(src, dst)
+	return r.lat, err
 }
 
 // AloneBandwidth returns the bandwidth (bits/s) a single flow from src to
@@ -588,29 +616,8 @@ func (t *Topology) PathLatency(src, dst string) (time.Duration, error) {
 // capacity and hub domain capacity along the path. This is the simulator's
 // ground truth against which probe results are compared.
 func (t *Topology) AloneBandwidth(src, dst string) (float64, error) {
-	p, err := t.Path(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	bw := math.Inf(1)
-	for i := 0; i+1 < len(p); i++ {
-		l := t.findLink(p[i], p[i+1])
-		var c float64
-		if l.A == p[i] {
-			c = l.BWAtoB
-		} else {
-			c = l.BWBtoA
-		}
-		if c < bw {
-			bw = c
-		}
-	}
-	for _, id := range p {
-		if n := t.nodes[id]; n.Kind == Hub && n.HubCapacity < bw {
-			bw = n.HubCapacity
-		}
-	}
-	return bw, nil
+	r, err := t.route(src, dst)
+	return r.bw, err
 }
 
 // Reachable reports whether src may exchange traffic with dst given
