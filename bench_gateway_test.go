@@ -18,14 +18,21 @@
 //	p50-ms, p95-ms, p99-ms  batch completion latency quantiles
 //	shed-batches  batches answered CodeOverloaded on every replica
 //
+// and one host-side count, deterministic for a given build:
+//
+//	allocs-per-batch  heap objects allocated from the first injection to
+//	                  the drain, per injected batch (the simulator's,
+//	                  the servers' and the injector's together)
+//
 // CI regenerates BENCH_gateway.json and fails on ns/op regressions
-// against the committed baseline; the machine-independent acceptance
-// gate asserts queries/s at gw=3 >= 2x gw=1.
+// against the committed baseline; the machine-independent gates assert
+// queries/s at gw=3 >= 2x gw=1 and ceilings on allocs/op and B/op.
 package nwsenv
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -55,10 +62,12 @@ const (
 
 // gwStormStats is one storm's outcome, measured in virtual time.
 type gwStormStats struct {
+	injected  int
 	answered  int // batches fully answered
 	shed      int // batches overloaded on every replica
 	latencies []time.Duration
 	elapsed   time.Duration // injection start -> last completion drained
+	mallocs   uint64        // heap objects allocated over the same span
 }
 
 func (s *gwStormStats) quantile(q float64) time.Duration {
@@ -114,12 +123,16 @@ func runGatewayStorm(b *testing.B, n int) gwStormStats {
 	}
 
 	var stats gwStormStats
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	mallocs := mem.Mallocs
 	inflight := 0
 	start := st.sim.Now()
 	injectDone := false
 	st.sim.Go("inject", func() {
 		pause := st.client.Runtime().NewInbox("inject-pause")
 		for seq := 0; st.sim.Now()-start < gwStormLength; seq++ {
+			stats.injected++
 			inflight++
 			st.sim.Go(fmt.Sprintf("batch-%d", seq), func() {
 				defer func() { inflight-- }()
@@ -159,6 +172,8 @@ func runGatewayStorm(b *testing.B, n int) gwStormStats {
 		}
 	}
 	stats.elapsed = st.sim.Now() - start
+	runtime.ReadMemStats(&mem)
+	stats.mallocs = mem.Mallocs - mallocs
 	sort.Slice(stats.latencies, func(i, j int) bool { return stats.latencies[i] < stats.latencies[j] })
 	return stats
 }
@@ -181,6 +196,7 @@ func BenchmarkGatewayScale(b *testing.B) {
 			b.ReportMetric(stats.quantile(0.95).Seconds()*1e3, "p95-ms")
 			b.ReportMetric(stats.quantile(0.99).Seconds()*1e3, "p99-ms")
 			b.ReportMetric(float64(stats.shed), "shed-batches")
+			b.ReportMetric(float64(stats.mallocs)/float64(stats.injected), "allocs-per-batch")
 		})
 	}
 }

@@ -18,6 +18,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +57,13 @@ type Server struct {
 	limit int         // concurrent admitted requests
 	shed  int         // waiters beyond which new requests are shed
 
+	// fetchName and forecastName label the processes serving requests.
+	fetchName, forecastName string
+	// free recycles admission records; bounded by the peak number of
+	// requests admitted or waiting at once.
+	mu   sync.Mutex
+	free []*admission
+
 	tele      *telemetry.Registry
 	inflight  atomic.Int64
 	waiting   atomic.Int64
@@ -77,6 +85,9 @@ func New(st proto.Port, nsHost string, opts ...query.Option) *Server {
 		qc:    query.New(st, nsHost, opts...),
 		limit: maxConcurrentRequests,
 		shed:  defaultShedThreshold,
+
+		fetchName:    "gateway-fetch:" + st.Host(),
+		forecastName: "gateway-forecast:" + st.Host(),
 	}
 	s.sem = st.Runtime().NewInbox("gateway-sem:" + st.Host())
 	return s
@@ -139,11 +150,7 @@ func (s *Server) Run() {
 				s.st.Reply(req, proto.Message{Type: queryReplyType(req.Type), Version: proto.V3})
 				continue
 			}
-			if req.Type == proto.MsgQueryFetch {
-				s.admit(req, "gateway-fetch:"+s.st.Host(), s.handleFetch)
-			} else {
-				s.admit(req, "gateway-forecast:"+s.st.Host(), s.handleForecast)
-			}
+			s.admit(req)
 		case proto.MsgPing:
 			s.st.Reply(req, proto.Message{Type: proto.MsgPong})
 		default:
@@ -152,20 +159,83 @@ func (s *Server) Run() {
 	}
 }
 
+// admission is one request on its way through admission control,
+// carried to the process that serves it. Records are recycled: each
+// builds its process body once, and the Server's freelist hands it from
+// the process that finished with it to the next admit, under s.mu — on
+// TCP those are different goroutines.
+type admission struct {
+	s   *Server
+	req proto.Message
+	// queued: the request still has to wait for a token.
+	queued bool
+	serve  func()
+}
+
+// spawn serves req on a process of its own, carried there in a
+// recycled admission record.
+func (s *Server) spawn(req *proto.Message, queued bool) {
+	s.mu.Lock()
+	var a *admission
+	if n := len(s.free); n > 0 {
+		a = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	}
+	s.mu.Unlock()
+	if a == nil {
+		a = &admission{s: s}
+		a.serve = a.run
+	}
+	a.req, a.queued = *req, queued
+	name := s.forecastName
+	if req.Type == proto.MsgQueryFetch {
+		name = s.fetchName
+	}
+	s.st.Runtime().Go(name, a.serve)
+}
+
+// run is the request's process: wait for a token if the request was
+// queued, answer it, give the token back and recycle the record, which
+// keeps nothing of the request.
+func (a *admission) run() {
+	s := a.s
+	defer s.recycle(a)
+	if a.queued {
+		_, ok := s.sem.Recv()
+		s.depth.Set(float64(s.waiting.Add(-1)))
+		if !ok {
+			return
+		}
+		s.requests.Inc()
+		s.inflightG.Set(float64(s.inflight.Add(1)))
+	}
+	defer s.release()
+	if a.req.Type == proto.MsgQueryFetch {
+		s.handleFetch(a.req)
+	} else {
+		s.handleForecast(a.req)
+	}
+}
+
+func (s *Server) recycle(a *admission) {
+	a.req, a.queued = proto.Message{}, false
+	s.mu.Lock()
+	s.free = append(s.free, a)
+	s.mu.Unlock()
+}
+
 // admit serves the request on its own runtime process under admission
 // control. The fast path takes a token without blocking; when all
 // tokens are in flight the request parks on a waiter process (counted
 // by the queue-depth gauge) — unless the waiter line has reached the
 // shed threshold, in which case the request is answered immediately
 // with a typed CodeOverloaded reply carrying a retry-after hint.
-func (s *Server) admit(req proto.Message, name string, handle func(proto.Message)) {
+func (s *Server) admit(req proto.Message) {
 	if _, ok := s.sem.TryRecv(); ok {
 		s.requests.Inc()
 		s.inflightG.Set(float64(s.inflight.Add(1)))
-		s.st.Runtime().Go(name, func() {
-			defer s.release()
-			handle(req)
-		})
+		s.spawn(&req, false)
 		return
 	}
 	// The token Recv would block: this is a genuine queue event.
@@ -174,7 +244,7 @@ func (s *Server) admit(req proto.Message, name string, handle func(proto.Message
 		s.st.Reply(req, proto.Message{
 			Type:       queryReplyType(req.Type),
 			Version:    proto.V3,
-			Error:      fmt.Sprintf("gateway %s overloaded: %d requests waiting", s.st.Host(), s.waiting.Load()),
+			Error:      "gateway " + s.st.Host() + " overloaded: " + strconv.FormatInt(s.waiting.Load(), 10) + " requests waiting",
 			Code:       proto.CodeOverloaded,
 			RetryAfter: overloadRetryAfter,
 		})
@@ -182,17 +252,7 @@ func (s *Server) admit(req proto.Message, name string, handle func(proto.Message
 	}
 	s.queued.Inc()
 	s.depth.Set(float64(s.waiting.Add(1)))
-	s.st.Runtime().Go(name, func() {
-		_, ok := s.sem.Recv()
-		s.depth.Set(float64(s.waiting.Add(-1)))
-		if !ok {
-			return
-		}
-		s.requests.Inc()
-		s.inflightG.Set(float64(s.inflight.Add(1)))
-		defer s.release()
-		handle(req)
-	})
+	s.spawn(&req, true)
 }
 
 // release returns an admission token and settles the inflight gauge.
@@ -282,7 +342,9 @@ type Client struct {
 	Host    string // primary gateway host (first of the pool)
 	Timeout time.Duration
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// pool is never written in place: evict swaps in a fresh slice, so
+	// a batch walks the snapshot it took without copying it.
 	pool      []string
 	cursor    int
 	failovers *telemetry.Counter // gateway/client_failovers
@@ -312,21 +374,20 @@ func (c *Client) Hosts() []string {
 	return append([]string(nil), c.pool...)
 }
 
-// rotation snapshots the pool starting at the round-robin cursor and
+// rotation snapshots the pool and the round-robin cursor into it (a
+// batch walks pool[start], pool[start+1], ... wrapping around), and
 // advances the cursor for the next call.
-func (c *Client) rotation() []string {
+func (c *Client) rotation() (pool []string, start int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.pool)
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
 	c.cursor %= n
-	out := make([]string, 0, n)
-	out = append(out, c.pool[c.cursor:]...)
-	out = append(out, c.pool[:c.cursor]...)
+	start = c.cursor
 	c.cursor++
-	return out
+	return c.pool, start
 }
 
 // evict removes a dead replica from the pool.
@@ -335,7 +396,7 @@ func (c *Client) evict(host string) {
 	defer c.mu.Unlock()
 	for i, h := range c.pool {
 		if h == host {
-			c.pool = append(c.pool[:i], c.pool[i+1:]...)
+			c.pool = append(append(make([]string, 0, len(c.pool)-1), c.pool[:i]...), c.pool[i+1:]...)
 			return
 		}
 	}
@@ -348,12 +409,17 @@ func (c *Client) evict(host string) {
 // authoritative and surfaces directly (every replica fronts the same
 // deployment, so retrying it elsewhere cannot change the answer).
 func (c *Client) call(m proto.Message) (proto.Message, error) {
-	hosts := c.rotation()
-	if len(hosts) == 0 {
+	pool, start := c.rotation()
+	if len(pool) == 0 {
 		return proto.Message{}, fmt.Errorf("%w: gateway client: no live replicas", query.ErrBackendDown)
 	}
+	// The last failure decides the error; an overload is built only if
+	// it is the one returned.
 	var lastErr error
-	for _, h := range hosts {
+	var shedBy string
+	var retryAfter time.Duration
+	for k := range pool {
+		h := pool[(start+k)%len(pool)]
 		reply, err := c.St.Call(h, m, c.Timeout)
 		if err == nil {
 			return reply, nil
@@ -361,14 +427,17 @@ func (c *Client) call(m proto.Message) (proto.Message, error) {
 		switch {
 		case reply.Code == proto.CodeOverloaded:
 			c.failovers.Inc()
-			lastErr = &query.OverloadedError{RetryAfter: reply.RetryAfter, Msg: "gateway " + h}
+			lastErr, shedBy, retryAfter = nil, h, reply.RetryAfter
 		case reply.Error != "":
 			return proto.Message{}, err
 		default:
 			c.failovers.Inc()
 			c.evict(h)
-			lastErr = fmt.Errorf("%w: gateway %s: %v", query.ErrBackendDown, h, err)
+			lastErr, shedBy = fmt.Errorf("%w: gateway %s: %v", query.ErrBackendDown, h, err), ""
 		}
+	}
+	if shedBy != "" {
+		return proto.Message{}, &query.OverloadedError{RetryAfter: retryAfter, Msg: "gateway " + shedBy}
 	}
 	return proto.Message{}, lastErr
 }

@@ -36,6 +36,8 @@ type rig struct {
 type rigCfg struct {
 	gateways    int
 	limit, shed int
+	// untraced leaves the gateways without telemetry.
+	untraced bool
 }
 
 func newRig(t *testing.T) *rig { return newRigCfg(t, rigCfg{}) }
@@ -80,7 +82,9 @@ func newRigCfg(t *testing.T, cfg rigCfg) *rig {
 	for _, h := range gwHosts {
 		srv := New(open(h), "ns")
 		srv.SetAdmission(cfg.limit, cfg.shed)
-		srv.SetTelemetry(r.tele)
+		if !cfg.untraced {
+			srv.SetTelemetry(r.tele)
+		}
 		r.gws = append(r.gws, srv)
 		sim.Go(h, srv.Run)
 	}

@@ -68,3 +68,39 @@ func BenchmarkStationCallTCP(b *testing.B) {
 		call()
 	}
 }
+
+// BenchmarkSimDelivery is one simulated message from endpoint a to
+// endpoint b's handler: the route lookup, the pooled delivery record
+// and its pooled kernel event. It allocates nothing.
+func BenchmarkSimDelivery(b *testing.B) {
+	sim, tr := pair(b)
+	epA, err := tr.Open("a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	epB, err := tr.Open("b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	got := 0
+	epB.Handle(func(Message) { got++ })
+	m := Message{Type: MsgPing, Queries: []SeriesRequest{{Series: "s", Count: 1}}}
+	deliver := func() {
+		if err := epA.Send("b", m); err != nil {
+			b.Fatal(err)
+		}
+		if err := sim.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	deliver() // route cache and pools warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver()
+	}
+	b.StopTimer()
+	if got != b.N+1 {
+		b.Fatalf("%d messages delivered, want %d", got, b.N+1)
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"nwsenv/internal/vclock"
 )
 
-func pair(t *testing.T) (*vclock.Sim, *SimTransport) {
+func pair(t testing.TB) (*vclock.Sim, *SimTransport) {
 	t.Helper()
 	topo := simnet.NewTopology()
 	topo.AddHost("a", "10.0.0.1", "a", "x")

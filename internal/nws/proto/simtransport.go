@@ -72,7 +72,11 @@ func (t *SimTransport) Open(host string) (Endpoint, error) {
 // sends fail silently (packets to and from it are dropped).
 func (t *SimTransport) SetDown(host string, down bool) {
 	t.mu.Lock()
-	t.down[host] = down
+	if down {
+		t.down[host] = true
+	} else {
+		delete(t.down, host)
+	}
 	t.mu.Unlock()
 }
 
@@ -126,9 +130,16 @@ func (e *simEndpoint) Handle(h func(Message)) {
 
 func (e *simEndpoint) Send(to string, m Message) error {
 	t := e.t
+	// No host is down and no pair blocked unless a test or a fault
+	// schedule made it so: skip the lookups while the maps are empty.
+	var srcDown, dstDown, pairBlocked bool
 	t.mu.Lock()
-	srcDown, dstDown := t.down[e.host], t.down[to]
-	pairBlocked := t.isBlocked(e.host, to)
+	if len(t.down) > 0 {
+		srcDown, dstDown = t.down[e.host], t.down[to]
+	}
+	if len(t.blocked) > 0 {
+		pairBlocked = t.isBlocked(e.host, to)
+	}
 	stats := t.stats
 	t.mu.Unlock()
 	// Network-level crashes (fault injection) take hosts down too.

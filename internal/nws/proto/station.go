@@ -221,7 +221,7 @@ func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i in
 		done[i] = true
 		waiting--
 		if reply.Error != "" {
-			each(i, reply, fmt.Errorf("proto: %s replied: %s", reqs[i].To, reply.Error))
+			each(i, reply, &replyError{to: reqs[i].To, msg: reply.Error})
 		} else {
 			each(i, reply, nil)
 		}
@@ -254,6 +254,12 @@ func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i in
 		}
 	}
 }
+
+// replyError is a served error reply, formatted only when read: a shed
+// storm answers thousands of calls this way.
+type replyError struct{ to, msg string }
+
+func (e *replyError) Error() string { return "proto: " + e.to + " replied: " + e.msg }
 
 // Reply answers request req with m.
 func (s *Station) Reply(req Message, m Message) error {

@@ -17,9 +17,8 @@ package query
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"strconv"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -190,7 +189,10 @@ type Client struct {
 	bulkAt    time.Duration
 	bulkFresh bool
 	flights   map[string]*flight
-	forecasts map[string]fcEntry
+	forecasts map[fcKey]fcEntry
+	// fanouts recycles batch records; bounded by the peak number of
+	// batches in flight at once.
+	fanouts []*fanout
 
 	// Registry counters (nil-safe: an unwired client increments nil
 	// instruments, which no-op).
@@ -215,7 +217,7 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 		forecastTTL: DefaultForecastTTL,
 		series:      map[string]regEntry{},
 		flights:     map[string]*flight{},
-		forecasts:   map[string]fcEntry{},
+		forecasts:   map[fcKey]fcEntry{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -236,30 +238,167 @@ func (c *Client) SetTelemetry(r *telemetry.Registry) {
 	c.tFailovers = r.Counter("replica", "failovers_total", nil)
 }
 
-// scatter issues one batched request per host, all from the calling
-// process under one shared deadline, and hands each host's outcome to
-// done as it lands. With telemetry it traces one "backend" child span
-// per host, opened at the scatter and ended at that host's reply.
-func (c *Client) scatter(root *telemetry.ActiveSpan, typ proto.MsgType, hosts []string, batches [][]proto.SeriesRequest, done func(w int, reply proto.Message, err error)) {
-	reqs := make([]proto.Request, len(hosts))
-	var spans []*telemetry.ActiveSpan
-	if root != nil {
-		spans = make([]*telemetry.ActiveSpan, len(hosts))
+// fanout is the working state of one batch: which backend each series
+// is bound to, the series carved into one request per backend, and each
+// backend's outcome. Records are recycled per client and keep their
+// slices and their reply callback, so a warm batch allocates only its
+// results. A record goes back only when every backend answered: a
+// timed-out or failed-over request may still be in flight, or queued at
+// its server, reading the Queries it borrowed from batch.
+type fanout struct {
+	c *Client
+	// misses lists the series the discovery or forecast cache could
+	// not answer, by request index.
+	misses []int
+	// binds lists the series bound to a backend, in binding order.
+	binds []binding
+	// groups holds one backend each, in the order the requests are sent
+	// once sortGroups ran; rank maps a group's id to its sorted place.
+	groups []backend
+	rank   []int
+	// idx and batch list the bound series carved per backend: backend w
+	// asks for batch[lo:hi], answering results idx[lo:hi].
+	idx   []int
+	batch []proto.SeriesRequest
+	calls []proto.Request
+
+	// The batch being answered: exactly one is set.
+	fetched   []Result
+	forecasts []ForecastResult
+	// each is landed, built once per record.
+	each func(w int, reply proto.Message, err error)
+}
+
+// binding sends request i to backend groups[g].
+type binding struct{ i, g int }
+
+// backend is one batched round-trip: the host, the replica set it
+// advertised (for failover), its series, and its outcome. id is its
+// place in binding order.
+type backend struct {
+	host       string
+	replicas   []string
+	id, lo, hi int
+	err        error
+	span       *telemetry.ActiveSpan
+}
+
+// fanoutLocked takes a recycled record or builds one. c.mu must be held.
+func (c *Client) fanoutLocked() *fanout {
+	if n := len(c.fanouts); n > 0 {
+		f := c.fanouts[n-1]
+		c.fanouts[n-1] = nil
+		c.fanouts = c.fanouts[:n-1]
+		return f
 	}
-	for w, host := range hosts {
-		reqs[w] = proto.Request{To: host, Msg: proto.Message{Type: typ, Version: proto.V3, Queries: batches[w]}}
+	f := &fanout{c: c}
+	f.each = f.landed
+	return f
+}
+
+// putFanout recycles f, cleared of every reference it took from its
+// batch, unless a backend failed (see fanout).
+func (c *Client) putFanout(f *fanout) {
+	for _, g := range f.groups {
+		if g.err != nil {
+			return
+		}
+	}
+	clear(f.groups)
+	clear(f.batch)
+	clear(f.calls)
+	f.misses, f.binds, f.groups, f.rank = f.misses[:0], f.binds[:0], f.groups[:0], f.rank[:0]
+	f.idx, f.batch, f.calls = f.idx[:0], f.batch[:0], f.calls[:0]
+	f.fetched, f.forecasts = nil, nil
+	c.mu.Lock()
+	c.fanouts = append(c.fanouts, f)
+	c.mu.Unlock()
+}
+
+// bind sends request i to host, whose group keeps the replica set its
+// last binding advertised.
+func (f *fanout) bind(i int, host string, replicas []string) {
+	g := len(f.groups) - 1
+	for g >= 0 && f.groups[g].host != host {
+		g--
+	}
+	if g < 0 {
+		g = len(f.groups)
+		f.groups = append(f.groups, backend{host: host, id: g})
+	}
+	if len(replicas) > 0 {
+		f.groups[g].replicas = replicas
+	}
+	f.binds = append(f.binds, binding{i, g})
+}
+
+// sortGroups puts the groups in host order, the order their requests
+// go out in, and repoints the bindings.
+func (f *fanout) sortGroups() {
+	slices.SortFunc(f.groups, func(a, b backend) int { return strings.Compare(a.host, b.host) })
+	f.rank = slices.Grow(f.rank[:0], len(f.groups))[:len(f.groups)]
+	for w, g := range f.groups {
+		f.rank[g.id] = w
+	}
+	for k := range f.binds {
+		f.binds[k].g = f.rank[f.binds[k].g]
+	}
+}
+
+// carve lays the bound requests out per group, in binding order within
+// a group, and drops the groups nothing is bound to.
+func (f *fanout) carve(reqs []proto.SeriesRequest) {
+	for _, b := range f.binds {
+		f.groups[b.g].hi++
+	}
+	n := 0
+	for w := range f.groups {
+		g := &f.groups[w]
+		g.lo, g.hi, n = n, n, n+g.hi
+	}
+	f.idx = slices.Grow(f.idx[:0], n)[:n]
+	f.batch = slices.Grow(f.batch[:0], n)[:n]
+	for _, b := range f.binds {
+		g := &f.groups[b.g]
+		f.idx[g.hi], f.batch[g.hi] = b.i, reqs[b.i]
+		g.hi++
+	}
+	f.groups = slices.DeleteFunc(f.groups, func(g backend) bool { return g.lo == g.hi })
+}
+
+// scatter issues one batched request per group, all from the calling
+// process under one shared deadline, and lands each group's outcome as
+// it arrives. With telemetry it traces one "backend" child span per
+// group, opened at the scatter and ended at that group's reply.
+func (c *Client) scatter(root *telemetry.ActiveSpan, typ proto.MsgType, f *fanout) {
+	f.calls = slices.Grow(f.calls, len(f.groups))
+	for w := range f.groups {
+		g := &f.groups[w]
+		f.calls = append(f.calls, proto.Request{To: g.host, Msg: proto.Message{
+			Type: typ, Version: proto.V3, Queries: f.batch[g.lo:g.hi:g.hi],
+		}})
 		if root != nil {
-			spans[w] = root.Child("backend", telemetry.Attr{Key: "host", Value: host},
-				telemetry.Attr{Key: "series", Value: fmt.Sprint(len(batches[w]))})
+			g.span = root.Child("backend", telemetry.Attr{Key: "host", Value: g.host},
+				telemetry.Attr{Key: "series", Value: fmt.Sprint(g.hi - g.lo)})
 		}
 	}
-	c.tBatchCalls.Add(int64(len(hosts)))
-	c.port.CallMany(reqs, DefaultTimeout, func(w int, reply proto.Message, err error) {
-		if spans != nil {
-			spans[w].End()
+	c.tBatchCalls.Add(int64(len(f.groups)))
+	c.port.CallMany(f.calls, DefaultTimeout, f.each)
+}
+
+// landed is a group's reply (or failure), handed to the batch it
+// answers.
+func (f *fanout) landed(w int, reply proto.Message, err error) {
+	g := &f.groups[w]
+	g.span.End()
+	g.err = err
+	if f.fetched != nil {
+		if err == nil {
+			f.c.fetchAnswered(f.fetched, f.idx[g.lo:g.hi], reply, g.host, g.host, nil)
 		}
-		done(w, reply, err)
-	})
+		return
+	}
+	f.c.forecastAnswered(f.forecasts, f.idx[g.lo:g.hi], f.batch[g.lo:g.hi], reply, g.host, err)
 }
 
 // await joins an in-progress flight for key, or registers a new one and
@@ -402,21 +541,20 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 		results[i].Series = q.Series
 	}
 
-	// Resolve owners and group the fetches per backend. The warm path is
-	// one pass under one lock: every series fresh in the discovery cache
-	// binds to its host without touching the singleflight machinery. The
-	// replica set each owner advertised rides along, captured here so a
+	// Resolve owners and bind each series to its backend. The warm path
+	// is one pass under one lock: every series fresh in the discovery
+	// cache binds to its host without touching the singleflight
+	// machinery. The replica set each owner advertised rides along, so a
 	// failed backend can fail over without another cache pass.
-	byHost := make(map[string][]int, 8)
-	replicasOf := make(map[string][]string, 8)
-	var unresolvedIdx []int
 	c.mu.Lock()
+	f := c.fanoutLocked()
+	f.binds = slices.Grow(f.binds, len(reqs))
 	now := c.rt.Now()
 	hits := 0
 	for i, q := range reqs {
 		e, ok := c.series[q.Series]
 		if !ok || e.expires <= now {
-			unresolvedIdx = append(unresolvedIdx, i)
+			f.misses = append(f.misses, i)
 			continue
 		}
 		hits++
@@ -424,10 +562,7 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 			results[i].Err = fmt.Errorf("%w: %s", ErrSeriesUnknown, q.Series)
 			continue
 		}
-		byHost[e.reg.Host] = append(byHost[e.reg.Host], i)
-		if len(e.reg.Replicas) > 0 {
-			replicasOf[e.reg.Host] = e.reg.Replicas
-		}
+		f.bind(i, e.reg.Host, e.reg.Replicas)
 	}
 	c.mu.Unlock()
 	c.tLookupHits.Add(int64(hits))
@@ -436,12 +571,12 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	// amortizes discovery into one bulk directory round-trip; smaller
 	// gaps stay on per-name lookups so a 2-series query never downloads
 	// the whole series directory.
-	bulk := len(unresolvedIdx) > bulkThreshold
+	bulk := len(f.misses) > bulkThreshold
 	// A directory that stopped answering fails the whole unresolved
 	// remainder at once: without this, a cold batch against a dead name
 	// server would serialize one full lookup timeout per series.
 	var nsDown error
-	for _, i := range unresolvedIdx {
+	for _, i := range f.misses {
 		q := reqs[i]
 		if nsDown != nil {
 			c.mu.Lock()
@@ -461,42 +596,19 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 			}
 			continue
 		}
-		byHost[reg.Host] = append(byHost[reg.Host], i)
-		if len(reg.Replicas) > 0 {
-			replicasOf[reg.Host] = reg.Replicas
-		}
+		f.bind(i, reg.Host, reg.Replicas)
 	}
-	hosts := make([]string, 0, len(byHost))
-	total := 0
-	for h, idxs := range byHost {
-		hosts = append(hosts, h)
-		total += len(idxs)
-	}
-	sort.Strings(hosts)
-
-	// Per-host request batches carved from one backing array.
-	backing := make([]proto.SeriesRequest, 0, total)
-	batches := make([][]proto.SeriesRequest, len(hosts))
-	for w, host := range hosts {
-		idxs := byHost[host]
-		start := len(backing)
-		for _, i := range idxs {
-			backing = append(backing, reqs[i])
-		}
-		batches[w] = backing[start:len(backing):len(backing)]
-	}
+	f.sortGroups()
+	f.carve(reqs)
 
 	// One batched round-trip per backend, all in flight at once. A
 	// backend that failed is retried against its replicas after the
 	// gather.
-	errs := make([]error, len(hosts))
-	c.scatter(root, proto.MsgBatchFetch, hosts, batches, func(w int, reply proto.Message, err error) {
-		if errs[w] = err; err == nil {
-			c.fetchAnswered(results, byHost[hosts[w]], reply, hosts[w], hosts[w], nil)
-		}
-	})
-	for w, err := range errs {
-		if err == nil {
+	f.fetched = results
+	c.scatter(root, proto.MsgBatchFetch, f)
+	for w := range f.groups {
+		g := &f.groups[w]
+		if g.err == nil {
 			continue
 		}
 		// The primary stopped answering: evict its cached bindings and
@@ -505,17 +617,18 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 		// windows (marked Replica on the wire, with its apply lag), so
 		// the batch survives the crash without waiting for the
 		// directory TTL or a reconcile round.
-		host := hosts[w]
-		c.dropBackend(host)
-		reply, from, ferr := c.failoverFetch(root, replicasOf[host], batches[w])
+		c.dropBackend(g.host)
+		idxs := f.idx[g.lo:g.hi]
+		reply, from, ferr := c.failoverFetch(root, g.replicas, f.batch[g.lo:g.hi:g.hi])
 		if ferr != nil {
-			for _, i := range byHost[host] {
-				results[i].Err = fmt.Errorf("%w: memory %s: %v", ErrBackendDown, host, err)
+			for _, i := range idxs {
+				results[i].Err = fmt.Errorf("%w: memory %s: %v", ErrBackendDown, g.host, g.err)
 			}
 			continue
 		}
-		c.fetchAnswered(results, byHost[host], reply, host, from, replicasOf[host])
+		c.fetchAnswered(results, idxs, reply, g.host, from, g.replicas)
 	}
+	c.putFanout(f)
 	return results
 }
 
@@ -619,96 +732,91 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 	}
 	results := make([]ForecastResult, len(reqs))
 	now := c.rt.Now()
-	var missIdx []int
 	hits := 0
 	c.mu.Lock()
+	f := c.fanoutLocked()
 	for i, q := range reqs {
 		results[i].Series = q.Series
-		if e, ok := c.forecasts[fcKey(q)]; ok && e.expires > now {
+		if e, ok := c.forecasts[fcKey{q.Series, q.Count}]; ok && e.expires > now {
 			results[i].Prediction = e.pred
 			hits++
 			continue
 		}
-		missIdx = append(missIdx, i)
+		f.misses = append(f.misses, i)
 	}
 	c.mu.Unlock()
 	c.tForecastHits.Add(int64(hits))
-	if len(missIdx) == 0 {
+	if len(f.misses) == 0 {
+		c.putFanout(f)
 		return results
 	}
 
 	fcs, err := c.forecasterList()
 	if err != nil {
-		for _, i := range missIdx {
+		for _, i := range f.misses {
 			results[i].Err = err
 		}
+		c.putFanout(f)
 		return results
 	}
 
 	// Stable sharding: a series always goes to the same forecaster (the
 	// list is sorted), so its history stays warm there.
-	shards := make([][]int, len(fcs))
-	for _, i := range missIdx {
-		s := shardOf(reqs[i].Series, len(fcs))
-		shards[s] = append(shards[s], i)
+	for _, r := range fcs {
+		f.groups = append(f.groups, backend{host: r.Host})
 	}
-	var active [][]int
-	var hosts []string
-	var batches [][]proto.SeriesRequest
-	for s, idxs := range shards {
-		if len(idxs) > 0 {
-			batch := make([]proto.SeriesRequest, len(idxs))
-			for k, i := range idxs {
-				batch[k] = reqs[i]
-			}
-			active = append(active, idxs)
-			hosts = append(hosts, fcs[s].Host)
-			batches = append(batches, batch)
-		}
+	for _, i := range f.misses {
+		f.binds = append(f.binds, binding{i, shardOf(reqs[i].Series, len(fcs))})
 	}
-	c.tForecastCalls.Add(int64(len(missIdx)))
+	f.carve(reqs)
+	c.tForecastCalls.Add(int64(len(f.misses)))
 
-	c.scatter(root, proto.MsgBatchForecast, hosts, batches, func(w int, reply proto.Message, err error) {
-		idxs := active[w]
-		host := hosts[w]
-		if err != nil {
-			c.dropForecaster(host)
-			for _, i := range idxs {
-				results[i].Err = fmt.Errorf("%w: forecaster %s: %v", ErrBackendDown, host, err)
-			}
-			return
-		}
-		exp := c.rt.Now() + c.forecastTTL
-		for k, i := range idxs {
-			if k >= len(reply.Forecasts) {
-				results[i].Err = fmt.Errorf("%w: forecaster %s: short batch reply", ErrBackendDown, host)
-				continue
-			}
-			f := reply.Forecasts[k]
-			if f.Error != "" && f.Code != proto.CodeDegraded {
-				results[i].Err = CodedError(f.Code, fmt.Sprintf("forecaster %s: %s", host, f.Error))
-				continue
-			}
-			results[i].Prediction = predict.Prediction{
-				Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count,
-			}
-			if f.Code == proto.CodeDegraded {
-				// A prediction computed from a lagging replica's history:
-				// usable, but the staleness advisory rides along with its
-				// lag watermark intact — the same contract FetchMany keeps.
-				// Not cached: the next probe should see fresh degradation
-				// state, not a TTL'd echo of this one.
-				results[i].Err = &DegradedError{Lag: f.Lag, Msg: "forecaster " + host}
-				continue
-			}
-			if c.forecastTTL > 0 {
-				c.mu.Lock()
-				c.storeForecast(fcKey(reqs[i]), fcEntry{pred: results[i].Prediction, expires: exp})
-				c.mu.Unlock()
-			}
-		}
-	})
+	f.forecasts = results
+	c.scatter(root, proto.MsgBatchForecast, f)
+	c.putFanout(f)
 	return results
+}
+
+// forecastAnswered fills the results at idxs (asked for as batch) from
+// host's batch reply, or fails them with err, dropping host from the
+// forecaster list.
+func (c *Client) forecastAnswered(results []ForecastResult, idxs []int, batch []proto.SeriesRequest, reply proto.Message, host string, err error) {
+	if err != nil {
+		c.dropForecaster(host)
+		for _, i := range idxs {
+			results[i].Err = fmt.Errorf("%w: forecaster %s: %v", ErrBackendDown, host, err)
+		}
+		return
+	}
+	exp := c.rt.Now() + c.forecastTTL
+	for k, i := range idxs {
+		if k >= len(reply.Forecasts) {
+			results[i].Err = fmt.Errorf("%w: forecaster %s: short batch reply", ErrBackendDown, host)
+			continue
+		}
+		f := reply.Forecasts[k]
+		if f.Error != "" && f.Code != proto.CodeDegraded {
+			results[i].Err = CodedError(f.Code, fmt.Sprintf("forecaster %s: %s", host, f.Error))
+			continue
+		}
+		results[i].Prediction = predict.Prediction{
+			Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count,
+		}
+		if f.Code == proto.CodeDegraded {
+			// A prediction computed from a lagging replica's history:
+			// usable, but the staleness advisory rides along with its
+			// lag watermark intact — the same contract FetchMany keeps.
+			// Not cached: the next probe should see fresh degradation
+			// state, not a TTL'd echo of this one.
+			results[i].Err = &DegradedError{Lag: f.Lag, Msg: "forecaster " + host}
+			continue
+		}
+		if c.forecastTTL > 0 {
+			c.mu.Lock()
+			c.storeForecast(fcKey{batch[k].Series, batch[k].Count}, fcEntry{pred: results[i].Prediction, expires: exp})
+			c.mu.Unlock()
+		}
+	}
 }
 
 // forecasterList returns the registered forecasters (sorted by name),
@@ -809,7 +917,7 @@ func ErrCode(err error) string {
 // storeForecast inserts a cache entry, sweeping expired entries (and,
 // as a last resort, resetting the map) when the cap is reached so the
 // cache stays bounded over a long-lived client. c.mu must be held.
-func (c *Client) storeForecast(key string, e fcEntry) {
+func (c *Client) storeForecast(key fcKey, e fcEntry) {
 	if len(c.forecasts) >= maxForecastEntries {
 		now := c.rt.Now()
 		for k, v := range c.forecasts {
@@ -818,18 +926,24 @@ func (c *Client) storeForecast(key string, e fcEntry) {
 			}
 		}
 		if len(c.forecasts) >= maxForecastEntries {
-			c.forecasts = map[string]fcEntry{}
+			c.forecasts = map[fcKey]fcEntry{}
 		}
 	}
 	c.forecasts[key] = e
 }
 
-func fcKey(q proto.SeriesRequest) string {
-	return q.Series + "|" + strconv.Itoa(q.Count)
+// fcKey keys the forecast cache: a series and the history length asked.
+type fcKey struct {
+	series string
+	count  int
 }
 
+// shardOf is the series' forecaster: its 32-bit FNV-1a hash modulo n.
 func shardOf(series string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(series))
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for i := 0; i < len(series); i++ {
+		h ^= uint32(series[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
 }

@@ -396,3 +396,79 @@ func TestUnsupportedVersionRejected(t *testing.T) {
 		}
 	})
 }
+
+// TestTimedOutBatchKeepsItsQueries: a batch whose backend answers too
+// late gives up at the timeout, but its request may still sit queued
+// at that backend. The client's recycled batch records must not be
+// handed to the next batch while that request can still be read: the
+// slow backend, reading the first request after the second batch was
+// sent, must still see the first batch's series.
+func TestTimedOutBatchKeepsItsQueries(t *testing.T) {
+	topo := simnet.NewTopology()
+	for i, h := range []string{"ns", "slow", "c"} {
+		topo.AddHost(h, fmt.Sprintf("10.0.0.%d", i+1), h, "lan")
+	}
+	topo.AddSwitch("sw")
+	for _, h := range []string{"ns", "slow", "c"} {
+		topo.Connect(h, "sw")
+	}
+	sim := vclock.New()
+	tr := proto.NewSimTransport(simnet.NewNetwork(sim, topo))
+	open := func(h string) *proto.Station {
+		ep, err := tr.Open(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proto.NewStation(tr.Runtime(), ep)
+	}
+	sim.Go("ns", nameserver.New(open("ns")).Run)
+	slow := open("slow")
+	var seen [][]string
+	sim.Go("slow", func() {
+		for {
+			req, ok := slow.Recv()
+			if !ok {
+				return
+			}
+			// Answer only after the caller's timeout, reading the
+			// request as late as possible.
+			slow.Runtime().Sleep(query.DefaultTimeout + 5*time.Second)
+			var names []string
+			for _, q := range req.Queries {
+				names = append(names, q.Series)
+			}
+			seen = append(seen, names)
+			slow.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: proto.V3,
+				Results: make([]proto.SeriesResult, len(req.Queries))})
+		}
+	})
+	c := open("c")
+	qc := query.New(c, "ns")
+	done := false
+	sim.Go("test", func() {
+		nsc := nameserver.NewClient(c, "ns")
+		for _, s := range []string{"s1", "s2", "s3", "s4"} {
+			if err := nsc.Register(proto.Registration{Name: s, Kind: "series", Host: "slow"}); err != nil {
+				t.Error(err)
+			}
+		}
+		for _, batch := range [][]string{{"s1", "s2"}, {"s3", "s4"}} {
+			res := qc.FetchMany([]proto.SeriesRequest{{Series: batch[0]}, {Series: batch[1]}})
+			if !errors.Is(res[0].Err, query.ErrBackendDown) {
+				t.Errorf("batch %v: %v, want a timeout", batch, res[0].Err)
+			}
+		}
+		done = true
+	})
+	for at := time.Second; !done || len(seen) < 2; at += time.Second {
+		if at > time.Hour {
+			t.Fatal("stuck")
+		}
+		if err := sim.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fmt.Sprint(seen) != "[[s1 s2] [s3 s4]]" {
+		t.Errorf("the slow backend read %v, want [[s1 s2] [s3 s4]]", seen)
+	}
+}

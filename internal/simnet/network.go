@@ -307,7 +307,7 @@ func (n *Network) Deliver(src, dst string, bytes int64, fn func()) error {
 	if err != nil {
 		return err
 	}
-	n.sim.After(r.lat+serialization(r.bw, bytes), fn)
+	n.sim.Post(r.lat+serialization(r.bw, bytes), fn)
 	return nil
 }
 

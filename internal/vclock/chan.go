@@ -7,9 +7,14 @@ import "time"
 // time until a value (or close) arrives. All hand-offs are serialized
 // through the simulation event queue, preserving determinism.
 type Chan[T any] struct {
-	sim     *Sim
-	name    string
+	sim  *Sim
+	name string
+	// buf is a ring of n buffered values starting at head; len(buf) is
+	// its capacity. A popped slot is zeroed at once, so a drained
+	// channel keeps nothing it delivered reachable, and the ring is
+	// reused in place instead of regrowing.
 	buf     []T
+	head, n int
 	waiters []*waiter[T]
 	free    []*waiter[T] // recycled waiters; bounded by peak concurrent receivers
 	closed  bool
@@ -43,7 +48,31 @@ func (c *Chan[T]) Name() string { return c.name }
 func (c *Chan[T]) Len() int {
 	c.sim.mu.Lock()
 	defer c.sim.mu.Unlock()
-	return len(c.buf)
+	return c.n
+}
+
+// pushLocked appends v to the ring, doubling it when full. Caller holds
+// sim.mu.
+func (c *Chan[T]) pushLocked(v T) {
+	if c.n == len(c.buf) {
+		grown := make([]T, max(1, 2*len(c.buf)))
+		k := copy(grown, c.buf[c.head:])
+		copy(grown[k:], c.buf[:c.head])
+		c.buf, c.head = grown, 0
+	}
+	c.buf[(c.head+c.n)%len(c.buf)] = v
+	c.n++
+}
+
+// popLocked removes the oldest buffered value, zeroing its slot. Caller
+// holds sim.mu and guarantees c.n > 0.
+func (c *Chan[T]) popLocked() T {
+	var zero T
+	v := c.buf[c.head]
+	c.buf[c.head] = zero
+	c.head = (c.head + 1) % len(c.buf)
+	c.n--
+	return v
 }
 
 // wake schedules delivery to w at the current instant: the value is
@@ -91,7 +120,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		c.wake(w, v, true)
 		return true
 	}
-	c.buf = append(c.buf, v)
+	c.pushLocked(v)
 	return true
 }
 
@@ -132,20 +161,17 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool) {
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	c.sim.mu.Lock()
 	defer c.sim.mu.Unlock()
-	if len(c.buf) == 0 {
+	if c.n == 0 {
 		return v, false
 	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	return v, true
+	return c.popLocked(), true
 }
 
 func (c *Chan[T]) recv(d time.Duration, timed bool) (T, bool) {
 	s := c.sim
 	s.mu.Lock()
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.n > 0 {
+		v := c.popLocked()
 		s.mu.Unlock()
 		return v, true
 	}

@@ -17,7 +17,7 @@
 // What may be called from where: Sleep, Yield, Chan.Recv and
 // Chan.RecvTimeout block and may only be called by a process, on the
 // process's own stack (not from a goroutine the process started, and
-// not from an At/After callback). Everything else — Go, At, After,
+// not from an At/After callback). Everything else — Go, At, After, Post,
 // Stop, Now, Chan.Send/TrySend/TryRecv/Close, Event.Cancel — is safe
 // from processes, from event callbacks, and from goroutines outside
 // the simulation, before, during or between runs. A process must not
@@ -155,8 +155,9 @@ type Event struct {
 	canceled bool
 	fired    bool
 	// pooled marks an ephemeral event: recycled by the run loop the
-	// moment it fires or is popped canceled. Only kernel-internal
-	// events whose pointer never escapes may be pooled.
+	// moment it fires or is popped canceled. Only events whose pointer
+	// never leaves the kernel (its own wakes, Post callbacks) may be
+	// pooled.
 	pooled bool
 	sim    *Sim
 }
@@ -264,6 +265,16 @@ func (s *Sim) schedule(at time.Duration, fn func()) *Event {
 // or is popped canceled, so an external holder would observe reuse.
 // Callers must hold s.mu.
 func (s *Sim) scheduleEphemeral(at time.Duration, resume func() *proc) *Event {
+	ev := s.ephemeralLocked(at)
+	ev.resume = resume
+	s.push(ev)
+	return ev
+}
+
+// ephemeralLocked takes a pooled event (or builds one) due at at,
+// clamped to now, with neither payload set: for scheduleEphemeral and
+// Post, whose events never leave the kernel. Callers hold s.mu.
+func (s *Sim) ephemeralLocked(at time.Duration) *Event {
 	if at < s.now {
 		at = s.now
 	}
@@ -276,17 +287,16 @@ func (s *Sim) scheduleEphemeral(at time.Duration, resume func() *proc) *Event {
 	} else {
 		ev = &Event{pooled: true, sim: s}
 	}
-	ev.at, ev.resume = at, resume
-	s.push(ev)
+	ev.at = at
 	return ev
 }
 
-// recycleLocked returns a pooled event to the freelist. Callers hold
-// s.mu and guarantee e is off the heap for good (fired or popped
-// canceled).
+// recycleLocked returns a pooled event to the freelist, holding neither
+// payload. Callers hold s.mu and guarantee e is off the heap for good
+// (fired or popped canceled).
 func (s *Sim) recycleLocked(e *Event) {
 	if e.pooled {
-		e.resume = nil
+		e.fn, e.resume = nil, nil
 		s.evFree = append(s.evFree, e)
 	}
 }
@@ -306,6 +316,18 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.schedule(s.now+d, fn)
+}
+
+// Post schedules fn to run d from now, like After, but returns no
+// handle: the event cannot be canceled, and the kernel recycles it the
+// moment it fires. It is for one-shot callbacks nothing ever cancels —
+// a message delivery — that would otherwise cost one Event apiece.
+func (s *Sim) Post(d time.Duration, fn func()) {
+	s.mu.Lock()
+	ev := s.ephemeralLocked(s.now + d)
+	ev.fn = fn
+	s.push(ev)
+	s.mu.Unlock()
 }
 
 // Go spawns fn as a simulation process: a coroutine of whichever
@@ -426,6 +448,7 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 		ev := s.pop()
 		ev.fired = true
 		if fn := ev.fn; fn != nil {
+			s.recycleLocked(ev)
 			s.mu.Unlock()
 			fn()
 			s.mu.Lock()
