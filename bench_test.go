@@ -32,6 +32,14 @@ func once(key string, fn func()) {
 	}
 }
 
+// b2f reports a verdict as a metric: 1 for true, 0 for false.
+func b2f(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // mapEnsLyonBoth runs both ENV sides on a fresh ENS-Lyon network and
 // merges them.
 func mapEnsLyonBoth(b *testing.B) (*topo.EnsLyon, *simnet.Network, *env.Merged, []*env.Result) {
@@ -205,6 +213,11 @@ func BenchmarkE4MappingCost(b *testing.B) {
 			rows = append(rows, r)
 		}
 	}
+	for _, r := range rows {
+		b.ReportMetric(r.naiveModel.Hours()/24, fmt.Sprintf("n=%d-naiveDays", r.n))
+		b.ReportMetric(float64(r.envProbes), fmt.Sprintf("n=%d-envProbes", r.n))
+		b.ReportMetric(r.envTime.Seconds(), fmt.Sprintf("n=%d-envSec", r.n))
+	}
 	once("e4", func() {
 		fmt.Println("\n[E4 / §4.3] mapping cost: naive exhaustive model vs ENV (measured):")
 		fmt.Printf("  %4s %16s %12s %14s\n", "n", "naive(model)", "ENV probes", "ENV time")
@@ -272,8 +285,11 @@ func runDeployment(b *testing.B, plan *deploy.Plan, resolve map[string]string, w
 	if err := sim.RunUntil(window); err != nil {
 		b.Fatal(err)
 	}
-	dep.Stop()
-	return metrics.Observe(net, "", window), net
+	rep := metrics.Observe(net, "", window)
+	if err := dep.Stop(); err != nil {
+		b.Fatal(err)
+	}
+	return rep, net
 }
 
 // ---- E6: §2.3 deployment quality — ENV plan vs baselines ----
@@ -329,6 +345,13 @@ func BenchmarkE6DeploymentQuality(b *testing.B) {
 				complete: complete, direct: len(seen), minFreq: rep.MinPairPerMinute,
 			})
 		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(float64(r.probes), r.name+"-probes")
+		b.ReportMetric(float64(r.collisions), r.name+"-collisions")
+		b.ReportMetric(b2f(r.complete), r.name+"-complete")
+		b.ReportMetric(float64(r.direct), r.name+"-direct")
+		b.ReportMetric(r.minFreq, r.name+"-minPairPerMin")
 	}
 	once("e6", func() {
 		fmt.Println("\n[E6 / §2.3] deployment quality over 5 virtual minutes (ENS-Lyon):")
@@ -393,6 +416,9 @@ func BenchmarkE7CliqueFrequency(b *testing.B) {
 			}
 			rows = append(rows, row{n, float64(count) / window.Minutes()})
 		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.perPair, fmt.Sprintf("size=%d-pairPerMin", r.n))
 	}
 	once("e7", func() {
 		fmt.Println("\n[E7 / §2.3] per-pair measurement frequency vs clique size (token gap 1s):")
@@ -505,8 +531,8 @@ func BenchmarkE10AsymmetryBlindspot(b *testing.B) {
 
 func BenchmarkE11ThresholdAblation(b *testing.B) {
 	type row struct {
-		label    string
-		accuracy float64
+		label, key string
+		accuracy   float64
 	}
 	var rows []row
 	score := func(th env.Thresholds, strict bool) float64 {
@@ -557,14 +583,17 @@ func BenchmarkE11ThresholdAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		def := env.DefaultThresholds()
-		rows = append(rows, row{"paper defaults (3 / 1.25 / 0.7 / 0.9)", score(def, false)})
-		rows = append(rows, row{"strict-paper classification", score(def, true)})
+		rows = append(rows, row{"paper defaults (3 / 1.25 / 0.7 / 0.9)", "defaults", score(def, false)})
+		rows = append(rows, row{"strict-paper classification", "strict", score(def, true)})
 		loose := def
 		loose.JammedShared, loose.JammedSwitched = 0.45, 0.55
-		rows = append(rows, row{"narrow jam band (0.45/0.55)", score(loose, false)})
+		rows = append(rows, row{"narrow jam band (0.45/0.55)", "narrow", score(loose, false)})
 		tight := def
 		tight.JammedShared, tight.JammedSwitched = 0.95, 0.98
-		rows = append(rows, row{"degenerate jam band (0.95/0.98)", score(tight, false)})
+		rows = append(rows, row{"degenerate jam band (0.95/0.98)", "degenerate", score(tight, false)})
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.accuracy, r.key+"-accuracy")
 	}
 	once("e11", func() {
 		fmt.Println("\n[E11 / §4.2.2] classification accuracy vs thresholds (16 segments, 4 random LANs):")
@@ -621,6 +650,11 @@ func BenchmarkE12ForecasterAccuracy(b *testing.B) {
 			m21, _ := bt.MethodError("mean21")
 			rows = append(rows, row{g.name, p.MAE, last, m21, p.Method})
 		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.battery, r.trace+"-batteryMAE")
+		b.ReportMetric(r.last, r.trace+"-lastMAE")
+		b.ReportMetric(r.m21, r.trace+"-mean21MAE")
 	}
 	once("e12", func() {
 		fmt.Println("\n[E12 / §2.1] forecaster battery (per the NWS papers this work builds on):")
@@ -816,7 +850,6 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 		if err := sim.RunUntil(5 * time.Minute); err != nil {
 			b.Fatal(err)
 		}
-		dep.Stop()
 		count := 0
 		for _, rec := range net.Records() {
 			if rec.Tag == "" {
@@ -826,6 +859,9 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 				count++
 			}
 		}
+		if err := dep.Stop(); err != nil {
+			b.Fatal(err)
+		}
 		return float64(count) / 5
 	}
 	for i := 0; i < b.N; i++ {
@@ -833,6 +869,10 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 		for _, gap := range []time.Duration{time.Second, 100 * time.Millisecond, 10 * time.Millisecond} {
 			rows = append(rows, row{gap, runOne(gap, false), runOne(gap, true)})
 		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.ring, fmt.Sprintf("gap=%v-ringPairPerMin", r.gap))
+		b.ReportMetric(r.pair, fmt.Sprintf("gap=%v-pairwisePairPerMin", r.gap))
 	}
 	once("e15", func() {
 		fmt.Println("\n[E15 / §6] token ring vs pairwise scheduler on an 8-host switch:")

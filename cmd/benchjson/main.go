@@ -35,6 +35,13 @@
 // allocs/op — the CI gate for "the batch path stays within N allocs":
 //
 //	benchjson -assert-max 'BenchmarkQueryBatch/hosts=500:allocs/op<=170' BENCH_query.json
+//
+// With -equal it asserts that every custom metric of every benchmark in
+// a baseline artifact is reproduced exactly by a new one — the CI gate
+// for virtual-time results, which are deterministic (ns/op, B/op and
+// allocs/op are skipped):
+//
+//	benchjson -equal BENCH_paper.json BENCH_paper_new.json
 package main
 
 import (
@@ -75,6 +82,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 type options struct {
 	out, bench, benchtime  string
 	benchmem, compare      bool
+	equal                  bool
 	threshold, ratioMin    float64
 	ratioNum, ratioDen     string
 	ratioMetric, assertMax string
@@ -94,6 +102,7 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.Float64Var(&o.ratioMin, "ratio-min", 0, "minimum ratio num/den; non-zero enables the assertion")
 	fs.StringVar(&o.ratioMetric, "ratio-metric", "ns/op", "metric key the -ratio-min assertion compares")
 	fs.StringVar(&o.assertMax, "assert-max", "", "comma-separated absolute ceilings 'bench:metric<=value' asserted on one artifact")
+	fs.BoolVar(&o.equal, "equal", false, "assert that a new artifact reproduces every custom metric of a baseline exactly (baseline.json new.json)")
 	return fs
 }
 
@@ -137,6 +146,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
+		return
+	}
+
+	if o.equal {
+		if len(args) != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -equal needs exactly two artifact files (baseline new)")
+			os.Exit(2)
+		}
+		n, err := assertEqualMetrics(args[0], args[1])
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("benchjson: %d metric(s) of %s reproduced exactly\n", n, args[0])
 		return
 	}
 
@@ -311,6 +334,47 @@ func assertCeilings(path, spec string) error {
 		}
 	}
 	return nil
+}
+
+// assertEqualMetrics checks that newPath carries every custom metric of
+// every benchmark in basePath with exactly the same value, and returns
+// how many it checked. Every mismatch and every missing benchmark or
+// metric is listed in the error.
+func assertEqualMetrics(basePath, newPath string) (int, error) {
+	base, err := readArtifact(basePath)
+	if err != nil {
+		return 0, err
+	}
+	cur, err := readArtifact(newPath)
+	if err != nil {
+		return 0, err
+	}
+	var bad []string
+	n := 0
+	for name, be := range base.Benchmarks {
+		ne, ok := cur.Benchmarks[name]
+		if !ok {
+			bad = append(bad, name+": missing")
+			continue
+		}
+		for unit, want := range be.Metrics {
+			switch unit {
+			case "ns/op", "B/op", "allocs/op":
+				continue
+			}
+			n++
+			if got, ok := ne.Metrics[unit]; !ok {
+				bad = append(bad, fmt.Sprintf("%s %s: missing (want %g)", name, unit, want))
+			} else if got != want {
+				bad = append(bad, fmt.Sprintf("%s %s = %g, want %g", name, unit, got, want))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return n, fmt.Errorf("%s is not reproduced by %s:\n  %s", basePath, newPath, strings.Join(bad, "\n  "))
+	}
+	return n, nil
 }
 
 func artifactRatio(path, num, den, metric string) (float64, error) {

@@ -324,3 +324,30 @@ PASS
 		t.Fatalf("package: %q", e.Package)
 	}
 }
+
+func TestAssertEqualMetrics(t *testing.T) {
+	dir := t.TempDir()
+	base := writeArtifact(t, dir, "base.json", map[string]Entry{
+		"BenchmarkE1": {Metrics: map[string]float64{"ns/op": 1000, "networks": 7}},
+		"BenchmarkE2": {Metrics: map[string]float64{"ns/op": 1000, "probes": 12, "minPairPerMin": 7.8}},
+	})
+	same := writeArtifact(t, dir, "same.json", map[string]Entry{
+		"BenchmarkE1": {Metrics: map[string]float64{"ns/op": 5000, "networks": 7}},
+		"BenchmarkE2": {Metrics: map[string]float64{"ns/op": 10, "probes": 12, "minPairPerMin": 7.8, "extra": 1}},
+	})
+	if n, err := assertEqualMetrics(base, same); err != nil || n != 3 {
+		t.Fatalf("an exact reproduction with other ns/op: %d checked, %v", n, err)
+	}
+	moved := writeArtifact(t, dir, "moved.json", map[string]Entry{
+		"BenchmarkE2": {Metrics: map[string]float64{"probes": 12, "minPairPerMin": 7.9}},
+	})
+	_, err := assertEqualMetrics(base, moved)
+	if err == nil {
+		t.Fatal("a moved metric and a missing benchmark passed")
+	}
+	for _, want := range []string{"BenchmarkE1: missing", "minPairPerMin = 7.9, want 7.8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}

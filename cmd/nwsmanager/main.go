@@ -273,7 +273,10 @@ func run(ctx context.Context, o options) bool {
 	} else {
 		reportTCP(plat, rec, dep, runs[0].Hosts, o.query)
 	}
-	dep.Stop()
+	if err := dep.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "teardown:", err)
+		healthy = false
+	}
 	// The final flush happens on the SIGINT path too: an interrupted run
 	// still leaves complete artifacts behind.
 	flushTelemetry(reg, o.teleDir)

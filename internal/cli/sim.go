@@ -77,15 +77,14 @@ func DeploySim(sim *vclock.Sim, pl *core.Pipeline, runs []core.MapRun) (*core.Ou
 		out, pipeErr = pl.Deploy(context.Background(), runs...)
 		done = true
 	})
-	for at := sim.Now() + time.Minute; !done && at <= 240*time.Hour; at += time.Minute {
-		if err := sim.RunUntil(at); err != nil {
-			return nil, err
-		}
+	finished, err := sim.Drive(time.Minute, 240*time.Hour, func() bool { return done })
+	if err != nil {
+		return nil, err
 	}
 	if pipeErr != nil {
 		return nil, pipeErr
 	}
-	if !done {
+	if !finished {
 		return nil, fmt.Errorf("pipeline did not finish within the virtual time budget")
 	}
 	return out, nil

@@ -11,6 +11,7 @@ import (
 	"nwsenv/internal/gridml"
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/platform"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
@@ -58,6 +59,9 @@ func ensLyonDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network,
 	}, WithAutoAliases(), WithTokenGap(time.Second), WithHostSensors(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if out.Deployment != nil {
+		prototest.Teardown(t, proto.NewSimRuntime(net.Sim()))(out.Deployment.Stop)
 	}
 	return e, net, out
 }
@@ -111,7 +115,6 @@ func TestAutoDeployEndToEnd(t *testing.T) {
 	if est.BandwidthMbps > 2.5*truth/1e6 || est.BandwidthMbps < 0.4*truth/1e6 {
 		t.Fatalf("estimate %.1f Mbps vs truth %.1f", est.BandwidthMbps, truth/1e6)
 	}
-	out.Deployment.Stop()
 }
 
 func TestAutoDeploySingleRun(t *testing.T) {
@@ -216,6 +219,7 @@ func TestAutoDeployScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prototest.Teardown(t, proto.NewSimRuntime(net.Sim()))(out.Deployment.Stop)
 	if len(out.Plan.Hosts) != 60 {
 		t.Fatalf("hosts %d", len(out.Plan.Hosts))
 	}
@@ -238,7 +242,6 @@ func TestAutoDeployScales(t *testing.T) {
 	if netCliques != len(truth) {
 		t.Fatalf("network cliques %d, want %d", netCliques, len(truth))
 	}
-	out.Deployment.Stop()
 }
 
 // TestCPUForecastEndToEnd: host sensors feed CPU availability series and
@@ -267,7 +270,6 @@ func TestCPUForecastEndToEnd(t *testing.T) {
 	if pred.Value <= 0 || pred.Value > 1 {
 		t.Fatalf("cpu availability forecast %v out of (0,1]", pred.Value)
 	}
-	out.Deployment.Stop()
 }
 
 // TestAutoDeployThreeRunsFold: more than two mapping runs fold into one

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/platform"
 	"nwsenv/internal/query"
@@ -25,6 +26,7 @@ import (
 func TestTCPPlatformPipeline(t *testing.T) {
 	hosts := []string{"alpha", "beta", "gamma"}
 	plat := platform.NewTCPPlatform(hosts)
+	stop := prototest.Teardown(t, plat.Runtime())
 	pl := NewPipeline(plat,
 		WithGridLabel("loopback"),
 		WithTokenGap(20*time.Millisecond),
@@ -61,7 +63,7 @@ func TestTCPPlatformPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dep.Stop()
+	stop(dep.Stop)
 	if len(dep.Agents) != 3 {
 		t.Fatalf("agents %d", len(dep.Agents))
 	}
@@ -73,7 +75,7 @@ func TestTCPPlatformPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := proto.NewStation(plat.Runtime(), ep)
-	defer client.Close()
+	stop(client.Close)
 	qc := query.New(client, m.Resolve[pr.Plan.NameServer])
 	series := sensor.BandwidthSeries("alpha", "beta")
 	deadline := time.Now().Add(10 * time.Second)
@@ -195,17 +197,17 @@ func TestPipelineObserver(t *testing.T) {
 		}
 	}
 	var err error
+	var out *Outcome
 	sim.Go("deploy", func() {
-		var out *Outcome
 		out, err = pl.Deploy(context.Background(), MapRun{Master: hosts[0], Hosts: hosts})
-		if out != nil && out.Deployment != nil {
-			out.Deployment.Stop()
-		}
 	})
 	if e := sim.RunUntil(2 * time.Hour); e != nil {
 		t.Fatal(e)
 	}
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Deployment.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := details["agents_starting"], fmt.Sprintf("starting %d agents on sim", len(hosts)); got != want {

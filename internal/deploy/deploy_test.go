@@ -7,6 +7,7 @@ import (
 
 	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
@@ -269,16 +270,27 @@ func TestEstimatorIncomplete(t *testing.T) {
 	}
 }
 
+// applyTorn is Apply for a test: the deployment is stopped when the test
+// ends, and the test fails if anything it started is still running
+// then (prototest.Teardown).
+func applyTorn(t *testing.T, tr *proto.SimTransport, prober sensor.Prober, p *Plan, resolve map[string]string, opts ApplyOptions) *Deployment {
+	t.Helper()
+	stop := prototest.Teardown(t, tr.Runtime())
+	dep, err := Apply(tr, prober, p, resolve, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop(dep.Stop)
+	return dep
+}
+
 func TestApplyAndQueryEndToEnd(t *testing.T) {
 	// The full pipeline: map (done) → plan → apply → steady state →
 	// live estimate of a never-directly-measured pair.
 	e, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
 	prober := sensor.SimProber{Net: net}
-	dep, err := Apply(tr, prober, p, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, prober, p, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 3*time.Minute); err != nil {
@@ -308,7 +320,6 @@ func TestApplyAndQueryEndToEnd(t *testing.T) {
 	if est.BandwidthMbps < truthBW/1e6*0.5 || est.BandwidthMbps > truthBW/1e6*2.5 {
 		t.Fatalf("composed bw %.1f Mbps vs truth %.1f", est.BandwidthMbps, truthBW/1e6)
 	}
-	dep.Stop()
 }
 
 func TestDeploymentCollisionRate(t *testing.T) {
@@ -316,10 +327,7 @@ func TestDeploymentCollisionRate(t *testing.T) {
 	// its probe volume (the §2.3 goal).
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep, err := Apply(tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
@@ -333,7 +341,6 @@ func TestDeploymentCollisionRate(t *testing.T) {
 	if float64(collisions) > 0.05*float64(probes) {
 		t.Fatalf("collision rate too high: %d collisions / %d probes", collisions, probes)
 	}
-	dep.Stop()
 }
 
 func TestPairwiseSwitchedDeployment(t *testing.T) {
@@ -374,17 +381,13 @@ func TestPairwiseSwitchedDeployment(t *testing.T) {
 	run := func(pairwise bool) (perPair float64, pairCollisions int) {
 		net, p, resolve := build()
 		tr := proto.NewSimTransport(net)
-		dep, err := Apply(tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{
+		applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{
 			TokenGap: 10 * time.Millisecond, PairwiseSwitched: pairwise,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sim := net.Sim()
 		if err := sim.RunUntil(5 * time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		dep.Stop()
 		count := 0
 		for _, rec := range net.Records() {
 			if rec.Tag == "" {

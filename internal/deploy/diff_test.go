@@ -222,10 +222,7 @@ func TestApplyDeltaGrowth(t *testing.T) {
 	tr := proto.NewSimTransport(net)
 	prober := sensor.SimProber{Net: net}
 	opts := ApplyOptions{TokenGap: time.Second}
-	dep, err := Apply(tr, prober, &initial, resolve, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, prober, &initial, resolve, opts)
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -281,5 +278,4 @@ func TestApplyDeltaGrowth(t *testing.T) {
 	if !seen {
 		t.Fatal("added sci clique produced no measurements after ApplyDelta")
 	}
-	dep.Stop()
 }

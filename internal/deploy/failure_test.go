@@ -17,10 +17,7 @@ import (
 func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep, err := Apply(tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -48,7 +45,6 @@ func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 	if lastSurvivor < killAt+90*time.Second {
 		t.Fatalf("sci clique stalled after member death: last survivor measurement %v (killed at %v)", lastSurvivor, killAt)
 	}
-	dep.Stop()
 }
 
 // TestDeploymentMemoryDeathDegradesOnlyItsSite: killing the private
@@ -57,10 +53,7 @@ func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 func TestDeploymentMemoryDeathDegradesOnlyItsSite(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep, err := Apply(tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -99,7 +92,6 @@ func TestDeploymentMemoryDeathDegradesOnlyItsSite(t *testing.T) {
 	if privateErr == nil {
 		t.Fatal("private site's data should be unavailable after its memory died")
 	}
-	dep.Stop()
 }
 
 var errPrivateDown = &privateDownError{}
@@ -115,10 +107,7 @@ func (*privateDownError) Error() string { return "private memory down" }
 func TestEstimatesTrackLoadDynamics(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep, err := Apply(tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 2*time.Minute); err != nil {
@@ -158,7 +147,6 @@ func TestEstimatesTrackLoadDynamics(t *testing.T) {
 	if loadedBW > idleBW*0.8 {
 		t.Fatalf("loaded estimate %.1f Mbps did not drop from idle %.1f", loadedBW, idleBW)
 	}
-	dep.Stop()
 }
 
 // simnetLoad keeps hub3 busy with back-to-back transfers until the
@@ -181,10 +169,7 @@ func simnetLoad(net interface {
 func TestForecastEstimatorComposesPredictions(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep, err := Apply(tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 3*time.Minute); err != nil {
@@ -213,5 +198,4 @@ func TestForecastEstimatorComposesPredictions(t *testing.T) {
 	if est.LatencyMS <= 0 {
 		t.Fatalf("latency %v", est.LatencyMS)
 	}
-	dep.Stop()
 }

@@ -17,10 +17,7 @@ func deployEnsLyon(t *testing.T) (*Deployment, *Plan, map[string]string, *proto.
 	t.Helper()
 	_, net, plan, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep, err := Apply(tr, sensor.SimProber{Net: net}, plan, resolve, ApplyOptions{TokenGap: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, plan, resolve, ApplyOptions{TokenGap: time.Second})
 	sim := net.Sim()
 	if err := sim.RunUntil(sim.Now() + time.Minute); err != nil {
 		t.Fatal(err)
@@ -65,7 +62,6 @@ func copyPlan(p *Plan) *Plan {
 // everyone else, and bumps the repaired clique's token epoch.
 func TestApplyDeltaHostRemoval(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
-	defer dep.Stop()
 
 	const victim = "sci3.popc.private"
 	next := copyPlan(plan)
@@ -119,7 +115,6 @@ func TestApplyDeltaHostRemoval(t *testing.T) {
 // case of the incremental path.
 func TestApplyDeltaServerMove(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
-	defer dep.Stop()
 
 	next := copyPlan(plan)
 	next.NameServer = "moby.cri2000.ens-lyon.fr"
@@ -139,7 +134,6 @@ func TestApplyDeltaServerMove(t *testing.T) {
 // TestApplyDeltaNoop: an identical plan transitions nothing.
 func TestApplyDeltaNoop(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
-	defer dep.Stop()
 
 	agentsBefore := map[string]*host.Agent{}
 	for k, v := range dep.Agents {
@@ -165,7 +159,6 @@ func TestApplyDeltaNoop(t *testing.T) {
 // re-detects the hole next round instead of reporting convergence.
 func TestApplyDeltaBuildFailurePrunesPlan(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
-	defer dep.Stop()
 	sim := tr.Network().Sim()
 
 	// Force the rebuild to fail: squat the endpoint of a host whose
@@ -267,7 +260,6 @@ func TestRoleSignatureIgnoresStartDelay(t *testing.T) {
 // gateway) and leaves the rest of the deployment running.
 func TestApplyDeltaGatewayMove(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
-	defer dep.Stop()
 
 	if len(plan.Gateways) != 1 || plan.Gateways[0] != plan.Master {
 		t.Fatalf("planner placed the gateways on %v, want only the master %q", plan.Gateways, plan.Master)

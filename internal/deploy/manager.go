@@ -256,11 +256,21 @@ func (d *Deployment) buildAgents(ctx context.Context, plan *Plan, resolve map[st
 	return agents, nil
 }
 
-// Stop terminates every agent.
-func (d *Deployment) Stop() {
+// Stop terminates every agent and returns once all their processes have
+// ended (host.Agent.Join): on the wall clock it joins the role
+// goroutines; on the simulator it drives the clock until the roles have
+// returned, so it must be called between runs. The error reports
+// processes still running after the join bound.
+func (d *Deployment) Stop() error {
 	for _, a := range d.Agents {
 		a.Stop()
 	}
+	for _, a := range d.Agents {
+		if err := a.Join(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // QueryClient builds a query-plane client over the deployment, issuing

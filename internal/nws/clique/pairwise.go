@@ -63,7 +63,7 @@ func tournamentPairs(members []string, r int) [][2]string {
 
 // Run drives the tournament. Each round it commands every pair's first
 // host to probe its partner, waits for completions (with a timeout), and
-// rests TokenGap.
+// rests TokenGap; it ends when its station closes.
 func (s *PairwiseScheduler) Run() {
 	cfg := s.Cfg.withDefaults()
 	for round := 0; s.Rounds == 0 || round < s.Rounds; round++ {
@@ -100,7 +100,9 @@ func (s *PairwiseScheduler) Run() {
 			}
 		}
 		s.roundsRun++
-		s.Port.Runtime().Sleep(cfg.TokenGap)
+		if !s.Port.Wait(cfg.TokenGap) {
+			return // the station closed: the scheduler's host was stopped
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ type Roles struct {
 // Agent is a running host agent.
 type Agent struct {
 	st     *proto.Station
-	rt     proto.Runtime
+	rt     *roleRuntime
 	roles  Roles
 	prober sensor.Prober
 
@@ -109,7 +109,7 @@ func NewAgent(tr proto.Transport, hostName string, roles Roles, prober sensor.Pr
 	rt := tr.Runtime()
 	a := &Agent{
 		st:      proto.NewStation(rt, ep),
-		rt:      rt,
+		rt:      newRoleRuntime(rt),
 		roles:   roles,
 		prober:  prober,
 		inboxes: map[string]proto.Inbox{},
@@ -171,7 +171,8 @@ func (p *rolePort) Recv() (proto.Message, bool) { return p.inbox.Recv() }
 func (p *rolePort) RecvTimeout(d time.Duration) (proto.Message, bool) {
 	return p.inbox.RecvTimeout(d)
 }
-func (p *rolePort) Close() error { p.inbox.Close(); return nil }
+func (p *rolePort) Wait(d time.Duration) bool { return p.a.st.Wait(d) }
+func (p *rolePort) Close() error              { p.inbox.Close(); return nil }
 
 func (a *Agent) port(key string) *rolePort {
 	inbox := a.rt.NewInbox(a.st.Host() + ":" + key)
@@ -309,7 +310,82 @@ func (a *Agent) route(msg proto.Message) {
 	inbox.Send(msg)
 }
 
-// Stop terminates all roles and detaches from the network.
+// roleRuntime is the runtime an agent hands its roles: it counts every
+// process spawned through it — the roles and whatever they spawn — until
+// its body returns, so Join can tell when they have all ended.
+type roleRuntime struct {
+	proto.Runtime
+	mu    sync.Mutex
+	live  int
+	ended sync.Cond // broadcast when live drops to zero
+}
+
+func newRoleRuntime(rt proto.Runtime) *roleRuntime {
+	r := &roleRuntime{Runtime: rt}
+	r.ended.L = &r.mu
+	return r
+}
+
+func (r *roleRuntime) Go(name string, fn func()) {
+	r.mu.Lock()
+	r.live++
+	r.mu.Unlock()
+	r.Runtime.Go(name, func() {
+		defer r.done()
+		fn()
+	})
+}
+
+func (r *roleRuntime) done() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.live--; r.live == 0 {
+		r.ended.Broadcast()
+	}
+}
+
+// running returns the number of processes spawned through r that have
+// not returned yet.
+func (r *roleRuntime) running() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.live
+}
+
+// wait blocks until every process spawned through r has returned.
+func (r *roleRuntime) wait() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.live > 0 {
+		r.ended.Wait()
+	}
+}
+
+// joinBound is how much virtual time Join drives a simulation for. A
+// stopped role ends within a token gap, a probe or a call timeout.
+const joinBound = 10 * time.Minute
+
+// Join returns once every process of the agent has ended; call it after
+// Stop. On the wall clock it waits for their goroutines. On the
+// simulator, where a process runs only while the clock is driven, it
+// drives the clock in one-second steps — so it must be called between
+// runs, not from a process — and fails if processes are left after
+// joinBound of virtual time.
+func (a *Agent) Join() error {
+	sr, ok := a.rt.Runtime.(*proto.SimRuntime)
+	if !ok {
+		a.rt.wait()
+		return nil
+	}
+	ended, err := sr.Sim.Drive(time.Second, joinBound, func() bool { return a.rt.running() == 0 })
+	if err == nil && !ended {
+		err = fmt.Errorf("host %s: %d process(es) still running %v after Stop", a.Host(), a.rt.running(), joinBound)
+	}
+	return err
+}
+
+// Stop terminates all roles and detaches from the network; Join waits
+// for their processes to end.
 func (a *Agent) Stop() {
 	a.mu.Lock()
 	if a.closed {

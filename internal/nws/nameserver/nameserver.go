@@ -150,7 +150,9 @@ func (c *Client) Register(reg proto.Registration) error {
 // KeepRegistered re-registers reg at a third of the directory TTL until
 // the station is torn down: the one registration-refresh loop every
 // long-lived NWS role (memory server, forecaster, gateway) runs on its
-// own runtime process so its directory entry outlives the TTL.
+// own runtime process so its directory entry outlives the TTL. It waits
+// for "a third of the TTL elapsed or the station closed" (Port.Wait), so
+// a closed station ends the loop at once rather than minutes later.
 //
 // onTick, when non-nil, runs after each successful refresh of reg — the
 // hook a role uses to re-advertise dependent directory entries (a
@@ -161,11 +163,11 @@ func (c *Client) Register(reg proto.Registration) error {
 // a timed-out refresh over a degraded link, a callback that could not
 // reach the directory — are retried on the next tick: one lost refresh
 // must not silently drop a live server from the directory forever.
-// Only proto.ErrClosed, from the refresh or from the callback, ends the
-// loop: that is the definitive station-teardown signal.
+// Only the station closing, or proto.ErrClosed from the refresh or from
+// the callback, ends the loop: that is the definitive station-teardown
+// signal.
 func (c *Client) KeepRegistered(reg proto.Registration, onTick func() error) {
-	for {
-		c.St.Runtime().Sleep(DefaultTTL / 3)
+	for c.St.Wait(DefaultTTL / 3) {
 		if err := c.Register(reg); err != nil {
 			if errors.Is(err, proto.ErrClosed) {
 				return

@@ -181,6 +181,27 @@ var deliverySemantics = []struct {
 			t.Errorf("follow-up call %+v err %v", r, err)
 		}
 	}},
+	{name: "Wait lasts its duration while open and ends at once on Close", body: func(t *testing.T, tr Transport) {
+		a := station(t, tr, "a")
+		rt := a.Runtime()
+		if t0 := rt.Now(); !a.Wait(20*time.Millisecond) || rt.Now()-t0 < 20*time.Millisecond {
+			t.Errorf("Wait on an open station returned after %v, want true after 20ms", rt.Now()-t0)
+		}
+		rt.Go("closer", func() {
+			rt.Sleep(10 * time.Millisecond)
+			a.Close()
+		})
+		t0 := rt.Now()
+		if a.Wait(time.Hour) {
+			t.Error("Wait reported a closed station open")
+		}
+		if d := rt.Now() - t0; d > time.Second {
+			t.Errorf("Wait outlived Close by %v", d)
+		}
+		if a.Wait(time.Hour) {
+			t.Error("Wait on a closed station reported it open")
+		}
+	}},
 	{name: "a TCP peer that dials right after Open is not lost", tcpOnly: true, body: func(t *testing.T, tr Transport) {
 		a := station(t, tr, "a")
 		ep, err := tr.Open("b")

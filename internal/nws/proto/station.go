@@ -51,6 +51,8 @@ type Station struct {
 	nextID  int64
 	pending map[int64]Inbox
 	app     Inbox
+	// closing is never sent to: Close closes it, which releases Wait.
+	closing Inbox
 	// route, once Route sets it, receives the application messages
 	// instead of app.
 	route  func(Message)
@@ -72,6 +74,7 @@ func NewStation(rt Runtime, ep Endpoint) *Station {
 		ep:      ep,
 		pending: map[int64]Inbox{},
 		app:     rt.NewInbox("app:" + ep.Host()),
+		closing: rt.NewInbox("closing:" + ep.Host()),
 	}
 	ep.Handle(s.deliver)
 	return s
@@ -281,8 +284,21 @@ func (s *Station) RecvTimeout(d time.Duration) (Message, bool) {
 	return s.app.RecvTimeout(d)
 }
 
-// Close detaches the endpoint and releases all waiters: callers, and
-// the receivers of Recv once the queued messages are taken.
+// Wait blocks the calling process for d, or until the station closes if
+// that comes first, and reports whether the station is still open: the
+// pause of a periodic loop that must end with its station (a directory
+// refresh asleep for minutes), on either runtime, through the same
+// inbox release that ends a Recv.
+func (s *Station) Wait(d time.Duration) bool {
+	s.closing.RecvTimeout(d)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.closed
+}
+
+// Close detaches the endpoint and releases all waiters: callers, the
+// processes in Wait, and the receivers of Recv once the queued messages
+// are taken.
 func (s *Station) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -297,6 +313,7 @@ func (s *Station) Close() error {
 	s.mu.Unlock()
 	err := s.ep.Close()
 	s.app.Close()
+	s.closing.Close()
 	return err
 }
 
@@ -316,6 +333,8 @@ type Port interface {
 	ReplyError(req Message, format string, args ...interface{}) error
 	Recv() (Message, bool)
 	RecvTimeout(d time.Duration) (Message, bool)
+	// Wait pauses for d or until the station closes; see Station.Wait.
+	Wait(d time.Duration) bool
 	Close() error
 }
 

@@ -152,7 +152,9 @@ func (h *HostSensor) Run() {
 	}
 	mc := memory.NewClient(h.St, h.MemHost)
 	for round := 0; h.Rounds == 0 || round < h.Rounds; round++ {
-		h.St.Runtime().Sleep(h.Period)
+		if !h.St.Wait(h.Period) {
+			return
+		}
 		now := h.St.Runtime().Now()
 		vals := trace(host, now)
 		for _, key := range []string{"cpu", "freeMemory"} {

@@ -12,6 +12,7 @@ import (
 	"nwsenv/internal/metrics"
 	"nwsenv/internal/nws/gateway"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/platform"
 	"nwsenv/internal/simnet"
@@ -28,6 +29,24 @@ type env struct {
 	out   *core.Outcome
 	run   core.MapRun
 	hosts []string // candidate node IDs (external target excluded)
+
+	rec  *Reconciler             // the loop watch started, if any
+	stop func(stop func() error) // prototest.Teardown's, for what the test started
+}
+
+// torn registers e's teardown: when the test ends, the current
+// deployment (the loop's, once watch started one) stops, and the test
+// fails if any process is left.
+func (e *env) torn(t *testing.T) *env {
+	t.Helper()
+	e.stop = prototest.Teardown(t, proto.NewSimRuntime(e.sim))
+	e.stop(func() error {
+		if e.rec != nil {
+			return e.rec.Deployment().Stop()
+		}
+		return e.out.Deployment.Stop()
+	})
+	return e
 }
 
 // deployLAN maps, plans and applies a seeded random LAN and returns the
@@ -67,16 +86,29 @@ func deployLAN(t *testing.T, seed int64, subnets, perSubnet int) *env {
 	if !done {
 		t.Fatal("deployment did not finish")
 	}
-	return &env{sim: sim, net: net, plat: plat, pl: pl, out: out, run: run, hosts: hosts}
+	return (&env{sim: sim, net: net, plat: plat, pl: pl, out: out, run: run, hosts: hosts}).torn(t)
 }
 
 // watch starts a reconcile loop with the given interval and returns it.
+// The loop is canceled, and awaited, before the deployment stops at the
+// end of the test.
 func (e *env) watch(ctx context.Context, interval time.Duration) *Reconciler {
+	ctx, cancel := context.WithCancel(ctx)
 	rec := New(e.pl, e.out.Deployment, Config{
 		Runs:     []core.MapRun{e.run},
 		Interval: interval,
 	})
-	e.sim.Go("reconcile", func() { rec.Run(ctx) })
+	e.rec = rec
+	done := false
+	e.sim.Go("reconcile", func() { rec.Run(ctx); done = true })
+	e.stop(func() error {
+		cancel()
+		exited, err := e.sim.Drive(time.Second, time.Hour, func() bool { return done })
+		if err == nil && !exited {
+			err = errors.New("reconcile loop did not exit after cancel")
+		}
+		return err
+	})
 	return rec
 }
 

@@ -60,7 +60,7 @@ func deployGrid(t *testing.T, seed int64, sites, switches, perSwitch, k int, ext
 	if !done {
 		t.Fatal("deployment did not finish")
 	}
-	return &env{sim: sim, net: net, plat: plat, pl: pl, out: out, run: run, hosts: hosts}, reg
+	return (&env{sim: sim, net: net, plat: plat, pl: pl, out: out, run: run, hosts: hosts}).torn(t), reg
 }
 
 // inSim runs fn as a simulation process and steps the clock until it

@@ -168,13 +168,11 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 				}
 			}
 		})
-		deadline := sim.Now() + 4*time.Minute
-		for at := sim.Now() + 10*time.Second; !probeDone && at <= deadline; at += 10 * time.Second {
-			if err := sim.RunUntil(at); err != nil {
-				return 0, 0, err
-			}
+		landed, err := sim.Drive(10*time.Second, 4*time.Minute, func() bool { return probeDone })
+		if err != nil {
+			return 0, 0, err
 		}
-		if !probeDone {
+		if !landed {
 			return 0, 0, fmt.Errorf("scenlab: %s: probe %d wedged", spec.Name, probeSeq)
 		}
 		return answered, len(reqs), nil
@@ -251,12 +249,28 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	}
 	res.MaxForecastGapTicks = maxForecastGap(res.Samples)
 	res.MaxAnswerDeficitTicks = maxAnswerDeficit(res.Samples)
-	dep.Stop()
+	// Teardown: the deployment's roles end with its Stop; whatever else
+	// the run spawned ends as the clock runs on, so a finished run strands
+	// no process (and no goroutine) in the caller.
+	if err := dep.Stop(); err != nil {
+		return nil, fmt.Errorf("scenlab: %s: %w", spec.Name, err)
+	}
+	drained, err := sim.Drive(time.Second, drainBound, func() bool { return sim.Processes() == 0 })
+	if err != nil {
+		return nil, err
+	}
+	if !drained {
+		return nil, fmt.Errorf("scenlab: %s: %d process(es) still running %v after teardown", spec.Name, sim.Processes(), drainBound)
+	}
 	// Final flatten happens after teardown so the gated metrics match the
 	// metrics.jsonl artifact rendered from the same registry.
 	res.Metrics = reg.Snapshot().Flatten()
 	return res, nil
 }
+
+// drainBound is how much virtual time a finished run's teardown may take
+// to end every process it spawned.
+const drainBound = 10 * time.Minute
 
 // phaseAt labels an offset from the apply point with its phase.
 func (s *Spec) phaseAt(off time.Duration) string {

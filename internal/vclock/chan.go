@@ -24,8 +24,8 @@ type Chan[T any] struct {
 // timeout callback is built once and reused for every block/wake cycle,
 // so steady-state receive traffic allocates nothing. Reuse is safe
 // because each cycle is ended exactly once, under sim.mu, by a wake or
-// by the timer: wake cancels the timer, and a canceled event is skipped
-// at heap pop, never run.
+// by the timer: wake cancels the timer and forgets it, and a canceled
+// event is never run (it is skipped at heap pop or swept).
 type waiter[T any] struct {
 	c       *Chan[T]
 	p       *proc // the blocked receiver
@@ -82,10 +82,11 @@ func (c *Chan[T]) wake(w *waiter[T], v T, ok bool) {
 	w.done = true
 	w.v, w.ok = v, ok
 	if w.timer != nil {
-		w.timer.canceled = true
+		c.sim.cancelLocked(w.timer)
+		w.timer = nil
 	}
 	c.sim.blocked--
-	c.sim.scheduleEphemeral(c.sim.now, w.p.resume)
+	c.sim.readyLocked(w.p)
 }
 
 // Send delivers v to a waiting receiver or buffers it. It may be called
@@ -192,10 +193,11 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (T, bool) {
 		w.timer = s.scheduleEphemeral(s.now+d, w.timeout)
 	}
 	s.blocked++
-	s.mu.Unlock()
+	// Resumed holding sim.mu, which the switch handed over.
 	p.yield(struct{}{})
 	v, ok := w.v, w.ok
-	c.putWaiter(w)
+	c.putWaiterLocked(w)
+	s.mu.Unlock()
 	return v, ok
 }
 
@@ -235,17 +237,15 @@ func (c *Chan[T]) removeWaiterLocked(w *waiter[T]) {
 	}
 }
 
-// putWaiter recycles w once its receiver has resumed, dropping any
-// payload reference so pooled waiters don't retain messages.
-func (c *Chan[T]) putWaiter(w *waiter[T]) {
+// putWaiterLocked recycles w once its receiver has resumed, dropping any
+// payload reference so pooled waiters don't retain messages. Caller
+// holds sim.mu.
+func (c *Chan[T]) putWaiterLocked(w *waiter[T]) {
 	var zero T
 	w.v = zero
 	w.ok, w.done = false, false
 	w.timer, w.p = nil, nil
-	s := c.sim
-	s.mu.Lock()
 	if !c.closed {
 		c.free = append(c.free, w)
 	}
-	s.mu.Unlock()
 }

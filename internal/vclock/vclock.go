@@ -25,6 +25,25 @@
 // waiting for another process: nothing else runs until it blocks in
 // the kernel.
 //
+// The kernel lock (Sim.mu) passes across a switch instead of being
+// dropped and retaken: a process blocks by queuing its wake and
+// yielding with the lock held, the scheduler resumes it still holding
+// the lock, and the resumed process does its post-wake bookkeeping in
+// that same critical section before it releases the lock and returns
+// to its caller. A coroutine is therefore always entered and left with
+// the lock held, and process code runs with it released. Now reads an
+// atomic copy of the clock, so it takes no lock at all.
+//
+// The event queue holds only what can still fire, give or take a
+// bounded margin: a canceled event (Event.Cancel, or a receive timer
+// whose receive was answered) is counted, and once the canceled events
+// outnumber the live ones and a small floor, they are swept out of the
+// heap at once and pooled events go back to the pool. A resume due at
+// the current instant (a spawn, a zero sleep, a channel wake) skips the
+// heap for a FIFO of its own. Events fire in the total order of (time,
+// sequence number) across both, so neither a sweep nor the FIFO changes
+// which event fires next.
+//
 // A panic in a process or callback surfaces from Run/RunUntil on the
 // caller's goroutine, wrapped with the process name and virtual time;
 // runtime.Goexit in a process (t.FailNow, t.Fatal) ends the goroutine
@@ -40,6 +59,7 @@ import (
 	"iter"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,9 +68,17 @@ import (
 type Sim struct {
 	mu sync.Mutex
 
-	now    time.Duration
+	now time.Duration
+	// clock mirrors now for Now, which reads it without the lock.
+	clock  atomic.Int64
 	seq    int64
 	events []queued // binary min-heap on (at, seq)
+	// dead counts the canceled events still in events; see sweepLocked.
+	dead int
+	// ready[head:] are the processes to resume at the current instant,
+	// in seq order: a wake due now needs no heap. See readyLocked.
+	ready []readied
+	head  int
 
 	// cur is the process executing now; nil while the scheduler or an
 	// event callback runs, and between runs.
@@ -96,7 +124,7 @@ type proc struct {
 	// may call it.
 	yield func(struct{}) bool
 	// resume is the prebuilt event payload for "continue this process"
-	// (start, sleep fire, chan deliver).
+	// later (a sleep's wake); a resume due now goes to Sim.ready.
 	resume func() *proc
 }
 
@@ -107,11 +135,15 @@ func (s *Sim) newProc() *proc {
 }
 
 // loop is the coroutine: run a body, hand control back, repeat with
-// whatever body Go installed meanwhile. A false yield means stop.
+// whatever body Go installed meanwhile. A false yield means stop. The
+// scheduler enters the coroutine holding s.mu and gets it back at the
+// next yield: a body runs with the lock released.
 func (p *proc) loop(yield func(struct{}) bool) {
 	p.yield = yield
 	for {
+		p.s.mu.Unlock()
 		p.runBody()
+		p.s.mu.Lock()
 		p.fn = nil
 		if !yield(struct{}{}) {
 			return
@@ -138,9 +170,13 @@ func New() *Sim {
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
+	return time.Duration(s.clock.Load())
+}
+
+// setNowLocked advances the clock. Callers hold s.mu.
+func (s *Sim) setNowLocked(t time.Duration) {
+	s.now = t
+	s.clock.Store(int64(t))
 }
 
 // Event is a cancelable scheduled callback.
@@ -174,12 +210,82 @@ func (e *Event) Cancel() bool {
 	if e.fired || e.canceled {
 		return false
 	}
-	e.canceled = true
+	e.sim.cancelLocked(e)
 	return true
+}
+
+// cancelLocked marks a queued event canceled and sweeps the canceled
+// events out of the heap once they outnumber the live ones and
+// sweepFloor. Callers hold s.mu and guarantee e is queued, neither
+// fired nor canceled.
+func (s *Sim) cancelLocked(e *Event) {
+	e.canceled = true
+	s.dead++
+	if s.dead > sweepFloor && s.dead > len(s.events)-s.dead {
+		s.sweepLocked()
+	}
+}
+
+// sweepFloor is the number of canceled events the heap may hold however
+// few live ones it has: below it a sweep would cost more than the slots
+// it frees.
+const sweepFloor = 64
+
+// sweepLocked removes every canceled event from the heap, returns the
+// pooled ones to the pool and restores the heap property. Pop order is
+// the total order on (at, seq), so the heap's shape does not change
+// which event fires next. Callers hold s.mu.
+func (s *Sim) sweepLocked() {
+	h := s.events
+	k := 0
+	for _, q := range h {
+		if q.ev.canceled {
+			s.recycleLocked(q.ev)
+			continue
+		}
+		h[k] = q
+		k++
+	}
+	clear(h[k:])
+	h = h[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	s.events = h
+	s.dead = 0
 }
 
 // When returns the virtual time at which the event is scheduled.
 func (e *Event) When() time.Duration { return e.at }
+
+// readied is a process resume due at the current instant, with the
+// sequence number its heap slot would have had.
+type readied struct {
+	seq int64
+	p   *proc
+}
+
+// readyLocked queues a resume of p at the current instant. It takes the
+// next sequence number exactly as push does, and the run loop fires it
+// in the same total order on (at, seq) as if it had been pushed: every
+// readied entry is due now, and the clock cannot pass now while one is
+// left. Only uncancelable wakes come here (a spawn, a zero sleep, a
+// channel wake). Callers must hold s.mu.
+func (s *Sim) readyLocked(p *proc) {
+	s.seq++
+	s.ready = append(s.ready, readied{seq: s.seq, p: p})
+}
+
+// readyFirst reports whether the oldest readied resume fires before the
+// heap's top. Callers hold s.mu, with a readied entry left and no
+// canceled event on top of the heap.
+func (s *Sim) readyFirst() bool {
+	if len(s.events) == 0 {
+		return true
+	}
+	top := s.events[0]
+	return top.at > s.now || top.seq > s.ready[s.head].seq
+}
 
 // queued is one heap slot. The ordering key is stored inline so sifting
 // compares without dereferencing events.
@@ -221,14 +327,20 @@ func (s *Sim) pop() *Event {
 	h := s.events
 	top := h[0].ev
 	n := len(h) - 1
-	q := h[n]
+	h[0] = h[n]
 	h[n] = queued{}
 	h = h[:n]
 	s.events = h
-	if n == 0 {
-		return top
+	if n > 0 {
+		siftDown(h, 0)
 	}
-	i := 0
+	return top
+}
+
+// siftDown moves h[i] down to its place in the min-heap h.
+func siftDown(h []queued, i int) {
+	n := len(h)
+	q := h[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -244,7 +356,6 @@ func (s *Sim) pop() *Event {
 		i = c
 	}
 	h[i] = q
-	return top
 }
 
 // schedule enqueues fn at absolute time at (clamped to now). Callers must
@@ -260,10 +371,9 @@ func (s *Sim) schedule(at time.Duration, fn func()) *Event {
 
 // scheduleEphemeral enqueues a kernel wake on a recycled Event. Only
 // kernel call sites whose *Event stays inside the kernel's documented
-// lifecycle (wake deliveries, sleep fires, process starts, receive
-// timers) may use it: the event returns to the pool as soon as it fires
-// or is popped canceled, so an external holder would observe reuse.
-// Callers must hold s.mu.
+// lifecycle (sleep fires, receive timers) may use it: the event returns
+// to the pool as soon as it fires or is popped or swept canceled, so an
+// external holder would observe reuse. Callers must hold s.mu.
 func (s *Sim) scheduleEphemeral(at time.Duration, resume func() *proc) *Event {
 	ev := s.ephemeralLocked(at)
 	ev.resume = resume
@@ -293,7 +403,7 @@ func (s *Sim) ephemeralLocked(at time.Duration) *Event {
 
 // recycleLocked returns a pooled event to the freelist, holding neither
 // payload. Callers hold s.mu and guarantee e is off the heap for good
-// (fired or popped canceled).
+// (fired, or canceled and popped or swept).
 func (s *Sim) recycleLocked(e *Event) {
 	if e.pooled {
 		e.fn, e.resume = nil, nil
@@ -349,12 +459,12 @@ func (s *Sim) Go(name string, fn func()) {
 		p = s.newProc()
 	}
 	p.name, p.fn = name, fn
-	s.scheduleEphemeral(s.now, p.resume)
+	s.readyLocked(p)
 }
 
 // Sleep blocks the calling process for d of virtual time: it schedules
-// its own wake and switches to the scheduler. It must only be called by
-// a process, on the process's own stack.
+// its own wake and switches to the scheduler, handing it the lock. It
+// must only be called by a process, on the process's own stack.
 func (s *Sim) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -365,9 +475,13 @@ func (s *Sim) Sleep(d time.Duration) {
 		s.mu.Unlock()
 		panic("vclock: Sleep called outside a simulation process")
 	}
-	s.scheduleEphemeral(s.now+d, p.resume)
-	s.mu.Unlock()
+	if d == 0 {
+		s.readyLocked(p)
+	} else {
+		s.scheduleEphemeral(s.now+d, p.resume)
+	}
 	p.yield(struct{}{})
+	s.mu.Unlock()
 }
 
 // Yield lets every other runnable work scheduled at the current instant
@@ -389,6 +503,24 @@ func (s *Sim) Run() error {
 // simulation drained, whichever is earlier).
 func (s *Sim) RunUntil(t time.Duration) error {
 	return s.run(t, true)
+}
+
+// Drive runs the simulation a step at a time, the way a caller outside
+// it waits for its processes: up to each multiple of step from now in
+// turn, until done reports true or the next step would end more than
+// limit past now. It reports whether done held. Between steps the
+// caller's done may read what the processes wrote: nothing runs then.
+func (s *Sim) Drive(step, limit time.Duration, done func() bool) (bool, error) {
+	end := s.Now() + limit
+	for at := s.Now() + step; !done(); at += step {
+		if at > end {
+			return false, nil
+		}
+		if err := s.RunUntil(at); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // Stop makes Run return before it takes another event: at once when
@@ -424,7 +556,20 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 
 	for !s.stopped {
 		for len(s.events) > 0 && s.events[0].ev.canceled {
+			s.dead--
 			s.recycleLocked(s.pop())
+		}
+		if s.head < len(s.ready) && s.readyFirst() {
+			if hasDeadline && s.now > deadline {
+				break
+			}
+			p := s.ready[s.head].p
+			s.ready[s.head] = readied{}
+			if s.head++; s.head == len(s.ready) {
+				s.ready, s.head = s.ready[:0], 0
+			}
+			s.switchTo(p)
+			continue
 		}
 		if len(s.events) == 0 {
 			// Processes blocked forever are a deadlock for Run; for
@@ -438,12 +583,12 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 		if hasDeadline && at > deadline {
 			// Not due yet: stop at the deadline.
 			if s.now < deadline {
-				s.now = deadline
+				s.setNowLocked(deadline)
 			}
 			break
 		}
 		if at > s.now {
-			s.now = at
+			s.setNowLocked(at)
 		}
 		ev := s.pop()
 		ev.fired = true
@@ -475,15 +620,14 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 }
 
 // switchTo runs p until it blocks or its body returns, then retires a
-// finished p. Called, and returns, with s.mu held.
+// finished p. Called, and returns, with s.mu held: the lock passes to p
+// with the switch and comes back with the next one.
 func (s *Sim) switchTo(p *proc) {
 	if p.next == nil {
 		p.next, p.stop = iter.Pull(p.loop)
 	}
 	s.cur = p
-	s.mu.Unlock()
 	p.next()
-	s.mu.Lock()
 	s.cur = nil
 	if p.fn != nil {
 		return // blocked; a queued event or a Chan waiter holds it
@@ -501,13 +645,7 @@ func (s *Sim) switchTo(p *proc) {
 func (s *Sim) PendingEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, q := range s.events {
-		if !q.ev.canceled {
-			n++
-		}
-	}
-	return n
+	return len(s.events) - s.dead + len(s.ready) - s.head
 }
 
 // Processes returns the number of live processes.

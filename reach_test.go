@@ -36,11 +36,11 @@ var reachAllow = map[string]string{
 	"internal/query.OverloadedError.Unwrap": "errors.Is/As chain to ErrOverloaded",
 
 	// Deliberate test hooks on the simulator and the sim transport.
-	"internal/vclock.Sim.Processes":              "leak guard every deployment-building test ends with",
 	"internal/vclock.Sim.PendingEvents":          "kernel tests assert the event queue drains",
 	"internal/vclock.Sim.Yield":                  "kernel tests force a reschedule at one instant",
 	"internal/nws/proto.SimTransport.SetBlocked": "partition injection for transport and failover tests",
 	"internal/nws/discoverytest.RunConformance":  "shared *test helper package: the discovery contract suite",
+	"internal/nws/proto/prototest.Teardown":      "shared *test helper package: the teardown check of deployment-building tests",
 
 	// Options kept because a caller outside the package sets a second value.
 	"internal/query.WithForecastTTL": "root BenchmarkQueryForecastBatch disables the forecast cache",
