@@ -29,11 +29,48 @@ const (
 	batchAllocBudget = batchAllocs + 1
 )
 
+// tracedBatchAllocOverhead is what tracing the gateways adds to that
+// batch: the spans it records, 2 allocations each (the span handle and
+// its attribute list; a count below 100 formats without allocating).
+//
+//	1  the serving gateway's "fetch" span
+//	1  its query.Client's "fetch_many" span
+//	2  one "backend" child per memory server called
+//
+// Appending a finished span to the registry's list grows it only
+// now and then, less than once per batch.
+const tracedBatchAllocOverhead = 4 * 2
+
 // TestFetchManyAllocBudget: one warm 20-series gateway.Client.FetchMany
 // against two gateways and two memory servers allocates no more than
 // its answers.
 func TestFetchManyAllocBudget(t *testing.T) {
-	r := newRigCfg(t, rigCfg{gateways: 2, untraced: true})
+	got := warmBatchAllocs(t, true)
+	if got > batchAllocBudget {
+		t.Errorf("a warm 20-series batch allocates %.1f objects, budget %d", got, batchAllocBudget)
+	}
+	t.Logf("%.1f allocations per warm batch (%d expected, budget %d)", got, batchAllocs, batchAllocBudget)
+}
+
+// TestTracedBatchAllocOverhead: with a telemetry registry wired into the
+// gateways, the same warm batch allocates only the spans it records on
+// top of its answers.
+func TestTracedBatchAllocOverhead(t *testing.T) {
+	untraced, traced := warmBatchAllocs(t, true), warmBatchAllocs(t, false)
+	if traced-untraced > tracedBatchAllocOverhead {
+		t.Errorf("tracing adds %.1f allocations to a warm batch (%.1f untraced, %.1f traced), budget %d",
+			traced-untraced, untraced, traced, tracedBatchAllocOverhead)
+	}
+	t.Logf("tracing adds %.1f allocations per warm batch (%.1f untraced, %.1f traced, budget %d)",
+		traced-untraced, untraced, traced, tracedBatchAllocOverhead)
+}
+
+// warmBatchAllocs is what one warm 20-series gateway.Client.FetchMany
+// against two gateways and two memory servers allocates, with the
+// gateways traced into a registry or not.
+func warmBatchAllocs(t *testing.T, untraced bool) float64 {
+	t.Helper()
+	r := newRigCfg(t, rigCfg{gateways: 2, untraced: untraced})
 	var reqs []proto.SeriesRequest
 	r.run(t, func() {
 		for i := 0; i < 20; i++ {
@@ -76,10 +113,7 @@ func TestFetchManyAllocBudget(t *testing.T) {
 	if bad > 0 {
 		t.Fatalf("%d batches answered wrong", bad)
 	}
-	if got > batchAllocBudget {
-		t.Errorf("a warm 20-series batch allocates %.1f objects, budget %d", got, batchAllocBudget)
-	}
-	t.Logf("%.1f allocations per warm batch (%d expected, budget %d)", got, batchAllocs, batchAllocBudget)
+	return got
 }
 
 // TestAdmissionRecordsCarryNothing: an admission record back on the

@@ -273,7 +273,7 @@ func queryReplyType(t proto.MsgType) proto.MsgType {
 func (s *Server) handleFetch(req proto.Message) {
 	if s.tele != nil {
 		sp := s.tele.StartSpan("gateway", "fetch",
-			telemetry.Attr{Key: "queries", Value: fmt.Sprint(len(req.Queries))})
+			telemetry.Attr{Key: "queries", Value: strconv.Itoa(len(req.Queries))})
 		defer sp.End()
 	}
 	if req.Version > proto.V3 {
@@ -301,7 +301,7 @@ func (s *Server) handleFetch(req proto.Message) {
 func (s *Server) handleForecast(req proto.Message) {
 	if s.tele != nil {
 		sp := s.tele.StartSpan("gateway", "forecast",
-			telemetry.Attr{Key: "queries", Value: fmt.Sprint(len(req.Queries))})
+			telemetry.Attr{Key: "queries", Value: strconv.Itoa(len(req.Queries))})
 		defer sp.End()
 	}
 	if req.Version > proto.V3 {

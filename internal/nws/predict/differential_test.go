@@ -16,7 +16,8 @@ func same(a, b float64) bool { return a == b || (a != a && b != b) }
 
 // checkSortedWindows verifies the invariant the order-statistic members
 // rest on: the sorted view holds exactly the ring's values, in
-// sort.Float64s order.
+// sort.Float64s order, and each sorted value and its ring slot point at
+// each other.
 func checkSortedWindows(b *Battery) error {
 	for _, m := range b.members {
 		var w *sortedWindow
@@ -28,16 +29,29 @@ func checkSortedWindows(b *Battery) error {
 		default:
 			continue
 		}
-		if len(w.sorted) != len(w.buf) {
-			return fmt.Errorf("%s: sorted view holds %d values, ring %d", w.name, len(w.sorted), len(w.buf))
-		}
-		ref := append([]float64(nil), w.buf...)
+		ring, sorted := w.buf[:w.n], w.sorted[:w.n]
+		ref := append([]float64(nil), ring...)
 		sort.Float64s(ref)
 		for i := range ref {
-			if !same(ref[i], w.sorted[i]) {
-				return fmt.Errorf("%s: sorted view %v, ring sorts to %v", w.name, w.sorted, ref)
+			if !same(ref[i], sorted[i]) {
+				return fmt.Errorf("%s: sorted view %v, ring sorts to %v", w.name, sorted, ref)
 			}
 		}
+		for i, slot := range w.slotOf[:w.n] {
+			if int(slot) >= w.n || int(w.rankOf[slot]) != i ||
+				math.Float64bits(ring[slot]) != math.Float64bits(sorted[i]) {
+				return fmt.Errorf("%s: sorted index %d names slot %d, whose rank is %d", w.name, i, slot, w.rankOf[slot])
+			}
+		}
+	}
+	return nil
+}
+
+// samePrediction compares two forecasts on every field under same.
+func samePrediction(got Prediction, gok bool, want Prediction, wok bool) error {
+	if gok != wok || got.Method != want.Method || got.N != want.N ||
+		!same(got.Value, want.Value) || !same(got.MAE, want.MAE) || !same(got.MSE, want.MSE) {
+		return fmt.Errorf("forecast %+v (ok %v), reference %+v (ok %v)", got, gok, want, wok)
 	}
 	return nil
 }
@@ -49,9 +63,8 @@ func diffStep(got, want *Battery, v float64) error {
 	want.Update(v)
 	gp, gok := got.Forecast()
 	wp, wok := want.Forecast()
-	if gok != wok || gp.Method != wp.Method || gp.N != wp.N ||
-		!same(gp.Value, wp.Value) || !same(gp.MAE, wp.MAE) || !same(gp.MSE, wp.MSE) {
-		return fmt.Errorf("forecast %+v (ok %v), reference %+v (ok %v)", gp, gok, wp, wok)
+	if err := samePrediction(gp, gok, wp, wok); err != nil {
+		return err
 	}
 	for _, name := range want.Methods() {
 		ge, gok := got.MethodError(name)
@@ -152,16 +165,31 @@ func fuzzStream(data []byte) []float64 {
 
 // FuzzBatteryDifferential: on any sample stream the battery must not
 // panic, must agree with the copy-and-sort reference at every prefix, and
-// must keep each sorted view consistent with its ring.
+// must keep each sorted view consistent with its ring; Run must agree
+// with the reference on the whole stream and on every short prefix
+// (each member's fill phase and the mean replay's blocks of four).
 func FuzzBatteryDifferential(f *testing.F) {
 	// Both decodings have longer seeds under testdata/fuzz.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 1, 11, 11, 9, 10, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		const runPrefixes = 2*maxWindow + 8
+		values := fuzzStream(data)
 		got, want := NewBattery(), newRefBattery()
-		for i, v := range fuzzStream(data) {
+		checkRun := func(n int) {
+			rp, rok := Run(values[:n])
+			wp, wok := want.Forecast()
+			if err := samePrediction(rp, rok, wp, wok); err != nil {
+				t.Fatalf("Run over %d samples: %v", n, err)
+			}
+		}
+		checkRun(0)
+		for i, v := range values {
 			if err := diffStep(got, want, v); err != nil {
 				t.Fatalf("prefix %d (value %v): %v", i+1, v, err)
+			}
+			if i < runPrefixes || i == len(values)-1 {
+				checkRun(i + 1)
 			}
 		}
 	})

@@ -5,6 +5,14 @@
 // 1999 — the forecasting machinery §2.1 of the reproduced paper relies
 // on).
 //
+// A Battery is fed one sample at a time: Update scores every member
+// against the sample, then shows it to every member. Run answers the
+// same question for a whole window at once, member-major: it replays
+// the window through one member at a time and applies Forecast's
+// selection to the final scores. Per member the arithmetic is the same
+// operations in the same order, so Run's Prediction is bit-identical to
+// a Battery fed the window, and it allocates nothing.
+//
 // predict is a leaf package: it depends on nothing but the standard
 // library, so every layer of the system — the forecaster role
 // (nws/forecast), the query-plane facade (query), the gateway, tools —
@@ -53,110 +61,153 @@ func (p *runningMean) Predict() (float64, bool) {
 }
 func (p *runningMean) Observe(v float64) { p.sum += v; p.n++ }
 
+// maxWindow is the widest window a member keeps.
+const maxWindow = 51
+
 // window is a fixed-capacity ring holding the most recent values in
 // arrival order.
 type window struct {
 	name string
-	buf  []float64 // grows to its capacity, then wraps
-	head int       // index of the oldest value once full
+	buf  [maxWindow]float64
+	size int // capacity, at most maxWindow
+	n    int // values held; grows to size, then stays
+	head int // slot of the oldest value once full
 }
 
 func newWindow(name string, size int) window {
-	return window{name: name, buf: make([]float64, 0, size)}
+	return window{name: name, size: size}
 }
 
 func (w *window) Name() string { return w.name }
 
-// push stores v, returning the value it evicted once the ring is full.
-func (w *window) push(v float64) (old float64, evicted bool) {
-	if len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, v)
-		return 0, false
+// push stores v and returns its slot, and whether it overwrote the
+// oldest value there.
+func (w *window) push(v float64) (slot int, evicted bool) {
+	if w.n < w.size {
+		w.buf[w.n] = v
+		w.n++
+		return w.n - 1, false
 	}
-	old = w.buf[w.head]
-	w.buf[w.head] = v
-	if w.head++; w.head == len(w.buf) {
+	slot = w.head
+	w.buf[slot] = v
+	if w.head++; w.head == w.size {
 		w.head = 0
 	}
-	return old, true
+	return slot, true
 }
 
 type slidingMean struct{ window }
 
 func (p *slidingMean) Predict() (float64, bool) {
-	if len(p.buf) == 0 {
+	if p.n == 0 {
 		return 0, false
 	}
 	// Summed oldest to newest, not kept as a running sum: the rounding of
 	// every forecast depends on this order.
 	var s float64
-	for _, v := range p.buf[p.head:] {
+	for _, v := range p.buf[p.head:p.n] {
 		s += v
 	}
 	for _, v := range p.buf[:p.head] {
 		s += v
 	}
-	return s / float64(len(p.buf)), true
+	return s / float64(p.n), true
 }
 func (p *slidingMean) Observe(v float64) { p.push(v) }
 
+// replayMean scores a fresh sliding mean of the given size over values
+// as Update would, and returns its next forecast. The sums are
+// Predict's, bit for bit: while the window fills they are prefix sums,
+// kept running; once it is full each is summed oldest to newest from
+// zero, four consecutive windows at a time in independent accumulators
+// so that their dependent adds overlap.
+func replayMean(size int, values []float64) (sc score, next float64, ok bool) {
+	n := len(values)
+	if n == 0 {
+		return sc, 0, false
+	}
+	var prefix float64
+	i := 1 // the sample being predicted, from values[:i]
+	for ; i <= size; i++ {
+		prefix += values[i-1]
+		if i == n {
+			return sc, prefix / float64(i), true
+		}
+		sc.add(prefix/float64(i), values[i])
+	}
+	d := float64(size)
+	for ; i+3 < n; i += 4 {
+		w := values[i-size : i+3]
+		var s0, s1, s2, s3 float64
+		for j := 0; j < size; j++ {
+			s0 += w[j]
+			s1 += w[j+1]
+			s2 += w[j+2]
+			s3 += w[j+3]
+		}
+		sc.add(s0/d, values[i])
+		sc.add(s1/d, values[i+1])
+		sc.add(s2/d, values[i+2])
+		sc.add(s3/d, values[i+3])
+	}
+	for ; ; i++ {
+		var s float64
+		for _, v := range values[i-size : i] {
+			s += v
+		}
+		if i == n {
+			return sc, s / d, true
+		}
+		sc.add(s/d, values[i])
+	}
+}
+
 // sortedWindow is a window that also keeps its values in the order
-// sort.Float64s would give them (ascending, NaNs first), maintained by
-// one insertion and one removal per sample, so order statistics are read
-// off without copying or sorting.
+// sort.Float64s would give them (ascending, NaNs first), so order
+// statistics are read off without copying or sorting. Each sorted value
+// knows its ring slot and each slot its sorted index, so the value a
+// push evicts is found without a search; the new value takes its index
+// and steps to its place past the values between them.
 type sortedWindow struct {
 	window
-	sorted []float64
+	sorted [maxWindow]float64 // sorted[:n] is the ring's values in order
+	slotOf [maxWindow]uint8   // ring slot of each sorted value
+	rankOf [maxWindow]uint8   // sorted index of each ring slot's value
 }
 
 func newSortedWindow(name string, size int) sortedWindow {
-	return sortedWindow{window: newWindow(name, size), sorted: make([]float64, 0, size)}
+	return sortedWindow{window: newWindow(name, size)}
 }
 
-// lowerBound returns the first index of ascending s whose value does not
-// order before v; s[i] is v's equal (or both are NaN) when v is in s.
-func lowerBound(s []float64, v float64) int {
-	if v != v {
-		return 0
-	}
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] >= v {
-			hi = mid
-		} else { // smaller, or a NaN
-			lo = mid + 1
-		}
-	}
-	return lo
-}
+// before is the order of sort.Float64s: ascending, NaNs first.
+func before(a, b float64) bool { return a < b || a != a && b == b }
 
 func (w *sortedWindow) Observe(v float64) {
-	s := w.sorted
-	i := lowerBound(s, v)
-	old, evicted := w.push(v)
-	if !evicted {
-		s = append(s, 0)
-		copy(s[i+1:], s[i:])
-		s[i] = v
-		w.sorted = s
-		return
+	slot, evicted := w.push(v)
+	i := w.n - 1 // a new value enters at the top
+	if evicted {
+		i = int(w.rankOf[slot])
 	}
-	// Close the evicted value's slot and open v's in one shift of the
-	// values between them.
-	if r := lowerBound(s, old); r < i {
-		copy(s[r:], s[r+1:i])
-		s[i-1] = v
-	} else {
-		copy(s[i+1:r+1], s[i:r])
-		s[i] = v
+	for i > 0 && before(v, w.sorted[i-1]) {
+		w.place(i, w.sorted[i-1], w.slotOf[i-1])
+		i--
 	}
+	for i < w.n-1 && before(w.sorted[i+1], v) {
+		w.place(i, w.sorted[i+1], w.slotOf[i+1])
+		i++
+	}
+	w.place(i, v, uint8(slot))
+}
+
+// place puts the value of ring slot slot at sorted index i.
+func (w *sortedWindow) place(i int, v float64, slot uint8) {
+	w.sorted[i], w.slotOf[i], w.rankOf[slot] = v, slot, uint8(i)
 }
 
 type slidingMedian struct{ sortedWindow }
 
 func (p *slidingMedian) Predict() (float64, bool) {
-	n := len(p.sorted)
+	n := p.n
 	if n == 0 {
 		return 0, false
 	}
@@ -172,7 +223,7 @@ type trimmedMean struct {
 }
 
 func (p *trimmedMean) Predict() (float64, bool) {
-	n := len(p.sorted)
+	n := p.n
 	if n == 0 {
 		return 0, false
 	}
@@ -263,11 +314,58 @@ type Prediction struct {
 	N int
 }
 
+// score is one member's cumulative error.
+type score struct {
+	absErr, sqErr float64
+	n             int
+}
+
+// add scores the forecast pred against the actual value v.
+func (s *score) add(pred, v float64) {
+	e := pred - v
+	s.absErr += math.Abs(e)
+	s.sqErr += e * e
+	s.n++
+}
+
+// choice is the selection rule Forecast and Run share: of the members
+// that can predict, offered in battery order, the first with the lowest
+// mean absolute error (an unscored member's is +Inf).
+type choice struct {
+	p     Predictor
+	value float64
+	sc    score
+	mae   float64
+}
+
+func (c *choice) offer(p Predictor, value float64, can bool, sc score) {
+	if !can {
+		return
+	}
+	mae := math.Inf(1)
+	if sc.n > 0 {
+		mae = sc.absErr / float64(sc.n)
+	}
+	if c.p == nil || mae < c.mae {
+		*c = choice{p: p, value: value, sc: sc, mae: mae}
+	}
+}
+
+func (c *choice) prediction() (Prediction, bool) {
+	if c.p == nil {
+		return Prediction{}, false
+	}
+	pred := Prediction{Value: c.value, Method: c.p.Name(), N: c.sc.n}
+	if c.sc.n > 0 {
+		pred.MAE = c.sc.absErr / float64(c.sc.n)
+		pred.MSE = c.sc.sqErr / float64(c.sc.n)
+	}
+	return pred, true
+}
+
 type member struct {
-	p        Predictor
-	absErr   float64
-	sqErr    float64
-	nsamples int
+	p Predictor
+	score
 }
 
 // Battery runs the full NWS predictor set in parallel and forecasts with
@@ -277,11 +375,11 @@ type Battery struct {
 	n       int
 }
 
-// NewBattery assembles the standard predictor set: last value, running
+// standard is the predictor set in battery order: last value, running
 // mean, sliding means/medians over several windows, a trimmed mean,
 // exponential smoothing at several gains, and AR(1).
-func NewBattery() *Battery {
-	ps := []Predictor{
+func standard() []Predictor {
+	return []Predictor{
 		&lastValue{},
 		&runningMean{},
 		&slidingMean{newWindow("mean5", 5)},
@@ -299,8 +397,12 @@ func NewBattery() *Battery {
 		&expSmooth{name: "exp0.90", gain: 0.9},
 		&ar1{},
 	}
+}
+
+// NewBattery assembles the standard predictor set.
+func NewBattery() *Battery {
 	b := &Battery{}
-	for _, p := range ps {
+	for _, p := range standard() {
 		b.members = append(b.members, &member{p: p})
 	}
 	return b
@@ -311,10 +413,7 @@ func NewBattery() *Battery {
 func (b *Battery) Update(v float64) {
 	for _, m := range b.members {
 		if pred, ok := m.p.Predict(); ok {
-			e := pred - v
-			m.absErr += math.Abs(e)
-			m.sqErr += e * e
-			m.nsamples++
+			m.add(pred, v)
 		}
 		m.p.Observe(v)
 	}
@@ -328,30 +427,12 @@ func (b *Battery) N() int { return b.n }
 // absolute error so far. ok is false until at least one member can
 // predict.
 func (b *Battery) Forecast() (Prediction, bool) {
-	var best *member
-	var bestMAE float64
+	var c choice
 	for _, m := range b.members {
-		if _, can := m.p.Predict(); !can {
-			continue
-		}
-		mae := math.Inf(1)
-		if m.nsamples > 0 {
-			mae = m.absErr / float64(m.nsamples)
-		}
-		if best == nil || mae < bestMAE {
-			best, bestMAE = m, mae
-		}
+		v, can := m.p.Predict()
+		c.offer(m.p, v, can, m.score)
 	}
-	if best == nil {
-		return Prediction{}, false
-	}
-	v, _ := best.p.Predict()
-	pred := Prediction{Value: v, Method: best.p.Name(), N: best.nsamples}
-	if best.nsamples > 0 {
-		pred.MAE = best.absErr / float64(best.nsamples)
-		pred.MSE = best.sqErr / float64(best.nsamples)
-	}
-	return pred, true
+	return c.prediction()
 }
 
 // MethodError returns the cumulative MAE of a named member (for tests
@@ -359,8 +440,8 @@ func (b *Battery) Forecast() (Prediction, bool) {
 // or unscored members.
 func (b *Battery) MethodError(name string) (mae float64, ok bool) {
 	for _, m := range b.members {
-		if m.p.Name() == name && m.nsamples > 0 {
-			return m.absErr / float64(m.nsamples), true
+		if m.p.Name() == name && m.n > 0 {
+			return m.absErr / float64(m.n), true
 		}
 	}
 	return 0, false
@@ -375,13 +456,76 @@ func (b *Battery) Methods() []string {
 	return out
 }
 
+// fresh is the standard set, never fed: Run copies each member's
+// initial state from it.
+var fresh = standard()
+
 // Run replays a whole series through a fresh battery and returns the
 // final one-step forecast; convenient for request/reply forecasters that
-// fetch history from a memory server.
+// fetch history from a memory server. It equals a NewBattery fed values
+// by Update, bit for bit, but replays member by member, each on its
+// concrete type.
 func Run(values []float64) (Prediction, bool) {
-	b := NewBattery()
-	for _, v := range values {
-		b.Update(v)
+	var c choice
+	for _, initial := range fresh {
+		var sc score
+		var next float64
+		var can bool
+		// Each case spells the loop out on its own type so that Predict
+		// and Observe inline; a generic or interface loop would make an
+		// indirect call per sample.
+		switch p := initial.(type) {
+		case *lastValue:
+			q := *p
+			for _, v := range values {
+				if pred, ok := q.Predict(); ok {
+					sc.add(pred, v)
+				}
+				q.Observe(v)
+			}
+			next, can = q.Predict()
+		case *runningMean: // a sliding mean whose window never fills
+			sc, next, can = replayMean(len(values)+1, values)
+		case *slidingMean:
+			sc, next, can = replayMean(p.size, values)
+		case *slidingMedian:
+			q := *p
+			for _, v := range values {
+				if pred, ok := q.Predict(); ok {
+					sc.add(pred, v)
+				}
+				q.Observe(v)
+			}
+			next, can = q.Predict()
+		case *trimmedMean:
+			q := *p
+			for _, v := range values {
+				if pred, ok := q.Predict(); ok {
+					sc.add(pred, v)
+				}
+				q.Observe(v)
+			}
+			next, can = q.Predict()
+		case *expSmooth:
+			q := *p
+			for _, v := range values {
+				if pred, ok := q.Predict(); ok {
+					sc.add(pred, v)
+				}
+				q.Observe(v)
+			}
+			next, can = q.Predict()
+		case *ar1:
+			q := *p
+			for _, v := range values {
+				if pred, ok := q.Predict(); ok {
+					sc.add(pred, v)
+				}
+				q.Observe(v)
+			}
+			next, can = q.Predict()
+		}
+		c.offer(initial, next, can, sc)
 	}
-	return b.Forecast()
+	return c.prediction()
 }

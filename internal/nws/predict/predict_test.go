@@ -112,16 +112,51 @@ func TestForecastBeforeData(t *testing.T) {
 	}
 }
 
+// TestRunHelperMatchesBattery: Run replays a window member by member,
+// so on every window it must give what a NewBattery fed the window
+// gives, on every field. The windows span every member's fill phase and
+// the mean replay's blocks of four (lengths 0-299), in shapes that
+// stress the sorted ring: ties, huge magnitudes, NaNs, infinities and
+// zeros of both signs.
 func TestRunHelperMatchesBattery(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6}
-	p1, ok1 := Run(vals)
-	b := NewBattery()
-	for _, v := range vals {
-		b.Update(v)
+	shapes := map[string]func(rng *rand.Rand, i int) float64{
+		"uniform":  func(rng *rand.Rand, _ int) float64 { return rng.Float64() * 100 },
+		"ties":     func(rng *rand.Rand, _ int) float64 { return float64(rng.Intn(5)) },
+		"gaussian": func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() * 1e6 },
+		"sinusoid": func(rng *rand.Rand, i int) float64 { return 50 + 20*math.Sin(float64(i)/7) + rng.NormFloat64() },
+		"nonfinite": func(rng *rand.Rand, _ int) float64 {
+			switch rng.Intn(10) {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return math.Inf(-1)
+			case 3:
+				return math.Copysign(0, -1)
+			case 4:
+				return 0
+			}
+			return rng.Float64()*10 - 5
+		},
 	}
-	p2, ok2 := b.Forecast()
-	if ok1 != ok2 || p1 != p2 {
-		t.Fatalf("Run %+v vs battery %+v", p1, p2)
+	for name, next := range shapes {
+		rng := rand.New(rand.NewSource(1))
+		for k := 0; k < 500; k++ {
+			w := make([]float64, rng.Intn(300))
+			for i := range w {
+				w[i] = next(rng, i)
+			}
+			b := NewBattery()
+			for _, v := range w {
+				b.Update(v)
+			}
+			rp, rok := Run(w)
+			bp, bok := b.Forecast()
+			if err := samePrediction(rp, rok, bp, bok); err != nil {
+				t.Fatalf("%s window %d (%d samples): Run vs battery: %v", name, k, len(w), err)
+			}
+		}
 	}
 }
 

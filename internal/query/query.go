@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -379,7 +380,7 @@ func (c *Client) scatter(root *telemetry.ActiveSpan, typ proto.MsgType, f *fanou
 		}})
 		if root != nil {
 			g.span = root.Child("backend", telemetry.Attr{Key: "host", Value: g.host},
-				telemetry.Attr{Key: "series", Value: fmt.Sprint(g.hi - g.lo)})
+				telemetry.Attr{Key: "series", Value: strconv.Itoa(g.hi - g.lo)})
 		}
 	}
 	c.tBatchCalls.Add(int64(len(f.groups)))
@@ -533,7 +534,7 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	var root *telemetry.ActiveSpan
 	if c.tele != nil {
 		root = c.tele.StartSpan("query", "fetch_many",
-			telemetry.Attr{Key: "series", Value: fmt.Sprint(len(reqs))})
+			telemetry.Attr{Key: "series", Value: strconv.Itoa(len(reqs))})
 		defer root.End()
 	}
 	results := make([]Result, len(reqs))
@@ -727,7 +728,7 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 	var root *telemetry.ActiveSpan
 	if c.tele != nil {
 		root = c.tele.StartSpan("query", "forecast_many",
-			telemetry.Attr{Key: "series", Value: fmt.Sprint(len(reqs))})
+			telemetry.Attr{Key: "series", Value: strconv.Itoa(len(reqs))})
 		defer root.End()
 	}
 	results := make([]ForecastResult, len(reqs))

@@ -53,6 +53,9 @@ var reachAllow = map[string]string{
 	"internal/nws/nameserver.Client.Unregister":    "client half of MsgUnregister, which the server handles",
 	"internal/nws/predict.Battery.Methods":         "names the battery's members for the differential test and fuzzer",
 	"internal/nws/predict.Battery.MethodError":     "E12's per-member MAE column and the predictor differential tests",
+	"internal/nws/predict.Battery.Forecast":        "the streaming battery's answer: E12's chosen member and the oracle Run is tested against",
+	"internal/nws/forecast.Client.Forecast":        "one-series form of BatchForecast the forecaster, host and TCP tests call",
+	"internal/query.Client.Forecast":               "one-series form of ForecastMany the query and core tests call",
 	"internal/telemetry.Registry.RecordSpan":       "scenlab's lab test injects a finished span",
 	"internal/simnet.Network.CollisionCount":       "§2.3 collision total E6 and deploy's tests assert on",
 	"internal/simnet.Topology.Reachable":           "firewall reachability oracle of topo's generator tests",
