@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -102,5 +103,53 @@ func BenchmarkSimDelivery(b *testing.B) {
 	b.StopTimer()
 	if got != b.N+1 {
 		b.Fatalf("%d messages delivered, want %d", got, b.N+1)
+	}
+}
+
+// codecSink keeps the sizing benchmarks' results live.
+var codecSink int
+
+// BenchmarkCodec is the wire codec alone: a 20-series fetch request
+// encoded into a reused buffer, a clique token and that request priced
+// (the simulator sizes every delivery), and 20-series replies of 8 and
+// 256 samples a series decoded. Encoding and sizing allocate nothing; a
+// decode allocates From, the Results slice, one string per series and
+// one sample array, whatever the sample count (23).
+func BenchmarkCodec(b *testing.B) {
+	req := Message{Type: MsgQueryFetch, Version: V3, From: "client0", ID: 1 << 20}
+	for i := 0; i < 20; i++ {
+		req.Queries = append(req.Queries, SeriesRequest{Series: fmt.Sprintf("cpu.host-%03d", i), Count: 8})
+	}
+	token := Message{Type: MsgToken, From: "h3", ID: 10, Clique: "cl0", TokenSeq: 41, Epoch: 1 << 20}
+	b.Run("encode_req20", func(b *testing.B) {
+		buf := make([]byte, 0, 1<<12)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = AppendEncode(buf[:0], &req)
+		}
+	})
+	for _, c := range []struct {
+		name string
+		m    *Message
+	}{{"size_token", &token}, {"size_req20", &req}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				codecSink += EncodedSize(c.m)
+			}
+		})
+	}
+	for _, per := range []int{8, 256} {
+		m := batchReply(20, per)
+		enc := AppendEncode(nil, &m)
+		b.Run(fmt.Sprintf("decode_reply20x%d", per), func(b *testing.B) {
+			var out Message
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := Decode(enc, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

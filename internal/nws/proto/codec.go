@@ -10,21 +10,19 @@ import (
 
 // The wire codec: a hand-rolled length-prefixed binary encoding for the
 // whole Message vocabulary — the only encoding, on sockets and in the
-// simulator's byte accounting. Layout is positional — every field of
-// Message in declaration order — with varints for integers (zigzag for
-// signed), 8-byte little-endian IEEE 754 for floats and
-// uvarint-length-prefixed bytes for strings. Slices are uvarint counts
-// followed by elements.
+// simulator's byte accounting. A frame is a 4-byte little-endian payload
+// length, then the payload: Message's fields in declaration order, with
+// zigzag varints for signed integers, 8-byte little-endian IEEE 754 for
+// floats, uvarint-length-prefixed strings and uvarint-counted slices.
 //
-// A frame is a 4-byte little-endian payload length followed by the
-// payload. The codec is allocation-disciplined: encoding
-// appends into a caller-supplied (pooled) buffer, EncodedSize prices a
-// message exactly without encoding it, and decoding allocates one
-// backing array per sample-carrying field group instead of one slice
-// per series. Decoded sample subslices share that backing array with
-// their capacity pinned, so appending to one can never clobber a
-// neighbor — but handlers must still copy anything they retain past the
-// request (see the wire-format notes in the README).
+// Three straight-line passes walk that layout, one line per field:
+// AppendEncode writes it into a caller-supplied (pooled) buffer,
+// EncodedSize prices it without writing, and Decode reads it back. The
+// decoder keeps its first error and reads zeros after it, so Decode
+// checks once and a bad frame allocates nothing more. The sample runs of
+// one decoded message share one backing array, each run's capacity
+// pinned so an append cannot clobber a neighbor; handlers still copy
+// what they keep past the request (see the README's wire formats).
 
 // Typed decode errors, matched with errors.Is.
 var (
@@ -47,17 +45,19 @@ const MaxFrameSize = 64 << 20
 // frameHeaderSize is the length prefix in front of each V3 payload.
 const frameHeaderSize = 4
 
+// retiredSize is the frame room of four retired top-level forecast
+// fields (Value, MAE, MSE, Method): three floats and an empty string,
+// written as zeros and read and dropped, so every frame keeps its
+// layout until a deliberate wire change.
+const retiredSize = 3*8 + 1
+
 // ---- encode ----
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
+func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
 // appendVarint zigzag-encodes signed integers so small negatives stay
 // small on the wire.
-func appendVarint(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
+func appendVarint(b []byte, v int64) []byte { return appendUvarint(b, uint64(v<<1)^uint64(v>>63)) }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -66,6 +66,13 @@ func appendString(b []byte, s string) []byte {
 
 func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 func appendReg(b []byte, r *Registration) []byte {
@@ -125,11 +132,7 @@ func AppendEncode(buf []byte, m *Message) []byte {
 		b = appendSamples(b, r.Samples)
 		b = appendString(b, r.Error)
 		b = appendString(b, r.Code)
-		if r.Replica {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = appendBool(b, r.Replica)
 		b = appendVarint(b, r.Lag)
 	}
 	b = appendUvarint(b, uint64(len(m.Forecasts)))
@@ -143,17 +146,10 @@ func AppendEncode(buf []byte, m *Message) []byte {
 		b = appendVarint(b, int64(f.Count))
 		b = appendString(b, f.Error)
 		b = appendString(b, f.Code)
-		if f.Replica {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = appendBool(b, f.Replica)
 		b = appendVarint(b, f.Lag)
 	}
-	b = appendFloat(b, m.Value)
-	b = appendFloat(b, m.MAE)
-	b = appendFloat(b, m.MSE)
-	b = appendString(b, m.Method)
+	b = append(b, make([]byte, retiredSize)...)
 	b = appendString(b, m.Clique)
 	b = appendVarint(b, m.TokenSeq)
 	b = appendVarint(b, m.Epoch)
@@ -174,9 +170,7 @@ func sizeUvarint(v uint64) int {
 	return n
 }
 
-func sizeVarint(v int64) int {
-	return sizeUvarint(uint64(v<<1) ^ uint64(v>>63))
-}
+func sizeVarint(v int64) int { return sizeUvarint(uint64(v<<1) ^ uint64(v>>63)) }
 
 func sizeString(s string) int { return sizeUvarint(uint64(len(s))) + len(s) }
 
@@ -227,7 +221,7 @@ func EncodedSize(m *Message) int {
 			sizeVarint(int64(f.Count)) + sizeString(f.Error) + sizeString(f.Code) +
 			1 + sizeVarint(f.Lag)
 	}
-	n += 24 + sizeString(m.Method) + sizeString(m.Clique) +
+	n += retiredSize + sizeString(m.Clique) +
 		sizeVarint(m.TokenSeq) + sizeVarint(m.Epoch) + sizeVarint(m.Total) +
 		sizeString(m.Code) + sizeVarint(int64(m.RetryAfter))
 	return n
@@ -235,333 +229,201 @@ func EncodedSize(m *Message) int {
 
 // ---- decode ----
 
+// decoder reads a payload field by field. Its first failure sticks in
+// err: after it every read returns a zero value and every count 0, so
+// the rest of a bad frame is walked without allocating.
 type decoder struct {
-	b   []byte
-	pos int
+	b       []byte
+	pos     int
+	err     error
+	backing []Sample // every sample run of the message, see samples
 }
 
-func (d *decoder) uvarint() (uint64, error) {
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(d.b[d.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: varint at offset %d", ErrTruncated, d.pos)
+		d.err = fmt.Errorf("%w: varint at offset %d", ErrTruncated, d.pos)
+		return 0
 	}
 	d.pos += n
-	return v, nil
+	return v
 }
 
-func (d *decoder) varint() (int64, error) {
-	u, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+var zeros [8]byte // what fixed reads past a failure; never written
+
+// fixed reads n ≤ 8 bytes in place, or zeros once the frame has failed.
+func (d *decoder) fixed(n int, what string) []byte {
+	if d.err == nil && len(d.b)-d.pos < n {
+		d.err = fmt.Errorf("%w: %s at offset %d", ErrTruncated, what, d.pos)
 	}
+	if d.err != nil {
+		return zeros[:n]
+	}
+	d.pos += n
+	return d.b[d.pos-n : d.pos]
+}
+
+func (d *decoder) float() float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.fixed(8, "float")))
+}
+
+func (d *decoder) boolByte() bool { return d.fixed(1, "bool")[0] != 0 }
+
+// bytes reads a length-prefixed run in place (empty past a failure).
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
 	if n > uint64(len(d.b)-d.pos) {
-		return "", fmt.Errorf("%w: string of %d bytes at offset %d", ErrTruncated, n, d.pos)
+		d.err = fmt.Errorf("%w: string of %d bytes at offset %d", ErrTruncated, n, d.pos)
+		return nil
 	}
-	s := string(d.b[d.pos : d.pos+int(n)])
 	d.pos += int(n)
-	return s, nil
+	return d.b[d.pos-int(n) : d.pos]
 }
 
-func (d *decoder) float() (float64, error) {
-	if len(d.b)-d.pos < 8 {
-		return 0, fmt.Errorf("%w: float at offset %d", ErrTruncated, d.pos)
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.pos:]))
-	d.pos += 8
-	return f, nil
-}
+func (d *decoder) str() string { return string(d.bytes()) }
 
 // count reads a slice length and sanity-checks it against the bytes
 // actually left in the payload (each element costs at least minBytes),
 // so a hostile length prefix cannot drive a huge allocation.
-func (d *decoder) count(minBytes int) (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) count(minBytes int) int {
+	n := d.uvarint()
 	if n > uint64((len(d.b)-d.pos)/minBytes+1) {
-		return 0, fmt.Errorf("%w: %d elements announced with %d bytes left", ErrTruncated, n, len(d.b)-d.pos)
+		d.err = fmt.Errorf("%w: %d elements announced with %d bytes left", ErrTruncated, n, len(d.b)-d.pos)
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
-func (d *decoder) reg(r *Registration) error {
-	var err error
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	if r.Kind, err = d.str(); err != nil {
-		return err
-	}
-	if r.Host, err = d.str(); err != nil {
-		return err
-	}
-	if r.Owner, err = d.str(); err != nil {
-		return err
-	}
-	ttl, err := d.varint()
-	if err != nil {
-		return err
-	}
-	exp, err := d.varint()
-	if err != nil {
-		return err
-	}
-	r.TTL, r.Expires = time.Duration(ttl), time.Duration(exp)
-	nRep, err := d.count(1)
-	if err != nil {
-		return err
-	}
-	r.Replicas = nil
-	if nRep > 0 {
-		r.Replicas = make([]string, nRep)
-		for i := range r.Replicas {
-			if r.Replicas[i], err = d.str(); err != nil {
-				return err
-			}
-		}
+// slice reads a count and makes that many elements (nil for none); the
+// callers fill them in loops, since a func-valued filler moves d to the heap.
+func slice[T any](d *decoder, minBytes int) []T {
+	if n := d.count(minBytes); n > 0 {
+		return make([]T, n)
 	}
 	return nil
 }
 
-// boolByte reads a single 0/1 byte.
-func (d *decoder) boolByte() (bool, error) {
-	if d.pos >= len(d.b) {
-		return false, fmt.Errorf("%w: bool at offset %d", ErrTruncated, d.pos)
+func (d *decoder) strs() []string {
+	ss := slice[string](d, 1)
+	for i := range ss {
+		ss[i] = d.str()
 	}
-	v := d.b[d.pos]
-	d.pos++
-	return v != 0, nil
+	return ss
+}
+
+func (d *decoder) reg() Registration {
+	return Registration{Name: d.str(), Kind: d.str(), Host: d.str(), Owner: d.str(),
+		TTL: time.Duration(d.varint()), Expires: time.Duration(d.varint()), Replicas: d.strs()}
+}
+
+func (d *decoder) regs() []Registration {
+	rs := slice[Registration](d, 7)
+	for i := range rs {
+		rs[i] = d.reg()
+	}
+	return rs
 }
 
 // samples decodes one sample run into a subslice of the shared backing
 // array. The first non-empty run sizes the array for every sample the
 // unread bytes could still hold (9 bytes each at least, as count
 // assumes), so later runs never regrow it and a hostile count cannot
-// allocate more than the frame justifies. The returned subslice has its
-// capacity pinned so append never bleeds into a neighbor's samples.
-func (d *decoder) samples(backing []Sample) ([]Sample, []Sample, error) {
-	n, err := d.count(9)
-	if err != nil {
-		return nil, backing, err
-	}
+// allocate more than the frame justifies; a run stops at a failure,
+// before it could outgrow the array. The subslice's capacity is pinned
+// so append never bleeds into a neighbor's samples.
+func (d *decoder) samples() []Sample {
+	n := d.count(9)
 	if n == 0 {
-		return nil, backing, nil
+		return nil
 	}
-	if backing == nil {
-		backing = make([]Sample, 0, (len(d.b)-d.pos)/9)
+	if d.backing == nil {
+		d.backing = make([]Sample, 0, (len(d.b)-d.pos)/9)
 	}
-	start := len(backing)
+	backing, start := d.backing, len(d.backing)
 	for i := 0; i < n; i++ {
-		at, err := d.varint()
-		if err != nil {
-			return nil, backing, err
+		s := Sample{At: time.Duration(d.varint()), Value: d.float()}
+		if d.err != nil {
+			break
 		}
-		v, err := d.float()
-		if err != nil {
-			return nil, backing, err
-		}
-		backing = append(backing, Sample{At: time.Duration(at), Value: v})
+		backing = append(backing, s)
 	}
-	return backing[start:len(backing):len(backing)], backing, nil
+	d.backing = backing
+	return backing[start:len(backing):len(backing)]
+}
+
+func (d *decoder) queries() []SeriesRequest {
+	qs := slice[SeriesRequest](d, 2)
+	for i := range qs {
+		qs[i] = SeriesRequest{Series: d.str(), Count: int(d.varint())}
+	}
+	return qs
+}
+
+func (d *decoder) results() []SeriesResult {
+	rs := slice[SeriesResult](d, 6)
+	for i := range rs {
+		r := &rs[i]
+		r.Series, r.Samples, r.Error, r.Code = d.str(), d.samples(), d.str(), d.str()
+		r.Replica, r.Lag = d.boolByte(), d.varint()
+	}
+	return rs
+}
+
+func (d *decoder) forecasts() []ForecastResult {
+	fs := slice[ForecastResult](d, 30)
+	for i := range fs {
+		fs[i] = ForecastResult{Series: d.str(), Value: d.float(), MAE: d.float(), MSE: d.float(),
+			Method: d.str(), Count: int(d.varint()), Error: d.str(), Code: d.str(),
+			Replica: d.boolByte(), Lag: d.varint()}
+	}
+	return fs
 }
 
 // Decode parses one V3 payload into m, overwriting every field. On error
 // m may be partially filled and must not be used. All sample slices of
-// one message share a single backing array (capacities pinned).
+// one message share a single backing array (capacities pinned). The
+// retired forecast positions are read and dropped, whatever they hold.
 func Decode(data []byte, m *Message) error {
 	if len(data) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(data))
 	}
 	d := decoder{b: data}
-	*m = Message{}
-	t, err := d.uvarint()
-	if err != nil {
-		return err
+	m.Type = MsgType(d.uvarint())
+	m.Version = int(d.uvarint())
+	m.From = d.str()
+	m.ID = d.varint()
+	m.ReplyTo = d.varint()
+	m.Error = d.str()
+	m.Reg = d.reg()
+	m.Kind = d.str()
+	m.Name = d.str()
+	m.Regs = d.regs()
+	m.Series = d.str()
+	m.Samples = d.samples()
+	m.Count = int(d.varint())
+	m.Queries = d.queries()
+	m.Results = d.results()
+	m.Forecasts = d.forecasts()
+	d.float() // the retired Value, MAE, MSE and Method
+	d.float()
+	d.float()
+	d.bytes()
+	m.Clique = d.str()
+	m.TokenSeq = d.varint()
+	m.Epoch = d.varint()
+	m.Total = d.varint()
+	m.Code = d.str()
+	m.RetryAfter = time.Duration(d.varint())
+	if d.err == nil && d.pos != len(d.b) {
+		d.err = fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingBytes, d.pos, len(d.b))
 	}
-	m.Type = MsgType(t)
-	v, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	m.Version = int(v)
-	if m.From, err = d.str(); err != nil {
-		return err
-	}
-	if m.ID, err = d.varint(); err != nil {
-		return err
-	}
-	if m.ReplyTo, err = d.varint(); err != nil {
-		return err
-	}
-	if m.Error, err = d.str(); err != nil {
-		return err
-	}
-	if err = d.reg(&m.Reg); err != nil {
-		return err
-	}
-	if m.Kind, err = d.str(); err != nil {
-		return err
-	}
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	nRegs, err := d.count(7)
-	if err != nil {
-		return err
-	}
-	if nRegs > 0 {
-		m.Regs = make([]Registration, nRegs)
-		for i := range m.Regs {
-			if err = d.reg(&m.Regs[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if m.Series, err = d.str(); err != nil {
-		return err
-	}
-	// One backing array for every sample in the message: Samples plus
-	// each Results[i].Samples; starting nil keeps messages without
-	// samples allocation-free.
-	var backing []Sample
-	if m.Samples, backing, err = d.samples(nil); err != nil {
-		return err
-	}
-	cnt, err := d.varint()
-	if err != nil {
-		return err
-	}
-	m.Count = int(cnt)
-	nQ, err := d.count(2)
-	if err != nil {
-		return err
-	}
-	if nQ > 0 {
-		m.Queries = make([]SeriesRequest, nQ)
-		for i := range m.Queries {
-			if m.Queries[i].Series, err = d.str(); err != nil {
-				return err
-			}
-			c, err := d.varint()
-			if err != nil {
-				return err
-			}
-			m.Queries[i].Count = int(c)
-		}
-	}
-	nR, err := d.count(6)
-	if err != nil {
-		return err
-	}
-	if nR > 0 {
-		m.Results = make([]SeriesResult, nR)
-		for i := range m.Results {
-			r := &m.Results[i]
-			if r.Series, err = d.str(); err != nil {
-				return err
-			}
-			if r.Samples, backing, err = d.samples(backing); err != nil {
-				return err
-			}
-			if r.Error, err = d.str(); err != nil {
-				return err
-			}
-			if r.Code, err = d.str(); err != nil {
-				return err
-			}
-			if r.Replica, err = d.boolByte(); err != nil {
-				return err
-			}
-			if r.Lag, err = d.varint(); err != nil {
-				return err
-			}
-		}
-	}
-	nF, err := d.count(30)
-	if err != nil {
-		return err
-	}
-	if nF > 0 {
-		m.Forecasts = make([]ForecastResult, nF)
-		for i := range m.Forecasts {
-			f := &m.Forecasts[i]
-			if f.Series, err = d.str(); err != nil {
-				return err
-			}
-			if f.Value, err = d.float(); err != nil {
-				return err
-			}
-			if f.MAE, err = d.float(); err != nil {
-				return err
-			}
-			if f.MSE, err = d.float(); err != nil {
-				return err
-			}
-			if f.Method, err = d.str(); err != nil {
-				return err
-			}
-			c, err := d.varint()
-			if err != nil {
-				return err
-			}
-			f.Count = int(c)
-			if f.Error, err = d.str(); err != nil {
-				return err
-			}
-			if f.Code, err = d.str(); err != nil {
-				return err
-			}
-			if f.Replica, err = d.boolByte(); err != nil {
-				return err
-			}
-			if f.Lag, err = d.varint(); err != nil {
-				return err
-			}
-		}
-	}
-	if m.Value, err = d.float(); err != nil {
-		return err
-	}
-	if m.MAE, err = d.float(); err != nil {
-		return err
-	}
-	if m.MSE, err = d.float(); err != nil {
-		return err
-	}
-	if m.Method, err = d.str(); err != nil {
-		return err
-	}
-	if m.Clique, err = d.str(); err != nil {
-		return err
-	}
-	if m.TokenSeq, err = d.varint(); err != nil {
-		return err
-	}
-	if m.Epoch, err = d.varint(); err != nil {
-		return err
-	}
-	if m.Total, err = d.varint(); err != nil {
-		return err
-	}
-	if m.Code, err = d.str(); err != nil {
-		return err
-	}
-	ra, err := d.varint()
-	if err != nil {
-		return err
-	}
-	m.RetryAfter = time.Duration(ra)
-	if d.pos != len(d.b) {
-		return fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingBytes, d.pos, len(d.b))
-	}
-	return nil
+	return d.err
 }

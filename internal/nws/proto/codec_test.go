@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -27,11 +29,7 @@ func codecShapes() []Message {
 		{Type: MsgStore, From: "s", ID: 4, Series: "cpu.h1", Samples: samples},
 		{Type: MsgReplSync, From: "c", ID: 5, Series: "cpu.h1", Count: -1},
 		{Type: MsgStoreAck, From: "m", ID: 6, ReplyTo: 5, Series: "cpu.h1", Samples: samples},
-		// The top-level forecast fields: no message type fills them since
-		// the single-shot forecast reply went, but the flat struct and the
-		// positional codec still carry them.
-		{Type: MsgBatchForecastReply, From: "f", ID: 8, ReplyTo: 7, Series: "cpu.h1",
-			Value: 0.5, MAE: 0.01, MSE: 0.002, Method: "mean", Count: 16},
+		{Type: MsgBatchForecastReply, From: "f", ID: 8, ReplyTo: 7, Series: "cpu.h1", Count: 16},
 		{Type: MsgToken, From: "h3", ID: 10, Clique: "cl0", TokenSeq: 41, Epoch: 1 << 20},
 		{Type: MsgBatchFetch, Version: V3, From: "gw", ID: 11,
 			Queries: []SeriesRequest{{Series: "cpu.h1", Count: 1}, {Series: "cpu.h2", Count: -2}}},
@@ -88,6 +86,76 @@ func TestCodecRoundTripEveryShape(t *testing.T) {
 		re := AppendEncode(nil, &back)
 		if string(re) != string(enc) {
 			t.Fatalf("shape %d: re-encode not byte-identical", i)
+		}
+	}
+}
+
+// goldenFramesSHA256 is the digest of every codecShapes frame, each
+// behind its uvarint length. A codec edit that moves any byte of any
+// shape changes it; only a deliberate wire change re-records it.
+const goldenFramesSHA256 = "ff9857fb15eb6fe60e4c93befaf3d572884323f5a0aa1af97184eeef9629de8d"
+
+func TestCodecFramesGolden(t *testing.T) {
+	h := sha256.New()
+	for _, m := range codecShapes() {
+		enc := AppendEncode(nil, &m)
+		h.Write(binary.AppendUvarint(nil, uint64(len(enc))))
+		h.Write(enc)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFramesSHA256 {
+		t.Fatalf("codecShapes frames hash to %s, want %s: a frame moved", got, goldenFramesSHA256)
+	}
+}
+
+// TestCodecCoversEveryField fills every exported field of Message, down
+// through its structs and into every slice element, with a distinct
+// non-zero value. A field that AppendEncode or Decode misses then fails
+// the round trip, and one EncodedSize misses fails the length check.
+func TestCodecCoversEveryField(t *testing.T) {
+	next := 0
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		next++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Type().Field(i); f.IsExported() {
+					fill(v.Field(i), path+"."+f.Name)
+				}
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", next))
+		case reflect.Int, reflect.Int64:
+			v.SetInt(int64(next))
+		case reflect.Float64:
+			v.SetFloat(float64(next) + 0.25)
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("%s: no value for a %s field; teach the codec and this test its kind", path, v.Kind())
+		}
+	}
+	var m Message
+	fill(reflect.ValueOf(&m).Elem(), "Message")
+
+	enc := AppendEncode(nil, &m)
+	if got := EncodedSize(&m); got != len(enc) {
+		t.Errorf("EncodedSize %d != encoded length %d: a field is not sized", got, len(enc))
+	}
+	var back Message
+	if err := Decode(enc, &back); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	in, out := reflect.ValueOf(m), reflect.ValueOf(back)
+	for i := 0; i < in.NumField(); i++ {
+		if !reflect.DeepEqual(in.Field(i).Interface(), out.Field(i).Interface()) {
+			t.Errorf("Message.%s does not survive the round trip: %+v -> %+v",
+				in.Type().Field(i).Name, in.Field(i), out.Field(i))
 		}
 	}
 }

@@ -190,9 +190,11 @@ type ForecastResult struct {
 	Lag     int64
 }
 
-// Message is the single flat wire message. Unused fields stay at their
-// zero values; a flat struct keeps the positional codec one pass over
-// the fields and the protocol easy to trace.
+// Message is the one wire message of every type: a flat struct whose
+// unused fields stay zero, so a trace shows every message the same way.
+// The codec writes the fields in declaration order, so a field added
+// here needs a line in each of AppendEncode, EncodedSize and Decode
+// (TestCodecCoversEveryField fails until it has all three).
 type Message struct {
 	Type    MsgType
 	Version int    // protocol version the sender stamped (0 = unstamped); servers reject > V3
@@ -216,14 +218,6 @@ type Message struct {
 	Queries   []SeriesRequest
 	Results   []SeriesResult
 	Forecasts []ForecastResult
-
-	// Forecast fields. No message type fills them (forecasts travel in
-	// Forecasts); they stay part of the positional layout until Message
-	// is split into header + payload.
-	Value  float64
-	MAE    float64
-	MSE    float64
-	Method string
 
 	// Clique fields.
 	Clique   string

@@ -47,13 +47,13 @@ func TestSimCallRoundTrip(t *testing.T) {
 			if !ok {
 				return
 			}
-			sa.Reply(req, Message{Type: MsgPong, Value: req.Value * 2})
+			sa.Reply(req, Message{Type: MsgPong, Count: req.Count * 2})
 		}
 	})
 	var got Message
 	var callErr error
 	sim.Go("client", func() {
-		got, callErr = sb.Call("a", Message{Type: MsgPing, Value: 21}, time.Second)
+		got, callErr = sb.Call("a", Message{Type: MsgPing, Count: 21}, time.Second)
 		sa.Close()
 		sb.Close()
 	})
@@ -63,7 +63,7 @@ func TestSimCallRoundTrip(t *testing.T) {
 	if callErr != nil {
 		t.Fatal(callErr)
 	}
-	if got.Type != MsgPong || got.Value != 42 {
+	if got.Type != MsgPong || got.Count != 42 {
 		t.Fatalf("reply %+v", got)
 	}
 	// Round trip over 2×1ms latency each way: at least 4ms of virtual time.
