@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/telemetry"
 )
 
@@ -62,6 +63,7 @@ type config struct {
 	autoAliases      bool
 	observer         EventFunc
 	tele             *telemetry.Registry
+	holds            *clique.HoldLog
 }
 
 // Option configures a Pipeline.
@@ -134,6 +136,12 @@ func WithPairwiseSwitched() Option {
 // Pipeline.Observe note flows through it.
 func WithObserver(fn EventFunc) Option {
 	return func(c *config) { c.observer = fn }
+}
+
+// WithHoldLog records every token hold of every deployed ring clique in
+// l, for a checker that takes them regularly (scenlab's invariants).
+func WithHoldLog(l *clique.HoldLog) Option {
+	return func(c *config) { c.holds = l }
 }
 
 // WithTelemetry wires a telemetry registry through the pipeline and

@@ -222,6 +222,7 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 		HostSensorPeriod: p.cfg.hostSensorPeriod,
 		PairwiseSwitched: p.cfg.pairwiseSwitched,
 		Telemetry:        p.cfg.tele,
+		Holds:            p.cfg.holds,
 	})
 	if err != nil {
 		return nil, err

@@ -21,6 +21,11 @@ import (
 // 2^20 leaves any realistic election count below the next incarnation.
 const epochStride = 1 << 20
 
+// Incarnation is the clique incarnation a token epoch belongs to:
+// elections move the epoch within one, a rebuild of the clique's ring
+// moves it to the next.
+func Incarnation(epoch int64) int64 { return epoch / epochStride }
+
 // DeltaReport summarizes an incremental apply.
 type DeltaReport struct {
 	// Diff is the plan-level delta that drove the transition.
@@ -113,6 +118,21 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 		}
 	}
 	sort.Strings(rebuild)
+
+	// A rebuilt agent rejoins the rings that kept running: its members
+	// must not bootstrap a token beside the one still circulating.
+	fresh := map[string]bool{}
+	for name := range diff.CliquesChanged {
+		fresh[name] = true
+	}
+	for _, name := range diff.CliquesAdded {
+		fresh[name] = true
+	}
+	for _, name := range rep.Restarted {
+		for i, c := range newRoles[name].Cliques {
+			newRoles[name].Cliques[i].Join = !fresh[c.Name]
+		}
+	}
 
 	// An in-place rebuild must not lose the retained series windows of a
 	// live host's memory server — a survivor holding replica copies is

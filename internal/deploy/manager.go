@@ -37,6 +37,9 @@ type ApplyOptions struct {
 	// (gateway admission instruments, clique ring counters) and into
 	// query clients built via QueryClient. Nil deploys uninstrumented.
 	Telemetry *telemetry.Registry
+	// Holds, when set, receives every token hold of every ring clique
+	// member (clique.HoldLog), for a checker of the one-token invariant.
+	Holds *clique.HoldLog
 }
 
 // Deployment is a plan applied to a transport: one agent per host. It
@@ -148,6 +151,7 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 			TokenGap:   gap,
 			StartDelay: time.Duration(i) * staggerStep,
 			Epoch:      epochs[spec.Name],
+			Holds:      opts.Holds,
 			Telemetry:  opts.Telemetry,
 		}
 		if opts.PairwiseSwitched && spec.Network != "" && !spec.Shared && len(members) >= 3 {

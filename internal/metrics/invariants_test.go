@@ -1,0 +1,112 @@
+package metrics
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"nwsenv/internal/deploy"
+	"nwsenv/internal/nws/clique"
+	"nwsenv/internal/simnet"
+)
+
+// twoSwitches is hosts a and b on switch s1, c and d on s2, and one
+// link between the switches.
+func twoSwitches() *simnet.Topology {
+	topo := simnet.NewTopology()
+	topo.AddSwitch("s1")
+	topo.AddSwitch("s2")
+	topo.Connect("s1", "s2")
+	for i, h := range []string{"a", "b", "c", "d"} {
+		topo.AddHost(h, "10.0.0."+string(rune('1'+i)), h, "x")
+		topo.Connect(h, map[bool]string{true: "s1", false: "s2"}[i < 2])
+	}
+	return topo
+}
+
+// ring is holds of one clique's token passed round members in order,
+// one a second, each held for 900 ms.
+func ring(name string, epoch int64, members []string, n int) []clique.Hold {
+	var hs []clique.Hold
+	for i := 0; i < n; i++ {
+		at := time.Duration(i) * time.Second
+		hs = append(hs, clique.Hold{Clique: name, Host: members[i%len(members)], Epoch: epoch, Seq: int64(i + 1),
+			From: at, To: at + 900*time.Millisecond})
+	}
+	return hs
+}
+
+func TestInvariantsHoldOnOneRing(t *testing.T) {
+	hosts := []string{"a", "b", "c", "d"}
+	plan := &deploy.Plan{Hosts: hosts, Cliques: []deploy.CliqueSpec{{Name: "all", Members: hosts, Period: time.Second}}}
+	inv := NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, ring("all", 0, hosts, 10))
+	inv.Check(plan, twoSwitches(), nil, ring("all", 1, hosts, 10))
+	for _, name := range InvariantNames {
+		if inv.Violations[name] != 0 {
+			t.Errorf("%s: %d violations, first %s", name, inv.Violations[name], inv.First[name])
+		}
+	}
+	if inv.Checks != 2 {
+		t.Fatalf("%d checks, want 2", inv.Checks)
+	}
+}
+
+// TestInvariantsCatchSharedLinkAndDuplicateToken: two cliques with no
+// common member whose paths cross the one inter-switch link, and a
+// token forged into one of them, break collision freedom and one token
+// per clique epoch; a ring idle for minutes within one incarnation and
+// an oversized clique break bounded cliques.
+func TestInvariantsCatchSharedLinkAndDuplicateToken(t *testing.T) {
+	plan := &deploy.Plan{Hosts: []string{"a", "b", "c", "d"}, Cliques: []deploy.CliqueSpec{
+		{Name: "x", Members: []string{"a", "c"}, Period: time.Second},
+		{Name: "y", Members: []string{"b", "d"}, Period: time.Second},
+	}}
+	holds := ring("x", 0, []string{"a", "c"}, 6)
+	forged := clique.Hold{Clique: "x", Host: "c", Epoch: 0, Seq: 99, From: 2500 * time.Millisecond, To: 3400 * time.Millisecond}
+	inv := NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, append(holds, forged))
+	for name, want := range map[string]string{
+		InvCollisionFreedom: "without a common member share a resource, first x [a c] and y [b d]",
+		InvOneToken:         "clique x epoch 0: c took seq 99 at 2.5s while a held seq 3 over [2s, 2.9s)",
+	} {
+		if inv.Violations[name] != 1 || !strings.Contains(inv.First[name], want) {
+			t.Errorf("%s: %d violations, first %q, want one with %q", name, inv.Violations[name], inv.First[name], want)
+		}
+	}
+
+	// The same ring joined at a member is a §5.1 bridge, not a collision.
+	plan.Cliques[1].Members = []string{"c", "d"}
+	inv = NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, nil)
+	if inv.Violations[InvCollisionFreedom] != 0 {
+		t.Errorf("cliques joined at c: %s", inv.First[InvCollisionFreedom])
+	}
+
+	idle := append(ring("x", 3, []string{"a", "c"}, 2), clique.Hold{Clique: "x", Host: "a", Epoch: 4, Seq: 1,
+		From: 10 * time.Minute, To: 10*time.Minute + time.Second})
+	inv = NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, idle)
+	if inv.Violations[InvBoundedCliques] != 1 || !strings.Contains(inv.First[InvBoundedCliques], "token idle 9m58.1s") {
+		t.Errorf("idle ring: %d violations, first %q", inv.Violations[InvBoundedCliques], inv.First[InvBoundedCliques])
+	}
+	// A rebuild (the next incarnation) may start after any gap.
+	rebuilt := append(ring("x", 3, []string{"a", "c"}, 2), clique.Hold{Clique: "x", Host: "a", Epoch: 3 + 1<<20, Seq: 1,
+		From: 10 * time.Minute, To: 10*time.Minute + time.Second})
+	inv = NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, rebuilt)
+	if inv.Violations[InvBoundedCliques] != 0 {
+		t.Errorf("rebuilt ring: %s", inv.First[InvBoundedCliques])
+	}
+
+	big := make([]string, MaxCliqueSize+1)
+	for i := range big {
+		big[i] = "a"
+	}
+	plan.Cliques = append(plan.Cliques, deploy.CliqueSpec{Name: "big", Members: big})
+	inv = NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, nil)
+	if !strings.Contains(inv.First[InvBoundedCliques], "clique big has 65 members") {
+		t.Errorf("oversized clique: %q", inv.First[InvBoundedCliques])
+	}
+}

@@ -17,8 +17,14 @@
 //     long, a bully-style election (§2.3 "mechanisms to handle network
 //     errors and leader elections") designates the live member with the
 //     lowest ring index as coordinator; it regenerates the token in a
-//     fresh epoch. Stale-epoch and stale-sequence tokens are dropped, so
-//     duplicated tokens die out.
+//     fresh epoch that only it may mint (nextEpoch). Stale-epoch and stale-sequence tokens are dropped, and
+//     a member that receives a token while passing its own acks it and
+//     keeps only the higher of the two, so duplicated tokens die out
+//     where they meet instead of chasing each other round the ring.
+//   - A member rebuilt into a ring that kept running (Config.Join) does
+//     not bootstrap a token beside the ring's own. Members given a
+//     HoldLog record their holds in it, so a run can check that no two
+//     holds of one epoch overlap.
 //
 // The package also provides the pairwise scheduler discussed in the
 // paper's conclusion ("a possibility to lock hosts (and not networks) is
@@ -64,6 +70,15 @@ type Config struct {
 	// ex-member) are recognized as stale and dropped instead of racing
 	// the new ring.
 	Epoch int64
+	// Join starts member 0 without bootstrapping a token: the member is
+	// rejoining a ring that kept running without it (its host's agent
+	// was rebuilt, its clique was not), and a bootstrapped token would
+	// circulate beside the ring's own. A lost token is still regenerated
+	// by the watchdog's election.
+	Join bool
+	// Holds, when set, receives every token hold of the member (see
+	// HoldLog). Like Telemetry it never rebuilds a ring.
+	Holds *HoldLog
 	// Telemetry, when set, mirrors the member's Stats onto the
 	// process-wide registry, labeled by clique name. Excluded from the
 	// deployment's role signatures: wiring telemetry never rebuilds a
@@ -105,6 +120,47 @@ type Stats struct {
 	Coordinations  int
 	StaleTokens    int
 }
+
+// Hold is one token holding as its member saw it: the token's epoch and
+// sequence, from the moment the member took it to the moment it sent it
+// on (or stopped). Within one epoch of a clique, holds never overlap
+// while the ring keeps its one token.
+type Hold struct {
+	Clique, Host string
+	Epoch, Seq   int64
+	From, To     time.Duration
+}
+
+// HoldLog collects the token holds of every member configured with it,
+// until its reader takes them: a checker that reads it regularly, since
+// nothing else bounds it. A nil log records nothing.
+type HoldLog struct {
+	mu    sync.Mutex
+	holds []Hold
+}
+
+func (l *HoldLog) add(h Hold) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.holds = append(l.holds, h)
+	l.mu.Unlock()
+}
+
+// Take returns the holds recorded since the last Take, in the order
+// they ended, and forgets them.
+func (l *HoldLog) Take() []Hold {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	h := l.holds
+	l.holds = nil
+	return h
+}
+
+// Watchdog is the token silence after which a member of c starts an
+// election: TokenTimeout, or its default for c's size and gap.
+func (c Config) Watchdog() time.Duration { return c.withDefaults().TokenTimeout }
 
 // Member is one clique participant running on a host.
 type Member struct {
@@ -178,9 +234,9 @@ func (m *Member) isStopped() bool {
 }
 
 // Run executes the member until Stop or port closure. Member 0
-// bootstraps the token.
+// bootstraps the token unless it joins a running ring.
 func (m *Member) Run() {
-	if m.idx == 0 {
+	if m.idx == 0 && !m.cfg.Join {
 		if m.cfg.StartDelay > 0 {
 			m.port.Runtime().Sleep(m.cfg.StartDelay)
 		}
@@ -265,14 +321,18 @@ func (m *Member) handleToken(tok proto.Message) {
 
 // holdToken runs the experiment round and forwards the token.
 func (m *Member) holdToken() {
+	now := m.port.Runtime().Now
 	m.mu.Lock()
 	m.stats.TokensHeld++
 	me := m.port.Host()
+	h := Hold{Clique: m.cfg.Name, Host: me, Epoch: m.epoch, Seq: m.lastSeq, From: now()}
 	m.mu.Unlock()
 	m.tTokens.Inc()
 
 	for i := 1; i < len(m.cfg.Members); i++ {
 		if m.isStopped() {
+			h.To = now()
+			m.cfg.Holds.add(h)
 			return
 		}
 		peer := m.cfg.Members[(m.idx+i)%len(m.cfg.Members)]
@@ -291,6 +351,8 @@ func (m *Member) holdToken() {
 		}
 	}
 	m.port.Runtime().Sleep(m.cfg.TokenGap)
+	h.To = now()
+	m.cfg.Holds.add(h)
 	if !m.isStopped() {
 		m.passToken()
 	}
@@ -349,6 +411,24 @@ func (m *Member) awaitAck(seq int64) bool {
 		if msg.Type == proto.MsgTokenAck && msg.TokenSeq == seq {
 			return true
 		}
+		// Another token reached us while ours is in flight: two tokens
+		// meet here. Ack it, so its sender does not keep it for want of
+		// an answer, and keep it only if it outranks ours; both ends
+		// apply the same order, so one of the two survives.
+		if msg.Type == proto.MsgToken {
+			m.port.Send(msg.From, proto.Message{
+				Type: proto.MsgTokenAck, Clique: m.cfg.Name, TokenSeq: msg.TokenSeq, Epoch: msg.Epoch,
+			})
+			if m.outranks(msg, seq) {
+				m.backlog = append(m.backlog, msg)
+			} else {
+				m.mu.Lock()
+				m.stats.StaleTokens++
+				m.mu.Unlock()
+				m.tStale.Inc()
+			}
+			continue
+		}
 		// Elections must be answered promptly even mid-pass.
 		if msg.Type == proto.MsgElection {
 			m.handleElection(msg)
@@ -356,6 +436,22 @@ func (m *Member) awaitAck(seq int64) bool {
 		}
 		m.backlog = append(m.backlog, msg)
 	}
+}
+
+// outranks orders a token met mid-pass against the one this member is
+// passing as seq: by epoch, then sequence, then the lower ring index of
+// its sender.
+func (m *Member) outranks(tok proto.Message, seq int64) bool {
+	m.mu.Lock()
+	epoch := m.epoch
+	m.mu.Unlock()
+	if tok.Epoch != epoch {
+		return tok.Epoch > epoch
+	}
+	if tok.TokenSeq != seq {
+		return tok.TokenSeq > seq
+	}
+	return m.indexOf(tok.From) < m.idx
 }
 
 // handleElection answers a lower-priority member's election call: we are
@@ -380,12 +476,23 @@ func (m *Member) indexOf(host string) int {
 	return -1
 }
 
+// nextEpoch is the smallest epoch above the member's that it alone may
+// mint: one congruent to its ring index modulo the ring size. Two
+// members that elect themselves at once — across a partition, or beside
+// a member whose host crashed under it — then regenerate the token in
+// two epochs, not two tokens in one. m.mu must be held.
+func (m *Member) nextEpoch() int64 {
+	n := int64(len(m.cfg.Members))
+	e := m.epoch + 1
+	return e + ((int64(m.idx)-e)%n+n)%n
+}
+
 // runElection runs one bully round: challenge all higher-priority
 // members; silence means we coordinate and regenerate the token.
 func (m *Member) runElection() {
 	m.mu.Lock()
 	m.stats.Elections++
-	newEpoch := m.epoch + 1
+	newEpoch := m.nextEpoch()
 	m.mu.Unlock()
 	m.tElections.Inc()
 

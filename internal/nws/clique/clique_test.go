@@ -2,6 +2,7 @@ package clique
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -412,4 +413,141 @@ func TestPairwiseNoCollisionsOnSwitch(t *testing.T) {
 			t.Fatalf("pairwise probes collided on a switch: %+v", c)
 		}
 	}
+}
+
+// ---- one token per epoch ----
+
+// holdOverlap returns the first hold in log that began before an
+// earlier hold of the same epoch had ended, among holds starting at or
+// after from.
+func holdOverlap(log *HoldLog, from time.Duration) (Hold, bool) {
+	var hs []Hold
+	for _, h := range log.Take() {
+		if h.From >= from {
+			hs = append(hs, h)
+		}
+	}
+	sort.Slice(hs, func(i, j int) bool { return hs[i].From < hs[j].From })
+	ends := map[int64]time.Duration{}
+	for _, h := range hs {
+		if h.From < ends[h.Epoch] {
+			return h, true
+		}
+		ends[h.Epoch] = max(ends[h.Epoch], h.To)
+	}
+	return Hold{}, false
+}
+
+// TestMeetingTokensLeaveOne: a second token forged into a ring
+// circulates beside the first until the two meet; the member that
+// meets a token while passing its own acks it and keeps only the higher
+// one, so the ring is back to one token and no two holds of the epoch
+// overlap after that. In a ring of two the tokens only ever meet
+// mid-pass, each member passing to the other at once.
+func TestMeetingTokensLeaveOne(t *testing.T) {
+	for _, n := range []int{2, 3, 4} {
+		log := &HoldLog{}
+		r := newRig(t, n, Config{TokenGap: time.Second, Holds: log})
+		r.sim.Go("forger", func() {
+			r.sim.Sleep(20 * time.Second)
+			r.stations[1].Send("h1", proto.Message{Type: proto.MsgToken, Clique: "test", TokenSeq: 1 << 20})
+		})
+		if err := r.sim.RunUntil(3 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if h, ok := holdOverlap(log, 2*time.Minute); ok {
+			t.Fatalf("ring of %d: two tokens still circulate 100 s after the forgery: %+v", n, h)
+		}
+		held := 0
+		for _, m := range r.members {
+			held += m.Stats().TokensHeld
+		}
+		r.stopAll()
+		if held < 30 {
+			t.Fatalf("ring of %d stalled: %d holds in 3 minutes", n, held)
+		}
+	}
+}
+
+// TestJoiningMemberDoesNotBootstrap: member 0 of a running ring is
+// rebuilt with Join set while another member holds the token, as a
+// deployment does when it rebuilds a host whose clique it keeps. The
+// ring keeps its one token: no hold of the rebuilt member overlaps
+// another of the same epoch.
+func TestJoiningMemberDoesNotBootstrap(t *testing.T) {
+	log := &HoldLog{}
+	cfg := Config{TokenGap: time.Second, Holds: log}
+	r := newRig(t, 3, cfg)
+	h1Holds := false
+	r.hook = func(m sensor.Measurement) {
+		h1Holds = h1Holds || r.sim.Now() > 30*time.Second && strings.HasSuffix(m.Series, ".h1.h2")
+	}
+	r.sim.Go("rebuild", func() {
+		for !h1Holds {
+			r.sim.Sleep(10 * time.Millisecond)
+		}
+		r.members[0].Stop()
+		r.stations[0].Close()
+		ep, err := r.tr.Open("h0")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		st := proto.NewStation(r.tr.Runtime(), ep)
+		cfg.Name, cfg.Members, cfg.Join = "test", r.hosts, true
+		r.members[0] = NewMember(cfg, st, sensor.SimProber{Net: r.net}, r.record)
+		r.stations[0] = st
+		r.sim.Go("member:h0 again", r.members[0].Run)
+	})
+	if err := r.sim.RunUntil(3 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := holdOverlap(log, 30*time.Second); ok {
+		t.Fatalf("a second token after the rebuild: %+v", h)
+	}
+	if r.members[0].Stats().TokensHeld == 0 {
+		t.Fatal("the rebuilt member never held the token")
+	}
+	r.stopAll()
+}
+
+// TestConcurrentElectionsMintDistinctEpochs: the holder of a five-member
+// ring crashes with the token while the rest splits into {h1, h2} and
+// {h3, h4}. Both halves elect themselves from the same epoch at once;
+// each regenerates the token in an epoch only its coordinator may mint,
+// so the two tokens never share an epoch.
+func TestConcurrentElectionsMintDistinctEpochs(t *testing.T) {
+	log := &HoldLog{}
+	r := newRig(t, 5, Config{TokenGap: time.Second, Holds: log})
+	h0Holds := false
+	r.hook = func(m sensor.Measurement) {
+		h0Holds = h0Holds || r.sim.Now() > 30*time.Second && strings.HasSuffix(m.Series, ".h0.h1")
+	}
+	r.sim.Go("fault", func() {
+		for !h0Holds {
+			r.sim.Sleep(10 * time.Millisecond)
+		}
+		r.tr.SetDown("h0", true)
+		for _, a := range []string{"h1", "h2"} {
+			for _, b := range []string{"h3", "h4"} {
+				r.tr.SetBlocked(a, b, true)
+			}
+		}
+	})
+	if err := r.sim.RunUntil(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := holdOverlap(log, 0); ok {
+		t.Fatalf("two tokens in one epoch: %+v", h)
+	}
+	epochs := map[string]int64{}
+	for _, m := range r.members[1:] {
+		m.mu.Lock()
+		epochs[m.port.Host()] = m.epoch
+		m.mu.Unlock()
+	}
+	if epochs["h1"] == 0 || epochs["h3"] == 0 || epochs["h1"] == epochs["h3"] {
+		t.Fatalf("the halves' epochs: %v, want two distinct new ones", epochs)
+	}
+	r.stopAll()
 }

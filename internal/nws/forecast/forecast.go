@@ -4,9 +4,10 @@
 // plane. The statistical machinery itself — the predictor battery and
 // the Prediction vocabulary — lives in the leaf package predict.
 //
-// A forecast is predict.Run over the window fetched for that request,
-// always. The server remembers, per series, the last window it replayed
-// and the result, and skips the replay when the window it has just
-// fetched is bit-equal to it; see Server for what is remembered, what
-// validates it and how it is bounded.
+// A forecast is predict.Run over the series' current window, always. The
+// server remembers, per series, the last window it replayed, its result
+// and the memory server's token for it; a fetch sends the token, and a
+// window the memory server still holds comes back "unchanged", with no
+// samples, and is answered from the memo. See Server for what is
+// remembered, what validates it and how it is bounded.
 package forecast

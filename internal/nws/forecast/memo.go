@@ -13,10 +13,13 @@ import (
 const maxMemoSamples = 4 << 20
 
 // memoEntry is one remembered forecast: the window's values in the
-// entry's own buffer, and the clean result predict.Run gave for them.
+// entry's own buffer, the clean result predict.Run gave for them, and
+// the Count and memory-server token they were fetched under.
 type memoEntry struct {
 	values []float64
 	result proto.ForecastResult
+	count  int
+	token  proto.WindowToken
 }
 
 // memo is the forecaster's per-series forecast memo; see Server.
@@ -62,19 +65,45 @@ func (m *memo) remove(i int) []float64 {
 	return e.values
 }
 
-// forecast answers one fetched window: the remembered result when the
-// window is the one last replayed for the series, otherwise predict.Run
-// over it, remembered in its place (Error set, and nothing remembered,
-// on empty or insufficient history).
-func (m *memo) forecast(series string, samples []proto.Sample) proto.ForecastResult {
+// token is what a fetch of series at count sends: the token of the
+// remembered window when it was fetched at that count under one, else
+// proto.AskToken. Never zero, so a reply's token equals it only when
+// the memory server stamped the reply.
+func (m *memo) token(series string, count int) proto.WindowToken {
+	if i, ok := m.index[series]; ok {
+		if e := &m.entries[i]; e.count == count && e.token != 0 {
+			return e.token
+		}
+	}
+	return proto.AskToken
+}
+
+// held answers a fetch the memory server found unchanged: the result
+// remembered under tok, or false when no entry holds it.
+func (m *memo) held(series string, count int, tok proto.WindowToken) (proto.ForecastResult, bool) {
+	i, ok := m.index[series]
+	if !ok || m.entries[i].count != count || m.entries[i].token != tok {
+		return proto.ForecastResult{}, false
+	}
+	m.hits.Inc()
+	return m.entries[i].result, true
+}
+
+// forecast answers one window fetched at count under tok: the
+// remembered result when the window is the one last replayed for the
+// series (which then takes count and tok as its own), otherwise
+// predict.Run over it, remembered in its place (Error set, and nothing
+// remembered, on empty or insufficient history).
+func (m *memo) forecast(series string, count int, tok proto.WindowToken, samples []proto.Sample) proto.ForecastResult {
 	if len(samples) == 0 {
 		return proto.ForecastResult{Series: series, Error: "series " + series + " is empty"}
 	}
 	var values []float64
 	if i, ok := m.index[series]; ok {
-		if sameWindow(m.entries[i].values, samples) {
+		if e := &m.entries[i]; sameWindow(e.values, samples) {
 			m.hits.Inc()
-			return m.entries[i].result
+			e.count, e.token = count, tok
+			return e.result
 		}
 		values = m.remove(i)[:0]
 	}
@@ -104,7 +133,7 @@ func (m *memo) forecast(series string, samples []proto.Sample) proto.ForecastRes
 		m.evictions.Inc()
 	}
 	m.index[series] = len(m.entries)
-	m.entries = append(m.entries, memoEntry{values: values, result: res})
+	m.entries = append(m.entries, memoEntry{values: values, result: res, count: count, token: tok})
 	m.samples += len(values)
 	return res
 }

@@ -1,11 +1,13 @@
 package forecast
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,8 +28,31 @@ type stack struct {
 	srv       *Server
 	reg       *telemetry.Registry
 	mem       *proto.Station
+	memSrv    *memory.Server
 	cli, cli2 *proto.Station
 	opened    []*proto.Station
+	// windowBytes counts what the memory server's batch-fetch replies
+	// spend on their results; see resultPort.
+	windowBytes atomic.Int64
+}
+
+// resultPort is a memory server's port that adds to *bytes, for every
+// batch-fetch reply it sends, the frame bytes of the reply's results:
+// windows, tokens and the per-series fields. The frame around them is
+// left out, because its message IDs are varints that lengthen as a run
+// goes on; what is left depends only on what the windows hold.
+type resultPort struct {
+	*proto.Station
+	bytes *atomic.Int64
+}
+
+func (p resultPort) Reply(req proto.Message, m proto.Message) error {
+	if m.Type == proto.MsgBatchFetchReply {
+		bare := m
+		bare.Results = nil
+		p.bytes.Add(m.WireSize() - bare.WireSize())
+	}
+	return p.Station.Reply(req, m)
 }
 
 var stackHosts = []string{"ns", "mem", "fc", "cli", "cli2"}
@@ -63,7 +88,8 @@ func (s *stack) startMemory(t testing.TB) {
 		s.mem.Close()
 	}
 	s.mem = s.open(t, "mem")
-	s.tr.Runtime().Go("mem", memory.New(s.mem, nameserver.NewClient(s.mem, "ns")).Run)
+	s.memSrv = memory.New(resultPort{s.mem, &s.windowBytes}, nameserver.NewClient(s.mem, "ns"))
+	s.tr.Runtime().Go("mem", s.memSrv.Run)
 }
 
 // counter reads one of the forecaster's forecast/memo_* counters.
@@ -168,7 +194,8 @@ var (
 )
 
 // runMemoScript interprets data as an interleaving of stores, batch
-// forecasts and memory-server restarts against a forecaster whose memo
+// forecasts, memory-server restores from its own image (same windows,
+// new tokens) and restarts against a forecaster whose memo
 // holds 600 samples — less than three 256-sample windows, so eviction is
 // part of what must stay invisible — checking every batch against the
 // oracle.
@@ -217,6 +244,14 @@ func runMemoScript(t testing.TB, data []byte) {
 				if got := st.srv.memo.samples; got > st.srv.memo.max {
 					t.Fatalf("memo retains %d samples, bound %d", got, st.srv.memo.max)
 				}
+			case op < 255: // the memory server reloads its own image
+				var img bytes.Buffer
+				if err := st.memSrv.Persist(&img); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.memSrv.Restore(&img); err != nil {
+					t.Fatal(err)
+				}
 			default: // the memory server restarts empty
 				st.startMemory(t)
 			}
@@ -234,6 +269,8 @@ func randomMemoScript(rng *rand.Rand, ops int) []byte {
 			data = append(data, byte(rng.Intn(120)), byte(rng.Intn(256)))
 		case p < 98:
 			data = append(data, byte(120+rng.Intn(130)), byte(rng.Intn(32)), byte(rng.Intn(5)))
+		case p < 99:
+			data = append(data, byte(250+rng.Intn(5)))
 		default:
 			data = append(data, 255)
 		}
@@ -258,6 +295,10 @@ func FuzzMemoTransparent(f *testing.F) {
 	// of one payload then five of another.
 	f.Add([]byte{40, 0, 120, 0, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 120, 0, 1})
 	f.Add([]byte{40, 4, 120, 0, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 120, 0, 1})
+	// Tokens: one series asked three times unchanged (a token hit), its
+	// server reloaded from its own image (new tokens, equal windows),
+	// asked again, slid by one sample, asked again.
+	f.Add([]byte{20, 200, 120, 0, 0, 120, 0, 0, 120, 0, 0, 250, 120, 0, 0, 5, 4, 120, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
@@ -272,14 +313,20 @@ func sampleValue(i, k int) float64 {
 	return float64(uint32(i*7919+k)*2654435761>>8) / (1 << 24)
 }
 
-// storeWindows stores n samples to each series.
+// windowStart is the timestamp of a stored window's first sample. Every
+// timestamp from it up to 78 hours on zigzag-encodes in 7 bytes, so a
+// window's frame length does not depend on how far it has slid.
+const windowStart = 2200 * time.Second
+
+// storeWindows stores n samples to each series, one a second from
+// windowStart.
 func storeWindows(t testing.TB, cli *proto.Station, series []string, n int) {
 	t.Helper()
 	mc := memory.NewClient(cli, "mem")
 	for i, name := range series {
 		samples := make([]proto.Sample, n)
 		for k := range samples {
-			samples[k] = proto.Sample{At: time.Duration(k) * time.Second, Value: sampleValue(i, k)}
+			samples[k] = proto.Sample{At: windowStart + time.Duration(k)*time.Second, Value: sampleValue(i, k)}
 		}
 		if err := mc.Store(name, samples...); err != nil {
 			t.Fatalf("store %s: %v", name, err)
@@ -330,7 +377,7 @@ func TestUnchangedWindowIsNotReplayed(t *testing.T) {
 		window[k].Value = sampleValue(0, 100-history+k) // s000's newest 64
 	}
 	var res proto.ForecastResult
-	allocs := testing.AllocsPerRun(100, func() { res = st.srv.memo.forecast("s000", window) })
+	allocs := testing.AllocsPerRun(100, func() { res = st.srv.memo.forecast("s000", history, 0, window) })
 	if allocs != 0 || res.Count != history || st.counter("memo_misses") != 20 {
 		t.Fatalf("hit path: %v allocs/series, result %+v, %d misses", allocs, res, st.counter("memo_misses"))
 	}

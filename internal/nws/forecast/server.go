@@ -25,21 +25,30 @@ import (
 // backends, and one batched fetch per owning memory server, instead of
 // maintaining a parallel series→owner cache.
 //
-// Step 4 is remembered. The answer to a forecast is predict.Run over the
-// window just fetched, a pure function of that window's values, so the
-// server keeps, per series, the values it last replayed and the clean
-// result they gave. A request still fetches its window; when the fetched
-// window is bit-equal to the remembered one (same length, every Value
-// equal by math.Float64bits) the remembered result is the answer and the
-// battery is not replayed. Anything else — a new sample, a different
-// Count, a series re-created shorter after a memory-server restart —
-// fails the comparison and replays. The memo is therefore never stale;
-// it trades memory for CPU, where the gateway's TTL'd forecast cache
-// trades staleness for a round trip, and the two do not stand in for
-// each other. Only clean predictions are remembered: the per-request
-// degraded overlay (Replica, Lag, Code, Error) is applied after the
-// memo, and empty, insufficient-history and backend-error results are
-// never stored.
+// Step 4 is remembered, and step 3 moves only windows that changed. The
+// answer to a forecast is predict.Run over the series' current window,
+// a pure function of that window's values, so the server keeps, per
+// series, the values it last replayed, the clean result they gave, and
+// the memory server's token for that window (proto.WindowToken: the
+// stamp of its last write) with the Count it was fetched at. Every fetch carries the remembered token when the
+// Count matches, proto.AskToken otherwise. A memory server whose window
+// is still the one the token names answers "unchanged" with no samples,
+// and the remembered result is the answer: no window crosses the wire,
+// nothing is decoded or compared, the battery is not replayed. Any
+// other answer is a full window with its new token; when it is bit-equal
+// to the remembered one (same length, every Value equal by
+// math.Float64bits) the remembered result still stands, and anything
+// else — a new sample, a different Count, a series re-created shorter
+// after a memory-server restart — replays. Every write to a window
+// draws a stamp no other write of any server ever had, so a token
+// matches only the window it was issued for, on the server that issued
+// it: a new sample, a restart, a failover to a replica or a restore
+// from disk answers with a full window, and the memo is never stale. It trades memory for CPU and bytes, where the gateway's TTL'd
+// forecast cache trades staleness for a round trip, and the two do not
+// stand in for each other. Only clean predictions are remembered: the
+// per-request degraded overlay (Replica, Lag, Code, Error), which rides
+// an unchanged answer too, is applied after the memo, and empty,
+// insufficient-history and backend-error results are never stored.
 //
 // The memo is owned by the server loop (Run answers one request at a
 // time on either runtime), so it takes no lock. It is bounded by
@@ -136,17 +145,32 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 	}
 	fetches := make([]proto.SeriesRequest, len(req.Queries))
 	for i, q := range req.Queries {
-		fetches[i] = proto.SeriesRequest{Series: q.Series, Count: s.boundedCount(q.Count)}
+		n := s.boundedCount(q.Count)
+		fetches[i] = proto.SeriesRequest{Series: q.Series, Count: n, Token: s.memo.token(q.Series, n)}
 	}
 	results := make([]proto.ForecastResult, len(req.Queries))
-	for i, fr := range s.qc.FetchMany(fetches) {
-		if fr.Err != nil && !errors.Is(fr.Err, query.ErrDegraded) {
+	fetched, tokens := s.qc.FetchWindows(fetches)
+	// Failures and unchanged windows first: the unchanged ones read the
+	// entries their tokens came from, which a replay below may evict.
+	for i, fr := range fetched {
+		switch {
+		case failed(fr.Err):
 			results[i] = proto.ForecastResult{
 				Series: fr.Series, Error: fr.Err.Error(), Code: query.ErrCode(fr.Err),
 			}
-			continue
+		case tokens[i] == fetches[i].Token:
+			var ok bool
+			if results[i], ok = s.memo.held(fr.Series, fetches[i].Count, tokens[i]); !ok {
+				results[i] = proto.ForecastResult{Series: fr.Series, Error: "forecaster: no window held for " + fr.Series}
+			}
 		}
-		results[i] = s.memo.forecast(fr.Series, fr.Samples)
+	}
+	for i, fr := range fetched {
+		if !failed(fr.Err) && tokens[i] != fetches[i].Token {
+			results[i] = s.memo.forecast(fr.Series, fetches[i].Count, tokens[i], fr.Samples)
+		}
+	}
+	for i, fr := range fetched {
 		// A prediction computed from a degraded (replica-served, lagging)
 		// history keeps the staleness advisory: the lag watermark rides
 		// the result exactly as it does on the fetch path, so gateway
@@ -162,6 +186,10 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 	s.memo.samplesG.Set(float64(s.memo.samples))
 	s.st.Reply(req, proto.Message{Type: proto.MsgBatchForecastReply, Version: proto.V3, Forecasts: results})
 }
+
+// failed reports whether a fetch error leaves no window to forecast
+// from: anything but a degraded (replica-served) answer.
+func failed(err error) bool { return err != nil && !errors.Is(err, query.ErrDegraded) }
 
 // Client requests forecasts from a forecaster server.
 type Client struct {

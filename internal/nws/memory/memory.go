@@ -7,8 +7,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nwsenv/internal/nws/nameserver"
@@ -21,6 +23,14 @@ import (
 const DefaultRetention = 1024
 
 // Server is a running memory server.
+//
+// Every retained window has a token (proto.WindowToken): the stamp of
+// its last write, drawn afresh by every write — a store (and the trim it
+// implies), a fan-out append or window from a primary, an adoption in
+// repair, a Restore. A batch fetch that carries a token gets the
+// window's current token back, and no samples when the two are equal:
+// the requester already holds that window. A fetch without tokens is
+// answered as if tokens did not exist.
 type Server struct {
 	st        proto.Port
 	ns        *nameserver.Client
@@ -38,6 +48,8 @@ type Server struct {
 
 	mu     sync.Mutex
 	series map[string][]proto.Sample
+	// tokens holds each window's stamp (see setWindow).
+	tokens map[string]proto.WindowToken
 	// registered tracks which series have been advertised to the name
 	// server already.
 	registered map[string]bool
@@ -79,6 +91,7 @@ func New(st proto.Port, ns *nameserver.Client, opts ...Option) *Server {
 		retention:  DefaultRetention,
 		tracker:    replica.NewTracker(),
 		series:     map[string][]proto.Sample{},
+		tokens:     map[string]proto.WindowToken{},
 		registered: map[string]bool{},
 		origin:     map[string]string{},
 	}
@@ -183,7 +196,7 @@ func (s *Server) handleStore(req proto.Message) {
 	// the sensor feed has rehomed here, so this server is its primary
 	// now and the stale replica bookkeeping must not shadow that.
 	delete(s.origin, req.Series)
-	s.series[req.Series] = appendWindow(s.series[req.Series], req.Samples, s.retention)
+	s.setWindow(req.Series, appendWindow(s.series[req.Series], req.Samples, s.retention))
 	s.mu.Unlock()
 	total := s.tracker.Bump(req.Series, len(req.Samples))
 	if s.fan != nil && len(req.Samples) > 0 {
@@ -213,30 +226,70 @@ func (s *Server) isRegistered(series string) bool {
 	return s.registered[series]
 }
 
+// stamps counts window writes across every server of the process from
+// a random start, so no two writes share a stamp and a restarted
+// process does not replay its predecessor's.
+var stamps atomic.Uint64
+
+func init() { stamps.Store(rand.Uint64()) }
+
+// setWindow installs name's retained window under a fresh stamp, so no
+// token issued for the window it replaces matches again. s.mu must be
+// held.
+func (s *Server) setWindow(name string, w []proto.Sample) {
+	s.series[name] = w
+	for {
+		if t := proto.WindowToken(stamps.Add(1)); t != 0 && t != proto.AskToken {
+			s.tokens[name] = t
+			return
+		}
+	}
+}
+
 // handleBatchFetch answers a batch fetch: every requested series in
 // one round-trip. Unknown series come back empty; results keep the
-// request order.
+// request order. A tokened request is stamped with its window's token,
+// and carries no samples when the requester's token is that one.
 func (s *Server) handleBatchFetch(req proto.Message) {
 	if req.Version > proto.V3 {
 		s.st.ReplyError(req, "memory: unsupported protocol version %d (max %d)", req.Version, proto.V3)
 		return
 	}
 	results := make([]proto.SeriesResult, len(req.Queries))
+	var tokens []proto.WindowToken // made at the first tokened query
+	// unchanged reports whether query i holds the window it asks for.
+	unchanged := func(i int) bool {
+		t := req.Queries[i].Token
+		return t != 0 && t == tokens[i]
+	}
 	s.mu.Lock()
 	// One backing array for every result's samples instead of one copy
 	// per series; capacity-pinned subslices keep neighbors safe from a
 	// receiver's append.
 	total := 0
-	for _, q := range req.Queries {
-		total += clampCount(len(s.series[q.Series]), q.Count)
+	for i, q := range req.Queries {
+		results[i].Series = q.Series
+		if q.Token != 0 {
+			if tokens == nil {
+				tokens = make([]proto.WindowToken, len(req.Queries))
+			}
+			tokens[i] = s.tokens[q.Series]
+		}
+		if !unchanged(i) {
+			total += clampCount(len(s.series[q.Series]), q.Count)
+		}
 	}
 	backing := make([]proto.Sample, 0, total)
 	for i, q := range req.Queries {
-		buf := s.series[q.Series]
-		n := clampCount(len(buf), q.Count)
-		start := len(backing)
-		backing = append(backing, buf[len(buf)-n:]...)
-		results[i] = proto.SeriesResult{Series: q.Series, Samples: backing[start:len(backing):len(backing)]}
+		// An unchanged answer keeps Samples empty; Replica and Lag below
+		// still apply to it.
+		if !unchanged(i) {
+			buf := s.series[q.Series]
+			n := clampCount(len(buf), q.Count)
+			start := len(backing)
+			backing = append(backing, buf[len(buf)-n:]...)
+			results[i].Samples = backing[start:len(backing):len(backing)]
+		}
 		if _, held := s.origin[q.Series]; held {
 			// Served from a replica copy: mark it so clients can surface
 			// degraded (stale-but-available) answers, with the lag
@@ -246,7 +299,7 @@ func (s *Server) handleBatchFetch(req proto.Message) {
 		}
 	}
 	s.mu.Unlock()
-	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: proto.V3, Results: results})
+	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: proto.V3, Results: results, ResultTokens: tokens})
 }
 
 // handleReplStore applies one fan-out append from a primary. An owned
@@ -260,7 +313,7 @@ func (s *Server) handleReplStore(req proto.Message) {
 		return
 	}
 	s.origin[req.Series] = req.From
-	s.series[req.Series] = appendWindow(s.series[req.Series], req.Samples, s.retention)
+	s.setWindow(req.Series, appendWindow(s.series[req.Series], req.Samples, s.retention))
 	s.mu.Unlock()
 	lag := s.tracker.Apply(req.Series, len(req.Samples), req.Total)
 	s.met.Lag.Observe(float64(lag))
@@ -279,7 +332,7 @@ func (s *Server) handleReplWindow(req proto.Message) {
 		return
 	}
 	s.origin[req.Series] = req.From
-	s.series[req.Series] = appendWindow(nil, req.Samples, s.retention)
+	s.setWindow(req.Series, appendWindow(nil, req.Samples, s.retention))
 	s.mu.Unlock()
 	s.tracker.SetApplied(req.Series, req.Total)
 	s.st.Reply(req, proto.Message{Type: proto.MsgReplAck})
@@ -364,7 +417,7 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 			continue
 		}
 		window := appendWindow(nil, mergeWindows(r.Samples, s.series[r.Series]), s.retention)
-		s.series[r.Series] = window
+		s.setWindow(r.Series, window)
 		delete(s.origin, r.Series)
 		if !s.registered[r.Series] {
 			s.registered[r.Series] = true
@@ -460,7 +513,8 @@ func (s *Server) Persist(w io.Writer) error {
 }
 
 // Restore replaces the server's contents with series persisted by
-// Persist, trimming each to its newest samples under the retention cap.
+// Persist, trimming each to its newest samples under the retention cap,
+// each under a fresh stamp: no token issued before matches after.
 func (s *Server) Restore(r io.Reader) error {
 	var st persistedState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -469,9 +523,9 @@ func (s *Server) Restore(r io.Reader) error {
 	s.tracker.Load(st.Total, st.Applied, st.Seen)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.series = map[string][]proto.Sample{}
+	s.series, s.tokens = map[string][]proto.Sample{}, map[string]proto.WindowToken{}
 	for name, buf := range st.Series {
-		s.series[name] = appendWindow(nil, buf, s.retention)
+		s.setWindow(name, appendWindow(nil, buf, s.retention))
 	}
 	s.origin = map[string]string{}
 	for name, from := range st.Origin {

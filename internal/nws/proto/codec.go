@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -14,6 +15,12 @@ import (
 // length, then the payload: Message's fields in declaration order, with
 // zigzag varints for signed integers, 8-byte little-endian IEEE 754 for
 // floats, uvarint-length-prefixed strings and uvarint-counted slices.
+// The window tokens of Queries and Results (SeriesRequest.Token,
+// Message.ResultTokens) follow the last field in an optional tail: the
+// two counts again, then 8 fixed bytes per query and per result. The
+// tail is written only when some token is non-zero, so a frame without
+// tokens is byte for byte the frame it was before tokens existed, and a
+// frame's length never depends on a token's value.
 //
 // Three straight-line passes walk that layout, one line per field:
 // AppendEncode writes it into a caller-supplied (pooled) buffer,
@@ -51,6 +58,9 @@ const frameHeaderSize = 4
 // layout until a deliberate wire change.
 const retiredSize = 3*8 + 1
 
+// tokenSize is one WindowToken in the tail: a little-endian uint64.
+const tokenSize = 8
+
 // ---- encode ----
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -87,6 +97,34 @@ func appendReg(b []byte, r *Registration) []byte {
 		b = appendString(b, h)
 	}
 	return b
+}
+
+func appendToken(b []byte, t WindowToken) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(t))
+}
+
+// hasTokens reports whether m carries a non-zero window token, and so
+// the token tail.
+func hasTokens(m *Message) bool {
+	for i := range m.Queries {
+		if m.Queries[i].Token != 0 {
+			return true
+		}
+	}
+	for i := range min(len(m.Results), len(m.ResultTokens)) {
+		if m.ResultTokens[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// resultToken is the token of result i: zero where ResultTokens stops.
+func resultToken(m *Message, i int) WindowToken {
+	if i < len(m.ResultTokens) {
+		return m.ResultTokens[i]
+	}
+	return 0
 }
 
 func appendSamples(b []byte, ss []Sample) []byte {
@@ -156,6 +194,16 @@ func AppendEncode(buf []byte, m *Message) []byte {
 	b = appendVarint(b, m.Total)
 	b = appendString(b, m.Code)
 	b = appendVarint(b, int64(m.RetryAfter))
+	if hasTokens(m) {
+		b = appendUvarint(b, uint64(len(m.Queries)))
+		b = appendUvarint(b, uint64(len(m.Results)))
+		for i := range m.Queries {
+			b = appendToken(b, m.Queries[i].Token)
+		}
+		for i := range m.Results {
+			b = appendToken(b, resultToken(m, i))
+		}
+	}
 	return b
 }
 
@@ -224,6 +272,10 @@ func EncodedSize(m *Message) int {
 	n += retiredSize + sizeString(m.Clique) +
 		sizeVarint(m.TokenSeq) + sizeVarint(m.Epoch) + sizeVarint(m.Total) +
 		sizeString(m.Code) + sizeVarint(int64(m.RetryAfter))
+	if hasTokens(m) {
+		n += sizeUvarint(uint64(len(m.Queries))) + sizeUvarint(uint64(len(m.Results))) +
+			tokenSize*(len(m.Queries)+len(m.Results))
+	}
 	return n
 }
 
@@ -273,6 +325,10 @@ func (d *decoder) fixed(n int, what string) []byte {
 
 func (d *decoder) float() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(d.fixed(8, "float")))
+}
+
+func (d *decoder) token() WindowToken {
+	return WindowToken(binary.LittleEndian.Uint64(d.fixed(tokenSize, "token")))
 }
 
 func (d *decoder) boolByte() bool { return d.fixed(1, "bool")[0] != 0 }
@@ -339,6 +395,12 @@ func (d *decoder) regs() []Registration {
 // allocate more than the frame justifies; a run stops at a failure,
 // before it could outgrow the array. The subslice's capacity is pinned
 // so append never bleeds into a neighbor's samples.
+//
+// While 16 bytes remain, a sample whose timestamp varint ends within
+// its first 8 bytes is read from one 8-byte load: the stop bit is the
+// lowest clear high bit, and the 7-bit groups below it are packed by
+// three mask-and-shift steps. Longer varints and a frame's last bytes
+// take varint and float, whose errors stay the only ones a run reports.
 func (d *decoder) samples() []Sample {
 	n := d.count(9)
 	if n == 0 {
@@ -348,7 +410,22 @@ func (d *decoder) samples() []Sample {
 		d.backing = make([]Sample, 0, (len(d.b)-d.pos)/9)
 	}
 	backing, start := d.backing, len(d.backing)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
+		if b := d.b[d.pos:]; len(b) >= 16 {
+			u := binary.LittleEndian.Uint64(b)
+			if stop := ^u & 0x8080808080808080; stop != 0 {
+				end := bits.TrailingZeros64(stop) + 1 // bits up to the stop bit
+				x := u & (1<<end - 1) & 0x7f7f7f7f7f7f7f7f
+				x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+				x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+				x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+				k := end / 8
+				backing = append(backing, Sample{At: time.Duration(int64(x>>1) ^ -int64(x&1)),
+					Value: math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))})
+				d.pos += k + 8
+				continue
+			}
+		}
 		s := Sample{At: time.Duration(d.varint()), Value: d.float()}
 		if d.err != nil {
 			break
@@ -387,10 +464,33 @@ func (d *decoder) forecasts() []ForecastResult {
 	return fs
 }
 
+// tokens reads the token tail into the Queries and ResultTokens of
+// the Results just decoded: its counts must be theirs, or the frame is
+// ErrTruncated.
+func (d *decoder) tokens(m *Message) {
+	nq, nr := d.uvarint(), d.uvarint()
+	if d.err == nil && (nq != uint64(len(m.Queries)) || nr != uint64(len(m.Results))) {
+		d.err = fmt.Errorf("%w: token tail for %d queries and %d results, message has %d and %d",
+			ErrTruncated, nq, nr, len(m.Queries), len(m.Results))
+		return
+	}
+	for i := range m.Queries {
+		m.Queries[i].Token = d.token()
+	}
+	if nr > 0 {
+		m.ResultTokens = make([]WindowToken, nr)
+	}
+	for i := range m.ResultTokens {
+		m.ResultTokens[i] = d.token()
+	}
+}
+
 // Decode parses one V3 payload into m, overwriting every field. On error
 // m may be partially filled and must not be used. All sample slices of
 // one message share a single backing array (capacities pinned). The
 // retired forecast positions are read and dropped, whatever they hold.
+// Bytes after the last field are the token tail when the message has
+// Queries or Results, and ErrTrailingBytes otherwise or after the tail.
 func Decode(data []byte, m *Message) error {
 	if len(data) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(data))
@@ -411,6 +511,7 @@ func Decode(data []byte, m *Message) error {
 	m.Count = int(d.varint())
 	m.Queries = d.queries()
 	m.Results = d.results()
+	m.ResultTokens = nil // set by the token tail, if any
 	m.Forecasts = d.forecasts()
 	d.float() // the retired Value, MAE, MSE and Method
 	d.float()
@@ -422,6 +523,9 @@ func Decode(data []byte, m *Message) error {
 	m.Total = d.varint()
 	m.Code = d.str()
 	m.RetryAfter = time.Duration(d.varint())
+	if d.err == nil && d.pos != len(d.b) && len(m.Queries)+len(m.Results) > 0 {
+		d.tokens(m)
+	}
 	if d.err == nil && d.pos != len(d.b) {
 		d.err = fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingBytes, d.pos, len(d.b))
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -70,8 +71,28 @@ func codecShapes() []Message {
 	}
 }
 
+// tokenShapes are the frames that carry window tokens: a forecaster's
+// tokened fetch, a memory server's reply with an unchanged and a
+// changed window, and a reply in which only a result is stamped. They
+// are hashed apart from codecShapes, whose frames carry no token and
+// must not move.
+func tokenShapes() []Message {
+	samples := []Sample{{At: time.Second, Value: 0.25}, {At: 2 * time.Second, Value: -1.5}}
+	held := WindowToken(0x9E3779B97F4A7C15)
+	return []Message{
+		{Type: MsgBatchFetch, Version: V3, From: "fc", ID: 30,
+			Queries: []SeriesRequest{{Series: "cpu.h1", Count: 256, Token: held}, {Series: "cpu.h2", Count: 256, Token: AskToken}}},
+		{Type: MsgBatchFetchReply, Version: V3, From: "m", ID: 31, ReplyTo: 30,
+			Results:      []SeriesResult{{Series: "cpu.h1"}, {Series: "cpu.h2", Samples: samples, Replica: true, Lag: 2}},
+			ResultTokens: []WindowToken{held, 1 << 40}},
+		{Type: MsgBatchFetchReply, Version: V3, From: "m", ID: 32, ReplyTo: 30,
+			Results:      []SeriesResult{{Series: "cpu.h3", Error: "gone", Code: CodeUnknownSeries}, {Series: "cpu.h1"}},
+			ResultTokens: []WindowToken{0, held}},
+	}
+}
+
 func TestCodecRoundTripEveryShape(t *testing.T) {
-	for i, m := range codecShapes() {
+	for i, m := range append(codecShapes(), tokenShapes()...) {
 		enc := AppendEncode(nil, &m)
 		if got, want := len(enc), EncodedSize(&m); got != want {
 			t.Fatalf("shape %d: EncodedSize %d != encoded length %d", i, want, got)
@@ -95,15 +116,68 @@ func TestCodecRoundTripEveryShape(t *testing.T) {
 // shape changes it; only a deliberate wire change re-records it.
 const goldenFramesSHA256 = "ff9857fb15eb6fe60e4c93befaf3d572884323f5a0aa1af97184eeef9629de8d"
 
-func TestCodecFramesGolden(t *testing.T) {
+// goldenTokenFramesSHA256 is the same digest over tokenShapes.
+const goldenTokenFramesSHA256 = "6729d7e56262c387d2644ddad03def35718b44e038daad5f6e34fd4d89a7ca4e"
+
+func framesSHA256(shapes []Message) string {
 	h := sha256.New()
-	for _, m := range codecShapes() {
+	for _, m := range shapes {
 		enc := AppendEncode(nil, &m)
 		h.Write(binary.AppendUvarint(nil, uint64(len(enc))))
 		h.Write(enc)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFramesSHA256 {
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestCodecFramesGolden(t *testing.T) {
+	if got := framesSHA256(codecShapes()); got != goldenFramesSHA256 {
 		t.Fatalf("codecShapes frames hash to %s, want %s: a frame moved", got, goldenFramesSHA256)
+	}
+	if got := framesSHA256(tokenShapes()); got != goldenTokenFramesSHA256 {
+		t.Fatalf("tokenShapes frames hash to %s, want %s: a token frame moved", got, goldenTokenFramesSHA256)
+	}
+}
+
+// TestTokenTailOnlyWhenTokened: a frame grows by the tail exactly when
+// some token is non-zero, and by the same bytes whatever the tokens'
+// values, so a simulated transfer's cost never depends on them.
+func TestTokenTailOnlyWhenTokened(t *testing.T) {
+	m := batchReply(3, 4)
+	bare := EncodedSize(&m)
+	m.ResultTokens = make([]WindowToken, 3)
+	if EncodedSize(&m) != bare {
+		t.Fatal("zero tokens grew the frame")
+	}
+	m.ResultTokens[1] = 1
+	small := EncodedSize(&m)
+	m.ResultTokens[0] = math.MaxUint64
+	if big := EncodedSize(&m); small != big || small != bare+2+3*tokenSize {
+		t.Fatalf("sizes: %d untokened, %d and %d tokened, want %d for both", bare, small, big, bare+2+3*tokenSize)
+	}
+}
+
+// TestDecodeTokenTailHostile: a tail whose counts are not the message's
+// Queries and Results, or whose tokens are cut short, is ErrTruncated;
+// a byte after a whole tail is ErrTrailingBytes.
+func TestDecodeTokenTailHostile(t *testing.T) {
+	m := tokenShapes()[0] // two queries, no results
+	enc := AppendEncode(nil, &m)
+	tail := len(enc) - 2 - 2*tokenSize
+	for name, frame := range map[string][]byte{
+		"queries miscounted": append(append(enc[:tail:tail], 3, 0), enc[tail+2:]...),
+		"results miscounted": append(append(enc[:tail:tail], 2, 1), enc[tail+2:]...),
+		"tokens cut short":   enc[:len(enc)-1],
+		"counts only":        enc[:tail+2],
+		"half a count":       append(enc[:tail:tail], 0x82),
+	} {
+		var back Message
+		if err := Decode(frame, &back); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: want ErrTruncated, got %v", name, err)
+		}
+	}
+	var back Message
+	if err := Decode(append(enc[:len(enc):len(enc)], 0), &back); !errors.Is(err, ErrTrailingBytes) {
+		t.Errorf("byte after the tail: want ErrTrailingBytes, got %v", err)
 	}
 }
 
@@ -132,6 +206,8 @@ func TestCodecCoversEveryField(t *testing.T) {
 			v.SetString(fmt.Sprintf("s%d", next))
 		case reflect.Int, reflect.Int64:
 			v.SetInt(int64(next))
+		case reflect.Uint64:
+			v.SetUint(uint64(next))
 		case reflect.Float64:
 			v.SetFloat(float64(next) + 0.25)
 		case reflect.Bool:
@@ -286,13 +362,17 @@ func TestEncodedSizeMatchesForEmptyAndHuge(t *testing.T) {
 }
 
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, m := range codecShapes() {
+	for _, m := range append(codecShapes(), tokenShapes()...) {
 		f.Add(AppendEncode(nil, &m))
 	}
 	// A few malformed seeds so the corpus starts with rejection paths.
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(binary.AppendUvarint(nil, 1<<40))
+	// A token tail of zeros: decodes, and re-encodes without the tail.
+	zeroTail := tokenShapes()[0]
+	zeroTail.Queries[0].Token, zeroTail.Queries[1].Token = 0, 0
+	f.Add(append(AppendEncode(nil, &zeroTail), append([]byte{2, 0}, make([]byte, 2*tokenSize)...)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m1 Message
 		if err := Decode(data, &m1); err != nil {

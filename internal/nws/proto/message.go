@@ -8,6 +8,7 @@
 package proto
 
 import (
+	"math"
 	"time"
 )
 
@@ -147,11 +148,31 @@ const (
 )
 
 // SeriesRequest names one series inside a batch query. Count bounds the
-// samples returned (<= 0: the full retained window).
+// samples returned (<= 0: the full retained window). Token is the
+// window the requester already holds for this Series and Count: a
+// memory server still holding that window answers "unchanged" with no
+// samples. The zero token asks for today's answer, untokened; AskToken
+// asks for a token without claiming a window.
 type SeriesRequest struct {
 	Series string
 	Count  int
+	Token  WindowToken
 }
+
+// WindowToken names one state of one series' window on one memory
+// server: the stamp of the last write to it. Stamps come from one
+// process-wide counter that starts at a random point and is drawn on
+// every write to any window of any server, a restore's included, so a
+// stamp names one write: equal tokens name equal windows (for equal
+// Counts), and a token from another server, or from before a restart
+// or a restore, never matches. Eight bytes keep SeriesRequest within
+// four words, which the compiler keeps in registers.
+type WindowToken uint64
+
+// AskToken is the token a request carries for a window it does not
+// hold: it asks the memory server to stamp its answer, and no write is
+// ever stamped with it (nor with the zero token).
+const AskToken WindowToken = math.MaxUint64
 
 // SeriesResult is one series' answer inside a batch fetch reply. Error
 // is non-empty when this series (and only this series) failed; Code
@@ -194,7 +215,10 @@ type ForecastResult struct {
 // unused fields stay zero, so a trace shows every message the same way.
 // The codec writes the fields in declaration order, so a field added
 // here needs a line in each of AppendEncode, EncodedSize and Decode
-// (TestCodecCoversEveryField fails until it has all three).
+// (TestCodecCoversEveryField fails until it has all three). The window
+// tokens (SeriesRequest.Token, ResultTokens) are the exception: they
+// ride a trailing section written only when one of them is non-zero
+// (see codec.go).
 type Message struct {
 	Type    MsgType
 	Version int    // protocol version the sender stamped (0 = unstamped); servers reject > V3
@@ -214,10 +238,17 @@ type Message struct {
 	Samples []Sample
 	Count   int
 
-	// Batch query-plane fields.
-	Queries   []SeriesRequest
-	Results   []SeriesResult
-	Forecasts []ForecastResult
+	// Batch query-plane fields. ResultTokens is nil, or one window token
+	// per Results element: a memory server's answer to a batch fetch
+	// that carried tokens. A result whose token equals its request's is
+	// "unchanged": its Samples is empty and the requester's window
+	// stands. The tokens sit beside Results rather than in them because
+	// every reply allocates its Results, and only the forecaster's
+	// fetches carry tokens.
+	Queries      []SeriesRequest
+	Results      []SeriesResult
+	ResultTokens []WindowToken
+	Forecasts    []ForecastResult
 
 	// Clique fields.
 	Clique   string

@@ -263,8 +263,10 @@ type fanout struct {
 	batch []proto.SeriesRequest
 	calls []proto.Request
 
-	// The batch being answered: exactly one is set.
+	// The batch being answered: exactly one of fetched and forecasts is
+	// set, and tokens beside fetched when the caller reads window tokens.
 	fetched   []Result
+	tokens    []proto.WindowToken
 	forecasts []ForecastResult
 	// each is landed, built once per record.
 	each func(w int, reply proto.Message, err error)
@@ -310,7 +312,7 @@ func (c *Client) putFanout(f *fanout) {
 	clear(f.calls)
 	f.misses, f.binds, f.groups, f.rank = f.misses[:0], f.binds[:0], f.groups[:0], f.rank[:0]
 	f.idx, f.batch, f.calls = f.idx[:0], f.batch[:0], f.calls[:0]
-	f.fetched, f.forecasts = nil, nil
+	f.fetched, f.tokens, f.forecasts = nil, nil, nil
 	c.mu.Lock()
 	c.fanouts = append(c.fanouts, f)
 	c.mu.Unlock()
@@ -395,7 +397,7 @@ func (f *fanout) landed(w int, reply proto.Message, err error) {
 	g.err = err
 	if f.fetched != nil {
 		if err == nil {
-			f.c.fetchAnswered(f.fetched, f.idx[g.lo:g.hi], reply, g.host, g.host, nil)
+			f.c.fetchAnswered(f.fetched, f.tokens, f.idx[g.lo:g.hi], reply, g.host, g.host, nil)
 		}
 		return
 	}
@@ -531,6 +533,22 @@ func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
 // Results keep the request order; failures are per-series (a dead
 // backend fails only its series).
 func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
+	results, _ := c.fetch(reqs, false)
+	return results
+}
+
+// FetchWindows is FetchMany for a caller that keeps windows: each
+// request's Token names the window it holds for that Series and Count
+// (proto.AskToken: none), and tokens[i] is the answering memory
+// server's token for series i (zero when the series failed or was never
+// written). tokens[i] equal to reqs[i].Token means the window held is
+// still the one served, and results[i].Samples is empty.
+func (c *Client) FetchWindows(reqs []proto.SeriesRequest) (results []Result, tokens []proto.WindowToken) {
+	return c.fetch(reqs, true)
+}
+
+// fetch is FetchMany, and FetchWindows when windows is set.
+func (c *Client) fetch(reqs []proto.SeriesRequest, windows bool) ([]Result, []proto.WindowToken) {
 	var root *telemetry.ActiveSpan
 	if c.tele != nil {
 		root = c.tele.StartSpan("query", "fetch_many",
@@ -540,6 +558,10 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	results := make([]Result, len(reqs))
 	for i, q := range reqs {
 		results[i].Series = q.Series
+	}
+	var tokens []proto.WindowToken
+	if windows {
+		tokens = make([]proto.WindowToken, len(reqs))
 	}
 
 	// Resolve owners and bind each series to its backend. The warm path
@@ -605,7 +627,7 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 	// One batched round-trip per backend, all in flight at once. A
 	// backend that failed is retried against its replicas after the
 	// gather.
-	f.fetched = results
+	f.fetched, f.tokens = results, tokens
 	c.scatter(root, proto.MsgBatchFetch, f)
 	for w := range f.groups {
 		g := &f.groups[w]
@@ -627,16 +649,16 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) []Result {
 			}
 			continue
 		}
-		c.fetchAnswered(results, idxs, reply, g.host, from, g.replicas)
+		c.fetchAnswered(results, tokens, idxs, reply, g.host, from, g.replicas)
 	}
 	c.putFanout(f)
-	return results
+	return results, tokens
 }
 
-// fetchAnswered fills the results at idxs from a batch reply that from
-// served for the primary host; a replica's answer re-homes the series
-// it served onto from.
-func (c *Client) fetchAnswered(results []Result, idxs []int, reply proto.Message, host, from string, replicas []string) {
+// fetchAnswered fills the results (and the tokens, when kept) at idxs
+// from a batch reply that from served for the primary host; a replica's
+// answer re-homes the series it served onto from.
+func (c *Client) fetchAnswered(results []Result, tokens []proto.WindowToken, idxs []int, reply proto.Message, host, from string, replicas []string) {
 	var served []string
 	for k, i := range idxs {
 		if k >= len(reply.Results) {
@@ -649,6 +671,9 @@ func (c *Client) fetchAnswered(results []Result, idxs []int, reply proto.Message
 			continue
 		}
 		results[i].Samples = r.Samples
+		if tokens != nil && k < len(reply.ResultTokens) {
+			tokens[i] = reply.ResultTokens[k]
+		}
 		if r.Replica && r.Lag > 0 {
 			// Served from a lagging replica: the samples stand, the
 			// error reports how far behind the window may be.

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"nwsenv/internal/metrics"
 )
 
 // Summary is the summary.json artifact: the run's SLO verdicts with
@@ -50,10 +52,23 @@ type Summary struct {
 	// name → value (keys sort deterministically in the JSON encoding).
 	// The slo "metrics" gates judge against this map.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Invariants is, per §2.3 predicate, the reconcile rounds it was
+	// checked after and the ones that broke it; absent unless the SLO
+	// asks for invariants.
+	Invariants []InvariantVerdict `json:"invariants,omitempty"`
 	// Gates are the evaluated SLO assertions, in declaration order.
 	Gates []GateResult `json:"gates"`
 	// Pass is the conjunction of the gates.
 	Pass bool `json:"pass"`
+}
+
+// InvariantVerdict is one §2.3 predicate over a run.
+type InvariantVerdict struct {
+	Name       string `json:"name"`
+	Checks     int    `json:"checks"`
+	Violations int    `json:"violations"`
+	// First is the witness of the first violation.
+	First string `json:"first,omitempty"`
 }
 
 // Provenance is the provenance.json artifact: everything needed to
@@ -95,6 +110,13 @@ func Summarize(res *Result) Summary {
 		Converged:             res.Converged,
 		Complete:              res.Complete,
 		Metrics:               res.Metrics,
+	}
+	if inv := res.Invariants; inv != nil {
+		for _, name := range metrics.InvariantNames {
+			s.Invariants = append(s.Invariants, InvariantVerdict{
+				Name: name, Checks: inv.Checks, Violations: inv.Violations[name], First: inv.First[name],
+			})
+		}
 	}
 	s.Gates, s.Pass = EvaluateGates(res.Spec.SLO, &s)
 	return s

@@ -71,6 +71,18 @@ func EvaluateGates(slo SLOSpec, s *Summary) ([]GateResult, bool) {
 			fmt.Sprintf("converged=%v complete=%v", s.Converged, s.Complete),
 			s.Converged && s.Complete)
 	}
+	if slo.Invariants != "" {
+		if len(s.Invariants) == 0 {
+			add("invariants", "evaluated after every reconcile round", "never evaluated", false)
+		}
+		for _, v := range s.Invariants {
+			measured := fmt.Sprintf("%d of %d rounds", v.Violations, v.Checks)
+			if v.First != "" {
+				measured += "; " + v.First
+			}
+			add("invariant "+v.Name, "0 of >= 1 rounds", measured, v.Checks > 0 && v.Violations == 0)
+		}
+	}
 	for _, m := range slo.Metrics {
 		var bounds []string
 		if m.Min != nil {

@@ -11,6 +11,7 @@ import (
 	"nwsenv/internal/core"
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/metrics"
+	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/platform"
@@ -75,6 +76,9 @@ type Result struct {
 	// Metrics is the final registry snapshot, flattened to metric name
 	// → value (captured at the judged end of the run, before teardown).
 	Metrics map[string]float64
+	// Invariants holds the §2.3 predicates evaluated after every
+	// reconcile round; nil unless the SLO asks for them.
+	Invariants *metrics.Invariants
 }
 
 // Run executes one scenario: build the declared topology, deploy
@@ -101,8 +105,15 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	// proto/bytes_in) land in the same registry, so scenario SLOs can
 	// gate on wire traffic.
 	tr.SetTelemetry(reg)
-	pl := core.NewPipeline(plat, core.WithAutoAliases(), core.WithTokenGap(time.Second),
-		core.WithTelemetry(reg), core.WithReplication(spec.Replication), core.WithGateways(spec.Gateways))
+	opts := []core.Option{core.WithAutoAliases(), core.WithTokenGap(time.Second),
+		core.WithTelemetry(reg), core.WithReplication(spec.Replication), core.WithGateways(spec.Gateways)}
+	// The invariants read every token hold the run's rings take.
+	var holds *clique.HoldLog
+	if spec.SLO.Invariants != "" {
+		holds = &clique.HoldLog{}
+		opts = append(opts, core.WithHoldLog(holds))
+	}
+	pl := core.NewPipeline(plat, opts...)
 	out, err := cli.DeploySim(sim, pl, runs)
 	if err != nil {
 		return nil, fmt.Errorf("scenlab: %s: deploy: %w", spec.Name, err)
@@ -121,14 +132,20 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rec := reconcile.New(pl, out.Deployment, reconcile.Config{
-		Runs:     runs,
-		Interval: spec.ReconcileEvery(),
-	})
+	res := &Result{Spec: spec, Seed: seed, Telemetry: reg}
+	var rec *reconcile.Reconciler
+	cfg := reconcile.Config{Runs: runs, Interval: spec.ReconcileEvery()}
+	if holds != nil {
+		res.Invariants = metrics.NewInvariants()
+		cfg.OnRound = func(reconcile.Round) {
+			dep := rec.Deployment()
+			res.Invariants.Check(dep.Plan, tp, dep.Resolve, holds.Take())
+		}
+	}
+	rec = reconcile.New(pl, out.Deployment, cfg)
 	recDone := false
 	sim.Go("reconcile", func() { rec.Run(ctx); recDone = true })
 
-	res := &Result{Spec: spec, Seed: seed, Telemetry: reg}
 	advance := func(until time.Duration) error {
 		if until > sim.Now() {
 			return sim.RunUntil(until)

@@ -1,6 +1,7 @@
 package scenlab
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/deploy"
+	nwsmetrics "nwsenv/internal/metrics"
+	"nwsenv/internal/nws/clique"
+	"nwsenv/internal/simnet"
 	"nwsenv/internal/telemetry"
 )
 
@@ -24,7 +29,7 @@ func labSpec(t *testing.T) *Spec {
 		"reconcile_every_sec": 120,
 		"sample_every_sec": 60,
 		"fault": {"kind": "crash", "start_sec": 60, "heal_after_sec": 180},
-		"slo": {"queries_must_flow": true, "converged": true, "repairs_min": 1}
+		"slo": {"queries_must_flow": true, "converged": true, "repairs_min": 1, "invariants": "all"}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +48,9 @@ func TestRunMeetsItsGates(t *testing.T) {
 	}
 	if sum.Repairs < 1 || sum.Injected == 0 {
 		t.Fatalf("crash not injected/repaired: %+v", sum)
+	}
+	if res.Invariants.Checks != sum.Rounds {
+		t.Fatalf("invariants checked after %d of %d rounds", res.Invariants.Checks, sum.Rounds)
 	}
 	if len(res.Samples) == 0 {
 		t.Fatal("no samples recorded")
@@ -225,5 +233,53 @@ func TestRunsLeaveHeapFlat(t *testing.T) {
 		if n := runtime.NumGoroutine(); n != goroutines {
 			t.Fatalf("run %d: %d goroutines, %d after the warm-up", i, n, goroutines)
 		}
+	}
+}
+
+// TestInvariantGateFails: the "invariants": "all" gate fails a run whose
+// plan puts two cliques without a common member on one link and whose
+// token ring carried a duplicated token, naming the two predicates it
+// broke, and fails a run that never evaluated the invariants at all.
+func TestInvariantGateFails(t *testing.T) {
+	topo := simnet.NewTopology()
+	topo.AddSwitch("s1")
+	topo.AddSwitch("s2")
+	topo.Connect("s1", "s2")
+	for i, h := range []string{"a", "b", "c", "d"} {
+		topo.AddHost(h, fmt.Sprintf("10.0.0.%d", i+1), h, "x")
+		topo.Connect(h, []string{"s1", "s1", "s2", "s2"}[i])
+	}
+	plan := &deploy.Plan{Hosts: []string{"a", "b", "c", "d"}, Cliques: []deploy.CliqueSpec{
+		{Name: "x", Members: []string{"a", "c", "b", "d"}, Period: time.Second},
+		{Name: "y", Members: []string{"b", "d"}, Period: time.Second},
+		{Name: "z", Members: []string{"a", "c"}, Period: time.Second},
+	}}
+	holds := []clique.Hold{
+		{Clique: "z", Host: "a", Seq: 1, From: 0, To: time.Second},
+		{Clique: "z", Host: "c", Seq: 2, From: time.Second, To: 2 * time.Second},
+		{Clique: "z", Host: "a", Seq: 2, From: 1500 * time.Millisecond, To: 2500 * time.Millisecond}, // the duplicate
+	}
+	inv := nwsmetrics.NewInvariants()
+	inv.Check(plan, topo, nil, holds)
+	s := Summarize(&Result{Spec: &Spec{Name: "seeded", SLO: SLOSpec{Invariants: "all"}}, Invariants: inv})
+	if s.Pass {
+		t.Fatalf("seeded violations passed the gate: %+v", s.Gates)
+	}
+	breached := map[string]bool{}
+	for _, g := range s.Gates {
+		if !g.Pass {
+			breached[g.Name] = true
+		}
+	}
+	for _, want := range []string{"invariant collision_freedom", "invariant one_token_per_clique_epoch"} {
+		if !breached[want] {
+			t.Errorf("gate %q did not breach: %+v", want, s.Gates)
+		}
+	}
+	if len(breached) != 2 {
+		t.Errorf("breached %v, want exactly the two seeded predicates", breached)
+	}
+	if _, pass := EvaluateGates(SLOSpec{Invariants: "all"}, &Summary{}); pass {
+		t.Fatal("a run that never evaluated the invariants passed their gate")
 	}
 }

@@ -195,6 +195,12 @@ type SLOSpec struct {
 	// Converged asserts the last reconcile round saw no drift and the
 	// final plan validates complete.
 	Converged bool `json:"converged,omitempty"`
+	// Invariants, set to "all", evaluates the four §2.3 predicates of
+	// metrics.Invariants (completeness, collision freedom, bounded
+	// cliques, one token per clique epoch) after every reconcile round
+	// and fails the run if any round breaks one. Unset, nothing is
+	// evaluated.
+	Invariants string `json:"invariants,omitempty"`
 	// Metrics gates on the run's telemetry registry, addressed by
 	// flattened metric name (e.g. "reconcile/rounds",
 	// "gateway/queue_depth:max", "reconcile/round_sec:p95"). A gate on a
@@ -266,6 +272,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Gateways < 0 {
 		return fmt.Errorf("scenlab: %s: gateways must not be negative", s.Name)
+	}
+	if s.SLO.Invariants != "" && s.SLO.Invariants != "all" {
+		return fmt.Errorf("scenlab: %s: slo invariants %q: the only value is \"all\"", s.Name, s.SLO.Invariants)
 	}
 	for i, m := range s.SLO.Metrics {
 		if m.Metric == "" {

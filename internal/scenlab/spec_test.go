@@ -77,6 +77,11 @@ func TestDecodeRejections(t *testing.T) {
 				return strings.Replace(s, `"kind": "lan", "lan": {"subnets": 2, "hosts_per_subnet": 2}`, `"kind": "lan"`, 1)
 			},
 			"needs a lan block"},
+		{"unknown invariants value",
+			func(s string) string {
+				return strings.Replace(s, `"queries_must_flow": true`, `"queries_must_flow": true, "invariants": "some"`, 1)
+			},
+			`the only value is "all"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -152,6 +157,9 @@ func TestCommittedScenariosDecode(t *testing.T) {
 		}
 		if s.Claim == "" {
 			t.Errorf("%s: no claim cross-reference", f.Path)
+		}
+		if s.SLO.Invariants != "all" {
+			t.Errorf("%s: the §2.3 invariants are not gated (slo invariants %q)", f.Path, s.SLO.Invariants)
 		}
 		gates, _ := EvaluateGates(s.SLO, &Summary{})
 		if len(gates) == 0 {
