@@ -9,8 +9,8 @@
 // storm queues and sheds while at gw=3 the replicas absorb it: the
 // virtual-time throughput scales with the replica count while
 // wall-clock ns/op (the simulator's own cost) barely moves. That is
-// why the CI acceptance gate runs on the custom queries/s metric
-// (benchjson -ratio-metric), not on ns/op.
+// why the CI acceptance gate runs on the custom queries/s metric (a
+// ratio row of bench-gates.json), not on ns/op.
 //
 // Reported per sweep point, all from the deterministic virtual clock:
 //

@@ -9,9 +9,10 @@
 //     round-trip, then one batched fetch per owning memory server,
 //     fanned out concurrently.
 //
-// CI regenerates BENCH_query.json with cmd/benchjson and fails on ns/op
-// regressions against the committed baseline; the machine-independent
-// acceptance gate asserts Seq/Batch >= 3 at the 500-host grid.
+// `benchjson query` regenerates BENCH_query.json; the rows of its entry
+// in bench-gates.json fail on ns/op regressions against the committed
+// baseline and hold the machine-independent acceptance gate on
+// Seq/Batch at the 500-host grid.
 package nwsenv
 
 import (

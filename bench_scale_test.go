@@ -2,9 +2,9 @@
 // route-cache invalidation on the 1,000-host SyntheticGrid. The transfer
 // half (BenchmarkScaleGridTransfers and its reference twin) lives in
 // internal/simnet/scalebench_test.go, beside the test-only reference
-// simulator; CI runs both packages in one benchjson invocation so
-// BENCH_scale.json carries every Scale row, and fails on ns/op
-// regressions against the committed baseline (cmd/benchjson -compare).
+// simulator; the scale entry of bench-gates.json (`benchjson scale`)
+// runs both packages so BENCH_scale.json carries every Scale row, and
+// its compare row fails on ns/op regressions against that baseline.
 package nwsenv
 
 import (

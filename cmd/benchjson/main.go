@@ -1,66 +1,77 @@
-// Command benchjson runs `go test -bench` and emits a machine-readable
-// JSON artifact — benchmark name → ns/op, allocs and every custom
-// b.ReportMetric value — so CI can archive the bench trajectory of the
-// repo instead of letting the numbers scroll away in logs.
+// Command benchjson records the repo's benchmark artifacts and checks
+// the gates they must pass. Both are declared once, in bench-gates.json
+// at the repo root: one entry per artifact, naming the `go test -bench`
+// pattern, -benchtime and packages that record it, and its gate rows.
+// Run from the repo root:
 //
-//	benchjson -bench 'Reconcile' -out BENCH_reconcile.json ./internal/reconcile/
-//	benchjson -bench . -benchtime 1x -out BENCH_all.json ./...
+//	benchjson              # every entry
+//	benchjson scale query  # the named entries
 //
-// With -compare it instead diffs two artifacts and exits non-zero when
-// any benchmark's ns/op regressed by more than -threshold (default
-// 0.25 = 25%), which is the CI regression gate for the committed
-// BENCH_*.json baselines:
+// Entry <name> runs `go test -run '^$' -benchmem` and writes every
+// benchmark's ns/op, B/op, allocs/op and custom b.ReportMetric values
+// to BENCH_<name>_new.json. Its committed baseline is BENCH_<name>.json.
+// Once every named entry has run, benchjson evaluates every row of
+// them, prints one line per row (what it measured, the bound, the
+// verdict), and exits 1 if any recording or row failed. It takes no
+// flags. A row is one of four kinds:
 //
-//	benchjson -compare old.json new.json -threshold 0.25
+//	max      bench's metric <= bound (machine-independent for allocs/op, B/op)
+//	ratio    num's metric / den's metric >= bound, within one run
+//	equal    every custom metric of the baseline reproduced exactly
+//	         (virtual-time results are deterministic)
+//	compare  no baseline benchmark missing, and its ns/op, B/op and
+//	         allocs/op at most bound (a fraction) above the baseline's
 //
-// With -ratio-min it asserts a same-run ratio between two benchmarks
-// of one artifact — machine-independent, the CI gate for "incremental
-// engine ≥ N× faster than the naive reference":
-//
-//	benchjson -ratio-num 'BenchmarkScaleGridTransfersNaive/hosts=1000' \
-//	          -ratio-den 'BenchmarkScaleGridTransfers/hosts=1000' \
-//	          -ratio-min 10 BENCH_scale.json
-//
-// The ratio defaults to ns/op; -ratio-metric gates on any custom
-// b.ReportMetric unit instead — required when the benchmark's story
-// lives in virtual time (a vclock simulation's wall-clock ns/op barely
-// moves while its virtual-time throughput scales):
-//
-//	benchjson -ratio-num 'BenchmarkGatewayScale/gw=3' \
-//	          -ratio-den 'BenchmarkGatewayScale/gw=1' \
-//	          -ratio-metric 'queries/s' -ratio-min 2 BENCH_gateway.json
-//
-// With -assert-max it asserts absolute per-benchmark metric ceilings
-// on one artifact. Machine-independent for deterministic metrics like
-// allocs/op — the CI gate for "the batch path stays within N allocs":
-//
-//	benchjson -assert-max 'BenchmarkQueryBatch/hosts=500:allocs/op<=170' BENCH_query.json
-//
-// With -equal it asserts that every custom metric of every benchmark in
-// a baseline artifact is reproduced exactly by a new one — the CI gate
-// for virtual-time results, which are deterministic (ns/op, B/op and
-// allocs/op are skipped):
-//
-//	benchjson -equal BENCH_paper.json BENCH_paper_new.json
+// Each row carries a why string saying what it guards.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Entry is one benchmark's parsed result.
+// gateFile is the declaration benchjson reads, relative to the working
+// directory.
+const gateFile = "bench-gates.json"
+
+// Entry is one artifact of the gate file.
 type Entry struct {
+	Name      string   `json:"name"`
+	Why       string   `json:"why"`
+	Bench     string   `json:"bench"`
+	Benchtime string   `json:"benchtime"`
+	Packages  []string `json:"packages"`
+	Gates     []Gate   `json:"gates"`
+}
+
+// Gate is one row. Kind says which other fields it reads: max reads
+// Bench, Metric and Bound; ratio Num, Den, Metric and Bound; compare
+// Bound; equal none.
+type Gate struct {
+	Kind   string  `json:"kind"`
+	Bench  string  `json:"bench,omitempty"`
+	Num    string  `json:"num,omitempty"`
+	Den    string  `json:"den,omitempty"`
+	Metric string  `json:"metric,omitempty"`
+	Bound  float64 `json:"bound,omitempty"`
+	Why    string  `json:"why"`
+}
+
+func (e Entry) baseline() string { return "BENCH_" + e.Name + ".json" }
+func (e Entry) output() string   { return "BENCH_" + e.Name + "_new.json" }
+
+// Result is one benchmark's parsed result.
+type Result struct {
 	Package    string `json:"package"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit → value: "ns/op", "B/op", "allocs/op", plus any
@@ -71,168 +82,154 @@ type Entry struct {
 // Artifact is the emitted document.
 type Artifact struct {
 	// Command echoes the go test invocation for reproducibility.
-	Command    string           `json:"command"`
-	Benchmarks map[string]Entry `json:"benchmarks"`
+	Command    string            `json:"command"`
+	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
 // benchLine matches "BenchmarkName-8   	  10   123456 ns/op  3.00 widgets ...".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
-// options holds the command line.
-type options struct {
-	out, bench, benchtime  string
-	benchmem, compare      bool
-	equal                  bool
-	threshold, ratioMin    float64
-	ratioNum, ratioDen     string
-	ratioMetric, assertMax string
-}
-
-// newFlags defines the tool's flags on a fresh flag set filling o.
-func newFlags(o *options) *flag.FlagSet {
-	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
-	fs.StringVar(&o.out, "out", "BENCH_reconcile.json", "output JSON file")
-	fs.StringVar(&o.bench, "bench", ".", "benchmark pattern (go test -bench)")
-	fs.StringVar(&o.benchtime, "benchtime", "1x", "per-benchmark budget (go test -benchtime)")
-	fs.BoolVar(&o.benchmem, "benchmem", true, "include allocation metrics")
-	fs.BoolVar(&o.compare, "compare", false, "compare two artifacts (old.json new.json) instead of running benchmarks")
-	fs.Float64Var(&o.threshold, "threshold", 0.25, "allowed ns/op regression fraction in -compare mode")
-	fs.StringVar(&o.ratioNum, "ratio-num", "", "numerator benchmark name for the -ratio-min assertion on one artifact")
-	fs.StringVar(&o.ratioDen, "ratio-den", "", "denominator benchmark name for the -ratio-min assertion")
-	fs.Float64Var(&o.ratioMin, "ratio-min", 0, "minimum ratio num/den; non-zero enables the assertion")
-	fs.StringVar(&o.ratioMetric, "ratio-metric", "ns/op", "metric key the -ratio-min assertion compares")
-	fs.StringVar(&o.assertMax, "assert-max", "", "comma-separated absolute ceilings 'bench:metric<=value' asserted on one artifact")
-	fs.BoolVar(&o.equal, "equal", false, "assert that a new artifact reproduces every custom metric of a baseline exactly (baseline.json new.json)")
-	return fs
-}
-
-// baselineHint is the command that records a missing -compare baseline.
-func baselineHint(old string) string {
-	return "go run ./cmd/benchjson -out " + old + " ./..."
-}
-
 func main() {
-	var o options
-	fs := newFlags(&o)
-	fs.Parse(os.Args[1:])
-	args := fs.Args()
-
-	if o.ratioMin > 0 {
-		// Same-run ratio assertion: machine-independent, unlike the
-		// absolute ns/op gate of -compare.
-		if len(args) != 1 || o.ratioNum == "" || o.ratioDen == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -ratio-min needs -ratio-num, -ratio-den and one artifact file")
-			os.Exit(2)
-		}
-		ratio, err := artifactRatio(args[0], o.ratioNum, o.ratioDen, o.ratioMetric)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchjson: %s / %s = %.1fx on %s (minimum %.1fx)\n", o.ratioNum, o.ratioDen, ratio, o.ratioMetric, o.ratioMin)
-		if ratio < o.ratioMin {
-			fmt.Fprintf(os.Stderr, "benchjson: ratio %.2f below required %.2f\n", ratio, o.ratioMin)
-			os.Exit(1)
-		}
-		return
+	entries, err := loadGates(gateFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(2)
 	}
-
-	if o.assertMax != "" {
-		if len(args) != 1 {
-			fmt.Fprintln(os.Stderr, "benchjson: -assert-max needs one artifact file")
-			os.Exit(2)
-		}
-		if err := assertCeilings(args[0], o.assertMax); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if o.equal {
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -equal needs exactly two artifact files (baseline new)")
-			os.Exit(2)
-		}
-		n, err := assertEqualMetrics(args[0], args[1])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchjson: %d metric(s) of %s reproduced exactly\n", n, args[0])
-		return
-	}
-
-	if o.compare {
-		files, err := scrubCompareArgs(args, &o.threshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		if len(files) != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two artifact files (old new)")
-			os.Exit(2)
-		}
-		report, regressed, err := compareArtifacts(files[0], files[1], o.threshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
-				fmt.Fprintf(os.Stderr, "benchjson: no baseline yet? record one first:\n")
-				fmt.Fprintf(os.Stderr, "benchjson:   %s\n", baselineHint(files[0]))
-				fmt.Fprintf(os.Stderr, "benchjson: then re-run -compare against a fresh artifact\n")
+	if names := os.Args[1:]; len(names) > 0 {
+		var picked []Entry
+		for _, name := range names {
+			i := slices.IndexFunc(entries, func(e Entry) bool { return e.Name == name })
+			if i < 0 {
+				var known []string
+				for _, e := range entries {
+					known = append(known, e.Name)
+				}
+				fmt.Fprintf(os.Stderr, "benchjson: no entry %q in %s (entries: %s)\n", name, gateFile, strings.Join(known, " "))
+				os.Exit(2)
 			}
-			os.Exit(1)
+			picked = append(picked, entries[i])
 		}
-		fmt.Print(report)
-		if regressed {
-			os.Exit(1)
-		}
-		return
+		entries = picked
 	}
-
-	if len(args) == 0 {
-		args = []string{"./..."}
+	if !run(entries, record, os.Stdout) {
+		os.Exit(1)
 	}
-	runBenchmarks(o.out, o.bench, o.benchtime, o.benchmem, args)
 }
 
-func runBenchmarks(out, bench, benchtime string, benchmem bool, pkgs []string) {
-	args := []string{"test", "-run", "^$", "-bench", bench, "-benchtime", benchtime}
-	if benchmem {
-		args = append(args, "-benchmem")
+// run records every entry with rec, then evaluates every row of every
+// entry, printing one line per failed recording and per row to w. It
+// reports whether every recording and every row passed; a failed
+// recording fails the run even for an entry without rows.
+func run(entries []Entry, rec func(Entry) error, w io.Writer) (ok bool) {
+	ok = true
+	for _, e := range entries {
+		// A failed run leaves no artifact, so its rows fail below too.
+		if err := rec(e); err != nil {
+			fmt.Fprintf(w, "FAIL %-9s %-7s %v\n", e.Name, "record", err)
+			ok = false
+		}
 	}
-	args = append(args, pkgs...)
+	for _, e := range entries {
+		cur, err := readArtifact(e.output())
+		for _, g := range e.Gates {
+			row, fails := evaluate(g, e.baseline(), cur, err)
+			verdict := "ok"
+			if len(fails) > 0 {
+				verdict, ok = "FAIL", false
+			}
+			fmt.Fprintf(w, "%-4s %-9s %-7s %s\n", verdict, e.Name, g.Kind, row)
+			for _, f := range fails {
+				fmt.Fprintf(w, "     %s\n", f)
+			}
+		}
+	}
+	return ok
+}
+
+// loadGates reads the gate file, refusing unknown fields so a
+// misspelt key fails instead of leaving a row unchecked.
+func loadGates(path string) ([]Entry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var entries []Entry
+	if err := dec.Decode(&entries); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	for _, e := range entries {
+		for i, g := range e.Gates {
+			if err := g.check(); err != nil {
+				return nil, fmt.Errorf("%s: entry %q row %d: %w", path, e.Name, i, err)
+			}
+		}
+	}
+	return entries, nil
+}
+
+// check refuses a row that leaves out a field its kind reads, so an
+// omitted key fails instead of decoding as a zero that always passes.
+// A max row's bound may be 0: a zero ceiling is the strictest one.
+func (g Gate) check() error {
+	var missing []string
+	need := func(field string, set bool) {
+		if !set {
+			missing = append(missing, field)
+		}
+	}
+	switch g.Kind {
+	case "max":
+		need("bench", g.Bench != "")
+		need("metric", g.Metric != "")
+	case "ratio":
+		need("num", g.Num != "")
+		need("den", g.Den != "")
+		need("metric", g.Metric != "")
+		need("a positive bound", g.Bound > 0)
+	case "compare":
+		need("a positive bound", g.Bound > 0)
+	case "equal":
+	default:
+		return fmt.Errorf("unknown gate kind %q", g.Kind)
+	}
+	need("why", g.Why != "")
+	if len(missing) > 0 {
+		return fmt.Errorf("%s row lacks %s", g.Kind, strings.Join(missing, ", "))
+	}
+	return nil
+}
+
+// record runs entry e's benchmarks and writes its artifact.
+func record(e Entry) error {
+	// Gone before the run, so a failed run leaves no stale artifact for
+	// the rows to read; a missing file is fine.
+	_ = os.Remove(e.output())
+	args := append([]string{"test", "-run", "^$", "-bench", e.Bench, "-benchtime", e.Benchtime, "-benchmem"}, e.Packages...)
 	cmd := exec.Command("go", args...)
 	var stdout bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		os.Stderr.Write(stdout.Bytes())
-		fmt.Fprintln(os.Stderr, "benchjson: go test:", err)
-		os.Exit(1)
+		return fmt.Errorf("go test: %w", err)
 	}
-
-	art := Artifact{
-		Command:    "go " + strings.Join(args, " "),
-		Benchmarks: map[string]Entry{},
-	}
+	art := Artifact{Command: "go " + strings.Join(args, " "), Benchmarks: map[string]Result{}}
 	parseBenchOutput(&art, stdout.String())
 	if len(art.Benchmarks) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: no benchmarks matched %q in %v\n%s", bench, pkgs, stdout.String())
-		os.Exit(1)
+		os.Stderr.Write(stdout.Bytes())
+		return fmt.Errorf("no benchmarks matched %q in %v", e.Bench, e.Packages)
 	}
-
 	data, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	if err := os.WriteFile(e.output(), append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	fmt.Printf("benchjson: %d benchmark(s) -> %s\n", len(art.Benchmarks), out)
+	fmt.Printf("benchjson: %d benchmark(s) -> %s\n", len(art.Benchmarks), e.output())
+	return nil
 }
 
 // parseBenchOutput fills art.Benchmarks from `go test -bench` output.
@@ -249,7 +246,7 @@ func parseBenchOutput(art *Artifact, output string) {
 			continue
 		}
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		entry := Entry{Package: pkg, Iterations: iters, Metrics: map[string]float64{}}
+		r := Result{Package: pkg, Iterations: iters, Metrics: map[string]float64{}}
 		// The tail is tab-separated "value unit" pairs.
 		fields := strings.Fields(m[3])
 		for i := 0; i+1 < len(fields); i += 2 {
@@ -257,144 +254,10 @@ func parseBenchOutput(art *Artifact, output string) {
 			if err != nil {
 				continue
 			}
-			entry.Metrics[fields[i+1]] = v
+			r.Metrics[fields[i+1]] = v
 		}
-		art.Benchmarks[m[1]] = entry
+		art.Benchmarks[m[1]] = r
 	}
-}
-
-// scrubCompareArgs tolerates trailing flags after the positional files
-// (`-compare old.json new.json -threshold 0.25` or `-threshold=0.25`):
-// the flag package stops at the first positional argument.
-func scrubCompareArgs(args []string, threshold *float64) ([]string, error) {
-	var files []string
-	parse := func(s string) error {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("bad -threshold %q", s)
-		}
-		*threshold = v
-		return nil
-	}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-threshold" || a == "--threshold":
-			if i+1 >= len(args) {
-				return nil, fmt.Errorf("%s needs a value", a)
-			}
-			if err := parse(args[i+1]); err != nil {
-				return nil, err
-			}
-			i++
-		case strings.HasPrefix(a, "-threshold=") || strings.HasPrefix(a, "--threshold="):
-			if err := parse(a[strings.Index(a, "=")+1:]); err != nil {
-				return nil, err
-			}
-		default:
-			files = append(files, a)
-		}
-	}
-	return files, nil
-}
-
-// artifactRatio returns metric(num) / metric(den) from one artifact.
-// assertCeilings parses 'bench:metric<=value' clauses and checks each
-// against the artifact, reporting every measured value as it goes.
-func assertCeilings(path, spec string) error {
-	art, err := readArtifact(path)
-	if err != nil {
-		return err
-	}
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		name, rest, ok := strings.Cut(clause, ":")
-		if !ok {
-			return fmt.Errorf("-assert-max clause %q: want 'bench:metric<=value'", clause)
-		}
-		metric, lim, ok := strings.Cut(rest, "<=")
-		if !ok {
-			return fmt.Errorf("-assert-max clause %q: want 'bench:metric<=value'", clause)
-		}
-		max, err := strconv.ParseFloat(strings.TrimSpace(lim), 64)
-		if err != nil {
-			return fmt.Errorf("-assert-max clause %q: bad ceiling: %v", clause, err)
-		}
-		e, found := art.Benchmarks[name]
-		if !found {
-			return fmt.Errorf("-assert-max: benchmark %q not in %s", name, path)
-		}
-		v, found := e.Metrics[strings.TrimSpace(metric)]
-		if !found {
-			return fmt.Errorf("-assert-max: %s has no metric %q", name, metric)
-		}
-		fmt.Printf("benchjson: %s %s = %g (ceiling %g)\n", name, strings.TrimSpace(metric), v, max)
-		if v > max {
-			return fmt.Errorf("%s %s = %g exceeds ceiling %g", name, strings.TrimSpace(metric), v, max)
-		}
-	}
-	return nil
-}
-
-// assertEqualMetrics checks that newPath carries every custom metric of
-// every benchmark in basePath with exactly the same value, and returns
-// how many it checked. Every mismatch and every missing benchmark or
-// metric is listed in the error.
-func assertEqualMetrics(basePath, newPath string) (int, error) {
-	base, err := readArtifact(basePath)
-	if err != nil {
-		return 0, err
-	}
-	cur, err := readArtifact(newPath)
-	if err != nil {
-		return 0, err
-	}
-	var bad []string
-	n := 0
-	for name, be := range base.Benchmarks {
-		ne, ok := cur.Benchmarks[name]
-		if !ok {
-			bad = append(bad, name+": missing")
-			continue
-		}
-		for unit, want := range be.Metrics {
-			switch unit {
-			case "ns/op", "B/op", "allocs/op":
-				continue
-			}
-			n++
-			if got, ok := ne.Metrics[unit]; !ok {
-				bad = append(bad, fmt.Sprintf("%s %s: missing (want %g)", name, unit, want))
-			} else if got != want {
-				bad = append(bad, fmt.Sprintf("%s %s = %g, want %g", name, unit, got, want))
-			}
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		return n, fmt.Errorf("%s is not reproduced by %s:\n  %s", basePath, newPath, strings.Join(bad, "\n  "))
-	}
-	return n, nil
-}
-
-func artifactRatio(path, num, den, metric string) (float64, error) {
-	art, err := readArtifact(path)
-	if err != nil {
-		return 0, err
-	}
-	var vals [2]float64
-	for i, name := range []string{num, den} {
-		e, ok := art.Benchmarks[name]
-		if !ok {
-			return 0, fmt.Errorf("%s: benchmark %q not in artifact", path, name)
-		}
-		v, ok := e.Metrics[metric]
-		if !ok || v <= 0 {
-			return 0, fmt.Errorf("%s: benchmark %q has no positive %s", path, name, metric)
-		}
-		vals[i] = v
-	}
-	return vals[0] / vals[1], nil
 }
 
 func readArtifact(path string) (*Artifact, error) {
@@ -409,87 +272,144 @@ func readArtifact(path string) (*Artifact, error) {
 	return &art, nil
 }
 
-// compareArtifacts diffs the ns/op of every benchmark present in the old
-// artifact against the new one. It reports regressions beyond the
-// threshold fraction and benchmarks that disappeared; both fail the
-// gate. New-only benchmarks are informational.
-func compareArtifacts(oldPath, newPath string, threshold float64) (report string, regressed bool, err error) {
-	oldArt, err := readArtifact(oldPath)
+// num formats a metric value in full, never in exponent form.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// metric returns one benchmark's value of one metric.
+func (a *Artifact) metric(bench, unit string) (float64, error) {
+	r, ok := a.Benchmarks[bench]
+	if !ok {
+		return 0, fmt.Errorf("benchmark %q not in the artifact", bench)
+	}
+	v, ok := r.Metrics[unit]
+	if !ok {
+		return 0, fmt.Errorf("%s has no metric %q", bench, unit)
+	}
+	return v, nil
+}
+
+// evaluate checks row g against the new artifact cur, which could not
+// be read if curErr is set, and for equal and compare against the
+// baseline at basePath. It returns the row with its bound and what it
+// measured, and why it failed if it did.
+func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string, fails []string) {
+	switch g.Kind {
+	case "max":
+		row = fmt.Sprintf("%s %s <= %s", g.Bench, g.Metric, num(g.Bound))
+	case "ratio":
+		row = fmt.Sprintf("%s / %s %s >= %sx", g.Num, g.Den, g.Metric, num(g.Bound))
+	case "equal":
+		row = "custom metrics == " + basePath
+	case "compare":
+		row = fmt.Sprintf("ns/op, B/op, allocs/op <= +%.0f%% of %s", g.Bound*100, basePath)
+	default:
+		return "", []string{fmt.Sprintf("unknown gate kind %q", g.Kind)}
+	}
+	if curErr != nil {
+		return row, []string{curErr.Error()}
+	}
+	switch g.Kind {
+	case "max":
+		v, err := cur.metric(g.Bench, g.Metric)
+		if err != nil {
+			return row, []string{err.Error()}
+		}
+		if v > g.Bound {
+			fails = []string{num(v) + " exceeds the ceiling"}
+		}
+		return row + ": " + num(v), fails
+	case "ratio":
+		n, err := cur.metric(g.Num, g.Metric)
+		if err != nil {
+			return row, []string{err.Error()}
+		}
+		d, err := cur.metric(g.Den, g.Metric)
+		if err != nil {
+			return row, []string{err.Error()}
+		}
+		if n <= 0 || d <= 0 {
+			return row, []string{fmt.Sprintf("needs positive values, got %s / %s", num(n), num(d))}
+		}
+		if n/d < g.Bound {
+			fails = []string{fmt.Sprintf("%.2fx is below the minimum", n/d)}
+		}
+		return fmt.Sprintf("%s: %.2fx", row, n/d), fails
+	}
+	base, err := readArtifact(basePath)
 	if err != nil {
-		return "", false, err
+		return row, []string{"baseline: " + err.Error()}
 	}
-	newArt, err := readArtifact(newPath)
-	if err != nil {
-		return "", false, err
+	if g.Kind == "equal" {
+		n, fails := equalMetrics(base, cur)
+		return fmt.Sprintf("%s: %d metric(s) checked", row, n), fails
 	}
-	var b strings.Builder
-	names := make([]string, 0, len(oldArt.Benchmarks))
-	for name := range oldArt.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(&b, "benchjson: comparing %s -> %s (threshold %.0f%%)\n", oldPath, newPath, threshold*100)
-	for _, name := range names {
-		oldE := oldArt.Benchmarks[name]
-		newE, ok := newArt.Benchmarks[name]
+	n, fails := compareArtifacts(base, cur, g.Bound)
+	return fmt.Sprintf("%s: %d benchmark(s) compared", row, n), fails
+}
+
+// equalMetrics checks that cur carries every custom metric of every
+// benchmark in base with exactly the same value, and returns how many
+// it checked and every missing benchmark, missing metric and mismatch.
+func equalMetrics(base, cur *Artifact) (n int, bad []string) {
+	for name, br := range base.Benchmarks {
+		cr, ok := cur.Benchmarks[name]
 		if !ok {
-			fmt.Fprintf(&b, "  MISSING  %-50s (present in baseline, absent in new run)\n", name)
-			regressed = true
+			bad = append(bad, name+": missing")
 			continue
 		}
-		oldNs, okOld := oldE.Metrics["ns/op"]
-		newNs, okNew := newE.Metrics["ns/op"]
-		if !okOld || !okNew || oldNs <= 0 {
-			fmt.Fprintf(&b, "  SKIP     %-50s (no ns/op to compare)\n", name)
+		for unit, want := range br.Metrics {
+			switch unit {
+			case "ns/op", "B/op", "allocs/op":
+				continue
+			}
+			n++
+			if got, ok := cr.Metrics[unit]; !ok {
+				bad = append(bad, fmt.Sprintf("%s %s: missing (want %s)", name, unit, num(want)))
+			} else if got != want {
+				bad = append(bad, fmt.Sprintf("%s %s = %s, want %s", name, unit, num(got), num(want)))
+			}
+		}
+	}
+	sort.Strings(bad)
+	return n, bad
+}
+
+// compareArtifacts checks every benchmark of base against cur: it must
+// still be there, and its ns/op, B/op and allocs/op may grow by at most
+// the threshold fraction. It returns how many benchmarks it compared
+// and every regression and missing benchmark. A benchmark without ns/op
+// on both sides is skipped; a memory metric is compared only when both
+// sides have it (a baseline recorded without -benchmem gates on time
+// alone), and a zero baseline allows no growth at all.
+func compareArtifacts(base, cur *Artifact, threshold float64) (n int, bad []string) {
+	for name, old := range base.Benchmarks {
+		now, ok := cur.Benchmarks[name]
+		if !ok {
+			bad = append(bad, name+": missing from the new run")
 			continue
 		}
-		ratio := newNs/oldNs - 1
-		verdict := "ok"
-		if ratio > threshold {
-			verdict = "REGRESSED"
-			regressed = true
-		} else if ratio < -threshold {
-			verdict = "improved"
+		if v, ok := old.Metrics["ns/op"]; !ok || v <= 0 {
+			continue
 		}
-		fmt.Fprintf(&b, "  %-10s %-50s %14.0f -> %14.0f ns/op (%+.1f%%)\n",
-			verdict, name, oldNs, newNs, ratio*100)
-		// Memory gates apply only when both runs recorded the metric:
-		// a baseline predating -benchmem must not fail every comparison.
-		for _, unit := range []string{"B/op", "allocs/op"} {
-			oldV, okOld := oldE.Metrics[unit]
-			newV, okNew := newE.Metrics[unit]
-			if !okOld || !okNew {
+		if _, ok := now.Metrics["ns/op"]; !ok {
+			continue
+		}
+		n++
+		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
+			was, okOld := old.Metrics[unit]
+			is, okNew := now.Metrics[unit]
+			if !okOld || !okNew || is <= was {
 				continue
 			}
-			var frac float64
-			switch {
-			case oldV > 0:
-				frac = newV/oldV - 1
-			case newV > 0:
-				// Zero-alloc baseline lost: unbounded regression.
-				frac = math.Inf(1)
-			default:
-				continue
-			}
-			verdict := "ok"
-			delta := fmt.Sprintf("%+.1f%%", frac*100)
-			if math.IsInf(frac, 1) {
-				delta = "from zero"
+			frac := math.Inf(1) // from zero
+			if was > 0 {
+				frac = is/was - 1
 			}
 			if frac > threshold {
-				verdict = "REGRESSED"
-				regressed = true
-			} else if frac < -threshold {
-				verdict = "improved"
+				bad = append(bad, fmt.Sprintf("%s %s %s -> %s (%+.1f%%)", name, unit, num(was), num(is), frac*100))
 			}
-			fmt.Fprintf(&b, "  %-10s %-50s %14.0f -> %14.0f %s (%s)\n",
-				verdict, name, oldV, newV, unit, delta)
 		}
 	}
-	for name := range newArt.Benchmarks {
-		if _, ok := oldArt.Benchmarks[name]; !ok {
-			fmt.Fprintf(&b, "  new      %-50s (no baseline yet)\n", name)
-		}
-	}
-	return b.String(), regressed, nil
+	sort.Strings(bad)
+	return n, bad
 }

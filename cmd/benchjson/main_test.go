@@ -1,20 +1,28 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"flag"
-	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-func writeArtifact(t *testing.T, dir, name string, benches map[string]Entry) string {
+type metrics = map[string]float64
+
+// writeArtifact writes an artifact of the given benchmarks under dir and
+// returns its path.
+func writeArtifact(t *testing.T, dir, name string, benches map[string]metrics) string {
 	t.Helper()
+	art := Artifact{Command: "test", Benchmarks: map[string]Result{}}
+	for b, m := range benches {
+		art.Benchmarks[b] = Result{Metrics: m}
+	}
 	path := filepath.Join(dir, name)
-	data, err := json.Marshal(Artifact{Command: "test", Benchmarks: benches})
+	data, err := json.Marshal(art)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,251 +32,213 @@ func writeArtifact(t *testing.T, dir, name string, benches map[string]Entry) str
 	return path
 }
 
-func TestCompareArtifactsGate(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1000}},
-		"BenchmarkB": {Metrics: map[string]float64{"ns/op": 1000}},
-		"BenchmarkC": {Metrics: map[string]float64{"ns/op": 1000}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1200}}, // +20%: within 25%
-		"BenchmarkB": {Metrics: map[string]float64{"ns/op": 1300}}, // +30%: regression
-		"BenchmarkC": {Metrics: map[string]float64{"ns/op": 400}},  // improvement
-		"BenchmarkD": {Metrics: map[string]float64{"ns/op": 50}},   // new, informational
-	})
-	report, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
+func mustRead(t *testing.T, path string) *Artifact {
+	t.Helper()
+	art, err := readArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !regressed {
-		t.Fatal("30% regression must trip the 25% gate")
+	return art
+}
+
+// TestGateKinds: each gate kind passes an artifact that keeps its bound
+// and fails one that breaks it. A nil base means no baseline file.
+func TestGateKinds(t *testing.T) {
+	maxRow := Gate{Kind: "max", Bench: "BenchmarkX", Metric: "allocs/op", Bound: 62}
+	ratioRow := Gate{Kind: "ratio", Num: "BenchmarkNaive", Den: "BenchmarkFast", Metric: "ns/op", Bound: 10}
+	vratioRow := Gate{Kind: "ratio", Num: "BenchmarkScale/n=3", Den: "BenchmarkScale/n=1", Metric: "queries/s", Bound: 2}
+	equalRow := Gate{Kind: "equal"}
+	compareRow := Gate{Kind: "compare", Bound: 0.25}
+	for _, tc := range []struct {
+		name      string
+		gate      Gate
+		base, cur map[string]metrics
+		pass      bool
+	}{
+		{"max-at-ceiling", maxRow, nil, map[string]metrics{"BenchmarkX": {"allocs/op": 62}}, true},
+		{"max-over-ceiling", maxRow, nil, map[string]metrics{"BenchmarkX": {"allocs/op": 63}}, false},
+		{"max-missing-metric", maxRow, nil, map[string]metrics{"BenchmarkX": {"ns/op": 1}}, false},
+		{"max-zero-ceiling", Gate{Kind: "max", Bench: "BenchmarkX", Metric: "allocs/op"}, nil,
+			map[string]metrics{"BenchmarkX": {"allocs/op": 1}}, false},
+		{"ratio-above-minimum", ratioRow, nil,
+			map[string]metrics{"BenchmarkNaive": {"ns/op": 5000}, "BenchmarkFast": {"ns/op": 100}}, true},
+		{"ratio-below-minimum", ratioRow, nil,
+			map[string]metrics{"BenchmarkNaive": {"ns/op": 900}, "BenchmarkFast": {"ns/op": 100}}, false},
+		{"ratio-missing-benchmark", ratioRow, nil, map[string]metrics{"BenchmarkFast": {"ns/op": 100}}, false},
+		// The vclock-simulation shape: wall-clock ns/op flat across the
+		// sweep, the scaling story in a virtual-time custom metric.
+		{"ratio-custom-metric", vratioRow, nil, map[string]metrics{
+			"BenchmarkScale/n=3": {"ns/op": 1000, "queries/s": 9000},
+			"BenchmarkScale/n=1": {"ns/op": 1000, "queries/s": 3000}}, true},
+		{"ratio-custom-metric-short", vratioRow, nil, map[string]metrics{
+			"BenchmarkScale/n=3": {"ns/op": 1000, "queries/s": 5000},
+			"BenchmarkScale/n=1": {"ns/op": 1000, "queries/s": 3000}}, false},
+		{"equal-reproduced", equalRow,
+			map[string]metrics{"BenchmarkE1": {"ns/op": 1000, "B/op": 8, "networks": 7}},
+			map[string]metrics{"BenchmarkE1": {"ns/op": 5000, "B/op": 64, "networks": 7, "extra": 1}}, true},
+		{"equal-moved", equalRow,
+			map[string]metrics{"BenchmarkE1": {"networks": 7}},
+			map[string]metrics{"BenchmarkE1": {"networks": 8}}, false},
+		{"equal-missing-baseline", equalRow, nil, map[string]metrics{"BenchmarkE1": {"networks": 7}}, false},
+		{"compare-within-threshold", compareRow,
+			map[string]metrics{"BenchmarkA": {"ns/op": 1000}},
+			map[string]metrics{"BenchmarkA": {"ns/op": 1200}}, true},
+		{"compare-time-regression", compareRow,
+			map[string]metrics{"BenchmarkA": {"ns/op": 1000}},
+			map[string]metrics{"BenchmarkA": {"ns/op": 1300}}, false},
+		// 3x B/op growth trips the gate even with flat ns/op.
+		{"compare-mem-regression", compareRow,
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 100, "allocs/op": 3}},
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 300, "allocs/op": 3}}, false},
+		// Losing a zero-alloc baseline is an unbounded regression.
+		{"compare-alloc-regression-from-zero", compareRow,
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "allocs/op": 0}},
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "allocs/op": 2}}, false},
+		{"compare-mem-improvement", compareRow,
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 4096, "allocs/op": 40}},
+			map[string]metrics{"BenchmarkX": {"ns/op": 990, "B/op": 512, "allocs/op": 6}}, true},
+		// A baseline recorded without -benchmem must not fail every new
+		// run that measures memory.
+		{"compare-skips-mem-baseline-lacks", compareRow,
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000}},
+			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 1 << 20, "allocs/op": 999}}, true},
+		// A benchmark vanishing from the run fails the gate.
+		{"compare-missing-benchmark", compareRow,
+			map[string]metrics{"BenchmarkA": {"ns/op": 1000}, "BenchmarkB": {"ns/op": 1000}},
+			map[string]metrics{"BenchmarkA": {"ns/op": 1000}}, false},
+		{"compare-missing-baseline", compareRow, nil, map[string]metrics{"BenchmarkA": {"ns/op": 1000}}, false},
+		{"unknown-kind", Gate{Kind: "min"}, nil, map[string]metrics{"BenchmarkA": {"ns/op": 1000}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			basePath := filepath.Join(dir, "absent.json")
+			if tc.base != nil {
+				basePath = writeArtifact(t, dir, "base.json", tc.base)
+			}
+			cur := mustRead(t, writeArtifact(t, dir, "new.json", tc.cur))
+			row, fails := evaluate(tc.gate, basePath, cur, nil)
+			if pass := len(fails) == 0; pass != tc.pass {
+				t.Fatalf("%s: pass=%v, want %v (%v)", row, pass, tc.pass, fails)
+			}
+		})
 	}
-	for _, want := range []string{"REGRESSED", "BenchmarkB", "improved", "new      BenchmarkD"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
+}
+
+// TestEvaluateUnreadableArtifact: a run that wrote no artifact fails
+// every row, naming the row it could not check.
+func TestEvaluateUnreadableArtifact(t *testing.T) {
+	_, err := readArtifact(filepath.Join(t.TempDir(), "BENCH_x_new.json"))
+	row, fails := evaluate(Gate{Kind: "max", Bench: "BenchmarkX", Metric: "allocs/op"}, "", nil, err)
+	if len(fails) != 1 || !strings.Contains(row, "BenchmarkX allocs/op <= 0") {
+		t.Fatalf("row %q fails %v", row, fails)
+	}
+}
+
+// TestRunFailsOnFailedRecording: a recording that fails (go test
+// error, a panicking benchmark, a pattern that matches nothing) fails
+// the run, also for an entry with no rows to trip.
+func TestRunFailsOnFailedRecording(t *testing.T) {
+	entries := []Entry{{Name: "reconcile"}}
+	var out bytes.Buffer
+	if !run(entries, func(Entry) error { return nil }, &out) {
+		t.Fatalf("a clean recording of a row-less entry failed:\n%s", &out)
+	}
+	out.Reset()
+	broken := func(Entry) error { return errors.New("go test: exit status 1") }
+	if run(entries, broken, &out) || !strings.Contains(out.String(), "FAIL reconcile") {
+		t.Fatalf("a failed recording passed:\n%s", &out)
+	}
+}
+
+// TestLoadGatesRequiresFields: a row that leaves out a field its kind
+// reads is refused at load, not decoded as a zero that always passes.
+func TestLoadGatesRequiresFields(t *testing.T) {
+	for _, tc := range []struct {
+		row string
+		ok  bool
+	}{
+		{`{"kind": "max", "bench": "BenchmarkX", "metric": "allocs/op", "bound": 0, "why": "w"}`, true},
+		{`{"kind": "max", "metric": "allocs/op", "bound": 1, "why": "w"}`, false},
+		{`{"kind": "max", "bench": "BenchmarkX", "bound": 1, "why": "w"}`, false},
+		{`{"kind": "ratio", "num": "BenchmarkA", "den": "BenchmarkB", "metric": "ns/op", "bound": 3, "why": "w"}`, true},
+		{`{"kind": "ratio", "num": "BenchmarkA", "den": "BenchmarkB", "metric": "ns/op", "why": "w"}`, false},
+		{`{"kind": "ratio", "num": "BenchmarkA", "metric": "ns/op", "bound": 3, "why": "w"}`, false},
+		{`{"kind": "ratio", "den": "BenchmarkB", "metric": "ns/op", "bound": 3, "why": "w"}`, false},
+		{`{"kind": "ratio", "num": "BenchmarkA", "den": "BenchmarkB", "bound": 3, "why": "w"}`, false},
+		{`{"kind": "compare", "bound": 0.25, "why": "w"}`, true},
+		{`{"kind": "compare", "why": "w"}`, false},
+		{`{"kind": "equal", "why": "w"}`, true},
+		{`{"kind": "equal"}`, false},
+		{`{"kind": "min", "why": "w"}`, false},
+		{`{"kind": "max", "bench": "BenchmarkX", "metric": "allocs/op", "bonud": 1, "why": "w"}`, false},
+	} {
+		path := filepath.Join(t.TempDir(), gateFile)
+		doc := `[{"name": "x", "bench": ".", "benchtime": "1x", "packages": ["."], "gates": [` + tc.row + `]}]`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadGates(path); (err == nil) != tc.ok {
+			t.Errorf("%s: err %v, want ok=%v", tc.row, err, tc.ok)
 		}
 	}
-	if strings.Count(report, "REGRESSED") != 1 {
-		t.Errorf("exactly one regression expected:\n%s", report)
+}
+
+func TestCompareArtifactsGate(t *testing.T) {
+	base := map[string]metrics{
+		"BenchmarkA": {"ns/op": 1000},
+		"BenchmarkB": {"ns/op": 1000},
+		"BenchmarkC": {"ns/op": 1000},
+	}
+	cur := map[string]metrics{
+		"BenchmarkA": {"ns/op": 1200}, // +20%: within 25%
+		"BenchmarkB": {"ns/op": 1300}, // +30%: regression
+		"BenchmarkC": {"ns/op": 400},  // improvement
+		"BenchmarkD": {"ns/op": 50},   // new, not gated
+	}
+	dir := t.TempDir()
+	n, bad := compareArtifacts(mustRead(t, writeArtifact(t, dir, "old.json", base)),
+		mustRead(t, writeArtifact(t, dir, "new.json", cur)), 0.25)
+	if n != 3 || len(bad) != 1 || !strings.HasPrefix(bad[0], "BenchmarkB ns/op 1000 -> 1300") {
+		t.Fatalf("compared %d, regressions %q", n, bad)
 	}
 }
 
 func TestCompareArtifactsWithinThreshold(t *testing.T) {
 	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1000}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1100}},
-	})
-	_, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Fatal("+10% must pass a 25% gate")
-	}
-}
-
-func TestCompareArtifactsMissingBenchmark(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1000}},
-		"BenchmarkB": {Metrics: map[string]float64{"ns/op": 1000}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1000}},
-	})
-	report, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Fatalf("a benchmark vanishing from the run must fail the gate:\n%s", report)
-	}
-	if !strings.Contains(report, "MISSING") {
-		t.Errorf("report should flag the missing benchmark:\n%s", report)
-	}
-}
-
-func TestCompareArtifactsMissingBaseline(t *testing.T) {
-	dir := t.TempDir()
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 1000}},
-	})
-	_, _, err := compareArtifacts(filepath.Join(dir, "absent.json"), newPath, 0.25)
-	if err == nil {
-		t.Fatal("missing baseline must error")
-	}
-	// main keys the "record a baseline first" hint off ErrNotExist; the
-	// error must keep satisfying it through any wrapping.
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing baseline error %v does not unwrap to os.ErrNotExist", err)
-	}
-	if !strings.Contains(err.Error(), "absent.json") {
-		t.Fatalf("error should name the missing file: %v", err)
-	}
-}
-
-// TestBaselineHintParses: the command the missing-baseline hint prints
-// must be one this tool accepts, recording to the named file.
-func TestBaselineHintParses(t *testing.T) {
-	hint := baselineHint("BENCH_old.json")
-	args, ok := strings.CutPrefix(hint, "go run ./cmd/benchjson ")
-	if !ok {
-		t.Fatalf("hint %q does not run this tool", hint)
-	}
-	var o options
-	fs := newFlags(&o)
-	fs.Init(fs.Name(), flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(strings.Fields(args)); err != nil {
-		t.Fatalf("hint %q: %v", hint, err)
-	}
-	if o.out != "BENCH_old.json" || o.compare || len(fs.Args()) == 0 {
-		t.Fatalf("hint %q records to %q (compare=%v, packages %v)", hint, o.out, o.compare, fs.Args())
-	}
-}
-
-func TestScrubCompareArgs(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want float64
-	}{
-		{[]string{"old.json", "new.json", "-threshold", "0.5"}, 0.5},
-		{[]string{"old.json", "new.json", "-threshold=0.3"}, 0.3},
-		{[]string{"old.json", "new.json", "--threshold=0.4"}, 0.4},
-		{[]string{"old.json", "new.json"}, 0.25},
-	} {
-		threshold := 0.25
-		files, err := scrubCompareArgs(tc.args, &threshold)
-		if err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
-		}
-		if len(files) != 2 || files[0] != "old.json" || files[1] != "new.json" {
-			t.Fatalf("%v: files %v", tc.args, files)
-		}
-		if threshold != tc.want {
-			t.Fatalf("%v: threshold %v want %v", tc.args, threshold, tc.want)
-		}
-	}
-	if _, err := scrubCompareArgs([]string{"a", "b", "-threshold=bogus"}, new(float64)); err == nil {
-		t.Fatal("bogus threshold should error")
+	old := mustRead(t, writeArtifact(t, dir, "old.json", map[string]metrics{"BenchmarkA": {"ns/op": 1000}}))
+	cur := mustRead(t, writeArtifact(t, dir, "new.json", map[string]metrics{"BenchmarkA": {"ns/op": 1100}}))
+	if _, bad := compareArtifacts(old, cur, 0.25); len(bad) != 0 {
+		t.Fatalf("+10%% must pass a 25%% gate: %q", bad)
 	}
 }
 
 func TestArtifactRatio(t *testing.T) {
-	dir := t.TempDir()
-	path := writeArtifact(t, dir, "art.json", map[string]Entry{
-		"BenchmarkNaive": {Metrics: map[string]float64{"ns/op": 5000}},
-		"BenchmarkFast":  {Metrics: map[string]float64{"ns/op": 100}},
-	})
-	ratio, err := artifactRatio(path, "BenchmarkNaive", "BenchmarkFast", "ns/op")
-	if err != nil {
-		t.Fatal(err)
+	cur := mustRead(t, writeArtifact(t, t.TempDir(), "art.json", map[string]metrics{
+		"BenchmarkNaive": {"ns/op": 5000},
+		"BenchmarkFast":  {"ns/op": 100},
+	}))
+	g := Gate{Kind: "ratio", Num: "BenchmarkNaive", Den: "BenchmarkFast", Metric: "ns/op", Bound: 10}
+	if row, fails := evaluate(g, "", cur, nil); len(fails) != 0 || !strings.HasSuffix(row, ": 50.00x") {
+		t.Fatalf("row %q fails %v, want 50.00x", row, fails)
 	}
-	if ratio != 50 {
-		t.Fatalf("ratio %v want 50", ratio)
-	}
-	if _, err := artifactRatio(path, "BenchmarkMissing", "BenchmarkFast", "ns/op"); err == nil {
-		t.Fatal("missing benchmark should error")
+	g.Num = "BenchmarkMissing"
+	if _, fails := evaluate(g, "", cur, nil); len(fails) != 1 || !strings.Contains(fails[0], "BenchmarkMissing") {
+		t.Fatalf("missing benchmark: %v", fails)
 	}
 }
 
 func TestArtifactRatioCustomMetric(t *testing.T) {
-	dir := t.TempDir()
-	path := writeArtifact(t, dir, "art.json", map[string]Entry{
-		// The vclock-simulation shape: wall-clock ns/op flat across the
-		// sweep, the scaling story in a virtual-time custom metric.
-		"BenchmarkScale/n=3": {Metrics: map[string]float64{"ns/op": 1000, "queries/s": 9000}},
-		"BenchmarkScale/n=1": {Metrics: map[string]float64{"ns/op": 1000, "queries/s": 3000}},
-	})
-	ratio, err := artifactRatio(path, "BenchmarkScale/n=3", "BenchmarkScale/n=1", "queries/s")
-	if err != nil {
-		t.Fatal(err)
+	cur := mustRead(t, writeArtifact(t, t.TempDir(), "art.json", map[string]metrics{
+		"BenchmarkScale/n=3": {"ns/op": 1000, "queries/s": 9000},
+		"BenchmarkScale/n=1": {"ns/op": 1000, "queries/s": 3000},
+	}))
+	g := Gate{Kind: "ratio", Num: "BenchmarkScale/n=3", Den: "BenchmarkScale/n=1", Metric: "queries/s", Bound: 2}
+	if row, fails := evaluate(g, "", cur, nil); len(fails) != 0 || !strings.HasSuffix(row, ": 3.00x") {
+		t.Fatalf("row %q fails %v, want 3.00x", row, fails)
 	}
-	if ratio != 3 {
-		t.Fatalf("ratio %v want 3", ratio)
-	}
-	if _, err := artifactRatio(path, "BenchmarkScale/n=3", "BenchmarkScale/n=1", "p99-ms"); err == nil {
-		t.Fatal("absent metric should error")
-	}
-}
-
-func TestCompareGatesOnMemRegression(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000, "B/op": 100, "allocs/op": 3}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000, "B/op": 300, "allocs/op": 3}},
-	})
-	report, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Fatalf("3x B/op growth must trip the 25%% gate even with flat ns/op:\n%s", report)
-	}
-	if !strings.Contains(report, "B/op") || !strings.Contains(report, "REGRESSED") {
-		t.Errorf("report does not call out the B/op regression:\n%s", report)
-	}
-}
-
-func TestCompareGatesOnAllocRegressionFromZero(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 0}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 2}},
-	})
-	_, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Fatal("losing a zero-alloc baseline must fail the gate")
-	}
-}
-
-func TestComparePassesOnMemImprovement(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000, "B/op": 4096, "allocs/op": 40}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 990, "B/op": 512, "allocs/op": 6}},
-	})
-	report, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Fatalf("a memory improvement must pass the gate:\n%s", report)
-	}
-	if !strings.Contains(report, "improved") {
-		t.Errorf("report does not note the improvement:\n%s", report)
-	}
-}
-
-func TestCompareSkipsMemWhenBaselineLacksIt(t *testing.T) {
-	// A baseline recorded before -benchmem must not fail every new run
-	// that measures memory.
-	dir := t.TempDir()
-	oldPath := writeArtifact(t, dir, "old.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000}},
-	})
-	newPath := writeArtifact(t, dir, "new.json", map[string]Entry{
-		"BenchmarkX": {Metrics: map[string]float64{"ns/op": 1000, "B/op": 1 << 20, "allocs/op": 999}},
-	})
-	report, regressed, err := compareArtifacts(oldPath, newPath, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Fatalf("memory metrics absent from the baseline must not gate:\n%s", report)
+	g.Metric = "p99-ms"
+	if _, fails := evaluate(g, "", cur, nil); len(fails) != 1 || !strings.Contains(fails[0], "p99-ms") {
+		t.Fatalf("absent metric: %v", fails)
 	}
 }
 
@@ -278,16 +248,16 @@ pkg: nwsenv/internal/simnet
 BenchmarkScaleGridTransfers/hosts=100-8         	     120	    912345 ns/op	    2048 B/op	      31 allocs/op	      7.000 settles
 PASS
 `
-	art := Artifact{Benchmarks: map[string]Entry{}}
+	art := Artifact{Benchmarks: map[string]Result{}}
 	parseBenchOutput(&art, out)
-	e, ok := art.Benchmarks["BenchmarkScaleGridTransfers/hosts=100"]
+	r, ok := art.Benchmarks["BenchmarkScaleGridTransfers/hosts=100"]
 	if !ok {
 		t.Fatalf("benchmark not parsed: %+v", art.Benchmarks)
 	}
 	want := map[string]float64{"ns/op": 912345, "B/op": 2048, "allocs/op": 31, "settles": 7}
 	for unit, v := range want {
-		if e.Metrics[unit] != v {
-			t.Errorf("metric %s = %g, want %g", unit, e.Metrics[unit], v)
+		if r.Metrics[unit] != v {
+			t.Errorf("metric %s = %g, want %g", unit, r.Metrics[unit], v)
 		}
 	}
 
@@ -311,43 +281,125 @@ pkg: nwsenv
 BenchmarkScaleGridTransfers/hosts=1000-8         	       1	  16208686 ns/op	       400.0 bgflows	      1000 hosts	      8103 ns/xfer
 PASS
 `
-	art := Artifact{Benchmarks: map[string]Entry{}}
+	art := Artifact{Benchmarks: map[string]Result{}}
 	parseBenchOutput(&art, out)
-	e, ok := art.Benchmarks["BenchmarkScaleGridTransfers/hosts=1000"]
+	r, ok := art.Benchmarks["BenchmarkScaleGridTransfers/hosts=1000"]
 	if !ok {
 		t.Fatalf("sub-benchmark name not parsed: %v", art.Benchmarks)
 	}
-	if e.Metrics["ns/op"] != 16208686 || e.Metrics["hosts"] != 1000 || e.Metrics["ns/xfer"] != 8103 {
-		t.Fatalf("metrics: %+v", e.Metrics)
+	if r.Metrics["ns/op"] != 16208686 || r.Metrics["hosts"] != 1000 || r.Metrics["ns/xfer"] != 8103 {
+		t.Fatalf("metrics: %+v", r.Metrics)
 	}
-	if e.Package != "nwsenv" {
-		t.Fatalf("package: %q", e.Package)
+	if r.Package != "nwsenv" {
+		t.Fatalf("package: %q", r.Package)
 	}
 }
 
 func TestAssertEqualMetrics(t *testing.T) {
 	dir := t.TempDir()
-	base := writeArtifact(t, dir, "base.json", map[string]Entry{
-		"BenchmarkE1": {Metrics: map[string]float64{"ns/op": 1000, "networks": 7}},
-		"BenchmarkE2": {Metrics: map[string]float64{"ns/op": 1000, "probes": 12, "minPairPerMin": 7.8}},
-	})
-	same := writeArtifact(t, dir, "same.json", map[string]Entry{
-		"BenchmarkE1": {Metrics: map[string]float64{"ns/op": 5000, "networks": 7}},
-		"BenchmarkE2": {Metrics: map[string]float64{"ns/op": 10, "probes": 12, "minPairPerMin": 7.8, "extra": 1}},
-	})
-	if n, err := assertEqualMetrics(base, same); err != nil || n != 3 {
-		t.Fatalf("an exact reproduction with other ns/op: %d checked, %v", n, err)
+	base := mustRead(t, writeArtifact(t, dir, "base.json", map[string]metrics{
+		"BenchmarkE1": {"ns/op": 1000, "networks": 7},
+		"BenchmarkE2": {"ns/op": 1000, "probes": 12, "minPairPerMin": 7.8},
+	}))
+	same := mustRead(t, writeArtifact(t, dir, "same.json", map[string]metrics{
+		"BenchmarkE1": {"ns/op": 5000, "networks": 7},
+		"BenchmarkE2": {"ns/op": 10, "probes": 12, "minPairPerMin": 7.8, "extra": 1},
+	}))
+	if n, bad := equalMetrics(base, same); len(bad) != 0 || n != 3 {
+		t.Fatalf("an exact reproduction with other ns/op: %d checked, %q", n, bad)
 	}
-	moved := writeArtifact(t, dir, "moved.json", map[string]Entry{
-		"BenchmarkE2": {Metrics: map[string]float64{"probes": 12, "minPairPerMin": 7.9}},
-	})
-	_, err := assertEqualMetrics(base, moved)
-	if err == nil {
-		t.Fatal("a moved metric and a missing benchmark passed")
+	moved := mustRead(t, writeArtifact(t, dir, "moved.json", map[string]metrics{
+		"BenchmarkE2": {"probes": 12, "minPairPerMin": 7.9},
+	}))
+	_, bad := equalMetrics(base, moved)
+	want := []string{"BenchmarkE1: missing", "BenchmarkE2 minPairPerMin = 7.9, want 7.8"}
+	if strings.Join(bad, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("mismatches %q, want %q", bad, want)
 	}
-	for _, want := range []string{"BenchmarkE1: missing", "minPairPerMin = 7.9, want 7.8"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+}
+
+// benchFunc matches a top-level benchmark's declaration.
+var benchFunc = regexp.MustCompile(`(?m)^func (Benchmark\w+)\(b \*testing\.B\)`)
+
+// TestGateFile holds the committed bench-gates.json to the committed
+// baselines, so a typo or a stale baseline fails here rather than only
+// in CI: every root BENCH_*.json is some entry's baseline; an entry's
+// pattern selects exactly the benchmarks its baseline holds; and every
+// row passes with the baseline taken as the new artifact, which needs
+// each max and ratio row to name a benchmark and metric the baseline
+// has.
+func TestGateFile(t *testing.T) {
+	root := filepath.Join("..", "..")
+	entries, err := loadGates(filepath.Join(root, gateFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselines := map[string]bool{}
+	for _, e := range entries {
+		if baselines[e.baseline()] {
+			t.Errorf("entry %q appears twice", e.Name)
+		}
+		baselines[e.baseline()] = true
+	}
+	committed, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		if name := filepath.Base(path); !strings.HasSuffix(name, "_new.json") && !baselines[name] {
+			t.Errorf("%s is no entry's baseline", name)
+		}
+	}
+
+	for _, e := range entries {
+		basePath := filepath.Join(root, e.baseline())
+		base, err := readArtifact(basePath)
+		if err != nil {
+			if len(e.Gates) > 0 {
+				t.Errorf("%s: gated entry without a baseline: %v", e.Name, err)
+			}
+			continue
+		}
+		pattern, err := regexp.Compile(e.Bench)
+		if err != nil {
+			t.Errorf("%s: bench pattern: %v", e.Name, err)
+			continue
+		}
+		recorded := map[string]bool{}
+		for name := range base.Benchmarks {
+			top, _, _ := strings.Cut(name, "/")
+			recorded[top] = true
+		}
+		declared := map[string]bool{}
+		for _, pkg := range e.Packages {
+			files, _ := filepath.Glob(filepath.Join(root, pkg, "*_test.go"))
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range benchFunc.FindAllStringSubmatch(string(src), -1) {
+					if pattern.MatchString(m[1]) {
+						declared[m[1]] = true
+					}
+				}
+			}
+		}
+		for name := range declared {
+			if !recorded[name] {
+				t.Errorf("%s: %q selects %s, which %s does not hold", e.Name, e.Bench, name, e.baseline())
+			}
+		}
+		for name := range recorded {
+			if !declared[name] {
+				t.Errorf("%s: %s holds %s, which %q does not select in %v", e.Name, e.baseline(), name, e.Bench, e.Packages)
+			}
+		}
+
+		for _, g := range e.Gates {
+			if row, fails := evaluate(g, basePath, base, nil); len(fails) > 0 {
+				t.Errorf("%s %s %s fails on its own baseline: %q", e.Name, g.Kind, row, fails)
+			}
 		}
 	}
 }

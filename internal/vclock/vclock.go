@@ -12,7 +12,8 @@
 // events. All wakeups are delivered through a single time-ordered event
 // queue with a monotonic sequence number as tie-breaker, so a
 // simulation that performs the same calls in the same order is fully
-// deterministic.
+// deterministic. A test may swap the tie-breaker for a seeded
+// permutation of it (SetScheduleSeed), which is just as deterministic.
 //
 // What may be called from where: Sleep, Yield, Chan.Recv and
 // Chan.RecvTimeout block and may only be called by a process, on the
@@ -72,7 +73,10 @@ type Sim struct {
 	// clock mirrors now for Now, which reads it without the lock.
 	clock  atomic.Int64
 	seq    int64
-	events []queued // binary min-heap on (at, seq)
+	events []queued // binary min-heap on (at, key)
+	// schedSeed permutes events due at one instant; 0 keeps them in
+	// seq order. See SetScheduleSeed.
+	schedSeed uint64
 	// dead counts the canceled events still in events; see sweepLocked.
 	dead int
 	// ready[head:] are the processes to resume at the current instant,
@@ -270,8 +274,13 @@ type readied struct {
 // in the same total order on (at, seq) as if it had been pushed: every
 // readied entry is due now, and the clock cannot pass now while one is
 // left. Only uncancelable wakes come here (a spawn, a zero sleep, a
-// channel wake). Callers must hold s.mu.
+// channel wake). Under a schedule seed the wake goes through the heap,
+// where its key is mixed like every other. Callers must hold s.mu.
 func (s *Sim) readyLocked(p *proc) {
+	if s.schedSeed != 0 {
+		s.scheduleEphemeral(s.now, p.resume)
+		return
+	}
 	s.seq++
 	s.ready = append(s.ready, readied{seq: s.seq, p: p})
 }
@@ -284,14 +293,16 @@ func (s *Sim) readyFirst() bool {
 		return true
 	}
 	top := s.events[0]
-	return top.at > s.now || top.seq > s.ready[s.head].seq
+	return top.at > s.now || top.key > s.ready[s.head].seq
 }
 
 // queued is one heap slot. The ordering key is stored inline so sifting
-// compares without dereferencing events.
+// compares without dereferencing events. key is the sequence number, or
+// a bijective mix of it under a schedule seed: distinct either way, so
+// the order stays total.
 type queued struct {
 	at  time.Duration
-	seq int64
+	key int64
 	ev  *Event
 }
 
@@ -299,14 +310,17 @@ func (a queued) before(b queued) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 // push enqueues ev at ev.at with the next sequence number. Callers must
 // hold s.mu.
 func (s *Sim) push(ev *Event) {
 	s.seq++
-	q := queued{at: ev.at, seq: s.seq, ev: ev}
+	q := queued{at: ev.at, key: s.seq, ev: ev}
+	if s.schedSeed != 0 {
+		q.key = int64(mix64(uint64(s.seq) ^ s.schedSeed))
+	}
 	h := append(s.events, q)
 	i := len(h) - 1
 	for i > 0 {
@@ -319,6 +333,15 @@ func (s *Sim) push(ev *Event) {
 	}
 	h[i] = q
 	s.events = h
+}
+
+// mix64 is the splitmix64 finalizer, a bijection on uint64.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // pop removes and returns the earliest event. Callers must hold s.mu and
@@ -487,6 +510,20 @@ func (s *Sim) Sleep(d time.Duration) {
 // Yield lets every other runnable work scheduled at the current instant
 // run before the calling process continues.
 func (s *Sim) Yield() { s.Sleep(0) }
+
+// SetScheduleSeed makes the order of events due at one virtual instant
+// a function of seed, for tests that look for ordering bugs: each event
+// still fires at its time and after whatever scheduled it, and one seed
+// repeats exactly. Seed 0, the default, is the order the events were
+// scheduled in. It must be called before anything is scheduled.
+func (s *Sim) SetScheduleSeed(seed uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seq != 0 {
+		panic("vclock: SetScheduleSeed after events were scheduled")
+	}
+	s.schedSeed = seed
+}
 
 // Run executes the simulation until the event queue is empty and all
 // processes have finished or are permanently blocked. It returns a

@@ -38,6 +38,7 @@ var reachAllow = map[string]string{
 	// Deliberate test hooks on the simulator and the sim transport.
 	"internal/vclock.Sim.PendingEvents":          "kernel tests assert the event queue drains",
 	"internal/vclock.Sim.Yield":                  "kernel tests force a reschedule at one instant",
+	"internal/vclock.Sim.SetScheduleSeed":        "kernel tests permute the events due at one instant",
 	"internal/nws/proto.SimTransport.SetBlocked": "partition injection for transport and failover tests",
 	"internal/nws/discoverytest.RunConformance":  "shared *test helper package: the discovery contract suite",
 	"internal/nws/proto/prototest.Teardown":      "shared *test helper package: the teardown check of deployment-building tests",
