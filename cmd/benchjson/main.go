@@ -17,8 +17,9 @@
 //
 //	max      bench's metric <= bound (machine-independent for allocs/op, B/op)
 //	ratio    num's metric / den's metric >= bound, within one run
-//	equal    every custom metric of the baseline reproduced exactly
-//	         (virtual-time results are deterministic)
+//	equal    every custom metric of the baseline (or only the named
+//	         metrics) reproduced exactly (virtual-time results are
+//	         deterministic)
 //	compare  no baseline benchmark missing, and its ns/op, B/op and
 //	         allocs/op at most bound (a fraction) above the baseline's
 //
@@ -56,15 +57,16 @@ type Entry struct {
 
 // Gate is one row. Kind says which other fields it reads: max reads
 // Bench, Metric and Bound; ratio Num, Den, Metric and Bound; compare
-// Bound; equal none.
+// Bound; equal Metrics, if set.
 type Gate struct {
-	Kind   string  `json:"kind"`
-	Bench  string  `json:"bench,omitempty"`
-	Num    string  `json:"num,omitempty"`
-	Den    string  `json:"den,omitempty"`
-	Metric string  `json:"metric,omitempty"`
-	Bound  float64 `json:"bound,omitempty"`
-	Why    string  `json:"why"`
+	Kind    string   `json:"kind"`
+	Bench   string   `json:"bench,omitempty"`
+	Num     string   `json:"num,omitempty"`
+	Den     string   `json:"den,omitempty"`
+	Metric  string   `json:"metric,omitempty"`
+	Metrics []string `json:"metrics,omitempty"`
+	Bound   float64  `json:"bound,omitempty"`
+	Why     string   `json:"why"`
 }
 
 func (e Entry) baseline() string { return "BENCH_" + e.Name + ".json" }
@@ -300,6 +302,9 @@ func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string,
 		row = fmt.Sprintf("%s / %s %s >= %sx", g.Num, g.Den, g.Metric, num(g.Bound))
 	case "equal":
 		row = "custom metrics == " + basePath
+		if len(g.Metrics) > 0 {
+			row = strings.Join(g.Metrics, ", ") + " == " + basePath
+		}
 	case "compare":
 		row = fmt.Sprintf("ns/op, B/op, allocs/op <= +%.0f%% of %s", g.Bound*100, basePath)
 	default:
@@ -340,7 +345,7 @@ func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string,
 		return row, []string{"baseline: " + err.Error()}
 	}
 	if g.Kind == "equal" {
-		n, fails := equalMetrics(base, cur)
+		n, fails := equalMetrics(base, cur, g.Metrics)
 		return fmt.Sprintf("%s: %d metric(s) checked", row, n), fails
 	}
 	n, fails := compareArtifacts(base, cur, g.Bound)
@@ -348,9 +353,12 @@ func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string,
 }
 
 // equalMetrics checks that cur carries every custom metric of every
-// benchmark in base with exactly the same value, and returns how many
-// it checked and every missing benchmark, missing metric and mismatch.
-func equalMetrics(base, cur *Artifact) (n int, bad []string) {
+// benchmark in base with exactly the same value, only the units in
+// only when it is not empty, and returns how many it checked and every
+// missing benchmark, missing metric and mismatch. A unit of only that
+// no baseline benchmark has fails too: it would check nothing.
+func equalMetrics(base, cur *Artifact, only []string) (n int, bad []string) {
+	checked := map[string]bool{}
 	for name, br := range base.Benchmarks {
 		cr, ok := cur.Benchmarks[name]
 		if !ok {
@@ -358,16 +366,24 @@ func equalMetrics(base, cur *Artifact) (n int, bad []string) {
 			continue
 		}
 		for unit, want := range br.Metrics {
-			switch unit {
-			case "ns/op", "B/op", "allocs/op":
+			switch {
+			case unit == "ns/op" || unit == "B/op" || unit == "allocs/op":
+				continue
+			case len(only) > 0 && !slices.Contains(only, unit):
 				continue
 			}
 			n++
+			checked[unit] = true
 			if got, ok := cr.Metrics[unit]; !ok {
 				bad = append(bad, fmt.Sprintf("%s %s: missing (want %s)", name, unit, num(want)))
 			} else if got != want {
 				bad = append(bad, fmt.Sprintf("%s %s = %s, want %s", name, unit, num(got), num(want)))
 			}
+		}
+	}
+	for _, unit := range only {
+		if !checked[unit] {
+			bad = append(bad, unit+": in no baseline benchmark")
 		}
 	}
 	sort.Strings(bad)

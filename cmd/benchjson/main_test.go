@@ -48,6 +48,7 @@ func TestGateKinds(t *testing.T) {
 	ratioRow := Gate{Kind: "ratio", Num: "BenchmarkNaive", Den: "BenchmarkFast", Metric: "ns/op", Bound: 10}
 	vratioRow := Gate{Kind: "ratio", Num: "BenchmarkScale/n=3", Den: "BenchmarkScale/n=1", Metric: "queries/s", Bound: 2}
 	equalRow := Gate{Kind: "equal"}
+	equalNamedRow := Gate{Kind: "equal", Metrics: []string{"p50-ms"}}
 	compareRow := Gate{Kind: "compare", Bound: 0.25}
 	for _, tc := range []struct {
 		name      string
@@ -58,6 +59,8 @@ func TestGateKinds(t *testing.T) {
 		{"max-at-ceiling", maxRow, nil, map[string]metrics{"BenchmarkX": {"allocs/op": 62}}, true},
 		{"max-over-ceiling", maxRow, nil, map[string]metrics{"BenchmarkX": {"allocs/op": 63}}, false},
 		{"max-missing-metric", maxRow, nil, map[string]metrics{"BenchmarkX": {"ns/op": 1}}, false},
+		// A benchmark vanishing from the run fails every row naming it.
+		{"max-missing-benchmark", maxRow, nil, map[string]metrics{"BenchmarkY": {"allocs/op": 1}}, false},
 		{"max-zero-ceiling", Gate{Kind: "max", Bench: "BenchmarkX", Metric: "allocs/op"}, nil,
 			map[string]metrics{"BenchmarkX": {"allocs/op": 1}}, false},
 		{"ratio-above-minimum", ratioRow, nil,
@@ -80,6 +83,21 @@ func TestGateKinds(t *testing.T) {
 			map[string]metrics{"BenchmarkE1": {"networks": 7}},
 			map[string]metrics{"BenchmarkE1": {"networks": 8}}, false},
 		{"equal-missing-baseline", equalRow, nil, map[string]metrics{"BenchmarkE1": {"networks": 7}}, false},
+		// A named-metrics row ignores the others (a host-measured
+		// allocs-per-batch beside virtual-time p50-ms) but still fails
+		// when its benchmark vanishes.
+		{"equal-named-reproduced", equalNamedRow,
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9, "allocs-per-batch": 9.014}},
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9, "allocs-per-batch": 8.195}}, true},
+		{"equal-named-moved", equalNamedRow,
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}},
+			map[string]metrics{"BenchmarkG": {"p50-ms": 119}}, false},
+		{"equal-named-missing-benchmark", equalNamedRow,
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}, "BenchmarkH": {"p50-ms": 1}},
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}}, false},
+		{"equal-named-absent-from-baseline", Gate{Kind: "equal", Metrics: []string{"p50ms"}},
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}},
+			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}}, false},
 		{"compare-within-threshold", compareRow,
 			map[string]metrics{"BenchmarkA": {"ns/op": 1000}},
 			map[string]metrics{"BenchmarkA": {"ns/op": 1200}}, true},
@@ -305,13 +323,13 @@ func TestAssertEqualMetrics(t *testing.T) {
 		"BenchmarkE1": {"ns/op": 5000, "networks": 7},
 		"BenchmarkE2": {"ns/op": 10, "probes": 12, "minPairPerMin": 7.8, "extra": 1},
 	}))
-	if n, bad := equalMetrics(base, same); len(bad) != 0 || n != 3 {
+	if n, bad := equalMetrics(base, same, nil); len(bad) != 0 || n != 3 {
 		t.Fatalf("an exact reproduction with other ns/op: %d checked, %q", n, bad)
 	}
 	moved := mustRead(t, writeArtifact(t, dir, "moved.json", map[string]metrics{
 		"BenchmarkE2": {"probes": 12, "minPairPerMin": 7.9},
 	}))
-	_, bad := equalMetrics(base, moved)
+	_, bad := equalMetrics(base, moved, nil)
 	want := []string{"BenchmarkE1: missing", "BenchmarkE2 minPairPerMin = 7.9, want 7.8"}
 	if strings.Join(bad, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("mismatches %q, want %q", bad, want)

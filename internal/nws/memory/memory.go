@@ -37,27 +37,42 @@ type Server struct {
 	retention int
 
 	// Replication plane. replicas is this primary's configured replica
-	// set (node IDs); fan is the async write fan-out feeding it; tracker
-	// carries both the primary-side cumulative totals and the
-	// replica-side applied/seen watermarks; met is nil-safe telemetry.
+	// set (node IDs); fan is the async write fan-out feeding it; met is
+	// nil-safe telemetry.
 	replicas []string
 	fan      *replica.Fanout
-	tracker  *replica.Tracker
 	met      replica.Metrics
 	tele     *telemetry.Registry
 
 	mu     sync.Mutex
-	series map[string][]proto.Sample
-	// tokens holds each window's stamp (see setWindow).
-	tokens map[string]proto.WindowToken
-	// registered tracks which series have been advertised to the name
-	// server already.
-	registered map[string]bool
-	// origin maps a replica-held series to the primary host that fans it
-	// out here. Owned series never appear; a series adopted by repair or
-	// promoted by a direct store leaves the map.
-	origin map[string]string
+	series map[string]*record
 }
+
+// record is everything the server keeps about one series, so a store,
+// a replica append and a fetch entry each cost one lookup under s.mu.
+type record struct {
+	window []proto.Sample
+	token  proto.WindowToken // the window's stamp (see setWindow); 0 before the first write
+	// registered marks a series advertised to the name server as owned
+	// here.
+	registered bool
+	// origin is the primary host that fans a replica-held series out
+	// here, "" for an owned series: a series adopted by repair or
+	// promoted by a direct store clears it.
+	origin string
+	// total is the primary side's cumulative count of accepted samples.
+	// applied is the replica side's cumulative count of applied ones and
+	// seen the newest primary total it observed: seen - applied is its
+	// lag, the samples the primary accepted that this replica has not.
+	total, applied, seen int64
+}
+
+func (r *record) lag() int64 { return max(r.seen-r.applied, 0) }
+
+// watermark is the highest cumulative count the record holds from
+// either side: the monotone floor a repaired primary adopts so its
+// totals never run backwards past what replicas already saw.
+func (r *record) watermark() int64 { return max(r.total, r.applied, r.seen) }
 
 // Option configures the server.
 type Option func(*Server)
@@ -86,19 +101,20 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // standalone use.
 func New(st proto.Port, ns *nameserver.Client, opts ...Option) *Server {
 	s := &Server{
-		st:         st,
-		ns:         ns,
-		retention:  DefaultRetention,
-		tracker:    replica.NewTracker(),
-		series:     map[string][]proto.Sample{},
-		tokens:     map[string]proto.WindowToken{},
-		registered: map[string]bool{},
-		origin:     map[string]string{},
+		st:        st,
+		ns:        ns,
+		retention: DefaultRetention,
+		series:    map[string]*record{},
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	s.met = replica.NewMetrics(s.tele)
+	if len(s.replicas) > 0 {
+		// Only where stores fan out, so a run without replication
+		// reports no such key.
+		s.met.Frames = s.tele.Counter("replica", "fanout_messages", nil)
+	}
 	return s
 }
 
@@ -113,7 +129,9 @@ func (s *Server) Name() string { return "memory." + s.st.Host() }
 // retry/exit policy lives in exactly one place.
 func (s *Server) Run() {
 	if len(s.replicas) > 0 && s.fan == nil {
-		s.fan = replica.NewFanout(s.st, s.replicas, s.tracker, s.met)
+		// A merged frame carries at most one retention window, so it
+		// holds a replica's loop no longer than a ReplWindow does.
+		s.fan = replica.NewFanout(s.st, s.replicas, s.retention, s.met)
 	}
 	if s.ns != nil {
 		reg := proto.Registration{Name: s.Name(), Kind: "memory", Host: s.st.Host(), Replicas: s.replicas}
@@ -128,24 +146,29 @@ func (s *Server) Run() {
 			}
 			return
 		}
-		switch req.Type {
-		case proto.MsgStore:
-			s.handleStore(req)
-		case proto.MsgBatchFetch:
-			s.handleBatchFetch(req)
-		case proto.MsgReplStore:
-			s.handleReplStore(req)
-		case proto.MsgReplWindow:
-			s.handleReplWindow(req)
-		case proto.MsgReplSync:
-			s.handleReplSync(req)
-		case proto.MsgReplRepair:
-			s.handleReplRepair(req)
-		case proto.MsgPing:
-			s.st.Reply(req, proto.Message{Type: proto.MsgPong})
-		default:
-			s.st.ReplyError(req, "memory: unexpected %v", req.Type)
-		}
+		s.serve(req)
+	}
+}
+
+// serve answers one request.
+func (s *Server) serve(req proto.Message) {
+	switch req.Type {
+	case proto.MsgStore:
+		s.handleStore(req)
+	case proto.MsgBatchFetch:
+		s.handleBatchFetch(req)
+	case proto.MsgReplStore:
+		s.handleReplStore(req)
+	case proto.MsgReplWindow:
+		s.handleReplWindow(req)
+	case proto.MsgReplSync:
+		s.handleReplSync(req)
+	case proto.MsgReplRepair:
+		s.handleReplRepair(req)
+	case proto.MsgPing:
+		s.st.Reply(req, proto.Message{Type: proto.MsgPong})
+	default:
+		s.st.ReplyError(req, "memory: unexpected %v", req.Type)
 	}
 }
 
@@ -170,9 +193,11 @@ func (s *Server) refreshSeries() error {
 // server owns, in sorted order, each carrying the replica set.
 func (s *Server) ownedRegistrations() []proto.Registration {
 	s.mu.Lock()
-	names := make([]string, 0, len(s.registered))
-	for name := range s.registered {
-		names = append(names, name)
+	var names []string
+	for name, r := range s.series {
+		if r.registered {
+			names = append(names, name)
+		}
 	}
 	s.mu.Unlock()
 	sort.Strings(names)
@@ -192,19 +217,21 @@ func (s *Server) handleStore(req proto.Message) {
 		return
 	}
 	s.mu.Lock()
+	r := s.record(req.Series)
 	// A direct store onto a replica-held series promotes it to owned:
 	// the sensor feed has rehomed here, so this server is its primary
 	// now and the stale replica bookkeeping must not shadow that.
-	delete(s.origin, req.Series)
-	s.setWindow(req.Series, appendWindow(s.series[req.Series], req.Samples, s.retention))
+	r.origin = ""
+	s.setWindow(r, appendWindow(r.window, req.Samples, s.retention))
+	r.total += int64(len(req.Samples))
+	total, registered := r.total, r.registered
 	s.mu.Unlock()
-	total := s.tracker.Bump(req.Series, len(req.Samples))
 	if s.fan != nil && len(req.Samples) > 0 {
 		// The fan-out retains the samples past this request, and decoded
 		// slices share the frame's backing array: copy.
 		s.fan.Store(req.Series, append([]proto.Sample(nil), req.Samples...), total)
 	}
-	if s.ns != nil && !s.isRegistered(req.Series) {
+	if s.ns != nil && !registered {
 		// Advertise series ownership so forecasters can find the right
 		// memory server (§2.1 step 2). The entry carries the replica set
 		// so query clients learn their failover targets from the cache.
@@ -213,17 +240,22 @@ func (s *Server) handleStore(req proto.Message) {
 			Replicas: s.replicas,
 		}); err == nil {
 			s.mu.Lock()
-			s.registered[req.Series] = true
+			s.record(req.Series).registered = true
 			s.mu.Unlock()
 		}
 	}
 	s.st.Reply(req, proto.Message{Type: proto.MsgStoreAck})
 }
 
-func (s *Server) isRegistered(series string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.registered[series]
+// record returns name's record, made empty at its first mention. s.mu
+// must be held.
+func (s *Server) record(name string) *record {
+	r := s.series[name]
+	if r == nil {
+		r = &record{}
+		s.series[name] = r
+	}
+	return r
 }
 
 // stamps counts window writes across every server of the process from
@@ -233,14 +265,14 @@ var stamps atomic.Uint64
 
 func init() { stamps.Store(rand.Uint64()) }
 
-// setWindow installs name's retained window under a fresh stamp, so no
+// setWindow installs r's retained window under a fresh stamp, so no
 // token issued for the window it replaces matches again. s.mu must be
 // held.
-func (s *Server) setWindow(name string, w []proto.Sample) {
-	s.series[name] = w
+func (s *Server) setWindow(r *record, w []proto.Sample) {
+	r.window = w
 	for {
 		if t := proto.WindowToken(stamps.Add(1)); t != 0 && t != proto.AskToken {
-			s.tokens[name] = t
+			r.token = t
 			return
 		}
 	}
@@ -262,61 +294,79 @@ func (s *Server) handleBatchFetch(req proto.Message) {
 		t := req.Queries[i].Token
 		return t != 0 && t == tokens[i]
 	}
+	var none record // an unknown series: empty, token 0
 	s.mu.Lock()
-	// One backing array for every result's samples instead of one copy
-	// per series; capacity-pinned subslices keep neighbors safe from a
-	// receiver's append.
+	// The first pass points each answer at the newest samples of its
+	// live window; the second copies them all into one backing array
+	// before the lock drops, capacity-pinned so a receiver's append
+	// cannot reach a neighbor.
 	total := 0
 	for i, q := range req.Queries {
+		r := s.series[q.Series]
+		if r == nil {
+			r = &none
+		}
 		results[i].Series = q.Series
 		if q.Token != 0 {
 			if tokens == nil {
 				tokens = make([]proto.WindowToken, len(req.Queries))
 			}
-			tokens[i] = s.tokens[q.Series]
+			tokens[i] = r.token
 		}
-		if !unchanged(i) {
-			total += clampCount(len(s.series[q.Series]), q.Count)
-		}
-	}
-	backing := make([]proto.Sample, 0, total)
-	for i, q := range req.Queries {
 		// An unchanged answer keeps Samples empty; Replica and Lag below
 		// still apply to it.
 		if !unchanged(i) {
-			buf := s.series[q.Series]
-			n := clampCount(len(buf), q.Count)
-			start := len(backing)
-			backing = append(backing, buf[len(buf)-n:]...)
-			results[i].Samples = backing[start:len(backing):len(backing)]
+			w := r.window
+			results[i].Samples = w[len(w)-clampCount(len(w), q.Count):]
+			total += len(results[i].Samples)
 		}
-		if _, held := s.origin[q.Series]; held {
+		if r.origin != "" {
 			// Served from a replica copy: mark it so clients can surface
 			// degraded (stale-but-available) answers, with the lag
 			// watermark alongside.
 			results[i].Replica = true
-			results[i].Lag = s.tracker.Lag(q.Series)
+			results[i].Lag = r.lag()
+		}
+	}
+	backing := make([]proto.Sample, 0, total)
+	for i := range results {
+		if !unchanged(i) {
+			start := len(backing)
+			backing = append(backing, results[i].Samples...)
+			results[i].Samples = backing[start:len(backing):len(backing)]
 		}
 	}
 	s.mu.Unlock()
 	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: proto.V3, Results: results, ResultTokens: tokens})
 }
 
-// handleReplStore applies one fan-out append from a primary. An owned
-// series ignores it (the sender is stale — ownership moved here), and
-// the reply always acks: replication is at-most-once by design.
+// handleReplStore applies a fan-out frame from a primary: one store,
+// or a merged frame whose Results hold one store per entry (Lag carries
+// its total), each applied as if it had come alone. An owned series
+// ignores its stores (the sender is stale — ownership moved here), and
+// the reply always acks, with the lag after the frame's last store:
+// replication is at-most-once by design.
 func (s *Server) handleReplStore(req proto.Message) {
-	s.mu.Lock()
-	if s.registered[req.Series] {
-		s.mu.Unlock()
-		s.st.Reply(req, proto.Message{Type: proto.MsgReplAck})
-		return
+	entries := req.Results
+	if len(entries) == 0 {
+		entries = []proto.SeriesResult{{Series: req.Series, Samples: req.Samples, Lag: req.Total}}
 	}
-	s.origin[req.Series] = req.From
-	s.setWindow(req.Series, appendWindow(s.series[req.Series], req.Samples, s.retention))
+	var lag int64
+	s.mu.Lock()
+	for _, e := range entries {
+		r := s.record(e.Series)
+		if r.registered {
+			lag = 0
+			continue
+		}
+		r.origin = req.From
+		s.setWindow(r, appendWindow(r.window, e.Samples, s.retention))
+		r.applied += int64(len(e.Samples))
+		r.seen = max(r.seen, e.Lag)
+		lag = r.lag()
+		s.met.Lag.Observe(float64(lag))
+	}
 	s.mu.Unlock()
-	lag := s.tracker.Apply(req.Series, len(req.Samples), req.Total)
-	s.met.Lag.Observe(float64(lag))
 	s.st.Reply(req, proto.Message{Type: proto.MsgReplAck, Total: lag})
 }
 
@@ -326,39 +376,43 @@ func (s *Server) handleReplStore(req proto.Message) {
 // cumulative total.
 func (s *Server) handleReplWindow(req proto.Message) {
 	s.mu.Lock()
-	if s.registered[req.Series] {
-		s.mu.Unlock()
-		s.st.Reply(req, proto.Message{Type: proto.MsgReplAck})
-		return
+	if r := s.record(req.Series); !r.registered {
+		r.origin = req.From
+		s.setWindow(r, appendWindow(nil, req.Samples, s.retention))
+		r.applied = req.Total
+		r.seen = max(r.seen, req.Total)
 	}
-	s.origin[req.Series] = req.From
-	s.setWindow(req.Series, appendWindow(nil, req.Samples, s.retention))
 	s.mu.Unlock()
-	s.tracker.SetApplied(req.Series, req.Total)
 	s.st.Reply(req, proto.Message{Type: proto.MsgReplAck})
 }
 
 // handleReplSync hands a repairing primary every series this server
-// holds as a replica of the dead primary host named in req.Name. Each
-// result reuses Lag as the sender's cumulative watermark for the
-// series, so the adopter can pin its totals monotonically.
+// holds as a replica of the dead primary host named in req.Name.
 func (s *Server) handleReplSync(req proto.Message) {
+	s.st.Reply(req, proto.Message{Type: proto.MsgReplSyncReply, Version: proto.V3, Results: s.heldFrom(req.Name)})
+}
+
+// heldFrom copies out every series this server holds as a replica of
+// the primary host dead, in name order. Each result reuses Lag as this
+// server's watermark for the series, so the adopter can pin its totals
+// monotonically.
+func (s *Server) heldFrom(dead string) []proto.SeriesResult {
 	s.mu.Lock()
 	var results []proto.SeriesResult
-	for name, from := range s.origin {
-		if from != req.Name {
+	for name, r := range s.series {
+		if r.origin == "" || r.origin != dead {
 			continue
 		}
 		results = append(results, proto.SeriesResult{
 			Series:  name,
-			Samples: append([]proto.Sample(nil), s.series[name]...),
+			Samples: append([]proto.Sample(nil), r.window...),
 			Replica: true,
-			Lag:     s.tracker.Watermark(name),
+			Lag:     r.watermark(),
 		})
 	}
 	s.mu.Unlock()
 	sort.Slice(results, func(i, j int) bool { return results[i].Series < results[j].Series })
-	s.st.Reply(req, proto.Message{Type: proto.MsgReplSyncReply, Version: proto.V3, Results: results})
+	return results
 }
 
 // handleReplRepair re-establishes the replication factor after a crash:
@@ -371,19 +425,7 @@ func (s *Server) handleReplRepair(req proto.Message) {
 	dead, survivor := req.Reg.Name, req.Reg.Host
 	var results []proto.SeriesResult
 	if survivor == s.st.Host() {
-		s.mu.Lock()
-		for name, from := range s.origin {
-			if from != dead {
-				continue
-			}
-			results = append(results, proto.SeriesResult{
-				Series:  name,
-				Samples: append([]proto.Sample(nil), s.series[name]...),
-				Lag:     s.tracker.Watermark(name),
-			})
-		}
-		s.mu.Unlock()
-		sort.Slice(results, func(i, j int) bool { return results[i].Series < results[j].Series })
+		results = s.heldFrom(dead)
 	} else {
 		reply, err := s.st.Call(survivor, proto.Message{
 			Type: proto.MsgReplSync, Version: proto.V3, Name: dead,
@@ -412,23 +454,21 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 	}
 	var pushes []push
 	s.mu.Lock()
-	for _, r := range results {
-		if r.Series == "" {
+	for _, res := range results {
+		if res.Series == "" {
 			continue
 		}
-		window := appendWindow(nil, mergeWindows(r.Samples, s.series[r.Series]), s.retention)
-		s.setWindow(r.Series, window)
-		delete(s.origin, r.Series)
-		if !s.registered[r.Series] {
-			s.registered[r.Series] = true
-		}
+		r := s.record(res.Series)
+		window := appendWindow(nil, mergeWindows(res.Samples, r.window), s.retention)
+		s.setWindow(r, window)
+		r.origin, r.registered = "", true
+		r.total = max(r.total, res.Lag)
 		adopted++
-		backfilled += int64(len(r.Samples))
-		s.tracker.SetTotal(r.Series, r.Lag)
+		backfilled += int64(len(res.Samples))
 		pushes = append(pushes, push{
-			name:    r.Series,
+			name:    res.Series,
 			samples: append([]proto.Sample(nil), window...),
-			total:   s.tracker.Total(r.Series),
+			total:   r.total,
 		})
 	}
 	s.mu.Unlock()
@@ -496,19 +536,29 @@ type persistedState struct {
 // Persist writes the stored series (gob) — the "on disk" half of the
 // paper's memory server.
 func (s *Server) Persist(w io.Writer) error {
-	s.mu.Lock()
 	st := persistedState{
-		Series: map[string][]proto.Sample{},
-		Origin: map[string]string{},
+		Series: map[string][]proto.Sample{}, Origin: map[string]string{},
+		Total: map[string]int64{}, Applied: map[string]int64{}, Seen: map[string]int64{},
 	}
-	for name, buf := range s.series {
-		st.Series[name] = append([]proto.Sample(nil), buf...)
+	// A zero count is left out: Restore reads a missing one as zero.
+	put := func(m map[string]int64, name string, n int64) {
+		if n != 0 {
+			m[name] = n
+		}
 	}
-	for name, from := range s.origin {
-		st.Origin[name] = from
+	s.mu.Lock()
+	for name, r := range s.series {
+		if r.token != 0 {
+			st.Series[name] = append([]proto.Sample(nil), r.window...)
+		}
+		if r.origin != "" {
+			st.Origin[name] = r.origin
+		}
+		put(st.Total, name, r.total)
+		put(st.Applied, name, r.applied)
+		put(st.Seen, name, r.seen)
 	}
 	s.mu.Unlock()
-	st.Total, st.Applied, st.Seen = s.tracker.Snapshot()
 	return gob.NewEncoder(w).Encode(st)
 }
 
@@ -520,16 +570,23 @@ func (s *Server) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
-	s.tracker.Load(st.Total, st.Applied, st.Seen)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.series, s.tokens = map[string][]proto.Sample{}, map[string]proto.WindowToken{}
+	s.series = map[string]*record{}
 	for name, buf := range st.Series {
-		s.setWindow(name, appendWindow(nil, buf, s.retention))
+		s.setWindow(s.record(name), appendWindow(nil, buf, s.retention))
 	}
-	s.origin = map[string]string{}
 	for name, from := range st.Origin {
-		s.origin[name] = from
+		s.record(name).origin = from
+	}
+	for name, n := range st.Total {
+		s.record(name).total = n
+	}
+	for name, n := range st.Applied {
+		s.record(name).applied = n
+	}
+	for name, n := range st.Seen {
+		s.record(name).seen = n
 	}
 	return nil
 }

@@ -247,7 +247,7 @@ func TestPersistRestoreUnderRetention(t *testing.T) {
 	if err := same.Restore(bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
 	}
-	if got := same.series["s"]; len(got) != 5 || got[0].Value != 5 || got[4].Value != 9 {
+	if got := same.series["s"].window; len(got) != 5 || got[0].Value != 5 || got[4].Value != 9 {
 		t.Fatalf("restored window %+v", got)
 	}
 
@@ -258,7 +258,7 @@ func TestPersistRestoreUnderRetention(t *testing.T) {
 	if err := small.Restore(bytes.NewReader(img)); err != nil {
 		t.Fatal(err)
 	}
-	if got := small.series["s"]; len(got) != 3 || got[0].Value != 7 || got[2].Value != 9 {
+	if got := small.series["s"].window; len(got) != 3 || got[0].Value != 7 || got[2].Value != 9 {
 		t.Fatalf("truncated window %+v, want the newest 3", got)
 	}
 
@@ -276,7 +276,7 @@ func TestPersistRestoreUnderRetention(t *testing.T) {
 	if err := capped.Restore(&overfull); err != nil {
 		t.Fatal(err)
 	}
-	if got := capped.series["x"]; len(got) != 2 || got[0].Value != 5 || got[1].Value != 6 {
+	if got := capped.series["x"].window; len(got) != 2 || got[0].Value != 5 || got[1].Value != 6 {
 		t.Fatalf("overfull image not re-capped: %+v", got)
 	}
 }

@@ -40,7 +40,7 @@ func TestRefreshSeriesBulkSingleRoundTrip(t *testing.T) {
 	port := &bulkPort{StubPort: prototest.StubPort{HostName: "h1"}}
 	s := New(port, nameserver.NewClient(port, "ns"), WithReplicas("h2", "h3"))
 	for _, name := range []string{"c.series", "a.series", "b.series"} {
-		s.registered[name] = true
+		s.record(name).registered = true
 	}
 	if err := s.refreshSeries(); err != nil {
 		t.Fatalf("refresh: %v", err)
@@ -72,7 +72,7 @@ func TestRefreshSeriesBulkSingleRoundTrip(t *testing.T) {
 func TestRefreshSeriesReportsTransientFailure(t *testing.T) {
 	port := &bulkPort{failErr: errors.New("proto: call timed out")}
 	s := New(port, nameserver.NewClient(port, "ns"))
-	s.registered["a.series"] = true
+	s.record("a.series").registered = true
 	err := s.refreshSeries()
 	if err == nil {
 		t.Fatal("incomplete sweep reported no error")
@@ -87,7 +87,7 @@ func TestRefreshSeriesReportsTransientFailure(t *testing.T) {
 func TestRefreshSeriesStopsOnTeardown(t *testing.T) {
 	port := &bulkPort{failErr: fmt.Errorf("%w: mflaky", proto.ErrClosed)}
 	s := New(port, nameserver.NewClient(port, "ns"))
-	s.registered["a.series"] = true
+	s.record("a.series").registered = true
 	if err := s.refreshSeries(); !errors.Is(err, proto.ErrClosed) {
 		t.Fatalf("teardown not propagated: %v", err)
 	}

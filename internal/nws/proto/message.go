@@ -60,7 +60,9 @@ const (
 
 	// Replication plane. ReplStore appends fan-out samples on a
 	// replica (Total carries the primary's cumulative per-series count,
-	// so the replica can compute its lag watermark); ReplWindow replaces
+	// so the replica can compute its lag watermark), or, merged, several
+	// stores at once, one per Results entry with its total in Lag;
+	// ReplWindow replaces
 	// a replica's retained window wholesale (anti-entropy backfill);
 	// ReplSync asks a survivor for every series owned by a dead primary
 	// (ReplSyncReply answers with Results, reusing SeriesResult.Lag as
@@ -187,7 +189,7 @@ type SeriesResult struct {
 	// series' primary; Lag is the replica's watermark at answer time
 	// (samples the primary had accepted that the replica had not). In a
 	// ReplSyncReply, Lag is reused as the sender's cumulative total for
-	// the series.
+	// the series, and in a merged ReplStore as the store's total.
 	Replica bool
 	Lag     int64
 }

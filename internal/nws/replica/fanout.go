@@ -7,10 +7,9 @@ import (
 	"nwsenv/internal/nws/proto"
 )
 
-// DefaultWindow bounds the fan-out messages in flight per replica. A
-// slow or partitioned replica sheds writes instead of queuing without
-// bound; its lag watermark surfaces the gap and anti-entropy repair
-// closes it.
+// DefaultWindow bounds the stores in flight per replica. A slow or
+// partitioned replica sheds writes instead of queuing without bound;
+// its lag watermark surfaces the gap and anti-entropy repair closes it.
 const DefaultWindow = 128
 
 // DefaultTimeout bounds one fan-out delivery call.
@@ -19,13 +18,17 @@ const DefaultTimeout = 10 * time.Second
 // Fanout replicates accepted stores to a fixed replica set
 // asynchronously: the primary's store path enqueues and returns, and
 // one sender process per replica drains a bounded in-flight window in
-// arrival order. Delivery is at-most-once — a shed or failed message is
-// not retried; the replica's lag watermark records the gap.
+// arrival order. After each round trip the sender ships everything that
+// queued meanwhile in one frame (group commit): consecutive stores
+// travel as one ReplStore whose Results hold one entry per store, up to
+// frame samples; a window always travels alone. Delivery is
+// at-most-once — a shed or failed frame is not retried; the replica's
+// lag watermark records the gap.
 type Fanout struct {
 	port    proto.Port
-	tracker *Tracker
 	met     Metrics
 	window  int
+	frame   int
 	timeout time.Duration
 
 	mu     sync.Mutex
@@ -35,18 +38,18 @@ type Fanout struct {
 
 type sendQueue struct {
 	inbox    proto.Inbox
-	inflight int
+	inflight int // stores (and windows) queued or in a frame on the wire
 }
 
 // NewFanout starts one sender process per replica host on port's
-// runtime. tracker carries the primary's cumulative totals (shared with
-// the owning server so repair can pin them).
-func NewFanout(port proto.Port, replicas []string, tracker *Tracker, met Metrics) *Fanout {
+// runtime. frame caps the samples one merged frame carries (a store
+// larger than it travels alone).
+func NewFanout(port proto.Port, replicas []string, frame int, met Metrics) *Fanout {
 	f := &Fanout{
 		port:    port,
-		tracker: tracker,
 		met:     met,
 		window:  DefaultWindow,
+		frame:   frame,
 		timeout: DefaultTimeout,
 		queues:  make(map[string]*sendQueue, len(replicas)),
 	}
@@ -126,17 +129,61 @@ func (f *Fanout) Stop() {
 }
 
 func (f *Fanout) sender(host string, q *sendQueue) {
+	var m proto.Message
+	held := false // m was taken by the last merge and leads this frame
 	for {
-		m, ok := q.inbox.Recv()
-		if !ok {
-			return
+		if !held {
+			var ok bool
+			if m, ok = q.inbox.Recv(); !ok {
+				return
+			}
 		}
-		_, err := f.port.Call(host, m, f.timeout)
+		frame, n := m, 1
+		held = false
+		if m.Type == proto.MsgReplStore {
+			frame, n, m, held = f.merge(q, m)
+		}
+		_, err := f.port.Call(host, frame, f.timeout)
 		f.mu.Lock()
-		q.inflight--
+		q.inflight -= n
 		f.mu.Unlock()
 		if err == nil {
-			f.met.Writes.Inc()
+			f.met.Writes.Add(int64(n))
+			f.met.Frames.Inc()
 		}
 	}
+}
+
+// merge takes the stores queued behind first into one frame of at most
+// f.frame samples. It returns the frame, the stores it carries, and the
+// message it took but could not merge (a window, or a store past the
+// cap), if any. A lone store's frame is the store itself.
+func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, n int, rest proto.Message, held bool) {
+	var entries []proto.SeriesResult
+	samples := len(first.Samples)
+	for {
+		m, ok := q.inbox.TryRecv()
+		if !ok {
+			break
+		}
+		if m.Type != proto.MsgReplStore || samples+len(m.Samples) > f.frame {
+			rest, held = m, true
+			break
+		}
+		if entries == nil {
+			entries = []proto.SeriesResult{entry(first)}
+		}
+		entries = append(entries, entry(m))
+		samples += len(m.Samples)
+	}
+	if entries == nil {
+		return first, 1, rest, held
+	}
+	return proto.Message{Type: proto.MsgReplStore, Version: proto.V3, Results: entries}, len(entries), rest, held
+}
+
+// entry is store m as one entry of a merged frame: Lag carries its
+// total, as in a ReplSyncReply.
+func entry(m proto.Message) proto.SeriesResult {
+	return proto.SeriesResult{Series: m.Series, Samples: m.Samples, Lag: m.Total}
 }

@@ -1,38 +1,39 @@
 // Package replica is the replication plane for NWS series storage: a
 // placement solver giving every memory primary k replicas on distinct
-// switches, an asynchronous write fan-out with a bounded in-flight
-// window, and the per-series lag watermark replicas derive from the
-// primary's cumulative sample totals. The paper's §4.3 "possible
-// platform evolution" discussion calls out exactly this availability
-// gap: a memory-server crash loses every history it held until sensors
-// repopulate. With a replica set, the query plane fails over to a
-// survivor and reconcile backfills a new primary from it — no sensor
-// repopulation needed.
+// switches, and an asynchronous write fan-out with a bounded in-flight
+// window that stamps every store with the primary's cumulative sample
+// total, from which replicas derive their per-series lag watermark. The
+// paper's §4.3 "possible platform evolution" discussion calls out
+// exactly this availability gap: a memory-server crash loses every
+// history it held until sensors repopulate. With a replica set, the
+// query plane fails over to a survivor and reconcile backfills a new
+// primary from it — no sensor repopulation needed.
 package replica
 
-import (
-	"sync"
-
-	"nwsenv/internal/telemetry"
-)
+import "nwsenv/internal/telemetry"
 
 // Metrics bundles the replication-plane instruments. All fields are
 // nil-safe: a zero Metrics (no registry) counts nothing.
 type Metrics struct {
-	// Writes counts successful fan-out deliveries to replicas
+	// Writes counts stores and windows delivered to replicas
 	// (replica/writes_total).
 	Writes *telemetry.Counter
+	// Frames counts the fan-out frames that carried them
+	// (replica/fanout_messages): Writes/Frames is the stores per frame.
+	// NewMetrics leaves it nil; a server that fans out registers it, so
+	// a run without replication reports no such key.
+	Frames *telemetry.Counter
 	// Failovers counts query-plane failovers to a replica after the
 	// primary went down (replica/failovers_total).
 	Failovers *telemetry.Counter
 	// Backfill counts samples restored onto a new primary by
 	// anti-entropy repair (replica/backfill_samples).
 	Backfill *telemetry.Counter
-	// Drops counts fan-out messages shed because a replica's bounded
+	// Drops counts fan-out stores shed because a replica's bounded
 	// in-flight window was full (replica/fanout_drops).
 	Drops *telemetry.Counter
 	// Lag observes the per-series lag watermark replicas compute on
-	// every applied fan-out message (replica/lag).
+	// every applied store (replica/lag).
 	Lag *telemetry.Histogram
 }
 
@@ -46,143 +47,4 @@ func NewMetrics(reg *telemetry.Registry) Metrics {
 		Drops:     reg.Counter("replica", "fanout_drops", nil),
 		Lag:       reg.Histogram("replica", "lag", nil),
 	}
-}
-
-// Tracker keeps the per-series replication watermarks. A primary bumps
-// its cumulative total on every accepted store; a replica applies
-// fan-out messages against the total the primary stamped on them, and
-// the difference is its lag: samples the primary accepted that this
-// replica has not.
-type Tracker struct {
-	mu      sync.Mutex
-	total   map[string]int64 // primary: cumulative accepted samples
-	applied map[string]int64 // replica: cumulative applied samples
-	seen    map[string]int64 // replica: newest primary total observed
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{
-		total:   map[string]int64{},
-		applied: map[string]int64{},
-		seen:    map[string]int64{},
-	}
-}
-
-// Bump records n accepted samples on the primary side and returns the
-// new cumulative total to stamp on the fan-out message.
-func (t *Tracker) Bump(series string, n int) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total[series] += int64(n)
-	return t.total[series]
-}
-
-// Total returns the primary-side cumulative total for series.
-func (t *Tracker) Total(series string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total[series]
-}
-
-// SetTotal pins the primary-side total (a repaired primary adopts the
-// survivor's watermark so totals stay monotone across the takeover).
-func (t *Tracker) SetTotal(series string, total int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if total > t.total[series] {
-		t.total[series] = total
-	}
-}
-
-// Apply records n samples applied on the replica side against the
-// primary total carried by the message, and returns the resulting lag
-// watermark (>= 0; dropped or reordered fan-out messages surface here).
-func (t *Tracker) Apply(series string, n int, total int64) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.applied[series] += int64(n)
-	if total > t.seen[series] {
-		t.seen[series] = total
-	}
-	lag := t.seen[series] - t.applied[series]
-	if lag < 0 {
-		lag = 0
-	}
-	return lag
-}
-
-// SetApplied declares the replica fully caught up to total (a window
-// replacement — anti-entropy backfill — is dedup-safe by construction).
-func (t *Tracker) SetApplied(series string, total int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.applied[series] = total
-	if total > t.seen[series] {
-		t.seen[series] = total
-	}
-}
-
-// Watermark returns the highest cumulative count this tracker
-// associates with series from either side (primary total, replica
-// applied or seen) — the monotone floor a repaired primary adopts so
-// its totals never run backwards past what replicas already saw.
-func (t *Tracker) Watermark(series string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.total[series]
-	if t.applied[series] > w {
-		w = t.applied[series]
-	}
-	if t.seen[series] > w {
-		w = t.seen[series]
-	}
-	return w
-}
-
-// Lag returns the replica-side lag watermark for series.
-func (t *Tracker) Lag(series string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lag := t.seen[series] - t.applied[series]
-	if lag < 0 {
-		lag = 0
-	}
-	return lag
-}
-
-// Snapshot returns copies of the total/applied/seen maps (persistence).
-func (t *Tracker) Snapshot() (total, applied, seen map[string]int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return cloneCounts(t.total), cloneCounts(t.applied), cloneCounts(t.seen)
-}
-
-// Load replaces the tracker state (restore after a rebuild).
-func (t *Tracker) Load(total, applied, seen map[string]int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total = cloneCounts(total)
-	t.applied = cloneCounts(applied)
-	t.seen = cloneCounts(seen)
-	if t.total == nil {
-		t.total = map[string]int64{}
-	}
-	if t.applied == nil {
-		t.applied = map[string]int64{}
-	}
-	if t.seen == nil {
-		t.seen = map[string]int64{}
-	}
-}
-
-func cloneCounts(m map[string]int64) map[string]int64 {
-	if m == nil {
-		return map[string]int64{}
-	}
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

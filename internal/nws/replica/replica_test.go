@@ -59,32 +59,6 @@ func TestPlaceRelaxesToDistinctHost(t *testing.T) {
 	}
 }
 
-func TestTrackerLagWatermark(t *testing.T) {
-	tr := NewTracker()
-	// Primary accepts 3 then 2 samples.
-	if got := tr.Bump("s", 3); got != 3 {
-		t.Fatalf("Bump: got %d", got)
-	}
-	total := tr.Bump("s", 2)
-	if total != 5 {
-		t.Fatalf("Bump: got %d", total)
-	}
-	// Replica applied only the first message: lag = 2.
-	rep := NewTracker()
-	if lag := rep.Apply("s", 3, 3); lag != 0 {
-		t.Fatalf("in-sync replica reports lag %d", lag)
-	}
-	// Second fan-out message dropped; a later store surfaces the gap.
-	if lag := rep.Apply("s", 1, 6); lag != 2 {
-		t.Fatalf("want lag 2 after dropped message, got %d", lag)
-	}
-	// Anti-entropy window replacement catches the replica up.
-	rep.SetApplied("s", 6)
-	if lag := rep.Lag("s"); lag != 0 {
-		t.Fatalf("want lag 0 after window replacement, got %d", lag)
-	}
-}
-
 // fanPort records replica deliveries, optionally blocking to test the
 // bounded window.
 type fanPort struct {
@@ -108,7 +82,7 @@ func TestFanoutDeliversAndCounts(t *testing.T) {
 	reg := telemetry.New(func() time.Duration { return 0 })
 	met := NewMetrics(reg)
 	port := &fanPort{StubPort: prototest.StubPort{HostName: "p", RT: proto.NewRealRuntime()}}
-	f := NewFanout(port, []string{"r1", "r2", "p"}, NewTracker(), met)
+	f := NewFanout(port, []string{"r1", "r2", "p"}, 1024, met)
 	defer f.Stop()
 	if got := len(f.Replicas()); got != 2 {
 		t.Fatalf("self must be excluded from the replica set, got %d queues", got)
@@ -138,7 +112,7 @@ func TestFanoutShedsBeyondWindow(t *testing.T) {
 	met := NewMetrics(reg)
 	block := make(chan struct{})
 	port := &fanPort{StubPort: prototest.StubPort{HostName: "p", RT: proto.NewRealRuntime()}, block: block}
-	f := NewFanout(port, []string{"r1"}, NewTracker(), met)
+	f := NewFanout(port, []string{"r1"}, 1024, met)
 	defer f.Stop()
 	f.window = 2
 	for i := 0; i < 5; i++ {
@@ -148,4 +122,98 @@ func TestFanoutShedsBeyondWindow(t *testing.T) {
 		t.Fatalf("want 3 shed sends beyond the window of 2, got %d", got)
 	}
 	close(block)
+}
+
+// stepPort hands every fan-out call to the test, which answers it.
+type stepPort struct {
+	prototest.StubPort
+	calls   chan proto.Message
+	answers chan error
+}
+
+func (p *stepPort) Call(to string, m proto.Message, d time.Duration) (proto.Message, error) {
+	p.calls <- m
+	return proto.Message{Type: proto.MsgReplAck}, <-p.answers
+}
+
+func samples(n int) []proto.Sample {
+	out := make([]proto.Sample, n)
+	for i := range out {
+		out[i] = proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)}
+	}
+	return out
+}
+
+// TestFanoutMergesWhatQueued: while one frame is on the wire, the
+// stores queued behind it leave as one merged frame, in order, up to
+// the frame cap; a window travels alone and is never overtaken; a lone
+// store's frame is the store itself. Counters count stores.
+func TestFanoutMergesWhatQueued(t *testing.T) {
+	reg := telemetry.New(func() time.Duration { return 0 })
+	met := NewMetrics(reg)
+	met.Frames = reg.Counter("replica", "fanout_messages", nil)
+	port := &stepPort{
+		StubPort: prototest.StubPort{HostName: "p", RT: proto.NewRealRuntime()},
+		calls:    make(chan proto.Message), answers: make(chan error),
+	}
+	f := NewFanout(port, []string{"r"}, 4, met)
+	defer f.Stop()
+
+	lone := samples(1)
+	f.Store("a", lone, 1)
+	first := <-port.calls
+	want := proto.Message{Type: proto.MsgReplStore, Version: proto.V3, Series: "a", Samples: lone, Total: 1}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("lone store sent as %+v, want %+v", first, want)
+	}
+	// Queued behind the first frame: three stores that fit in 4
+	// samples, a fourth that does not, a window, then one more store.
+	f.Store("a", samples(1), 2)
+	f.Store("b", samples(2), 2)
+	f.Store("a", samples(1), 3)
+	f.Store("b", samples(3), 5)
+	f.Window("c", samples(6), 6)
+	f.Store("c", samples(1), 7)
+	port.answers <- nil
+
+	type entry struct {
+		series string
+		n      int
+		total  int64
+	}
+	frames := []struct {
+		typ     proto.MsgType
+		entries []entry
+	}{
+		{proto.MsgReplStore, []entry{{"a", 1, 2}, {"b", 2, 2}, {"a", 1, 3}}},
+		{proto.MsgReplStore, []entry{{"b", 3, 5}}},
+		{proto.MsgReplWindow, []entry{{"c", 6, 6}}},
+		{proto.MsgReplStore, []entry{{"c", 1, 7}}},
+	}
+	for i, want := range frames {
+		m := <-port.calls
+		var got []entry
+		if len(m.Results) == 0 {
+			got = []entry{{m.Series, len(m.Samples), m.Total}}
+		}
+		for _, r := range m.Results {
+			got = append(got, entry{r.Series, len(r.Samples), r.Lag})
+		}
+		if m.Type != want.typ || !reflect.DeepEqual(got, want.entries) {
+			t.Fatalf("frame %d is a %v carrying %+v, want a %v carrying %+v", i+2, m.Type, got, want.typ, want.entries)
+		}
+		port.answers <- nil
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for met.Writes.Value() != 7 || met.Frames.Value() != 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("writes_total %d, fanout_messages %d, want 7 stores in 5 frames", met.Writes.Value(), met.Frames.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if q := f.queues["r"]; q.inflight != 0 {
+		t.Fatalf("%d stores still counted in flight", q.inflight)
+	}
 }
