@@ -162,65 +162,77 @@ func (l *HoldLog) Take() []Hold {
 // election: TokenTimeout, or its default for c's size and gap.
 func (c Config) Watchdog() time.Duration { return c.withDefaults().TokenTimeout }
 
-// Member is one clique participant running on a host.
+// Member is one clique participant running on a host: the driver that
+// carries out ring.step's effects over its port.
 type Member struct {
 	cfg    Config
 	port   proto.Port
 	prober sensor.Prober
 	store  StoreFn
-	idx    int
+	ring   ring
+	tag    string // the probes' collision tag
 
 	mu      sync.Mutex
-	lastSeq int64
-	epoch   int64
+	epoch   int64 // as of the last event, for readers outside Run
 	stopped bool
-	stats   Stats
-
-	// Registry mirrors of the Stats counters (nil instruments no-op).
-	tTokens     *telemetry.Counter
-	tStale      *telemetry.Counter
-	tElections  *telemetry.Counter
-	tEpochBumps *telemetry.Counter
-	tProbeErrs  *telemetry.Counter
-
-	backlog []proto.Message
+	counts  [nCounters]int
+	mirrors [nCounters]*telemetry.Counter // registry mirrors (nil no-ops)
 }
 
 // NewMember builds the participant for the host behind port. The host
 // must appear in cfg.Members.
 func NewMember(cfg Config, port proto.Port, prober sensor.Prober, store StoreFn) *Member {
 	cfg = cfg.withDefaults()
-	idx := -1
-	for i, m := range cfg.Members {
-		if m == port.Host() {
-			idx = i
-			break
-		}
-	}
+	idx := indexOf(cfg.Members, port.Host())
 	if idx < 0 {
 		panic("clique: host " + port.Host() + " not a member of " + cfg.Name)
 	}
 	if store == nil {
 		store = func(sensor.Measurement) {}
 	}
-	m := &Member{cfg: cfg, port: port, prober: prober, store: store, idx: idx, epoch: cfg.Epoch}
+	m := &Member{cfg: cfg, port: port, prober: prober, store: store,
+		ring: ring{n: len(cfg.Members), idx: idx}, tag: "clique:" + cfg.Name, epoch: cfg.Epoch}
 	labels := map[string]string{"clique": cfg.Name}
-	m.tTokens = cfg.Telemetry.Counter("clique", "token_passes", labels)
-	m.tStale = cfg.Telemetry.Counter("clique", "stale_tokens", labels)
-	m.tElections = cfg.Telemetry.Counter("clique", "elections", labels)
-	m.tEpochBumps = cfg.Telemetry.Counter("clique", "epoch_bumps", labels)
-	m.tProbeErrs = cfg.Telemetry.Counter("clique", "probe_errors", labels)
+	for _, c := range []struct {
+		c    counter
+		name string
+	}{{cHeld, "token_passes"}, {cStale, "stale_tokens"}, {cElection, "elections"},
+		{cEpochBump, "epoch_bumps"}, {cProbeError, "probe_errors"}} {
+		m.mirrors[c.c] = cfg.Telemetry.Counter("clique", c.name, labels)
+	}
 	return m
+}
+
+func indexOf(members []string, host string) int {
+	for i, h := range members {
+		if h == host {
+			return i
+		}
+	}
+	return -1
 }
 
 // Stats returns a snapshot of the member's counters.
 func (m *Member) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stats
+	c := &m.counts
+	return Stats{
+		TokensHeld: c[cHeld], ExperimentsRun: c[cExperiment], ProbeErrors: c[cProbeError],
+		AcksTimedOut: c[cAckTimeout], Elections: c[cElection], Coordinations: c[cCoordination],
+		StaleTokens: c[cStale],
+	}
 }
 
-// Stop makes Run return at the next loop turn.
+// count feeds one event into Stats and its registry mirror.
+func (m *Member) count(c counter) {
+	m.mu.Lock()
+	m.counts[c]++
+	m.mu.Unlock()
+	m.mirrors[c].Inc()
+}
+
+// Stop makes Run return at its next event.
 func (m *Member) Stop() {
 	m.mu.Lock()
 	m.stopped = true
@@ -233,314 +245,115 @@ func (m *Member) isStopped() bool {
 	return m.stopped
 }
 
-// Run executes the member until Stop or port closure. Member 0
-// bootstraps the token unless it joins a running ring.
+// Run executes the member until Stop. Member 0 bootstraps the token
+// unless it joins a running ring. Run is the only reader of the port:
+// it waits for the next message or the armed timer, feeds it to
+// ring.step and carries out the effects.
 func (m *Member) Run() {
-	if m.idx == 0 && !m.cfg.Join {
-		if m.cfg.StartDelay > 0 {
-			m.port.Runtime().Sleep(m.cfg.StartDelay)
-		}
-		m.mu.Lock()
-		m.lastSeq = 1
-		m.mu.Unlock()
-		m.holdToken()
+	rt := m.port.Runtime()
+	s, fx := m.ring.boot(m.cfg.Epoch, m.cfg.Join, make([]effect, 0, 2*m.ring.n+4))
+	if s.phase == holding && m.cfg.StartDelay > 0 {
+		rt.Sleep(m.cfg.StartDelay)
 	}
-	for !m.isStopped() {
-		msg, ok := m.nextMessage(m.cfg.TokenTimeout)
+	var deadline time.Duration
+	for {
+		ev, next := m.apply(s, fx, &deadline)
 		if m.isStopped() {
 			return
 		}
-		if !ok {
-			// Watchdog fired: no token traffic for TokenTimeout.
-			m.runElection()
-			continue
+		for !next {
+			if wait := deadline - rt.Now(); wait > 0 {
+				var msg proto.Message
+				if msg, next = m.port.RecvTimeout(wait); m.isStopped() {
+					return
+				}
+				if next {
+					ev, next = m.event(msg)
+					continue
+				}
+			}
+			ev, next = event{kind: evTimer}, true
 		}
-		m.dispatch(msg)
+		s, fx = m.ring.step(s, ev, fx[:0])
 	}
 }
 
-// nextMessage drains the backlog before reading from the port.
-func (m *Member) nextMessage(timeout time.Duration) (proto.Message, bool) {
-	if len(m.backlog) > 0 {
-		msg := m.backlog[0]
-		m.backlog = m.backlog[1:]
-		return msg, true
-	}
-	return m.port.RecvTimeout(timeout)
-}
-
-func (m *Member) dispatch(msg proto.Message) {
+// event translates a clique message; messages from outside the ring are
+// ignored.
+func (m *Member) event(msg proto.Message) (event, bool) {
+	ev := event{from: indexOf(m.cfg.Members, msg.From), epoch: msg.Epoch, seq: msg.TokenSeq}
 	switch msg.Type {
 	case proto.MsgToken:
-		m.handleToken(msg)
+		ev.kind = evToken
+	case proto.MsgTokenAck:
+		ev.kind = evAck
 	case proto.MsgElection:
-		m.handleElection(msg)
+		ev.kind = evElection
+	case proto.MsgElectionOK:
+		ev.kind = evElectionOK
 	case proto.MsgCoordinator:
-		m.mu.Lock()
-		if msg.Epoch > m.epoch {
-			m.epoch = msg.Epoch
-			m.tEpochBumps.Inc()
-			// Sequence numbers restart with the epoch: a coordinator
-			// elected after a member rebuild issues tokens from a low
-			// sequence, which must not look stale against the watermark
-			// of the previous incarnation.
-			m.lastSeq = 0
-		}
-		m.mu.Unlock()
-	case proto.MsgTokenAck, proto.MsgElectionOK:
-		// Stale answer outside a wait window: ignore.
+		ev.kind = evCoordinator
+	default:
+		return ev, false
 	}
+	return ev, ev.from >= 0
 }
 
-func (m *Member) handleToken(tok proto.Message) {
-	// Always acknowledge so the sender stops retrying, even for stale
-	// tokens.
-	m.port.Send(tok.From, proto.Message{
-		Type: proto.MsgTokenAck, Clique: m.cfg.Name, TokenSeq: tok.TokenSeq, Epoch: tok.Epoch,
-	})
+// apply carries out fx in order and returns the event it produced, if
+// any: the end of a hold, or a token its transport refused.
+func (m *Member) apply(s state, fx []effect, deadline *time.Duration) (ev event, ok bool) {
 	m.mu.Lock()
-	if tok.Epoch > m.epoch {
-		// A token from a newer incarnation: its sequence space starts
-		// over, so the previous incarnation's watermark must not make it
-		// look stale (a member rebuilt in place restarts near sequence 1
-		// while survivors may sit hundreds of passes in).
-		m.epoch = tok.Epoch
-		m.lastSeq = 0
-		m.tEpochBumps.Inc()
-	}
-	if tok.Epoch < m.epoch || tok.TokenSeq <= m.lastSeq {
-		m.stats.StaleTokens++
-		m.tStale.Inc()
-		m.mu.Unlock()
-		return
-	}
-	m.lastSeq = tok.TokenSeq
+	m.epoch = s.epoch
 	m.mu.Unlock()
-	m.holdToken()
+	for _, f := range fx {
+		switch f.kind {
+		case fxSend:
+			err := m.port.Send(m.cfg.Members[f.to], proto.Message{
+				Type: f.msg, Clique: m.cfg.Name, Epoch: f.epoch, TokenSeq: f.seq,
+			})
+			if err != nil && f.msg == proto.MsgToken {
+				// Unreachable (e.g. firewalled): skip it without burning
+				// the ack timeout.
+				ev, ok = event{kind: evRefused}, true
+			}
+		case fxArm:
+			*deadline = m.port.Runtime().Now() + [...]time.Duration{
+				tWatchdog: m.cfg.TokenTimeout, tAck: m.cfg.AckTimeout, tElect: m.cfg.ElectTimeout,
+			}[f.timer]
+		case fxHold:
+			m.hold(f.epoch, f.seq)
+			ev, ok = event{kind: evHoldDone}, true
+		case fxCount:
+			m.count(f.count)
+		}
+	}
+	return ev, ok
 }
 
-// holdToken runs the experiment round and forwards the token.
-func (m *Member) holdToken() {
-	now := m.port.Runtime().Now
-	m.mu.Lock()
-	m.stats.TokensHeld++
+// hold runs the experiment set towards every other member, stores the
+// results, rests TokenGap and logs the hold; a Stop cuts it short.
+func (m *Member) hold(epoch, seq int64) {
+	rt := m.port.Runtime()
 	me := m.port.Host()
-	h := Hold{Clique: m.cfg.Name, Host: me, Epoch: m.epoch, Seq: m.lastSeq, From: now()}
-	m.mu.Unlock()
-	m.tTokens.Inc()
-
-	for i := 1; i < len(m.cfg.Members); i++ {
-		if m.isStopped() {
-			h.To = now()
-			m.cfg.Holds.add(h)
-			return
+	h := Hold{Clique: m.cfg.Name, Host: me, Epoch: epoch, Seq: seq, From: rt.Now()}
+	cut := false
+	for i := 1; i < m.ring.n; i++ {
+		if cut = m.isStopped(); cut {
+			break
 		}
-		peer := m.cfg.Members[(m.idx+i)%len(m.cfg.Members)]
-		ms, err := sensor.LinkExperiments(m.prober, m.port.Runtime().Now, me, peer, "clique:"+m.cfg.Name)
-		m.mu.Lock()
+		ms, err := sensor.LinkExperiments(m.prober, rt.Now, me, m.cfg.Members[m.ring.at(i)], m.tag)
 		if err != nil {
-			m.stats.ProbeErrors++
-			m.mu.Unlock()
-			m.tProbeErrs.Inc()
+			m.count(cProbeError)
 			continue
 		}
-		m.stats.ExperimentsRun++
-		m.mu.Unlock()
+		m.count(cExperiment)
 		for _, meas := range ms {
 			m.store(meas)
 		}
 	}
-	m.port.Runtime().Sleep(m.cfg.TokenGap)
-	h.To = now()
+	if !cut {
+		rt.Sleep(m.cfg.TokenGap)
+	}
+	h.To = rt.Now()
 	m.cfg.Holds.add(h)
-	if !m.isStopped() {
-		m.passToken()
-	}
-}
-
-// passToken forwards the token to the next live member, skipping members
-// that do not acknowledge.
-func (m *Member) passToken() {
-	m.mu.Lock()
-	seq := m.lastSeq + 1
-	epoch := m.epoch
-	m.mu.Unlock()
-
-	n := len(m.cfg.Members)
-	for i := 1; i < n; i++ {
-		peer := m.cfg.Members[(m.idx+i)%n]
-		err := m.port.Send(peer, proto.Message{
-			Type: proto.MsgToken, Clique: m.cfg.Name, TokenSeq: seq, Epoch: epoch,
-		})
-		if err != nil {
-			// Unreachable peer (e.g. firewall): skip without burning the
-			// ack timeout.
-			continue
-		}
-		if m.awaitAck(seq) {
-			return
-		}
-		m.mu.Lock()
-		m.stats.AcksTimedOut++
-		m.mu.Unlock()
-	}
-	// Nobody else is alive: keep the token ourselves and schedule the
-	// next round by re-sending it to ourselves through the port (keeps
-	// the main loop as the only holder entry point).
-	m.mu.Lock()
-	m.lastSeq = seq
-	m.mu.Unlock()
-	m.port.Send(m.port.Host(), proto.Message{
-		Type: proto.MsgToken, Clique: m.cfg.Name, TokenSeq: seq + 1, Epoch: epoch,
-	})
-}
-
-// awaitAck waits for the acknowledgment of seq, stashing unrelated
-// messages in the backlog.
-func (m *Member) awaitAck(seq int64) bool {
-	deadline := m.port.Runtime().Now() + m.cfg.AckTimeout
-	for {
-		remaining := deadline - m.port.Runtime().Now()
-		if remaining <= 0 {
-			return false
-		}
-		msg, ok := m.port.RecvTimeout(remaining)
-		if !ok {
-			return false
-		}
-		if msg.Type == proto.MsgTokenAck && msg.TokenSeq == seq {
-			return true
-		}
-		// Another token reached us while ours is in flight: two tokens
-		// meet here. Ack it, so its sender does not keep it for want of
-		// an answer, and keep it only if it outranks ours; both ends
-		// apply the same order, so one of the two survives.
-		if msg.Type == proto.MsgToken {
-			m.port.Send(msg.From, proto.Message{
-				Type: proto.MsgTokenAck, Clique: m.cfg.Name, TokenSeq: msg.TokenSeq, Epoch: msg.Epoch,
-			})
-			if m.outranks(msg, seq) {
-				m.backlog = append(m.backlog, msg)
-			} else {
-				m.mu.Lock()
-				m.stats.StaleTokens++
-				m.mu.Unlock()
-				m.tStale.Inc()
-			}
-			continue
-		}
-		// Elections must be answered promptly even mid-pass.
-		if msg.Type == proto.MsgElection {
-			m.handleElection(msg)
-			continue
-		}
-		m.backlog = append(m.backlog, msg)
-	}
-}
-
-// outranks orders a token met mid-pass against the one this member is
-// passing as seq: by epoch, then sequence, then the lower ring index of
-// its sender.
-func (m *Member) outranks(tok proto.Message, seq int64) bool {
-	m.mu.Lock()
-	epoch := m.epoch
-	m.mu.Unlock()
-	if tok.Epoch != epoch {
-		return tok.Epoch > epoch
-	}
-	if tok.TokenSeq != seq {
-		return tok.TokenSeq > seq
-	}
-	return m.indexOf(tok.From) < m.idx
-}
-
-// handleElection answers a lower-priority member's election call: we are
-// alive and rank higher, so we take over the election ourselves.
-func (m *Member) handleElection(msg proto.Message) {
-	fromIdx := m.indexOf(msg.From)
-	if fromIdx < 0 || fromIdx <= m.idx {
-		// From a higher-priority member: they outrank us, nothing to do;
-		// their own election proceeds.
-		return
-	}
-	m.port.Send(msg.From, proto.Message{Type: proto.MsgElectionOK, Clique: m.cfg.Name, Epoch: msg.Epoch})
-	m.runElection()
-}
-
-func (m *Member) indexOf(host string) int {
-	for i, h := range m.cfg.Members {
-		if h == host {
-			return i
-		}
-	}
-	return -1
-}
-
-// nextEpoch is the smallest epoch above the member's that it alone may
-// mint: one congruent to its ring index modulo the ring size. Two
-// members that elect themselves at once — across a partition, or beside
-// a member whose host crashed under it — then regenerate the token in
-// two epochs, not two tokens in one. m.mu must be held.
-func (m *Member) nextEpoch() int64 {
-	n := int64(len(m.cfg.Members))
-	e := m.epoch + 1
-	return e + ((int64(m.idx)-e)%n+n)%n
-}
-
-// runElection runs one bully round: challenge all higher-priority
-// members; silence means we coordinate and regenerate the token.
-func (m *Member) runElection() {
-	m.mu.Lock()
-	m.stats.Elections++
-	newEpoch := m.nextEpoch()
-	m.mu.Unlock()
-	m.tElections.Inc()
-
-	anyHigher := false
-	for i := 0; i < m.idx; i++ {
-		m.port.Send(m.cfg.Members[i], proto.Message{
-			Type: proto.MsgElection, Clique: m.cfg.Name, Epoch: newEpoch,
-		})
-	}
-	if m.idx > 0 {
-		deadline := m.port.Runtime().Now() + m.cfg.ElectTimeout
-		for {
-			remaining := deadline - m.port.Runtime().Now()
-			if remaining <= 0 {
-				break
-			}
-			msg, ok := m.port.RecvTimeout(remaining)
-			if !ok {
-				break
-			}
-			if msg.Type == proto.MsgElectionOK {
-				anyHigher = true
-				break
-			}
-			if msg.Type == proto.MsgToken {
-				// The ring recovered by itself.
-				m.handleToken(msg)
-				return
-			}
-			m.backlog = append(m.backlog, msg)
-		}
-	}
-	if anyHigher {
-		// A higher-priority member is alive; it will coordinate.
-		return
-	}
-	// We are the highest-priority live member: coordinate.
-	m.mu.Lock()
-	m.stats.Coordinations++
-	m.epoch = newEpoch
-	m.lastSeq++
-	m.mu.Unlock()
-	m.tEpochBumps.Inc()
-	for i, peer := range m.cfg.Members {
-		if i == m.idx {
-			continue
-		}
-		m.port.Send(peer, proto.Message{Type: proto.MsgCoordinator, Clique: m.cfg.Name, Epoch: newEpoch})
-	}
-	m.holdToken()
 }
