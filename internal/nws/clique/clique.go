@@ -5,37 +5,40 @@
 // that two probes never compete for a link and halve each other's
 // readings.
 //
-// The protocol implemented:
+// The protocol is one pure function, ring.step: a member's state and
+// one event (a token, an ack, an election call or answer, a coordinator
+// announcement, a timer, the end of a hold) give the next state and the
+// effects to carry out (send, arm the timer, hold, count). Member.Run,
+// the ring's only receive loop, drives it over a port; a hold runs the
+// §2.2 experiments towards every other member, stores the results and
+// rests TokenGap before the token moves on.
 //
-//   - A token (clique name, epoch, sequence) circulates along the member
-//     ring. The holder runs the §2.2 experiment set towards every other
-//     member, stores the results, waits a configurable gap, and passes
-//     the token on.
-//   - Token passing is acknowledged; unacknowledged members are skipped
-//     (network errors / dead hosts).
-//   - Every member runs a watchdog. When no token has been seen for too
-//     long, a bully-style election (§2.3 "mechanisms to handle network
-//     errors and leader elections") designates the live member with the
-//     lowest ring index as coordinator; it regenerates the token in a
-//     fresh epoch that only it may mint (nextEpoch). Stale-epoch and stale-sequence tokens are dropped, and
-//     a member that receives a token while passing its own acks it and
-//     keeps only the higher of the two, so duplicated tokens die out
-//     where they meet instead of chasing each other round the ring.
-//   - A member rebuilt into a ring that kept running (Config.Join) does
-//     not bootstrap a token beside the ring's own. Members given a
-//     HoldLog record their holds in it, so a run can check that no two
-//     holds of one epoch overlap.
+//   - Every pass is acknowledged; a member that does not answer in
+//     time is skipped. A passer whose ack timed out fences its retry: it
+//     passes in the next epoch it alone may mint (one congruent to its
+//     ring index), so the token it believed lost is stale wherever it
+//     landed and never holds in the epoch of the one passed on.
+//   - A watchdog starts a bully election (§2.3 "mechanisms to handle
+//     network errors and leader elections") after a silence; the live
+//     member of lowest index regenerates the token in its own epoch.
+//   - Stale tokens (an older epoch, or a sequence at or below the
+//     watermark) are acked and dropped, so of two tokens that meet
+//     mid-pass only the higher survives. A member rebuilt into a running
+//     ring (Config.Join) bootstraps none.
 //
-// The package also provides the pairwise scheduler discussed in the
-// paper's conclusion ("a possibility to lock hosts (and not networks) is
-// still needed"): on a switched network, disjoint host pairs may measure
-// concurrently; a coordinator drives rounds of a round-robin tournament
-// so every ordered pair is still measured, at a higher aggregate
-// frequency than a token ring allows.
+// A HoldLog records holds, so a run can check that no two holds of one
+// epoch overlap; check_test.go checks it over every interleaving of
+// rings of two and three members. The package also provides the
+// pairwise scheduler of the paper's conclusion ("a possibility to lock
+// hosts (and not networks) is still needed"): on a switched network,
+// disjoint host pairs measure concurrently, in the rounds of a
+// round-robin tournament.
 package clique
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nwsenv/internal/nws/proto"
@@ -63,18 +66,14 @@ type Config struct {
 	// StartDelay postpones member 0's token bootstrap; deployments
 	// stagger their cliques with it to de-synchronize rings.
 	StartDelay time.Duration
-	// Epoch is the initial token epoch. Membership repair relies on it:
-	// when a deployment rebuilds a clique with new members, it hands the
-	// new incarnation a strictly higher epoch, so tokens still floating
-	// around from the previous incarnation (e.g. held by a partitioned
-	// ex-member) are recognized as stale and dropped instead of racing
-	// the new ring.
+	// Epoch is the initial token epoch. A deployment that rebuilds a
+	// clique with new members hands it a strictly higher one, so tokens
+	// of the previous incarnation (say, held by a partitioned ex-member)
+	// are stale instead of racing the new ring.
 	Epoch int64
-	// Join starts member 0 without bootstrapping a token: the member is
-	// rejoining a ring that kept running without it (its host's agent
-	// was rebuilt, its clique was not), and a bootstrapped token would
-	// circulate beside the ring's own. A lost token is still regenerated
-	// by the watchdog's election.
+	// Join starts member 0 without bootstrapping a token, for a ring that
+	// kept running without it (its host's agent was rebuilt, its clique
+	// was not). A lost token is still regenerated by an election.
 	Join bool
 	// Holds, when set, receives every token hold of the member (see
 	// HoldLog). Like Telemetry it never rebuilds a ring.
@@ -112,13 +111,8 @@ type StoreFn func(m sensor.Measurement)
 
 // Stats counts protocol activity for one member.
 type Stats struct {
-	TokensHeld     int
-	ExperimentsRun int
-	ProbeErrors    int
-	AcksTimedOut   int
-	Elections      int
-	Coordinations  int
-	StaleTokens    int
+	TokensHeld, ExperimentsRun, ProbeErrors, AcksTimedOut int
+	Elections, Coordinations, StaleTokens                 int
 }
 
 // Hold is one token holding as its member saw it: the token's epoch and
@@ -162,8 +156,8 @@ func (l *HoldLog) Take() []Hold {
 // election: TokenTimeout, or its default for c's size and gap.
 func (c Config) Watchdog() time.Duration { return c.withDefaults().TokenTimeout }
 
-// Member is one clique participant running on a host: the driver that
-// carries out ring.step's effects over its port.
+// Member is one clique participant running on a host: the driver of
+// ring.step over its port.
 type Member struct {
 	cfg    Config
 	port   proto.Port
@@ -172,9 +166,9 @@ type Member struct {
 	ring   ring
 	tag    string // the probes' collision tag
 
+	stopped atomic.Bool
 	mu      sync.Mutex
 	epoch   int64 // as of the last event, for readers outside Run
-	stopped bool
 	counts  [nCounters]int
 	mirrors [nCounters]*telemetry.Counter // registry mirrors (nil no-ops)
 }
@@ -183,33 +177,21 @@ type Member struct {
 // must appear in cfg.Members.
 func NewMember(cfg Config, port proto.Port, prober sensor.Prober, store StoreFn) *Member {
 	cfg = cfg.withDefaults()
-	idx := indexOf(cfg.Members, port.Host())
+	idx := slices.Index(cfg.Members, port.Host())
 	if idx < 0 {
 		panic("clique: host " + port.Host() + " not a member of " + cfg.Name)
 	}
 	if store == nil {
 		store = func(sensor.Measurement) {}
 	}
-	m := &Member{cfg: cfg, port: port, prober: prober, store: store,
-		ring: ring{n: len(cfg.Members), idx: idx}, tag: "clique:" + cfg.Name, epoch: cfg.Epoch}
+	m := &Member{cfg: cfg, port: port, prober: prober, store: store, tag: "clique:" + cfg.Name, epoch: cfg.Epoch,
+		ring: ring{n: len(cfg.Members), idx: idx, watchdog: cfg.TokenTimeout, ackWait: cfg.AckTimeout, vote: cfg.ElectTimeout}}
 	labels := map[string]string{"clique": cfg.Name}
-	for _, c := range []struct {
-		c    counter
-		name string
-	}{{cHeld, "token_passes"}, {cStale, "stale_tokens"}, {cElection, "elections"},
-		{cEpochBump, "epoch_bumps"}, {cProbeError, "probe_errors"}} {
-		m.mirrors[c.c] = cfg.Telemetry.Counter("clique", c.name, labels)
+	for c, name := range map[counter]string{cHeld: "token_passes", cStale: "stale_tokens",
+		cElection: "elections", cEpochBump: "epoch_bumps", cProbeError: "probe_errors"} {
+		m.mirrors[c] = cfg.Telemetry.Counter("clique", name, labels)
 	}
 	return m
-}
-
-func indexOf(members []string, host string) int {
-	for i, h := range members {
-		if h == host {
-			return i
-		}
-	}
-	return -1
 }
 
 // Stats returns a snapshot of the member's counters.
@@ -217,14 +199,11 @@ func (m *Member) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := &m.counts
-	return Stats{
-		TokensHeld: c[cHeld], ExperimentsRun: c[cExperiment], ProbeErrors: c[cProbeError],
-		AcksTimedOut: c[cAckTimeout], Elections: c[cElection], Coordinations: c[cCoordination],
-		StaleTokens: c[cStale],
-	}
+	return Stats{TokensHeld: c[cHeld], ExperimentsRun: c[cExperiment], ProbeErrors: c[cProbeError],
+		AcksTimedOut: c[cAckTimeout], Elections: c[cElection], Coordinations: c[cCoordination], StaleTokens: c[cStale]}
 }
 
-// count feeds one event into Stats and its registry mirror.
+// count feeds Stats and its registry mirror.
 func (m *Member) count(c counter) {
 	m.mu.Lock()
 	m.counts[c]++
@@ -233,22 +212,10 @@ func (m *Member) count(c counter) {
 }
 
 // Stop makes Run return at its next event.
-func (m *Member) Stop() {
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
-}
+func (m *Member) Stop() { m.stopped.Store(true) }
 
-func (m *Member) isStopped() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stopped
-}
-
-// Run executes the member until Stop. Member 0 bootstraps the token
-// unless it joins a running ring. Run is the only reader of the port:
-// it waits for the next message or the armed timer, feeds it to
-// ring.step and carries out the effects.
+// Run executes the member until Stop: it waits for the next message or
+// the armed timer, feeds it to ring.step and carries out the effects.
 func (m *Member) Run() {
 	rt := m.port.Runtime()
 	s, fx := m.ring.boot(m.cfg.Epoch, m.cfg.Join, make([]effect, 0, 2*m.ring.n+4))
@@ -258,45 +225,23 @@ func (m *Member) Run() {
 	var deadline time.Duration
 	for {
 		ev, next := m.apply(s, fx, &deadline)
-		if m.isStopped() {
-			return
-		}
-		for !next {
-			if wait := deadline - rt.Now(); wait > 0 {
-				var msg proto.Message
-				if msg, next = m.port.RecvTimeout(wait); m.isStopped() {
-					return
-				}
-				if next {
-					ev, next = m.event(msg)
-					continue
-				}
+		for !next && !m.stopped.Load() {
+			if wait := deadline - rt.Now(); wait <= 0 {
+				ev, next = event{kind: evTimer}, true
+			} else if msg, ok := m.port.RecvTimeout(wait); !ok {
+				ev, next = event{kind: evTimer}, true
+			} else {
+				// Messages from outside the ring are ignored.
+				ev.kind, next = evKinds[msg.Type]
+				ev.from, ev.epoch, ev.seq = slices.Index(m.cfg.Members, msg.From), msg.Epoch, msg.TokenSeq
+				next = next && ev.from >= 0
 			}
-			ev, next = event{kind: evTimer}, true
+		}
+		if m.stopped.Load() {
+			return
 		}
 		s, fx = m.ring.step(s, ev, fx[:0])
 	}
-}
-
-// event translates a clique message; messages from outside the ring are
-// ignored.
-func (m *Member) event(msg proto.Message) (event, bool) {
-	ev := event{from: indexOf(m.cfg.Members, msg.From), epoch: msg.Epoch, seq: msg.TokenSeq}
-	switch msg.Type {
-	case proto.MsgToken:
-		ev.kind = evToken
-	case proto.MsgTokenAck:
-		ev.kind = evAck
-	case proto.MsgElection:
-		ev.kind = evElection
-	case proto.MsgElectionOK:
-		ev.kind = evElectionOK
-	case proto.MsgCoordinator:
-		ev.kind = evCoordinator
-	default:
-		return ev, false
-	}
-	return ev, ev.from >= 0
 }
 
 // apply carries out fx in order and returns the event it produced, if
@@ -308,18 +253,12 @@ func (m *Member) apply(s state, fx []effect, deadline *time.Duration) (ev event,
 	for _, f := range fx {
 		switch f.kind {
 		case fxSend:
-			err := m.port.Send(m.cfg.Members[f.to], proto.Message{
-				Type: f.msg, Clique: m.cfg.Name, Epoch: f.epoch, TokenSeq: f.seq,
-			})
+			err := m.port.Send(m.cfg.Members[f.to], proto.Message{Type: f.msg, Clique: m.cfg.Name, Epoch: f.epoch, TokenSeq: f.seq})
 			if err != nil && f.msg == proto.MsgToken {
-				// Unreachable (e.g. firewalled): skip it without burning
-				// the ack timeout.
-				ev, ok = event{kind: evRefused}, true
+				ev, ok = event{kind: evRefused}, true // e.g. firewalled
 			}
 		case fxArm:
-			*deadline = m.port.Runtime().Now() + [...]time.Duration{
-				tWatchdog: m.cfg.TokenTimeout, tAck: m.cfg.AckTimeout, tElect: m.cfg.ElectTimeout,
-			}[f.timer]
+			*deadline = m.port.Runtime().Now() + f.wait
 		case fxHold:
 			m.hold(f.epoch, f.seq)
 			ev, ok = event{kind: evHoldDone}, true
@@ -336,11 +275,8 @@ func (m *Member) hold(epoch, seq int64) {
 	rt := m.port.Runtime()
 	me := m.port.Host()
 	h := Hold{Clique: m.cfg.Name, Host: me, Epoch: epoch, Seq: seq, From: rt.Now()}
-	cut := false
-	for i := 1; i < m.ring.n; i++ {
-		if cut = m.isStopped(); cut {
-			break
-		}
+	i := 1
+	for ; i < m.ring.n && !m.stopped.Load(); i++ {
 		ms, err := sensor.LinkExperiments(m.prober, rt.Now, me, m.cfg.Members[m.ring.at(i)], m.tag)
 		if err != nil {
 			m.count(cProbeError)
@@ -351,7 +287,7 @@ func (m *Member) hold(epoch, seq int64) {
 			m.store(meas)
 		}
 	}
-	if !cut {
+	if i == m.ring.n { // not cut short
 		rt.Sleep(m.cfg.TokenGap)
 	}
 	h.To = rt.Now()

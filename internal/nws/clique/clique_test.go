@@ -31,13 +31,20 @@ type rig struct {
 
 func newRig(t *testing.T, n int, cfg Config) *rig {
 	t.Helper()
+	return newRigLinks(t, make([][]simnet.LinkOption, n), cfg)
+}
+
+// newRigLinks is newRig with the options of each host's link to the
+// switch, one entry per host.
+func newRigLinks(t *testing.T, links [][]simnet.LinkOption, cfg Config) *rig {
+	t.Helper()
 	topo := simnet.NewTopology()
 	topo.AddSwitch("sw")
 	var hosts []string
-	for i := 0; i < n; i++ {
+	for i, opts := range links {
 		h := fmt.Sprintf("h%d", i)
 		topo.AddHost(h, fmt.Sprintf("10.0.0.%d", i+1), h+".lan", "lan")
-		topo.Connect(h, "sw")
+		topo.Connect(h, "sw", opts...)
 		hosts = append(hosts, h)
 	}
 	sim := vclock.New()
@@ -338,24 +345,25 @@ func TestPairwiseSchedulerMeasuresAllPairs(t *testing.T) {
 		counts[m.Series]++
 		mu.Unlock()
 	}
+	rounds := 0
 	for _, h := range hosts {
 		ep, _ := tr.Open(h)
 		st := proto.NewStation(tr.Runtime(), ep)
-		ag := &ProbeAgent{Port: st, Prober: prober, Store: store, Scheduler: "sched", Clique: "pw"}
+		ag := &ProbeAgent{Port: roundTap{st, &rounds}, Prober: prober, Store: store, Scheduler: "sched", Clique: "pw"}
 		sim.Go("agent:"+h, ag.Run)
 	}
 	epS, _ := tr.Open("sched")
 	stS := proto.NewStation(tr.Runtime(), epS)
 	sch := &PairwiseScheduler{
 		Cfg:  Config{Name: "pw", Members: hosts, TokenGap: 200 * time.Millisecond},
-		Port: stS, Rounds: 6,
+		Port: stS,
 	}
-	sim.Go("sched", sch.Run)
+	ended := runRounds(sim, sch, stS, &rounds, 6)
 	if err := sim.RunUntil(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if sch.roundsRun != 6 {
-		t.Fatalf("rounds run %d", sch.roundsRun)
+	if !*ended || rounds != 6 {
+		t.Fatalf("scheduler ended %v after %d rounds, want 6", *ended, rounds)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -389,10 +397,11 @@ func TestPairwiseNoCollisionsOnSwitch(t *testing.T) {
 	net := simnet.NewNetwork(sim, topo)
 	tr := proto.NewSimTransport(net)
 	prober := sensor.SimProber{Net: net}
+	rounds := 0
 	for _, h := range hosts[1:] {
 		ep, _ := tr.Open(h)
 		st := proto.NewStation(tr.Runtime(), ep)
-		sim.Go("agent:"+h, (&ProbeAgent{Port: st, Prober: prober, Scheduler: hosts[0], Clique: "pw"}).Run)
+		sim.Go("agent:"+h, (&ProbeAgent{Port: roundTap{st, &rounds}, Prober: prober, Scheduler: hosts[0], Clique: "pw"}).Run)
 	}
 	// Scheduler runs on hosts[0] and is also an agent? Keep it pure
 	// scheduler here; membership excludes it.
@@ -400,11 +409,14 @@ func TestPairwiseNoCollisionsOnSwitch(t *testing.T) {
 	st0 := proto.NewStation(tr.Runtime(), ep0)
 	sch := &PairwiseScheduler{
 		Cfg:  Config{Name: "pw", Members: hosts[1:], TokenGap: 100 * time.Millisecond},
-		Port: st0, Rounds: 9,
+		Port: st0,
 	}
-	sim.Go("sched", sch.Run)
+	runRounds(sim, sch, st0, &rounds, 9)
 	if err := sim.RunUntil(5 * time.Minute); err != nil {
 		t.Fatal(err)
+	}
+	if rounds != 9 {
+		t.Fatalf("%d rounds, want 9", rounds)
 	}
 	for _, c := range net.Collisions() {
 		if strings.HasPrefix(c.TagA, "pairwise:") && strings.HasPrefix(c.TagB, "pairwise:") {
@@ -415,14 +427,57 @@ func TestPairwiseNoCollisionsOnSwitch(t *testing.T) {
 	}
 }
 
+// roundTap is a probe agent's port that counts the tournament rounds
+// its commands belong to (a command carries its round as Epoch).
+type roundTap struct {
+	proto.Port
+	rounds *int
+}
+
+func (p roundTap) Recv() (proto.Message, bool) {
+	msg, ok := p.Port.Recv()
+	if ok && msg.Type == proto.MsgProbeCmd {
+		*p.rounds = max(*p.rounds, int(msg.Epoch)+1)
+	}
+	return msg, ok
+}
+
+// runRounds runs sch and closes its station once the agents have seen
+// the commands of n rounds; the flag it returns is set when Run ends.
+func runRounds(sim *vclock.Sim, sch *PairwiseScheduler, st *proto.Station, rounds *int, n int) *bool {
+	ended := new(bool)
+	sim.Go("sched", func() {
+		sch.Run()
+		*ended = true
+	})
+	sim.Go("stop after rounds", func() {
+		for *rounds < n {
+			sim.Sleep(10 * time.Millisecond)
+		}
+		st.Close()
+	})
+	return ended
+}
+
 // ---- one token per epoch ----
 
 // holdOverlap returns the first hold in log that began before an
 // earlier hold of the same epoch had ended, among holds starting at or
 // after from.
 func holdOverlap(log *HoldLog, from time.Duration) (Hold, bool) {
-	var hs []Hold
-	for _, h := range log.Take() {
+	over := overlaps(log.Take(), from)
+	if len(over) == 0 {
+		return Hold{}, false
+	}
+	return over[0], true
+}
+
+// overlaps returns, in order of their start, the holds that began
+// before an earlier hold of the same epoch had ended, among holds
+// starting at or after from.
+func overlaps(holds []Hold, from time.Duration) []Hold {
+	var hs, over []Hold
+	for _, h := range holds {
 		if h.From >= from {
 			hs = append(hs, h)
 		}
@@ -431,11 +486,50 @@ func holdOverlap(log *HoldLog, from time.Duration) (Hold, bool) {
 	ends := map[int64]time.Duration{}
 	for _, h := range hs {
 		if h.From < ends[h.Epoch] {
-			return h, true
+			over = append(over, h)
 		}
 		ends[h.Epoch] = max(ends[h.Epoch], h.To)
 	}
-	return Hold{}, false
+	return over
+}
+
+// TestLateAckLeavesOneTokenPerEpoch: h1 sits behind a link so slow that
+// a token's round trip to it (2.2 s) outlasts AckTimeout (2 s). Its
+// passer believes the token lost while h1 holds it, and retries; the
+// retry must not hold beside h1 in the same epoch. At 0.9 s one way the
+// ack is in time: the control row.
+func TestLateAckLeavesOneTokenPerEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		latency time.Duration
+	}{
+		{"ack-late", 1100 * time.Millisecond},
+		{"ack-in-time", 900 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			links := make([][]simnet.LinkOption, 3)
+			links[1] = []simnet.LinkOption{simnet.LinkLatency(tc.latency)}
+			log := &HoldLog{}
+			r := newRigLinks(t, links, Config{TokenGap: time.Second, Holds: log})
+			if err := r.sim.RunUntil(120 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			r.stopAll()
+			holds := log.Take()
+			if over := overlaps(holds, 0); len(over) > 0 {
+				t.Errorf("%d holds overlap another of their epoch, first %+v", len(over), over[0])
+			}
+			held := map[string]bool{}
+			for _, h := range holds {
+				held[h.Host] = true
+			}
+			for _, h := range r.hosts {
+				if !held[h] {
+					t.Errorf("%s never held the token", h)
+				}
+			}
+		})
+	}
 }
 
 // TestMeetingTokensLeaveOne: a second token forged into a ring

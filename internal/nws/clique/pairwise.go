@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"slices"
 	"time"
 
 	"nwsenv/internal/nws/proto"
@@ -21,42 +22,30 @@ import (
 type PairwiseScheduler struct {
 	Cfg  Config
 	Port proto.Port
-	// Rounds bounds the number of tournament rounds (0 = run forever).
-	Rounds int
-
-	roundsRun int
 }
 
 // tournamentPairs returns the matching for round r of a round-robin
 // tournament over members (the classic circle method): member 0 is
 // fixed, the others rotate.
 func tournamentPairs(members []string, r int) [][2]string {
-	n := len(members)
-	if n < 2 {
+	m := members
+	if len(m) < 2 {
 		return nil
 	}
-	odd := n%2 == 1
-	m := append([]string(nil), members...)
-	if odd {
-		m = append(m, "") // bye slot
-		n++
+	if len(m)%2 == 1 {
+		m = append(slices.Clone(m), "") // bye slot
 	}
-	rot := r % (n - 1)
-	// rotate all but the first element.
-	rest := append([]string(nil), m[1:]...)
-	k := len(rest)
-	rotated := make([]string, k)
-	for i := range rest {
-		rotated[(i+rot)%k] = rest[i]
+	n := len(m)
+	arranged := make([]string, n)
+	arranged[0] = m[0]
+	for i := 1; i < n; i++ {
+		arranged[1+(i-1+r)%(n-1)] = m[i]
 	}
-	arranged := append([]string{m[0]}, rotated...)
 	var pairs [][2]string
 	for i := 0; i < n/2; i++ {
-		a, b := arranged[i], arranged[n-1-i]
-		if a == "" || b == "" {
-			continue
+		if a, b := arranged[i], arranged[n-1-i]; a != "" && b != "" {
+			pairs = append(pairs, [2]string{a, b})
 		}
-		pairs = append(pairs, [2]string{a, b})
 	}
 	return pairs
 }
@@ -66,7 +55,7 @@ func tournamentPairs(members []string, r int) [][2]string {
 // rests TokenGap; it ends when its station closes.
 func (s *PairwiseScheduler) Run() {
 	cfg := s.Cfg.withDefaults()
-	for round := 0; s.Rounds == 0 || round < s.Rounds; round++ {
+	for round := 0; ; round++ {
 		pairs := tournamentPairs(cfg.Members, round)
 		// Alternate direction every full cycle so both directions of
 		// each pair get measured over time.
@@ -99,7 +88,6 @@ func (s *PairwiseScheduler) Run() {
 				done++
 			}
 		}
-		s.roundsRun++
 		if !s.Port.Wait(cfg.TokenGap) {
 			return // the station closed: the scheduler's host was stopped
 		}

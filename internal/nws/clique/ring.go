@@ -1,38 +1,36 @@
 package clique
 
-import "nwsenv/internal/nws/proto"
+import (
+	"time"
 
-// The token ring's protocol is one pure function, ring.step: it maps a
-// member's state and one event to the next state and the effects the
-// driver (Member.Run) must carry out. Nothing in this file blocks,
-// reads a clock or touches the network, so a test can run every
-// interleaving of a small ring through it.
+	"nwsenv/internal/nws/proto"
+)
 
-// ring is what step knows of the configuration: the ring size and the
-// member's index in it (0 ranks highest in elections).
-type ring struct{ n, idx int }
+// ring is what step, the whole token-ring protocol, knows of the
+// configuration. Nothing in this file blocks, reads a clock or touches
+// the network, so a test can run every interleaving of a small ring.
+type ring struct {
+	n, idx                  int           // ring size, and this member's index (0 ranks highest)
+	watchdog, ackWait, vote time.Duration // Config's TokenTimeout, AckTimeout, ElectTimeout
+}
 
-// phase is what a member is doing between events.
 type phase uint8
 
 const (
 	idle     phase = iota // waiting for a token; the watchdog is armed
-	holding               // running its experiments; no timer is armed
-	passing               // waiting for the ack of the token it sent
+	holding               // running the experiments; no timer is armed
+	passing               // waiting for the ack of the token sent to peer
 	electing              // waiting for a higher member to answer
 )
 
 // state is one member's protocol state.
 type state struct {
 	phase          phase
-	epoch, lastSeq int64 // the ring incarnation and the last sequence taken in it
-	seq            int64 // passing: the sequence of the token in flight
-	peer           int   // passing: the ring offset of the member it went to
+	epoch, lastSeq int64 // the ring incarnation, and the watermark: the last sequence taken or passed in it
+	peer           int   // passing: the ring offset of the member the token went to
 	mint           int64 // electing: the epoch this member coordinates in
 }
 
-// evKind enumerates the events step consumes: the five clique messages
-// and what the driver reports back.
 type evKind uint8
 
 const (
@@ -41,37 +39,31 @@ const (
 	evElection
 	evElectionOK
 	evCoordinator
-	evTimer    // the last armed timer fired
+	evTimer    // the armed timer fired
 	evHoldDone // the hold's experiments and rest are over
-	evRefused  // the token's transport refused it at once
+	evRefused  // the transport refused the token at once
 )
+
+// evKinds maps the clique messages to their events.
+var evKinds = map[proto.MsgType]evKind{proto.MsgToken: evToken, proto.MsgTokenAck: evAck,
+	proto.MsgElection: evElection, proto.MsgElectionOK: evElectionOK, proto.MsgCoordinator: evCoordinator}
 
 type event struct {
 	kind       evKind
-	from       int // sender's ring index
+	from       int // the sender's ring index
 	epoch, seq int64
 }
 
-// fxKind enumerates the effects step asks of its driver.
 type fxKind uint8
 
 const (
-	fxSend  fxKind = iota // send msg to member to
-	fxArm                 // arm timer, replacing the armed one
-	fxHold                // hold the token (epoch, seq), then report evHoldDone
+	fxSend  fxKind = iota // send msg (epoch, seq) to member to
+	fxArm                 // arm a timer of wait, replacing the armed one
+	fxHold                // hold token (epoch, seq), then report evHoldDone
 	fxCount               // count c
 )
 
-// timer names the three timeouts of Config.
-type timer uint8
-
-const (
-	tWatchdog timer = iota // TokenTimeout
-	tAck                   // AckTimeout
-	tElect                 // ElectTimeout
-)
-
-// counter names one Stats counter.
+// counter names a Stats counter.
 type counter uint8
 
 const (
@@ -91,7 +83,7 @@ type effect struct {
 	msg        proto.MsgType
 	to         int
 	epoch, seq int64
-	timer      timer
+	wait       time.Duration
 	count      counter
 }
 
@@ -99,7 +91,6 @@ func send(msg proto.MsgType, to int, epoch, seq int64) effect {
 	return effect{kind: fxSend, msg: msg, to: to, epoch: epoch, seq: seq}
 }
 
-func arm(t timer) effect     { return effect{kind: fxArm, timer: t} }
 func count(c counter) effect { return effect{kind: fxCount, count: c} }
 
 // boot is the state a member starts in. Member 0 bootstraps the ring
@@ -118,18 +109,17 @@ func (r ring) boot(epoch int64, join bool, fx []effect) (state, []effect) {
 func (r ring) step(s state, ev event, fx []effect) (state, []effect) {
 	switch ev.kind {
 	case evToken:
-		// Always acknowledge, so the sender stops retrying, even a token
-		// that is dropped.
+		// Always acknowledge, so the sender never retries a token that
+		// landed, even one dropped here.
 		fx = append(fx, send(proto.MsgTokenAck, ev.from, ev.epoch, ev.seq))
 		if ev.epoch > s.epoch {
 			s = adopt(s, ev.epoch)
 			fx = append(fx, count(cEpochBump))
 		}
 		if ev.epoch < s.epoch || ev.seq <= s.lastSeq {
-			// Stale: an older epoch, or a sequence at or below the
-			// watermark, which covers a token this member is passing.
-			// Where two tokens meet mid-pass, each end keeps only the
-			// higher, so one of the two survives.
+			// Stale. The watermark covers a token this member is
+			// passing, so where two tokens meet mid-pass each end keeps
+			// only the higher, and one of the two survives.
 			fx = append(fx, count(cStale))
 			if s.phase == passing {
 				return s, fx
@@ -139,7 +129,7 @@ func (r ring) step(s state, ev event, fx []effect) (state, []effect) {
 		s.lastSeq = ev.seq
 		return r.hold(s, fx)
 	case evAck:
-		if s.phase == passing && ev.from == r.at(s.peer) && ev.epoch == s.epoch && ev.seq == s.seq {
+		if s.phase == passing && ev.from == r.at(s.peer) && ev.epoch == s.epoch && ev.seq == s.lastSeq {
 			return r.idle(s, fx)
 		}
 	case evElection:
@@ -147,8 +137,8 @@ func (r ring) step(s state, ev event, fx []effect) (state, []effect) {
 			break // a higher member's election proceeds without us
 		}
 		// A lower member calls one: we are alive and rank higher. An
-		// idle member takes the election over; a member passing the
-		// token or electing already has one under way.
+		// idle member takes the election over; one passing the token or
+		// electing has the ring in hand already.
 		fx = append(fx, send(proto.MsgElectionOK, ev.from, ev.epoch, 0))
 		if s.phase == idle {
 			return r.elect(s, fx)
@@ -158,10 +148,9 @@ func (r ring) step(s state, ev event, fx []effect) (state, []effect) {
 			return r.idle(s, fx) // the higher member coordinates
 		}
 	case evCoordinator:
-		// A newer token exists: an election under way is moot. A pass
-		// under way goes on, and its member learns the epoch from the
-		// new token; the one in flight is stale wherever the
-		// announcement landed first.
+		// A newer token exists, and an election under way is moot. A
+		// pass under way goes on: its token is stale wherever the
+		// announcement landed first, and the new token brings the epoch.
 		if ev.epoch > s.epoch && s.phase != passing {
 			return r.idle(adopt(s, ev.epoch), append(fx, count(cEpochBump)))
 		}
@@ -172,15 +161,19 @@ func (r ring) step(s state, ev event, fx []effect) (state, []effect) {
 		case electing:
 			return r.coordinate(s, fx)
 		case passing:
-			return r.passOn(s, append(fx, count(cAckTimeout)))
+			// The token may have landed with only its ack late: fence it.
+			// The retry goes out in an epoch only this member mints, so
+			// the token it believed lost is stale wherever it is held.
+			s.epoch = r.nextEpoch(s)
+			return r.passOn(s, append(fx, count(cAckTimeout), count(cEpochBump)))
 		}
 	case evRefused:
 		if s.phase == passing {
-			return r.passOn(s, fx)
+			return r.passOn(s, fx) // nothing landed: no ack to wait for
 		}
 	case evHoldDone:
 		s.lastSeq++
-		s.seq, s.peer = s.lastSeq, 0
+		s.peer = 0
 		return r.passOn(s, fx)
 	}
 	if s.phase == idle {
@@ -194,7 +187,7 @@ func (r ring) at(k int) int { return (r.idx + k) % r.n }
 
 func (r ring) idle(s state, fx []effect) (state, []effect) {
 	s.phase = idle
-	return s, append(fx, arm(tWatchdog))
+	return s, append(fx, effect{kind: fxArm, wait: r.watchdog})
 }
 
 func (r ring) hold(s state, fx []effect) (state, []effect) {
@@ -202,31 +195,30 @@ func (r ring) hold(s state, fx []effect) (state, []effect) {
 	return s, append(fx, count(cHeld), effect{kind: fxHold, epoch: s.epoch, seq: s.lastSeq})
 }
 
-// adopt moves s to a newer epoch. Sequences restart with it: a token of
-// a rebuilt ring starts near 1, and the previous epoch's watermark must
-// not make it look stale.
+// adopt moves s to a newer epoch. Sequences restart with it: a rebuilt
+// ring's tokens start near 1, and the old epoch's watermark must not
+// make them look stale.
 func adopt(s state, epoch int64) state {
 	s.epoch, s.lastSeq = epoch, 0
 	return s
 }
 
 // passOn sends the token to the member after the last one tried, or,
-// when every other member was tried, keeps it: it sends the next token
+// once every other member was tried, keeps it: it sends the next token
 // to itself, which a host cut off from the network cannot.
 func (r ring) passOn(s state, fx []effect) (state, []effect) {
 	s.peer++
 	if s.peer < r.n {
 		s.phase = passing
-		return s, append(fx, send(proto.MsgToken, r.at(s.peer), s.epoch, s.seq), arm(tAck))
+		return s, append(fx, send(proto.MsgToken, r.at(s.peer), s.epoch, s.lastSeq), effect{kind: fxArm, wait: r.ackWait})
 	}
-	return r.idle(s, append(fx, send(proto.MsgToken, r.idx, s.epoch, s.seq+1)))
+	return r.idle(s, append(fx, send(proto.MsgToken, r.idx, s.epoch, s.lastSeq+1)))
 }
 
 // nextEpoch is the smallest epoch above s's that this member alone may
 // mint: one congruent to its ring index modulo the ring size. Two
-// members that elect themselves at once — across a partition, or beside
-// a member whose host crashed under it — then regenerate the token in
-// two epochs, not two tokens in one.
+// members that mint at once — across a partition, or beside a member
+// whose host crashed under it — then do so in two epochs, never one.
 func (r ring) nextEpoch(s state) int64 {
 	n := int64(r.n)
 	e := s.epoch + 1
@@ -245,7 +237,7 @@ func (r ring) elect(s state, fx []effect) (state, []effect) {
 		return r.coordinate(s, fx)
 	}
 	s.phase = electing
-	return s, append(fx, arm(tElect))
+	return s, append(fx, effect{kind: fxArm, wait: r.vote})
 }
 
 // coordinate regenerates the token in the epoch the election minted.

@@ -135,12 +135,9 @@ type HostSensor struct {
 	MemHost string
 	Period  time.Duration
 	Trace   HostTrace
-	// Rounds bounds the number of sampling rounds (0 = run forever).
-	Rounds int
 }
 
-// Run registers the sensor and samples until the station closes or the
-// round budget is exhausted.
+// Run registers the sensor and samples until the station closes.
 func (h *HostSensor) Run() {
 	host := h.St.Host()
 	if h.NS != nil {
@@ -151,10 +148,7 @@ func (h *HostSensor) Run() {
 		trace = DefaultHostTrace
 	}
 	mc := memory.NewClient(h.St, h.MemHost)
-	for round := 0; h.Rounds == 0 || round < h.Rounds; round++ {
-		if !h.St.Wait(h.Period) {
-			return
-		}
+	for h.St.Wait(h.Period) {
 		now := h.St.Runtime().Now()
 		vals := trace(host, now)
 		for _, key := range []string{"cpu", "freeMemory"} {

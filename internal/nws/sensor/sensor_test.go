@@ -117,8 +117,12 @@ func TestHostSensorStoresRounds(t *testing.T) {
 
 	epA, _ := tr.Open("a")
 	stA := proto.NewStation(rt, epA)
-	hs := &HostSensor{St: stA, MemHost: "m", Period: 10 * time.Second, Rounds: 6}
+	hs := &HostSensor{St: stA, MemHost: "m", Period: 10 * time.Second}
 	sim.Go("sensor", hs.Run)
+	sim.Go("stop after six rounds", func() {
+		sim.Sleep(65 * time.Second)
+		stA.Close()
+	})
 
 	epB, _ := tr.Open("b")
 	stB := proto.NewStation(rt, epB)
@@ -163,18 +167,20 @@ func TestHostSensorRegistersWithNS(t *testing.T) {
 	stA := proto.NewStation(rt, epA)
 	hs := &HostSensor{
 		St: stA, NS: nameserver.NewClient(stA, "m"), MemHost: "b",
-		Period: 5 * time.Second, Rounds: 2,
+		Period: 5 * time.Second,
 	}
 	sim.Go("sensor", hs.Run)
 	if err := sim.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Query the directory from a scratch station? Reuse stA (sensor done).
+	// Query the directory from the sensor's own station, then close it,
+	// which ends the sensor.
 	var found bool
 	sim.Go("check", func() {
 		nsc := nameserver.NewClient(stA, "m")
 		_, ok, _ := nsc.LookupName("sensor.a")
 		found = ok
+		stA.Close()
 	})
 	if err := sim.RunUntil(2 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -193,12 +199,16 @@ func TestCustomTrace(t *testing.T) {
 	epA, _ := tr.Open("a")
 	stA := proto.NewStation(rt, epA)
 	hs := &HostSensor{
-		St: stA, MemHost: "m", Period: time.Second, Rounds: 3,
+		St: stA, MemHost: "m", Period: time.Second,
 		Trace: func(host string, at time.Duration) map[string]float64 {
 			return map[string]float64{"cpu": 0.25}
 		},
 	}
 	sim.Go("sensor", hs.Run)
+	sim.Go("stop after three rounds", func() {
+		sim.Sleep(3500 * time.Millisecond)
+		stA.Close()
+	})
 	epB, _ := tr.Open("b")
 	stB := proto.NewStation(rt, epB)
 	var got []proto.Sample
