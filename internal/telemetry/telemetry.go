@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,11 +164,29 @@ func (g *Gauge) Max() float64 {
 }
 
 // Histogram records a distribution of observations; snapshots report
-// count/sum/min/max and nearest-rank p50/p95/p99.
+// count/sum/min/max, always exact, and nearest-rank p50/p95/p99. The
+// percentiles are exact up to exactObservations; past that the
+// histogram folds its values into log-linear buckets (subBuckets per
+// power of two) and reports a bucket's midpoint, clamped to [min, max]:
+// within 1/(2·subBuckets) = 0.8% of the exact percentile, in memory
+// bounded by the values' range rather than their number.
 type Histogram struct {
-	mu   sync.Mutex
-	vals []float64
+	mu       sync.Mutex
+	n        int64
+	sum      float64
+	min, max float64
+	vals     []float64       // every observation, while n <= exactObservations
+	buckets  map[int32]int64 // then: count per bucket (see bucketOf)
 }
+
+const (
+	// exactObservations sits above the largest count a committed
+	// artifact records (101,635 replica/lag observations in
+	// lab-baselines/replication/k2), so every recorded percentile is
+	// exact.
+	exactObservations = 1 << 17
+	subBuckets        = 64
+)
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
@@ -175,19 +194,94 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
-	h.vals = append(h.vals, v)
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
+	h.n++
+	h.sum += v
+	if h.buckets == nil && len(h.vals) < exactObservations {
+		h.vals = append(h.vals, v)
+	} else {
+		if h.buckets == nil {
+			h.buckets = make(map[int32]int64)
+			for _, x := range h.vals {
+				h.buckets[bucketOf(x)]++
+			}
+			h.vals = nil
+		}
+		h.buckets[bucketOf(v)]++
+	}
 	h.mu.Unlock()
 }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-func (h *Histogram) snapshot() []float64 {
+// bucketOf orders values by bucket: 0 for zero, and for |v| = f·2^e
+// (f in [0.5, 1)) the sub-bucket of f within 2^e, signed like v and
+// offset so that key order is value order.
+func bucketOf(v float64) int32 {
+	if v == 0 || math.IsNaN(v) {
+		return 0
+	}
+	f, e := math.Frexp(math.Abs(v))
+	k := int32(e+1100)*subBuckets + int32((f-0.5)*2*subBuckets)
+	if v < 0 {
+		return -k
+	}
+	return k
+}
+
+// bucketMid is the midpoint of bucket k.
+func bucketMid(k int32) float64 {
+	if k == 0 {
+		return 0
+	}
+	a := k
+	if k < 0 {
+		a = -k
+	}
+	e, sub := int(a/subBuckets)-1100, float64(a%subBuckets)
+	mid := math.Ldexp(0.5+(sub+0.5)/(2*subBuckets), e)
+	if k < 0 {
+		return -mid
+	}
+	return mid
+}
+
+// stats fills p's histogram fields.
+func (h *Histogram) stats(p *Point) {
 	h.mu.Lock()
-	out := make([]float64, len(h.vals))
-	copy(out, h.vals)
-	h.mu.Unlock()
-	return out
+	defer h.mu.Unlock()
+	p.Count, p.Value = h.n, h.sum
+	if h.n == 0 {
+		return
+	}
+	p.Min, p.Max = h.min, h.max
+	if h.buckets == nil {
+		sorted := slices.Clone(h.vals)
+		sort.Float64s(sorted)
+		p.P50, p.P95, p.P99 = Percentile(sorted, 0.50), Percentile(sorted, 0.95), Percentile(sorted, 0.99)
+		return
+	}
+	keys := make([]int32, 0, len(h.buckets))
+	for k := range h.buckets {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	at := func(q float64) float64 {
+		rank := min(max(int64(math.Ceil(q*float64(h.n))), 1), h.n)
+		for _, k := range keys {
+			if rank -= h.buckets[k]; rank <= 0 {
+				return min(max(bucketMid(k), h.min), h.max)
+			}
+		}
+		return h.max
+	}
+	p.P50, p.P95, p.P99 = at(0.50), at(0.95), at(0.99)
 }
 
 // Counter returns (registering on first use) the counter for
@@ -316,21 +410,8 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Points = append(snap.Points, Point{Key: nf.key, Kind: "collector", Value: nf.fn()})
 	}
 	for k, h := range hists {
-		vals := h.snapshot()
-		p := Point{Key: k, Kind: "histogram", Count: int64(len(vals))}
-		for _, v := range vals {
-			p.Value += v
-		}
-		if len(vals) > 0 {
-			sorted := make([]float64, len(vals))
-			copy(sorted, vals)
-			sort.Float64s(sorted)
-			p.Min = sorted[0]
-			p.Max = sorted[len(sorted)-1]
-			p.P50 = Percentile(sorted, 0.50)
-			p.P95 = Percentile(sorted, 0.95)
-			p.P99 = Percentile(sorted, 0.99)
-		}
+		p := Point{Key: k, Kind: "histogram"}
+		h.stats(&p)
 		snap.Points = append(snap.Points, p)
 	}
 	sort.Slice(snap.Points, func(i, j int) bool { return snap.Points[i].Key < snap.Points[j].Key })

@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +114,83 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if got := Percentile(vals, 0.99); got != 10 {
 		t.Fatalf("p99 = %v", got)
+	}
+}
+
+// TestHistogramBoundedBeyondExact: a million observations spread over
+// twelve decades, signs and zero, past exactObservations. The histogram
+// keeps buckets, not values, observing more allocates nothing, count,
+// sum, min and max stay exact, and every percentile is within the
+// stated 1/(2·subBuckets) of a sorted reference.
+func TestHistogramBoundedBeyondExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var h Histogram
+	var ref []float64
+	sum := 0.0
+	for i := 0; i < 1_000_000; i++ {
+		v := math.Exp(rng.NormFloat64() * 5)
+		switch i % 10 {
+		case 0:
+			v = 0
+		case 1:
+			v = -v
+		}
+		h.Observe(v)
+		ref = append(ref, v)
+		sum += v
+	}
+	// At most subBuckets per power of two and sign, however many values.
+	lo, hi := math.Inf(1), 0.0
+	for _, v := range ref {
+		if v != 0 {
+			lo, hi = min(lo, math.Abs(v)), max(hi, math.Abs(v))
+		}
+	}
+	_, elo := math.Frexp(lo)
+	_, ehi := math.Frexp(hi)
+	if bound := 2*subBuckets*(ehi-elo+1) + 1; h.vals != nil || len(h.buckets) > bound {
+		t.Fatalf("retained %d values and %d buckets, want none and at most %d", len(h.vals), len(h.buckets), bound)
+	}
+	extra := 0
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(ref[rng.IntN(len(ref))]); extra++ }); allocs != 0 {
+		t.Fatalf("Observe allocates %v times past the exact range", allocs)
+	}
+	var p Point
+	h.stats(&p)
+	slices.Sort(ref)
+	if p.Count != int64(len(ref)+extra) || p.Min != ref[0] || p.Max != ref[len(ref)-1] {
+		t.Fatalf("count %d min %v max %v, want %d %v %v", p.Count, p.Min, p.Max, len(ref)+extra, ref[0], ref[len(ref)-1])
+	}
+	if p.Value == sum {
+		t.Fatal("the sum did not count the extra observations")
+	}
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.50, p.P50}, {0.95, p.P95}, {0.99, p.P99}} {
+		want := Percentile(ref, c.q) // the extra draws from ref barely move it
+		if math.Abs(c.got-want) > math.Abs(want)/(2*subBuckets)*1.01 {
+			t.Errorf("p%v = %v, want %v within %.2f%%", c.q*100, c.got, want, 100.0/(2*subBuckets))
+		}
+	}
+}
+
+// TestHistogramExactBelowLimit: up to exactObservations the snapshot
+// is the sorted values' nearest rank, bit for bit, and the sum adds in
+// observation order.
+func TestHistogramExactBelowLimit(t *testing.T) {
+	var h Histogram
+	vals := []float64{0.3, 0.1, 0.7, 0.2, 0.9, 0.4}
+	sum := 0.0
+	for _, v := range vals {
+		h.Observe(v)
+		sum += v
+	}
+	var p Point
+	h.stats(&p)
+	slices.Sort(vals)
+	if p.Value != sum || p.P50 != Percentile(vals, 0.5) || p.P95 != Percentile(vals, 0.95) || p.Min != 0.1 || p.Max != 0.9 {
+		t.Fatalf("exact stats %+v", p)
 	}
 }
 
