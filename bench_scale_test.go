@@ -4,7 +4,7 @@
 // internal/simnet/scalebench_test.go, beside the test-only reference
 // simulator; the scale entry of bench-gates.json (`benchjson scale`)
 // runs both packages so BENCH_scale.json carries every Scale row, and
-// its compare row fails on ns/op regressions against that baseline.
+// gates each on allocs/op and B/op ceilings.
 package nwsenv
 
 import (

@@ -13,15 +13,13 @@
 // Once every named entry has run, benchjson evaluates every row of
 // them, prints one line per row (what it measured, the bound, the
 // verdict), and exits 1 if any recording or row failed. It takes no
-// flags. A row is one of four kinds:
+// flags. A row is one of three kinds:
 //
 //	max      bench's metric <= bound (machine-independent for allocs/op, B/op)
 //	ratio    num's metric / den's metric >= bound, within one run
 //	equal    every custom metric of the baseline (or only the named
 //	         metrics) reproduced exactly (virtual-time results are
 //	         deterministic)
-//	compare  no baseline benchmark missing, and its ns/op, B/op and
-//	         allocs/op at most bound (a fraction) above the baseline's
 //
 // Each row carries a why string saying what it guards.
 package main
@@ -31,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -56,8 +53,8 @@ type Entry struct {
 }
 
 // Gate is one row. Kind says which other fields it reads: max reads
-// Bench, Metric and Bound; ratio Num, Den, Metric and Bound; compare
-// Bound; equal Metrics, if set.
+// Bench, Metric and Bound; ratio Num, Den, Metric and Bound; equal
+// Metrics, if set.
 type Gate struct {
 	Kind    string   `json:"kind"`
 	Bench   string   `json:"bench,omitempty"`
@@ -190,8 +187,6 @@ func (g Gate) check() error {
 		need("den", g.Den != "")
 		need("metric", g.Metric != "")
 		need("a positive bound", g.Bound > 0)
-	case "compare":
-		need("a positive bound", g.Bound > 0)
 	case "equal":
 	default:
 		return fmt.Errorf("unknown gate kind %q", g.Kind)
@@ -291,8 +286,8 @@ func (a *Artifact) metric(bench, unit string) (float64, error) {
 }
 
 // evaluate checks row g against the new artifact cur, which could not
-// be read if curErr is set, and for equal and compare against the
-// baseline at basePath. It returns the row with its bound and what it
+// be read if curErr is set, and for equal against the baseline at
+// basePath. It returns the row with its bound and what it
 // measured, and why it failed if it did.
 func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string, fails []string) {
 	switch g.Kind {
@@ -305,8 +300,6 @@ func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string,
 		if len(g.Metrics) > 0 {
 			row = strings.Join(g.Metrics, ", ") + " == " + basePath
 		}
-	case "compare":
-		row = fmt.Sprintf("ns/op, B/op, allocs/op <= +%.0f%% of %s", g.Bound*100, basePath)
 	default:
 		return "", []string{fmt.Sprintf("unknown gate kind %q", g.Kind)}
 	}
@@ -344,12 +337,8 @@ func evaluate(g Gate, basePath string, cur *Artifact, curErr error) (row string,
 	if err != nil {
 		return row, []string{"baseline: " + err.Error()}
 	}
-	if g.Kind == "equal" {
-		n, fails := equalMetrics(base, cur, g.Metrics)
-		return fmt.Sprintf("%s: %d metric(s) checked", row, n), fails
-	}
-	n, fails := compareArtifacts(base, cur, g.Bound)
-	return fmt.Sprintf("%s: %d benchmark(s) compared", row, n), fails
+	n, fails := equalMetrics(base, cur, g.Metrics)
+	return fmt.Sprintf("%s: %d metric(s) checked", row, n), fails
 }
 
 // equalMetrics checks that cur carries every custom metric of every
@@ -384,46 +373,6 @@ func equalMetrics(base, cur *Artifact, only []string) (n int, bad []string) {
 	for _, unit := range only {
 		if !checked[unit] {
 			bad = append(bad, unit+": in no baseline benchmark")
-		}
-	}
-	sort.Strings(bad)
-	return n, bad
-}
-
-// compareArtifacts checks every benchmark of base against cur: it must
-// still be there, and its ns/op, B/op and allocs/op may grow by at most
-// the threshold fraction. It returns how many benchmarks it compared
-// and every regression and missing benchmark. A benchmark without ns/op
-// on both sides is skipped; a memory metric is compared only when both
-// sides have it (a baseline recorded without -benchmem gates on time
-// alone), and a zero baseline allows no growth at all.
-func compareArtifacts(base, cur *Artifact, threshold float64) (n int, bad []string) {
-	for name, old := range base.Benchmarks {
-		now, ok := cur.Benchmarks[name]
-		if !ok {
-			bad = append(bad, name+": missing from the new run")
-			continue
-		}
-		if v, ok := old.Metrics["ns/op"]; !ok || v <= 0 {
-			continue
-		}
-		if _, ok := now.Metrics["ns/op"]; !ok {
-			continue
-		}
-		n++
-		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
-			was, okOld := old.Metrics[unit]
-			is, okNew := now.Metrics[unit]
-			if !okOld || !okNew || is <= was {
-				continue
-			}
-			frac := math.Inf(1) // from zero
-			if was > 0 {
-				frac = is/was - 1
-			}
-			if frac > threshold {
-				bad = append(bad, fmt.Sprintf("%s %s %s -> %s (%+.1f%%)", name, unit, num(was), num(is), frac*100))
-			}
 		}
 	}
 	sort.Strings(bad)

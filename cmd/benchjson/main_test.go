@@ -49,7 +49,6 @@ func TestGateKinds(t *testing.T) {
 	vratioRow := Gate{Kind: "ratio", Num: "BenchmarkScale/n=3", Den: "BenchmarkScale/n=1", Metric: "queries/s", Bound: 2}
 	equalRow := Gate{Kind: "equal"}
 	equalNamedRow := Gate{Kind: "equal", Metrics: []string{"p50-ms"}}
-	compareRow := Gate{Kind: "compare", Bound: 0.25}
 	for _, tc := range []struct {
 		name      string
 		gate      Gate
@@ -98,33 +97,6 @@ func TestGateKinds(t *testing.T) {
 		{"equal-named-absent-from-baseline", Gate{Kind: "equal", Metrics: []string{"p50ms"}},
 			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}},
 			map[string]metrics{"BenchmarkG": {"p50-ms": 118.9}}, false},
-		{"compare-within-threshold", compareRow,
-			map[string]metrics{"BenchmarkA": {"ns/op": 1000}},
-			map[string]metrics{"BenchmarkA": {"ns/op": 1200}}, true},
-		{"compare-time-regression", compareRow,
-			map[string]metrics{"BenchmarkA": {"ns/op": 1000}},
-			map[string]metrics{"BenchmarkA": {"ns/op": 1300}}, false},
-		// 3x B/op growth trips the gate even with flat ns/op.
-		{"compare-mem-regression", compareRow,
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 100, "allocs/op": 3}},
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 300, "allocs/op": 3}}, false},
-		// Losing a zero-alloc baseline is an unbounded regression.
-		{"compare-alloc-regression-from-zero", compareRow,
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "allocs/op": 0}},
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "allocs/op": 2}}, false},
-		{"compare-mem-improvement", compareRow,
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 4096, "allocs/op": 40}},
-			map[string]metrics{"BenchmarkX": {"ns/op": 990, "B/op": 512, "allocs/op": 6}}, true},
-		// A baseline recorded without -benchmem must not fail every new
-		// run that measures memory.
-		{"compare-skips-mem-baseline-lacks", compareRow,
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000}},
-			map[string]metrics{"BenchmarkX": {"ns/op": 1000, "B/op": 1 << 20, "allocs/op": 999}}, true},
-		// A benchmark vanishing from the run fails the gate.
-		{"compare-missing-benchmark", compareRow,
-			map[string]metrics{"BenchmarkA": {"ns/op": 1000}, "BenchmarkB": {"ns/op": 1000}},
-			map[string]metrics{"BenchmarkA": {"ns/op": 1000}}, false},
-		{"compare-missing-baseline", compareRow, nil, map[string]metrics{"BenchmarkA": {"ns/op": 1000}}, false},
 		{"unknown-kind", Gate{Kind: "min"}, nil, map[string]metrics{"BenchmarkA": {"ns/op": 1000}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,8 +155,6 @@ func TestLoadGatesRequiresFields(t *testing.T) {
 		{`{"kind": "ratio", "num": "BenchmarkA", "metric": "ns/op", "bound": 3, "why": "w"}`, false},
 		{`{"kind": "ratio", "den": "BenchmarkB", "metric": "ns/op", "bound": 3, "why": "w"}`, false},
 		{`{"kind": "ratio", "num": "BenchmarkA", "den": "BenchmarkB", "bound": 3, "why": "w"}`, false},
-		{`{"kind": "compare", "bound": 0.25, "why": "w"}`, true},
-		{`{"kind": "compare", "why": "w"}`, false},
 		{`{"kind": "equal", "why": "w"}`, true},
 		{`{"kind": "equal"}`, false},
 		{`{"kind": "min", "why": "w"}`, false},
@@ -198,35 +168,6 @@ func TestLoadGatesRequiresFields(t *testing.T) {
 		if _, err := loadGates(path); (err == nil) != tc.ok {
 			t.Errorf("%s: err %v, want ok=%v", tc.row, err, tc.ok)
 		}
-	}
-}
-
-func TestCompareArtifactsGate(t *testing.T) {
-	base := map[string]metrics{
-		"BenchmarkA": {"ns/op": 1000},
-		"BenchmarkB": {"ns/op": 1000},
-		"BenchmarkC": {"ns/op": 1000},
-	}
-	cur := map[string]metrics{
-		"BenchmarkA": {"ns/op": 1200}, // +20%: within 25%
-		"BenchmarkB": {"ns/op": 1300}, // +30%: regression
-		"BenchmarkC": {"ns/op": 400},  // improvement
-		"BenchmarkD": {"ns/op": 50},   // new, not gated
-	}
-	dir := t.TempDir()
-	n, bad := compareArtifacts(mustRead(t, writeArtifact(t, dir, "old.json", base)),
-		mustRead(t, writeArtifact(t, dir, "new.json", cur)), 0.25)
-	if n != 3 || len(bad) != 1 || !strings.HasPrefix(bad[0], "BenchmarkB ns/op 1000 -> 1300") {
-		t.Fatalf("compared %d, regressions %q", n, bad)
-	}
-}
-
-func TestCompareArtifactsWithinThreshold(t *testing.T) {
-	dir := t.TempDir()
-	old := mustRead(t, writeArtifact(t, dir, "old.json", map[string]metrics{"BenchmarkA": {"ns/op": 1000}}))
-	cur := mustRead(t, writeArtifact(t, dir, "new.json", map[string]metrics{"BenchmarkA": {"ns/op": 1100}}))
-	if _, bad := compareArtifacts(old, cur, 0.25); len(bad) != 0 {
-		t.Fatalf("+10%% must pass a 25%% gate: %q", bad)
 	}
 }
 
