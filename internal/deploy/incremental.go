@@ -17,8 +17,9 @@ import (
 // leaving healthy cliques monitoring undisturbed.
 
 // epochStride separates clique incarnations in the token epoch space.
-// Elections inside one incarnation bump the epoch by 1, so a stride of
-// 2^20 leaves any realistic election count below the next incarnation.
+// Elections and fenced passes (an ack that timed out) inside one
+// incarnation bump the epoch by at most the ring size each, so a stride
+// of 2^20 leaves any realistic count below the next incarnation.
 const epochStride = 1 << 20
 
 // Incarnation is the clique incarnation a token epoch belongs to:

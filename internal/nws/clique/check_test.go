@@ -420,3 +420,24 @@ func TestRingExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// TestStepFitsTheDriverSlice: the effects of any one event fit the
+// slice Member.Run allocates once (ring.effects), so no event
+// allocates. The longest are member 0's election, which coordinates at
+// once, and a coordination announcing to every other member.
+func TestStepFitsTheDriverSlice(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8} {
+		for idx := 0; idx < n; idx++ {
+			r := ring{n: n, idx: idx}
+			fx := r.effects()
+			for _, s := range []state{{phase: idle}, {phase: electing, mint: 7}, {phase: passing, peer: 1}, {phase: holding}} {
+				for _, ev := range []event{{kind: evTimer}, {kind: evToken, epoch: 9, seq: 3}, {kind: evHoldDone},
+					{kind: evElection, from: n - 1, epoch: 5}, {kind: evCoordinator, epoch: 9}, {kind: evRefused}} {
+					if allocs := testing.AllocsPerRun(10, func() { _, fx = r.step(s, ev, fx[:0]) }); allocs != 0 {
+						t.Errorf("ring of %d, member %d, %+v on %+v: %v allocations", n, idx, ev, s, allocs)
+					}
+				}
+			}
+		}
+	}
+}

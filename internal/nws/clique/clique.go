@@ -111,8 +111,13 @@ type StoreFn func(m sensor.Measurement)
 
 // Stats counts protocol activity for one member.
 type Stats struct {
-	TokensHeld, ExperimentsRun, ProbeErrors, AcksTimedOut int
-	Elections, Coordinations, StaleTokens                 int
+	TokensHeld     int
+	ExperimentsRun int
+	ProbeErrors    int
+	AcksTimedOut   int
+	Elections      int
+	Coordinations  int
+	StaleTokens    int
 }
 
 // Hold is one token holding as its member saw it: the token's epoch and
@@ -218,7 +223,7 @@ func (m *Member) Stop() { m.stopped.Store(true) }
 // the armed timer, feeds it to ring.step and carries out the effects.
 func (m *Member) Run() {
 	rt := m.port.Runtime()
-	s, fx := m.ring.boot(m.cfg.Epoch, m.cfg.Join, make([]effect, 0, 2*m.ring.n+4))
+	s, fx := m.ring.boot(m.cfg.Epoch, m.cfg.Join, m.ring.effects())
 	if s.phase == holding && m.cfg.StartDelay > 0 {
 		rt.Sleep(m.cfg.StartDelay)
 	}

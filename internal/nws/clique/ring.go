@@ -93,6 +93,9 @@ func send(msg proto.MsgType, to int, epoch, seq int64) effect {
 
 func count(c counter) effect { return effect{kind: fxCount, count: c} }
 
+// effects is a slice no one step outgrows: reused, no event allocates.
+func (r ring) effects() []effect { return make([]effect, 0, 2*r.n+4) }
+
 // boot is the state a member starts in. Member 0 bootstraps the ring
 // by holding the epoch's first token, unless it joins a ring that kept
 // running without it (Config.Join) and would circulate a second token.

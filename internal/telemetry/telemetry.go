@@ -181,7 +181,7 @@ type Histogram struct {
 
 const (
 	// exactObservations sits above the largest count a committed
-	// artifact records (101,635 replica/lag observations in
+	// artifact records (about 102k replica/lag observations in
 	// lab-baselines/replication/k2), so every recorded percentile is
 	// exact.
 	exactObservations = 1 << 17
