@@ -7,6 +7,7 @@
 package nwsenv
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -276,7 +277,7 @@ func TestBlindPartitionCollidesWhereENVDoesNot(t *testing.T) {
 		resolve[h] = h
 	}
 	p := BlindPartition(hosts, "the-doors", 3, 500*time.Millisecond)
-	dep, err := deploy.Apply(tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{TokenGap: 500 * time.Millisecond})
+	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{TokenGap: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +285,7 @@ func TestBlindPartitionCollidesWhereENVDoesNot(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep.Stop()
-	collisions := net.CollisionCount()
-	if collisions == 0 {
+	if len(net.Collisions()) == 0 {
 		t.Fatalf("blind partition on hubs should collide; cliques: %s", p.Summary())
 	}
 }
@@ -309,7 +309,7 @@ func TestFullMeshFrequencyCollapses(t *testing.T) {
 			resolve[h] = h
 		}
 		p := FullMesh(hosts, hosts[0], 200*time.Millisecond)
-		dep, err := deploy.Apply(tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{TokenGap: 200 * time.Millisecond})
+		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{TokenGap: 200 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

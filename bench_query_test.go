@@ -58,7 +58,7 @@ func newQueryStack(b *testing.B, hosts int, samplesPerSeries int) *queryStack {
 	if !ok {
 		b.Fatalf("no grid config for %d hosts", hosts)
 	}
-	tp, _ := topo.SyntheticGrid(cfg)
+	tp, truth := topo.SyntheticGrid(cfg)
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, tp)
 	tr := proto.NewSimTransport(net)
@@ -85,12 +85,11 @@ func newQueryStack(b *testing.B, hosts int, samplesPerSeries int) *queryStack {
 	st.client = open("h0-0-3")
 
 	// One monitored series per sweep slot, owned by its site's memory
-	// server: cpu.<host> for hosts taken round-robin across sites.
-	groups := topo.GridHostGroups(cfg)
-	perSite := cfg.SwitchesPerSite // groups per site
+	// server: cpu.<host> for hosts taken round-robin across sites, and
+	// within a site across its leaf segments s<site>-<switch>.
 	for i := 0; i < querySweep; i++ {
-		site := i % cfg.Sites
-		group := groups[site*perSite+(i/cfg.Sites)%perSite]
+		seg := fmt.Sprintf("s%d-%d", i%cfg.Sites, (i/cfg.Sites)%cfg.SwitchesPerSite)
+		group := truth[seg].Hosts
 		st.series = append(st.series, "cpu."+group[i%len(group)])
 	}
 

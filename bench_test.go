@@ -6,6 +6,7 @@
 package nwsenv
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -25,6 +26,11 @@ import (
 )
 
 var printOnce sync.Map
+
+// mapSim maps over a simulated network, from a simulation process.
+func mapSim(net *simnet.Network, cfg env.Config) (*env.Result, error) {
+	return env.NewMapperOn(env.SimSubstrate{Net: net}, cfg).Run(context.Background())
+}
 
 func once(key string, fn func()) {
 	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
@@ -50,8 +56,8 @@ func mapEnsLyonBoth(b *testing.B) (*topo.EnsLyon, *simnet.Network, *env.Merged, 
 	var outside, inside *env.Result
 	var err1, err2 error
 	sim.Go("map", func() {
-		outside, err1 = env.NewMapper(net, env.Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames}).Run()
-		inside, err2 = env.NewMapper(net, env.Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames}).Run()
+		outside, err1 = mapSim(net, env.Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames})
+		inside, err2 = mapSim(net, env.Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames})
 	})
 	if err := sim.RunUntil(24 * time.Hour); err != nil {
 		b.Fatal(err)
@@ -108,7 +114,7 @@ func BenchmarkFig2StructuralTree(b *testing.B) {
 		net := simnet.NewNetwork(sim, e.Topo)
 		var err error
 		sim.Go("map", func() {
-			res, err = env.NewMapper(net, env.Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames}).Run()
+			res, err = mapSim(net, env.Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames})
 		})
 		if e := sim.RunUntil(24 * time.Hour); e != nil {
 			b.Fatal(e)
@@ -200,7 +206,7 @@ func BenchmarkE4MappingCost(b *testing.B) {
 			var res *env.Result
 			var err error
 			sim.Go("map", func() {
-				res, err = env.NewMapper(net, env.Config{Master: hosts[0], Hosts: hosts}).Run()
+				res, err = mapSim(net, env.Config{Master: hosts[0], Hosts: hosts})
 			})
 			if e := sim.RunUntil(240 * time.Hour); e != nil {
 				b.Fatal(e)
@@ -241,7 +247,7 @@ func BenchmarkE5SciClassification(b *testing.B) {
 		var res *env.Result
 		var err error
 		sim.Go("map", func() {
-			res, err = env.NewMapper(net, env.Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames}).Run()
+			res, err = mapSim(net, env.Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames})
 		})
 		if e := sim.RunUntil(24 * time.Hour); e != nil {
 			b.Fatal(e)
@@ -278,7 +284,7 @@ func runDeployment(b *testing.B, plan *deploy.Plan, resolve map[string]string, w
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
 	tr := proto.NewSimTransport(net)
-	dep, err := deploy.Apply(tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{TokenGap: time.Second})
+	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{TokenGap: time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -550,9 +556,9 @@ func BenchmarkE11ThresholdAblation(b *testing.B) {
 			var res *env.Result
 			var err error
 			sim.Go("map", func() {
-				res, err = env.NewMapper(net, env.Config{
+				res, err = mapSim(net, env.Config{
 					Master: hosts[0], Hosts: hosts, Thresholds: th, StrictPaper: strict,
-				}).Run()
+				})
 			})
 			if e := sim.RunUntil(240 * time.Hour); e != nil {
 				b.Fatal(e)
@@ -679,7 +685,7 @@ func BenchmarkE13CompositionAccuracy(b *testing.B) {
 		}
 		net.ResetAccounting()
 		tr := proto.NewSimTransport(net)
-		dep, err := deploy.Apply(tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{TokenGap: time.Second})
+		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{TokenGap: time.Second})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -841,7 +847,7 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 			p.MemoryOf[h] = "a"
 		}
 		tr := proto.NewSimTransport(net)
-		dep, err := deploy.Apply(tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{
+		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{
 			TokenGap: gap, PairwiseSwitched: pairwise,
 		})
 		if err != nil {
@@ -903,13 +909,13 @@ func BenchmarkE16BidirectionalMapping(b *testing.B) {
 		var oneWay, both *env.Result
 		var err1, err2 error
 		sim.Go("map", func() {
-			oneWay, err1 = env.NewMapper(net, env.Config{
+			oneWay, err1 = mapSim(net, env.Config{
 				Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames,
-			}).Run()
-			both, err2 = env.NewMapper(net, env.Config{
+			})
+			both, err2 = mapSim(net, env.Config{
 				Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames,
 				Bidirectional: true,
-			}).Run()
+			})
 		})
 		if er := sim.RunUntil(24 * time.Hour); er != nil {
 			b.Fatal(er)

@@ -209,7 +209,7 @@ func run(ctx context.Context, o options) bool {
 	case se == nil:
 		out, err = pl.Deploy(ctx, runs...)
 	case o.planFile != "":
-		out, err = applyPlanFile(se, o)
+		out, err = applyPlanFile(ctx, se, o)
 	default:
 		out, err = cli.DeploySim(se.Sim, pl, runs)
 	}
@@ -449,7 +449,7 @@ func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.De
 // applyPlanFile keeps the file-based workflow: apply the plan published
 // by nwsdeploy on the simulated topology, resolving its machine names
 // through the optional GridML mapping and the topology spec.
-func applyPlanFile(se *cli.SimEnv, o options) (*core.Outcome, error) {
+func applyPlanFile(ctx context.Context, se *cli.SimEnv, o options) (*core.Outcome, error) {
 	pdata, err := os.ReadFile(o.planFile)
 	check(err)
 	plan, err := deploy.DecodeConfig(pdata)
@@ -488,7 +488,7 @@ func applyPlanFile(se *cli.SimEnv, o options) (*core.Outcome, error) {
 		}
 	}
 
-	dep, err := deploy.Apply(se.Plat.Transport(), se.Plat.Prober(), plan, resolve, deploy.ApplyOptions{
+	dep, err := deploy.Apply(ctx, se.Plat.Transport(), se.Plat.Prober(), plan, resolve, deploy.ApplyOptions{
 		TokenGap:         time.Second,
 		PairwiseSwitched: o.pairwise,
 	})

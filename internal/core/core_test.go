@@ -9,7 +9,6 @@ import (
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
 	"nwsenv/internal/gridml"
-	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/platform"
@@ -52,11 +51,11 @@ func ensLyonDeploy(t *testing.T, planOnly bool) (*topo.EnsLyon, *simnet.Network,
 	e := topo.NewEnsLyon()
 	net := simnet.NewNetwork(vclock.New(), e.Topo)
 	// The mapping itself takes ~1 virtual minute; a 30-minute budget
-	// keeps the always-on host sensors from burning real test time.
+	// keeps the always-on cliques from burning real test time.
 	out, err := simDeploy(net, 30*time.Minute, planOnly, []MapRun{
 		{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames},
 		{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames},
-	}, WithAutoAliases(), WithTokenGap(time.Second), WithHostSensors(30*time.Second))
+	}, WithAutoAliases(), WithTokenGap(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,34 +240,6 @@ func TestAutoDeployScales(t *testing.T) {
 	}
 	if netCliques != len(truth) {
 		t.Fatalf("network cliques %d, want %d", netCliques, len(truth))
-	}
-}
-
-// TestCPUForecastEndToEnd: host sensors feed CPU availability series and
-// the forecaster predicts them — the non-network half of §2's monitoring
-// (CPU load and the time-slice a new process would get).
-func TestCPUForecastEndToEnd(t *testing.T) {
-	_, net, out := ensLyonDeploy(t, false)
-	sim := net.Sim()
-	base := sim.Now()
-	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	var pred predict.Prediction
-	var err error
-	sim.Go("cpu-query", func() {
-		master := out.Deployment.Agents[out.Plan.Master]
-		qc := out.Deployment.QueryClient(master.Station())
-		pred, err = qc.Forecast("cpu."+out.Resolve["canaria.ens-lyon.fr"], 0)
-	})
-	if e := sim.RunUntil(base + 6*time.Minute); e != nil {
-		t.Fatal(e)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Value <= 0 || pred.Value > 1 {
-		t.Fatalf("cpu availability forecast %v out of (0,1]", pred.Value)
 	}
 }
 

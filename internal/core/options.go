@@ -56,7 +56,6 @@ type config struct {
 	gridLabel        string
 	master           string
 	tokenGap         time.Duration
-	hostSensorPeriod time.Duration
 	replication      int
 	gateways         int
 	pairwiseSwitched bool
@@ -91,12 +90,6 @@ func WithAutoAliases() Option {
 // WithTokenGap paces the deployed cliques.
 func WithTokenGap(gap time.Duration) Option {
 	return func(c *config) { c.tokenGap = gap }
-}
-
-// WithHostSensors enables CPU/memory sensors sampling at the given
-// period.
-func WithHostSensors(period time.Duration) Option {
-	return func(c *config) { c.hostSensorPeriod = period }
 }
 
 // WithReplication gives every memory server k replicas placed on
@@ -138,8 +131,9 @@ func WithObserver(fn EventFunc) Option {
 	return func(c *config) { c.observer = fn }
 }
 
-// WithHoldLog records every token hold of every deployed ring clique in
-// l, for a checker that takes them regularly (scenlab's invariants).
+// WithHoldLog records every token hold of every deployed ring clique,
+// and every probe of every pairwise clique, in l, for a checker that
+// takes them regularly (scenlab's invariants).
 func WithHoldLog(l *clique.HoldLog) Option {
 	return func(c *config) { c.holds = l }
 }

@@ -101,7 +101,7 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 			StrictPaper:   run.StrictPaper,
 			Bidirectional: run.Bidirectional,
 		}
-		res, err := env.NewMapperOn(sub, cfg).RunContext(ctx)
+		res, err := env.NewMapperOn(sub, cfg).Run(ctx)
 		rs.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: mapping from %s: %w", run.Master, err)
@@ -217,9 +217,8 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	p.emit(PhaseApply, "agents_starting",
 		[]Field{F("agents", len(pr.Plan.Hosts)), F("platform", p.plat.Name())},
 		"starting %d agents on %s", len(pr.Plan.Hosts), p.plat.Name())
-	dep, err := deploy.ApplyContext(ctx, p.plat.Transport(), p.plat.Prober(), pr.Plan, pr.Mapping.Resolve, deploy.ApplyOptions{
+	dep, err := deploy.Apply(ctx, p.plat.Transport(), p.plat.Prober(), pr.Plan, pr.Mapping.Resolve, deploy.ApplyOptions{
 		TokenGap:         p.cfg.tokenGap,
-		HostSensorPeriod: p.cfg.hostSensorPeriod,
 		PairwiseSwitched: p.cfg.pairwiseSwitched,
 		Telemetry:        p.cfg.tele,
 		Holds:            p.cfg.holds,

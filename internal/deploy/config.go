@@ -28,8 +28,21 @@ func DecodeConfig(data []byte) (*Plan, error) {
 	if p.MemoryOf == nil {
 		p.MemoryOf = map[string]string{}
 	}
-	if len(p.Gateways) == 0 && doc.LegacyGateway != "" {
-		p.Gateways = []string{doc.LegacyGateway}
+	// A key written only when non-empty decodes to nil when empty, so a
+	// plan re-encodes to the plan it was decoded from.
+	if len(p.Gateways) == 0 {
+		p.Gateways = nil
+		if doc.LegacyGateway != "" {
+			p.Gateways = []string{doc.LegacyGateway}
+		}
+	}
+	if len(p.Replicas) == 0 {
+		p.Replicas = nil
+	}
+	for i := range p.Cliques {
+		if len(p.Cliques[i].Represents) == 0 {
+			p.Cliques[i].Represents = nil
+		}
 	}
 	return p, nil
 }

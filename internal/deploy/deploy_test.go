@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,11 @@ import (
 	"nwsenv/internal/vclock"
 )
 
+// mapSim maps over a simulated network, from a simulation process.
+func mapSim(net *simnet.Network, cfg env.Config) (*env.Result, error) {
+	return env.NewMapperOn(env.SimSubstrate{Net: net}, cfg).Run(context.Background())
+}
+
 // mapEnsLyon runs both ENV sides and merges, returning everything the
 // planner needs.
 func mapEnsLyon(t *testing.T) (*topo.EnsLyon, *simnet.Network, *env.Merged, map[string]string) {
@@ -24,8 +30,8 @@ func mapEnsLyon(t *testing.T) (*topo.EnsLyon, *simnet.Network, *env.Merged, map[
 	var outside, inside *env.Result
 	var err1, err2 error
 	sim.Go("map", func() {
-		outside, err1 = env.NewMapper(net, env.Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames}).Run()
-		inside, err2 = env.NewMapper(net, env.Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames}).Run()
+		outside, err1 = mapSim(net, env.Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames})
+		inside, err2 = mapSim(net, env.Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames})
 	})
 	if er := sim.RunUntil(24 * time.Hour); er != nil {
 		t.Fatal(er)
@@ -276,7 +282,7 @@ func TestEstimatorIncomplete(t *testing.T) {
 func applyTorn(t *testing.T, tr *proto.SimTransport, prober sensor.Prober, p *Plan, resolve map[string]string, opts ApplyOptions) *Deployment {
 	t.Helper()
 	stop := prototest.Teardown(t, tr.Runtime())
-	dep, err := Apply(tr, prober, p, resolve, opts)
+	dep, err := Apply(context.Background(), tr, prober, p, resolve, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +340,10 @@ func TestDeploymentCollisionRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, probes := net.ProbeTraffic()
-	collisions := net.CollisionCount()
+	collisions := 0
+	for _, c := range net.Collisions() {
+		collisions += c.Count
+	}
 	if probes == 0 {
 		t.Fatal("no probes ran")
 	}

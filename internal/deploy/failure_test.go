@@ -1,12 +1,14 @@
 package deploy
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
 )
@@ -163,6 +165,32 @@ func simnetLoad(net interface {
 	})
 }
 
+// forecastData is a PairData backed by the deployment's forecasters
+// instead of raw last samples: composed queries then answer "what will
+// the path look like next". Both predictions of a pair travel in one
+// batched round-trip; a degraded prediction (computed from a
+// replica-served history) is usable, as in PairDataVia.
+func forecastData(d *Deployment, port proto.Port) PairData {
+	qc := d.QueryClient(port)
+	return func(from, to string) (float64, float64, bool) {
+		src, ok1 := d.Resolve[from]
+		dst, ok2 := d.Resolve[to]
+		if !ok1 || !ok2 {
+			return 0, 0, false
+		}
+		res := qc.ForecastMany([]proto.SeriesRequest{
+			{Series: sensor.LatencySeries(src, dst)},
+			{Series: sensor.BandwidthSeries(src, dst)},
+		})
+		for _, r := range res {
+			if r.Err != nil && !errors.Is(r.Err, query.ErrDegraded) {
+				return 0, 0, false
+			}
+		}
+		return res[0].Prediction.Value, res[1].Prediction.Value, true
+	}
+}
+
 // TestForecastEstimatorComposesPredictions: composed queries can be
 // answered from forecasts instead of raw last samples — §2.1's
 // statistical predictions feeding §2.3's aggregation.
@@ -179,7 +207,7 @@ func TestForecastEstimatorComposesPredictions(t *testing.T) {
 	var eerr error
 	sim.Go("query", func() {
 		master := dep.Agents[p.Master]
-		fe := dep.ForecastEstimator(master.Station())
+		fe := NewEstimator(dep.Plan, forecastData(dep, master.Station()))
 		est, eerr = fe.Estimate("moby.cri2000.ens-lyon.fr", "sci3.popc.private")
 	})
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {

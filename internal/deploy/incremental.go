@@ -64,7 +64,7 @@ func (r *DeltaReport) String() string {
 // is pruned to the agents actually still running, so a reconcile loop
 // diffing against Plan re-detects the gap on its next round instead of
 // mistaking the hole for convergence. ctx aborts between agent
-// constructions like ApplyContext.
+// constructions like Apply.
 func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve map[string]string) (*DeltaReport, error) {
 	if d.tr == nil {
 		return nil, fmt.Errorf("deploy: deployment was not built by Apply, cannot transition")
@@ -226,8 +226,8 @@ func pruneHosts(plan *Plan, groups ...[]string) *Plan {
 // clique ordering, so it must not force rebuilds on its own.
 func roleSignature(r host.Roles) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ns=%t mem=%t fc=%t gw=%t nshost=%s memhost=%s hsp=%s repl=%s|",
-		r.NameServer, r.Memory, r.Forecaster, r.Gateway, r.NSHost, r.MemoryHost, r.HostSensorPeriod,
+	fmt.Fprintf(&b, "ns=%t mem=%t fc=%t gw=%t nshost=%s memhost=%s repl=%s|",
+		r.NameServer, r.Memory, r.Forecaster, r.Gateway, r.NSHost, r.MemoryHost,
 		strings.Join(r.MemoryReplicas, ","))
 	cl := append([]string(nil), cliqueKeys(r)...)
 	sort.Strings(cl)

@@ -23,8 +23,6 @@ const staggerStep = 500 * time.Millisecond
 type ApplyOptions struct {
 	// TokenGap paces every clique (default 1s).
 	TokenGap time.Duration
-	// HostSensorPeriod enables host sensors when > 0.
-	HostSensorPeriod time.Duration
 	// PairwiseSwitched replaces the token ring of switched-network
 	// cliques with the round-robin pairwise scheduler: the relaxation
 	// the paper's conclusion asks for ("a possibility to lock hosts
@@ -38,7 +36,8 @@ type ApplyOptions struct {
 	// query clients built via QueryClient. Nil deploys uninstrumented.
 	Telemetry *telemetry.Registry
 	// Holds, when set, receives every token hold of every ring clique
-	// member (clique.HoldLog), for a checker of the one-token invariant.
+	// member and every probe of every pairwise clique (clique.HoldLog),
+	// for a checker of the one-token invariant.
 	Holds *clique.HoldLog
 }
 
@@ -64,15 +63,11 @@ type Deployment struct {
 // is then as easy as dispatching the configuration file to the hosts and
 // running the manager on each machine").
 //
-// resolve maps canonical machine names to transport host IDs.
-func Apply(tr proto.Transport, prober sensor.Prober, plan *Plan, resolve map[string]string, opts ApplyOptions) (*Deployment, error) {
-	return ApplyContext(context.Background(), tr, prober, plan, resolve, opts)
-}
-
-// ApplyContext is Apply with cancellation: ctx is checked while agents
-// are constructed and before they start, so an aborted deployment leaves
-// no agent running (already-built agents are torn down).
-func ApplyContext(ctx context.Context, tr proto.Transport, prober sensor.Prober, plan *Plan, resolve map[string]string, opts ApplyOptions) (*Deployment, error) {
+// resolve maps canonical machine names to transport host IDs. ctx is
+// checked while agents are constructed and before they start, so an
+// aborted deployment leaves no agent running (already-built agents are
+// torn down).
+func Apply(ctx context.Context, tr proto.Transport, prober sensor.Prober, plan *Plan, resolve map[string]string, opts ApplyOptions) (*Deployment, error) {
 	dep := &Deployment{
 		Plan:    plan,
 		Resolve: resolve,
@@ -194,12 +189,11 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 			return nil, err
 		}
 		roles := host.Roles{
-			NSHost:           nsNode,
-			MemoryHost:       memNode,
-			Cliques:          cliqueCfgs[node],
-			Pairwise:         pairwiseCfgs[node],
-			HostSensorPeriod: opts.HostSensorPeriod,
-			Telemetry:        opts.Telemetry,
+			NSHost:     nsNode,
+			MemoryHost: memNode,
+			Cliques:    cliqueCfgs[node],
+			Pairwise:   pairwiseCfgs[node],
+			Telemetry:  opts.Telemetry,
 		}
 		if name == plan.NameServer {
 			roles.NameServer = true
@@ -333,41 +327,4 @@ func (d *Deployment) LiveData(port proto.Port) PairData {
 // Estimator builds a live estimator over the running deployment.
 func (d *Deployment) Estimator(port proto.Port) *Estimator {
 	return NewEstimator(d.Plan, d.LiveData(port))
-}
-
-// ForecastData returns a PairData backed by the deployment's
-// forecasters instead of raw last samples: composed queries then answer
-// "what will the path look like next" — §2.1's statistical forecasts
-// feeding §2.3's aggregation. Both predictions of a pair travel in one
-// batched round-trip, and repeated queries hit the client's forecast
-// cache. Falls back to nothing (ok=false) for series the forecaster
-// cannot predict yet.
-func (d *Deployment) ForecastData(port proto.Port) PairData {
-	qc := d.QueryClient(port)
-	return func(from, to string) (float64, float64, bool) {
-		src, ok1 := d.Resolve[from]
-		dst, ok2 := d.Resolve[to]
-		if !ok1 || !ok2 {
-			return 0, 0, false
-		}
-		res := qc.ForecastMany([]proto.SeriesRequest{
-			{Series: sensor.LatencySeries(src, dst)},
-			{Series: sensor.BandwidthSeries(src, dst)},
-		})
-		// A degraded prediction (computed from a replica-served history)
-		// is usable, mirroring PairDataVia's stale-beats-nothing stance.
-		usable := func(r query.ForecastResult) bool {
-			return r.Err == nil || errors.Is(r.Err, query.ErrDegraded)
-		}
-		if !usable(res[0]) || !usable(res[1]) {
-			return 0, 0, false
-		}
-		return res[0].Prediction.Value, res[1].Prediction.Value, true
-	}
-}
-
-// ForecastEstimator composes forecasted segment values into end-to-end
-// predictions.
-func (d *Deployment) ForecastEstimator(port proto.Port) *Estimator {
-	return NewEstimator(d.Plan, d.ForecastData(port))
 }

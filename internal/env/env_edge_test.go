@@ -87,10 +87,10 @@ func TestMappingFailsCleanlyOnFirewalledHost(t *testing.T) {
 	var err error
 	sim.Go("map", func() {
 		// the-doors cannot probe sci1 through the firewall.
-		_, err = NewMapper(net, Config{
+		_, err = mapSim(net, Config{
 			Master: "the-doors",
 			Hosts:  []string{"the-doors", "canaria", "sci1"},
-		}).Run()
+		})
 	})
 	if er := sim.RunUntil(time.Hour); er != nil {
 		t.Fatal(er)
@@ -306,7 +306,7 @@ func BenchmarkEnsLyonInsideMapping(b *testing.B) {
 		net := simnet.NewNetwork(sim, e.Topo)
 		var err error
 		sim.Go("map", func() {
-			_, err = NewMapper(net, Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames}).Run()
+			_, err = mapSim(net, Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames})
 		})
 		if er := sim.RunUntil(24 * time.Hour); er != nil {
 			b.Fatal(er)

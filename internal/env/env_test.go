@@ -1,6 +1,7 @@
 package env
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,14 +12,18 @@ import (
 	"nwsenv/internal/vclock"
 )
 
+// mapSim maps over a simulated network, from a simulation process.
+func mapSim(net *simnet.Network, cfg Config) (*Result, error) {
+	return NewMapperOn(SimSubstrate{Net: net}, cfg).Run(context.Background())
+}
+
 // runMapper executes one ENV run inside a fresh simulation.
 func runMapper(t *testing.T, network *simnet.Network, cfg Config) *Result {
 	t.Helper()
 	var res *Result
 	var err error
 	network.Sim().Go("env", func() {
-		m := NewMapper(network, cfg)
-		res, err = m.Run()
+		res, err = mapSim(network, cfg)
 	})
 	if e := network.Sim().RunUntil(24 * time.Hour); e != nil {
 		t.Fatal(e)
@@ -189,13 +194,13 @@ func TestMergeReproducesFigure1b(t *testing.T) {
 	var outside, inside *Result
 	var err1, err2 error
 	sim.Go("outside", func() {
-		outside, err1 = NewMapper(net, Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames}).Run()
+		outside, err1 = mapSim(net, Config{Master: e.OutsideMaster, Hosts: e.OutsideHosts, Names: e.OutsideNames})
 	})
 	if e := sim.RunUntil(24 * time.Hour); e != nil {
 		t.Fatal(e)
 	}
 	sim.Go("inside", func() {
-		inside, err2 = NewMapper(net, Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames}).Run()
+		inside, err2 = mapSim(net, Config{Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames})
 	})
 	if e := sim.RunUntil(48 * time.Hour); e != nil {
 		t.Fatal(e)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nwsenv/internal/gridml"
-	"nwsenv/internal/simnet"
 )
 
 // Mapper executes ENV runs on a mapping substrate.
@@ -18,24 +17,16 @@ type Mapper struct {
 	stats Stats
 }
 
-// NewMapper prepares a run over a simulated network; Run must be called
-// from a simulation process. It is shorthand for NewMapperOn with a
-// SimSubstrate.
-func NewMapper(net *simnet.Network, cfg Config) *Mapper {
-	return NewMapperOn(SimSubstrate{Net: net}, cfg)
-}
-
-// NewMapperOn prepares a run over an arbitrary substrate.
+// NewMapperOn prepares a run over a substrate; over a SimSubstrate, Run
+// must be called from a simulation process.
 func NewMapperOn(sub Substrate, cfg Config) *Mapper {
 	return &Mapper{sub: sub, cfg: cfg.withDefaults(sub)}
 }
 
 // Run performs the full ENV pipeline and returns the mapping result.
-func (m *Mapper) Run() (*Result, error) { return m.RunContext(context.Background()) }
-
-// RunContext is Run with cancellation: ctx is checked between probes, so
-// an aborted mapping campaign stops within one experiment.
-func (m *Mapper) RunContext(ctx context.Context) (*Result, error) {
+// ctx is checked between probes, so an aborted mapping campaign stops
+// within one experiment.
+func (m *Mapper) Run(ctx context.Context) (*Result, error) {
 	m.ctx = ctx
 	m.stats.Started = m.sub.Now()
 

@@ -231,6 +231,9 @@ func Decode(data []byte) (*Document, error) {
 	if err := xml.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("gridml: %w", err)
 	}
+	// Encode writes the root without a namespace, so Decode drops the
+	// one it read: a document re-encodes to the one it was decoded from.
+	d.XMLName = xml.Name{}
 	return &d, nil
 }
 

@@ -30,7 +30,8 @@ const (
 	// a lost token, one to elect its successor.
 	InvBoundedCliques = "bounded_cliques"
 	// InvOneToken: the holds of one clique's token in one epoch never
-	// overlap in time.
+	// overlap in time; in a pairwise clique, two probes of one round
+	// overlap only when their pairs share no host.
 	InvOneToken = "one_token_per_clique_epoch"
 )
 
@@ -133,8 +134,9 @@ func cliqueSizes(plan *deploy.Plan) string {
 
 // tokens adds holds to the ledger and walks every clique they touched,
 // all its holds in start order: overlap reports the first hold that
-// began before an earlier hold of the same epoch had ended, idle the
-// first gap between holds of one incarnation longer than two watchdogs.
+// began before an earlier hold of the same epoch had ended (for a
+// pairwise hold, one sharing a host with it), idle the first gap between
+// holds of one incarnation longer than two watchdogs.
 func (v *Invariants) tokens(plan *deploy.Plan, holds []clique.Hold) (idle, overlap string) {
 	watchdog := map[string]time.Duration{}
 	for _, c := range plan.Cliques {
@@ -150,16 +152,21 @@ func (v *Invariants) tokens(plan *deploy.Plan, holds []clique.Hold) (idle, overl
 		sort.Slice(hs, func(i, j int) bool {
 			return hs[i].From < hs[j].From || hs[i].From == hs[j].From && hs[i].Host < hs[j].Host
 		})
-		open := map[int64]clique.Hold{} // epoch -> its hold ending latest so far
-		var last clique.Hold            // the hold ending latest so far
+		open := map[int64][]clique.Hold{} // epoch -> its holds not yet ended
+		var last clique.Hold              // the hold ending latest so far
 		for i, h := range hs {
-			if o, ok := open[h.Epoch]; ok && h.From < o.To && overlap == "" {
-				overlap = fmt.Sprintf("clique %s epoch %d: %s took seq %d at %v while %s held seq %d over [%v, %v)",
-					c, h.Epoch, h.Host, h.Seq, h.From, o.Host, o.Seq, o.From, o.To)
+			live := open[h.Epoch][:0]
+			for _, o := range open[h.Epoch] {
+				if h.From >= o.To {
+					continue
+				}
+				live = append(live, o)
+				if overlap == "" && (h.Partner == "" || sharesHost(h, o)) {
+					overlap = fmt.Sprintf("clique %s epoch %d: %s took seq %d at %v while %s held seq %d over [%v, %v)",
+						c, h.Epoch, holder(h), h.Seq, h.From, holder(o), o.Seq, o.From, o.To)
+				}
 			}
-			if o, ok := open[h.Epoch]; !ok || h.To > o.To {
-				open[h.Epoch] = h
-			}
+			open[h.Epoch] = append(live, h)
 			bound := 2 * watchdog[c]
 			if i > 0 && idle == "" && bound > 0 && h.From-last.To > bound &&
 				deploy.Incarnation(h.Epoch) == deploy.Incarnation(last.Epoch) {
@@ -172,4 +179,18 @@ func (v *Invariants) tokens(plan *deploy.Plan, holds []clique.Hold) (idle, overl
 		}
 	}
 	return idle, overlap
+}
+
+// holder names a hold's host, and a pairwise hold's partner after it.
+func holder(h clique.Hold) string {
+	if h.Partner == "" {
+		return h.Host
+	}
+	return h.Host + "->" + h.Partner
+}
+
+// sharesHost reports whether two pairwise holds probe from or to a
+// common host.
+func sharesHost(a, b clique.Hold) bool {
+	return a.Host == b.Host || a.Host == b.Partner || a.Partner == b.Host || a.Partner == b.Partner
 }

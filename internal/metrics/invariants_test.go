@@ -52,6 +52,37 @@ func TestInvariantsHoldOnOneRing(t *testing.T) {
 	}
 }
 
+// TestInvariantsPairwiseRounds: the probes of one pairwise round run
+// concurrently on disjoint pairs without breaking one token per epoch
+// (the predicate is per epoch, so two rounds may overlap too); a probe
+// injected within a round on a host another probe of that round is
+// using is flagged.
+func TestInvariantsPairwiseRounds(t *testing.T) {
+	hosts := []string{"a", "b", "c", "d"}
+	plan := &deploy.Plan{Hosts: hosts, Cliques: []deploy.CliqueSpec{{Name: "pw", Members: hosts, Period: time.Second}}}
+	probe := func(round int64, from, to string, at time.Duration) clique.Hold {
+		return clique.Hold{Clique: "pw", Host: from, Partner: to, Epoch: round, From: at, To: at + 800*time.Millisecond}
+	}
+	rounds := []clique.Hold{
+		probe(0, "a", "d", 0), probe(0, "b", "c", 0),
+		probe(1, "a", "c", time.Second), probe(1, "d", "b", time.Second+100*time.Millisecond),
+		probe(2, "a", "b", 1500*time.Millisecond), probe(2, "c", "d", 2*time.Second),
+	}
+	inv := NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, rounds)
+	for _, name := range InvariantNames {
+		if inv.Violations[name] != 0 {
+			t.Errorf("%s: %d violations, first %s", name, inv.Violations[name], inv.First[name])
+		}
+	}
+	inv = NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, append(rounds, probe(1, "c", "d", 1500*time.Millisecond)))
+	want := "clique pw epoch 1: c->d took seq 0 at 1.5s while a->c held seq 0 over [1s, 1.8s)"
+	if inv.Violations[InvOneToken] != 1 || !strings.Contains(inv.First[InvOneToken], want) {
+		t.Errorf("shared host in one round: %d violations, first %q, want %q", inv.Violations[InvOneToken], inv.First[InvOneToken], want)
+	}
+}
+
 // TestInvariantsCatchSharedLinkAndDuplicateToken: two cliques with no
 // common member whose paths cross the one inter-switch link, and a
 // token forged into one of them, break collision freedom and one token

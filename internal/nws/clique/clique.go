@@ -32,7 +32,7 @@
 // pairwise scheduler of the paper's conclusion ("a possibility to lock
 // hosts (and not networks) is still needed"): on a switched network,
 // disjoint host pairs measure concurrently, in the rounds of a
-// round-robin tournament.
+// round-robin tournament, and each probe is a hold of its round.
 package clique
 
 import (
@@ -123,9 +123,12 @@ type Stats struct {
 // Hold is one token holding as its member saw it: the token's epoch and
 // sequence, from the moment the member took it to the moment it sent it
 // on (or stopped). Within one epoch of a clique, holds never overlap
-// while the ring keeps its one token.
+// while the ring keeps its one token. In a pairwise clique a hold is one
+// probe from Host to Partner, its epoch the scheduler's round: holds of
+// one round overlap only when their pairs share no host.
 type Hold struct {
 	Clique, Host string
+	Partner      string // the probed host of a pairwise hold; empty in a ring
 	Epoch, Seq   int64
 	From, To     time.Duration
 }

@@ -349,7 +349,7 @@ func TestPairwiseSchedulerMeasuresAllPairs(t *testing.T) {
 	for _, h := range hosts {
 		ep, _ := tr.Open(h)
 		st := proto.NewStation(tr.Runtime(), ep)
-		ag := &ProbeAgent{Port: roundTap{st, &rounds}, Prober: prober, Store: store, Scheduler: "sched", Clique: "pw"}
+		ag := &ProbeAgent{Port: roundTap{st, &rounds}, Prober: prober, Store: store, Scheduler: "sched", Cfg: Config{Name: "pw"}}
 		sim.Go("agent:"+h, ag.Run)
 	}
 	epS, _ := tr.Open("sched")
@@ -401,7 +401,7 @@ func TestPairwiseNoCollisionsOnSwitch(t *testing.T) {
 	for _, h := range hosts[1:] {
 		ep, _ := tr.Open(h)
 		st := proto.NewStation(tr.Runtime(), ep)
-		sim.Go("agent:"+h, (&ProbeAgent{Port: roundTap{st, &rounds}, Prober: prober, Scheduler: hosts[0], Clique: "pw"}).Run)
+		sim.Go("agent:"+h, (&ProbeAgent{Port: roundTap{st, &rounds}, Prober: prober, Scheduler: hosts[0], Cfg: Config{Name: "pw"}}).Run)
 	}
 	// Scheduler runs on hosts[0] and is also an agent? Keep it pure
 	// scheduler here; membership excludes it.

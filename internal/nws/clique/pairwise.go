@@ -95,13 +95,13 @@ func (s *PairwiseScheduler) Run() {
 }
 
 // ProbeAgent executes probe commands on a member host for the pairwise
-// scheduler.
+// scheduler, logging each probe as a hold in Cfg.Holds.
 type ProbeAgent struct {
+	Cfg       Config // the clique: its name and hold log
 	Port      proto.Port
 	Prober    sensor.Prober
 	Store     StoreFn
 	Scheduler string // scheduler host to report completions to
-	Clique    string
 }
 
 // Run serves probe commands until the port closes.
@@ -115,11 +115,15 @@ func (a *ProbeAgent) Run() {
 		if !ok {
 			return
 		}
-		if msg.Type != proto.MsgProbeCmd || msg.Clique != a.Clique {
+		if msg.Type != proto.MsgProbeCmd || msg.Clique != a.Cfg.Name {
 			continue
 		}
-		ms, err := sensor.LinkExperiments(a.Prober, a.Port.Runtime().Now, a.Port.Host(), msg.Name, "pairwise:"+a.Clique)
-		reply := proto.Message{Type: proto.MsgProbeDone, Clique: a.Clique, Name: msg.Name, Epoch: msg.Epoch}
+		now := a.Port.Runtime().Now
+		h := Hold{Clique: a.Cfg.Name, Host: a.Port.Host(), Partner: msg.Name, Epoch: msg.Epoch, From: now()}
+		ms, err := sensor.LinkExperiments(a.Prober, now, h.Host, msg.Name, "pairwise:"+a.Cfg.Name)
+		h.To = now()
+		a.Cfg.Holds.add(h)
+		reply := proto.Message{Type: proto.MsgProbeDone, Clique: a.Cfg.Name, Name: msg.Name, Epoch: msg.Epoch}
 		if err != nil {
 			reply.Error = err.Error()
 		} else {

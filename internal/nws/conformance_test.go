@@ -1,24 +1,21 @@
-// Package discoverytest is the cross-role discovery conformance suite:
-// one table of directory-churn scenarios (stale registration, owner
-// re-homed, name server down, late-appearing series, lease expiry
+package nws_test
+
+// The cross-role discovery conformance suite: one table of
+// directory-churn scenarios (stale registration, owner re-homed, name
+// server down, late-appearing series, replica failover, lease expiry
 // mid-query) run identically against every role that resolves series
 // through the deployment's directory — direct memory fetch
 // (query.Client), the forecaster's history resolution (its embedded
 // query.Client), and end-user access through gateway discovery.
 //
-// The suite exists to pin the consolidation of the resolution plane: a
-// scenario passes for a role exactly when the role exhibits
-// query.Client semantics — structured ErrSeriesUnknown/ErrBackendDown
-// failures (never hangs, never stringly errors), eviction of bindings
-// onto failed backends so recovery needs no TTL wait, a short negative
+// The suite pins the consolidation of the resolution plane: a scenario
+// passes for a role exactly when the role exhibits query.Client
+// semantics — structured ErrSeriesUnknown/ErrBackendDown failures
+// (never hangs, never stringly errors), eviction of bindings onto
+// failed backends so recovery needs no TTL wait, a short negative
 // window for lookup misses, and cached bindings that keep answering
 // through a directory lease gap. A role growing its own parallel
 // resolver would drift from the table and fail here first.
-//
-// Like testing/fstest in the standard library, this is a non-test
-// package importing "testing" so role packages (and future roles) can
-// run the same table.
-package discoverytest
 
 import (
 	"errors"
@@ -38,27 +35,27 @@ import (
 
 // Well-known rig hosts.
 const (
-	NSHost      = "ns"   // name server
-	MemHostA    = "m1"   // memory server owning SeriesA
-	MemHostB    = "m2"   // memory server owning SeriesB
-	Forecastern = "fc"   // forecaster
-	GatewayHost = "gw"   // query gateway
-	UserHost    = "user" // the probing client's station
-	// DeadHost is part of the topology but never opens an endpoint:
+	nsHost   = "ns"   // name server
+	memHostA = "m1"   // memory server owning seriesA
+	memHostB = "m2"   // memory server owning seriesB
+	fcHost   = "fc"   // forecaster
+	gwHost   = "gw"   // query gateway
+	userHost = "user" // the probing client's station
+	// deadHost is part of the topology but never opens an endpoint:
 	// stale registrations can point at it and calls there time out, like
 	// packets to a decommissioned machine.
-	DeadHost = "dead"
-	// ReplHost is idle until the replica-failover scenario starts a
+	deadHost = "dead"
+	// replHost is idle until the replica-failover scenario starts a
 	// replicated memory primary on it (the base rig stays
 	// replication-free).
-	ReplHost = "p1"
+	replHost = "p1"
 )
 
-// Seeded series: SeriesA lives on MemHostA, SeriesB on MemHostB, 20
+// Seeded series: seriesA lives on memHostA, seriesB on memHostB, 20
 // samples each.
 const (
-	SeriesA = "alpha"
-	SeriesB = "beta"
+	seriesA = "alpha"
+	seriesB = "beta"
 )
 
 // negativeWindow is the query plane's short negative-cache TTL for
@@ -66,28 +63,28 @@ const (
 // resolution after a miss.
 const negativeWindow = query.NegativeTTL
 
-// QueryFn is one role's way of resolving and reading a series through
-// the deployment. It must be called from a simulation process (the Rig
+// queryFn is one role's way of resolving and reading a series through
+// the deployment. It must be called from a simulation process (the rig
 // step helpers do) and returns nil on success or the role's structured
 // error.
-type QueryFn func(series string) error
+type queryFn func(series string) error
 
-// Rig is a full serving stack on the simulated platform: name server,
+// rig is a full serving stack on the simulated platform: name server,
 // two memory servers, a forecaster, a gateway, and a user station the
 // probes issue their traffic from.
-type Rig struct {
+type rig struct {
 	Sim  *vclock.Sim
 	TR   *proto.SimTransport
 	User *proto.Station
 }
 
-// NewRig builds and seeds the stack. All links share one switch with
+// newRig builds and seeds the stack. All links share one switch with
 // millisecond-scale latencies, so probe round-trips stay well inside
 // the query plane's negative-cache window.
-func NewRig(t *testing.T) *Rig {
+func newRig(t *testing.T) *rig {
 	t.Helper()
 	topo := simnet.NewTopology()
-	hosts := []string{NSHost, MemHostA, MemHostB, Forecastern, GatewayHost, UserHost, DeadHost, ReplHost}
+	hosts := []string{nsHost, memHostA, memHostB, fcHost, gwHost, userHost, deadHost, replHost}
 	for i, h := range hosts {
 		topo.AddHost(h, fmt.Sprintf("10.9.0.%d", i+1), h, "lan")
 	}
@@ -105,26 +102,26 @@ func NewRig(t *testing.T) *Rig {
 		}
 		return proto.NewStation(rt, ep)
 	}
-	stNS := open(NSHost)
+	stNS := open(nsHost)
 	sim.Go("ns", nameserver.New(stNS).Run)
-	for _, m := range []string{MemHostA, MemHostB} {
+	for _, m := range []string{memHostA, memHostB} {
 		st := open(m)
-		sim.Go(m, memory.New(st, nameserver.NewClient(st, NSHost)).Run)
+		sim.Go(m, memory.New(st, nameserver.NewClient(st, nsHost)).Run)
 	}
-	stFC := open(Forecastern)
-	sim.Go("fc", forecast.NewServer(stFC, nameserver.NewClient(stFC, NSHost), 0).Run)
-	stGW := open(GatewayHost)
-	sim.Go("gw", gateway.New(stGW, NSHost).Run)
+	stFC := open(fcHost)
+	sim.Go("fc", forecast.NewServer(stFC, nameserver.NewClient(stFC, nsHost), 0).Run)
+	stGW := open(gwHost)
+	sim.Go("gw", gateway.New(stGW, nsHost).Run)
 
-	r := &Rig{Sim: sim, TR: tr, User: open(UserHost)}
-	r.Store(t, MemHostA, SeriesA, 20)
-	r.Store(t, MemHostB, SeriesB, 20)
+	r := &rig{Sim: sim, TR: tr, User: open(userHost)}
+	r.Store(t, memHostA, seriesA, 20)
+	r.Store(t, memHostB, seriesB, 20)
 	return r
 }
 
 // Run executes fn as a simulation process, stepping the clock per
 // second so TTLs and timeouts age realistically while it runs.
-func (r *Rig) Run(t *testing.T, fn func()) {
+func (r *rig) Run(t *testing.T, fn func()) {
 	t.Helper()
 	done := false
 	r.Sim.Go("step", func() { fn(); done = true })
@@ -141,7 +138,7 @@ func (r *Rig) Run(t *testing.T, fn func()) {
 
 // Advance moves virtual time forward with no foreground work (the
 // background refresh loops and caches age).
-func (r *Rig) Advance(t *testing.T, d time.Duration) {
+func (r *rig) Advance(t *testing.T, d time.Duration) {
 	t.Helper()
 	if err := r.Sim.RunUntil(r.Sim.Now() + d); err != nil {
 		t.Fatal(err)
@@ -150,7 +147,7 @@ func (r *Rig) Advance(t *testing.T, d time.Duration) {
 
 // Store seeds n samples of series onto the memory server on host (which
 // registers ownership in the directory, as in production).
-func (r *Rig) Store(t *testing.T, host, series string, n int) {
+func (r *rig) Store(t *testing.T, host, series string, n int) {
 	t.Helper()
 	r.Run(t, func() {
 		mc := memory.NewClient(r.User, host)
@@ -164,10 +161,10 @@ func (r *Rig) Store(t *testing.T, host, series string, n int) {
 }
 
 // StartMemory launches an extra memory server on host, fanning its
-// accepted stores out to the given replica hosts. Scenarios that need
+// accepted stores out to the given replica hosts. scenarios that need
 // a replicated primary provision it themselves, so the base rig stays
 // replication-free for every other case.
-func (r *Rig) StartMemory(t *testing.T, host string, replicas ...string) {
+func (r *rig) StartMemory(t *testing.T, host string, replicas ...string) {
 	t.Helper()
 	ep, err := r.TR.Open(host)
 	if err != nil {
@@ -178,15 +175,15 @@ func (r *Rig) StartMemory(t *testing.T, host string, replicas ...string) {
 	if len(replicas) > 0 {
 		opts = append(opts, memory.WithReplicas(replicas...))
 	}
-	r.Sim.Go("mem:"+host, memory.New(st, nameserver.NewClient(st, NSHost), opts...).Run)
+	r.Sim.Go("mem:"+host, memory.New(st, nameserver.NewClient(st, nsHost), opts...).Run)
 }
 
 // Register writes a directory entry from the user station — how
 // scenarios plant stale or short-leased registrations.
-func (r *Rig) Register(t *testing.T, reg proto.Registration) {
+func (r *rig) Register(t *testing.T, reg proto.Registration) {
 	t.Helper()
 	r.Run(t, func() {
-		if err := nameserver.NewClient(r.User, NSHost).Register(reg); err != nil {
+		if err := nameserver.NewClient(r.User, nsHost).Register(reg); err != nil {
 			t.Errorf("register %+v: %v", reg, err)
 		}
 	})
@@ -196,7 +193,7 @@ func (r *Rig) Register(t *testing.T, reg proto.Registration) {
 // for success, or a structured query error class matched with
 // errors.Is. Any other shape (hang, unstructured error, unexpected
 // success) fails the conformance run.
-func (r *Rig) Expect(t *testing.T, step string, q QueryFn, series string, want error) {
+func (r *rig) Expect(t *testing.T, step string, q queryFn, series string, want error) {
 	t.Helper()
 	var got error
 	r.Run(t, func() { got = q(series) })
@@ -214,15 +211,15 @@ func (r *Rig) Expect(t *testing.T, step string, q QueryFn, series string, want e
 	}
 }
 
-// Scenario is one churn case every discovery role must survive the same
+// scenario is one churn case every discovery role must survive the same
 // way.
-type Scenario struct {
+type scenario struct {
 	Name string
-	Run  func(t *testing.T, r *Rig, q QueryFn)
+	Run  func(t *testing.T, r *rig, q queryFn)
 }
 
-// Scenarios is the shared conformance table.
-var Scenarios = []Scenario{
+// scenarios is the shared conformance table.
+var scenarios = []scenario{
 	{
 		// The directory answers with a binding onto a host that is not
 		// serving (a decommissioned machine whose entry was never
@@ -230,11 +227,11 @@ var Scenarios = []Scenario{
 		// a hang — evict the binding, and recover as soon as the real
 		// owner re-registers, with no TTL wait.
 		Name: "stale-registration",
-		Run: func(t *testing.T, r *Rig, q QueryFn) {
-			r.Register(t, proto.Registration{Name: SeriesA, Kind: "series", Host: DeadHost, Owner: "memory." + DeadHost})
-			r.Expect(t, "stale binding", q, SeriesA, query.ErrBackendDown)
-			r.Register(t, proto.Registration{Name: SeriesA, Kind: "series", Host: MemHostA, Owner: "memory." + MemHostA})
-			r.Expect(t, "after owner re-registers", q, SeriesA, nil)
+		Run: func(t *testing.T, r *rig, q queryFn) {
+			r.Register(t, proto.Registration{Name: seriesA, Kind: "series", Host: deadHost, Owner: "memory." + deadHost})
+			r.Expect(t, "stale binding", q, seriesA, query.ErrBackendDown)
+			r.Register(t, proto.Registration{Name: seriesA, Kind: "series", Host: memHostA, Owner: "memory." + memHostA})
+			r.Expect(t, "after owner re-registers", q, seriesA, nil)
 		},
 	},
 	{
@@ -242,13 +239,13 @@ var Scenarios = []Scenario{
 		// old owner dies. The warm binding fails once (evicting itself);
 		// the very next query must already reach the new owner.
 		Name: "owner-rehomed",
-		Run: func(t *testing.T, r *Rig, q QueryFn) {
-			r.Expect(t, "warm-up against the old owner", q, SeriesA, nil)
-			r.Store(t, MemHostB, SeriesA, 20) // new owner registers itself
-			r.TR.SetDown(MemHostA, true)
-			r.Expect(t, "stale warm binding onto the dead owner", q, SeriesA, query.ErrBackendDown)
-			r.Expect(t, "first retry reaches the new owner", q, SeriesA, nil)
-			r.TR.SetDown(MemHostA, false)
+		Run: func(t *testing.T, r *rig, q queryFn) {
+			r.Expect(t, "warm-up against the old owner", q, seriesA, nil)
+			r.Store(t, memHostB, seriesA, 20) // new owner registers itself
+			r.TR.SetDown(memHostA, true)
+			r.Expect(t, "stale warm binding onto the dead owner", q, seriesA, query.ErrBackendDown)
+			r.Expect(t, "first retry reaches the new owner", q, seriesA, nil)
+			r.TR.SetDown(memHostA, false)
 		},
 	},
 	{
@@ -257,11 +254,11 @@ var Scenarios = []Scenario{
 		// series, never a hang) and recovers the moment the name server
 		// answers again. Nothing was negative-cached by the outage.
 		Name: "ns-down",
-		Run: func(t *testing.T, r *Rig, q QueryFn) {
-			r.TR.SetDown(NSHost, true)
-			r.Expect(t, "cold resolution with the directory down", q, SeriesA, query.ErrBackendDown)
-			r.TR.SetDown(NSHost, false)
-			r.Expect(t, "directory back", q, SeriesA, nil)
+		Run: func(t *testing.T, r *rig, q queryFn) {
+			r.TR.SetDown(nsHost, true)
+			r.Expect(t, "cold resolution with the directory down", q, seriesA, query.ErrBackendDown)
+			r.TR.SetDown(nsHost, false)
+			r.Expect(t, "directory back", q, seriesA, nil)
 		},
 	},
 	{
@@ -271,10 +268,10 @@ var Scenarios = []Scenario{
 		// once the window lapses. A long negative window would hide a
 		// series exactly when a client is polling for it.
 		Name: "late-appearing-series",
-		Run: func(t *testing.T, r *Rig, q QueryFn) {
+		Run: func(t *testing.T, r *rig, q queryFn) {
 			const series = "gamma"
 			r.Expect(t, "before the series exists", q, series, query.ErrSeriesUnknown)
-			r.Store(t, MemHostA, series, 20)
+			r.Store(t, memHostA, series, 20)
 			r.Expect(t, "inside the negative window", q, series, query.ErrSeriesUnknown)
 			r.Advance(t, negativeWindow+time.Second)
 			r.Expect(t, "after the negative window", q, series, nil)
@@ -287,18 +284,18 @@ var Scenarios = []Scenario{
 		// immediately — no intermediate ErrBackendDown, no TTL wait —
 		// and keeps answering on the rebound binding.
 		Name: "replica-failover",
-		Run: func(t *testing.T, r *Rig, q QueryFn) {
+		Run: func(t *testing.T, r *rig, q queryFn) {
 			const series = "rho"
-			r.StartMemory(t, ReplHost, MemHostB)
-			r.Store(t, ReplHost, series, 20)
+			r.StartMemory(t, replHost, memHostB)
+			r.Store(t, replHost, series, 20)
 			// Let the asynchronous fan-out drain so the replica's window
 			// is caught up and the failover answer is not degraded.
 			r.Advance(t, 30*time.Second)
 			r.Expect(t, "warm against the primary", q, series, nil)
-			r.TR.SetDown(ReplHost, true)
+			r.TR.SetDown(replHost, true)
 			r.Expect(t, "primary dies: replica answers without TTL wait", q, series, nil)
 			r.Expect(t, "rebound binding keeps answering", q, series, nil)
-			r.TR.SetDown(ReplHost, false)
+			r.TR.SetDown(replHost, false)
 		},
 	},
 	{
@@ -308,33 +305,101 @@ var Scenarios = []Scenario{
 		// forces a re-resolution, which sees the expired lease as an
 		// unknown series; a fresh registration then restores service.
 		Name: "lease-expiry-mid-query",
-		Run: func(t *testing.T, r *Rig, q QueryFn) {
+		Run: func(t *testing.T, r *rig, q queryFn) {
 			const series = "leased"
-			r.Store(t, MemHostA, series, 20)
+			r.Store(t, memHostA, series, 20)
 			// Pin the lease short; the owner's next refresh is 10 virtual
 			// minutes out, far beyond this scenario.
-			r.Register(t, proto.Registration{Name: series, Kind: "series", Host: MemHostA, Owner: "memory." + MemHostA, TTL: 30 * time.Second})
+			r.Register(t, proto.Registration{Name: series, Kind: "series", Host: memHostA, Owner: "memory." + memHostA, TTL: 30 * time.Second})
 			r.Expect(t, "resolved while the lease is live", q, series, nil)
 			r.Advance(t, 45*time.Second)
 			r.Expect(t, "lease expired, cached binding still answers", q, series, nil)
 			r.Advance(t, 90*time.Second) // past the discovery TTL
 			r.Expect(t, "cold re-resolution sees the expired lease", q, series, query.ErrSeriesUnknown)
-			r.Register(t, proto.Registration{Name: series, Kind: "series", Host: MemHostA, Owner: "memory." + MemHostA})
+			r.Register(t, proto.Registration{Name: series, Kind: "series", Host: memHostA, Owner: "memory." + memHostA})
 			r.Advance(t, negativeWindow+time.Second)
 			r.Expect(t, "after re-registration", q, series, nil)
 		},
 	},
 }
 
-// RunConformance runs the whole scenario table against one role's
+// runConformance runs the whole scenario table against one role's
 // probe. newProbe is called once per scenario on a fresh rig, so probe
 // state (caches) spans the steps of a scenario but never leaks across
 // scenarios.
-func RunConformance(t *testing.T, newProbe func(r *Rig) QueryFn) {
-	for _, sc := range Scenarios {
+func runConformance(t *testing.T, newProbe func(r *rig) queryFn) {
+	for _, sc := range scenarios {
 		t.Run(sc.Name, func(t *testing.T) {
-			r := NewRig(t)
+			r := newRig(t)
 			sc.Run(t, r, newProbe(r))
 		})
 	}
 }
+
+// memoryProbe resolves series→owner and fetches directly through a
+// query.Client — the baseline the other roles must match.
+func memoryProbe(r *rig) queryFn {
+	qc := query.New(r.User, nsHost)
+	return func(series string) error {
+		res := qc.FetchMany([]proto.SeriesRequest{{Series: series, Count: 1}})
+		if res[0].Err != nil {
+			return res[0].Err
+		}
+		if len(res[0].Samples) == 0 {
+			return fmt.Errorf("series %s: resolved but empty", series)
+		}
+		return nil
+	}
+}
+
+// forecastProbe asks the deployed forecaster for a prediction: the
+// series→owner resolution under test happens inside the forecaster
+// (its embedded query.Client), and its structured per-series errors
+// travel back as typed wire codes.
+func forecastProbe(r *rig) queryFn {
+	fc := forecast.NewClient(r.User, fcHost)
+	// The forecaster's internal fetch may spend a full call timeout on a
+	// dead backend before replying; the probe must outwait it.
+	fc.Timeout = time.Minute
+	return func(series string) error {
+		res, err := fc.BatchForecast([]proto.SeriesRequest{{Series: series}})
+		if err != nil {
+			return err
+		}
+		if got := len(res); got != 1 {
+			return fmt.Errorf("series %s: %d results for 1 query", series, got)
+		}
+		if res[0].Error != "" {
+			return query.CodedError(res[0].Code, res[0].Error)
+		}
+		return nil
+	}
+}
+
+// gatewayProbe is the end-user path: discover the gateway through the
+// directory, then fetch through it. Discovery failures and per-series
+// failures must both carry the structured query errors.
+func gatewayProbe(r *rig) queryFn {
+	return func(series string) error {
+		gc, err := gateway.Connect(r.User, nsHost)
+		if err != nil {
+			return err
+		}
+		gc.Timeout = time.Minute // the gateway fans out with its own timeouts
+		res, err := gc.FetchMany([]proto.SeriesRequest{{Series: series, Count: 1}})
+		if err != nil {
+			return err
+		}
+		if res[0].Err != nil {
+			return res[0].Err
+		}
+		if len(res[0].Samples) == 0 {
+			return fmt.Errorf("series %s: resolved but empty", series)
+		}
+		return nil
+	}
+}
+
+func TestConformanceMemoryFetch(t *testing.T)        { runConformance(t, memoryProbe) }
+func TestConformanceForecastResolution(t *testing.T) { runConformance(t, forecastProbe) }
+func TestConformanceGatewayDiscovery(t *testing.T)   { runConformance(t, gatewayProbe) }

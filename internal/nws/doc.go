@@ -6,10 +6,9 @@
 // forecasting core as a dependency-free leaf package (predict), the
 // forecaster role serving predictions through the unified query plane
 // (forecast), the token-ring measurement cliques (clique), the per-host
-// agent (host), the deployable query gateway fronting the query plane
-// for end users (gateway), and the cross-role discovery conformance
-// suite pinning that memory fetch, forecaster resolution and gateway
-// discovery all share query.Client semantics (discoverytest). The
-// integration test in this directory runs the full stack over real
-// loopback TCP sockets.
+// agent (host), and the deployable query gateway fronting the query
+// plane for end users (gateway). The tests in this directory run the
+// full stack over real loopback TCP sockets and hold the cross-role
+// discovery conformance suite, which pins that memory fetch, forecaster
+// resolution and gateway discovery all share query.Client semantics.
 package nws

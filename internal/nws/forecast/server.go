@@ -2,11 +2,9 @@ package forecast
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"nwsenv/internal/nws/nameserver"
-	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/query"
 	"nwsenv/internal/telemetry"
@@ -201,27 +199,6 @@ type Client struct {
 // NewClient returns a client for the forecaster on host.
 func NewClient(st proto.Port, host string) *Client {
 	return &Client{St: st, Host: host, Timeout: 10 * time.Second}
-}
-
-// Forecast asks for the next value of series, optionally bounding the
-// history length used. Over the wire Prediction.N is that history length
-// (the reply's Count), not the best member's scored-sample count that an
-// in-process predict.Run reports.
-func (c *Client) Forecast(series string, history int) (predict.Prediction, error) {
-	res, err := c.BatchForecast([]proto.SeriesRequest{{Series: series, Count: history}})
-	if err != nil {
-		return predict.Prediction{}, err
-	}
-	if len(res) != 1 {
-		return predict.Prediction{}, fmt.Errorf("forecaster: %d results for a batch of one", len(res))
-	}
-	f := res[0]
-	// A degraded result still carries its prediction (made from a lagging
-	// replica's history); any other per-series failure fails the call.
-	if f.Error != "" && f.Code != proto.CodeDegraded {
-		return predict.Prediction{}, fmt.Errorf("forecaster: %s", f.Error)
-	}
-	return predict.Prediction{Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count}, nil
 }
 
 // BatchForecast asks for many series in one round-trip. Results keep

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"nwsenv/internal/nws/memory"
-	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/vclock"
 )
@@ -20,15 +19,14 @@ func rig(t *testing.T) (*vclock.Sim, *proto.Station) {
 
 func TestServerForecastsStoredSeries(t *testing.T) {
 	sim, cli := rig(t)
-	var pred predict.Prediction
+	var res []proto.ForecastResult
 	var err error
 	sim.Go("test", func() {
 		mc := memory.NewClient(cli, "mem")
 		for i := 0; i < 30; i++ {
 			mc.Store("bw.x.y", proto.Sample{At: time.Duration(i) * time.Second, Value: 42})
 		}
-		fc := NewClient(cli, "fc")
-		pred, err = fc.Forecast("bw.x.y", 0)
+		res, err = NewClient(cli, "fc").BatchForecast([]proto.SeriesRequest{{Series: "bw.x.y"}})
 	})
 	if e := sim.RunUntil(time.Hour); e != nil {
 		t.Fatal(e)
@@ -36,28 +34,32 @@ func TestServerForecastsStoredSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Value != 42 || pred.N != 30 {
-		t.Fatalf("prediction %+v", pred)
+	if len(res) != 1 || res[0].Error != "" || res[0].Value != 42 || res[0].Count != 30 {
+		t.Fatalf("forecast %+v", res)
 	}
 }
 
 func TestServerUnknownSeries(t *testing.T) {
 	sim, cli := rig(t)
+	var res []proto.ForecastResult
 	var err error
 	sim.Go("test", func() {
-		_, err = NewClient(cli, "fc").Forecast("nothing", 0)
+		res, err = NewClient(cli, "fc").BatchForecast([]proto.SeriesRequest{{Series: "nothing"}})
 	})
 	if e := sim.RunUntil(time.Hour); e != nil {
 		t.Fatal(e)
 	}
-	if err == nil {
-		t.Fatal("expected unknown-series error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Error == "" {
+		t.Fatalf("expected unknown-series error, got %+v", res)
 	}
 }
 
 func TestServerHistoryBound(t *testing.T) {
 	sim, cli := rig(t)
-	var pred predict.Prediction
+	var res []proto.ForecastResult
 	var err error
 	sim.Go("test", func() {
 		mc := memory.NewClient(cli, "mem")
@@ -69,7 +71,7 @@ func TestServerHistoryBound(t *testing.T) {
 		for i := 20; i < 25; i++ {
 			mc.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: 90})
 		}
-		pred, err = NewClient(cli, "fc").Forecast("s", 5)
+		res, err = NewClient(cli, "fc").BatchForecast([]proto.SeriesRequest{{Series: "s", Count: 5}})
 	})
 	if e := sim.RunUntil(time.Hour); e != nil {
 		t.Fatal(e)
@@ -77,8 +79,8 @@ func TestServerHistoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.N != 5 || pred.Value != 90 {
-		t.Fatalf("prediction %+v, want value 90 over 5 samples", pred)
+	if len(res) != 1 || res[0].Count != 5 || res[0].Value != 90 {
+		t.Fatalf("forecast %+v, want value 90 over 5 samples", res)
 	}
 }
 

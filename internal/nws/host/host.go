@@ -60,9 +60,6 @@ type Roles struct {
 	// Pairwise groups this host participates in.
 	Pairwise []PairwiseRole
 
-	// HostSensorPeriod enables periodic CPU/memory sampling when > 0.
-	HostSensorPeriod time.Duration
-
 	// Telemetry, when set, instruments the roles that report to the
 	// process-wide registry (gateway admission, clique ring traffic).
 	// Deliberately excluded from role signatures: wiring a registry
@@ -243,21 +240,14 @@ func (a *Agent) Start() {
 		}
 		if isMember {
 			ag := &clique.ProbeAgent{
+				Cfg:       pw.Cfg,
 				Port:      a.port("pw:" + pw.Cfg.Name),
 				Prober:    a.prober,
 				Store:     store,
 				Scheduler: pw.Scheduler,
-				Clique:    pw.Cfg.Name,
 			}
 			a.rt.Go("pw:"+pw.Cfg.Name+":"+hostName, ag.Run)
 		}
-	}
-	if a.roles.HostSensorPeriod > 0 && a.roles.MemoryHost != "" {
-		hs := &sensor.HostSensor{
-			St: a.st, NS: nsc, MemHost: a.roles.MemoryHost,
-			Period: a.roles.HostSensorPeriod,
-		}
-		a.rt.Go("hostsensor:"+hostName, hs.Run)
 	}
 	a.st.Route(a.route)
 }

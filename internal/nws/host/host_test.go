@@ -10,7 +10,6 @@ import (
 	"nwsenv/internal/nws/forecast"
 	"nwsenv/internal/nws/memory"
 	"nwsenv/internal/nws/nameserver"
-	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/simnet"
@@ -19,7 +18,7 @@ import (
 
 // deploy spins up a 4-host switched LAN where h0 runs the name server,
 // the memory server and the forecaster, and all four hosts form one
-// measurement clique with host sensors.
+// measurement clique.
 func deploy(t *testing.T) (*vclock.Sim, *simnet.Network, []*Agent) {
 	t.Helper()
 	topo := simnet.NewTopology()
@@ -38,10 +37,9 @@ func deploy(t *testing.T) (*vclock.Sim, *simnet.Network, []*Agent) {
 	var agents []*Agent
 	for i, h := range hosts {
 		roles := Roles{
-			NSHost:           "h0",
-			MemoryHost:       "h0",
-			Cliques:          []clique.Config{cc},
-			HostSensorPeriod: 10 * time.Second,
+			NSHost:     "h0",
+			MemoryHost: "h0",
+			Cliques:    []clique.Config{cc},
 		}
 		if i == 0 {
 			roles.NameServer = true
@@ -104,11 +102,11 @@ func TestForecastFourStepFlow(t *testing.T) {
 	if err := sim.RunUntil(3 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	var pred predict.Prediction
+	var res []proto.ForecastResult
 	var err error
 	sim.Go("client", func() {
 		fc := forecast.NewClient(agents[2].Station(), "h0")
-		pred, err = fc.Forecast(sensor.BandwidthSeries("h0", "h1"), 0)
+		res, err = fc.BatchForecast([]proto.SeriesRequest{{Series: sensor.BandwidthSeries("h0", "h1")}})
 	})
 	if e := sim.RunUntil(4 * time.Minute); e != nil {
 		t.Fatal(e)
@@ -116,37 +114,14 @@ func TestForecastFourStepFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Value < 80 || pred.Value > 105 {
+	if len(res) != 1 || res[0].Error != "" {
+		t.Fatalf("forecast %+v", res)
+	}
+	if pred := res[0]; pred.Value < 80 || pred.Value > 105 {
 		t.Fatalf("forecast %.1f Mbps, want ~100", pred.Value)
 	}
-	if pred.Method == "" || pred.N == 0 {
+	if pred := res[0]; pred.Method == "" || pred.Count == 0 {
 		t.Fatalf("prediction metadata missing: %+v", pred)
-	}
-	for _, a := range agents {
-		a.Stop()
-	}
-}
-
-func TestHostSensorSeries(t *testing.T) {
-	sim, _, agents := deploy(t)
-	if err := sim.RunUntil(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	var cpu []proto.Sample
-	sim.Go("query", func() {
-		mc := memory.NewClient(agents[1].Station(), "h0")
-		cpu, _ = mc.Fetch("cpu.h2", 0)
-	})
-	if e := sim.RunUntil(3 * time.Minute); e != nil {
-		t.Fatal(e)
-	}
-	if len(cpu) < 5 {
-		t.Fatalf("cpu series too short: %d", len(cpu))
-	}
-	for _, s := range cpu {
-		if s.Value < 0 || s.Value > 1 {
-			t.Fatalf("cpu availability out of range: %+v", s)
-		}
 	}
 	for _, a := range agents {
 		a.Stop()
@@ -190,7 +165,7 @@ func TestUndeployedRoleRejected(t *testing.T) {
 	sim.Go("client", func() {
 		// h1 runs no forecaster.
 		fc := forecast.NewClient(agents[0].Station(), "h1")
-		_, err = fc.Forecast("bandwidth.h0.h1", 0)
+		_, err = fc.BatchForecast([]proto.SeriesRequest{{Series: "bandwidth.h0.h1"}})
 	})
 	if e := sim.RunUntil(time.Minute); e != nil {
 		t.Fatal(e)

@@ -1,6 +1,6 @@
 // Package prototest provides test doubles for the proto interfaces and
 // the teardown check of tests that build on a proto.Runtime. Like
-// discoverytest, it is a non-test package so every role package can
+// testing/fstest, it is a non-test package so every role package can
 // share the same stubs instead of growing private copies.
 package prototest
 

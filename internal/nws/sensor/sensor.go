@@ -1,17 +1,13 @@
 // Package sensor implements NWS sensors: the processes that conduct the
 // actual measurements (§2.2). Link sensors time a small round trip
 // (latency), a bulk transfer (bandwidth), and a TCP handshake (connect
-// time); host sensors sample local resources (CPU load, free memory)
-// from configurable synthetic traces.
+// time).
 package sensor
 
 import (
 	"fmt"
 	"time"
 
-	"nwsenv/internal/nws/memory"
-	"nwsenv/internal/nws/nameserver"
-	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/simnet"
 )
 
@@ -93,73 +89,4 @@ func LinkExperiments(p Prober, now func() time.Duration, from, to, tag string) (
 	}
 	out = append(out, Measurement{Series: ConnectSeries(from, to), At: now(), Value: float64(ct.Microseconds()) / 1000})
 	return out, nil
-}
-
-// HostTrace produces synthetic local-resource readings for a host at a
-// virtual time; used to emulate CPU availability and free memory.
-type HostTrace func(host string, at time.Duration) map[string]float64
-
-// DefaultHostTrace yields a deterministic diurnal-ish CPU availability
-// pattern plus stable free memory, varying by host name hash so hosts
-// differ.
-func DefaultHostTrace(host string, at time.Duration) map[string]float64 {
-	var h uint32
-	for _, c := range host {
-		h = h*31 + uint32(c)
-	}
-	phase := float64(h%100) / 100
-	tsec := at.Seconds()
-	cpu := 0.55 + 0.35*wave(tsec/600+phase) // availability fraction
-	mem := 256 + 128*wave(tsec/1800+phase*2)
-	return map[string]float64{"cpu": cpu, "freeMemory": mem}
-}
-
-// wave is a cheap smooth periodic function in [-1, 1] mapped to [0,1].
-func wave(x float64) float64 {
-	x = x - float64(int64(x)) // frac
-	if x < 0 {
-		x++
-	}
-	// triangle wave
-	if x < 0.5 {
-		return x * 2
-	}
-	return 2 - x*2
-}
-
-// HostSensor periodically samples host metrics and stores them in a
-// memory server (the steady-state ∆ traffic of §2.1).
-type HostSensor struct {
-	St      proto.Port
-	NS      *nameserver.Client
-	MemHost string
-	Period  time.Duration
-	Trace   HostTrace
-}
-
-// Run registers the sensor and samples until the station closes.
-func (h *HostSensor) Run() {
-	host := h.St.Host()
-	if h.NS != nil {
-		h.NS.Register(proto.Registration{Name: "sensor." + host, Kind: "sensor", Host: host})
-	}
-	trace := h.Trace
-	if trace == nil {
-		trace = DefaultHostTrace
-	}
-	mc := memory.NewClient(h.St, h.MemHost)
-	for h.St.Wait(h.Period) {
-		now := h.St.Runtime().Now()
-		vals := trace(host, now)
-		for _, key := range []string{"cpu", "freeMemory"} {
-			v, ok := vals[key]
-			if !ok {
-				continue
-			}
-			series := key + "." + host
-			if err := mc.Store(series, proto.Sample{At: now, Value: v}); err != nil {
-				return // memory gone: stop quietly like a real sensor would retry/die
-			}
-		}
-	}
 }

@@ -109,12 +109,12 @@ func TestFullNWSOverRealTCP(t *testing.T) {
 	// §2.1 steps 1-4 over real sockets: client -> forecaster -> name
 	// server -> memory -> prediction.
 	fc := forecast.NewClient(client, "fc")
-	pred, err := fc.Forecast(series, 0)
+	res, err := fc.BatchForecast([]proto.SeriesRequest{{Series: series}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Value != 94 {
-		t.Fatalf("forecast %+v", pred)
+	if len(res) != 1 || res[0].Error != "" || res[0].Value != 94 {
+		t.Fatalf("forecast %+v", res)
 	}
 
 	// Registry sanity: the series was advertised.

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"testing"
 
 	"nwsenv/internal/env"
@@ -9,7 +10,7 @@ import (
 // mapStatic runs one ENV mapping over a static substrate.
 func mapStatic(t *testing.T, sub *StaticSubstrate, master string, hosts []string) *env.Result {
 	t.Helper()
-	res, err := env.NewMapperOn(sub, env.Config{Master: master, Hosts: hosts}).Run()
+	res, err := env.NewMapperOn(sub, env.Config{Master: master, Hosts: hosts}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

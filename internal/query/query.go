@@ -739,13 +739,6 @@ func (c *Client) rebind(series []string, to string, replicas []string, dead stri
 	c.mu.Unlock()
 }
 
-// Forecast predicts the next value of one series (history <= 0: the
-// forecaster's default window), through the per-series forecast cache.
-func (c *Client) Forecast(series string, history int) (predict.Prediction, error) {
-	res := c.ForecastMany([]proto.SeriesRequest{{Series: series, Count: history}})
-	return res[0].Prediction, res[0].Err
-}
-
 // ForecastMany predicts every requested series: cache hits answer
 // locally, the misses shard across the registered forecasters (stable
 // by series hash) with one round-trip per forecaster.

@@ -333,8 +333,8 @@ func TestForecastManyAndCache(t *testing.T) {
 	}
 	// Unknown series surfaces the structured error through the batch.
 	r.run(t, func() {
-		if _, err := qc.Forecast("nope", 0); !errors.Is(err, query.ErrSeriesUnknown) {
-			t.Errorf("unknown forecast: %v", err)
+		if res := qc.ForecastMany([]proto.SeriesRequest{{Series: "nope"}}); !errors.Is(res[0].Err, query.ErrSeriesUnknown) {
+			t.Errorf("unknown forecast: %v", res[0].Err)
 		}
 	})
 }

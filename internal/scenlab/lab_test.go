@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,6 @@ import (
 	nwsmetrics "nwsenv/internal/metrics"
 	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/simnet"
-	"nwsenv/internal/telemetry"
 )
 
 // labSpec is a small, fast scenario for harness tests: a 2×2 LAN, short
@@ -146,11 +146,9 @@ func TestTraceDetectsWallClockContamination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall := time.Duration(time.Now().UnixNano())
-	res.Telemetry.RecordSpan(telemetry.Span{
-		Subsystem: "pipeline", Name: "contaminated",
-		Start: wall, End: wall + time.Millisecond,
-	})
+	span := res.Telemetry.StartSpan("pipeline", "contaminated")
+	span.Annotate("wall_ns", strconv.FormatInt(time.Now().UnixNano(), 10))
+	span.End()
 	dirty, err := res.Telemetry.RenderTraceJSONL()
 	if err != nil {
 		t.Fatal(err)

@@ -404,18 +404,6 @@ func (n *Network) Collisions() []CollisionEvent {
 	return out
 }
 
-// CollisionCount returns the total number of collision occurrences
-// (the sum of all aggregate counts).
-func (n *Network) CollisionCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, c := range n.collisions {
-		total += c.Count
-	}
-	return total
-}
-
 // ProbeTraffic reports total probe bytes and probe count per tag prefix.
 func (n *Network) ProbeTraffic() (bytes int64, count int) {
 	n.mu.Lock()

@@ -56,7 +56,13 @@ func runScaleTransfers(b *testing.B, hosts int, reference bool) {
 	if !ok {
 		b.Fatalf("no grid config for %d hosts", hosts)
 	}
-	groups := topo.GridHostGroups(cfg)
+	_, truth := topo.SyntheticGrid(cfg)
+	var groups [][]string // leaf segments s<site>-<switch>, in that order
+	for s := 0; s < cfg.Sites; s++ {
+		for w := 0; w < cfg.SwitchesPerSite; w++ {
+			groups = append(groups, truth[fmt.Sprintf("s%d-%d", s, w)].Hosts)
+		}
+	}
 	expected := len(groups) * (probesPerSwitch + bgPairsPerSwitch)
 	var lastNet transferSim
 	b.ResetTimer()

@@ -329,9 +329,6 @@ func TestFirewallZones(t *testing.T) {
 			t.Errorf("gw->priv should pass: %v", err)
 		}
 	})
-	if !topo.Reachable("gw", "priv") || topo.Reachable("pub", "priv") {
-		t.Fatal("Reachable disagrees with zone policy")
-	}
 }
 
 func TestRouteOverrideAsymmetricPath(t *testing.T) {

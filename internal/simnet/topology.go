@@ -620,17 +620,6 @@ func (t *Topology) AloneBandwidth(src, dst string) (float64, error) {
 	return r.bw, err
 }
 
-// Reachable reports whether src may exchange traffic with dst given
-// firewall zones and routing.
-func (t *Topology) Reachable(src, dst string) bool {
-	a, b := t.nodes[src], t.nodes[dst]
-	if a == nil || b == nil || !a.SharesZone(b) {
-		return false
-	}
-	_, err := t.Path(src, dst)
-	return err == nil
-}
-
 // TracerouteHop is one line of traceroute output.
 type TracerouteHop struct {
 	// Identifier is the router's DNS name if it has one, its IP

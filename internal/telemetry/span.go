@@ -97,27 +97,6 @@ func (a *ActiveSpan) End() {
 	r.spanMu.Unlock()
 }
 
-// RecordSpan appends an externally built span verbatim. Exists for
-// tests (e.g. injecting a wall-clock-contaminated span to prove the
-// determinism check catches it); instrumented code should use
-// StartSpan/End.
-func (r *Registry) RecordSpan(s Span) {
-	if r == nil {
-		return
-	}
-	r.spanMu.Lock()
-	if s.ID == 0 {
-		r.nextSpan++
-		s.ID = r.nextSpan
-	}
-	if len(r.spans) >= r.maxSpans {
-		r.dropped++
-	} else {
-		r.spans = append(r.spans, s)
-	}
-	r.spanMu.Unlock()
-}
-
 // Spans returns a copy of all completed spans sorted by ID (start
 // order), regardless of completion order.
 func (r *Registry) Spans() []Span {

@@ -129,7 +129,7 @@ func SyntheticGrid(cfg GridConfig) (*simnet.Topology, map[string]NetworkTruth) {
 			t.Connect(segID, siteID, simnet.LinkBW(c.UplinkMbps*simnet.Mbps))
 			var hosts []string
 			for k := 0; k < c.HostsPerSwitch; k++ {
-				id := gridHostID(s, w, k)
+				id := fmt.Sprintf("h%d-%d-%d", s, w, k)
 				var opts []simnet.NodeOption
 				if c.VLANsPerSite > 1 {
 					opts = append(opts, simnet.WithVLAN(s*c.VLANsPerSite+k%c.VLANsPerSite+1))
@@ -143,28 +143,4 @@ func SyntheticGrid(cfg GridConfig) (*simnet.Topology, map[string]NetworkTruth) {
 	}
 	t.ExternalTarget = "world"
 	return t, truth
-}
-
-// gridHostID is the single source of the host-id naming scheme shared
-// by SyntheticGrid and GridHostGroups.
-func gridHostID(site, sw, k int) string {
-	return fmt.Sprintf("h%d-%d-%d", site, sw, k)
-}
-
-// GridHostGroups returns the generated hosts grouped by leaf segment, in
-// deterministic (site, switch) order. Benchmarks use the groups to build
-// resource-disjoint flow sets.
-func GridHostGroups(cfg GridConfig) [][]string {
-	c := cfg.withDefaults()
-	var groups [][]string
-	for s := 0; s < c.Sites; s++ {
-		for w := 0; w < c.SwitchesPerSite; w++ {
-			var hosts []string
-			for k := 0; k < c.HostsPerSwitch; k++ {
-				hosts = append(hosts, gridHostID(s, w, k))
-			}
-			groups = append(groups, hosts)
-		}
-	}
-	return groups
 }

@@ -30,7 +30,7 @@ func TestSpecRoundTripEnsLyon(t *testing.T) {
 	if in != 10*simnet.Mbps {
 		t.Fatalf("bottleneck lost: %v", in/simnet.Mbps)
 	}
-	if tp.Reachable("the-doors", "sci1") {
+	if reachable(tp, "the-doors", "sci1") {
 		t.Fatal("firewall lost in round trip")
 	}
 	hops, err := tp.Traceroute("canaria", "world")

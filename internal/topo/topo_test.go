@@ -8,6 +8,17 @@ import (
 	"nwsenv/internal/vclock"
 )
 
+// reachable reports whether src may exchange traffic with dst: both
+// share a firewall zone and a route joins them.
+func reachable(tp *simnet.Topology, src, dst string) bool {
+	a, b := tp.Node(src), tp.Node(dst)
+	if a == nil || b == nil || !a.SharesZone(b) {
+		return false
+	}
+	_, err := tp.Path(src, dst)
+	return err == nil
+}
+
 func TestEnsLyonValidates(t *testing.T) {
 	e := NewEnsLyon()
 	if err := e.Topo.Validate(); err != nil {
@@ -61,16 +72,16 @@ func TestEnsLyonAsymmetricBottleneck(t *testing.T) {
 
 func TestEnsLyonFirewall(t *testing.T) {
 	e := NewEnsLyon()
-	if e.Topo.Reachable("the-doors", "sci1") {
+	if reachable(e.Topo, "the-doors", "sci1") {
 		t.Fatal("firewall must block public->private")
 	}
-	if !e.Topo.Reachable("the-doors", "popc0") {
+	if !reachable(e.Topo, "the-doors", "popc0") {
 		t.Fatal("gateway must be publicly reachable")
 	}
-	if !e.Topo.Reachable("popc0", "sci1") {
+	if !reachable(e.Topo, "popc0", "sci1") {
 		t.Fatal("gateway must reach private hosts")
 	}
-	if !e.Topo.Reachable("sci1", "myri1") {
+	if !reachable(e.Topo, "sci1", "myri1") {
 		t.Fatal("private hosts must reach each other")
 	}
 }
@@ -159,7 +170,7 @@ func TestRandomLANDeterministic(t *testing.T) {
 	hosts := t1.HostIDs()
 	for _, a := range hosts[:3] {
 		for _, b := range hosts[:3] {
-			if a != b && !t1.Reachable(a, b) {
+			if a != b && !reachable(t1, a, b) {
 				t.Fatalf("%s cannot reach %s", a, b)
 			}
 		}

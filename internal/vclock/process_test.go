@@ -240,7 +240,7 @@ func BenchmarkSpawn(b *testing.B) {
 	s.Go("parent", func() {
 		for i := 0; i < b.N; i++ {
 			s.Go("child", func() { n++ })
-			s.Yield()
+			s.Sleep(0) // let the child run
 		}
 	})
 	b.ReportAllocs()

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// pendingEvents returns the number of queued (non-canceled) events.
+func (s *Sim) pendingEvents() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.events) - s.dead + len(s.ready) - s.head
+}
+
 // TestCanceledTimersLeaveQueue: a timed receive answered long before its
 // timeout cancels its timer, and the canceled timers are swept out of
 // the heap instead of waiting there until they are due. Over 10k
@@ -25,8 +32,8 @@ func TestCanceledTimersLeaveQueue(t *testing.T) {
 		if len(s.events) > 2*live+sweepFloor {
 			t.Fatalf("heap holds %d events, %d of them live", len(s.events), live)
 		}
-		if live != s.PendingEvents() {
-			t.Fatalf("%d live events, PendingEvents %d", live, s.PendingEvents())
+		if live != s.pendingEvents() {
+			t.Fatalf("%d live events, pendingEvents %d", live, s.pendingEvents())
 		}
 	}
 	s.Go("server", func() {

@@ -507,10 +507,6 @@ func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Yield lets every other runnable work scheduled at the current instant
-// run before the calling process continues.
-func (s *Sim) Yield() { s.Sleep(0) }
-
 // SetScheduleSeed makes the order of events due at one virtual instant
 // a function of seed, for tests that look for ordering bugs: each event
 // still fires at its time and after whatever scheduled it, and one seed
@@ -675,14 +671,6 @@ func (s *Sim) switchTo(p *proc) {
 	} else {
 		p.stop()
 	}
-}
-
-// PendingEvents returns the number of queued (non-canceled) events,
-// useful in tests.
-func (s *Sim) PendingEvents() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events) - s.dead + len(s.ready) - s.head
 }
 
 // Processes returns the number of live processes.

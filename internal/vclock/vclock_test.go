@@ -493,11 +493,11 @@ func TestEventWhenAndPending(t *testing.T) {
 		t.Fatalf("When %v", ev.When())
 	}
 	s.After(5*time.Second, func() {})
-	if n := s.PendingEvents(); n != 2 {
+	if n := s.pendingEvents(); n != 2 {
 		t.Fatalf("pending %d", n)
 	}
 	ev.Cancel()
-	if n := s.PendingEvents(); n != 1 {
+	if n := s.pendingEvents(); n != 1 {
 		t.Fatalf("pending after cancel %d", n)
 	}
 	if err := s.Run(); err != nil {

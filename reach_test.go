@@ -36,32 +36,22 @@ var reachAllow = map[string]string{
 	"internal/query.OverloadedError.Unwrap": "errors.Is/As chain to ErrOverloaded",
 
 	// Deliberate test hooks on the simulator and the sim transport.
-	"internal/vclock.Sim.PendingEvents":          "kernel tests assert the event queue drains",
-	"internal/vclock.Sim.Yield":                  "kernel tests force a reschedule at one instant",
 	"internal/vclock.Sim.SetScheduleSeed":        "kernel tests permute the events due at one instant",
 	"internal/nws/proto.SimTransport.SetBlocked": "partition injection for transport and failover tests",
-	"internal/nws/discoverytest.RunConformance":  "shared *test helper package: the discovery contract suite",
+	"internal/nws/proto.SimTransport.SetDown":    "crash injection for transport, failover and discovery tests",
 	"internal/nws/proto/prototest.Teardown":      "shared *test helper package: the teardown check of deployment-building tests",
 
 	// Options kept because a caller outside the package sets a second value.
 	"internal/query.WithForecastTTL": "root BenchmarkQueryForecastBatch disables the forecast cache",
 
-	// Product API whose only callers today are tests.
-	"internal/core.WithHostSensors":                "§2's CPU-monitoring half, enabled by TestCPUForecastEndToEnd",
-	"internal/env.NewMapper":                       "single-run mapper E1-E16 and deploy's tests drive; core goes through MapRuns",
-	"internal/metrics.Accuracy":                    "E13's scorer, shared by the root benchmark and metrics' unit tests",
-	"internal/deploy.Deployment.ForecastEstimator": "§5.1 composition over forecasts, pinned by failure_test; no CLI surface yet",
-	"internal/nws/nameserver.Client.Unregister":    "client half of MsgUnregister, which the server handles",
-	"internal/nws/predict.Battery.Methods":         "names the battery's members for the differential test and fuzzer",
-	"internal/nws/predict.Battery.MethodError":     "E12's per-member MAE column and the predictor differential tests",
-	"internal/nws/predict.Battery.Forecast":        "the streaming battery's answer: E12's chosen member and the oracle Run is tested against",
-	"internal/nws/forecast.Client.Forecast":        "one-series form of BatchForecast the forecaster, host and TCP tests call",
-	"internal/query.Client.Forecast":               "one-series form of ForecastMany the query and core tests call",
-	"internal/telemetry.Registry.RecordSpan":       "scenlab's lab test injects a finished span",
-	"internal/simnet.Network.CollisionCount":       "§2.3 collision total E6 and deploy's tests assert on",
-	"internal/simnet.Topology.Reachable":           "firewall reachability oracle of topo's generator tests",
-	"internal/simnet.Topology.SharedResources":     "pairwise oracle deploy's validator is cross-checked against",
-	"internal/topo.GridHostGroups":                 "leaf-segment host groups the scale and query benchmarks place load by",
+	// Product API whose only callers today are tests, each kept for a
+	// named reference role or planned caller.
+	"internal/metrics.Accuracy":                 "E13's scorer against ground truth, shared by the root benchmark and metrics' unit tests",
+	"internal/nws/nameserver.Client.Unregister": "client half of MsgUnregister; planned caller: a closing role leaving the directory (ROADMAP direction 3)",
+	"internal/nws/predict.Battery.Methods":      "reference oracle predict.Run is tested against: names the battery's members",
+	"internal/nws/predict.Battery.MethodError":  "reference oracle predict.Run is tested against: E12's per-member error column",
+	"internal/nws/predict.Battery.Forecast":     "reference oracle predict.Run is tested against: the streaming battery's answer",
+	"internal/simnet.Topology.SharedResources":  "reference oracle deploy's validator is tested against: pairwise shared resources",
 }
 
 type reachDecl struct {
