@@ -772,7 +772,7 @@ func BenchmarkE14TokenRecovery(b *testing.B) {
 				holds++
 				if holds == 4 {
 					members[0].Stop()
-					tr.SetDown("h0", true)
+					net.CrashHost("h0")
 				}
 			}
 		}

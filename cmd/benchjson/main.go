@@ -9,7 +9,9 @@
 //
 // Entry <name> runs `go test -run '^$' -benchmem` and writes every
 // benchmark's ns/op, B/op, allocs/op and custom b.ReportMetric values
-// to BENCH_<name>_new.json. Its committed baseline is BENCH_<name>.json.
+// to BENCH_<name>_new.json, under a provenance block: the commit, Go
+// version, GOMAXPROCS, NumCPU and CPU model it was recorded on. Its
+// committed baseline is BENCH_<name>.json.
 // Once every named entry has run, benchjson evaluates every row of
 // them, prints one line per row (what it measured, the bound, the
 // verdict), and exits 1 if any recording or row failed. It takes no
@@ -32,6 +34,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -81,8 +84,35 @@ type Result struct {
 // Artifact is the emitted document.
 type Artifact struct {
 	// Command echoes the go test invocation for reproducibility.
-	Command    string            `json:"command"`
+	Command string `json:"command"`
+	// Provenance says where the numbers were recorded.
+	Provenance Provenance        `json:"provenance"`
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// Provenance is the commit, toolchain and machine an artifact was
+// recorded on: host-clock numbers of two artifacts compare only when
+// these match.
+type Provenance struct {
+	// Commit is the checkout's git HEAD, or "unknown" outside one.
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	// CPU is the model `go test -bench` prints on its "cpu:" line.
+	CPU string `json:"cpu"`
+}
+
+// newProvenance describes this process's commit, toolchain and machine;
+// the go test it runs inherits all of them. The CPU model comes from
+// the bench output.
+func newProvenance() Provenance {
+	commit := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return Provenance{Commit: commit, GoVersion: runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 }
 
 // benchLine matches "BenchmarkName-8   	  10   123456 ns/op  3.00 widgets ...".
@@ -212,7 +242,7 @@ func record(e Entry) error {
 		os.Stderr.Write(stdout.Bytes())
 		return fmt.Errorf("go test: %w", err)
 	}
-	art := Artifact{Command: "go " + strings.Join(args, " "), Benchmarks: map[string]Result{}}
+	art := Artifact{Command: "go " + strings.Join(args, " "), Provenance: newProvenance(), Benchmarks: map[string]Result{}}
 	parseBenchOutput(&art, stdout.String())
 	if len(art.Benchmarks) == 0 {
 		os.Stderr.Write(stdout.Bytes())
@@ -229,13 +259,18 @@ func record(e Entry) error {
 	return nil
 }
 
-// parseBenchOutput fills art.Benchmarks from `go test -bench` output.
+// parseBenchOutput fills art.Benchmarks, and art.Provenance's CPU
+// model, from `go test -bench` output.
 func parseBenchOutput(art *Artifact, output string) {
 	pkg := ""
 	for _, line := range strings.Split(output, "\n") {
 		line = strings.TrimSpace(line)
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = rest
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
+			art.Provenance.CPU = rest
 			continue
 		}
 		m := benchLine.FindStringSubmatch(line)

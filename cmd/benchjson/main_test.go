@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -234,6 +235,30 @@ PASS
 	}
 }
 
+// TestProvenance: an artifact records the commit, toolchain and
+// machine it was measured on, the CPU model from go test's own "cpu:"
+// line, under the provenance key.
+func TestProvenance(t *testing.T) {
+	art := Artifact{Provenance: newProvenance(), Benchmarks: map[string]Result{}}
+	parseBenchOutput(&art, "goos: linux\npkg: nwsenv\ncpu: Intel(R) Xeon(R) Processor\nBenchmarkX-2   10   5 ns/op\nPASS\n")
+	p := art.Provenance
+	if p.CPU != "Intel(R) Xeon(R) Processor" || p.GoVersion != runtime.Version() ||
+		p.GOMAXPROCS != runtime.GOMAXPROCS(0) || p.NumCPU != runtime.NumCPU() {
+		t.Errorf("provenance %+v", p)
+	}
+	if !regexp.MustCompile(`^([0-9a-f]{40}|unknown)$`).MatchString(p.Commit) {
+		t.Errorf("commit %q, want a git hash or unknown", p.Commit)
+	}
+	data, err := json.Marshal(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `"provenance":{"commit":"` + p.Commit + `","go_version":"` + p.GoVersion + `","gomaxprocs":`
+	if !strings.Contains(string(data), want) || !strings.Contains(string(data), `"cpu":"Intel(R) Xeon(R) Processor"`) {
+		t.Errorf("artifact JSON %s lacks %s", data, want)
+	}
+}
+
 func TestParseBenchOutput(t *testing.T) {
 	out := `goos: linux
 pkg: nwsenv
@@ -353,6 +378,10 @@ func TestGateFile(t *testing.T) {
 			if !declared[name] {
 				t.Errorf("%s: %s holds %s, which %q does not select in %v", e.Name, e.baseline(), name, e.Bench, e.Packages)
 			}
+		}
+
+		if p := base.Provenance; p.Commit == "" || p.GoVersion == "" || p.GOMAXPROCS < 1 || p.NumCPU < 1 || p.CPU == "" {
+			t.Errorf("%s: incomplete provenance block %+v", e.baseline(), p)
 		}
 
 		for _, g := range e.Gates {

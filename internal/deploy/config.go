@@ -1,8 +1,10 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -13,18 +15,18 @@ func EncodeConfig(p *Plan) ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// DecodeConfig parses a configuration file. A document written before
-// gateway replication names its one gateway under "gateway"; it decodes
-// to the one-element replica set.
+// DecodeConfig parses a configuration file. A key the plan does not
+// have is an error, not a silently dropped setting.
 func DecodeConfig(data []byte) (*Plan, error) {
-	var doc struct {
-		Plan
-		LegacyGateway string `json:"gateway"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	p := &Plan{}
+	if err := dec.Decode(p); err != nil {
 		return nil, fmt.Errorf("deploy: config: %w", err)
 	}
-	p := &doc.Plan
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("deploy: config: data after the plan")
+	}
 	if p.MemoryOf == nil {
 		p.MemoryOf = map[string]string{}
 	}
@@ -32,9 +34,6 @@ func DecodeConfig(data []byte) (*Plan, error) {
 	// plan re-encodes to the plan it was decoded from.
 	if len(p.Gateways) == 0 {
 		p.Gateways = nil
-		if doc.LegacyGateway != "" {
-			p.Gateways = []string{doc.LegacyGateway}
-		}
 	}
 	if len(p.Replicas) == 0 {
 		p.Replicas = nil

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -9,8 +10,10 @@ import (
 // FuzzDecodeConfig: a hostile configuration file never panics
 // DecodeConfig or what nwsmanager does with the plan before it starts an
 // agent (Summary, ValidateConnectivity), and a decoded plan survives
-// encode → decode unchanged.
+// encode → decode unchanged. A document naming its one gateway under
+// the pre-replication "gateway" key must fail to decode.
 func FuzzDecodeConfig(f *testing.F) {
+	legacy := []byte(`{"label":"old","master":"m","gateway":"a","hosts":["a","m"],"memoryOf":{}}`)
 	seed, err := EncodeConfig(&Plan{
 		Label: "Grid1", Master: "m", NameServer: "m", Forecaster: "m",
 		Gateways: []string{"m", "b"}, MemoryServers: []string{"m"},
@@ -26,11 +29,14 @@ func FuzzDecodeConfig(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"label":"old","master":"m","gateway":"a","hosts":["a","m"],"memoryOf":{}}`))
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeConfig(data)
 		if err != nil {
 			return
+		}
+		if bytes.Equal(data, legacy) {
+			t.Fatalf("the legacy \"gateway\" document decoded to %+v", p)
 		}
 		_ = p.Summary()
 		ValidateConnectivity(p)

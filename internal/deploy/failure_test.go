@@ -28,7 +28,7 @@ func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 	// Kill sci4 (a switch clique member with no server roles).
 	victim := "sci4.popc.private"
 	dep.Agents[victim].Stop()
-	tr.SetDown(resolve[victim], true)
+	tr.Network().CrashHost(resolve[victim])
 	killAt := sim.Now()
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestDeploymentMemoryDeathDegradesOnlyItsSite(t *testing.T) {
 	// The private site's memory server is the popc gateway.
 	memHost := p.MemoryOf["sci3.popc.private"]
 	dep.Agents[memHost].Stop()
-	tr.SetDown(resolve[memHost], true)
+	tr.Network().CrashHost(resolve[memHost])
 	if err := sim.RunUntil(base + 4*time.Minute); err != nil {
 		t.Fatal(err)
 	}

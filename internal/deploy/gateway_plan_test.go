@@ -96,30 +96,23 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 }
 
 // TestDecodeConfigLegacyGateway: a document written before gateway
-// replication names one gateway under "gateway"; it decodes to the
-// one-element replica set, and re-encoding it writes only "gateways".
+// replication names one gateway under "gateway", a key the plan no
+// longer has. It fails to decode rather than deploying with no
+// gateways, as does any mistyped key or data after the plan.
 func TestDecodeConfigLegacyGateway(t *testing.T) {
-	legacy, err := DecodeConfig([]byte(`{"label":"old","master":"m","gateway":"a","hosts":["a","m"],"memoryOf":{}}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, doc := range []string{
+		`{"label":"old","master":"m","gateway":"a","hosts":["a","m"],"memoryOf":{}}`,
+		`{"gateway":"a","gateways":["a","b"]}`,
+		`{"label":"x","gatways":["a"]}`,
+		`{"label":"x"}{"label":"y"}`,
+		`{"label":"x"}}`,
+	} {
+		if p, err := DecodeConfig([]byte(doc)); err == nil {
+			t.Errorf("%s decoded to %+v, want an error", doc, p)
+		}
 	}
-	if !reflect.DeepEqual(legacy.Gateways, []string{"a"}) {
-		t.Fatalf("legacy plan Gateways = %v, want [a]", legacy.Gateways)
-	}
-	data, err := EncodeConfig(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := string(data); strings.Contains(s, `"gateway":`) || !strings.Contains(s, `"gateways":`) {
-		t.Fatalf("upgraded config keys:\n%s", s)
-	}
-	// A document carrying both keys is a replicated one: the set wins.
-	both, err := DecodeConfig([]byte(`{"gateway":"a","gateways":["a","b"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(both.Gateways, []string{"a", "b"}) {
-		t.Fatalf("Gateways = %v, want [a b]", both.Gateways)
+	if _, err := DecodeConfig([]byte(`{"label":"x","gateways":["a"]} ` + "\n")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
 	}
 }
 

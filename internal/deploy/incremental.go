@@ -135,30 +135,17 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 		}
 	}
 
-	// An in-place rebuild must not lose the retained series windows of a
-	// live host's memory server — a survivor holding replica copies is
-	// exactly what anti-entropy repair backfills from. Persist its image
-	// before teardown and seed the rebuilt agent with it. Stopped hosts
-	// are not persisted: a machine leaving the platform (or dead) loses
-	// its disk, which is the failure replication exists to absorb.
-	images := map[string][]byte{}
-	for _, name := range rep.Restarted {
-		if a := d.Agents[name]; a != nil {
-			if img, ok := a.PersistMemory(); ok {
-				images[name] = img
-			}
-		}
-	}
-
 	// Tear down leavers and changed agents first: a rebuilt agent must
 	// release its endpoint before the new incarnation binds it. The
 	// teardown is committed into Plan immediately: if the build below
 	// fails, Plan must describe only the agents still running, so the
 	// next plan diff sees the torn-down hosts as missing rather than
 	// healthy.
+	old := map[string]*host.Agent{}
 	for _, name := range append(append([]string{}, rep.Stopped...), rep.Restarted...) {
 		if a := d.Agents[name]; a != nil {
 			a.Stop()
+			old[name] = a
 		}
 		delete(d.Agents, name)
 	}
@@ -184,15 +171,21 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 	for name, node := range newResolve {
 		d.reverse[node] = name
 	}
-	// Start the rebuilt agents in plan-host order, not map order: the
-	// scenario lab replays runs byte-for-byte, so repair must not be
-	// the one step that launches processes in a random order.
+	// An in-place rebuild must not lose the retained series windows of a
+	// live host's memory server — a survivor holding replica copies is
+	// exactly what anti-entropy repair backfills from — so the old agent
+	// hands its memory over. A stopped host hands nothing on: a machine
+	// leaving the platform (or dead) loses its disk, which is the
+	// failure replication exists to absorb.
 	for name, ag := range agents {
-		if img, ok := images[name]; ok {
-			ag.SetMemoryImage(img)
+		if prev := old[name]; prev != nil {
+			ag.InheritMemory(prev)
 		}
 		d.Agents[name] = ag
 	}
+	// Start the rebuilt agents in plan-host order, not map order: the
+	// scenario lab replays runs byte-for-byte, so repair must not be
+	// the one step that launches processes in a random order.
 	for _, name := range newPlan.Hosts {
 		if ag, fresh := agents[name]; fresh {
 			ag.Start()

@@ -52,8 +52,16 @@ type Invariants struct {
 	// the witness of its first failure.
 	Violations map[string]int
 	First      map[string]string
-	// holds keeps every token hold seen, by clique, so an overlap or a
-	// gap across two checks is still one.
+	// holds keeps, by clique, the holds of earlier checks that a later
+	// hold can still overlap or be idle after, so an overlap or a gap
+	// across two checks is still one. HoldLog.Take returns holds in the
+	// order they ended, and a check takes those ended since the last, so
+	// a later hold ends no earlier than a kept one: it overlaps a hold of
+	// its epoch exactly when it starts before that hold ended, and then
+	// also overlaps the latest-ending hold of their common host. So a
+	// hold is kept while, in its epoch, it is the latest-ending hold of
+	// its host or (pairwise) its partner; the latest-ending of all,
+	// which bounds the next idle gap, is one of those.
 	holds map[string][]clique.Hold
 }
 
@@ -132,53 +140,92 @@ func cliqueSizes(plan *deploy.Plan) string {
 	return ""
 }
 
-// tokens adds holds to the ledger and walks every clique they touched,
-// all its holds in start order: overlap reports the first hold that
-// began before an earlier hold of the same epoch had ended (for a
-// pairwise hold, one sharing a host with it), idle the first gap between
-// holds of one incarnation longer than two watchdogs.
+// tokens checks holds, the holds taken since the last check, against
+// each other and the kept holds, then keeps what it must: overlap
+// reports the first hold that overlapped another hold of its epoch
+// (for a pairwise hold, one sharing a host with it), idle the first gap
+// between holds of one incarnation longer than two watchdogs. Every
+// finding involves a hold of this check, so a violation counts at the
+// check that reveals it and never again.
 func (v *Invariants) tokens(plan *deploy.Plan, holds []clique.Hold) (idle, overlap string) {
 	watchdog := map[string]time.Duration{}
 	for _, c := range plan.Cliques {
 		watchdog[c.Name] = clique.Config{Members: c.Members, TokenGap: c.Period}.Watchdog()
 	}
-	touched := map[string]bool{}
+	byClique := map[string][]clique.Hold{}
 	for _, h := range holds {
-		v.holds[h.Clique] = append(v.holds[h.Clique], h)
-		touched[h.Clique] = true
+		byClique[h.Clique] = append(byClique[h.Clique], h)
 	}
-	for _, c := range slices.Sorted(maps.Keys(touched)) {
-		hs := v.holds[c]
+	for _, c := range slices.Sorted(maps.Keys(byClique)) {
+		hs, kept := byClique[c], v.holds[c]
 		sort.Slice(hs, func(i, j int) bool {
 			return hs[i].From < hs[j].From || hs[i].From == hs[j].From && hs[i].Host < hs[j].Host
 		})
-		open := map[int64][]clique.Hold{} // epoch -> its holds not yet ended
-		var last clique.Hold              // the hold ending latest so far
+		var last *clique.Hold // the hold ending latest so far
+		for i := range kept {
+			if last == nil || kept[i].To > last.To {
+				last = &kept[i]
+			}
+		}
 		for i, h := range hs {
-			live := open[h.Epoch][:0]
-			for _, o := range open[h.Epoch] {
-				if h.From >= o.To {
-					continue
-				}
-				live = append(live, o)
-				if overlap == "" && (h.Partner == "" || sharesHost(h, o)) {
-					overlap = fmt.Sprintf("clique %s epoch %d: %s took seq %d at %v while %s held seq %d over [%v, %v)",
-						c, h.Epoch, holder(h), h.Seq, h.From, holder(o), o.Seq, o.From, o.To)
+			for _, earlier := range [][]clique.Hold{kept, hs[:i]} {
+				for _, o := range earlier {
+					if overlap == "" && o.Epoch == h.Epoch && h.From < o.To && o.From < h.To &&
+						(h.Partner == "" || sharesHost(h, o)) {
+						overlap = overlapWitness(c, h, o)
+					}
 				}
 			}
-			open[h.Epoch] = append(live, h)
 			bound := 2 * watchdog[c]
-			if i > 0 && idle == "" && bound > 0 && h.From-last.To > bound &&
+			if last != nil && idle == "" && bound > 0 && h.From-last.To > bound &&
 				deploy.Incarnation(h.Epoch) == deploy.Incarnation(last.Epoch) {
 				idle = fmt.Sprintf("clique %s epoch %d: token idle %v before %s took seq %d, bound %v",
 					c, h.Epoch, h.From-last.To, h.Host, h.Seq, bound)
 			}
-			if i == 0 || h.To > last.To {
-				last = h
+			if last == nil || h.To > last.To {
+				last = &hs[i]
 			}
 		}
+		for _, h := range hs {
+			kept = keepLatest(kept, h)
+		}
+		v.holds[c] = kept
 	}
 	return idle, overlap
+}
+
+// keepLatest adds h to kept and returns the holds that are still, in
+// their epoch, the latest-ending hold of their host or partner.
+func keepLatest(kept []clique.Hold, h clique.Hold) []clique.Hold {
+	kept = append(kept, h)
+	// latest reports whether no other hold of kept[i]'s epoch on host
+	// ends later, or as late and was added after it.
+	latest := func(i int, host string) bool {
+		for j, o := range kept {
+			if j != i && o.Epoch == kept[i].Epoch && (o.Host == host || o.Partner == host) &&
+				(o.To > kept[i].To || o.To == kept[i].To && j > i) {
+				return false
+			}
+		}
+		return true
+	}
+	var out []clique.Hold
+	for i, k := range kept {
+		if latest(i, k.Host) || k.Partner != "" && latest(i, k.Partner) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// overlapWitness describes two overlapping holds of clique c, the one
+// that started later first.
+func overlapWitness(c string, h, o clique.Hold) string {
+	if o.From > h.From {
+		h, o = o, h
+	}
+	return fmt.Sprintf("clique %s epoch %d: %s took seq %d at %v while %s held seq %d over [%v, %v)",
+		c, h.Epoch, holder(h), h.Seq, h.From, holder(o), o.Seq, o.From, o.To)
 }
 
 // holder names a hold's host, and a pairwise hold's partner after it.

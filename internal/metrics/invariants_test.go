@@ -83,6 +83,28 @@ func TestInvariantsPairwiseRounds(t *testing.T) {
 	}
 }
 
+// TestInvariantsCountEachViolationOnce: a forged hold overlapping the
+// ring is one violation, found at the check that takes it; later checks
+// with clean holds find nothing new, and the ledger keeps no more than
+// one hold per member of the ring.
+func TestInvariantsCountEachViolationOnce(t *testing.T) {
+	plan := &deploy.Plan{Hosts: []string{"a", "c"}, Cliques: []deploy.CliqueSpec{{Name: "x", Members: []string{"a", "c"}, Period: time.Second}}}
+	holds := ring("x", 0, []string{"a", "c"}, 9)
+	forged := clique.Hold{Clique: "x", Host: "c", Epoch: 0, Seq: 99, From: 2500 * time.Millisecond, To: 3400 * time.Millisecond}
+	inv := NewInvariants()
+	inv.Check(plan, twoSwitches(), nil, append(holds[:6:6], forged))
+	for _, h := range holds[6:] {
+		inv.Check(plan, twoSwitches(), nil, []clique.Hold{h})
+	}
+	if inv.Checks != 4 || inv.Violations[InvOneToken] != 1 || !strings.HasPrefix(inv.First[InvOneToken], "check 1: ") {
+		t.Errorf("%d checks, %d one-token violations, first %q; want 4, 1, at check 1",
+			inv.Checks, inv.Violations[InvOneToken], inv.First[InvOneToken])
+	}
+	if kept := len(inv.holds["x"]); kept > 2 {
+		t.Errorf("ledger keeps %d holds of a ring of two", kept)
+	}
+}
+
 // TestInvariantsCatchSharedLinkAndDuplicateToken: two cliques with no
 // common member whose paths cross the one inter-switch link, and a
 // token forged into one of them, break collision freedom and one token

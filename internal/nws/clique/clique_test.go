@@ -168,7 +168,7 @@ func TestLeaderElectionAfterHolderDeath(t *testing.T) {
 			holds++
 			if holds == 4 { // second hold, mid-experiments
 				r.members[0].Stop()
-				r.tr.SetDown("h0", true)
+				r.tr.Network().CrashHost("h0")
 			}
 		}
 	}
@@ -209,7 +209,7 @@ func TestTokenRegenerationBoundedGap(t *testing.T) {
 		r.sim.Sleep(10 * time.Second)
 		killAt = r.sim.Now()
 		r.members[1].Stop()
-		r.tr.SetDown("h1", true)
+		r.tr.Network().CrashHost("h1")
 	})
 	if err := r.sim.RunUntil(2 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -621,7 +621,7 @@ func TestConcurrentElectionsMintDistinctEpochs(t *testing.T) {
 		for !h0Holds {
 			r.sim.Sleep(10 * time.Millisecond)
 		}
-		r.tr.SetDown("h0", true)
+		r.tr.Network().CrashHost("h0")
 		for _, a := range []string{"h1", "h2"} {
 			for _, b := range []string{"h3", "h4"} {
 				r.tr.SetBlocked(a, b, true)

@@ -26,14 +26,14 @@ func TestRebuiltMemberResetsSequenceWatermark(t *testing.T) {
 	// Kill h0 and let the survivors re-form around an election.
 	r.members[0].Stop()
 	r.stations[0].Close()
-	r.tr.SetDown("h0", true)
+	r.tr.Network().CrashHost("h0")
 	if err := r.sim.RunUntil(4 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
 	// Rebuild h0 in place the way the deploy engine does: same host and
 	// ring slot, a far higher configured epoch, sequences from scratch.
-	r.tr.SetDown("h0", false)
+	r.tr.Network().RestoreHost("h0")
 	ep, err := r.tr.Open("h0")
 	if err != nil {
 		t.Fatal(err)

@@ -242,10 +242,10 @@ var scenarios = []scenario{
 		Run: func(t *testing.T, r *rig, q queryFn) {
 			r.Expect(t, "warm-up against the old owner", q, seriesA, nil)
 			r.Store(t, memHostB, seriesA, 20) // new owner registers itself
-			r.TR.SetDown(memHostA, true)
+			r.TR.Network().CrashHost(memHostA)
 			r.Expect(t, "stale warm binding onto the dead owner", q, seriesA, query.ErrBackendDown)
 			r.Expect(t, "first retry reaches the new owner", q, seriesA, nil)
-			r.TR.SetDown(memHostA, false)
+			r.TR.Network().RestoreHost(memHostA)
 		},
 	},
 	{
@@ -255,9 +255,9 @@ var scenarios = []scenario{
 		// answers again. Nothing was negative-cached by the outage.
 		Name: "ns-down",
 		Run: func(t *testing.T, r *rig, q queryFn) {
-			r.TR.SetDown(nsHost, true)
+			r.TR.Network().CrashHost(nsHost)
 			r.Expect(t, "cold resolution with the directory down", q, seriesA, query.ErrBackendDown)
-			r.TR.SetDown(nsHost, false)
+			r.TR.Network().RestoreHost(nsHost)
 			r.Expect(t, "directory back", q, seriesA, nil)
 		},
 	},
@@ -292,10 +292,10 @@ var scenarios = []scenario{
 			// is caught up and the failover answer is not degraded.
 			r.Advance(t, 30*time.Second)
 			r.Expect(t, "warm against the primary", q, series, nil)
-			r.TR.SetDown(replHost, true)
+			r.TR.Network().CrashHost(replHost)
 			r.Expect(t, "primary dies: replica answers without TTL wait", q, series, nil)
 			r.Expect(t, "rebound binding keeps answering", q, series, nil)
-			r.TR.SetDown(replHost, false)
+			r.TR.Network().RestoreHost(replHost)
 		},
 	},
 	{

@@ -1,7 +1,6 @@
 package forecast
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -194,8 +193,8 @@ var (
 )
 
 // runMemoScript interprets data as an interleaving of stores, batch
-// forecasts, memory-server restores from its own image (same windows,
-// new tokens) and restarts against a forecaster whose memo
+// forecasts, memory-server handovers to itself (same windows, new
+// tokens) and restarts against a forecaster whose memo
 // holds 600 samples — less than three 256-sample windows, so eviction is
 // part of what must stay invisible — checking every batch against the
 // oracle.
@@ -244,14 +243,8 @@ func runMemoScript(t testing.TB, data []byte) {
 				if got := st.srv.memo.samples; got > st.srv.memo.max {
 					t.Fatalf("memo retains %d samples, bound %d", got, st.srv.memo.max)
 				}
-			case op < 255: // the memory server reloads its own image
-				var img bytes.Buffer
-				if err := st.memSrv.Persist(&img); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.memSrv.Restore(&img); err != nil {
-					t.Fatal(err)
-				}
+			case op < 255: // the memory server hands over to itself
+				st.memSrv.HandOver(st.memSrv)
 			default: // the memory server restarts empty
 				st.startMemory(t)
 			}
@@ -296,7 +289,7 @@ func FuzzMemoTransparent(f *testing.F) {
 	f.Add([]byte{40, 0, 120, 0, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 120, 0, 1})
 	f.Add([]byte{40, 4, 120, 0, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 120, 0, 1})
 	// Tokens: one series asked three times unchanged (a token hit), its
-	// server reloaded from its own image (new tokens, equal windows),
+	// server handed over to itself (new tokens, equal windows),
 	// asked again, slid by one sample, asked again.
 	f.Add([]byte{20, 200, 120, 0, 0, 120, 0, 0, 120, 0, 0, 250, 120, 0, 0, 5, 4, 120, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,7 +1,6 @@
 package forecast
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -87,8 +86,8 @@ func (r *staleRig) open(host string) *proto.Station {
 }
 
 // restart replaces host's memory server with a new one, empty or
-// restored from image.
-func (r *staleRig) restart(host string, image []byte) {
+// handed the records of from.
+func (r *staleRig) restart(host string, from *memory.Server) {
 	m := r.mems[host]
 	if m == nil {
 		m = &staleMem{}
@@ -99,25 +98,17 @@ func (r *staleRig) restart(host string, image []byte) {
 	m.st = r.open(host)
 	m.srv = memory.New(m.st, nil)
 	m.life++
-	if image != nil {
-		if err := m.srv.Restore(bytes.NewReader(image)); err != nil {
-			r.t.Fatal(err)
-		}
+	if from != nil {
+		from.HandOver(m.srv)
 	}
 	r.tr.Runtime().Go("mem:"+host, m.srv.Run)
 }
 
-// restore reloads host's own image in place: the same server and
+// restore hands host's server over to itself: the same server and
 // windows, every one under a new stamp.
 func (r *staleRig) restore(host string) {
 	m := r.mems[host]
-	var img bytes.Buffer
-	if err := m.srv.Persist(&img); err != nil {
-		r.t.Fatal(err)
-	}
-	if err := m.srv.Restore(&img); err != nil {
-		r.t.Fatal(err)
-	}
+	m.srv.HandOver(m.srv)
 	m.life++
 }
 
@@ -172,24 +163,22 @@ func (r *staleRig) step(rng *rand.Rand, at *time.Duration) string {
 		return fmt.Sprintf("repair on %s from %s", host, survivor)
 	case p < 70:
 		r.restore(host)
-		return "persist/restore " + host
+		return "self-handover " + host
 	case p < 76:
-		var img bytes.Buffer
+		var from *memory.Server
 		if rng.Intn(2) == 0 {
-			if err := r.mems[host].srv.Persist(&img); err != nil {
-				r.t.Fatal(err)
-			}
+			from = r.mems[host].srv
 		}
-		r.restart(host, img.Bytes())
-		return fmt.Sprintf("restart %s (%d image bytes)", host, img.Len())
+		r.restart(host, from)
+		return fmt.Sprintf("restart %s (handed over: %v)", host, from != nil)
 	case p < 88:
 		if r.down[host] || r.down[staleHosts[0]] || r.down[staleHosts[1]] {
 			r.down[host] = false
-			r.tr.SetDown(host, false)
+			r.tr.Network().RestoreHost(host)
 			return "up " + host
 		}
 		r.down[host] = true
-		r.tr.SetDown(host, true)
+		r.tr.Network().CrashHost(host)
 		return "down " + host
 	default:
 		return "idle"
@@ -347,7 +336,7 @@ func runStaleScript(t *testing.T, seed int64, steps int) {
 
 // TestTokenedMemoNeverStale: 500 seeded interleavings of stores (some
 // trimming at retention), fan-out appends and windows, repair
-// adoptions, in-place restores, restarts with and without an image, and
+// adoptions, self-handovers, restarts with and without a handover, and
 // primary outages with failover to the replica. After every step each
 // forecast is predict.Run over the window an untokened fetch returns,
 // bit for bit, and no server answers "unchanged" to a token another

@@ -265,7 +265,7 @@ func TestGatewayBackendDownSurfacesStructured(t *testing.T) {
 		gc := NewBalancedClient(r.st, []string{"gw"})
 		gc.Timeout = 30 * time.Second
 		gc.FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}, {Series: "y", Count: 1}})
-		r.tr.SetDown("m2", true)
+		r.tr.Network().CrashHost("m2")
 		res, err := gc.FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}, {Series: "y", Count: 1}})
 		if err != nil {
 			t.Errorf("fetch many: %v", err)
@@ -422,7 +422,7 @@ func TestBalancedClientEvictsDeadReplica(t *testing.T) {
 	r.run(t, func() {
 		bc := NewBalancedClient(r.st, []string{"gw", "gw2"})
 		bc.SetTelemetry(r.tele)
-		r.tr.SetDown("gw", true)
+		r.tr.Network().CrashHost("gw")
 		res, err := bc.FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}})
 		if err != nil || res[0].Err != nil {
 			t.Errorf("fetch should have failed over: %v %+v", err, res)

@@ -9,7 +9,6 @@
 package host
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -82,10 +81,10 @@ type Agent struct {
 	closed  bool
 
 	// memSrv is the memory server running here (nil without the role);
-	// memImage, when set before Start, seeds it from a persisted image so
-	// an in-place rebuild keeps its retained windows.
-	memSrv   *memory.Server
-	memImage []byte
+	// memFrom, when set before Start, is the server of the agent this one
+	// rebuilds, which hands its records to memSrv before memSrv runs.
+	memSrv  *memory.Server
+	memFrom *memory.Server
 }
 
 // routing keys
@@ -124,21 +123,14 @@ func (a *Agent) Station() *proto.Station { return a.st }
 // Members returns the clique members running on this agent.
 func (a *Agent) Members() []*clique.Member { return a.members }
 
-// SetMemoryImage seeds the memory role from an image written by
-// memory.Server.Persist. It must be called before Start.
-func (a *Agent) SetMemoryImage(data []byte) { a.memImage = data }
-
-// PersistMemory snapshots the memory server's retained state (false
-// when the memory role is not running here).
-func (a *Agent) PersistMemory() ([]byte, bool) {
-	if a.memSrv == nil {
-		return nil, false
+// InheritMemory makes this agent's memory server start from the records
+// of old's (memory.Server.HandOver), so an in-place rebuild keeps its
+// retained windows. It must be called before Start; it does nothing
+// when either agent lacks the memory role.
+func (a *Agent) InheritMemory(old *Agent) {
+	if a.roles.Memory {
+		a.memFrom = old.memSrv
 	}
-	var buf bytes.Buffer
-	if err := a.memSrv.Persist(&buf); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
 }
 
 // rolePort adapts a role inbox + the shared station into a proto.Port.
@@ -198,11 +190,11 @@ func (a *Agent) Start() {
 		}
 		opts = append(opts, memory.WithTelemetry(a.roles.Telemetry))
 		srv := memory.New(a.port(keyMemory), nsc, opts...)
-		if a.memImage != nil {
-			// Seed from the persisted image before the server runs, so no
-			// request can observe the empty pre-restore state.
-			srv.Restore(bytes.NewReader(a.memImage))
-			a.memImage = nil
+		if a.memFrom != nil {
+			// Hand over before the server runs, so no request can observe
+			// the empty state.
+			a.memFrom.HandOver(srv)
+			a.memFrom = nil
 		}
 		a.memSrv = srv
 		a.rt.Go("memory:"+hostName, srv.Run)

@@ -4,9 +4,7 @@
 package memory
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -27,7 +25,7 @@ const DefaultRetention = 1024
 // Every retained window has a token (proto.WindowToken): the stamp of
 // its last write, drawn afresh by every write — a store (and the trim it
 // implies), a fan-out append or window from a primary, an adoption in
-// repair, a Restore. A batch fetch that carries a token gets the
+// repair, a handover. A batch fetch that carries a token gets the
 // window's current token back, and no samples when the two are equal:
 // the requester already holds that window. A fetch without tokens is
 // answered as if tokens did not exist.
@@ -267,7 +265,7 @@ func init() { stamps.Store(rand.Uint64()) }
 
 // setWindow installs r's retained window under a fresh stamp, so no
 // token issued for the window it replaces matches again. s.mu must be
-// held.
+// held while r is one of s's records.
 func (s *Server) setWindow(r *record, w []proto.Sample) {
 	r.window = w
 	for {
@@ -522,73 +520,32 @@ func clampCount(have, want int) int {
 	return want
 }
 
-// persistedState is the gob image written by Persist. The replication
-// bookkeeping rides along so an in-place rebuild (incremental redeploy)
-// restores replica-held windows and watermarks, not just owned series.
-type persistedState struct {
-	Series  map[string][]proto.Sample
-	Origin  map[string]string
-	Total   map[string]int64
-	Applied map[string]int64
-	Seen    map[string]int64
-}
-
-// Persist writes the stored series (gob) — the "on disk" half of the
-// paper's memory server.
-func (s *Server) Persist(w io.Writer) error {
-	st := persistedState{
-		Series: map[string][]proto.Sample{}, Origin: map[string]string{},
-		Total: map[string]int64{}, Applied: map[string]int64{}, Seen: map[string]int64{},
-	}
-	// A zero count is left out: Restore reads a missing one as zero.
-	put := func(m map[string]int64, name string, n int64) {
-		if n != 0 {
-			m[name] = n
-		}
-	}
+// HandOver installs a copy of every record s holds in to, replacing
+// to's contents: an in-place rebuild hands the old server's state to
+// the new one before the new one runs. The copy is taken under s's lock
+// and installed under to's. Each written window takes a fresh stamp, so
+// no token issued before the handover matches after it; the
+// replication bookkeeping (origin and counters) comes along, and the
+// directory registrations do not, so to advertises its series afresh.
+// A record that holds nothing (no write, no origin, zero counters) is
+// left out.
+func (s *Server) HandOver(to *Server) {
 	s.mu.Lock()
+	series := make(map[string]*record, len(s.series))
 	for name, r := range s.series {
+		if r.token == 0 && r.origin == "" && r.total == 0 && r.applied == 0 && r.seen == 0 {
+			continue
+		}
+		c := &record{origin: r.origin, total: r.total, applied: r.applied, seen: r.seen}
 		if r.token != 0 {
-			st.Series[name] = append([]proto.Sample(nil), r.window...)
+			to.setWindow(c, append([]proto.Sample(nil), r.window...))
 		}
-		if r.origin != "" {
-			st.Origin[name] = r.origin
-		}
-		put(st.Total, name, r.total)
-		put(st.Applied, name, r.applied)
-		put(st.Seen, name, r.seen)
+		series[name] = c
 	}
 	s.mu.Unlock()
-	return gob.NewEncoder(w).Encode(st)
-}
-
-// Restore replaces the server's contents with series persisted by
-// Persist, trimming each to its newest samples under the retention cap,
-// each under a fresh stamp: no token issued before matches after.
-func (s *Server) Restore(r io.Reader) error {
-	var st persistedState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.series = map[string]*record{}
-	for name, buf := range st.Series {
-		s.setWindow(s.record(name), appendWindow(nil, buf, s.retention))
-	}
-	for name, from := range st.Origin {
-		s.record(name).origin = from
-	}
-	for name, n := range st.Total {
-		s.record(name).total = n
-	}
-	for name, n := range st.Applied {
-		s.record(name).applied = n
-	}
-	for name, n := range st.Seen {
-		s.record(name).seen = n
-	}
-	return nil
+	to.mu.Lock()
+	to.series = series
+	to.mu.Unlock()
 }
 
 // Client wraps store/fetch calls against a memory server.

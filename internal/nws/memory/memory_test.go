@@ -1,13 +1,13 @@
 package memory
 
 import (
-	"bytes"
-	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
 	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
 )
@@ -205,79 +205,105 @@ func TestSeriesRegisteredWithNameServer(t *testing.T) {
 	})
 }
 
-func TestPersistenceRoundTrip(t *testing.T) {
-	r := rig(t, false)
-	r.run(t, func(c *Client) {
-		c.Store("s1", proto.Sample{At: time.Second, Value: 1})
-		c.Store("s2", proto.Sample{At: 2 * time.Second, Value: 2}, proto.Sample{At: 3 * time.Second, Value: 3})
-	})
-	var buf bytes.Buffer
-	if err := r.srv.Persist(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := New(nil2(), nil)
-	if err := fresh.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.series) != 2 {
-		t.Fatalf("restored series %v", fresh.series)
-	}
+// replyPort is a proto.Port keeping the last reply a server sent, so a
+// test can serve requests by hand and read the answers.
+type replyPort struct {
+	prototest.StubPort
+	last proto.Message
 }
 
-// TestPersistRestoreUnderRetention: Restore trims every series to the
-// restoring server's cap, keeping the newest samples — whether the image
-// came from a server with the same cap, a larger one, or was hand-edited
-// past any cap.
-func TestPersistRestoreUnderRetention(t *testing.T) {
-	r := rig(t, false) // retention 5
-	r.run(t, func(c *Client) {
-		for i := 1; i <= 9; i++ {
-			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
+func (p *replyPort) Reply(req proto.Message, m proto.Message) error {
+	p.last = m
+	return nil
+}
+
+func (p *replyPort) ask(s *Server, req proto.Message) proto.Message {
+	p.last = proto.Message{}
+	s.serve(req)
+	return p.last
+}
+
+// TestHandOverAnswersAsBefore: a server holding owned series, replica
+// copies with their counters and records never written hands over to a
+// fresh server, which then answers every batch fetch and ReplSync as the
+// old one did. Every window is restamped, the registrations are
+// dropped, and records that hold nothing stay behind.
+func TestHandOverAnswersAsBefore(t *testing.T) {
+	oldPort := &replyPort{StubPort: prototest.StubPort{HostName: "m"}}
+	old := New(oldPort, nameserver.NewClient(oldPort, "ns"))
+	old.retention = 5
+	for i := 1; i <= 7; i++ {
+		oldPort.ask(old, proto.Message{Type: proto.MsgStore, Series: "own", Samples: samples(i, 1)})
+	}
+	oldPort.ask(old, proto.Message{Type: proto.MsgStore, Series: "own2", Samples: samples(1, 2)})
+	oldPort.ask(old, proto.Message{Type: proto.MsgReplStore, From: "p", Series: "held", Samples: samples(1, 3), Total: 9})
+	oldPort.ask(old, proto.Message{Type: proto.MsgReplWindow, From: "q", Series: "held2", Samples: samples(4, 2), Total: 6})
+	old.mu.Lock()
+	old.record("ghost")                                   // mentioned, never written, nothing held
+	*old.record("counted") = record{origin: "p", seen: 4} // counters only, never written
+	registered := old.series["own"].registered
+	old.mu.Unlock()
+	if !registered {
+		t.Fatal("the owned series was never registered")
+	}
+
+	fresh := New(&replyPort{StubPort: prototest.StubPort{HostName: "m"}}, nil)
+	fresh.retention = 5
+	old.HandOver(fresh)
+	freshPort := fresh.st.(*replyPort)
+
+	names := []string{"own", "own2", "held", "held2", "ghost", "counted", "unknown"}
+	for _, r := range fresh.series {
+		if r.registered {
+			t.Error("a registration survived the handover")
 		}
-	})
-	var buf bytes.Buffer
-	if err := r.srv.Persist(&buf); err != nil {
-		t.Fatal(err)
 	}
-	img := buf.Bytes()
-
-	// Same cap: the retained window comes back verbatim.
-	same := New(nil2(), nil)
-	same.retention = 5
-	if err := same.Restore(bytes.NewReader(img)); err != nil {
-		t.Fatal(err)
+	if _, ok := fresh.series["ghost"]; ok {
+		t.Error("a record holding nothing was handed over")
 	}
-	if got := same.series["s"].window; len(got) != 5 || got[0].Value != 5 || got[4].Value != 9 {
-		t.Fatalf("restored window %+v", got)
+	if len(fresh.series) != len(names)-2 {
+		t.Errorf("handed over %d records, want %d", len(fresh.series), len(names)-2)
 	}
 
-	// Smaller cap: the restored series (more samples than the cap) is
-	// truncated to the newest.
-	small := New(nil2(), nil)
-	small.retention = 3
-	if err := small.Restore(bytes.NewReader(img)); err != nil {
-		t.Fatal(err)
+	for _, count := range []int{0, 1, 3} {
+		var qs []proto.SeriesRequest
+		for _, name := range names {
+			qs = append(qs, proto.SeriesRequest{Series: name, Count: count})
+		}
+		fetch := proto.Message{Type: proto.MsgBatchFetch, Version: proto.V3, Queries: qs}
+		want, got := oldPort.ask(old, fetch), freshPort.ask(fresh, fetch)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("count %d: fetch after handover\n got %+v\nwant %+v", count, got, want)
+		}
 	}
-	if got := small.series["s"].window; len(got) != 3 || got[0].Value != 7 || got[2].Value != 9 {
-		t.Fatalf("truncated window %+v, want the newest 3", got)
+	for _, from := range []string{"p", "q", "m", ""} {
+		sync := proto.Message{Type: proto.MsgReplSync, Version: proto.V3, Name: from}
+		if want, got := oldPort.ask(old, sync), freshPort.ask(fresh, sync); !reflect.DeepEqual(got, want) {
+			t.Errorf("ReplSync %q after handover\n got %+v\nwant %+v", from, got, want)
+		}
 	}
 
-	// A corrupt/hand-edited image is re-capped on the way in.
-	var overfull bytes.Buffer
-	st := persistedState{Series: map[string][]proto.Sample{}}
-	for i := 1; i <= 6; i++ {
-		st.Series["x"] = append(st.Series["x"], proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
+	// The old server's tokens: each holds its window there, and none
+	// matches after the handover.
+	var qs []proto.SeriesRequest
+	for _, name := range names {
+		qs = append(qs, proto.SeriesRequest{Series: name, Token: proto.AskToken})
 	}
-	if err := gob.NewEncoder(&overfull).Encode(st); err != nil {
-		t.Fatal(err)
+	before := oldPort.ask(old, proto.Message{Type: proto.MsgBatchFetch, Version: proto.V3, Queries: qs})
+	for i := range qs {
+		qs[i].Token = before.ResultTokens[i]
 	}
-	capped := New(nil2(), nil)
-	capped.retention = 2
-	if err := capped.Restore(&overfull); err != nil {
-		t.Fatal(err)
+	if qs[0].Token == 0 {
+		t.Fatal("the old server issued no token")
 	}
-	if got := capped.series["x"].window; len(got) != 2 || got[0].Value != 5 || got[1].Value != 6 {
-		t.Fatalf("overfull image not re-capped: %+v", got)
+	after := freshPort.ask(fresh, proto.Message{Type: proto.MsgBatchFetch, Version: proto.V3, Queries: qs})
+	for i, q := range qs {
+		if q.Token != 0 && after.ResultTokens[i] == q.Token {
+			t.Errorf("%s: token %#x issued before the handover still matches", q.Series, q.Token)
+		}
+		if !reflect.DeepEqual(after.Results[i].Samples, before.Results[i].Samples) {
+			t.Errorf("%s: tokened fetch after handover %+v, want the window %+v", q.Series, after.Results[i].Samples, before.Results[i].Samples)
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func TestSimCallTimeoutOnDeadHost(t *testing.T) {
 	sim, tr := pair(t)
 	epB, _ := tr.Open("b")
 	sb := NewStation(tr.Runtime(), epB)
-	tr.SetDown("a", true)
+	tr.Network().CrashHost("a")
 	var callErr error
 	sim.Go("client", func() {
 		_, callErr = sb.Call("a", Message{Type: MsgPing}, 500*time.Millisecond)
@@ -99,7 +99,7 @@ func TestSimSendToDownHostDropsSilently(t *testing.T) {
 	epB, _ := tr.Open("b")
 	sa := NewStation(tr.Runtime(), epA)
 	sb := NewStation(tr.Runtime(), epB)
-	tr.SetDown("b", true)
+	tr.Network().CrashHost("b")
 	sim.Go("p", func() {
 		if err := sa.Send("b", Message{Type: MsgPing}); err != nil {
 			t.Errorf("send to down host should not error: %v", err)
@@ -122,12 +122,12 @@ func TestSimHostRecovery(t *testing.T) {
 	epB, _ := tr.Open("b")
 	sa := NewStation(tr.Runtime(), epA)
 	sb := NewStation(tr.Runtime(), epB)
-	tr.SetDown("b", true)
+	tr.Network().CrashHost("b")
 	var gotAfterRecovery bool
 	sim.Go("p", func() {
 		sa.Send("b", Message{Type: MsgPing})
 		sim.Sleep(time.Second)
-		tr.SetDown("b", false)
+		tr.Network().RestoreHost("b")
 		sa.Send("b", Message{Type: MsgPing})
 		sim.Sleep(time.Second)
 		_, gotAfterRecovery = sb.RecvTimeout(time.Millisecond)

@@ -10,15 +10,15 @@ import (
 
 // SimTransport delivers messages over a simnet.Network: each message is
 // charged the one-way path latency plus serialization of its exact
-// frame length (Message.WireSize); firewall zones apply. Host endpoints
-// can be taken down and brought back up to inject failures.
+// frame length (Message.WireSize); firewall zones apply. A host the
+// network has crashed (simnet.Network.CrashHost) neither sends nor
+// receives.
 type SimTransport struct {
 	net *simnet.Network
 	rt  *SimRuntime
 
 	mu      sync.Mutex
 	eps     map[string]*simEndpoint
-	down    map[string]bool
 	blocked map[string]bool // "a|b" unordered pair -> messages dropped
 	stats   wireStats
 	// free recycles delivery records; bounded by the peak number of
@@ -32,7 +32,6 @@ func NewSimTransport(net *simnet.Network) *SimTransport {
 		net:     net,
 		rt:      NewSimRuntime(net.Sim()),
 		eps:     map[string]*simEndpoint{},
-		down:    map[string]bool{},
 		blocked: map[string]bool{},
 	}
 }
@@ -66,27 +65,6 @@ func (t *SimTransport) Open(host string) (Endpoint, error) {
 	ep := &simEndpoint{t: t, host: host}
 	t.eps[host] = ep
 	return ep, nil
-}
-
-// SetDown marks a host as crashed: its endpoint stops receiving and its
-// sends fail silently (packets to and from it are dropped).
-func (t *SimTransport) SetDown(host string, down bool) {
-	t.mu.Lock()
-	if down {
-		t.down[host] = true
-	} else {
-		delete(t.down, host)
-	}
-	t.mu.Unlock()
-}
-
-// IsDown reports the failure state of a host: taken down explicitly via
-// SetDown, or crashed at the network level (simnet fault injection).
-func (t *SimTransport) IsDown(host string) bool {
-	t.mu.Lock()
-	explicit := t.down[host]
-	t.mu.Unlock()
-	return explicit || t.net.HostDown(host)
 }
 
 // SetBlocked partitions (or heals) the control-plane path between two
@@ -130,22 +108,16 @@ func (e *simEndpoint) Handle(h func(Message)) {
 
 func (e *simEndpoint) Send(to string, m Message) error {
 	t := e.t
-	// No host is down and no pair blocked unless a test or a fault
-	// schedule made it so: skip the lookups while the maps are empty.
-	var srcDown, dstDown, pairBlocked bool
+	// No pair is blocked unless a test made it so: skip the lookup
+	// while the map is empty.
+	var pairBlocked bool
 	t.mu.Lock()
-	if len(t.down) > 0 {
-		srcDown, dstDown = t.down[e.host], t.down[to]
-	}
 	if len(t.blocked) > 0 {
 		pairBlocked = t.isBlocked(e.host, to)
 	}
 	stats := t.stats
 	t.mu.Unlock()
-	// Network-level crashes (fault injection) take hosts down too.
-	srcDown = srcDown || t.net.HostDown(e.host)
-	dstDown = dstDown || t.net.HostDown(to)
-	if srcDown {
+	if t.net.HostDown(e.host) {
 		return fmt.Errorf("proto: host %s is down", e.host)
 	}
 	// A partition drops traffic silently: the sender only learns through
@@ -166,7 +138,7 @@ func (e *simEndpoint) Send(to string, m Message) error {
 	}
 	// Messages to dead hosts vanish (like packets to a crashed machine):
 	// the sender notices only through timeouts, as with real NWS.
-	if dstDown {
+	if t.net.HostDown(to) {
 		return nil
 	}
 	size := m.WireSize()
@@ -225,10 +197,9 @@ func (d *delivery) land() {
 	if dst := t.eps[to]; dst != nil {
 		h = dst.handler
 	}
-	deadNow := t.down[to]
 	t.recycleLocked(d)
 	t.mu.Unlock()
-	if h == nil || deadNow || t.net.HostDown(to) {
+	if h == nil || t.net.HostDown(to) {
 		return
 	}
 	stats.received(size)

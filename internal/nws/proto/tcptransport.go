@@ -104,7 +104,7 @@ func (t *TCPTransport) Addr(host string) (string, bool) {
 }
 
 // Active reports whether host currently has an open endpoint (its agent
-// process is up). The liveness signal behind TCPPlatform's Health view.
+// process is up). The liveness signal behind TCPPlatform.Alive.
 func (t *TCPTransport) Active(host string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

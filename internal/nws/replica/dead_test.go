@@ -56,7 +56,7 @@ func TestFanoutDeadReplica(t *testing.T) {
 
 	const stores = 200
 	sim.Go("test", func() {
-		tr.SetDown("r", true)
+		tr.Network().CrashHost("r")
 		c := memory.NewClient(stC, "p")
 		for i := 1; i <= stores; i++ {
 			if err := c.Store("s", proto.Sample{At: time.Duration(i) * time.Millisecond, Value: float64(i)}); err != nil {
@@ -75,7 +75,7 @@ func TestFanoutDeadReplica(t *testing.T) {
 		if port.frames != 2 || counter("writes_total") != 0 {
 			t.Errorf("after two timeouts: %d frames sent, writes_total %d; want 2 frames, nothing delivered", port.frames, counter("writes_total"))
 		}
-		tr.SetDown("r", false)
+		tr.Network().RestoreHost("r")
 		c.Store("s", proto.Sample{At: time.Minute, Value: -1})
 		sim.Sleep(time.Second)
 		if port.frames != 3 || counter("writes_total") != 1 {

@@ -32,6 +32,12 @@ type Platform interface {
 	Prober() sensor.Prober
 	// Substrate exposes the user-level observables ENV maps with.
 	Substrate() env.Substrate
+	// Alive reports whether the node currently responds at all: the
+	// liveness a reconcile loop reads to notice §4.3 "platform
+	// evolution" (machines dying, joining or rebooting) without waiting
+	// for probe timeouts. Reachability along a particular path is still
+	// probed through the Prober.
+	Alive(id string) bool
 	// NodeName resolves a node ID to its display/DNS name ("" when the
 	// platform has no name for it).
 	NodeName(id string) string
@@ -46,27 +52,6 @@ type Platform interface {
 // connectivity validation only.
 type Validator interface {
 	ValidatePlan(plan *deploy.Plan, resolve map[string]string) (*deploy.Validation, error)
-}
-
-// Health is optionally implemented by platforms that can report node
-// liveness — the observability a reconcile loop needs to notice §4.3
-// "platform evolution" (machines dying, joining, or rebooting) without
-// waiting for probe timeouts. Alive answers for the node itself;
-// reachability along a particular path is still probed through the
-// Prober.
-type Health interface {
-	// Alive reports whether the node currently responds at all.
-	Alive(id string) bool
-}
-
-// Alive reports node liveness on p: the platform's own health view when
-// p implements Health, optimistically true otherwise (failures then
-// surface as probe errors).
-func Alive(p Platform, id string) bool {
-	if h, ok := p.(Health); ok {
-		return h.Alive(id)
-	}
-	return true
 }
 
 // ValidatePlan validates plan on p: the full ground-truth §2.3 check

@@ -48,14 +48,10 @@ func (p *SimPlatform) NodeName(id string) string {
 // ResetAccounting implements Platform.
 func (p *SimPlatform) ResetAccounting() { p.net.ResetAccounting() }
 
-// Alive implements Health: a node is alive unless unknown, crashed at
-// the network level (fault injection), or taken down at the transport
-// level.
+// Alive implements Platform: a node is alive unless unknown or crashed
+// (simnet.Network.CrashHost).
 func (p *SimPlatform) Alive(id string) bool {
-	if p.net.Topology().Node(id) == nil {
-		return false
-	}
-	return !p.tr.IsDown(id)
+	return p.net.Topology().Node(id) != nil && !p.net.HostDown(id)
 }
 
 // ValidatePlan implements Validator against the true topology.

@@ -52,7 +52,7 @@ func (p *TCPPlatform) Substrate() env.Substrate { return p.sub }
 // callers fall back to the node ID.
 func (p *TCPPlatform) NodeName(id string) string { return "" }
 
-// Alive implements Health: a loopback host is alive while its agent's
+// Alive implements Platform: a loopback host is alive while its agent's
 // endpoint is open. (Before Apply no endpoint exists, so health checks
 // only make sense against a running deployment — exactly when the
 // reconcile loop asks.)

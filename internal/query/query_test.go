@@ -242,7 +242,7 @@ func TestBackendDownIsPerSeries(t *testing.T) {
 	qc := query.New(r.st, "ns")
 	reqs := []proto.SeriesRequest{{Series: "a1", Count: 1}, {Series: "b1", Count: 1}}
 	r.run(t, func() { qc.FetchMany(reqs) }) // warm the discovery cache
-	r.tr.SetDown("m2", true)
+	r.tr.Network().CrashHost("m2")
 	r.run(t, func() {
 		res := qc.FetchMany(reqs)
 		if res[0].Err != nil {
@@ -254,7 +254,7 @@ func TestBackendDownIsPerSeries(t *testing.T) {
 	})
 	// The failed backend's bindings were evicted; once it returns, the
 	// next batch re-resolves and succeeds.
-	r.tr.SetDown("m2", false)
+	r.tr.Network().RestoreHost("m2")
 	r.run(t, func() {
 		res := qc.FetchMany(reqs)
 		if res[1].Err != nil {

@@ -27,7 +27,6 @@ import (
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/metrics"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/platform"
 	"nwsenv/internal/simnet"
 )
 
@@ -366,7 +365,7 @@ func (r *Reconciler) liveRuns() (live, dead []string, runs []core.MapRun) {
 		// partitioned host counts as dead for this run.
 		anchor := ""
 		for _, id := range candidateOrder(tmpl) {
-			if platform.Alive(plat, id) {
+			if plat.Alive(id) {
 				anchor = id
 				break
 			}
@@ -385,7 +384,7 @@ func (r *Reconciler) liveRuns() (live, dead []string, runs []core.MapRun) {
 			if id == anchor {
 				continue
 			}
-			ok := platform.Alive(plat, id)
+			ok := plat.Alive(id)
 			if ok {
 				if _, err := prober.Latency(anchor, id, 4); err != nil {
 					ok = false

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -132,6 +133,12 @@ var faultKinds = []FaultKind{
 	FaultChurn, FaultMixed, FaultMultiPartition,
 }
 
+// maxRounds bounds a mixed fault's rounds, each of which Compile turns
+// into two events: far above any lab run (the committed scenarios
+// inject at most three faults), and small enough that a hostile file
+// cannot make Compile allocate without bound.
+const maxRounds = 1000
+
 // FaultSpec declares the fault schedule in seed-relative terms: victims
 // are chosen deterministically from the deployed plan at compile time,
 // never named in the file, so one scenario runs on any topology.
@@ -219,14 +226,23 @@ type MetricGate struct {
 	Max    *float64 `json:"max,omitempty"`
 }
 
-// Decode parses and validates one scenario file. Unknown fields are
-// rejected: a typoed assertion key must not silently gate nothing.
+// Decode parses and validates one scenario file. Unknown fields and
+// data after the scenario are rejected: a typoed assertion key must not
+// silently gate nothing.
 func Decode(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenlab: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenlab: data after the scenario")
+	}
+	// An empty list decodes to nil, as the encoder omits it: a spec
+	// re-encodes to the spec it was decoded from.
+	if len(s.SLO.Metrics) == 0 {
+		s.SLO.Metrics = nil
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -311,8 +327,8 @@ func (f FaultSpec) validate(scenario string) error {
 			return fmt.Errorf("scenlab: %s: churn needs positive spacing_sec and heal_after_sec", scenario)
 		}
 	case FaultMixed:
-		if f.Rounds <= 0 {
-			return fmt.Errorf("scenlab: %s: mixed needs rounds > 0", scenario)
+		if f.Rounds <= 0 || f.Rounds > maxRounds {
+			return fmt.Errorf("scenlab: %s: mixed needs rounds in [1, %d]", scenario, maxRounds)
 		}
 		if f.SpacingSec <= 0 || f.HealAfterSec <= 0 {
 			return fmt.Errorf("scenlab: %s: mixed needs positive spacing_sec and heal_after_sec", scenario)

@@ -82,6 +82,9 @@ func TestDecodeRejections(t *testing.T) {
 				return strings.Replace(s, `"queries_must_flow": true`, `"queries_must_flow": true, "invariants": "some"`, 1)
 			},
 			`the only value is "all"`},
+		{"data after the scenario",
+			func(s string) string { return s + ` {"name": "second"}` },
+			"data after the scenario"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -103,6 +106,7 @@ func TestFaultSpecValidation(t *testing.T) {
 		{Kind: FaultChurn, Victims: 0, SpacingSec: 60, HealAfterSec: 60},
 		{Kind: FaultChurn, Victims: 2},
 		{Kind: FaultMixed, Rounds: 0, SpacingSec: 60, HealAfterSec: 60},
+		{Kind: FaultMixed, Rounds: maxRounds + 1, SpacingSec: 60, HealAfterSec: 60},
 		{Kind: FaultMultiPartition, Victims: 1, SpacingSec: 60, HealAfterSec: 60},
 		{Kind: FaultMultiPartition, Victims: 3},
 	}

@@ -12,10 +12,9 @@
 // events. All wakeups are delivered through a single time-ordered event
 // queue with a monotonic sequence number as tie-breaker, so a
 // simulation that performs the same calls in the same order is fully
-// deterministic. A test may swap the tie-breaker for a seeded
-// permutation of it (SetScheduleSeed), which is just as deterministic.
+// deterministic.
 //
-// What may be called from where: Sleep, Yield, Chan.Recv and
+// What may be called from where: Sleep, Chan.Recv and
 // Chan.RecvTimeout block and may only be called by a process, on the
 // process's own stack (not from a goroutine the process started, and
 // not from an At/After callback). Everything else — Go, At, After, Post,
@@ -73,10 +72,7 @@ type Sim struct {
 	// clock mirrors now for Now, which reads it without the lock.
 	clock  atomic.Int64
 	seq    int64
-	events []queued // binary min-heap on (at, key)
-	// schedSeed permutes events due at one instant; 0 keeps them in
-	// seq order. See SetScheduleSeed.
-	schedSeed uint64
+	events []queued // binary min-heap on (at, seq)
 	// dead counts the canceled events still in events; see sweepLocked.
 	dead int
 	// ready[head:] are the processes to resume at the current instant,
@@ -274,13 +270,8 @@ type readied struct {
 // in the same total order on (at, seq) as if it had been pushed: every
 // readied entry is due now, and the clock cannot pass now while one is
 // left. Only uncancelable wakes come here (a spawn, a zero sleep, a
-// channel wake). Under a schedule seed the wake goes through the heap,
-// where its key is mixed like every other. Callers must hold s.mu.
+// channel wake). Callers must hold s.mu.
 func (s *Sim) readyLocked(p *proc) {
-	if s.schedSeed != 0 {
-		s.scheduleEphemeral(s.now, p.resume)
-		return
-	}
 	s.seq++
 	s.ready = append(s.ready, readied{seq: s.seq, p: p})
 }
@@ -293,16 +284,15 @@ func (s *Sim) readyFirst() bool {
 		return true
 	}
 	top := s.events[0]
-	return top.at > s.now || top.key > s.ready[s.head].seq
+	return top.at > s.now || top.seq > s.ready[s.head].seq
 }
 
-// queued is one heap slot. The ordering key is stored inline so sifting
-// compares without dereferencing events. key is the sequence number, or
-// a bijective mix of it under a schedule seed: distinct either way, so
-// the order stays total.
+// queued is one heap slot. The ordering key (at, seq) is stored inline
+// so sifting compares without dereferencing events; seq is distinct
+// per slot, so the order is total.
 type queued struct {
 	at  time.Duration
-	key int64
+	seq int64
 	ev  *Event
 }
 
@@ -310,17 +300,14 @@ func (a queued) before(b queued) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
 // push enqueues ev at ev.at with the next sequence number. Callers must
 // hold s.mu.
 func (s *Sim) push(ev *Event) {
 	s.seq++
-	q := queued{at: ev.at, key: s.seq, ev: ev}
-	if s.schedSeed != 0 {
-		q.key = int64(mix64(uint64(s.seq) ^ s.schedSeed))
-	}
+	q := queued{at: ev.at, seq: s.seq, ev: ev}
 	h := append(s.events, q)
 	i := len(h) - 1
 	for i > 0 {
@@ -333,15 +320,6 @@ func (s *Sim) push(ev *Event) {
 	}
 	h[i] = q
 	s.events = h
-}
-
-// mix64 is the splitmix64 finalizer, a bijection on uint64.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // pop removes and returns the earliest event. Callers must hold s.mu and
@@ -505,20 +483,6 @@ func (s *Sim) Sleep(d time.Duration) {
 	}
 	p.yield(struct{}{})
 	s.mu.Unlock()
-}
-
-// SetScheduleSeed makes the order of events due at one virtual instant
-// a function of seed, for tests that look for ordering bugs: each event
-// still fires at its time and after whatever scheduled it, and one seed
-// repeats exactly. Seed 0, the default, is the order the events were
-// scheduled in. It must be called before anything is scheduled.
-func (s *Sim) SetScheduleSeed(seed uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seq != 0 {
-		panic("vclock: SetScheduleSeed after events were scheduled")
-	}
-	s.schedSeed = seed
 }
 
 // Run executes the simulation until the event queue is empty and all

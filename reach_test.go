@@ -35,10 +35,8 @@ var reachAllow = map[string]string{
 	"internal/query.DegradedError.Unwrap":   "errors.Is/As chain to ErrDegraded",
 	"internal/query.OverloadedError.Unwrap": "errors.Is/As chain to ErrOverloaded",
 
-	// Deliberate test hooks on the simulator and the sim transport.
-	"internal/vclock.Sim.SetScheduleSeed":        "kernel tests permute the events due at one instant",
-	"internal/nws/proto.SimTransport.SetBlocked": "partition injection for transport and failover tests",
-	"internal/nws/proto.SimTransport.SetDown":    "crash injection for transport, failover and discovery tests",
+	// Deliberate test hooks on the sim transport and deployments.
+	"internal/nws/proto.SimTransport.SetBlocked": "pair black holes for transport and failover tests: a CutLink partition refuses the send at once, so only this exercises the ack-timeout path",
 	"internal/nws/proto/prototest.Teardown":      "shared *test helper package: the teardown check of deployment-building tests",
 
 	// Options kept because a caller outside the package sets a second value.
