@@ -101,7 +101,8 @@ func planFromFile(gridmlFile, topoFile, master, out string) {
 	check(err)
 	check(doc.Validate())
 
-	merged := env.MergedFromGridML(doc)
+	merged, err := env.MergedFromGridML(doc)
+	check(err)
 	plan, err := deploy.NewPlan(merged, deploy.PlanConfig{Master: master})
 	check(err)
 

@@ -177,7 +177,10 @@ func TestGridMLRoundTripDrivesPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := env.MergedFromGridML(doc)
+	merged, err := env.MergedFromGridML(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged.Networks) == 0 {
 		t.Fatal("no networks reconstructed from GridML")
 	}

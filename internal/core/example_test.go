@@ -213,7 +213,7 @@ func ExamplePipeline_Deploy_twoSites() {
 	//   clique clique-gw                [a1.site-a.org, a2.site-a.org] shared (represents 4 hosts)
 	//   clique clique-gw-2              [b0.site-b.org, b1.site-b.org, b2.site-b.org, b3.site-b.org, b4.site-b.org] switched/bridge
 	// ordered cross-site pairs measured directly: 2 (a full mesh over 4+5 hosts measures 40)
-	// steady state: 879 probes, 2 collisions, per-pair frequency 5.80–15.00 /min
+	// steady state: 879 probes, 1 collisions, per-pair frequency 5.80–15.00 /min
 	// a1.site-a.org -> b3.site-b.org: 34.0 Mbps, 33.00 ms (composed=true)
 	// a3.site-a.org -> b0.site-b.org: 34.0 Mbps, 33.00 ms (composed=true)
 }

@@ -356,7 +356,11 @@ func TestBidirectionalDetectsAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := findNetworkWith(FromGridML(doc), "popc.ens-lyon.fr")
+	nets, err := FromGridML(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := findNetworkWith(nets, "popc.ens-lyon.fr")
 	if back == nil || back.ReverseBW < 80 {
 		t.Fatalf("reverse BW lost in GridML: %+v", back)
 	}

@@ -148,7 +148,8 @@ func (r *staleRig) step(rng *rand.Rand, at *time.Duration) string {
 		return fmt.Sprintf("store %d to %s/%s", n, host, series)
 	case p < 45:
 		n := 1 + rng.Intn(3)
-		call(proto.Message{Type: proto.MsgReplStore, Series: series, Samples: staleSamples(rng, n, at), Total: int64(rng.Intn(2000))})
+		call(proto.Message{Type: proto.MsgReplStore, Results: []proto.SeriesResult{
+			{Series: series, Samples: staleSamples(rng, n, at), Lag: int64(rng.Intn(2000))}}})
 		return fmt.Sprintf("repl store %d to %s/%s", n, host, series)
 	case p < 55:
 		n := rng.Intn(60)

@@ -28,8 +28,8 @@ func TestRecordLagWatermark(t *testing.T) {
 		// sync; the second (total 5) is lost; a third (total 6) surfaces
 		// the gap; a window replacement catches the replica up.
 		for _, m := range []proto.Message{
-			{Type: proto.MsgReplStore, Series: "s", Samples: samples(0, 3), Total: 3},
-			{Type: proto.MsgReplStore, Series: "s", Samples: samples(5, 1), Total: 6},
+			{Type: proto.MsgReplStore, Results: []proto.SeriesResult{{Series: "s", Samples: samples(0, 3), Lag: 3}}},
+			{Type: proto.MsgReplStore, Results: []proto.SeriesResult{{Series: "s", Samples: samples(5, 1), Lag: 6}}},
 			{Type: proto.MsgReplWindow, Series: "s", Samples: samples(1, 5), Total: 6},
 		} {
 			ack, err := c.St.Call("m", m, c.Timeout)
@@ -131,7 +131,7 @@ func newReplPair(t *testing.T, frame int) *replPair {
 // frameEntries lists a fan-out frame's stores (or its window) as
 // entries, Lag carrying each one's total.
 func frameEntries(m proto.Message) []proto.SeriesResult {
-	if len(m.Results) > 0 {
+	if m.Type == proto.MsgReplStore {
 		return m.Results
 	}
 	return []proto.SeriesResult{{Series: m.Series, Samples: m.Samples, Lag: m.Total}}

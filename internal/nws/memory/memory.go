@@ -338,20 +338,16 @@ func (s *Server) handleBatchFetch(req proto.Message) {
 	s.st.Reply(req, proto.Message{Type: proto.MsgBatchFetchReply, Version: proto.V3, Results: results, ResultTokens: tokens})
 }
 
-// handleReplStore applies a fan-out frame from a primary: one store,
-// or a merged frame whose Results hold one store per entry (Lag carries
-// its total), each applied as if it had come alone. An owned series
-// ignores its stores (the sender is stale — ownership moved here), and
-// the reply always acks, with the lag after the frame's last store:
-// replication is at-most-once by design.
+// handleReplStore applies a fan-out frame from a primary: its Results
+// hold one store per entry (Lag carries its total), each applied as if
+// it had come alone. An owned series ignores its stores (the sender is
+// stale — ownership moved here), and the reply always acks, with the
+// lag after the frame's last store: replication is at-most-once by
+// design.
 func (s *Server) handleReplStore(req proto.Message) {
-	entries := req.Results
-	if len(entries) == 0 {
-		entries = []proto.SeriesResult{{Series: req.Series, Samples: req.Samples, Lag: req.Total}}
-	}
 	var lag int64
 	s.mu.Lock()
-	for _, e := range entries {
+	for _, e := range req.Results {
 		r := s.record(e.Series)
 		if r.registered {
 			lag = 0

@@ -236,7 +236,8 @@ func TestHandOverAnswersAsBefore(t *testing.T) {
 		oldPort.ask(old, proto.Message{Type: proto.MsgStore, Series: "own", Samples: samples(i, 1)})
 	}
 	oldPort.ask(old, proto.Message{Type: proto.MsgStore, Series: "own2", Samples: samples(1, 2)})
-	oldPort.ask(old, proto.Message{Type: proto.MsgReplStore, From: "p", Series: "held", Samples: samples(1, 3), Total: 9})
+	oldPort.ask(old, proto.Message{Type: proto.MsgReplStore, From: "p",
+		Results: []proto.SeriesResult{{Series: "held", Samples: samples(1, 3), Lag: 9}}})
 	oldPort.ask(old, proto.Message{Type: proto.MsgReplWindow, From: "q", Series: "held2", Samples: samples(4, 2), Total: 6})
 	old.mu.Lock()
 	old.record("ghost")                                   // mentioned, never written, nothing held

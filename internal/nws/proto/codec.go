@@ -12,24 +12,24 @@ import (
 // The wire codec: a hand-rolled length-prefixed binary encoding for the
 // whole Message vocabulary — the only encoding, on sockets and in the
 // simulator's byte accounting. A frame is a 4-byte little-endian payload
-// length, then the payload: Message's fields in declaration order, with
-// zigzag varints for signed integers, 8-byte little-endian IEEE 754 for
-// floats, uvarint-length-prefixed strings and uvarint-counted slices.
-// The window tokens of Queries and Results (SeriesRequest.Token,
-// Message.ResultTokens) follow the last field in an optional tail: the
-// two counts again, then 8 fixed bytes per query and per result. The
-// tail is written only when some token is non-zero, so a frame without
-// tokens is byte for byte the frame it was before tokens existed, and a
-// frame's length never depends on a token's value.
+// length, then the payload: Type, Version and the frame's total sample
+// count, then Message's other fields in declaration order, with zigzag
+// varints for signed integers, 8-byte little-endian IEEE 754 for floats,
+// uvarint-length-prefixed strings and uvarint-counted slices. Each query
+// and each result ends its fixed part with a flags byte (a result's
+// Replica, and whether a window token follows); a token is 8 fixed
+// bytes, so a frame's length depends on which entries carry a token,
+// never on a token's value.
 //
 // Three straight-line passes walk that layout, one line per field:
 // AppendEncode writes it into a caller-supplied (pooled) buffer,
 // EncodedSize prices it without writing, and Decode reads it back. The
 // decoder keeps its first error and reads zeros after it, so Decode
 // checks once and a bad frame allocates nothing more. The sample runs of
-// one decoded message share one backing array, each run's capacity
-// pinned so an append cannot clobber a neighbor; handlers still copy
-// what they keep past the request (see the README's wire formats).
+// one decoded message share one backing array, sized by the header's
+// count and each run's capacity pinned so an append cannot clobber a
+// neighbor; handlers still copy what they keep past the request (see the
+// README's wire formats).
 
 // Typed decode errors, matched with errors.Is.
 var (
@@ -52,13 +52,13 @@ const MaxFrameSize = 64 << 20
 // frameHeaderSize is the length prefix in front of each V3 payload.
 const frameHeaderSize = 4
 
-// retiredSize is the frame room of four retired top-level forecast
-// fields (Value, MAE, MSE, Method): three floats and an empty string,
-// written as zeros and read and dropped, so every frame keeps its
-// layout until a deliberate wire change.
-const retiredSize = 3*8 + 1
+// The flags byte of a query or a result.
+const (
+	flagReplica = 1 << iota // SeriesResult.Replica
+	flagToken               // a WindowToken follows: 8 bytes, little-endian
+)
 
-// tokenSize is one WindowToken in the tail: a little-endian uint64.
+// tokenSize is one WindowToken on the wire.
 const tokenSize = 8
 
 // ---- encode ----
@@ -99,32 +99,35 @@ func appendReg(b []byte, r *Registration) []byte {
 	return b
 }
 
-func appendToken(b []byte, t WindowToken) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(t))
+// appendFlags writes an entry's flags byte and then t, unless t is the
+// zero token.
+func appendFlags(b []byte, replica bool, t WindowToken) []byte {
+	var f byte
+	if replica {
+		f = flagReplica
+	}
+	if t == 0 {
+		return append(b, f)
+	}
+	return binary.LittleEndian.AppendUint64(append(b, f|flagToken), uint64(t))
 }
 
-// hasTokens reports whether m carries a non-zero window token, and so
-// the token tail.
-func hasTokens(m *Message) bool {
-	for i := range m.Queries {
-		if m.Queries[i].Token != 0 {
-			return true
-		}
-	}
-	for i := range min(len(m.Results), len(m.ResultTokens)) {
-		if m.ResultTokens[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// resultToken is the token of result i: zero where ResultTokens stops.
-func resultToken(m *Message, i int) WindowToken {
-	if i < len(m.ResultTokens) {
-		return m.ResultTokens[i]
+// tokenAt is ts[i], or the zero token past its end (ResultTokens is nil
+// in a reply that carries none).
+func tokenAt(ts []WindowToken, i int) WindowToken {
+	if i < len(ts) {
+		return ts[i]
 	}
 	return 0
+}
+
+// sampleCount is the header's count: every sample the frame carries.
+func sampleCount(m *Message) int {
+	n := len(m.Samples)
+	for i := range m.Results {
+		n += len(m.Results[i].Samples)
+	}
+	return n
 }
 
 func appendSamples(b []byte, ss []Sample) []byte {
@@ -144,6 +147,7 @@ func AppendEncode(buf []byte, m *Message) []byte {
 	b := buf
 	b = appendUvarint(b, uint64(m.Type))
 	b = appendUvarint(b, uint64(m.Version))
+	b = appendUvarint(b, uint64(sampleCount(m)))
 	b = appendString(b, m.From)
 	b = appendVarint(b, m.ID)
 	b = appendVarint(b, m.ReplyTo)
@@ -162,6 +166,7 @@ func AppendEncode(buf []byte, m *Message) []byte {
 	for i := range m.Queries {
 		b = appendString(b, m.Queries[i].Series)
 		b = appendVarint(b, int64(m.Queries[i].Count))
+		b = appendFlags(b, false, m.Queries[i].Token)
 	}
 	b = appendUvarint(b, uint64(len(m.Results)))
 	for i := range m.Results {
@@ -170,7 +175,7 @@ func AppendEncode(buf []byte, m *Message) []byte {
 		b = appendSamples(b, r.Samples)
 		b = appendString(b, r.Error)
 		b = appendString(b, r.Code)
-		b = appendBool(b, r.Replica)
+		b = appendFlags(b, r.Replica, tokenAt(m.ResultTokens, i))
 		b = appendVarint(b, r.Lag)
 	}
 	b = appendUvarint(b, uint64(len(m.Forecasts)))
@@ -187,23 +192,12 @@ func AppendEncode(buf []byte, m *Message) []byte {
 		b = appendBool(b, f.Replica)
 		b = appendVarint(b, f.Lag)
 	}
-	b = append(b, make([]byte, retiredSize)...)
 	b = appendString(b, m.Clique)
 	b = appendVarint(b, m.TokenSeq)
 	b = appendVarint(b, m.Epoch)
 	b = appendVarint(b, m.Total)
 	b = appendString(b, m.Code)
 	b = appendVarint(b, int64(m.RetryAfter))
-	if hasTokens(m) {
-		b = appendUvarint(b, uint64(len(m.Queries)))
-		b = appendUvarint(b, uint64(len(m.Results)))
-		for i := range m.Queries {
-			b = appendToken(b, m.Queries[i].Token)
-		}
-		for i := range m.Results {
-			b = appendToken(b, resultToken(m, i))
-		}
-	}
 	return b
 }
 
@@ -232,6 +226,14 @@ func sizeReg(r *Registration) int {
 	return n
 }
 
+// sizeFlags prices a flags byte and the token behind it, if any.
+func sizeFlags(t WindowToken) int {
+	if t == 0 {
+		return 1
+	}
+	return 1 + tokenSize
+}
+
 func sizeSamples(ss []Sample) int {
 	n := sizeUvarint(uint64(len(ss)))
 	for i := range ss {
@@ -245,8 +247,9 @@ func sizeSamples(ss []Sample) int {
 // AppendEncode field for field.
 func EncodedSize(m *Message) int {
 	n := sizeUvarint(uint64(m.Type)) + sizeUvarint(uint64(m.Version)) +
-		sizeString(m.From) + sizeVarint(m.ID) + sizeVarint(m.ReplyTo) +
-		sizeString(m.Error) + sizeReg(&m.Reg) + sizeString(m.Kind) + sizeString(m.Name)
+		sizeUvarint(uint64(sampleCount(m))) + sizeString(m.From) + sizeVarint(m.ID) +
+		sizeVarint(m.ReplyTo) + sizeString(m.Error) + sizeReg(&m.Reg) + sizeString(m.Kind) +
+		sizeString(m.Name)
 	n += sizeUvarint(uint64(len(m.Regs)))
 	for i := range m.Regs {
 		n += sizeReg(&m.Regs[i])
@@ -254,13 +257,14 @@ func EncodedSize(m *Message) int {
 	n += sizeString(m.Series) + sizeSamples(m.Samples) + sizeVarint(int64(m.Count))
 	n += sizeUvarint(uint64(len(m.Queries)))
 	for i := range m.Queries {
-		n += sizeString(m.Queries[i].Series) + sizeVarint(int64(m.Queries[i].Count))
+		n += sizeString(m.Queries[i].Series) + sizeVarint(int64(m.Queries[i].Count)) +
+			sizeFlags(m.Queries[i].Token)
 	}
 	n += sizeUvarint(uint64(len(m.Results)))
 	for i := range m.Results {
 		r := &m.Results[i]
 		n += sizeString(r.Series) + sizeSamples(r.Samples) + sizeString(r.Error) + sizeString(r.Code)
-		n += 1 + sizeVarint(r.Lag)
+		n += sizeFlags(tokenAt(m.ResultTokens, i)) + sizeVarint(r.Lag)
 	}
 	n += sizeUvarint(uint64(len(m.Forecasts)))
 	for i := range m.Forecasts {
@@ -269,13 +273,8 @@ func EncodedSize(m *Message) int {
 			sizeVarint(int64(f.Count)) + sizeString(f.Error) + sizeString(f.Code) +
 			1 + sizeVarint(f.Lag)
 	}
-	n += retiredSize + sizeString(m.Clique) +
-		sizeVarint(m.TokenSeq) + sizeVarint(m.Epoch) + sizeVarint(m.Total) +
-		sizeString(m.Code) + sizeVarint(int64(m.RetryAfter))
-	if hasTokens(m) {
-		n += sizeUvarint(uint64(len(m.Queries))) + sizeUvarint(uint64(len(m.Results))) +
-			tokenSize*(len(m.Queries)+len(m.Results))
-	}
+	n += sizeString(m.Clique) + sizeVarint(m.TokenSeq) + sizeVarint(m.Epoch) +
+		sizeVarint(m.Total) + sizeString(m.Code) + sizeVarint(int64(m.RetryAfter))
 	return n
 }
 
@@ -327,24 +326,27 @@ func (d *decoder) float() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(d.fixed(8, "float")))
 }
 
-func (d *decoder) token() WindowToken {
-	return WindowToken(binary.LittleEndian.Uint64(d.fixed(tokenSize, "token")))
+// flags reads a flags byte and the token it announces (zero for none).
+func (d *decoder) flags() (byte, WindowToken) {
+	f := d.fixed(1, "flags")[0]
+	if f&flagToken == 0 {
+		return f, 0
+	}
+	return f, WindowToken(binary.LittleEndian.Uint64(d.fixed(tokenSize, "token")))
 }
 
 func (d *decoder) boolByte() bool { return d.fixed(1, "bool")[0] != 0 }
 
-// bytes reads a length-prefixed run in place (empty past a failure).
-func (d *decoder) bytes() []byte {
+// str reads a length-prefixed string (empty past a failure).
+func (d *decoder) str() string {
 	n := d.uvarint()
 	if n > uint64(len(d.b)-d.pos) {
 		d.err = fmt.Errorf("%w: string of %d bytes at offset %d", ErrTruncated, n, d.pos)
-		return nil
+		return ""
 	}
 	d.pos += int(n)
-	return d.b[d.pos-int(n) : d.pos]
+	return string(d.b[d.pos-int(n) : d.pos])
 }
-
-func (d *decoder) str() string { return string(d.bytes()) }
 
 // count reads a slice length and sanity-checks it against the bytes
 // actually left in the payload (each element costs at least minBytes),
@@ -389,12 +391,10 @@ func (d *decoder) regs() []Registration {
 }
 
 // samples decodes one sample run into a subslice of the shared backing
-// array. The first non-empty run sizes the array for every sample the
-// unread bytes could still hold (9 bytes each at least, as count
-// assumes), so later runs never regrow it and a hostile count cannot
-// allocate more than the frame justifies; a run stops at a failure,
-// before it could outgrow the array. The subslice's capacity is pinned
-// so append never bleeds into a neighbor's samples.
+// array, which the header made for every sample the frame announced: a
+// run longer than what is left of it fails the frame, so the array is
+// never regrown, and a run stops at a failure. The subslice's capacity
+// is pinned so append never bleeds into a neighbor's samples.
 //
 // While 16 bytes remain, a sample whose timestamp varint ends within
 // its first 8 bytes is read from one 8-byte load: the stop bit is the
@@ -403,11 +403,12 @@ func (d *decoder) regs() []Registration {
 // take varint and float, whose errors stay the only ones a run reports.
 func (d *decoder) samples() []Sample {
 	n := d.count(9)
-	if n == 0 {
+	if left := cap(d.backing) - len(d.backing); n > left {
+		d.err = fmt.Errorf("%w: run of %d samples with %d of the announced left", ErrTruncated, n, left)
 		return nil
 	}
-	if d.backing == nil {
-		d.backing = make([]Sample, 0, (len(d.b)-d.pos)/9)
+	if n == 0 {
+		return nil
 	}
 	backing, start := d.backing, len(d.backing)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -437,21 +438,33 @@ func (d *decoder) samples() []Sample {
 }
 
 func (d *decoder) queries() []SeriesRequest {
-	qs := slice[SeriesRequest](d, 2)
+	qs := slice[SeriesRequest](d, 3)
 	for i := range qs {
-		qs[i] = SeriesRequest{Series: d.str(), Count: int(d.varint())}
+		q := &qs[i]
+		q.Series, q.Count = d.str(), int(d.varint())
+		_, q.Token = d.flags()
 	}
 	return qs
 }
 
-func (d *decoder) results() []SeriesResult {
+// results reads the Results and their ResultTokens, which stay nil
+// unless a result carries a token.
+func (d *decoder) results() ([]SeriesResult, []WindowToken) {
 	rs := slice[SeriesResult](d, 6)
+	var ts []WindowToken
 	for i := range rs {
 		r := &rs[i]
 		r.Series, r.Samples, r.Error, r.Code = d.str(), d.samples(), d.str(), d.str()
-		r.Replica, r.Lag = d.boolByte(), d.varint()
+		f, t := d.flags()
+		r.Replica, r.Lag = f&flagReplica != 0, d.varint()
+		if t != 0 {
+			if ts == nil {
+				ts = make([]WindowToken, len(rs))
+			}
+			ts[i] = t
+		}
 	}
-	return rs
+	return rs, ts
 }
 
 func (d *decoder) forecasts() []ForecastResult {
@@ -464,33 +477,12 @@ func (d *decoder) forecasts() []ForecastResult {
 	return fs
 }
 
-// tokens reads the token tail into the Queries and ResultTokens of
-// the Results just decoded: its counts must be theirs, or the frame is
-// ErrTruncated.
-func (d *decoder) tokens(m *Message) {
-	nq, nr := d.uvarint(), d.uvarint()
-	if d.err == nil && (nq != uint64(len(m.Queries)) || nr != uint64(len(m.Results))) {
-		d.err = fmt.Errorf("%w: token tail for %d queries and %d results, message has %d and %d",
-			ErrTruncated, nq, nr, len(m.Queries), len(m.Results))
-		return
-	}
-	for i := range m.Queries {
-		m.Queries[i].Token = d.token()
-	}
-	if nr > 0 {
-		m.ResultTokens = make([]WindowToken, nr)
-	}
-	for i := range m.ResultTokens {
-		m.ResultTokens[i] = d.token()
-	}
-}
-
 // Decode parses one V3 payload into m, overwriting every field. On error
 // m may be partially filled and must not be used. All sample slices of
-// one message share a single backing array (capacities pinned). The
-// retired forecast positions are read and dropped, whatever they hold.
-// Bytes after the last field are the token tail when the message has
-// Queries or Results, and ErrTrailingBytes otherwise or after the tail.
+// one message share a single backing array (capacities pinned), made
+// once for the header's count after checking the frame could hold it;
+// runs that do not add up to that count are ErrTruncated, and bytes
+// after the last field ErrTrailingBytes.
 func Decode(data []byte, m *Message) error {
 	if len(data) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(data))
@@ -498,6 +490,9 @@ func Decode(data []byte, m *Message) error {
 	d := decoder{b: data}
 	m.Type = MsgType(d.uvarint())
 	m.Version = int(d.uvarint())
+	if n := d.count(9); n > 0 {
+		d.backing = make([]Sample, 0, n)
+	}
 	m.From = d.str()
 	m.ID = d.varint()
 	m.ReplyTo = d.varint()
@@ -510,21 +505,16 @@ func Decode(data []byte, m *Message) error {
 	m.Samples = d.samples()
 	m.Count = int(d.varint())
 	m.Queries = d.queries()
-	m.Results = d.results()
-	m.ResultTokens = nil // set by the token tail, if any
+	m.Results, m.ResultTokens = d.results()
 	m.Forecasts = d.forecasts()
-	d.float() // the retired Value, MAE, MSE and Method
-	d.float()
-	d.float()
-	d.bytes()
 	m.Clique = d.str()
 	m.TokenSeq = d.varint()
 	m.Epoch = d.varint()
 	m.Total = d.varint()
 	m.Code = d.str()
 	m.RetryAfter = time.Duration(d.varint())
-	if d.err == nil && d.pos != len(d.b) && len(m.Queries)+len(m.Results) > 0 {
-		d.tokens(m)
+	if d.err == nil && len(d.backing) != cap(d.backing) {
+		d.err = fmt.Errorf("%w: runs hold %d of the %d samples announced", ErrTruncated, len(d.backing), cap(d.backing))
 	}
 	if d.err == nil && d.pos != len(d.b) {
 		d.err = fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailingBytes, d.pos, len(d.b))

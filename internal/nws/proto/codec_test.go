@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -20,6 +21,7 @@ func codecShapes() []Message {
 	reg := Registration{Name: "cpu.h1", Kind: "series", Host: "h1", Owner: "memory.h1",
 		TTL: 30 * time.Second, Expires: 95 * time.Second}
 	samples := []Sample{{At: time.Second, Value: 0.25}, {At: 2 * time.Second, Value: -1.5}}
+	held := WindowToken(0x9E3779B97F4A7C15)
 	return []Message{
 		{},
 		{Type: MsgPing, From: "h0", ID: 7},
@@ -68,18 +70,9 @@ func codecShapes() []Message {
 			}},
 		{Type: MsgQueryFetchReply, Version: V3, From: "gw", ID: 23, ReplyTo: 11,
 			Error: "gateway gw overloaded", Code: CodeOverloaded, RetryAfter: 500 * time.Millisecond},
-	}
-}
-
-// tokenShapes are the frames that carry window tokens: a forecaster's
-// tokened fetch, a memory server's reply with an unchanged and a
-// changed window, and a reply in which only a result is stamped. They
-// are hashed apart from codecShapes, whose frames carry no token and
-// must not move.
-func tokenShapes() []Message {
-	samples := []Sample{{At: time.Second, Value: 0.25}, {At: 2 * time.Second, Value: -1.5}}
-	held := WindowToken(0x9E3779B97F4A7C15)
-	return []Message{
+		// Window tokens: a forecaster's tokened fetch, a memory server's
+		// reply with an unchanged and a changed window, and a reply in
+		// which only a later result is stamped.
 		{Type: MsgBatchFetch, Version: V3, From: "fc", ID: 30,
 			Queries: []SeriesRequest{{Series: "cpu.h1", Count: 256, Token: held}, {Series: "cpu.h2", Count: 256, Token: AskToken}}},
 		{Type: MsgBatchFetchReply, Version: V3, From: "m", ID: 31, ReplyTo: 30,
@@ -92,7 +85,7 @@ func tokenShapes() []Message {
 }
 
 func TestCodecRoundTripEveryShape(t *testing.T) {
-	for i, m := range append(codecShapes(), tokenShapes()...) {
+	for i, m := range codecShapes() {
 		enc := AppendEncode(nil, &m)
 		if got, want := len(enc), EncodedSize(&m); got != want {
 			t.Fatalf("shape %d: EncodedSize %d != encoded length %d", i, want, got)
@@ -114,70 +107,80 @@ func TestCodecRoundTripEveryShape(t *testing.T) {
 // goldenFramesSHA256 is the digest of every codecShapes frame, each
 // behind its uvarint length. A codec edit that moves any byte of any
 // shape changes it; only a deliberate wire change re-records it.
-const goldenFramesSHA256 = "ff9857fb15eb6fe60e4c93befaf3d572884323f5a0aa1af97184eeef9629de8d"
+const goldenFramesSHA256 = "a61c56248607de5bd83b8ea7cb2a8354c881d229d3f12b848dbd6c13aadcfe31"
 
-// goldenTokenFramesSHA256 is the same digest over tokenShapes.
-const goldenTokenFramesSHA256 = "6729d7e56262c387d2644ddad03def35718b44e038daad5f6e34fd4d89a7ca4e"
-
-func framesSHA256(shapes []Message) string {
+func TestCodecFramesGolden(t *testing.T) {
 	h := sha256.New()
-	for _, m := range shapes {
+	for _, m := range codecShapes() {
 		enc := AppendEncode(nil, &m)
 		h.Write(binary.AppendUvarint(nil, uint64(len(enc))))
 		h.Write(enc)
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func TestCodecFramesGolden(t *testing.T) {
-	if got := framesSHA256(codecShapes()); got != goldenFramesSHA256 {
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenFramesSHA256 {
 		t.Fatalf("codecShapes frames hash to %s, want %s: a frame moved", got, goldenFramesSHA256)
 	}
-	if got := framesSHA256(tokenShapes()); got != goldenTokenFramesSHA256 {
-		t.Fatalf("tokenShapes frames hash to %s, want %s: a token frame moved", got, goldenTokenFramesSHA256)
-	}
 }
 
-// TestTokenTailOnlyWhenTokened: a frame grows by the tail exactly when
-// some token is non-zero, and by the same bytes whatever the tokens'
-// values, so a simulated transfer's cost never depends on them.
-func TestTokenTailOnlyWhenTokened(t *testing.T) {
+// TestTokenPricedByPresence: a token costs its flag bit and 8 bytes,
+// whatever its value, so a frame's length — and a simulated transfer's
+// cost — depends on which entries carry a token, never on the stamps,
+// which start at a random point in every process.
+func TestTokenPricedByPresence(t *testing.T) {
 	m := batchReply(3, 4)
+	m.Queries = []SeriesRequest{{Series: "q"}}
 	bare := EncodedSize(&m)
 	m.ResultTokens = make([]WindowToken, 3)
 	if EncodedSize(&m) != bare {
 		t.Fatal("zero tokens grew the frame")
 	}
-	m.ResultTokens[1] = 1
-	small := EncodedSize(&m)
-	m.ResultTokens[0] = math.MaxUint64
-	if big := EncodedSize(&m); small != big || small != bare+2+3*tokenSize {
-		t.Fatalf("sizes: %d untokened, %d and %d tokened, want %d for both", bare, small, big, bare+2+3*tokenSize)
+	for _, v := range []WindowToken{1, 1 << 40, math.MaxUint64 - 1, AskToken} {
+		m.ResultTokens[1], m.Queries[0].Token = v, v
+		if got, want := EncodedSize(&m), bare+2*tokenSize; got != want {
+			t.Fatalf("tokens %#x: %d bytes, want %d (%d untokened)", uint64(v), got, want, bare)
+		}
 	}
 }
 
-// TestDecodeTokenTailHostile: a tail whose counts are not the message's
-// Queries and Results, or whose tokens are cut short, is ErrTruncated;
-// a byte after a whole tail is ErrTrailingBytes.
-func TestDecodeTokenTailHostile(t *testing.T) {
-	m := tokenShapes()[0] // two queries, no results
+// withSampleCount is frame enc with its header's sample count replaced
+// by n. The count follows Type and Version, each one byte in every
+// shape here.
+func withSampleCount(enc []byte, n uint64) []byte {
+	_, k := binary.Uvarint(enc[2:])
+	return append(binary.AppendUvarint(append([]byte(nil), enc[:2]...), n), enc[2+k:]...)
+}
+
+// TestDecodeSampleCountHostile: runs that do not add up to the header's
+// sample count, in either direction, are ErrTruncated, and a count the
+// frame's bytes could not hold fails before the sample array is made.
+func TestDecodeSampleCountHostile(t *testing.T) {
+	m := codecShapes()[14] // a reply with runs of 2 and 1
 	enc := AppendEncode(nil, &m)
-	tail := len(enc) - 2 - 2*tokenSize
-	for name, frame := range map[string][]byte{
-		"queries miscounted": append(append(enc[:tail:tail], 3, 0), enc[tail+2:]...),
-		"results miscounted": append(append(enc[:tail:tail], 2, 1), enc[tail+2:]...),
-		"tokens cut short":   enc[:len(enc)-1],
-		"counts only":        enc[:tail+2],
-		"half a count":       append(enc[:tail:tail], 0x82),
+	for name, n := range map[string]uint64{
+		"one above its runs": 4,
+		"one below its runs": 2,
+		"none announced":     0,
+		"more than fits":     uint64(len(enc)),
+		"far more than fits": 1 << 20,
+		"beyond any int":     math.MaxUint64,
 	} {
 		var back Message
+		frame := withSampleCount(enc, n)
 		if err := Decode(frame, &back); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: want ErrTruncated, got %v", name, err)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			Decode(frame, &back)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 4096 {
+			t.Errorf("%s: a refused frame allocated %d bytes", name, per)
+		}
 	}
 	var back Message
-	if err := Decode(append(enc[:len(enc):len(enc)], 0), &back); !errors.Is(err, ErrTrailingBytes) {
-		t.Errorf("byte after the tail: want ErrTrailingBytes, got %v", err)
+	if err := Decode(withSampleCount(enc, 3), &back); err != nil || !reflect.DeepEqual(back, m) {
+		t.Fatalf("the true count: %v", err)
 	}
 }
 
@@ -362,17 +365,17 @@ func TestEncodedSizeMatchesForEmptyAndHuge(t *testing.T) {
 }
 
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, m := range append(codecShapes(), tokenShapes()...) {
+	for _, m := range codecShapes() {
 		f.Add(AppendEncode(nil, &m))
 	}
 	// A few malformed seeds so the corpus starts with rejection paths.
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(binary.AppendUvarint(nil, 1<<40))
-	// A token tail of zeros: decodes, and re-encodes without the tail.
-	zeroTail := tokenShapes()[0]
-	zeroTail.Queries[0].Token, zeroTail.Queries[1].Token = 0, 0
-	f.Add(append(AppendEncode(nil, &zeroTail), append([]byte{2, 0}, make([]byte, 2*tokenSize)...)...))
+	f.Add([]byte{byte(MsgStore), V3, 0xff, 0xff, 0x03}) // more samples than bytes
+	// testdata/fuzz holds tokened shapes at token values 1 and
+	// MaxUint64-1, and frames whose sample count is one above and one
+	// below their runs.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m1 Message
 		if err := Decode(data, &m1); err != nil {

@@ -219,16 +219,25 @@ func TestInteropV3DialsV2CappedPeer(t *testing.T) {
 	stillServesV3(t, tr, srv)
 }
 
-// TestInteropV2CappedDialsV3Peer: a dialer announcing version 2 is
-// refused — closed without an answer byte.
+// TestInteropV2CappedDialsV3Peer: a dialer whose hello is not this
+// build's is refused — closed without an answer byte: one announcing
+// version 2, and one built for the frame layout before tokens went
+// inline (magic revision 1, version 3).
 func TestInteropV2CappedDialsV3Peer(t *testing.T) {
-	tr, srv := refusalRig(t)
-	conn := rawDial(t, tr)
-	if _, err := conn.Write([]byte("NWS\x01\x02")); err != nil {
-		t.Fatal(err)
+	for name, hello := range map[string]string{
+		"version 2":         "NWS\x01\x02",
+		"pre-inline layout": "NWS\x01\x03",
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, srv := refusalRig(t)
+			conn := rawDial(t, tr)
+			if _, err := conn.Write([]byte(hello)); err != nil {
+				t.Fatal(err)
+			}
+			closedByPeer(t, conn)
+			stillServesV3(t, tr, srv)
+		})
 	}
-	closedByPeer(t, conn)
-	stillServesV3(t, tr, srv)
 }
 
 // TestInteropLegacyRawGobDialer: a dialer that writes gob from byte zero
@@ -312,6 +321,7 @@ func FuzzTCPServeConn(f *testing.F) {
 	f.Add([]byte("NWS\x01\x02"))                            // wrong version
 	f.Add([]byte("\x3f\xff\x81\x03\x01\x01\x07Message"))    // raw gob from byte zero
 	f.Add([]byte{})
+	f.Add([]byte("NWS\x01\x03" + string(frame))) // the pre-inline layout's hello
 
 	tr := NewTCPTransport()
 	ep, err := tr.Open("srv")

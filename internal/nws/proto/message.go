@@ -59,10 +59,9 @@ const (
 	MsgRegisterBulk
 
 	// Replication plane. ReplStore appends fan-out samples on a
-	// replica (Total carries the primary's cumulative per-series count,
-	// so the replica can compute its lag watermark), or, merged, several
-	// stores at once, one per Results entry with its total in Lag;
-	// ReplWindow replaces
+	// replica: one store per Results entry, each with the primary's
+	// cumulative count for its series in Lag, so the replica can
+	// compute its lag watermark; ReplWindow replaces
 	// a replica's retained window wholesale (anti-entropy backfill);
 	// ReplSync asks a survivor for every series owned by a dead primary
 	// (ReplSyncReply answers with Results, reusing SeriesResult.Lag as
@@ -189,7 +188,7 @@ type SeriesResult struct {
 	// series' primary; Lag is the replica's watermark at answer time
 	// (samples the primary had accepted that the replica had not). In a
 	// ReplSyncReply, Lag is reused as the sender's cumulative total for
-	// the series, and in a merged ReplStore as the store's total.
+	// the series, and in a ReplStore as the store's total.
 	Replica bool
 	Lag     int64
 }
@@ -217,10 +216,9 @@ type ForecastResult struct {
 // unused fields stay zero, so a trace shows every message the same way.
 // The codec writes the fields in declaration order, so a field added
 // here needs a line in each of AppendEncode, EncodedSize and Decode
-// (TestCodecCoversEveryField fails until it has all three). The window
-// tokens (SeriesRequest.Token, ResultTokens) are the exception: they
-// ride a trailing section written only when one of them is non-zero
-// (see codec.go).
+// (TestCodecCoversEveryField fails until it has all three). A window
+// token travels inline with its query or result, behind that entry's
+// flags byte, and only when it is non-zero (see codec.go).
 type Message struct {
 	Type    MsgType
 	Version int    // protocol version the sender stamped (0 = unstamped); servers reject > V3
@@ -244,9 +242,10 @@ type Message struct {
 	// per Results element: a memory server's answer to a batch fetch
 	// that carried tokens. A result whose token equals its request's is
 	// "unchanged": its Samples is empty and the requester's window
-	// stands. The tokens sit beside Results rather than in them because
-	// every reply allocates its Results, and only the forecaster's
-	// fetches carry tokens.
+	// stands. In memory the tokens sit beside Results rather than in
+	// them because every reply allocates its Results, and only the
+	// forecaster's fetches carry tokens; on the wire each rides with its
+	// result.
 	Queries      []SeriesRequest
 	Results      []SeriesResult
 	ResultTokens []WindowToken
@@ -258,9 +257,9 @@ type Message struct {
 	Epoch    int64 // election epoch
 
 	// Replication fields. Total is the sender's cumulative per-series
-	// sample count: on ReplStore the replica derives its lag watermark
-	// from it, on ReplWindow it becomes the replica's applied count, and
-	// on a ReplRepair ack it reports samples backfilled.
+	// sample count: on ReplWindow it becomes the replica's applied
+	// count, on a ReplStore ack it is the replica's lag after the frame,
+	// and on a ReplRepair ack it reports samples backfilled.
 	Total int64
 
 	// Backpressure fields. Code classifies a whole-message error reply

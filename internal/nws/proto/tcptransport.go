@@ -16,11 +16,14 @@ import (
 // Handshake. A dialer opens every connection with the 5-byte hello —
 // the 4-byte magic followed by the wire version — and the acceptor
 // answers with the one version byte. There is one version, V3: length-
-// prefixed codec frames (codec.go) for the life of the connection. An
+// prefixed codec frames (codec.go) for the life of the connection. The
+// magic's last byte is the frame layout's revision: 2 since tokens went
+// inline and the header began counting samples, so a peer built for the
+// earlier layout ("NWS\x01") is refused like any other stranger. An
 // acceptor that reads anything but the hello closes the connection
 // without answering; a dialer that is answered anything but V3 fails the
 // Send with an error naming the version.
-const wireHello = "NWS\x01" + string(rune(V3))
+const wireHello = "NWS\x02" + string(rune(V3))
 
 // handshakeTimeout bounds the dial and each side's half of the
 // handshake, so a peer that accepts (or connects) and then stays silent

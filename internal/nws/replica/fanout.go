@@ -21,9 +21,9 @@ const DefaultTimeout = 10 * time.Second
 // arrival order. After each round trip the sender ships everything that
 // queued meanwhile in one frame (group commit): consecutive stores
 // travel as one ReplStore whose Results hold one entry per store, up to
-// frame samples; a window always travels alone. Delivery is
-// at-most-once — a shed or failed frame is not retried; the replica's
-// lag watermark records the gap.
+// frame samples (a lone store is a frame of one entry); a window always
+// travels alone. Delivery is at-most-once — a shed or failed frame is
+// not retried; the replica's lag watermark records the gap.
 type Fanout struct {
 	port    proto.Port
 	met     Metrics
@@ -157,9 +157,9 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 // merge takes the stores queued behind first into one frame of at most
 // f.frame samples. It returns the frame, the stores it carries, and the
 // message it took but could not merge (a window, or a store past the
-// cap), if any. A lone store's frame is the store itself.
+// cap), if any. A lone store's frame is a frame of one entry.
 func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, n int, rest proto.Message, held bool) {
-	var entries []proto.SeriesResult
+	entries := []proto.SeriesResult{entry(first)}
 	samples := len(first.Samples)
 	for {
 		m, ok := q.inbox.TryRecv()
@@ -170,20 +170,14 @@ func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, 
 			rest, held = m, true
 			break
 		}
-		if entries == nil {
-			entries = []proto.SeriesResult{entry(first)}
-		}
 		entries = append(entries, entry(m))
 		samples += len(m.Samples)
-	}
-	if entries == nil {
-		return first, 1, rest, held
 	}
 	return proto.Message{Type: proto.MsgReplStore, Version: proto.V3, Results: entries}, len(entries), rest, held
 }
 
-// entry is store m as one entry of a merged frame: Lag carries its
-// total, as in a ReplSyncReply.
+// entry is store m as one entry of a frame: Lag carries its total, as
+// in a ReplSyncReply.
 func entry(m proto.Message) proto.SeriesResult {
 	return proto.SeriesResult{Series: m.Series, Samples: m.Samples, Lag: m.Total}
 }

@@ -101,7 +101,7 @@ func TestFanoutDeliversAndCounts(t *testing.T) {
 	port.mu.Lock()
 	defer port.mu.Unlock()
 	for _, m := range port.calls {
-		if m.Type != proto.MsgReplStore || m.Total != 1 || m.Series != "s" {
+		if m.Type != proto.MsgReplStore || len(m.Results) != 1 || m.Results[0].Lag != 1 || m.Results[0].Series != "s" {
 			t.Fatalf("unexpected fan-out message %+v", m)
 		}
 	}
@@ -147,7 +147,7 @@ func samples(n int) []proto.Sample {
 // TestFanoutMergesWhatQueued: while one frame is on the wire, the
 // stores queued behind it leave as one merged frame, in order, up to
 // the frame cap; a window travels alone and is never overtaken; a lone
-// store's frame is the store itself. Counters count stores.
+// store's frame is a frame of one entry. Counters count stores.
 func TestFanoutMergesWhatQueued(t *testing.T) {
 	reg := telemetry.New(func() time.Duration { return 0 })
 	met := NewMetrics(reg)
@@ -162,7 +162,8 @@ func TestFanoutMergesWhatQueued(t *testing.T) {
 	lone := samples(1)
 	f.Store("a", lone, 1)
 	first := <-port.calls
-	want := proto.Message{Type: proto.MsgReplStore, Version: proto.V3, Series: "a", Samples: lone, Total: 1}
+	want := proto.Message{Type: proto.MsgReplStore, Version: proto.V3,
+		Results: []proto.SeriesResult{{Series: "a", Samples: lone, Lag: 1}}}
 	if !reflect.DeepEqual(first, want) {
 		t.Fatalf("lone store sent as %+v, want %+v", first, want)
 	}
@@ -193,7 +194,7 @@ func TestFanoutMergesWhatQueued(t *testing.T) {
 	for i, want := range frames {
 		m := <-port.calls
 		var got []entry
-		if len(m.Results) == 0 {
+		if m.Type == proto.MsgReplWindow {
 			got = []entry{{m.Series, len(m.Samples), m.Total}}
 		}
 		for _, r := range m.Results {
