@@ -39,6 +39,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"nwsenv/internal/scenlab"
 )
 
 // gateFile is the declaration benchjson reads, relative to the working
@@ -94,7 +96,8 @@ type Artifact struct {
 // recorded on: host-clock numbers of two artifacts compare only when
 // these match.
 type Provenance struct {
-	// Commit is the checkout's git HEAD, or "unknown" outside one.
+	// Commit is the checkout's git HEAD, "-dirty" when tracked files
+	// differ from it, or "unknown" outside one (scenlab.GitCommit).
 	Commit     string `json:"commit"`
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -107,11 +110,7 @@ type Provenance struct {
 // the go test it runs inherits all of them. The CPU model comes from
 // the bench output.
 func newProvenance() Provenance {
-	commit := "unknown"
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		commit = strings.TrimSpace(string(out))
-	}
-	return Provenance{Commit: commit, GoVersion: runtime.Version(),
+	return Provenance{Commit: scenlab.GitCommit(), GoVersion: runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 }
 

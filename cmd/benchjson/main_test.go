@@ -246,7 +246,7 @@ func TestProvenance(t *testing.T) {
 		p.GOMAXPROCS != runtime.GOMAXPROCS(0) || p.NumCPU != runtime.NumCPU() {
 		t.Errorf("provenance %+v", p)
 	}
-	if !regexp.MustCompile(`^([0-9a-f]{40}|unknown)$`).MatchString(p.Commit) {
+	if !regexp.MustCompile(`^([0-9a-f]{40}(-dirty)?|unknown)$`).MatchString(p.Commit) {
 		t.Errorf("commit %q, want a git hash or unknown", p.Commit)
 	}
 	data, err := json.Marshal(art)

@@ -2,23 +2,22 @@
 // system for a while, reporting what it measured: the runtime
 // counterpart of §5.2. It drives the core pipeline's Apply stage — or,
 // with -auto / -tcp, the whole pipeline in one command, and with
-// -watch, the §4.3 self-healing reconcile loop on top of it.
+// -tcp -watch, the §4.3 self-healing reconcile loop on top of it.
 //
 //	nwsmanager -topo enslyon.json -plan plan.json -duration 5m
 //	nwsmanager -topo enslyon.json -plan plan.json -query moby.cri2000.ens-lyon.fr,sci3.popc.private
 //	nwsmanager -topo enslyon.json -auto -duration 5m        # Map→Plan→Apply, no files
 //	nwsmanager -tcp -hosts alpha,beta,gamma -duration 3s    # real loopback sockets
-//	nwsmanager -topo lan.json -watch -scenario mixed -seed 42 -duration 40m
 //	nwsmanager -tcp -hosts alpha,beta,gamma -watch -duration 30s
 //
 // -auto collapses the topogen→envmap→nwsdeploy→nwsmanager file relay
 // into a single command over the simulated platform; -tcp runs the same
 // staged pipeline over real loopback TCP sockets on the wall clock.
-// -watch keeps the deployment under a reconcile control plane that
+// -watch keeps the TCP deployment under a reconcile control plane that
 // detects drift (dead sensors, partitions, churn), re-maps, re-plans
-// and applies only the delta; -scenario injects a deterministic,
-// seeded fault schedule on the simulated platform to exercise it.
-// Long-running modes (-tcp, -watch) shut down cleanly on SIGINT/
+// and applies only the delta. Seeded fault scenarios against the same
+// loop on the simulated platform are the scenario lab's (scenlab run).
+// Long-running modes (-tcp, -tcp -watch) shut down cleanly on SIGINT/
 // SIGTERM, closing sockets and flushing a final metrics report.
 package main
 
@@ -49,7 +48,6 @@ import (
 	"nwsenv/internal/platform"
 	"nwsenv/internal/query"
 	"nwsenv/internal/reconcile"
-	"nwsenv/internal/scenlab"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/telemetry"
 	"nwsenv/internal/vclock"
@@ -57,15 +55,13 @@ import (
 
 // options are the parsed flags.
 type options struct {
-	topoFile, hostsCSV    string
-	planFile, gridmlFile  string
-	tcp, watch, pairwise  bool
-	duration, interval    time.Duration
-	query                 string
-	replicas, gateways    int
-	scenario, scenarioDir string
-	seed                  int64
-	teleDir               string
+	topoFile, hostsCSV   string
+	planFile, gridmlFile string
+	tcp, watch, pairwise bool
+	duration, interval   time.Duration
+	query                string
+	replicas, gateways   int
+	teleDir              string
 }
 
 func main() {
@@ -81,18 +77,15 @@ func main() {
 	flag.BoolVar(&o.pairwise, "pairwise", false, "drive switched cliques with the pairwise scheduler (§6 relaxation)")
 	flag.IntVar(&o.replicas, "replicas", 0, "replication factor k: every memory server's series get k replicas on distinct switches (0 = off)")
 	flag.IntVar(&o.gateways, "gateways", 0, "query-gateway replica count N: primary on the master plus N-1 replicas on distinct switches (0/1 = single gateway)")
-	flag.BoolVar(&o.watch, "watch", false, "run the self-healing reconcile loop over the deployment")
-	flag.StringVar(&o.scenario, "scenario", "none", "with -watch on a topo: fault scenario — a name resolved in -scenarios (crash, partition, ...), a .json path, or none")
-	flag.StringVar(&o.scenarioDir, "scenarios", "scenarios", "directory of declarative scenario files -scenario names resolve in")
-	flag.Int64Var(&o.seed, "seed", 42, "seed for all scenario randomness (fault timing, victim choice, churn order)")
-	flag.DurationVar(&o.interval, "reconcile-interval", 2*time.Minute, "reconcile round period (virtual, or wall-clock with -tcp)")
-	flag.StringVar(&o.teleDir, "telemetry", "", "directory for telemetry artifacts: metrics.jsonl, trace.jsonl and snapshot.json (periodic under -watch, final flush on exit or SIGINT)")
+	flag.BoolVar(&o.watch, "watch", false, "with -tcp: run the self-healing reconcile loop over the deployment")
+	flag.DurationVar(&o.interval, "reconcile-interval", 2*time.Minute, "with -tcp -watch: wall-clock reconcile round period")
+	flag.StringVar(&o.teleDir, "telemetry", "", "directory for telemetry artifacts: metrics.jsonl, trace.jsonl and snapshot.json (periodic on the simulator, final flush on exit or SIGINT)")
 	pprofAddr := flag.String("pprof", "", "with -tcp: serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	flag.Parse()
 	if o.interval <= 0 {
-		// The reconciler and the scenario builder both pace off the
-		// interval; a non-positive value would desynchronize them (and
-		// starve the fault jitter), so fall back to the default.
+		// reconcile.New would put its own 5-minute default in place of
+		// a non-positive interval; keep this flag's default instead, the
+		// period the watch banner prints.
 		o.interval = 2 * time.Minute
 	}
 
@@ -121,12 +114,18 @@ func main() {
 		}()
 		defer ln.Close()
 	}
+	if o.watch && !o.tcp {
+		// The simulated reconcile loop under seeded faults is scenlab
+		// run's: it gates, records artifacts and replays by seed.
+		fmt.Fprintln(os.Stderr, "nwsmanager: -watch requires -tcp")
+		os.Exit(2)
+	}
 
 	if !o.tcp && o.topoFile == "" {
 		fmt.Fprintln(os.Stderr, "nwsmanager: -topo is required")
 		os.Exit(2)
 	}
-	if o.tcp || o.watch || *auto {
+	if o.tcp || *auto {
 		o.planFile = "" // the pipeline maps and plans for itself
 	} else if o.planFile == "" {
 		fmt.Fprintln(os.Stderr, "nwsmanager: -plan is required (or use -auto)")
@@ -173,14 +172,12 @@ func pipelineOptions(o options, reg *telemetry.Registry) []core.Option {
 }
 
 // run is the one body of every mode: deploy (a published -plan, or the
-// whole staged pipeline with -auto, -watch and -tcp), with -watch hand
-// the system to the §4.3 reconcile control plane (while a seeded fault
-// scenario plays out on the simulator), let the clock run for the
+// whole staged pipeline with -auto and -tcp), with -watch hand the TCP
+// system to the §4.3 reconcile control plane, let the clock run for the
 // duration, report, and answer -query. One code path drives the
 // simulator and real loopback sockets; what differs is how the clock is
 // driven and where the report reads its measurements. It returns false
-// when a simulated watch has not converged on a valid deployment by the
-// end (unless it was interrupted).
+// when the teardown fails (unless the run was interrupted).
 func run(ctx context.Context, o options) bool {
 	var se *cli.SimEnv // nil on the TCP platform
 	var plat platform.Platform
@@ -216,15 +213,11 @@ func run(ctx context.Context, o options) bool {
 	check(err)
 	dep := out.Deployment
 
-	var scenRun *simnet.ScenarioRun
 	var rec *reconcile.Reconciler
 	wctx, stopWatch := context.WithCancel(ctx)
 	defer stopWatch()
 	loopDone := make(chan struct{})
 	if o.watch {
-		if se != nil {
-			scenRun = scheduleScenario(o, se, out)
-		}
 		rec = reconcile.New(pl, dep, reconcile.Config{
 			Runs:     runs,
 			Interval: o.interval,
@@ -257,22 +250,21 @@ func run(ctx context.Context, o options) bool {
 	}
 	interrupted := ctx.Err() != nil
 	// Stop the reconcile loop before touching the deployment, so no
-	// repair races the teardown. A simulation process only runs while
-	// the clock is driven, so there the canceled loop needs no join.
+	// repair races the teardown.
 	stopWatch()
-	if rec != nil && se == nil {
+	if rec != nil {
 		<-loopDone
 	}
 
-	healthy := true
 	if se != nil {
-		healthy = reportSimRun(se.Net, rec, scenRun, elapsed)
+		reportSim(se.Net, elapsed)
 		if o.query != "" {
 			querySim(se.Sim, dep, o.query)
 		}
 	} else {
 		reportTCP(plat, rec, dep, runs[0].Hosts, o.query)
 	}
+	healthy := true
 	if err := dep.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "teardown:", err)
 		healthy = false
@@ -300,82 +292,6 @@ func runSimClock(ctx context.Context, sim *vclock.Sim, d time.Duration, tick fun
 		}
 	}
 	return sim.Now() - base
-}
-
-// reportSimRun prints the final metrics report of a simulated run that
-// covered elapsed of virtual time: what the watch (if any) saw and what
-// it cost, then the §2.3 observability report. It returns false when a
-// watch ended on an incomplete or still-drifting deployment.
-func reportSimRun(net *simnet.Network, rec *reconcile.Reconciler, scenRun *simnet.ScenarioRun, elapsed time.Duration) bool {
-	if rec == nil {
-		reportSim(net, elapsed)
-		return true
-	}
-	now := net.Sim().Now()
-	rounds := rec.Rounds()
-	repairs, transient := reconcile.Tally(rounds)
-	fmt.Printf("watched %v of virtual time: %d reconcile rounds, %d repairs, %d transient errors\n",
-		elapsed, len(rounds), repairs, transient)
-	if scenRun != nil {
-		report := rec.RecoveryReport(scenRun.Injected())
-		fmt.Print(report)
-		dis := metrics.ProbeDisruption(net, "clique:", reconcile.RepairWindows(report), now-elapsed, now)
-		fmt.Printf("probe disruption: baseline %.2f/min, during repair %.2f/min (drop %.0f%%)\n",
-			dis.BaselinePerMinute, dis.RepairPerMinute, dis.Drop*100)
-	}
-	reportSim(net, elapsed)
-
-	plan := rec.Deployment().Plan
-	v := deploy.ValidateConnectivity(plan)
-	converged := len(rounds) > 0 && rounds[len(rounds)-1].Err == nil && !rounds[len(rounds)-1].Drifted()
-	fmt.Printf("final deployment: %d hosts, complete=%v, converged=%v\n", len(plan.Hosts), v.Complete, converged)
-	return v.Complete && converged
-}
-
-// scheduleScenario compiles the -scenario file's fault plan against the
-// deployed system and schedules it on the simulated network (nil for
-// "none"). The name resolves to <dir>/<name>.json unless it already
-// looks like a path; an unknown name lists what the scenario directory
-// offers. Victim derivation and all randomness flow from the seed
-// exactly as in the scenario lab, so a given (topology, scenario file,
-// seed) triple replays the same faults, and the master is never a
-// victim.
-func scheduleScenario(o options, se *cli.SimEnv, out *core.Outcome) *simnet.ScenarioRun {
-	name, dir := o.scenario, o.scenarioDir
-	if name == "" || name == "none" {
-		return nil
-	}
-	path := name
-	if !strings.ContainsRune(name, os.PathSeparator) && !strings.HasSuffix(name, ".json") {
-		path = filepath.Join(dir, name+".json")
-	}
-	f, err := scenlab.LoadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		err = fmt.Errorf("unknown scenario %q (no scenario files under %s/)", name, dir)
-		if paths, lerr := scenlab.ListDir(dir); lerr == nil && len(paths) > 0 {
-			names := make([]string, len(paths))
-			for i, p := range paths {
-				names[i] = strings.TrimSuffix(filepath.Base(p), ".json")
-			}
-			err = fmt.Errorf("unknown scenario %q: %s/ offers %s", name, dir, strings.Join(names, ", "))
-		}
-	}
-	check(err)
-	victims, links := scenlab.PlanVictimsFor(f.Spec.Fault, out.Plan, out.Resolve, se.Topo)
-	if len(victims) == 0 {
-		check(fmt.Errorf("scenario %s: no non-master victims", f.Spec.Name))
-	}
-	base := se.Sim.Now()
-	scen, err := f.Spec.Fault.Compile(o.seed, base, victims, links)
-	check(err)
-	if len(scen.Events) == 0 {
-		return nil
-	}
-	fmt.Fprintf(os.Stderr, "[reconcile] scenario %s (seed %d): %d events\n", scen.Name, o.seed, len(scen.Events))
-	for _, e := range scen.Events {
-		fmt.Fprintf(os.Stderr, "[reconcile]   t+%-8s %s\n", (e.At - base).Round(time.Second), e)
-	}
-	return scen.Schedule(se.Net)
 }
 
 // tcpHosts parses and checks -hosts.

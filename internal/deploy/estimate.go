@@ -142,16 +142,34 @@ func (e *Estimator) Estimate(from, to string) (LinkEstimate, error) {
 	return est, nil
 }
 
-// Complete reports whether every host pair of the plan is estimable, and
-// lists the unreachable pairs otherwise.
+// Complete reports whether the measurement graph connects every host
+// pair of the plan, and lists the unconnected pairs ("a <-> b", a < b,
+// sorted) otherwise. One union-find over the graph's edges finds its
+// connected components; a host with no edges is a component of its own.
+// It reads the graph only, never the pair data.
 func (e *Estimator) Complete() (bool, []string) {
+	parent := map[string]string{}
+	var find func(h string) string
+	find = func(h string) string {
+		p, ok := parent[h]
+		if !ok || p == h {
+			return h
+		}
+		root := find(p)
+		parent[h] = root
+		return root
+	}
+	for a, bs := range e.edges {
+		for _, b := range bs {
+			if ra, rb := find(a), find(b); ra != rb {
+				parent[ra] = rb
+			}
+		}
+	}
 	var missing []string
 	for _, a := range e.plan.Hosts {
 		for _, b := range e.plan.Hosts {
-			if a >= b {
-				continue
-			}
-			if _, err := e.Estimate(a, b); err != nil {
+			if a < b && find(a) != find(b) {
 				missing = append(missing, a+" <-> "+b)
 			}
 		}

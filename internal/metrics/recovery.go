@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"nwsenv/internal/simnet"
 	"nwsenv/internal/telemetry"
 )
 
@@ -111,99 +110,4 @@ func (r RecoveryReport) String() string {
 			r.MaxTimeToRepair.Round(time.Millisecond), r.MaxRedeployFraction)
 	}
 	return b.String()
-}
-
-// DisruptionReport compares monitoring throughput inside repair windows
-// against the rest of the run: how much measurement the platform lost
-// while faults were outstanding.
-type DisruptionReport struct {
-	// BaselinePerMinute is the probe completion rate outside repair
-	// windows; RepairPerMinute inside them.
-	BaselinePerMinute, RepairPerMinute float64
-	// Drop = 1 - RepairPerMinute/BaselinePerMinute (0 when baseline is
-	// zero); negative values mean monitoring sped up during repair.
-	Drop float64
-}
-
-// ProbeDisruption measures probe-rate loss during the given
-// [injected, repaired] windows over a run spanning [start, end).
-// Overlapping windows are merged before rates are computed.
-func ProbeDisruption(net *simnet.Network, tagPrefix string, windows [][2]time.Duration, start, end time.Duration) DisruptionReport {
-	merged := mergeWindows(windows)
-	var inRepair, total float64
-	for _, w := range merged {
-		lo, hi := w[0], w[1]
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			inRepair += (hi - lo).Minutes()
-		}
-	}
-	total = (end - start).Minutes()
-	if total <= 0 {
-		return DisruptionReport{}
-	}
-
-	countIn, countOut := 0, 0
-	for _, rec := range net.Records() {
-		if rec.Tag == "" || !strings.HasPrefix(rec.Tag, tagPrefix) {
-			continue
-		}
-		if rec.End < start || rec.End >= end {
-			continue
-		}
-		if inWindows(merged, rec.End) {
-			countIn++
-		} else {
-			countOut++
-		}
-	}
-	rep := DisruptionReport{}
-	if out := total - inRepair; out > 0 {
-		rep.BaselinePerMinute = float64(countOut) / out
-	}
-	if inRepair > 0 {
-		rep.RepairPerMinute = float64(countIn) / inRepair
-	}
-	if rep.BaselinePerMinute > 0 {
-		rep.Drop = 1 - rep.RepairPerMinute/rep.BaselinePerMinute
-	}
-	return rep
-}
-
-func mergeWindows(ws [][2]time.Duration) [][2]time.Duration {
-	if len(ws) == 0 {
-		return nil
-	}
-	sorted := append([][2]time.Duration(nil), ws...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j][0] < sorted[j-1][0]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	out := [][2]time.Duration{sorted[0]}
-	for _, w := range sorted[1:] {
-		last := &out[len(out)-1]
-		if w[0] <= last[1] {
-			if w[1] > last[1] {
-				last[1] = w[1]
-			}
-		} else {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func inWindows(ws [][2]time.Duration, at time.Duration) bool {
-	for _, w := range ws {
-		if at >= w[0] && at < w[1] {
-			return true
-		}
-	}
-	return false
 }

@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"nwsenv/internal/simnet"
 	"nwsenv/internal/telemetry"
-	"nwsenv/internal/vclock"
 )
 
 func TestSummarizeRecovery(t *testing.T) {
@@ -96,94 +94,5 @@ func TestDurationPercentile(t *testing.T) {
 	}
 	if repairs[0].RepairedAt != 40*time.Second || repairs[4].RepairedAt != 50*time.Second {
 		t.Fatalf("input mutated: %v", repairs)
-	}
-}
-
-// disruptionNet runs tagged transfers on a two-host segment: one per
-// 30 s except inside [2m, 4m), emulating monitoring paused by a fault.
-func disruptionNet(t *testing.T) *simnet.Network {
-	t.Helper()
-	topo := simnet.NewTopology()
-	topo.AddHost("a", "10.9.0.1", "a.d", "d")
-	topo.AddHost("b", "10.9.0.2", "b.d", "d")
-	topo.AddSwitch("sw")
-	topo.Connect("a", "sw")
-	topo.Connect("b", "sw")
-	sim := vclock.New()
-	net := simnet.NewNetwork(sim, topo)
-	sim.Go("probes", func() {
-		for i := 0; i < 12; i++ {
-			at := time.Duration(i) * 30 * time.Second
-			if at >= 2*time.Minute && at < 4*time.Minute {
-				sim.Sleep(30 * time.Second)
-				continue
-			}
-			if _, err := net.Transfer("a", "b", 1000, "clique:test"); err != nil {
-				t.Errorf("transfer: %v", err)
-			}
-			sim.Sleep(30*time.Second - (sim.Now() - at))
-		}
-	})
-	if err := sim.RunUntil(6 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
-
-// probeRate counts measurement-probe completions per minute in the
-// half-open window [from, to), for tags with the given prefix ("" =
-// all tagged probes).
-func probeRate(net *simnet.Network, tagPrefix string, from, to time.Duration) float64 {
-	if to <= from {
-		return 0
-	}
-	count := 0
-	for _, rec := range net.Records() {
-		if rec.Tag == "" || !strings.HasPrefix(rec.Tag, tagPrefix) {
-			continue
-		}
-		if rec.End >= from && rec.End < to {
-			count++
-		}
-	}
-	return float64(count) / (to - from).Minutes()
-}
-
-func TestProbeRateAndDisruption(t *testing.T) {
-	net := disruptionNet(t)
-	if r := probeRate(net, "clique:", 0, 2*time.Minute); r != 2 {
-		t.Fatalf("baseline rate %v probes/min, want 2", r)
-	}
-	if r := probeRate(net, "clique:", 2*time.Minute, 4*time.Minute); r != 0 {
-		t.Fatalf("paused-window rate %v, want 0", r)
-	}
-	dis := ProbeDisruption(net, "clique:",
-		[][2]time.Duration{{2 * time.Minute, 3 * time.Minute}, {150 * time.Second, 4 * time.Minute}},
-		0, 6*time.Minute)
-	if dis.BaselinePerMinute != 2 {
-		t.Fatalf("baseline %v", dis.BaselinePerMinute)
-	}
-	if dis.RepairPerMinute != 0 {
-		t.Fatalf("repair-window rate %v", dis.RepairPerMinute)
-	}
-	if dis.Drop != 1 {
-		t.Fatalf("drop %v, want 1 (monitoring fully paused)", dis.Drop)
-	}
-}
-
-func TestMergeWindows(t *testing.T) {
-	got := mergeWindows([][2]time.Duration{
-		{4 * time.Minute, 5 * time.Minute},
-		{1 * time.Minute, 2 * time.Minute},
-		{90 * time.Second, 3 * time.Minute},
-	})
-	want := [][2]time.Duration{{1 * time.Minute, 3 * time.Minute}, {4 * time.Minute, 5 * time.Minute}}
-	if len(got) != len(want) {
-		t.Fatalf("merged %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged %v, want %v", got, want)
-		}
 	}
 }

@@ -473,13 +473,3 @@ func (r *Reconciler) RecoveryReport(injected []simnet.InjectedFault) metrics.Rec
 	}
 	return metrics.SummarizeRecovery(repairs, unrepaired)
 }
-
-// RepairWindows extracts the [injected, repaired] spans of a recovery
-// report, the windows ProbeDisruption evaluates.
-func RepairWindows(rep metrics.RecoveryReport) [][2]time.Duration {
-	var out [][2]time.Duration
-	for _, rp := range rep.Repairs {
-		out = append(out, [2]time.Duration{rp.InjectedAt, rp.RepairedAt})
-	}
-	return out
-}

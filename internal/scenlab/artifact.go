@@ -122,10 +122,12 @@ func Summarize(res *Result) Summary {
 	return s
 }
 
-// GitCommit returns the current git HEAD, or "unknown" outside a
-// checkout.
+// GitCommit names the checkout a run measured, for every provenance
+// block: the full HEAD hash, suffixed "-dirty" when tracked files differ
+// from it, or "unknown" outside a checkout. Tags are excluded, so the
+// name is always a hash.
 func GitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*").Output()
 	if err != nil {
 		return "unknown"
 	}

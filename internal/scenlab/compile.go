@@ -109,8 +109,7 @@ func victimPool(hosts []string, master string, resolve map[string]string, tp *si
 
 // Compile lowers the declarative fault onto the simnet.Scenario
 // vocabulary against concrete victims. origin is the virtual time the
-// fault clock starts from (the inject phase start in the lab, the
-// post-deploy time in nwsmanager -watch); every event lands at
+// fault clock starts from (the inject phase start); every event lands at
 // origin + start_sec (+ i×spacing_sec). All randomness — victim
 // choice, mixed-fault jitter — flows from the seed, so one
 // (spec, topology, seed) triple always replays the same schedule.

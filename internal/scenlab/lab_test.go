@@ -3,6 +3,7 @@ package scenlab
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
@@ -279,5 +280,43 @@ func TestInvariantGateFails(t *testing.T) {
 	}
 	if _, pass := EvaluateGates(SLOSpec{Invariants: "all"}, &Summary{}); pass {
 		t.Fatal("a run that never evaluated the invariants passed their gate")
+	}
+}
+
+// TestGitCommitNamesDirtyTree: the provenance commit is "unknown"
+// before a first commit, the full HEAD hash on a clean tree and
+// "<hash>-dirty" once a tracked file is edited.
+func TestGitCommitNamesDirtyTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("no git binary")
+	}
+	t.Chdir(t.TempDir())
+	git := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-c", "user.name=lab", "-c", "user.email=lab@example.org", "-c", "commit.gpgsign=false"}, args...)
+		out, err := exec.Command("git", args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	git("init", "-q")
+	if got := GitCommit(); got != "unknown" {
+		t.Fatalf("before the first commit: %q, want unknown", got)
+	}
+	if err := os.WriteFile("spec.json", []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("add", "spec.json")
+	git("commit", "-q", "-m", "first")
+	head := git("rev-parse", "HEAD")
+	if got := GitCommit(); got != head {
+		t.Fatalf("clean tree: %q, want %q", got, head)
+	}
+	if err := os.WriteFile("spec.json", []byte("{\"edited\": true}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := GitCommit(); got != head+"-dirty" {
+		t.Fatalf("edited tree: %q, want %q", got, head+"-dirty")
 	}
 }

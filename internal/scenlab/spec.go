@@ -27,8 +27,8 @@ import (
 // durations are virtual-time seconds: the lab runs on the simulated
 // platform, where an hour costs milliseconds.
 type Spec struct {
-	// Name identifies the scenario; artifact directories and the
-	// nwsmanager -scenario flag use it, so it must be filename-safe.
+	// Name identifies the scenario; artifact directories are named
+	// after it, so it must be filename-safe.
 	Name string `json:"name"`
 	// Description says what the scenario exercises.
 	Description string `json:"description,omitempty"`
@@ -113,7 +113,7 @@ func (p Phases) Inject() time.Duration   { return time.Duration(p.InjectSec) * t
 func (p Phases) Recovery() time.Duration { return time.Duration(p.RecoverySec) * time.Second }
 
 // FaultKind names a declarative fault workload. The first five are the
-// migrated nwsmanager presets; multi-partition staggers link cuts
+// single-site presets; multi-partition staggers link cuts
 // across distinct victims and is expressible only via the file format.
 type FaultKind string
 
@@ -395,7 +395,7 @@ func LoadFile(path string) (*File, error) {
 // LoadDir loads every *.json scenario in dir, sorted by filename, and
 // rejects duplicate scenario names (one definition source).
 func LoadDir(dir string) ([]*File, error) {
-	paths, err := ListDir(dir)
+	paths, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -418,8 +418,8 @@ func LoadDir(dir string) ([]*File, error) {
 	return files, nil
 }
 
-// ListDir returns the *.json paths of dir, sorted.
-func ListDir(dir string) ([]string, error) {
+// listDir returns the *.json paths of dir, sorted.
+func listDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("scenlab: %w", err)

@@ -1,7 +1,7 @@
 // Scale benchmarks, transfer half: the flow engine on SyntheticGrid
 // platforms of 100/500/1000 hosts, with hundreds of standing background
-// flows and a churn of probe transfers — the load shape `nwsmanager
-// -watch` plus the reconciler generate. Each benchmark runs once on
+// flows and a churn of probe transfers — the load shape monitoring
+// plus the reconciler generate. Each benchmark runs once on
 // Network and once (…Naive, the row name the CI ratio gate reads) on the
 // test-only ReferenceNetwork, so BENCH_scale.json records what
 // component-scoped recomputation buys over global progressive filling.

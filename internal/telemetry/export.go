@@ -125,7 +125,7 @@ func (r *Registry) WriteArtifacts(dir string) error {
 }
 
 // SnapshotJSON renders the snapshot as a single indented JSON object —
-// the form `nwsmanager -watch` dumps periodically and on SIGINT.
+// the form `nwsmanager -telemetry` dumps periodically and on SIGINT.
 func SnapshotJSON(snap Snapshot) []byte {
 	b, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {

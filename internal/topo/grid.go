@@ -84,7 +84,7 @@ func (c GridConfig) Hosts() int {
 // and per site a set of leaf layer-2 segments (switches, or hubs for a
 // seeded HubFraction of them) each holding HostsPerSwitch hosts. It is
 // the scenario generator for thousand-host benchmarks, reconciler runs
-// and `nwsmanager -watch` beyond the paper's few-dozen-machine testbed.
+// and scenario-lab runs beyond the paper's few-dozen-machine testbed.
 // Deterministic for a given config. Returns the topology and the
 // ground-truth segment memberships (segment id → hosts, shared flag).
 //
