@@ -11,7 +11,6 @@ import (
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/query"
-	"nwsenv/internal/simnet"
 )
 
 // TestReconcileGatewayReplicaKilledMidStorm: on a three-site grid with
@@ -153,7 +152,7 @@ func TestReconcileGatewayReplicaKilledMidStorm(t *testing.T) {
 	if answered == 0 {
 		t.Fatalf("storm not answering before the kill (failed %d)", failed)
 	}
-	simnet.CrashScenario(e.out.Resolve[victimName], e.sim.Now()+30*time.Second, 0).Schedule(e.net)
+	e.crashAt(e.out.Resolve[victimName], e.sim.Now()+30*time.Second, 0)
 
 	// Ride through the crash + repair: the loop replans without the dead
 	// host and re-places the replica on a survivor.

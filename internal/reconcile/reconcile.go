@@ -25,9 +25,7 @@ import (
 
 	"nwsenv/internal/core"
 	"nwsenv/internal/deploy"
-	"nwsenv/internal/metrics"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/simnet"
 )
 
 // Config tunes a Reconciler.
@@ -432,44 +430,4 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// RecoveryReport correlates injected faults with the rounds that
-// repaired them: each injection is matched to the first successful
-// repair round between it and the next injection. Injections answered
-// by no repair in their window (still converging, or — like a pure
-// link degradation — requiring no structural change) count as
-// unrepaired.
-func (r *Reconciler) RecoveryReport(injected []simnet.InjectedFault) metrics.RecoveryReport {
-	rounds := r.Rounds()
-	var repairs []metrics.Repair
-	unrepaired := 0
-	for i, inj := range injected {
-		windowEnd := time.Duration(1<<62 - 1)
-		if i+1 < len(injected) {
-			windowEnd = injected[i+1].At
-		}
-		matched := false
-		for _, rd := range rounds {
-			if rd.Started < inj.At || rd.Started >= windowEnd {
-				continue
-			}
-			if rd.Repaired() {
-				repairs = append(repairs, metrics.Repair{
-					Fault:      inj.Event.String(),
-					InjectedAt: inj.At,
-					DetectedAt: rd.DetectedAt,
-					RepairedAt: rd.RepairedAt,
-					Redeployed: rd.Delta.Redeployed(),
-					Total:      rd.Delta.Redeployed() + len(rd.Delta.Kept),
-				})
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			unrepaired++
-		}
-	}
-	return metrics.SummarizeRecovery(repairs, unrepaired)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -11,7 +12,6 @@ import (
 
 	"nwsenv/internal/core"
 	"nwsenv/internal/deploy"
-	"nwsenv/internal/metrics"
 	"nwsenv/internal/nws/gateway"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/proto/prototest"
@@ -31,6 +31,8 @@ type env struct {
 	out   *core.Outcome
 	run   core.MapRun
 	hosts []string // candidate node IDs (external target excluded)
+
+	injected int // fault events crashAt armed that have fired
 
 	rec  *Reconciler             // the loop watch started, if any
 	stop func(stop func() error) // prototest.Teardown's, for what the test started
@@ -126,6 +128,15 @@ func (e *env) nameOf(t *testing.T, id string) string {
 	return ""
 }
 
+// crashAt arms a crash of node id at the virtual time at and, when
+// downFor > 0, its restore downFor later.
+func (e *env) crashAt(id string, at, downFor time.Duration) {
+	e.sim.At(at, func() { e.net.CrashHost(id); e.injected++ })
+	if downFor > 0 {
+		e.sim.At(at+downFor, func() { e.net.RestoreHost(id); e.injected++ })
+	}
+}
+
 func advance(t *testing.T, sim *vclock.Sim, until time.Duration) {
 	t.Helper()
 	if err := sim.RunUntil(until); err != nil {
@@ -144,8 +155,7 @@ func TestReconcileCrashAndRejoin(t *testing.T) {
 	total := len(e.out.Plan.Hosts)
 
 	rec := e.watch(context.Background(), 2*time.Minute)
-	scen := simnet.CrashScenario(victim, base+time.Minute, 14*time.Minute)
-	scenRun := scen.Schedule(e.net)
+	e.crashAt(victim, base+time.Minute, 14*time.Minute)
 
 	// Phase 1: crash at base+1m; give the loop a few rounds.
 	advance(t, e.sim, base+10*time.Minute)
@@ -190,8 +200,8 @@ func TestReconcileCrashAndRejoin(t *testing.T) {
 	if last.Err != nil || last.Drifted() {
 		t.Fatalf("loop did not converge after rejoin: %+v", last)
 	}
-	if len(scenRun.Injected()) != 2 {
-		t.Fatalf("scenario injected %d events", len(scenRun.Injected()))
+	if e.injected != 2 {
+		t.Fatalf("injected %d events, want the crash and the restore", e.injected)
 	}
 }
 
@@ -207,7 +217,7 @@ func TestReconcileMasterFailover(t *testing.T) {
 	}
 
 	rec := e.watch(context.Background(), 2*time.Minute)
-	simnet.CrashScenario(masterID, base+time.Minute, 0).Schedule(e.net)
+	e.crashAt(masterID, base+time.Minute, 0)
 
 	advance(t, e.sim, base+12*time.Minute)
 	dep := rec.Deployment()
@@ -237,7 +247,7 @@ func TestReconcileGatewayRehomed(t *testing.T) {
 	}
 
 	rec := e.watch(context.Background(), 2*time.Minute)
-	simnet.CrashScenario(masterID, base+time.Minute, 0).Schedule(e.net)
+	e.crashAt(masterID, base+time.Minute, 0)
 
 	advance(t, e.sim, base+12*time.Minute)
 	dep := rec.Deployment()
@@ -296,41 +306,32 @@ func TestReconcileMixedScenarioConverges(t *testing.T) {
 	e := deployLAN(t, 42, 3, 3)
 	base := e.sim.Now()
 
-	// Victims: non-master hosts; links: their access segments (cutting
-	// one partitions that host while it stays alive).
-	var victims []string
-	var links [][2]string
-	for _, id := range e.hosts[1:] {
-		victims = append(victims, id)
+	// The seeded mixed schedule, as offsets from the end of the apply: a
+	// crash, a cut of a host's access segment (partitioning the live
+	// host) and a degradation of another, each healing four minutes on.
+	schedule := []struct {
+		at    time.Duration
+		apply func()
+	}{
+		{194_231_278_675, func() { e.net.CrashHost("h1-1") }},
+		{434_231_278_675, func() { e.net.RestoreHost("h1-1") }},
+		{658_101_878_760, func() { e.net.CutLink("h0-2", "seg0") }},
+		{898_101_878_760, func() { e.net.HealLink("h0-2", "seg0") }},
+		{1_145_743_547_657, func() { e.net.DegradeLink("h1-1", "seg1", 0.3438631407773136) }},
+		{1_385_743_547_657, func() { e.net.RestoreLink("h1-1", "seg1") }},
 	}
-	for _, id := range []string{e.hosts[2], e.hosts[4]} {
-		for _, l := range e.net.Topology().Links() {
-			if l.A == id {
-				links = append(links, [2]string{l.A, l.B})
-				break
-			}
-			if l.B == id {
-				links = append(links, [2]string{l.B, l.A})
-				break
-			}
-		}
+	var fired []time.Duration
+	for _, ev := range schedule {
+		e.sim.At(base+ev.at, func() { ev.apply(); fired = append(fired, e.sim.Now()) })
 	}
-	if len(links) == 0 {
-		t.Fatal("no candidate links")
-	}
-
-	scen := simnet.MixedScenario(42, victims, links,
-		base+2*time.Minute, 8*time.Minute, 4*time.Minute, 3)
-	scenRun := scen.Schedule(e.net)
 
 	rec := e.watch(context.Background(), 2*time.Minute)
 	end := base + 45*time.Minute
 	advance(t, e.sim, end)
 
 	// All faults injected and healed.
-	injected := scenRun.Injected()
-	if len(injected) != 6 {
-		t.Fatalf("injected %d events, want 6 (3 faults + 3 heals): %+v", len(injected), injected)
+	if len(fired) != 6 {
+		t.Fatalf("injected %d events, want 6 (3 faults + 3 heals): %v", len(fired), fired)
 	}
 
 	// Converged: the last round saw no drift, no dead hosts, no error.
@@ -374,39 +375,44 @@ func TestReconcileMixedScenarioConverges(t *testing.T) {
 		t.Fatal("no repair rounds despite injected faults")
 	}
 
-	// Recovery metrics: detections and repairs are timed, and the worst
-	// repair never touched the whole deployment.
-	report := rec.RecoveryReport(injected)
-	if len(report.Repairs) < 2 {
-		t.Fatalf("recovery report has %d repairs:\n%s", len(report.Repairs), report)
-	}
-	for _, rp := range report.Repairs {
-		if rp.TimeToDetect() <= 0 || rp.TimeToRepair() < rp.TimeToDetect() {
-			t.Fatalf("implausible repair timing: %+v", rp)
+	// Recovery: each event is answered by the first repair round that
+	// starts before the next event. Detection follows the event, repair
+	// follows detection, and no repair takes three reconcile intervals.
+	var windows [][2]time.Duration // [event, repaired) of each answered event
+	for i, at := range fired {
+		next := time.Duration(math.MaxInt64)
+		if i+1 < len(fired) {
+			next = fired[i+1]
 		}
+		j := slices.IndexFunc(rounds, func(rd Round) bool { return rd.Started >= at && rd.Started < next && rd.Repaired() })
+		if j < 0 {
+			continue
+		}
+		rd := rounds[j]
+		if rd.DetectedAt <= at || rd.RepairedAt < rd.DetectedAt {
+			t.Fatalf("implausible timing of the repair of the event at %v: %+v", at, rd)
+		}
+		if rd.RepairedAt-at > 15*time.Minute {
+			t.Fatalf("repair of the event at %v slower than three reconcile intervals: %+v", at, rd)
+		}
+		windows = append(windows, [2]time.Duration{at, rd.RepairedAt})
 	}
-	if report.MaxRedeployFraction >= 1 {
-		t.Fatalf("a repair redeployed everything:\n%s", report)
-	}
-	if report.MaxTimeToRepair > 15*time.Minute {
-		t.Fatalf("repair slower than three reconcile intervals:\n%s", report)
+	if len(windows) < 2 {
+		t.Fatalf("%d events answered by a repair, want at least 2", len(windows))
 	}
 
-	// Monitoring kept producing probes outside the repair windows
-	// ([injected, repaired) of each repair).
+	// Monitoring kept producing probes outside the repair windows.
 	outside := 0
 	for _, r := range e.net.Records() {
 		if !strings.HasPrefix(r.Tag, "clique:") || r.End < base || r.End >= end {
 			continue
 		}
-		if !slices.ContainsFunc(report.Repairs, func(rp metrics.Repair) bool {
-			return r.End >= rp.InjectedAt && r.End < rp.RepairedAt
-		}) {
+		if !slices.ContainsFunc(windows, func(w [2]time.Duration) bool { return r.End >= w[0] && r.End < w[1] }) {
 			outside++
 		}
 	}
 	if outside == 0 {
-		t.Fatalf("no monitoring probes outside the repair windows:\n%s", report)
+		t.Fatalf("no monitoring probes outside the repair windows %v", windows)
 	}
 }
 

@@ -128,7 +128,7 @@ func TestReplicationBackfillRestoresWindow(t *testing.T) {
 	// window) and let the reconcile loop cut it out and backfill.
 	base := e.sim.Now()
 	rec := e.watch(context.Background(), 2*time.Minute)
-	simnet.CrashScenario(victim, base+time.Minute, 0).Schedule(e.net)
+	e.crashAt(victim, base+time.Minute, 0)
 	advance(t, e.sim, base+10*time.Minute)
 
 	cur := rec.Deployment()

@@ -13,7 +13,6 @@ import (
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/query"
-	"nwsenv/internal/simnet"
 )
 
 // TestSoakChurnResolutionPlane is the resolution-plane soak: seeded
@@ -64,8 +63,12 @@ func TestSoakChurnResolutionPlane(t *testing.T) {
 		churnInterval = 8 * time.Minute
 		churnDownFor  = 3 * time.Minute
 	)
-	scen := simnet.ChurnScenario(victims, base+churnStart, churnInterval, churnDownFor)
-	scenRun := scen.Schedule(e.net)
+	// Churn: victim i leaves at churnStart + i*churnInterval and
+	// rejoins churnDownFor later (one pass: crash h0-0 at +4m, restore
+	// at +7m).
+	for i, id := range victims {
+		e.crashAt(id, base+churnStart+time.Duration(i)*churnInterval, churnDownFor)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -132,8 +135,8 @@ func TestSoakChurnResolutionPlane(t *testing.T) {
 	if got, want := probe("final"); got < want {
 		t.Fatalf("steady-state forecasts incomplete: %d/%d", got, want)
 	}
-	if inj := len(scenRun.Injected()); inj != 2*len(victims) {
-		t.Fatalf("scenario injected %d events, want %d", inj, 2*len(victims))
+	if e.injected != 2*len(victims) {
+		t.Fatalf("injected %d events, want %d", e.injected, 2*len(victims))
 	}
 
 	// Teardown + the goroutine-count guard: cancel the loop, stop the
@@ -242,7 +245,7 @@ func TestSoakReplicatedPrimaryKill(t *testing.T) {
 		now := e.sim.Now()
 		const downFor = 5 * time.Minute
 		healAt := now + time.Minute + downFor
-		simnet.CrashScenario(dep.Resolve[victimName], now+time.Minute, downFor).Schedule(e.net)
+		e.crashAt(dep.Resolve[victimName], now+time.Minute, downFor)
 		advance(t, e.sim, now+90*time.Second)
 		recovered := false
 		for try := 0; e.sim.Now() < healAt-time.Minute; try++ {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,8 +52,8 @@ type Result struct {
 	// Seed is the effective seed of the run (file seed or override).
 	Seed    int64
 	Samples []Sample
-	// Recovery correlates injections with repair rounds.
-	Recovery metrics.RecoveryReport
+	// Recovery scores the repairs of the fired fault events.
+	Recovery Recovery
 	// Injected counts fault events actually applied.
 	Injected int
 	// Rounds/Repairs/Transient are the final reconcile counters.
@@ -121,13 +123,16 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 
 	base := sim.Now()
 	victims, links := PlanVictimsFor(spec.Fault, out.Plan, out.Resolve, tp)
-	scen, err := spec.Fault.Compile(seed, base+spec.Phases.Warmup(), victims, links)
+	events, err := spec.Fault.Compile(seed, base+spec.Phases.Warmup(), victims, links)
 	if err != nil {
 		return nil, fmt.Errorf("scenlab: %s: %w", spec.Name, err)
 	}
-	var scenRun *simnet.ScenarioRun
-	if len(scen.Events) > 0 {
-		scenRun = scen.Schedule(net)
+	var fired []time.Duration // when each event fired, in order
+	for _, e := range events {
+		sim.At(e.At, func() {
+			e.apply(net)
+			fired = append(fired, sim.Now())
+		})
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -248,12 +253,8 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 		return nil, fmt.Errorf("scenlab: %s: reconcile loop did not exit", spec.Name)
 	}
 
-	var injected []simnet.InjectedFault
-	if scenRun != nil {
-		injected = scenRun.Injected()
-	}
-	res.Injected = len(injected)
-	res.Recovery = rec.RecoveryReport(injected)
+	res.Injected = len(fired)
+	res.Recovery = scoreRecovery(rec.Rounds(), fired)
 	res.Rounds = len(rounds)
 	res.Repairs, res.Transient = reconcile.Tally(rounds)
 	res.Converged = len(rounds) > 0 && rounds[len(rounds)-1].Err == nil && !rounds[len(rounds)-1].Drifted()
@@ -283,6 +284,50 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	// metrics.jsonl artifact rendered from the same registry.
 	res.Metrics = reg.Snapshot().Flatten()
 	return res, nil
+}
+
+// Recovery scores how the reconcile loop answered a run's fault
+// events: §4.3's "possible platform evolution", each event answered by
+// the first repairing round that starts between it and the next event.
+type Recovery struct {
+	// Unrepaired counts events no round answered (still converging, or,
+	// like a pure link degradation, needing no structural change).
+	Unrepaired int
+	// P95TimeToRepair is the p95 of event-to-repaired latencies (zero
+	// when nothing was repaired).
+	P95TimeToRepair time.Duration
+	// MaxRedeployFraction is the worst single repair's share of agents
+	// started or rebuilt; < 1 means no repair tore the whole deployment
+	// down.
+	MaxRedeployFraction float64
+}
+
+// scoreRecovery correlates the fire times of a run's fault events with
+// its reconcile rounds.
+func scoreRecovery(rounds []reconcile.Round, fired []time.Duration) Recovery {
+	var rec Recovery
+	var ttrs []time.Duration
+	for i, at := range fired {
+		end := time.Duration(math.MaxInt64)
+		if i+1 < len(fired) {
+			end = fired[i+1]
+		}
+		j := slices.IndexFunc(rounds, func(rd reconcile.Round) bool {
+			return rd.Started >= at && rd.Started < end && rd.Repaired()
+		})
+		if j < 0 {
+			rec.Unrepaired++
+			continue
+		}
+		rd := rounds[j]
+		ttrs = append(ttrs, rd.RepairedAt-at)
+		if total := rd.Delta.Redeployed() + len(rd.Delta.Kept); total > 0 {
+			rec.MaxRedeployFraction = max(rec.MaxRedeployFraction, float64(rd.Delta.Redeployed())/float64(total))
+		}
+	}
+	slices.Sort(ttrs)
+	rec.P95TimeToRepair = telemetry.Percentile(ttrs, 0.95)
+	return rec
 }
 
 // drainBound is how much virtual time a finished run's teardown may take

@@ -47,7 +47,7 @@ func TestRunMeetsItsGates(t *testing.T) {
 	if !sum.Pass {
 		t.Fatalf("lab scenario breached its SLO:\n%+v", sum.Gates)
 	}
-	if sum.Repairs < 1 || sum.Injected == 0 {
+	if sum.Repairs < 1 || sum.Injected != 2 {
 		t.Fatalf("crash not injected/repaired: %+v", sum)
 	}
 	if res.Invariants.Checks != sum.Rounds {
