@@ -1,6 +1,7 @@
 package env
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -112,16 +113,8 @@ func TestMappingUnderBackgroundLoad(t *testing.T) {
 	net := simnet.NewNetwork(sim, e.Topo)
 	// Bursty background flows inside the private domain while the inside
 	// run maps it: ~10% duty on the sci switch.
-	simnet.LoadGen{
-		Src: "sci5", Dst: "sci6", Bytes: 1_000_000,
-		Period: 500 * time.Millisecond, Jitter: 0.5, DutyCycle: 0.1,
-		Seed: 42, Until: time.Hour,
-	}.Start(net)
-	simnet.LoadGen{
-		Src: "myri1", Dst: "myri2", Bytes: 300_000,
-		Period: time.Second, Jitter: 0.5, DutyCycle: 0.1,
-		Seed: 43, Until: time.Hour,
-	}.Start(net)
+	backgroundLoad(net, "sci5", "sci6", 1_000_000, 500*time.Millisecond, 42)
+	backgroundLoad(net, "myri1", "myri2", 300_000, time.Second, 43)
 	res := runMapper(t, net, Config{
 		Master: e.InsideMaster, Hosts: e.InsideHosts, Names: e.InsideNames,
 	})
@@ -133,6 +126,28 @@ func TestMappingUnderBackgroundLoad(t *testing.T) {
 	if myri == nil || myri.Class != Shared {
 		t.Fatalf("myri misclassified under load: %+v", myri)
 	}
+}
+
+// backgroundLoad starts bursty, seeded cross traffic for the first
+// virtual hour: every period, jittered by up to ±50%, a transfer of
+// bytes from src to dst with probability 0.1.
+func backgroundLoad(net *simnet.Network, src, dst string, bytes int64, period time.Duration, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	sim := net.Sim()
+	sim.Go("loadgen:"+src+"->"+dst, func() {
+		for {
+			sim.Sleep(time.Duration(float64(period) * (1 + 0.5*(2*rng.Float64()-1))))
+			if sim.Now() >= time.Hour {
+				return
+			}
+			if rng.Float64() > 0.1 {
+				continue
+			}
+			if _, err := net.Transfer(src, dst, bytes, ""); err != nil {
+				return
+			}
+		}
+	})
 }
 
 // TestStrictPaperOutsideRunMissesHub2: with the unmodified §4.2.2.4

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// LoadGen describes a deterministic background-traffic generator: periodic
-// bulk transfers from Src to Dst. It perturbs probe measurements the way
-// real cross-traffic perturbed ENV/NWS runs, and drives the time series
-// that the forecaster battery predicts.
+// LoadGen is a deterministic background-traffic generator for tests:
+// periodic bulk transfers from Src to Dst, the cross traffic that
+// perturbs probe measurements.
 type LoadGen struct {
 	Src, Dst string
 	// Bytes per transfer.
@@ -17,9 +16,6 @@ type LoadGen struct {
 	// ±Jitter fraction of the period.
 	Period time.Duration
 	Jitter float64
-	// DutyCycle in [0,1]: probability a period carries a transfer at all
-	// (models bursty on/off sources). 0 means 1.0.
-	DutyCycle float64
 	// Seed makes the generator deterministic.
 	Seed int64
 	// Until stops the generator at that virtual time (0 = forever).
@@ -28,25 +24,17 @@ type LoadGen struct {
 
 // Start launches the generator as a simulation process on net.
 func (g LoadGen) Start(net *Network) {
-	duty := g.DutyCycle
-	if duty <= 0 || duty > 1 {
-		duty = 1
-	}
 	rng := rand.New(rand.NewSource(g.Seed))
 	sim := net.Sim()
 	sim.Go("loadgen:"+g.Src+"->"+g.Dst, func() {
 		for {
 			gap := g.Period
 			if g.Jitter > 0 {
-				f := 1 + g.Jitter*(2*rng.Float64()-1)
-				gap = time.Duration(float64(gap) * f)
+				gap = time.Duration(float64(gap) * (1 + g.Jitter*(2*rng.Float64()-1)))
 			}
 			sim.Sleep(gap)
 			if g.Until > 0 && sim.Now() >= g.Until {
 				return
-			}
-			if rng.Float64() > duty {
-				continue
 			}
 			// Background traffic carries no probe tag.
 			if _, err := net.Transfer(g.Src, g.Dst, g.Bytes, ""); err != nil {

@@ -142,7 +142,8 @@ func TestExportedSymbolsReachable(t *testing.T) {
 	// References from every non-test file: bare identifiers per package
 	// directory, pkg.Name selectors per imported directory, and selector
 	// names anywhere (methods). Declaring identifiers are skipped by
-	// position.
+	// position, and so is a method's receiver type: a type's own methods
+	// do not reach it.
 	declPos := map[token.Pos]bool{}
 	for _, d := range decls {
 		declPos[d.pos] = true
@@ -172,6 +173,15 @@ func TestExportedSymbolsReachable(t *testing.T) {
 		}
 		ast.Inspect(rf.file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, func(r ast.Node) bool {
+						if id, ok := r.(*ast.Ident); ok {
+							declPos[id.Pos()] = true
+						}
+						return true
+					})
+				}
 			case *ast.SelectorExpr:
 				selected[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok {
