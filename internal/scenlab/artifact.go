@@ -123,15 +123,19 @@ func Summarize(res *Result) Summary {
 }
 
 // GitCommit names the checkout a run measured, for every provenance
-// block: the full HEAD hash, suffixed "-dirty" when tracked files differ
-// from it, or "unknown" outside a checkout. Tags are excluded, so the
-// name is always a hash.
+// block: the full HEAD hash, suffixed "-dirty" when `git status` lists
+// anything (an edited tracked file, or an untracked one .gitignore does
+// not cover), or "unknown" outside a checkout.
 func GitCommit() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*").Output()
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	commit := strings.TrimSpace(string(out))
+	if status, err := exec.Command("git", "status", "--porcelain").Output(); err != nil || len(status) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 // NewProvenance stamps a run.

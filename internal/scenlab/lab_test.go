@@ -284,8 +284,9 @@ func TestInvariantGateFails(t *testing.T) {
 }
 
 // TestGitCommitNamesDirtyTree: the provenance commit is "unknown"
-// before a first commit, the full HEAD hash on a clean tree and
-// "<hash>-dirty" once a tracked file is edited.
+// before a first commit, the full HEAD hash on a clean tree (ignored
+// files included) and "<hash>-dirty" with an untracked file or an
+// edited tracked one.
 func TestGitCommitNamesDirtyTree(t *testing.T) {
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("no git binary")
@@ -300,22 +301,33 @@ func TestGitCommitNamesDirtyTree(t *testing.T) {
 		}
 		return strings.TrimSpace(string(out))
 	}
+	write := func(name, content string) {
+		t.Helper()
+		if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	git("init", "-q")
 	if got := GitCommit(); got != "unknown" {
 		t.Fatalf("before the first commit: %q, want unknown", got)
 	}
-	if err := os.WriteFile("spec.json", []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	git("add", "spec.json")
+	write("spec.json", "{}\n")
+	write(".gitignore", "*.out\n")
+	git("add", "spec.json", ".gitignore")
 	git("commit", "-q", "-m", "first")
 	head := git("rev-parse", "HEAD")
+	write("run.out", "ignored\n")
 	if got := GitCommit(); got != head {
-		t.Fatalf("clean tree: %q, want %q", got, head)
+		t.Fatalf("clean tree with an ignored file: %q, want %q", got, head)
 	}
-	if err := os.WriteFile("spec.json", []byte("{\"edited\": true}\n"), 0o644); err != nil {
+	write("b.go", "package b\n")
+	if got := GitCommit(); got != head+"-dirty" {
+		t.Fatalf("untracked file: %q, want %q", got, head+"-dirty")
+	}
+	if err := os.Remove("b.go"); err != nil {
 		t.Fatal(err)
 	}
+	write("spec.json", "{\"edited\": true}\n")
 	if got := GitCommit(); got != head+"-dirty" {
 		t.Fatalf("edited tree: %q, want %q", got, head+"-dirty")
 	}
