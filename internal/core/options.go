@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"nwsenv/internal/nws/clique"
@@ -24,26 +23,10 @@ const (
 	PhaseReconcile Phase = "reconcile"
 )
 
-// Field is one structured event attribute; fields are an ordered list
-// so renderings stay deterministic.
-type Field struct {
-	Key   string
-	Value string
-}
-
-// F builds a Field from any value.
-func F(key string, value interface{}) Field {
-	return Field{Key: key, Value: fmt.Sprint(value)}
-}
-
-// Event is one pipeline progress event. Name identifies the step
-// machine-readably ("env_run", "planned", "agents_starting", ...),
-// Fields carry its values, and Detail is the same step as the
-// human-readable line CLIs print.
+// Event is one pipeline progress event: its phase and the line CLIs
+// print for it.
 type Event struct {
 	Phase  Phase
-	Name   string
-	Fields []Field
 	Detail string
 }
 

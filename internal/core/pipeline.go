@@ -38,14 +38,15 @@ func (p *Pipeline) Platform() platform.Platform { return p.plat }
 // plane — instrument themselves against the same registry.
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.cfg.tele }
 
-// emit is the single reporting path: it builds the Event, hands it to
-// the observer, and counts it on the registry.
-func (p *Pipeline) emit(phase Phase, name string, fields []Field, format string, args ...interface{}) {
+// Observe is the single reporting path: it hands the observer the
+// phase's event line and counts it on the registry. The reconcile
+// control plane reports its rounds through it too.
+func (p *Pipeline) Observe(phase Phase, format string, args ...interface{}) {
 	if p.cfg.observer == nil && p.cfg.tele == nil {
 		return
 	}
 	if p.cfg.observer != nil {
-		p.cfg.observer(Event{Phase: phase, Name: name, Fields: fields, Detail: fmt.Sprintf(format, args...)})
+		p.cfg.observer(Event{Phase: phase, Detail: fmt.Sprintf(format, args...)})
 	}
 	p.cfg.tele.Counter("pipeline", "events", map[string]string{"phase": string(phase)}).Inc()
 }
@@ -53,14 +54,6 @@ func (p *Pipeline) emit(phase Phase, name string, fields []Field, format string,
 // span opens a pipeline-subsystem trace span (no-op without telemetry).
 func (p *Pipeline) span(name string, attrs ...telemetry.Attr) *telemetry.ActiveSpan {
 	return p.cfg.tele.StartSpan("pipeline", name, attrs...)
-}
-
-// Observe reports progress through the pipeline's observer on behalf
-// of a caller re-entering the pipeline (the reconcile control plane
-// narrates its rounds through the same hook the stages use). The event
-// is emitted with the generic name "note".
-func (p *Pipeline) Observe(phase Phase, format string, args ...interface{}) {
-	p.emit(phase, "note", nil, format, args...)
 }
 
 // Mapping is the artifact of the Map stage: the per-run results, the
@@ -89,9 +82,7 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 	m := &Mapping{Runs: runs, Resolve: map[string]string{}}
 	sub := p.plat.Substrate()
 	for _, run := range runs {
-		p.emit(PhaseMap, "env_run",
-			[]Field{F("master", run.Master), F("hosts", len(run.Hosts))},
-			"ENV run from %s (%d hosts)", run.Master, len(run.Hosts))
+		p.Observe(PhaseMap, "ENV run from %s (%d hosts)", run.Master, len(run.Hosts))
 		rs := stage.Child("env_run", telemetry.Attr{Key: "master", Value: run.Master})
 		cfg := env.Config{
 			Master:        run.Master,
@@ -112,19 +103,14 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 	var aliases []gridml.GatewayAlias
 	if p.cfg.autoAliases && len(m.Results) > 1 {
 		aliases = env.GuessAliases(m.Results)
-		p.emit(PhaseMap, "aliases_guessed",
-			[]Field{F("aliases", len(aliases))},
-			"guessed %d gateway alias(es) by IP", len(aliases))
+		p.Observe(PhaseMap, "guessed %d gateway alias(es) by IP", len(aliases))
 	}
 	merged, err := env.MergeAll(p.cfg.gridLabel, m.Results, aliases)
 	if err != nil {
 		return nil, err
 	}
 	m.Merged = merged
-	p.emit(PhaseMap, "merged",
-		[]Field{F("runs", len(m.Results)), F("networks", len(merged.Networks)),
-			F("probes", merged.Stats.Probes), F("probe_bytes", merged.Stats.ProbeBytes)},
-		"merged %d run(s) into %d networks (%d probes, %.1f MB)",
+	p.Observe(PhaseMap, "merged %d run(s) into %d networks (%d probes, %.1f MB)",
 		len(m.Results), len(merged.Networks), merged.Stats.Probes, float64(merged.Stats.ProbeBytes)/1e6)
 
 	// Resolve canonical names to node IDs using run metadata and the
@@ -186,9 +172,7 @@ func (p *Pipeline) Plan(m *Mapping) (*PlanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.emit(PhasePlan, "planned",
-		[]Field{F("cliques", len(plan.Cliques)), F("hosts", len(plan.Hosts)), F("master", plan.Master)},
-		"planned %d cliques over %d hosts (master %s)",
+	p.Observe(PhasePlan, "planned %d cliques over %d hosts (master %s)",
 		len(plan.Cliques), len(plan.Hosts), plan.Master)
 
 	vs := stage.Child("validate")
@@ -200,9 +184,7 @@ func (p *Pipeline) Plan(m *Mapping) (*PlanResult, error) {
 	if !v.Complete {
 		return nil, fmt.Errorf("core: planned deployment incomplete: %v", v.MissingPairs)
 	}
-	p.emit(PhasePlan, "validated",
-		[]Field{F("direct_pairs", v.DirectPairs), F("total_pairs", v.TotalPairs), F("max_clique", v.MaxCliqueSize)},
-		"validated: %d/%d pairs direct, max clique %d",
+	p.Observe(PhasePlan, "validated: %d/%d pairs direct, max clique %d",
 		v.DirectPairs, v.TotalPairs, v.MaxCliqueSize)
 	return &PlanResult{Mapping: m, Plan: plan, Validation: v}, nil
 }
@@ -214,9 +196,7 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	stage := p.span("apply", telemetry.Attr{Key: "hosts", Value: fmt.Sprint(len(pr.Plan.Hosts))})
 	defer stage.End()
 	p.plat.ResetAccounting()
-	p.emit(PhaseApply, "agents_starting",
-		[]Field{F("agents", len(pr.Plan.Hosts)), F("platform", p.plat.Name())},
-		"starting %d agents on %s", len(pr.Plan.Hosts), p.plat.Name())
+	p.Observe(PhaseApply, "starting %d agents on %s", len(pr.Plan.Hosts), p.plat.Name())
 	dep, err := deploy.Apply(ctx, p.plat.Transport(), p.plat.Prober(), pr.Plan, pr.Mapping.Resolve, deploy.ApplyOptions{
 		TokenGap:         p.cfg.tokenGap,
 		PairwiseSwitched: p.cfg.pairwiseSwitched,
@@ -226,10 +206,7 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	if err != nil {
 		return nil, err
 	}
-	p.emit(PhaseApply, "deployment_running",
-		[]Field{F("ns", pr.Plan.NameServer), F("forecaster", pr.Plan.Forecaster),
-			F("memories", pr.Plan.MemoryServers)},
-		"deployment running: ns=%s forecaster=%s memories=%v",
+	p.Observe(PhaseApply, "deployment running: ns=%s forecaster=%s memories=%v",
 		pr.Plan.NameServer, pr.Plan.Forecaster, pr.Plan.MemoryServers)
 	return dep, nil
 }
