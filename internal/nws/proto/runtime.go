@@ -14,6 +14,10 @@ type Runtime interface {
 	Now() time.Duration
 	// Sleep blocks the calling process/goroutine.
 	Sleep(d time.Duration)
+	// Settle blocks the calling process until every other event due at
+	// the current virtual instant has run; on the wall clock, where no
+	// two events share an instant, it returns at once.
+	Settle()
 	// Go spawns a process/goroutine.
 	Go(name string, fn func())
 	// After schedules fn; the returned function cancels it (best effort).
@@ -49,6 +53,7 @@ func NewSimRuntime(sim *vclock.Sim) *SimRuntime { return &SimRuntime{Sim: sim} }
 
 func (r *SimRuntime) Now() time.Duration        { return r.Sim.Now() }
 func (r *SimRuntime) Sleep(d time.Duration)     { r.Sim.Sleep(d) }
+func (r *SimRuntime) Settle()                   { r.Sim.Settle() }
 func (r *SimRuntime) Go(name string, fn func()) { r.Sim.Go(name, fn) }
 func (r *SimRuntime) After(d time.Duration, fn func()) func() {
 	ev := r.Sim.After(d, fn)
@@ -83,6 +88,7 @@ func NewRealRuntime() *RealRuntime { return &RealRuntime{epoch: time.Now()} }
 
 func (r *RealRuntime) Now() time.Duration        { return time.Since(r.epoch) }
 func (r *RealRuntime) Sleep(d time.Duration)     { time.Sleep(d) }
+func (r *RealRuntime) Settle()                   {}
 func (r *RealRuntime) Go(name string, fn func()) { go fn() }
 func (r *RealRuntime) After(d time.Duration, fn func()) func() {
 	t := time.AfterFunc(d, fn)

@@ -18,11 +18,12 @@ const DefaultTimeout = 10 * time.Second
 // Fanout replicates accepted stores to a fixed replica set
 // asynchronously: the primary's store path enqueues and returns, and
 // one sender process per replica drains a bounded in-flight window in
-// arrival order. After each round trip the sender ships everything that
-// queued meanwhile in one frame (group commit): consecutive stores
-// travel as one ReplStore whose Results hold one entry per store, up to
-// frame samples (a lone store is a frame of one entry); a window always
-// travels alone. Delivery is at-most-once — a shed or failed frame is
+// arrival order. Once every store of the current virtual instant has
+// queued, and after each round trip, the sender ships everything queued
+// in one frame (group commit): consecutive stores travel as one
+// ReplStore whose Results hold one entry per store, up to frame samples
+// (a lone store is a frame of one entry); a window always travels
+// alone. Delivery is at-most-once — a shed or failed frame is
 // not retried; the replica's lag watermark records the gap.
 type Fanout struct {
 	port    proto.Port
@@ -138,6 +139,9 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 				return
 			}
 		}
+		// Wait out the instant, so the stores landing with this one
+		// queue before the frame is cut.
+		f.port.Runtime().Settle()
 		frame, n := m, 1
 		held = false
 		if m.Type == proto.MsgReplStore {

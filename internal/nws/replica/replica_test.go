@@ -9,6 +9,7 @@ import (
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/telemetry"
+	"nwsenv/internal/vclock"
 )
 
 func TestPlaceNeverSharesSwitchWithPrimary(t *testing.T) {
@@ -216,5 +217,34 @@ func TestFanoutMergesWhatQueued(t *testing.T) {
 	defer f.mu.Unlock()
 	if q := f.queues["r"]; q.inflight != 0 {
 		t.Fatalf("%d stores still counted in flight", q.inflight)
+	}
+}
+
+// TestFanoutWaitsOutTheInstant: on the simulator, the stores of one
+// virtual instant leave in one frame, even a store made by a process a
+// same-instant wake started after the sender first woke.
+func TestFanoutWaitsOutTheInstant(t *testing.T) {
+	sim := vclock.New()
+	reg := telemetry.New(sim.Now)
+	met := NewMetrics(reg)
+	met.Frames = reg.Counter("replica", "fanout_messages", nil)
+	port := &fanPort{StubPort: prototest.StubPort{HostName: "p", RT: proto.NewSimRuntime(sim)}}
+	f := NewFanout(port, []string{"r"}, 1024, met)
+	sim.At(time.Second, func() {
+		f.Store("a", samples(1), 1)
+		sim.Go("late-writer", func() { f.Store("b", samples(2), 2) })
+	})
+	if err := sim.RunUntil(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f.Stop()
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(port.calls) != 1 || len(port.calls[0].Results) != 2 {
+		t.Fatalf("the instant's two stores left as %+v, want one frame of two entries", port.calls)
+	}
+	if met.Writes.Value() != 2 || met.Frames.Value() != 1 {
+		t.Fatalf("writes_total %d, fanout_messages %d, want 2 stores in 1 frame", met.Writes.Value(), met.Frames.Value())
 	}
 }

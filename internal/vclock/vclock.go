@@ -14,7 +14,7 @@
 // simulation that performs the same calls in the same order is fully
 // deterministic.
 //
-// What may be called from where: Sleep, Chan.Recv and
+// What may be called from where: Sleep, Settle, Chan.Recv and
 // Chan.RecvTimeout block and may only be called by a process, on the
 // process's own stack (not from a goroutine the process started, and
 // not from an At/After callback). Everything else — Go, At, After, Post,
@@ -79,6 +79,9 @@ type Sim struct {
 	// in seq order: a wake due now needs no heap. See readyLocked.
 	ready []readied
 	head  int
+	// late holds the processes waiting out the current instant, in
+	// arrival order; see Settle.
+	late []*proc
 
 	// cur is the process executing now; nil while the scheduler or an
 	// event callback runs, and between runs.
@@ -485,6 +488,24 @@ func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Unlock()
 }
 
+// Settle blocks the calling process until nothing else is due at the
+// current instant: every event and wake due now, and every one those
+// schedule for now, runs first. The clock does not move. Processes
+// settling at one instant resume one at a time, in the order they
+// settled, each once the instant is quiet again. It must only be called
+// by a process, on the process's own stack.
+func (s *Sim) Settle() {
+	s.mu.Lock()
+	p := s.cur
+	if p == nil {
+		s.mu.Unlock()
+		panic("vclock: Settle called outside a simulation process")
+	}
+	s.late = append(s.late, p)
+	p.yield(struct{}{})
+	s.mu.Unlock()
+}
+
 // Run executes the simulation until the event queue is empty and all
 // processes have finished or are permanently blocked. It returns a
 // deadlock error if processes remain blocked on channels when no events
@@ -565,6 +586,18 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 			if s.head++; s.head == len(s.ready) {
 				s.ready, s.head = s.ready[:0], 0
 			}
+			s.switchTo(p)
+			continue
+		}
+		if len(s.late) > 0 && (len(s.events) == 0 || s.events[0].at > s.now) {
+			// Nothing else is due now: the instant is quiet.
+			if hasDeadline && s.now > deadline {
+				break
+			}
+			p := s.late[0]
+			n := copy(s.late, s.late[1:])
+			s.late[n] = nil
+			s.late = s.late[:n]
 			s.switchTo(p)
 			continue
 		}

@@ -1,7 +1,9 @@
 package vclock
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -558,4 +560,52 @@ func TestChanCloseIdempotentAndSendPanics(t *testing.T) {
 		}
 	}()
 	ch.Send(1)
+}
+
+// TestSettleWaitsOutTheInstant: a settling process resumes only once
+// nothing else is due at its instant, events and wakes scheduled for
+// that instant after it settled included, without moving the clock;
+// two settlers resume one at a time, in the order they settled.
+func TestSettleWaitsOutTheInstant(t *testing.T) {
+	sim := New()
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, sim.Now())) }
+	sim.At(time.Second, func() {
+		sim.Go("settler", func() {
+			sim.Settle()
+			note("settled")
+			sim.At(sim.Now(), func() { note("after-settled") })
+		})
+		sim.Go("second", func() {
+			sim.Settle()
+			note("second")
+		})
+		sim.Go("chain", func() {
+			note("chain")
+			sim.Go("spawned", func() {
+				sim.Sleep(0)
+				note("spawned")
+				sim.At(sim.Now(), func() { note("at-now") })
+			})
+		})
+	})
+	sim.At(time.Second, func() { note("event") })
+	sim.At(2*time.Second, func() { note("later") })
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"event@1s", "chain@1s", "spawned@1s", "at-now@1s", "settled@1s", "after-settled@1s", "second@1s", "later@2s"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order %v, want %v", log, want)
+	}
+}
+
+// TestSettleOutsideProcessPanics: only a process can wait out an instant.
+func TestSettleOutsideProcessPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Settle outside a process did not panic")
+		}
+	}()
+	New().Settle()
 }
