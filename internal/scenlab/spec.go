@@ -1,12 +1,14 @@
 // Package scenlab is the declarative scenario lab: the §4.3
 // platform-evolution story run as data, not code. A scenario file
 // declares a topology, a seed, three phases (warmup → inject →
-// recovery) in virtual time, a fault schedule compiled down to the
-// simnet.Scenario vocabulary, and per-scenario SLO assertions. The
-// harness drives the full pipeline + reconcile loop per scenario,
-// emits per-run artifacts (samples.jsonl, summary.json,
-// provenance.json), and the assertions double as CI release gates:
-// adding a fault workload becomes writing a file under scenarios/.
+// recovery) in virtual time, a fault, and per-scenario SLO assertions.
+// It is the one package that knows fault schedules: it compiles the
+// fault into timed simnet.Network primitives, arms them on the virtual
+// clock, and scores which reconcile round repaired each. The harness
+// drives the full pipeline + reconcile loop per scenario, emits
+// per-run artifacts (samples.jsonl, summary.json, provenance.json),
+// and the assertions double as CI release gates: adding a fault
+// workload becomes writing a file under scenarios/.
 package scenlab
 
 import (
