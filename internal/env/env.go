@@ -56,9 +56,16 @@ type Thresholds struct {
 	JammedShared float64
 	// JammedSwitched: above this means a switched network (default 0.9).
 	JammedSwitched float64
-	// JammedReps is the number of repetitions averaged (default 5).
-	JammedReps int
 }
+
+// The §4.2.2 experiment sizes: every bandwidth probe moves probeBytes,
+// an interfering transfer jamFactor times that (so the measured probe
+// is fully overlapped), and a jammed ratio averages jammedReps runs.
+const (
+	probeBytes = 1 << 20
+	jamFactor  = 8
+	jammedReps = 5
+)
 
 // PropGateway is the GridML property carrying a network's gateway hop,
 // so plans can be derived from saved mapping files.
@@ -81,7 +88,7 @@ func (n *Network) Asymmetric(factor float64) bool {
 
 // DefaultThresholds returns the paper's values.
 func DefaultThresholds() Thresholds {
-	return Thresholds{BWRatio: 3, PairwiseRatio: 1.25, JammedShared: 0.7, JammedSwitched: 0.9, JammedReps: 5}
+	return Thresholds{BWRatio: 3, PairwiseRatio: 1.25, JammedShared: 0.7, JammedSwitched: 0.9}
 }
 
 // Classification of an ENV network.
@@ -189,29 +196,13 @@ type Config struct {
 	// Names maps node IDs to the display FQDN used in GridML. Defaults
 	// to the node's DNS name, then its ID.
 	Names map[string]string
-	// External overrides the topology's traceroute target.
-	External string
 	// Thresholds default to the paper's.
 	Thresholds Thresholds
-	// ProbeBytes is the bandwidth experiment transfer size (default 1 MiB).
-	ProbeBytes int64
-	// JamFactor scales the interfering transfer relative to ProbeBytes
-	// (default 8) so measured probes are fully overlapped.
-	JamFactor int64
-	// GridLabel labels the output document.
-	GridLabel string
 	// StrictPaper disables the intra-cluster jamming fallback and runs
 	// the classification exactly as §4.2.2.4 describes, including its
 	// blind spot for clusters reached through a bottleneck (ablated in
 	// experiment E11).
 	StrictPaper bool
-	// MaxPairwise caps the §4.2.2.2 experiments per bandwidth group.
-	// Zero means exhaustive (quadratic — "Bigger clusters means more
-	// measures in the second stage, hence more execution time", §4.3).
-	// With a cap, pairs are sampled by increasing ring distance, which
-	// still unions a homogeneous segment with k-1 tests but may miss
-	// splits in heterogeneous groups: a documented cost/fidelity knob.
-	MaxPairwise int
 	// Bidirectional also measures host→master bandwidth in the
 	// host-to-host phase, populating Network.ReverseBW. This is the
 	// future work §4.3 names ("ENV bandwidth tests are conducted in only
@@ -229,28 +220,6 @@ type Result struct {
 	Networks []*Network
 	Doc      *gridml.Document
 	Stats    Stats
-}
-
-func (c Config) withDefaults(sub Substrate) Config {
-	if c.Thresholds == (Thresholds{}) {
-		c.Thresholds = DefaultThresholds()
-	}
-	if c.Thresholds.JammedReps <= 0 {
-		c.Thresholds.JammedReps = 5
-	}
-	if c.ProbeBytes <= 0 {
-		c.ProbeBytes = 1 << 20
-	}
-	if c.JamFactor <= 0 {
-		c.JamFactor = 8
-	}
-	if c.External == "" {
-		c.External = sub.ExternalTarget()
-	}
-	if c.GridLabel == "" {
-		c.GridLabel = "Grid-" + c.Master
-	}
-	return c
 }
 
 // displayName resolves a node ID to its GridML name.

@@ -258,57 +258,44 @@ func TestProbeAccountingMonotonic(t *testing.T) {
 	}
 }
 
-// TestPairwiseSamplingCapReducesCost: the MaxPairwise knob trades probes
-// for fidelity. The scenario where pairwise tests are actually numerous:
-// two segments hidden behind silent routers (identical "*" traceroute
-// chains merge them into ONE structural cluster) with equal 10 Mbps
-// uplinks (no host-to-host split). Only the §4.2.2.2 experiments can
-// separate them, and cross-segment pairs are independent, so the
-// exhaustive run keeps testing pairs that never union. Ring-distance
-// sampling finds the same split with fewer probes.
-func TestPairwiseSamplingCapReducesCost(t *testing.T) {
-	build := func() (*simnet.Network, []string) {
-		tp := simnet.NewTopology()
-		tp.AddRouter("root", "10.255.0.254", "root.lan")
-		tp.AddRouter("r-out", "193.51.1.254", "r-out")
-		tp.AddHost("world", "193.51.1.1", "world.example.net", "example.net")
-		tp.Connect("root", "r-out")
-		tp.Connect("r-out", "world")
-		tp.AddHost("m", "10.255.0.1", "m.lan", "lan")
-		tp.Connect("m", "root")
-		for _, side := range []string{"a", "b"} {
-			r := "r-" + side
-			sw := "sw-" + side
-			tp.AddRouter(r, "10.1.0.254", "", simnet.WithNoTracerouteResponse())
-			tp.AddSwitch(sw)
-			tp.Connect(r, "root", simnet.LinkBW(10*simnet.Mbps))
-			tp.Connect(sw, r)
-			for i := 1; i <= 3; i++ {
-				h := side + string(rune('0'+i))
-				tp.AddHost(h, h, h+".lan", "lan")
-				tp.Connect(h, sw)
-			}
+// TestPairwiseSplitsSilentSegments: the case where pairwise tests are
+// actually numerous: two segments hidden behind silent routers
+// (identical "*" traceroute chains merge them into ONE structural
+// cluster) with equal 10 Mbps uplinks (no host-to-host split). Only the
+// §4.2.2.2 experiments can separate them, and cross-segment pairs are
+// independent, so the run keeps testing pairs that never union.
+func TestPairwiseSplitsSilentSegments(t *testing.T) {
+	tp := simnet.NewTopology()
+	tp.AddRouter("root", "10.255.0.254", "root.lan")
+	tp.AddRouter("r-out", "193.51.1.254", "r-out")
+	tp.AddHost("world", "193.51.1.1", "world.example.net", "example.net")
+	tp.Connect("root", "r-out")
+	tp.Connect("r-out", "world")
+	tp.AddHost("m", "10.255.0.1", "m.lan", "lan")
+	tp.Connect("m", "root")
+	for _, side := range []string{"a", "b"} {
+		r := "r-" + side
+		sw := "sw-" + side
+		tp.AddRouter(r, "10.1.0.254", "", simnet.WithNoTracerouteResponse())
+		tp.AddSwitch(sw)
+		tp.Connect(r, "root", simnet.LinkBW(10*simnet.Mbps))
+		tp.Connect(sw, r)
+		for i := 1; i <= 3; i++ {
+			h := side + string(rune('0'+i))
+			tp.AddHost(h, h, h+".lan", "lan")
+			tp.Connect(h, sw)
 		}
-		tp.ExternalTarget = "world"
-		hosts := []string{"m", "a1", "a2", "a3", "b1", "b2", "b3"}
-		return simnet.NewNetwork(vclock.New(), tp), hosts
 	}
-	net1, hosts := build()
-	full := runMapper(t, net1, Config{Master: "m", Hosts: hosts})
-	net2, _ := build()
-	capped := runMapper(t, net2, Config{Master: "m", Hosts: hosts, MaxPairwise: 6})
-	if capped.Stats.Probes >= full.Stats.Probes {
-		t.Fatalf("cap did not reduce probes: %d vs %d", capped.Stats.Probes, full.Stats.Probes)
+	tp.ExternalTarget = "world"
+	hosts := []string{"m", "a1", "a2", "a3", "b1", "b2", "b3"}
+	res := runMapper(t, simnet.NewNetwork(vclock.New(), tp), Config{Master: "m", Hosts: hosts})
+	na := findNetworkWith(res.Networks, "a1.lan")
+	nb := findNetworkWith(res.Networks, "b1.lan")
+	if na == nil || nb == nil {
+		t.Fatalf("segments unmapped: %+v", res.Networks)
 	}
-	for _, res := range []*Result{full, capped} {
-		na := findNetworkWith(res.Networks, "a1.lan")
-		nb := findNetworkWith(res.Networks, "b1.lan")
-		if na == nil || nb == nil {
-			t.Fatalf("segments unmapped: %+v", res.Networks)
-		}
-		if na == nb {
-			t.Fatalf("independent segments not split (probes=%d)", res.Stats.Probes)
-		}
+	if na == nb {
+		t.Fatalf("independent segments not split (probes=%d)", res.Stats.Probes)
 	}
 }
 

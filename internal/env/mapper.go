@@ -20,7 +20,10 @@ type Mapper struct {
 // NewMapperOn prepares a run over a substrate; over a SimSubstrate, Run
 // must be called from a simulation process.
 func NewMapperOn(sub Substrate, cfg Config) *Mapper {
-	return &Mapper{sub: sub, cfg: cfg.withDefaults(sub)}
+	if cfg.Thresholds == (Thresholds{}) {
+		cfg.Thresholds = DefaultThresholds()
+	}
+	return &Mapper{sub: sub, cfg: cfg}
 }
 
 // Run performs the full ENV pipeline and returns the mapping result.
@@ -62,7 +65,7 @@ func (m *Mapper) canceled() error {
 // ---- Phase 1+2: lookup and extra information gathering ----
 
 func (m *Mapper) lookupPhase() *gridml.Document {
-	doc := &gridml.Document{Label: &gridml.Label{Name: m.cfg.GridLabel}}
+	doc := &gridml.Document{Label: &gridml.Label{Name: "Grid-" + m.cfg.Master}}
 	for _, id := range m.cfg.Hosts {
 		info, ok := m.sub.HostInfo(id)
 		if !ok {
@@ -106,7 +109,7 @@ func (m *Mapper) structuralPhase() (*StructNode, error) {
 		if err := m.canceled(); err != nil {
 			return nil, err
 		}
-		hops, err := m.sub.Traceroute(id, m.cfg.External)
+		hops, err := m.sub.Traceroute(id, m.sub.ExternalTarget())
 		if err != nil {
 			return nil, fmt.Errorf("env: traceroute %s: %w", id, err)
 		}
@@ -348,24 +351,19 @@ func (m *Mapper) splitByPairwise(group []string, bw map[string]float64) ([][]str
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
-	// Enumerate pairs by increasing ring distance so a sampling cap
-	// (Config.MaxPairwise) still covers every host with its neighbors
-	// first.
-	tested := 0
+	// Enumerate pairs by increasing ring distance: neighbors first, so
+	// a homogeneous segment unions with k-1 tests and the union-find
+	// skips the rest.
 	for d := 1; d < n; d++ {
 		for i := 0; i+d < n; i++ {
 			j := i + d
 			if find(i) == find(j) {
 				continue // already known dependent: save probes
 			}
-			if m.cfg.MaxPairwise > 0 && tested >= m.cfg.MaxPairwise {
-				break
-			}
 			paired, err := m.probeBWWhile(m.cfg.Master, group[i], m.cfg.Master, group[j])
 			if err != nil {
 				return nil, err
 			}
-			tested++
 			ratio := bw[group[i]] / paired
 			if ratio >= m.cfg.Thresholds.PairwiseRatio {
 				union(i, j)
@@ -399,7 +397,6 @@ func (m *Mapper) splitByPairwise(group []string, bw map[string]float64) ([][]str
 // clusters always use the dual-direction form (A→B jammed by B→A), which
 // separates half-duplex hubs from full-duplex switches.
 func (m *Mapper) classify(cluster []string, bw map[string]float64, localAlone float64) (Classification, error) {
-	th := m.cfg.Thresholds
 	if len(cluster) < 2 {
 		return Unknown, nil
 	}
@@ -412,9 +409,9 @@ func (m *Mapper) classify(cluster []string, bw map[string]float64, localAlone fl
 	bottlenecked := localAlone > 0 && bw[rep0] < 0.6*localAlone
 	if m.cfg.StrictPaper || !bottlenecked {
 		// The paper's experiment: bandwidth to the master while two other
-		// cluster hosts exchange data, averaged over JammedReps runs.
+		// cluster hosts exchange data, averaged over jammedReps runs.
 		var sum float64
-		for rep := 0; rep < th.JammedReps; rep++ {
+		for rep := 0; rep < jammedReps; rep++ {
 			c := cluster[rep%len(cluster)]
 			a := cluster[(rep+1)%len(cluster)]
 			b := cluster[(rep+2)%len(cluster)]
@@ -424,7 +421,7 @@ func (m *Mapper) classify(cluster []string, bw map[string]float64, localAlone fl
 			}
 			sum += jammed / bw[c]
 		}
-		return m.classFromRatio(sum / float64(th.JammedReps)), nil
+		return m.classFromRatio(sum / float64(jammedReps)), nil
 	}
 	// Bottlenecked view: intra-cluster jamming. With ≥4 hosts use two
 	// disjoint pairs; with 3, jam the reverse direction through the
@@ -440,7 +437,6 @@ func (m *Mapper) classify(cluster []string, bw map[string]float64, localAlone fl
 // jamRatio measures a→b solo (or reuses alone when > 0), then jammed by
 // the rotating pair, and classifies the averaged ratio.
 func (m *Mapper) jamRatio(a, b string, alone float64, pair func(rep int) (string, string)) (Classification, error) {
-	th := m.cfg.Thresholds
 	if alone <= 0 {
 		v, err := m.probeBW(a, b)
 		if err != nil {
@@ -449,7 +445,7 @@ func (m *Mapper) jamRatio(a, b string, alone float64, pair func(rep int) (string
 		alone = v
 	}
 	var sum float64
-	for rep := 0; rep < th.JammedReps; rep++ {
+	for rep := 0; rep < jammedReps; rep++ {
 		ja, jb := pair(rep)
 		jammed, err := m.probeBWWhile(a, b, ja, jb)
 		if err != nil {
@@ -457,7 +453,7 @@ func (m *Mapper) jamRatio(a, b string, alone float64, pair func(rep int) (string
 		}
 		sum += jammed / alone
 	}
-	return m.classFromRatio(sum / float64(th.JammedReps)), nil
+	return m.classFromRatio(sum / float64(jammedReps)), nil
 }
 
 func (m *Mapper) classFromRatio(avg float64) Classification {
@@ -478,12 +474,12 @@ func (m *Mapper) probeBW(src, dst string) (float64, error) {
 	if err := m.canceled(); err != nil {
 		return 0, err
 	}
-	v, err := m.sub.ProbeBW(src, dst, m.cfg.ProbeBytes, "env:"+m.cfg.Master)
+	v, err := m.sub.ProbeBW(src, dst, probeBytes, "env:"+m.cfg.Master)
 	if err != nil {
 		return 0, fmt.Errorf("env: probe %s->%s: %w", src, dst, err)
 	}
 	m.stats.Probes++
-	m.stats.ProbeBytes += m.cfg.ProbeBytes
+	m.stats.ProbeBytes += probeBytes
 	return v, nil
 }
 
@@ -493,10 +489,9 @@ func (m *Mapper) probeBWWhile(src1, dst1, src2, dst2 string) (float64, error) {
 	if err := m.canceled(); err != nil {
 		return 0, err
 	}
-	jamBytes := m.cfg.ProbeBytes * m.cfg.JamFactor
-	v, err := m.sub.ProbeBWWhile(src1, dst1, m.cfg.ProbeBytes, src2, dst2, jamBytes, "env:"+m.cfg.Master)
+	v, err := m.sub.ProbeBWWhile(src1, dst1, probeBytes, src2, dst2, probeBytes*jamFactor, "env:"+m.cfg.Master)
 	m.stats.Probes += 2
-	m.stats.ProbeBytes += m.cfg.ProbeBytes + jamBytes
+	m.stats.ProbeBytes += probeBytes * (1 + jamFactor)
 	if err != nil {
 		return 0, err
 	}

@@ -36,8 +36,6 @@ type Config struct {
 	Runs []core.MapRun
 	// Interval paces the reconcile rounds (default 5 minutes).
 	Interval time.Duration
-	// MaxRounds bounds Run (0 = until ctx cancellation).
-	MaxRounds int
 	// OnRound observes every completed round.
 	OnRound func(Round)
 }
@@ -58,9 +56,9 @@ type Round struct {
 	Validation *deploy.Validation
 	// Delta reports the incremental apply (nil when Diff was empty).
 	Delta *deploy.DeltaReport
-	// DetectedAt/RepairedAt timestamp drift detection and the end of
-	// the repair (zero when there was no drift).
-	DetectedAt, RepairedAt time.Duration
+	// RepairedAt timestamps the end of the repair (zero when there was
+	// none).
+	RepairedAt time.Duration
 	// Err carries a transient failure (mapping aborted mid-fault,
 	// unplannable interim topology, ...); the loop retries next round.
 	Err error
@@ -118,12 +116,11 @@ func (r *Reconciler) Rounds() []Round {
 	return append([]Round(nil), r.rounds...)
 }
 
-// Run reconciles every Interval until ctx is canceled (or MaxRounds
-// passes completed). On a simulated platform it must run inside a
-// simulation process; sleeps are chunked so wall-clock platforms
-// notice cancellation within a second.
+// Run reconciles every Interval until ctx is canceled. On a simulated
+// platform it must run inside a simulation process; sleeps are chunked
+// so wall-clock platforms notice cancellation within a second.
 func (r *Reconciler) Run(ctx context.Context) error {
-	for i := 0; r.cfg.MaxRounds == 0 || i < r.cfg.MaxRounds; i++ {
+	for {
 		if err := r.sleep(ctx, r.cfg.Interval); err != nil {
 			return err
 		}
@@ -135,7 +132,6 @@ func (r *Reconciler) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	return nil
 }
 
 // sleep waits d on the platform runtime, checking ctx about once a
@@ -180,7 +176,6 @@ func (r *Reconciler) Step(ctx context.Context) Round {
 	ps.End()
 	round.Live, round.Dead = live, dead
 	tele.Gauge("reconcile", "dead_hosts", nil).Set(float64(len(dead)))
-	probedAt := rt.Now()
 	if len(runs) == 0 {
 		round.Err = fmt.Errorf("reconcile: no mapping run has a live anchor")
 		return r.record(round)
@@ -206,15 +201,6 @@ func (r *Reconciler) Step(ctx context.Context) Round {
 	ds.End()
 	if round.Diff.Empty() {
 		return r.record(round)
-	}
-	// Liveness-driven drift (a monitored host gone dead or unreachable)
-	// was already known at the probe, before the costly re-map; purely
-	// structural drift (a rejoin confirmed mappable, an effective-view
-	// change) is only established once the fresh plan exists.
-	if len(dead) > 0 && len(round.Diff.HostsRemoved) > 0 {
-		round.DetectedAt = probedAt
-	} else {
-		round.DetectedAt = rt.Now()
 	}
 	sp.Annotate("dead", fmt.Sprint(len(dead)))
 	tele.Counter("reconcile", "drifts", nil).Inc()

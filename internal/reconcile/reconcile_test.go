@@ -376,8 +376,8 @@ func TestReconcileMixedScenarioConverges(t *testing.T) {
 	}
 
 	// Recovery: each event is answered by the first repair round that
-	// starts before the next event. Detection follows the event, repair
-	// follows detection, and no repair takes three reconcile intervals.
+	// starts before the next event. The repair follows the event, and no
+	// repair takes three reconcile intervals.
 	var windows [][2]time.Duration // [event, repaired) of each answered event
 	for i, at := range fired {
 		next := time.Duration(math.MaxInt64)
@@ -389,7 +389,7 @@ func TestReconcileMixedScenarioConverges(t *testing.T) {
 			continue
 		}
 		rd := rounds[j]
-		if rd.DetectedAt <= at || rd.RepairedAt < rd.DetectedAt {
+		if rd.RepairedAt <= at {
 			t.Fatalf("implausible timing of the repair of the event at %v: %+v", at, rd)
 		}
 		if rd.RepairedAt-at > 15*time.Minute {

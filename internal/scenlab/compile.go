@@ -22,8 +22,6 @@ func (t TopologySpec) Build(seed int64) (*simnet.Topology, []core.MapRun, error)
 			Sites:           g.Sites,
 			SwitchesPerSite: g.SwitchesPerSite,
 			HostsPerSwitch:  g.HostsPerSwitch,
-			HubFraction:     g.HubFraction,
-			VLANsPerSite:    g.VLANsPerSite,
 			SiteDomains:     g.SiteDomains,
 			Seed:            seed,
 		})

@@ -139,7 +139,7 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	defer cancel()
 	res := &Result{Spec: spec, Seed: seed, Telemetry: reg}
 	var rec *reconcile.Reconciler
-	cfg := reconcile.Config{Runs: runs, Interval: spec.ReconcileEvery()}
+	cfg := reconcile.Config{Runs: runs, Interval: reconcileEvery}
 	if holds != nil {
 		res.Invariants = metrics.NewInvariants()
 		cfg.OnRound = func(reconcile.Round) {
@@ -222,7 +222,7 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	}
 
 	end := base + spec.Phases.Warmup() + spec.Phases.Inject() + spec.Phases.Recovery()
-	for tick := base + spec.SampleEvery(); tick < end; tick += spec.SampleEvery() {
+	for tick := base + sampleEvery; tick < end; tick += sampleEvery {
 		if err := advance(tick); err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	// Wind down: stop the loop, let it notice the cancellation on the
 	// virtual clock, then fold the run into the result.
 	cancel()
-	if err := advance(sim.Now() + spec.ReconcileEvery() + 2*time.Second); err != nil {
+	if err := advance(sim.Now() + reconcileEvery + 2*time.Second); err != nil {
 		return nil, err
 	}
 	if !recDone {

@@ -27,8 +27,6 @@ func labSpec(t *testing.T) *Spec {
 		"seed": 7,
 		"topology": {"kind": "lan", "lan": {"subnets": 2, "hosts_per_subnet": 2}},
 		"phases": {"warmup_sec": 180, "inject_sec": 360, "recovery_sec": 240},
-		"reconcile_every_sec": 120,
-		"sample_every_sec": 60,
 		"fault": {"kind": "crash", "start_sec": 60, "heal_after_sec": 180},
 		"slo": {"queries_must_flow": true, "converged": true, "repairs_min": 1, "invariants": "all"}
 	}`))

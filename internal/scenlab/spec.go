@@ -54,11 +54,6 @@ type Spec struct {
 	Gateways int `json:"gateways,omitempty"`
 	// Phases split the run into warmup → inject → recovery.
 	Phases Phases `json:"phases"`
-	// ReconcileEverySec paces the reconcile control loop (default 120).
-	ReconcileEverySec int64 `json:"reconcile_every_sec,omitempty"`
-	// SampleEverySec paces the probe samples written to samples.jsonl
-	// (default 60).
-	SampleEverySec int64 `json:"sample_every_sec,omitempty"`
 	// Fault is the declarative fault schedule, compiled against the
 	// deployed plan.
 	Fault FaultSpec `json:"fault"`
@@ -78,14 +73,13 @@ type TopologySpec struct {
 	LAN *LANSpec `json:"lan,omitempty"`
 }
 
-// GridSpec mirrors topo.GridConfig (zero fields take its defaults);
-// the scenario seed drives the grid's jitter and hub placement.
+// GridSpec sets the topo.GridConfig fields a scenario varies (zero
+// fields take its defaults: every segment a switch, one VLAN a site);
+// the scenario seed drives the grid's latency jitter.
 type GridSpec struct {
-	Sites           int     `json:"sites"`
-	SwitchesPerSite int     `json:"switches_per_site"`
-	HostsPerSwitch  int     `json:"hosts_per_switch"`
-	HubFraction     float64 `json:"hub_fraction,omitempty"`
-	VLANsPerSite    int     `json:"vlans_per_site,omitempty"`
+	Sites           int `json:"sites"`
+	SwitchesPerSite int `json:"switches_per_site"`
+	HostsPerSwitch  int `json:"hosts_per_switch"`
 	// SiteDomains gives every site its own registrable DNS domain, so
 	// the plan places one memory server per site instead of one on the
 	// master — the shape the replication scenarios need killable
@@ -282,9 +276,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenlab: %s: phases warmup_sec, inject_sec and recovery_sec must all be positive (got %d/%d/%d)",
 			s.Name, s.Phases.WarmupSec, s.Phases.InjectSec, s.Phases.RecoverySec)
 	}
-	if s.ReconcileEverySec < 0 || s.SampleEverySec < 0 {
-		return fmt.Errorf("scenlab: %s: pacing intervals must not be negative", s.Name)
-	}
 	if s.Replication < 0 {
 		return fmt.Errorf("scenlab: %s: replication must not be negative", s.Name)
 	}
@@ -355,21 +346,15 @@ func (f FaultSpec) validate(scenario string) error {
 	return nil
 }
 
-// ReconcileEvery and SampleEvery return the pacing intervals with
-// defaults applied.
-func (s *Spec) ReconcileEvery() time.Duration {
-	if s.ReconcileEverySec > 0 {
-		return time.Duration(s.ReconcileEverySec) * time.Second
-	}
-	return 2 * time.Minute
-}
+// Every scenario reconciles every reconcileEvery and writes a probe
+// sample to samples.jsonl every sampleEvery.
+const (
+	reconcileEvery = 2 * time.Minute
+	sampleEvery    = time.Minute
+)
 
-func (s *Spec) SampleEvery() time.Duration {
-	if s.SampleEverySec > 0 {
-		return time.Duration(s.SampleEverySec) * time.Second
-	}
-	return time.Minute
-}
+// ReconcileEvery returns the reconcile loop's interval.
+func (*Spec) ReconcileEvery() time.Duration { return reconcileEvery }
 
 // File is one loaded scenario with its provenance-relevant raw form.
 type File struct {

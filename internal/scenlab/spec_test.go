@@ -29,8 +29,8 @@ func TestDecodeValid(t *testing.T) {
 	if s.Name != "ok" || s.Fault.Kind != FaultCrash {
 		t.Fatalf("decoded %+v", s)
 	}
-	if s.ReconcileEvery() != 2*time.Minute || s.SampleEvery() != time.Minute {
-		t.Fatalf("pacing defaults: reconcile %v sample %v", s.ReconcileEvery(), s.SampleEvery())
+	if s.ReconcileEvery() != 2*time.Minute {
+		t.Fatalf("reconcile interval %v", s.ReconcileEvery())
 	}
 }
 
@@ -85,6 +85,28 @@ func TestDecodeRejections(t *testing.T) {
 		{"data after the scenario",
 			func(s string) string { return s + ` {"name": "second"}` },
 			"data after the scenario"},
+		{"retired reconcile_every_sec",
+			func(s string) string {
+				return strings.Replace(s, `"seed": 1,`, `"seed": 1, "reconcile_every_sec": 120,`, 1)
+			},
+			"unknown field"},
+		{"retired sample_every_sec",
+			func(s string) string {
+				return strings.Replace(s, `"seed": 1,`, `"seed": 1, "sample_every_sec": 60,`, 1)
+			},
+			"unknown field"},
+		{"retired grid hub_fraction",
+			func(s string) string {
+				return strings.Replace(s, `"kind": "lan", "lan": {"subnets": 2, "hosts_per_subnet": 2}`,
+					`"kind": "grid", "grid": {"sites": 2, "switches_per_site": 1, "hosts_per_switch": 2, "hub_fraction": 0.5}`, 1)
+			},
+			"unknown field"},
+		{"retired grid vlans_per_site",
+			func(s string) string {
+				return strings.Replace(s, `"kind": "lan", "lan": {"subnets": 2, "hosts_per_subnet": 2}`,
+					`"kind": "grid", "grid": {"sites": 2, "switches_per_site": 1, "hosts_per_switch": 2, "vlans_per_site": 2}`, 1)
+			},
+			"unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
