@@ -1,8 +1,10 @@
 package topo
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -58,10 +60,15 @@ type RouteSpec struct {
 	Path []string `json:"path"`
 }
 
-// Build materializes the spec into a simulator topology.
+// Build materializes the spec into a simulator topology. A node
+// declared twice, a link naming an unknown node and a route that does
+// not run over links from its src to its dst are errors.
 func (s *Spec) Build() (*simnet.Topology, error) {
 	t := simnet.NewTopology()
 	for _, n := range s.Nodes {
+		if t.Node(n.ID) != nil {
+			return nil, fmt.Errorf("topo: node %q declared twice", n.ID)
+		}
 		var opts []simnet.NodeOption
 		if n.VLAN != 0 {
 			opts = append(opts, simnet.WithVLAN(n.VLAN))
@@ -95,7 +102,14 @@ func (s *Spec) Build() (*simnet.Topology, error) {
 			return nil, fmt.Errorf("topo: node %q has unknown kind %q", n.ID, n.Kind)
 		}
 	}
+	linked := map[[2]string]bool{}
 	for _, l := range s.Links {
+		for _, id := range []string{l.A, l.B} {
+			if t.Node(id) == nil {
+				return nil, fmt.Errorf("topo: link %s-%s names unknown node %q", l.A, l.B, id)
+			}
+		}
+		linked[[2]string{l.A, l.B}], linked[[2]string{l.B, l.A}] = true, true
 		var opts []simnet.LinkOption
 		switch {
 		case l.MbpsAB > 0 && l.MbpsBA > 0:
@@ -112,7 +126,16 @@ func (s *Spec) Build() (*simnet.Topology, error) {
 		t.Connect(l.A, l.B, opts...)
 	}
 	for _, r := range s.Routes {
-		t.SetRoute(r.Src, r.Dst, r.Path)
+		p := r.Path
+		if len(p) < 2 || p[0] != r.Src || p[len(p)-1] != r.Dst {
+			return nil, fmt.Errorf("topo: route %s->%s: path %v does not run from %s to %s", r.Src, r.Dst, p, r.Src, r.Dst)
+		}
+		for i := 1; i < len(p); i++ {
+			if !linked[[2]string{p[i-1], p[i]}] {
+				return nil, fmt.Errorf("topo: route %s->%s: no link %s-%s", r.Src, r.Dst, p[i-1], p[i])
+			}
+		}
+		t.SetRoute(r.Src, r.Dst, p)
 	}
 	t.ExternalTarget = s.External
 	if err := t.Validate(); err != nil {
@@ -225,11 +248,16 @@ func Export(t *simnet.Topology) *Spec {
 // EncodeSpec renders the spec as indented JSON.
 func EncodeSpec(s *Spec) ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
-// DecodeSpec parses a JSON spec.
+// DecodeSpec parses a JSON spec, refusing unknown keys.
 func DecodeSpec(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("topo: spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("topo: spec: data after the topology")
 	}
 	return &s, nil
 }

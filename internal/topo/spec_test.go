@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 
 	"nwsenv/internal/simnet"
@@ -70,9 +71,51 @@ func TestSpecRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestSpecBadKind(t *testing.T) {
-	s := &Spec{Nodes: []NodeSpec{{ID: "x", Kind: "toaster"}}}
-	if _, err := s.Build(); err == nil {
-		t.Fatal("unknown kind should fail")
+// hostileSpecs are topology files DecodeSpec or Build must refuse with
+// an error naming the culprit; the last three panicked inside simnet
+// before Build checked them. FuzzTopoSpec seeds its corpus from them.
+var hostileSpecs = []struct {
+	name, json, wantErr string
+}{
+	{"unknown kind", `{"nodes": [{"id": "x", "kind": "toaster"}]}`, `unknown kind "toaster"`},
+	{"unknown key", `{"nodes": [], "links": [], "extrnal": "world"}`, `unknown field "extrnal"`},
+	{"data after the topology", `{"nodes": []} {"nodes": []}`, "data after the topology"},
+	{"route ends elsewhere",
+		`{"nodes": [{"id": "a", "kind": "host"}, {"id": "b", "kind": "host"}], "links": [{"a": "a", "b": "b"}],
+		  "routes": [{"src": "a", "dst": "b", "path": ["a"]}]}`,
+		"does not run from a to b"},
+	{"link to an unknown node",
+		`{"nodes": [{"id": "a", "kind": "host"}], "links": [{"a": "a", "b": "zz"}]}`,
+		`unknown node "zz"`},
+	{"duplicate node",
+		`{"nodes": [{"id": "a", "kind": "host"}, {"id": "a", "kind": "switch"}]}`,
+		`node "a" declared twice`},
+	{"route over a missing link",
+		`{"nodes": [{"id": "a", "kind": "host"}, {"id": "s", "kind": "switch"}, {"id": "b", "kind": "host"}],
+		  "links": [{"a": "a", "b": "s"}, {"a": "s", "b": "b"}],
+		  "routes": [{"src": "a", "dst": "b", "path": ["a", "b"]}]}`,
+		"no link a-b"},
+}
+
+// buildSpec decodes and builds a topology file as the commands do.
+func buildSpec(data []byte) (*simnet.Topology, error) {
+	s, err := DecodeSpec(data)
+	if err != nil {
+		return nil, err
+	}
+	return s.Build()
+}
+
+func TestSpecRejections(t *testing.T) {
+	for _, c := range hostileSpecs {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := buildSpec([]byte(c.json))
+			if err == nil {
+				t.Fatalf("%s built without error", c.name)
+			}
+			if !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, c.wantErr)
+			}
+		})
 	}
 }
