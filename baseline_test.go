@@ -277,7 +277,7 @@ func TestBlindPartitionCollidesWhereENVDoesNot(t *testing.T) {
 		resolve[h] = h
 	}
 	p := BlindPartition(hosts, "the-doors", 3, 500*time.Millisecond)
-	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{TokenGap: 500 * time.Millisecond})
+	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestFullMeshFrequencyCollapses(t *testing.T) {
 			resolve[h] = h
 		}
 		p := FullMesh(hosts, hosts[0], 200*time.Millisecond)
-		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{TokenGap: 200 * time.Millisecond})
+		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"nwsenv/internal/nws/predict"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
@@ -284,7 +285,7 @@ func runDeployment(b *testing.B, plan *deploy.Plan, resolve map[string]string, w
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
 	tr := proto.NewSimTransport(net)
-	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{TokenGap: time.Second})
+	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -685,7 +686,7 @@ func BenchmarkE13CompositionAccuracy(b *testing.B) {
 		}
 		net.ResetAccounting()
 		tr := proto.NewSimTransport(net)
-		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{TokenGap: time.Second})
+		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -704,7 +705,7 @@ func BenchmarkE13CompositionAccuracy(b *testing.B) {
 		}
 		sim.Go("acc", func() {
 			master := dep.Agents[plan.Master]
-			est := dep.Estimator(master.Station())
+			est := liveEstimator(dep, master.Station())
 			sum = metrics.Accuracy(est, e.Topo, resolve, pairs)
 		})
 		if err := sim.RunUntil(base + 10*time.Minute); err != nil {
@@ -847,9 +848,7 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 			p.MemoryOf[h] = "a"
 		}
 		tr := proto.NewSimTransport(net)
-		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{
-			TokenGap: gap, PairwiseSwitched: pairwise,
-		})
+		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{PairwiseSwitched: pairwise})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -944,4 +943,14 @@ func BenchmarkE16BidirectionalMapping(b *testing.B) {
 		fmt.Println("  the paper left this as future work (\"Solving this would imply almost a")
 		fmt.Println("  complete rewrite of ENV tests and is still to do\"); here it is a Config flag.")
 	})
+}
+
+// liveEstimator composes estimates from the latest measured samples,
+// read through the query plane from port (a simulation process's
+// station).
+func liveEstimator(dep *deploy.Deployment, port proto.Port) *deploy.Estimator {
+	qc := dep.QueryClient(port)
+	return deploy.NewEstimator(dep.Plan, dep.PairDataVia(func(reqs []proto.SeriesRequest) ([]query.Result, error) {
+		return qc.FetchMany(reqs), nil
+	}))
 }

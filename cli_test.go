@@ -74,8 +74,10 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("nwsdeploy did not validate complete:\n%s", out)
 	}
 
+	tele := filepath.Join(dir, "tele")
 	out = run(nwsmanager, "-topo", topoFile, "-plan", plan, "-gridml", mapping,
-		"-duration", "2m", "-query", "moby.cri2000.ens-lyon.fr,sci3.popc.private")
+		"-duration", "2m", "-query", "moby.cri2000.ens-lyon.fr,sci3.popc.private",
+		"-telemetry", tele)
 	if !strings.Contains(out, "estimate moby.cri2000.ens-lyon.fr -> sci3.popc.private") {
 		t.Fatalf("nwsmanager query missing:\n%s", out)
 	}
@@ -85,6 +87,20 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !strings.Contains(out, "composed via") {
 		t.Fatalf("estimate should be composed:\n%s", out)
+	}
+	// A published plan goes through the pipeline's Apply stage too: its
+	// roles carry the run's telemetry, and the stage leaves a trace.
+	metrics, err := os.ReadFile(filepath.Join(tele, "metrics.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"key":"clique/`, `"key":"gateway/`} {
+		if !strings.Contains(string(metrics), key) {
+			t.Fatalf("-plan telemetry lacks %s instruments:\n%s", key, metrics)
+		}
+	}
+	if trace, err := os.ReadFile(filepath.Join(tele, "trace.jsonl")); err != nil || len(trace) == 0 {
+		t.Fatalf("-plan trace.jsonl empty (%v)", err)
 	}
 
 	// Pairwise mode variant runs too.

@@ -206,7 +206,7 @@ func run(ctx context.Context, o options) bool {
 	case se == nil:
 		out, err = pl.Deploy(ctx, runs...)
 	case o.planFile != "":
-		out, err = applyPlanFile(ctx, se, o)
+		out, err = applyPlanFile(ctx, pl, se, o)
 	default:
 		out, err = cli.DeploySim(se.Sim, pl, runs)
 	}
@@ -364,8 +364,10 @@ func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.De
 
 // applyPlanFile keeps the file-based workflow: apply the plan published
 // by nwsdeploy on the simulated topology, resolving its machine names
-// through the optional GridML mapping and the topology spec.
-func applyPlanFile(ctx context.Context, se *cli.SimEnv, o options) (*core.Outcome, error) {
+// through the optional GridML mapping and the topology spec. The plan
+// goes through the pipeline's Apply stage, so the roles carry the same
+// telemetry and report to the same observer as an -auto run's.
+func applyPlanFile(ctx context.Context, pl *core.Pipeline, se *cli.SimEnv, o options) (*core.Outcome, error) {
 	pdata, err := os.ReadFile(o.planFile)
 	check(err)
 	plan, err := deploy.DecodeConfig(pdata)
@@ -404,10 +406,7 @@ func applyPlanFile(ctx context.Context, se *cli.SimEnv, o options) (*core.Outcom
 		}
 	}
 
-	dep, err := deploy.Apply(ctx, se.Plat.Transport(), se.Plat.Prober(), plan, resolve, deploy.ApplyOptions{
-		TokenGap:         time.Second,
-		PairwiseSwitched: o.pairwise,
-	})
+	dep, err := pl.Apply(ctx, &core.PlanResult{Mapping: &core.Mapping{Resolve: resolve}, Plan: plan})
 	return &core.Outcome{Plan: plan, Resolve: resolve, Deployment: dep}, err
 }
 

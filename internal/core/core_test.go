@@ -12,6 +12,7 @@ import (
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/platform"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
@@ -101,7 +102,7 @@ func TestAutoDeployEndToEnd(t *testing.T) {
 	var eerr error
 	sim.Go("query", func() {
 		master := out.Deployment.Agents[out.Plan.Master]
-		es := out.Deployment.Estimator(master.Station())
+		es := liveEstimator(out.Deployment, master.Station())
 		est, eerr = es.Estimate("canaria.ens-lyon.fr", "myri2.popc.private")
 	})
 	if err := sim.RunUntil(base + 4*time.Minute); err != nil {
@@ -286,4 +287,14 @@ func TestAutoDeployThreeRunsFold(t *testing.T) {
 	if !out.Validation.Complete {
 		t.Fatalf("incomplete after fold: %v", out.Validation.MissingPairs)
 	}
+}
+
+// liveEstimator composes estimates from the latest measured samples,
+// read through the query plane from port (a simulation process's
+// station).
+func liveEstimator(dep *deploy.Deployment, port proto.Port) *deploy.Estimator {
+	qc := dep.QueryClient(port)
+	return deploy.NewEstimator(dep.Plan, dep.PairDataVia(func(reqs []proto.SeriesRequest) ([]query.Result, error) {
+		return qc.FetchMany(reqs), nil
+	}))
 }

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"nwsenv/internal/core"
+	"nwsenv/internal/deploy"
 	"nwsenv/internal/metrics"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/platform"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
@@ -84,7 +86,7 @@ func ExamplePipeline_Deploy() {
 	from, to := out.Plan.Hosts[0], out.Plan.Hosts[len(out.Plan.Hosts)-1]
 	sim.Go("query", func() {
 		master := out.Deployment.Agents[out.Plan.Master]
-		est, err := out.Deployment.Estimator(master.Station()).Estimate(from, to)
+		est, err := liveEstimator(out.Deployment, master.Station()).Estimate(from, to)
 		if err != nil {
 			fmt.Println(err)
 			return
@@ -185,7 +187,7 @@ func ExamplePipeline_Deploy_twoSites() {
 	// Every a↔b pair shares the 34 Mbps / 15 ms WAN link.
 	sim.Go("query", func() {
 		master := out.Deployment.Agents[out.Plan.Master]
-		est := out.Deployment.Estimator(master.Station())
+		est := liveEstimator(out.Deployment, master.Station())
 		for _, pair := range [][2]string{{"a1.site-a.org", "b3.site-b.org"}, {"a3.site-a.org", "b0.site-b.org"}} {
 			le, err := est.Estimate(pair[0], pair[1])
 			if err != nil {
@@ -216,4 +218,14 @@ func ExamplePipeline_Deploy_twoSites() {
 	// steady state: 879 probes, 1 collisions, per-pair frequency 5.80–15.00 /min
 	// a1.site-a.org -> b3.site-b.org: 34.0 Mbps, 33.00 ms (composed=true)
 	// a3.site-a.org -> b0.site-b.org: 34.0 Mbps, 33.00 ms (composed=true)
+}
+
+// liveEstimator composes estimates from the latest measured samples,
+// read through the query plane from port (a simulation process's
+// station).
+func liveEstimator(dep *deploy.Deployment, port proto.Port) *deploy.Estimator {
+	qc := dep.QueryClient(port)
+	return deploy.NewEstimator(dep.Plan, dep.PairDataVia(func(reqs []proto.SeriesRequest) ([]query.Result, error) {
+		return qc.FetchMany(reqs), nil
+	}))
 }

@@ -70,7 +70,8 @@ func WithAutoAliases() Option {
 	return func(c *config) { c.autoAliases = true }
 }
 
-// WithTokenGap paces the deployed cliques.
+// WithTokenGap paces the cliques the pipeline plans (each
+// CliqueSpec.Period); a plan without a period paces at 1 s.
 func WithTokenGap(gap time.Duration) Option {
 	return func(c *config) { c.tokenGap = gap }
 }

@@ -198,7 +198,6 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	p.plat.ResetAccounting()
 	p.Observe(PhaseApply, "starting %d agents on %s", len(pr.Plan.Hosts), p.plat.Name())
 	dep, err := deploy.Apply(ctx, p.plat.Transport(), p.plat.Prober(), pr.Plan, pr.Mapping.Resolve, deploy.ApplyOptions{
-		TokenGap:         p.cfg.tokenGap,
 		PairwiseSwitched: p.cfg.pairwiseSwitched,
 		Telemetry:        p.cfg.tele,
 		Holds:            p.cfg.holds,

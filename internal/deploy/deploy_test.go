@@ -10,6 +10,7 @@ import (
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/nws/sensor"
+	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
@@ -290,13 +291,22 @@ func applyTorn(t *testing.T, tr *proto.SimTransport, prober sensor.Prober, p *Pl
 	return dep
 }
 
+// liveData reads the latest measured samples of a pair through the
+// query plane, from port (a simulation process's station).
+func liveData(dep *Deployment, port proto.Port) PairData {
+	qc := dep.QueryClient(port)
+	return dep.PairDataVia(func(reqs []proto.SeriesRequest) ([]query.Result, error) {
+		return qc.FetchMany(reqs), nil
+	})
+}
+
 func TestApplyAndQueryEndToEnd(t *testing.T) {
 	// The full pipeline: map (done) → plan → apply → steady state →
 	// live estimate of a never-directly-measured pair.
 	e, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
 	prober := sensor.SimProber{Net: net}
-	dep := applyTorn(t, tr, prober, p, resolve, ApplyOptions{TokenGap: time.Second})
+	dep := applyTorn(t, tr, prober, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 3*time.Minute); err != nil {
@@ -309,7 +319,7 @@ func TestApplyAndQueryEndToEnd(t *testing.T) {
 	var eerr error
 	sim.Go("query", func() {
 		master := dep.Agents[p.Master]
-		es := dep.Estimator(master.Station())
+		es := NewEstimator(dep.Plan, liveData(dep, master.Station()))
 		est, eerr = es.Estimate("moby.cri2000.ens-lyon.fr", "sci3.popc.private")
 	})
 	if err := sim.RunUntil(base + 4*time.Minute); err != nil {
@@ -333,7 +343,7 @@ func TestDeploymentCollisionRate(t *testing.T) {
 	// its probe volume (the §2.3 goal).
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
+	applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
@@ -390,9 +400,7 @@ func TestPairwiseSwitchedDeployment(t *testing.T) {
 	run := func(pairwise bool) (perPair float64, pairCollisions int) {
 		net, p, resolve := build()
 		tr := proto.NewSimTransport(net)
-		applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{
-			TokenGap: 10 * time.Millisecond, PairwiseSwitched: pairwise,
-		})
+		applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{PairwiseSwitched: pairwise})
 		sim := net.Sim()
 		if err := sim.RunUntil(5 * time.Minute); err != nil {
 			t.Fatal(err)

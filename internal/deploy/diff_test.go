@@ -221,7 +221,7 @@ func TestApplyDeltaGrowth(t *testing.T) {
 
 	tr := proto.NewSimTransport(net)
 	prober := sensor.SimProber{Net: net}
-	opts := ApplyOptions{TokenGap: time.Second}
+	opts := ApplyOptions{}
 	dep := applyTorn(t, tr, prober, &initial, resolve, opts)
 	sim := net.Sim()
 	base := sim.Now()

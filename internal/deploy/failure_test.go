@@ -19,7 +19,7 @@ import (
 func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -55,7 +55,7 @@ func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 func TestDeploymentMemoryDeathDegradesOnlyItsSite(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -74,7 +74,7 @@ func TestDeploymentMemoryDeathDegradesOnlyItsSite(t *testing.T) {
 	var privateErr error
 	sim.Go("query", func() {
 		master := dep.Agents[p.Master]
-		data := dep.LiveData(master.Station())
+		data := liveData(dep, master.Station())
 		if _, _, ok := data("canaria.ens-lyon.fr", "moby.cri2000.ens-lyon.fr"); ok {
 			publicSamples++
 		}
@@ -109,7 +109,7 @@ func (*privateDownError) Error() string { return "private memory down" }
 func TestEstimatesTrackLoadDynamics(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 2*time.Minute); err != nil {
@@ -117,7 +117,7 @@ func TestEstimatesTrackLoadDynamics(t *testing.T) {
 	}
 	var idleBW float64
 	sim.Go("q1", func() {
-		est := dep.Estimator(dep.Agents[p.Master].Station())
+		est := NewEstimator(dep.Plan, liveData(dep, dep.Agents[p.Master].Station()))
 		le, err := est.Estimate("myri1.popc.private", "myri2.popc.private")
 		if err == nil {
 			idleBW = le.BandwidthMbps
@@ -134,7 +134,7 @@ func TestEstimatesTrackLoadDynamics(t *testing.T) {
 	}
 	var loadedBW float64
 	sim.Go("q2", func() {
-		est := dep.Estimator(dep.Agents[p.Master].Station())
+		est := NewEstimator(dep.Plan, liveData(dep, dep.Agents[p.Master].Station()))
 		le, err := est.Estimate("myri1.popc.private", "myri2.popc.private")
 		if err == nil {
 			loadedBW = le.BandwidthMbps
@@ -197,7 +197,7 @@ func forecastData(d *Deployment, port proto.Port) PairData {
 func TestForecastEstimatorComposesPredictions(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{TokenGap: time.Second})
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 3*time.Minute); err != nil {

@@ -11,10 +11,11 @@ import (
 
 // Incremental redeployment: §4.3 asks the deployment to follow
 // "possible platform evolution" — re-map, re-plan, and apply only the
-// delta. ApplyDelta is the apply-only-the-delta half: given a revised
-// plan, it compares every host's role assignment under the old and new
-// plans and rebuilds exactly the agents whose assignment changed,
-// leaving healthy cliques monitoring undisturbed.
+// delta. ApplyDelta is the one apply path: given a revised plan, it
+// compares every host's role assignment under the old and new plans and
+// rebuilds exactly the agents whose assignment changed, leaving healthy
+// cliques monitoring undisturbed. Apply's first deploy is the delta
+// from an empty deployment, which starts every agent.
 
 // epochStride separates clique incarnations in the token epoch space.
 // Elections and fenced passes (an ack that timed out) inside one
@@ -63,76 +64,13 @@ func (r *DeltaReport) String() string {
 // On error the deployment is left partially transitioned, but its Plan
 // is pruned to the agents actually still running, so a reconcile loop
 // diffing against Plan re-detects the gap on its next round instead of
-// mistaking the hole for convergence. ctx aborts between agent
-// constructions like Apply.
+// mistaking the hole for convergence. ctx is checked between agent
+// constructions and before any agent starts: the agents an aborted
+// apply built are torn down.
 func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve map[string]string) (*DeltaReport, error) {
-	if d.tr == nil {
-		return nil, fmt.Errorf("deploy: deployment was not built by Apply, cannot transition")
-	}
-	diff := DiffPlans(d.Plan, newPlan)
-	rep := &DeltaReport{Diff: diff}
-	if diff.Empty() {
-		rep.Kept = append([]string(nil), d.Plan.Hosts...)
-		return rep, nil
-	}
-
-	oldRoles, err := planRoles(d.Plan, d.Resolve, d.opts, d.epochs)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: delta: old plan roles: %w", err)
-	}
-	// New incarnations for every clique whose ring changes: their
-	// rebuilt members must outrank zombie tokens.
-	for name := range diff.CliquesChanged {
-		d.epochs[name] += epochStride
-	}
-	for _, name := range diff.CliquesAdded {
-		d.epochs[name] += epochStride
-	}
-	newRoles, err := planRoles(newPlan, newResolve, d.opts, d.epochs)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: delta: new plan roles: %w", err)
-	}
-
-	newHosts := toSet(newPlan.Hosts)
-	// Non-nil: an empty rebuild set (e.g. a pure teardown of a shared
-	// network's non-representative host) must build nothing, while nil
-	// means "everything" to buildAgents.
-	rebuild := []string{}
-	for _, name := range d.Plan.Hosts {
-		if _, stays := newHosts[name]; !stays {
-			rep.Stopped = append(rep.Stopped, name)
-			continue
-		}
-		if roleSignature(oldRoles[name]) != roleSignature(newRoles[name]) ||
-			d.Resolve[name] != newResolve[name] {
-			rep.Restarted = append(rep.Restarted, name)
-			rebuild = append(rebuild, name)
-		} else {
-			rep.Kept = append(rep.Kept, name)
-		}
-	}
-	oldHosts := toSet(d.Plan.Hosts)
-	for _, name := range newPlan.Hosts {
-		if _, existed := oldHosts[name]; !existed {
-			rep.Started = append(rep.Started, name)
-			rebuild = append(rebuild, name)
-		}
-	}
-	sort.Strings(rebuild)
-
-	// A rebuilt agent rejoins the rings that kept running: its members
-	// must not bootstrap a token beside the one still circulating.
-	fresh := map[string]bool{}
-	for name := range diff.CliquesChanged {
-		fresh[name] = true
-	}
-	for _, name := range diff.CliquesAdded {
-		fresh[name] = true
-	}
-	for _, name := range rep.Restarted {
-		for i, c := range newRoles[name].Cliques {
-			newRoles[name].Cliques[i].Join = !fresh[c.Name]
-		}
+	rep, build, err := d.decide(newPlan, newResolve)
+	if err != nil || rep.Diff.Empty() {
+		return rep, err
 	}
 
 	// Tear down leavers and changed agents first: a rebuilt agent must
@@ -151,26 +89,13 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 	}
 	d.Plan = pruneHosts(d.Plan, rep.Stopped, rep.Restarted)
 
-	agents, err := d.buildAgents(ctx, newPlan, newResolve, rebuild, newRoles)
+	agents, err := d.buildAgents(ctx, newPlan, newResolve, build)
 	if err != nil {
-		for _, a := range agents {
-			a.Stop()
-		}
 		return rep, fmt.Errorf("deploy: delta: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		for _, a := range agents {
-			a.Stop()
-		}
-		return rep, fmt.Errorf("deploy: delta aborted: %w", err)
 	}
 
 	d.Plan = newPlan
 	d.Resolve = newResolve
-	d.reverse = map[string]string{}
-	for name, node := range newResolve {
-		d.reverse[node] = name
-	}
 	// An in-place rebuild must not lose the retained series windows of a
 	// live host's memory server — a survivor holding replica copies is
 	// exactly what anti-entropy repair backfills from — so the old agent
@@ -183,15 +108,89 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 		}
 		d.Agents[name] = ag
 	}
-	// Start the rebuilt agents in plan-host order, not map order: the
-	// scenario lab replays runs byte-for-byte, so repair must not be
-	// the one step that launches processes in a random order.
+	// Start the built agents in plan-host order, not map order: the
+	// scenario lab replays runs byte-for-byte, so no apply may launch
+	// processes in a random order.
 	for _, name := range newPlan.Hosts {
-		if ag, fresh := agents[name]; fresh {
+		if ag, built := agents[name]; built {
 			ag.Start()
 		}
 	}
 	return rep, nil
+}
+
+// decide works out the transition to newPlan without touching an
+// agent: the report, and the role assignment of every host whose agent
+// must be built (changed and joining hosts). It hands every clique whose
+// ring changes a new incarnation.
+func (d *Deployment) decide(newPlan *Plan, newResolve map[string]string) (*DeltaReport, map[string]host.Roles, error) {
+	diff := DiffPlans(d.Plan, newPlan)
+	rep := &DeltaReport{Diff: diff}
+	if diff.Empty() {
+		rep.Kept = append([]string(nil), d.Plan.Hosts...)
+		return rep, nil, nil
+	}
+
+	// An empty plan (the first apply's) has no roles, and no name
+	// server to resolve.
+	var oldRoles map[string]host.Roles
+	if len(d.Plan.Hosts) > 0 {
+		var err error
+		if oldRoles, err = planRoles(d.Plan, d.Resolve, d.opts, d.epochs); err != nil {
+			return nil, nil, fmt.Errorf("deploy: delta: old plan roles: %w", err)
+		}
+	}
+	// New incarnations for every clique whose ring changes: their
+	// rebuilt members must outrank zombie tokens. The first apply finds
+	// no incarnation table and starts every clique at epoch 0.
+	fresh := map[string]bool{}
+	for name := range diff.CliquesChanged {
+		fresh[name] = true
+	}
+	for _, name := range diff.CliquesAdded {
+		fresh[name] = true
+	}
+	if d.epochs == nil {
+		d.epochs = map[string]int64{}
+	} else {
+		for name := range fresh {
+			d.epochs[name] += epochStride
+		}
+	}
+	newRoles, err := planRoles(newPlan, newResolve, d.opts, d.epochs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("deploy: delta: new plan roles: %w", err)
+	}
+
+	newHosts := toSet(newPlan.Hosts)
+	build := map[string]host.Roles{}
+	for _, name := range d.Plan.Hosts {
+		if _, stays := newHosts[name]; !stays {
+			rep.Stopped = append(rep.Stopped, name)
+			continue
+		}
+		if roleSignature(oldRoles[name]) == roleSignature(newRoles[name]) &&
+			d.Resolve[name] == newResolve[name] {
+			rep.Kept = append(rep.Kept, name)
+			continue
+		}
+		// A rebuilt agent rejoins the rings that kept running: its
+		// members must not bootstrap a token beside the one still
+		// circulating.
+		for i, c := range newRoles[name].Cliques {
+			newRoles[name].Cliques[i].Join = !fresh[c.Name]
+		}
+		rep.Restarted = append(rep.Restarted, name)
+		build[name] = newRoles[name]
+	}
+	oldHosts := toSet(d.Plan.Hosts)
+	for _, name := range newPlan.Hosts {
+		if _, existed := oldHosts[name]; !existed {
+			rep.Started = append(rep.Started, name)
+			build[name] = newRoles[name]
+		}
+	}
+	return rep, build, nil
 }
 
 // pruneHosts returns a copy of plan without the given host groups in

@@ -2,6 +2,9 @@ package deploy
 
 import (
 	"context"
+	"errors"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +20,7 @@ func deployEnsLyon(t *testing.T) (*Deployment, *Plan, map[string]string, *proto.
 	t.Helper()
 	_, net, plan, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, plan, resolve, ApplyOptions{TokenGap: time.Second})
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, plan, resolve, ApplyOptions{})
 	sim := net.Sim()
 	if err := sim.RunUntil(sim.Now() + time.Minute); err != nil {
 		t.Fatal(err)
@@ -276,4 +279,122 @@ func TestApplyDeltaGatewayMove(t *testing.T) {
 	if len(rep.Stopped)+len(rep.Started) != 0 {
 		t.Fatalf("unexpected membership changes: %s", rep)
 	}
+}
+
+// cancelAfter is a context canceled once its Err has been read n times:
+// an apply aborted midway through building its agents.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestApplyEpochs pins how the one apply path hands out clique
+// incarnations. The first apply is the delta from an empty deployment:
+// it starts every host, every clique at epoch 0, and no member joins a
+// ring. A later delta moves the changed and added cliques to the next
+// incarnation, leaves the kept ones where they were, and the rebuilt
+// members of kept cliques join the rings still running. An aborted
+// first apply tears down what it built, leaving no endpoint open.
+func TestApplyEpochs(t *testing.T) {
+	t.Run("first apply", func(t *testing.T) {
+		_, net, plan, resolve := planEnsLyon(t)
+		dep := &Deployment{Plan: &Plan{}, tr: proto.NewSimTransport(net), prober: sensor.SimProber{Net: net}}
+		rep, build, err := dep.decide(plan, resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rep.Started, plan.Hosts) || len(rep.Stopped)+len(rep.Restarted)+len(rep.Kept) != 0 {
+			t.Fatalf("first apply: %s, started %v, want every plan host started", rep, rep.Started)
+		}
+		if len(build) != len(plan.Hosts) {
+			t.Fatalf("first apply builds %d agents, want %d", len(build), len(plan.Hosts))
+		}
+		for name, roles := range build {
+			for _, c := range roles.Cliques {
+				if c.Epoch != 0 || c.Join {
+					t.Fatalf("%s: clique %s at epoch %d join=%t, want epoch 0, no join", name, c.Name, c.Epoch, c.Join)
+				}
+			}
+		}
+	})
+
+	t.Run("later delta", func(t *testing.T) {
+		dep, plan, resolve, tr := deployEnsLyon(t)
+		const victim = "sci3.popc.private"
+		next := copyPlan(plan)
+		next.Hosts = slices.DeleteFunc(next.Hosts, func(h string) bool { return h == victim })
+		delete(next.MemoryOf, victim)
+		for i, c := range next.Cliques {
+			c.Members = slices.DeleteFunc(slices.Clone(c.Members), func(h string) bool { return h == victim })
+			next.Cliques[i] = c
+		}
+		next.Cliques = append(next.Cliques, CliqueSpec{
+			Name: "clique-added", Members: []string{"canaria.ens-lyon.fr", "moby.cri2000.ens-lyon.fr"},
+		})
+
+		// decide on a copy shows the roles the delta builds; the
+		// deployment itself then takes the delta for real.
+		probe := *dep
+		probe.epochs = maps.Clone(dep.epochs)
+		rep, build, err := probe.decide(next, resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := map[string]bool{"clique-added": true}
+		for name := range rep.Diff.CliquesChanged {
+			fresh[name] = true
+		}
+		if len(fresh) < 2 {
+			t.Fatalf("delta changed no clique: %s", rep.Diff)
+		}
+		joined := 0
+		for _, name := range rep.Restarted {
+			for _, c := range build[name].Cliques {
+				want := int64(0)
+				if fresh[c.Name] {
+					want = epochStride
+				}
+				if c.Epoch != want || c.Join == fresh[c.Name] {
+					t.Fatalf("rebuilt %s: clique %s at epoch %d join=%t, want epoch %d join=%t",
+						name, c.Name, c.Epoch, c.Join, want, !fresh[c.Name])
+				}
+				if c.Join {
+					joined++
+				}
+			}
+		}
+		if joined == 0 {
+			t.Fatal("no rebuilt member of a kept clique: the join case went untested")
+		}
+
+		applyDelta(t, tr, dep, next, resolve)
+		for _, c := range next.Cliques {
+			want := int64(0)
+			if fresh[c.Name] {
+				want = epochStride
+			}
+			if got := dep.epochs[c.Name]; got != want || probe.epochs[c.Name] != want {
+				t.Fatalf("clique %s at epoch %d (decided %d), want %d", c.Name, got, probe.epochs[c.Name], want)
+			}
+		}
+	})
+
+	t.Run("canceled first apply", func(t *testing.T) {
+		_, net, plan, resolve := planEnsLyon(t)
+		tr := proto.NewSimTransport(net)
+		prober := sensor.SimProber{Net: net}
+		ctx := &cancelAfter{Context: context.Background(), n: 3}
+		if _, err := Apply(ctx, tr, prober, plan, resolve, ApplyOptions{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("apply canceled after 3 agents: %v, want context.Canceled", err)
+		}
+		// Every endpoint the aborted apply opened is free again.
+		applyTorn(t, tr, prober, plan, resolve, ApplyOptions{})
+	})
 }

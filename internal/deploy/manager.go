@@ -19,10 +19,9 @@ import (
 // rings (reduces inter-clique collision windows).
 const staggerStep = 500 * time.Millisecond
 
-// ApplyOptions tune the deployment application.
+// ApplyOptions tune the deployment application. Clique pacing is not
+// among them: it is the plan's (CliqueSpec.Period).
 type ApplyOptions struct {
-	// TokenGap paces every clique (default 1s).
-	TokenGap time.Duration
 	// PairwiseSwitched replaces the token ring of switched-network
 	// cliques with the round-robin pairwise scheduler: the relaxation
 	// the paper's conclusion asks for ("a possibility to lock hosts
@@ -48,13 +47,13 @@ type Deployment struct {
 	Plan    *Plan
 	Agents  map[string]*host.Agent // by canonical machine name
 	Resolve map[string]string      // canonical name -> node ID
-	reverse map[string]string      // node ID -> canonical name
 
 	tr     proto.Transport
 	prober sensor.Prober
 	opts   ApplyOptions
 	// epochs tracks each clique's incarnation: bumped on membership
 	// repair so rebuilt rings outrank tokens from dead incarnations.
+	// Nil until the first apply.
 	epochs map[string]int64
 }
 
@@ -63,50 +62,15 @@ type Deployment struct {
 // is then as easy as dispatching the configuration file to the hosts and
 // running the manager on each machine").
 //
-// resolve maps canonical machine names to transport host IDs. ctx is
-// checked while agents are constructed and before they start, so an
-// aborted deployment leaves no agent running (already-built agents are
-// torn down).
+// resolve maps canonical machine names to transport host IDs. The
+// first deploy is the delta from an empty deployment (ApplyDelta), so
+// an aborted or failed deployment leaves no agent running.
 func Apply(ctx context.Context, tr proto.Transport, prober sensor.Prober, plan *Plan, resolve map[string]string, opts ApplyOptions) (*Deployment, error) {
-	dep := &Deployment{
-		Plan:    plan,
-		Resolve: resolve,
-		reverse: map[string]string{},
-		tr:      tr,
-		prober:  prober,
-		opts:    opts.withDefaults(),
-		epochs:  map[string]int64{},
-	}
-	agents, err := dep.buildAgents(ctx, plan, resolve, nil, nil)
-	if err != nil {
-		for _, a := range agents {
-			a.Stop()
-		}
+	dep := &Deployment{Plan: &Plan{}, Agents: map[string]*host.Agent{}, tr: tr, prober: prober, opts: opts}
+	if _, err := dep.ApplyDelta(ctx, plan, resolve); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		for _, a := range agents {
-			a.Stop()
-		}
-		return nil, fmt.Errorf("deploy: apply aborted: %w", err)
-	}
-	dep.Agents = agents
-	for name, node := range resolve {
-		dep.reverse[node] = name
-	}
-	for _, name := range plan.Hosts {
-		dep.Agents[name].Start()
-	}
 	return dep, nil
-}
-
-// withDefaults normalizes the options once, so the role assignments
-// computed at apply time and at reconcile time agree.
-func (o ApplyOptions) withDefaults() ApplyOptions {
-	if o.TokenGap <= 0 {
-		o.TokenGap = time.Second
-	}
-	return o
 }
 
 // planRoles computes each host's role assignment under plan: the
@@ -114,7 +78,6 @@ func (o ApplyOptions) withDefaults() ApplyOptions {
 // resolved node IDs; each clique's Epoch comes from the deployment's
 // incarnation table so rebuilt rings outrank their predecessors.
 func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs map[string]int64) (map[string]host.Roles, error) {
-	opts = opts.withDefaults()
 	id := func(name string) (string, error) {
 		if v, ok := resolve[name]; ok {
 			return v, nil
@@ -136,14 +99,10 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 			}
 			members = append(members, node)
 		}
-		gap := spec.Period
-		if gap <= 0 {
-			gap = opts.TokenGap
-		}
 		cfg := clique.Config{
 			Name:       spec.Name,
 			Members:    members,
-			TokenGap:   gap,
+			TokenGap:   spec.Period,
 			StartDelay: time.Duration(i) * staggerStep,
 			Epoch:      epochs[spec.Name],
 			Holds:      opts.Holds,
@@ -223,33 +182,35 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 	return all, nil
 }
 
-// buildAgents constructs (without starting) the agents for the plan's
-// hosts; when only is non-nil, just for that subset. roles may carry
-// the plan's precomputed role assignments (nil recomputes them). On
-// error the agents built so far are returned alongside it so the caller
-// can tear them down (their endpoints are already open).
-func (d *Deployment) buildAgents(ctx context.Context, plan *Plan, resolve map[string]string, only []string, roles map[string]host.Roles) (map[string]*host.Agent, error) {
-	all := roles
-	if all == nil {
-		var err error
-		all, err = planRoles(plan, resolve, d.opts, d.epochs)
-		if err != nil {
-			return nil, err
-		}
-	}
+// buildAgents constructs (without starting) an agent for every host
+// of the plan that roles assigns, in plan-host order. ctx is checked
+// before each construction and after the last; on error the agents
+// built so far are stopped (their endpoints are already open) and none
+// is returned.
+func (d *Deployment) buildAgents(ctx context.Context, plan *Plan, resolve map[string]string, roles map[string]host.Roles) (map[string]*host.Agent, error) {
 	agents := map[string]*host.Agent{}
+	fail := func(err error) (map[string]*host.Agent, error) {
+		for _, a := range agents {
+			a.Stop()
+		}
+		return nil, err
+	}
 	for _, name := range plan.Hosts {
-		if only != nil && !contains(only, name) {
+		r, ok := roles[name]
+		if !ok {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return agents, fmt.Errorf("deploy: apply aborted: %w", err)
+			return fail(fmt.Errorf("deploy: apply aborted: %w", err))
 		}
-		ag, err := host.NewAgent(d.tr, resolve[name], all[name], d.prober)
+		ag, err := host.NewAgent(d.tr, resolve[name], r, d.prober)
 		if err != nil {
-			return agents, err
+			return fail(err)
 		}
 		agents[name] = ag
+	}
+	if err := ctx.Err(); err != nil {
+		return fail(fmt.Errorf("deploy: apply aborted: %w", err))
 	}
 	return agents, nil
 }
@@ -310,21 +271,4 @@ func (d *Deployment) PairDataVia(fetch func([]proto.SeriesRequest) ([]query.Resu
 		}
 		return res[0].Samples[0].Value, res[1].Samples[0].Value, true
 	}
-}
-
-// LiveData returns a PairData that reads the latest measured samples
-// through the query plane: both series of a pair come back in one
-// batched round-trip per memory server. It must be used from a
-// simulation process; port is the station the queries are issued from
-// (e.g. the master agent's).
-func (d *Deployment) LiveData(port proto.Port) PairData {
-	qc := d.QueryClient(port)
-	return d.PairDataVia(func(reqs []proto.SeriesRequest) ([]query.Result, error) {
-		return qc.FetchMany(reqs), nil
-	})
-}
-
-// Estimator builds a live estimator over the running deployment.
-func (d *Deployment) Estimator(port proto.Port) *Estimator {
-	return NewEstimator(d.Plan, d.LiveData(port))
 }

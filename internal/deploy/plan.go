@@ -76,7 +76,8 @@ type PlanConfig struct {
 	// Master is the canonical name of the deployment lead (name server +
 	// forecaster placement). Defaults to the first host.
 	Master string
-	// TokenGap sets each clique's measurement pacing.
+	// TokenGap is every clique's Period, bridges included: its
+	// measurement pacing (0 leaves the clique default, 1 s).
 	TokenGap time.Duration
 	// ReplicationFactor gives every memory server k replicas placed on
 	// distinct switches (0 disables replication).
@@ -219,15 +220,15 @@ func NewPlan(m *env.Merged, cfg PlanConfig) (*Plan, error) {
 	// Bridging cliques between connectivity components (§5.1: "The
 	// connection between canaria and popc0 is used to test the connexion
 	// between these hubs").
-	p.addBridges(m, canon)
+	p.addBridges(m, canon, cfg.TokenGap)
 
 	sort.Slice(p.Cliques, func(i, j int) bool { return p.Cliques[i].Name < p.Cliques[j].Name })
 	return p, nil
 }
 
 // addBridges links network components so the measurement graph is
-// connected.
-func (p *Plan) addBridges(m *env.Merged, canon func(string) string) {
+// connected. Bridges are paced like the network cliques.
+func (p *Plan) addBridges(m *env.Merged, canon func(string) string, period time.Duration) {
 	// Union-find over networks; two networks join when they share a
 	// machine or one's gateway is the other's member.
 	n := len(m.Networks)
@@ -286,6 +287,7 @@ func (p *Plan) addBridges(m *env.Merged, canon func(string) string) {
 		p.Cliques = append(p.Cliques, CliqueSpec{
 			Name:    fmt.Sprintf("bridge-%d", k),
 			Members: members,
+			Period:  period,
 		})
 	}
 }

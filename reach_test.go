@@ -5,7 +5,8 @@
 // declaration, or sit on reachAllow with the reason it stays. AST-only
 // (no type checking), so resolution is by name: a package-level symbol
 // is matched as a bare identifier inside its package and as pkg.Name
-// through each file's imports; a method is matched as any .Name selector.
+// through each file's imports; a method is matched as any .Name selector
+// whose left side is not an imported package.
 // TestMainsLiveUnderCmd keeps that caller set closed: no package main
 // outside cmd/ and bench/ exists to count as a caller.
 package nwsenv
@@ -140,8 +141,9 @@ func TestExportedSymbolsReachable(t *testing.T) {
 	}
 
 	// References from every non-test file: bare identifiers per package
-	// directory, pkg.Name selectors per imported directory, and selector
-	// names anywhere (methods). Declaring identifiers are skipped by
+	// directory, pkg.Name selectors per imported directory, and every
+	// other selector name (methods): deploy.Estimator names a type, not
+	// a method called Estimator. Declaring identifiers are skipped by
 	// position, and so is a method's receiver type: a type's own methods
 	// do not reach it.
 	declPos := map[token.Pos]bool{}
@@ -150,7 +152,7 @@ func TestExportedSymbolsReachable(t *testing.T) {
 	}
 	bare := map[string]map[string]bool{}      // dir -> identifier
 	qualified := map[string]map[string]bool{} // imported dir -> Name
-	selected := map[string]bool{}             // .Name anywhere
+	selected := map[string]bool{}             // .Name on anything but a package
 	mark := func(m map[string]map[string]bool, dir, name string) {
 		if m[dir] == nil {
 			m[dir] = map[string]bool{}
@@ -183,12 +185,13 @@ func TestExportedSymbolsReachable(t *testing.T) {
 					})
 				}
 			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
 						mark(qualified, dir, n.Sel.Name)
+						return true
 					}
 				}
+				selected[n.Sel.Name] = true
 			case *ast.Ident:
 				if !declPos[n.Pos()] {
 					mark(bare, rf.dir, n.Name)
