@@ -193,7 +193,7 @@ func run(ctx context.Context, o options) bool {
 	}
 	// The registry reads the platform's clock: deterministic readings on
 	// the simulator, honest wall-clock timings on sockets.
-	reg := telemetry.New(plat.Runtime().Now)
+	reg := telemetry.New(plat.Transport().Runtime().Now)
 	if se != nil {
 		simnet.RegisterTelemetry(reg, se.Net)
 	}
@@ -227,7 +227,7 @@ func run(ctx context.Context, o options) bool {
 				}
 			},
 		})
-		plat.Runtime().Go("reconcile", func() {
+		plat.Transport().Runtime().Go("reconcile", func() {
 			defer close(loopDone)
 			rec.Run(wctx)
 		})
@@ -331,7 +331,7 @@ func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.De
 	}
 	ep, err := plat.Transport().Open("nwsmanager-client")
 	check(err)
-	client := proto.NewStation(plat.Runtime(), ep)
+	client := proto.NewStation(plat.Transport().Runtime(), ep)
 	defer client.Close()
 	fetch := queryPlane(client, dep)
 

@@ -14,22 +14,9 @@ import (
 	"nwsenv/internal/env"
 )
 
-// MapRun describes one ENV run (one firewall side).
-type MapRun struct {
-	// Master is the run's point of view (node ID).
-	Master string
-	// Hosts are the node IDs mapped by this run.
-	Hosts []string
-	// Names maps node IDs to display FQDNs (optional).
-	Names map[string]string
-	// Thresholds default to the paper's values.
-	Thresholds env.Thresholds
-	// StrictPaper selects the unmodified §4.2.2.4 classification.
-	StrictPaper bool
-	// Bidirectional also measures host→master bandwidth, exposing
-	// asymmetric routes (§4.3 future work).
-	Bidirectional bool
-}
+// MapRun describes one ENV run (one firewall side): the mapper's own
+// configuration, handed to it unchanged.
+type MapRun = env.Config
 
 // Outcome is everything a full pipeline run produced.
 type Outcome struct {

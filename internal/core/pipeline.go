@@ -84,15 +84,7 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 	for _, run := range runs {
 		p.Observe(PhaseMap, "ENV run from %s (%d hosts)", run.Master, len(run.Hosts))
 		rs := stage.Child("env_run", telemetry.Attr{Key: "master", Value: run.Master})
-		cfg := env.Config{
-			Master:        run.Master,
-			Hosts:         run.Hosts,
-			Names:         run.Names,
-			Thresholds:    run.Thresholds,
-			StrictPaper:   run.StrictPaper,
-			Bidirectional: run.Bidirectional,
-		}
-		res, err := env.NewMapperOn(sub, cfg).Run(ctx)
+		res, err := env.NewMapperOn(sub, run).Run(ctx)
 		rs.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: mapping from %s: %w", run.Master, err)
@@ -176,7 +168,7 @@ func (p *Pipeline) Plan(m *Mapping) (*PlanResult, error) {
 		len(plan.Cliques), len(plan.Hosts), plan.Master)
 
 	vs := stage.Child("validate")
-	v, err := platform.ValidatePlan(p.plat, plan, m.Resolve)
+	v, err := p.plat.ValidatePlan(plan, m.Resolve)
 	vs.End()
 	if err != nil {
 		return nil, err

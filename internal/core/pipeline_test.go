@@ -27,7 +27,7 @@ import (
 func TestTCPPlatformPipeline(t *testing.T) {
 	hosts := []string{"alpha", "beta", "gamma"}
 	plat := platform.NewTCPPlatform(hosts)
-	stop := prototest.Teardown(t, plat.Runtime())
+	stop := prototest.Teardown(t, plat.Transport().Runtime())
 	pl := NewPipeline(plat,
 		WithGridLabel("loopback"),
 		WithTokenGap(20*time.Millisecond),
@@ -75,7 +75,7 @@ func TestTCPPlatformPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := proto.NewStation(plat.Runtime(), ep)
+	client := proto.NewStation(plat.Transport().Runtime(), ep)
 	stop(client.Close)
 	qc := query.New(client, m.Resolve[pr.Plan.NameServer])
 	series := sensor.BandwidthSeries("alpha", "beta")

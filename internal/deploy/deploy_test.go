@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,7 +108,7 @@ func TestPlanMatchesFigure3Shape(t *testing.T) {
 	if len(sciClique.Members) != 7 {
 		t.Fatalf("sci clique members %v", sciClique.Members)
 	}
-	if !contains(sciClique.Members, "sci.ens-lyon.fr") {
+	if !slices.Contains(sciClique.Members, "sci.ens-lyon.fr") {
 		t.Fatalf("sci clique lacks the gateway: %v", sciClique.Members)
 	}
 	if myriClique == nil {
@@ -123,8 +124,8 @@ func TestPlanMatchesFigure3Shape(t *testing.T) {
 	// The hub1 representative pair excludes the master (paper picked
 	// moby+canaria, not the-doors).
 	for _, c := range p.Cliques {
-		if c.Shared && contains(c.Represents, "moby.cri2000.ens-lyon.fr") {
-			if contains(c.Members, "the-doors.ens-lyon.fr") {
+		if c.Shared && slices.Contains(c.Represents, "moby.cri2000.ens-lyon.fr") {
+			if slices.Contains(c.Members, "the-doors.ens-lyon.fr") {
 				t.Fatalf("hub1 clique should not include the master: %v", c.Members)
 			}
 		}

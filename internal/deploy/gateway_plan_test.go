@@ -2,8 +2,12 @@ package deploy
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/sensor"
 )
 
 // TestPlanGatewayReplicaPlacement: GatewayReplicas=N plans N gateway
@@ -31,7 +35,7 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 			t.Fatalf("duplicate gateway host %q in %v", g, gws)
 		}
 		seen[g] = true
-		if !contains(p.Hosts, g) {
+		if !slices.Contains(p.Hosts, g) {
 			t.Fatalf("gateway %q is not a planned host", g)
 		}
 	}
@@ -72,7 +76,7 @@ func TestPlanGatewayReplicaPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, r := range roles {
-		if want := contains(gws, name); r.Gateway != want {
+		if want := slices.Contains(gws, name); r.Gateway != want {
 			t.Errorf("host %s: Gateway role %v, want %v", name, r.Gateway, want)
 		}
 	}
@@ -116,11 +120,11 @@ func TestDecodeConfigLegacyGateway(t *testing.T) {
 	}
 }
 
-// TestDiffPlansGatewayReplicaSet: growing the replica set and losing a
-// replica both surface as a single gateways move listing the full old
-// and new sets, so ApplyDelta rebuilds exactly the affected hosts.
-func TestDiffPlansGatewayReplicaSet(t *testing.T) {
-	_, _, merged, _ := mapEnsLyon(t)
+// TestApplyDeltaGatewayReplicaSet: growing the gateway replica set
+// rebuilds exactly the hosts that gain the role, and a second apply of
+// the same replicated plan changes nothing.
+func TestApplyDeltaGatewayReplicaSet(t *testing.T) {
+	_, net, merged, resolve := mapEnsLyon(t)
 	master := "the-doors.ens-lyon.fr"
 	single, err := NewPlan(merged, PlanConfig{Master: master})
 	if err != nil {
@@ -131,18 +135,15 @@ func TestDiffPlansGatewayReplicaSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := DiffPlans(single, replicated)
-	var move string
-	for _, m := range d.ServerMoves {
-		if strings.HasPrefix(m, "gateways: ") {
-			move = m
-		}
+	tr := proto.NewSimTransport(net)
+	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, single, resolve, ApplyOptions{})
+	rep := applyDelta(t, tr, dep, replicated, resolve)
+	slices.Sort(rep.Restarted)
+	want := slices.Sorted(slices.Values(replicated.Gateways[1:]))
+	if !slices.Equal(rep.Restarted, want) || len(rep.Started)+len(rep.Stopped)+len(rep.Renewed) != 0 {
+		t.Fatalf("%s, want exactly the new gateway hosts %v rebuilt", rep, want)
 	}
-	want := "gateways: [" + master + "] -> [" + strings.Join(replicated.Gateways, ",") + "]"
-	if move != want {
-		t.Fatalf("gateway move %q, want %q", move, want)
-	}
-	if !DiffPlans(replicated, replicated).Empty() {
-		t.Fatal("identical replicated plans must diff empty")
+	if rep := applyDelta(t, tr, dep, replicated, resolve); rep.Changed() {
+		t.Fatalf("identical replicated plans changed agents: %s", rep)
 	}
 }

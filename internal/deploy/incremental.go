@@ -3,19 +3,23 @@ package deploy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"nwsenv/internal/nws/host"
 )
 
 // Incremental redeployment: §4.3 asks the deployment to follow
 // "possible platform evolution" — re-map, re-plan, and apply only the
-// delta. ApplyDelta is the one apply path: given a revised plan, it
-// compares every host's role assignment under the old and new plans and
-// rebuilds exactly the agents whose assignment changed, leaving healthy
-// cliques monitoring undisturbed. Apply's first deploy is the delta
-// from an empty deployment, which starts every agent.
+// delta. ApplyDelta is the one apply path, and what the agents run is
+// its one notion of change: given a revised plan, it compares every
+// host's planned role assignment with the roles and node of the agent
+// running there, and rebuilds exactly the agents that run anything
+// else, leaving healthy cliques monitoring undisturbed. Apply's first
+// deploy is the delta from an empty deployment, which starts every
+// agent.
 
 // epochStride separates clique incarnations in the token epoch space.
 // Elections and fenced passes (an ack that timed out) inside one
@@ -30,64 +34,65 @@ func Incarnation(epoch int64) int64 { return epoch / epochStride }
 
 // DeltaReport summarizes an incremental apply.
 type DeltaReport struct {
-	// Diff is the plan-level delta that drove the transition.
-	Diff *Diff
 	// Stopped lists hosts whose agents were torn down and not replaced
 	// (machines leaving the platform).
 	Stopped []string
 	// Restarted lists hosts whose agents were rebuilt in place (role
-	// assignment changed: clique membership, server placement, memory
-	// binding).
+	// assignment changed: clique membership or period, server
+	// placement, memory binding, node).
 	Restarted []string
-	// Started lists hosts that gained a new agent (machines joining).
+	// Started lists hosts that gained a new agent (machines joining, or
+	// hosts whose agent an earlier failed apply tore down).
 	Started []string
 	// Kept lists hosts whose agents kept running untouched.
 	Kept []string
+	// Renewed lists the cliques moved to a new incarnation: those whose
+	// planned ring no running agent ran.
+	Renewed []string
 }
 
 // Redeployed counts the components (agents) that were started or
 // rebuilt — the §4.3 measure of how incremental the transition was.
 func (r *DeltaReport) Redeployed() int { return len(r.Restarted) + len(r.Started) }
 
-// String renders the report for operators.
+// Changed reports whether the transition stopped, rebuilt or started
+// any agent.
+func (r *DeltaReport) Changed() bool { return r.Redeployed()+len(r.Stopped) > 0 }
+
+// String renders the report for operators: every host it stops,
+// rebuilds and starts, and every clique it renews.
 func (r *DeltaReport) String() string {
-	return fmt.Sprintf("delta: %d stopped, %d restarted, %d started, %d kept",
-		len(r.Stopped), len(r.Restarted), len(r.Started), len(r.Kept))
+	return fmt.Sprintf("delta: stopped %v, restarted %v, started %v, %d kept; renewed cliques %v",
+		r.Stopped, r.Restarted, r.Started, len(r.Kept), r.Renewed)
 }
 
 // ApplyDelta transitions the running deployment to newPlan, stopping,
-// rebuilding or starting only the agents whose role assignment changed;
-// every other agent (and therefore every unchanged measurement clique)
-// keeps running. Cliques whose membership changed are rebuilt under a
-// higher token epoch so tokens from the previous incarnation die out.
+// rebuilding or starting only the agents whose role assignment differs
+// from what they run; every other agent (and therefore every unchanged
+// measurement clique) keeps running. A clique whose ring changes is
+// rebuilt under a higher token epoch so tokens from the previous
+// incarnation die out.
 //
-// On error the deployment is left partially transitioned, but its Plan
-// is pruned to the agents actually still running, so a reconcile loop
-// diffing against Plan re-detects the gap on its next round instead of
-// mistaking the hole for convergence. ctx is checked between agent
+// A successful apply commits newPlan and newResolve, even when no agent
+// changes. On error the deployment is left partially transitioned and
+// keeps its old Plan: the next apply reads the agents still running, so
+// it starts the ones this one tore down. ctx is checked between agent
 // constructions and before any agent starts: the agents an aborted
 // apply built are torn down.
 func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve map[string]string) (*DeltaReport, error) {
 	rep, build, err := d.decide(newPlan, newResolve)
-	if err != nil || rep.Diff.Empty() {
-		return rep, err
+	if err != nil {
+		return nil, err
 	}
 
 	// Tear down leavers and changed agents first: a rebuilt agent must
-	// release its endpoint before the new incarnation binds it. The
-	// teardown is committed into Plan immediately: if the build below
-	// fails, Plan must describe only the agents still running, so the
-	// next plan diff sees the torn-down hosts as missing rather than
-	// healthy.
+	// release its endpoint before the new incarnation binds it.
 	old := map[string]*host.Agent{}
-	for _, name := range append(append([]string{}, rep.Stopped...), rep.Restarted...) {
-		if a := d.Agents[name]; a != nil {
-			a.Stop()
-			old[name] = a
-		}
+	for _, name := range slices.Concat(rep.Stopped, rep.Restarted) {
+		old[name] = d.Agents[name]
+		old[name].Stop()
 		delete(d.Agents, name)
 	}
-	d.Plan = pruneHosts(d.Plan, rep.Stopped, rep.Restarted)
 
 	agents, err := d.buildAgents(ctx, newPlan, newResolve, build)
 	if err != nil {
@@ -120,96 +125,96 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 }
 
 // decide works out the transition to newPlan without touching an
-// agent: the report, and the role assignment of every host whose agent
-// must be built (changed and joining hosts). It hands every clique whose
-// ring changes a new incarnation.
+// agent: the report, and the role assignment of every agent to build.
+// It compares newPlan's roles with what each running agent runs, its
+// roles and its node: a plan host with no agent is started, an agent
+// running anything else is rebuilt, an agent whose host left the plan
+// is stopped. A clique whose planned ring (ordered members and period)
+// no running agent runs moves to its next incarnation, and every built
+// agent joins the rings that did not move. The first apply finds no
+// incarnation table and starts every clique at epoch 0.
 func (d *Deployment) decide(newPlan *Plan, newResolve map[string]string) (*DeltaReport, map[string]host.Roles, error) {
-	diff := DiffPlans(d.Plan, newPlan)
-	rep := &DeltaReport{Diff: diff}
-	if diff.Empty() {
-		rep.Kept = append([]string(nil), d.Plan.Hosts...)
-		return rep, nil, nil
-	}
-
-	// An empty plan (the first apply's) has no roles, and no name
-	// server to resolve.
-	var oldRoles map[string]host.Roles
-	if len(d.Plan.Hosts) > 0 {
-		var err error
-		if oldRoles, err = planRoles(d.Plan, d.Resolve, d.opts, d.epochs); err != nil {
-			return nil, nil, fmt.Errorf("deploy: delta: old plan roles: %w", err)
+	running := map[string]bool{}
+	for _, a := range d.Agents {
+		r := a.Roles()
+		for _, c := range r.Cliques {
+			running[ringKey(c.Name, c.Members, c.TokenGap)] = true
+		}
+		for _, p := range r.Pairwise {
+			running[ringKey(p.Cfg.Name, p.Cfg.Members, p.Cfg.TokenGap)] = true
 		}
 	}
-	// New incarnations for every clique whose ring changes: their
-	// rebuilt members must outrank zombie tokens. The first apply finds
-	// no incarnation table and starts every clique at epoch 0.
-	fresh := map[string]bool{}
-	for name := range diff.CliquesChanged {
-		fresh[name] = true
-	}
-	for _, name := range diff.CliquesAdded {
-		fresh[name] = true
-	}
-	if d.epochs == nil {
+	rep := &DeltaReport{}
+	renewed := map[string]bool{}
+	first := d.epochs == nil
+	if first {
 		d.epochs = map[string]int64{}
-	} else {
-		for name := range fresh {
-			d.epochs[name] += epochStride
+	}
+	// A new incarnation for every planned ring no agent runs: its
+	// members must outrank zombie tokens of the ring it replaces.
+	for _, spec := range newPlan.Cliques {
+		members := make([]string, len(spec.Members))
+		for i, m := range spec.Members {
+			members[i] = newResolve[m]
+		}
+		if running[ringKey(spec.Name, members, spec.Period)] {
+			continue
+		}
+		renewed[spec.Name] = true
+		rep.Renewed = append(rep.Renewed, spec.Name)
+		if !first {
+			d.epochs[spec.Name] += epochStride
 		}
 	}
-	newRoles, err := planRoles(newPlan, newResolve, d.opts, d.epochs)
+	roles, err := planRoles(newPlan, newResolve, d.opts, d.epochs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("deploy: delta: new plan roles: %w", err)
+		return nil, nil, fmt.Errorf("deploy: delta: %w", err)
 	}
 
-	newHosts := toSet(newPlan.Hosts)
+	// A built agent joins the rings that kept running: its members must
+	// not bootstrap a token beside the one still circulating.
 	build := map[string]host.Roles{}
-	for _, name := range d.Plan.Hosts {
-		if _, stays := newHosts[name]; !stays {
-			rep.Stopped = append(rep.Stopped, name)
-			continue
+	add := func(name string) {
+		r := roles[name]
+		for i, c := range r.Cliques {
+			r.Cliques[i].Join = !renewed[c.Name]
 		}
-		if roleSignature(oldRoles[name]) == roleSignature(newRoles[name]) &&
-			d.Resolve[name] == newResolve[name] {
-			rep.Kept = append(rep.Kept, name)
-			continue
-		}
-		// A rebuilt agent rejoins the rings that kept running: its
-		// members must not bootstrap a token beside the one still
-		// circulating.
-		for i, c := range newRoles[name].Cliques {
-			newRoles[name].Cliques[i].Join = !fresh[c.Name]
-		}
-		rep.Restarted = append(rep.Restarted, name)
-		build[name] = newRoles[name]
+		build[name] = r
 	}
-	oldHosts := toSet(d.Plan.Hosts)
+	planned := make(map[string]bool, len(newPlan.Hosts))
 	for _, name := range newPlan.Hosts {
-		if _, existed := oldHosts[name]; !existed {
+		planned[name] = true
+	}
+	// Plan lists the host of every running agent (an apply commits its
+	// plan only once every agent it built runs), in the order the old
+	// ones are torn down.
+	for _, name := range d.Plan.Hosts {
+		a := d.Agents[name]
+		switch {
+		case a == nil:
+			// Torn down by a failed apply: started below if planned.
+		case !planned[name]:
+			rep.Stopped = append(rep.Stopped, name)
+		case a.Host() == newResolve[name] && roleSignature(a.Roles()) == roleSignature(roles[name]):
+			rep.Kept = append(rep.Kept, name)
+		default:
+			rep.Restarted = append(rep.Restarted, name)
+			add(name)
+		}
+	}
+	for _, name := range newPlan.Hosts {
+		if d.Agents[name] == nil {
 			rep.Started = append(rep.Started, name)
-			build[name] = newRoles[name]
+			add(name)
 		}
 	}
 	return rep, build, nil
 }
 
-// pruneHosts returns a copy of plan without the given host groups in
-// Hosts — the "what is actually running" view committed mid-transition.
-func pruneHosts(plan *Plan, groups ...[]string) *Plan {
-	gone := map[string]struct{}{}
-	for _, g := range groups {
-		for _, name := range g {
-			gone[name] = struct{}{}
-		}
-	}
-	pruned := *plan
-	pruned.Hosts = nil
-	for _, name := range plan.Hosts {
-		if _, dropped := gone[name]; !dropped {
-			pruned.Hosts = append(pruned.Hosts, name)
-		}
-	}
-	return &pruned
+// ringKey identifies a ring as its members see it: the clique's name,
+// its ordered member nodes and its period.
+func ringKey(name string, members []string, period time.Duration) string {
+	return fmt.Sprintf("%s %v [%s]", name, period, strings.Join(members, ","))
 }
 
 // roleSignature folds the deployment-managed fields of a role
@@ -221,7 +226,7 @@ func roleSignature(r host.Roles) string {
 	fmt.Fprintf(&b, "ns=%t mem=%t fc=%t gw=%t nshost=%s memhost=%s repl=%s|",
 		r.NameServer, r.Memory, r.Forecaster, r.Gateway, r.NSHost, r.MemoryHost,
 		strings.Join(r.MemoryReplicas, ","))
-	cl := append([]string(nil), cliqueKeys(r)...)
+	cl := cliqueKeys(r)
 	sort.Strings(cl)
 	for _, k := range cl {
 		b.WriteString(k)
@@ -232,13 +237,11 @@ func roleSignature(r host.Roles) string {
 func cliqueKeys(r host.Roles) []string {
 	var out []string
 	for _, c := range r.Cliques {
-		out = append(out, fmt.Sprintf("c:%s e%d g%s [%s]|",
-			c.Name, c.Epoch, c.TokenGap, strings.Join(c.Members, ",")))
+		out = append(out, fmt.Sprintf("c:%s e%d|", ringKey(c.Name, c.Members, c.TokenGap), c.Epoch))
 	}
 	for _, p := range r.Pairwise {
-		out = append(out, fmt.Sprintf("p:%s e%d g%s [%s] sched=%s run=%t|",
-			p.Cfg.Name, p.Cfg.Epoch, p.Cfg.TokenGap, strings.Join(p.Cfg.Members, ","),
-			p.Scheduler, p.RunScheduler))
+		out = append(out, fmt.Sprintf("p:%s e%d sched=%s run=%t|",
+			ringKey(p.Cfg.Name, p.Cfg.Members, p.Cfg.TokenGap), p.Cfg.Epoch, p.Scheduler, p.RunScheduler))
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,8 +123,8 @@ func TestApplyDeltaServerMove(t *testing.T) {
 	next := copyPlan(plan)
 	next.NameServer = "moby.cri2000.ens-lyon.fr"
 	rep := applyDelta(t, tr, dep, next, resolve)
-	if len(rep.Diff.ServerMoves) != 1 {
-		t.Fatalf("server moves %v", rep.Diff.ServerMoves)
+	if len(rep.Renewed) != 0 {
+		t.Fatalf("a server move renewed cliques %v", rep.Renewed)
 	}
 	if len(rep.Restarted) != len(plan.Hosts) {
 		t.Fatalf("a name-server move must rebind all %d hosts, restarted %d",
@@ -142,9 +143,13 @@ func TestApplyDeltaNoop(t *testing.T) {
 	for k, v := range dep.Agents {
 		agentsBefore[k] = v
 	}
-	rep := applyDelta(t, tr, dep, copyPlan(plan), resolve)
-	if !rep.Diff.Empty() || rep.Redeployed()+len(rep.Stopped) != 0 {
+	same := copyPlan(plan)
+	rep := applyDelta(t, tr, dep, same, resolve)
+	if rep.Changed() || len(rep.Renewed) != 0 {
 		t.Fatalf("noop delta touched agents: %s", rep)
+	}
+	if dep.Plan != same {
+		t.Fatal("noop delta did not commit its plan")
 	}
 	if len(rep.Kept) != len(plan.Hosts) {
 		t.Fatalf("kept %d of %d", len(rep.Kept), len(plan.Hosts))
@@ -156,76 +161,143 @@ func TestApplyDeltaNoop(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaBuildFailurePrunesPlan: when the rebuild phase fails
-// after agents were torn down, the deployment's Plan must shrink to the
-// agents actually still running, so a reconcile loop diffing against it
-// re-detects the hole next round instead of reporting convergence.
-func TestApplyDeltaBuildFailurePrunesPlan(t *testing.T) {
+// TestApplyDeltaBuildFailureRetry: a gateway move to canaria fails to
+// build because canaria's endpoint is squatted, after the old gateway's
+// agent was torn down. The failed apply keeps the old plan, and the
+// retry reads the agents still running: it restores both torn-down
+// agents, and canaria, ring member 0 of bridge-0 and
+// clique-140.77.13.1, joins those rings (they kept running on their
+// other members) at their running epochs instead of bootstrapping a
+// second token beside the one still circulating.
+func TestApplyDeltaBuildFailureRetry(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
 	sim := tr.Network().Sim()
 
-	// Force the rebuild to fail: squat the endpoint of a host whose
-	// agent the delta must rebuild (a clique-membership change on the
-	// sci clique rebuilds every sci member).
-	const squatted = "sci1.popc.private"
+	const gw = "canaria.ens-lyon.fr"
+	kept := []string{"bridge-0", "clique-140.77.13.1"}
+	for _, name := range kept {
+		if c := findClique(plan, name); c == nil || c.Members[0] != gw {
+			t.Fatalf("%s is not a clique with %s as member 0: %+v", name, gw, c)
+		}
+	}
 	next := copyPlan(plan)
-	const victim = "sci3.popc.private"
-	next.Hosts = nil
-	for _, h := range plan.Hosts {
-		if h != victim {
-			next.Hosts = append(next.Hosts, h)
-		}
-	}
-	delete(next.MemoryOf, victim)
-	for i, c := range next.Cliques {
-		var members []string
-		for _, m := range c.Members {
-			if m != victim {
-				members = append(members, m)
-			}
-		}
-		cc := c
-		cc.Members = members
-		next.Cliques[i] = cc
-	}
+	next.Gateways = []string{gw}
+	epochs := maps.Clone(dep.epochs)
 
-	var rep *DeltaReport
+	var squat proto.Endpoint
 	var deltaErr error
 	sim.Go("delta-fail", func() {
-		dep.Agents[squatted].Stop() // free then re-bind the endpoint ourselves
-		if _, err := tr.Open(resolve[squatted]); err != nil {
-			deltaErr = err
+		dep.Agents[gw].Stop() // free then re-bind the endpoint ourselves
+		delete(dep.Agents, gw)
+		if squat, deltaErr = tr.Open(resolve[gw]); deltaErr != nil {
 			return
 		}
-		delete(dep.Agents, squatted)
-		rep, deltaErr = dep.ApplyDelta(context.Background(), next, resolve)
+		_, deltaErr = dep.ApplyDelta(context.Background(), next, resolve)
 	})
 	if err := sim.RunUntil(sim.Now() + time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if deltaErr == nil {
-		t.Fatalf("delta with squatted endpoint succeeded: %v", rep)
+		t.Fatal("delta with squatted endpoint succeeded")
 	}
-	// The torn-down hosts are no longer claimed by the plan...
-	for _, name := range append(append([]string{}, rep.Stopped...), rep.Restarted...) {
-		if containsHost(dep.Plan.Hosts, name) {
-			t.Fatalf("plan still claims torn-down host %s after failed delta", name)
+	if dep.Agents[plan.Master] != nil {
+		t.Fatalf("old gateway %s still deployed after the failed delta", plan.Master)
+	}
+
+	// Once the conflict clears, the retry restores the torn-down agents.
+	squat.Close()
+	rep := applyDelta(t, tr, dep, next, resolve)
+	slices.Sort(rep.Started)
+	if want := []string{gw, plan.Master}; !slices.Equal(rep.Started, want) {
+		t.Fatalf("retry started %v, want the torn-down %v: %s", rep.Started, want, rep)
+	}
+	for _, name := range plan.Hosts {
+		if dep.Agents[name] == nil {
+			t.Fatalf("retry left %s without an agent", name)
 		}
 	}
-	// ... so the same target plan diffs non-empty and the repair can be
-	// retried once the conflict clears.
-	if DiffPlans(dep.Plan, next).Empty() {
-		t.Fatal("failed transition left an empty diff: hole would never be re-detected")
+	for _, name := range slices.Concat(rep.Restarted, rep.Started) {
+		for _, c := range dep.Agents[name].Roles().Cliques {
+			if slices.Contains(kept, c.Name) && !c.Join {
+				t.Fatalf("%s rebuilt into running clique %s at epoch %d without joining it", name, c.Name, c.Epoch)
+			}
+		}
+	}
+	for _, name := range kept {
+		if dep.epochs[name] != epochs[name] {
+			t.Fatalf("clique %s moved from epoch %d to %d", name, epochs[name], dep.epochs[name])
+		}
 	}
 }
 
-func containsHost(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
+// TestApplyDeltaPeriodChange: a new period for one clique is a new ring.
+// The delta rebuilds exactly that clique's members, at its next
+// incarnation, keeps every other agent, and commits the plan.
+func TestApplyDeltaPeriodChange(t *testing.T) {
+	dep, plan, resolve, tr := deployEnsLyon(t)
+
+	const paced = "bridge-0"
+	next := copyPlan(plan)
+	c := findClique(next, paced)
+	c.Period = 3 * time.Second
+	rep := applyDelta(t, tr, dep, next, resolve)
+
+	slices.Sort(rep.Restarted)
+	want := slices.Sorted(slices.Values(c.Members))
+	if !slices.Equal(rep.Restarted, want) || len(rep.Started)+len(rep.Stopped) != 0 {
+		t.Fatalf("period change of %s: %s, want exactly %v rebuilt", paced, rep, want)
+	}
+	if dep.Plan != next {
+		t.Fatal("period change did not commit its plan")
+	}
+	for _, spec := range next.Cliques {
+		want := int64(0)
+		if spec.Name == paced {
+			want = epochStride
+		}
+		if got := dep.epochs[spec.Name]; got != want {
+			t.Fatalf("clique %s at epoch %d, want %d", spec.Name, got, want)
 		}
 	}
-	return false
+	for _, name := range c.Members {
+		for _, cfg := range dep.Agents[name].Roles().Cliques {
+			if cfg.Name == paced && (cfg.TokenGap != c.Period || cfg.Join) {
+				t.Fatalf("%s runs %s with period %v join=%t, want %v and a fresh ring", name, paced, cfg.TokenGap, cfg.Join, c.Period)
+			}
+		}
+	}
+}
+
+// TestApplyDeltaPlanOnlyChange: a plan change no agent runs (which
+// hosts a shared clique represents feeds the estimator, not the rings)
+// rebuilds nothing and still commits the plan.
+func TestApplyDeltaPlanOnlyChange(t *testing.T) {
+	dep, plan, resolve, tr := deployEnsLyon(t)
+
+	next := copyPlan(plan)
+	c := findClique(next, "clique-140.77.13.1")
+	c.Represents = c.Represents[:len(c.Represents)-1]
+	agents := maps.Clone(dep.Agents)
+	rep := applyDelta(t, tr, dep, next, resolve)
+	if rep.Changed() || len(rep.Renewed) != 0 {
+		t.Fatalf("a change no agent runs touched agents: %s", rep)
+	}
+	if dep.Plan != next {
+		t.Fatal("the delta did not commit its plan")
+	}
+	if !maps.Equal(agents, dep.Agents) {
+		t.Fatal("an agent was replaced")
+	}
+}
+
+// findClique returns plan's clique called name, nil if none is.
+func findClique(plan *Plan, name string) *CliqueSpec {
+	for i := range plan.Cliques {
+		if plan.Cliques[i].Name == name {
+			return &plan.Cliques[i]
+		}
+	}
+	return nil
 }
 
 // TestRoleSignatureIgnoresStartDelay: clique reordering shifts stagger
@@ -270,8 +342,8 @@ func TestApplyDeltaGatewayMove(t *testing.T) {
 	next := copyPlan(plan)
 	next.Gateways = []string{"moby.cri2000.ens-lyon.fr"}
 	rep := applyDelta(t, tr, dep, next, resolve)
-	if len(rep.Diff.ServerMoves) != 1 {
-		t.Fatalf("server moves %v", rep.Diff.ServerMoves)
+	if len(rep.Renewed) != 0 {
+		t.Fatalf("a gateway move renewed cliques %v", rep.Renewed)
 	}
 	if len(rep.Restarted) != 2 {
 		t.Fatalf("a gateway move must rebuild exactly the old and new hosts, restarted %v", rep.Restarted)
@@ -348,11 +420,11 @@ func TestApplyEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh := map[string]bool{"clique-added": true}
-		for name := range rep.Diff.CliquesChanged {
+		for _, name := range rep.Renewed {
 			fresh[name] = true
 		}
 		if len(fresh) < 2 {
-			t.Fatalf("delta changed no clique: %s", rep.Diff)
+			t.Fatalf("delta changed no clique: %s", rep)
 		}
 		joined := 0
 		for _, name := range rep.Restarted {
@@ -397,4 +469,142 @@ func TestApplyEpochs(t *testing.T) {
 		// Every endpoint the aborted apply opened is free again.
 		applyTorn(t, tr, prober, plan, resolve, ApplyOptions{})
 	})
+}
+
+// TestApplyDeltaGrowth: a running deployment transitions to a grown
+// plan by restarting only affected hosts; untouched cliques keep their
+// agents.
+func TestApplyDeltaGrowth(t *testing.T) {
+	// Plan A monitors only the public side; plan B adds the private
+	// networks. Build both from the same merged mapping.
+	_, net, merged, resolve := mapEnsLyon(t)
+	full, err := NewPlan(merged, PlanConfig{Master: "the-doors.ens-lyon.fr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Carve the initial plan: drop the sci clique and its hosts.
+	initial := *full
+	initial.Cliques = nil
+	for _, c := range full.Cliques {
+		if !strings.Contains(c.Name, "sci") {
+			initial.Cliques = append(initial.Cliques, c)
+		}
+	}
+	initial.Hosts = nil
+	for _, h := range full.Hosts {
+		if !strings.HasPrefix(h, "sci") || strings.HasPrefix(h, "sci.") {
+			initial.Hosts = append(initial.Hosts, h)
+		}
+	}
+
+	tr := proto.NewSimTransport(net)
+	prober := sensor.SimProber{Net: net}
+	opts := ApplyOptions{}
+	dep := applyTorn(t, tr, prober, &initial, resolve, opts)
+	sim := net.Sim()
+	base := sim.Now()
+	if err := sim.RunUntil(base + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Remember the untouched myri agent to prove it survives the update.
+	myriAgent := dep.Agents["myri1.popc.private"]
+	if myriAgent == nil {
+		t.Fatal("initial deployment missing myri agent")
+	}
+	before := len(dep.Agents)
+
+	var rep *DeltaReport
+	var deltaErr error
+	sim.Go("delta", func() {
+		rep, deltaErr = dep.ApplyDelta(context.Background(), full, resolve)
+	})
+	if err := sim.RunUntil(sim.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if deltaErr != nil {
+		t.Fatal(deltaErr)
+	}
+	sci := cliqueByNetworkSuffix(full, "sci")
+	if len(rep.Started) == 0 || !slices.Contains(rep.Renewed, sci.Name) {
+		t.Fatalf("delta report %s, want the sci hosts started and %s renewed", rep, sci.Name)
+	}
+	if rep.Redeployed() >= len(full.Hosts) {
+		t.Fatalf("redeployed %d of %d components: not incremental", rep.Redeployed(), len(full.Hosts))
+	}
+	if dep.Agents["myri1.popc.private"] != myriAgent {
+		t.Fatal("unchanged host was restarted")
+	}
+	if len(dep.Agents) <= before {
+		t.Fatalf("agents %d after delta, was %d", len(dep.Agents), before)
+	}
+	// The sci clique starts measuring after the transition.
+	if err := sim.RunUntil(base + 4*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	seen := false
+	for _, rec := range net.Records() {
+		if rec.Tag != "" && rec.Src == "sci1" && rec.End > base+time.Minute {
+			seen = true
+			break
+		}
+	}
+	if !seen {
+		t.Fatal("added sci clique produced no measurements after ApplyDelta")
+	}
+}
+
+// TestDiffDetectsShrinkAndMoves: one delta drops a host, drops a clique
+// and moves the name server. The leaver is stopped, every other host is
+// rebound to the new name server, only the shrunk clique is renewed, and
+// the rebuilt members of every other clique join the rings that kept
+// running.
+func TestDiffDetectsShrinkAndMoves(t *testing.T) {
+	dep, plan, resolve, tr := deployEnsLyon(t)
+
+	const victim, dropped = "sci3.popc.private", "clique-myri"
+	next := copyPlan(plan)
+	next.Hosts = slices.DeleteFunc(next.Hosts, func(h string) bool { return h == victim })
+	delete(next.MemoryOf, victim)
+	next.Cliques = slices.DeleteFunc(next.Cliques, func(c CliqueSpec) bool { return c.Name == dropped })
+	sci := cliqueByNetworkSuffix(next, "sci")
+	sci.Members = slices.DeleteFunc(slices.Clone(sci.Members), func(h string) bool { return h == victim })
+	next.NameServer = "moby.cri2000.ens-lyon.fr"
+
+	rep := applyDelta(t, tr, dep, next, resolve)
+	if !slices.Equal(rep.Stopped, []string{victim}) || len(rep.Started)+len(rep.Kept) != 0 {
+		t.Fatalf("%s: want only %s stopped, every other host rebuilt", rep, victim)
+	}
+	if len(rep.Restarted) != len(next.Hosts) {
+		t.Fatalf("a name-server move must rebind all %d hosts, restarted %d", len(next.Hosts), len(rep.Restarted))
+	}
+	if !slices.Equal(rep.Renewed, []string{sci.Name}) {
+		t.Fatalf("renewed %v, want only the shrunk %s", rep.Renewed, sci.Name)
+	}
+	for _, name := range rep.Restarted {
+		roles := dep.Agents[name].Roles()
+		if roles.NSHost != resolve[next.NameServer] {
+			t.Fatalf("%s still bound to name server %s", name, roles.NSHost)
+		}
+		for _, c := range roles.Cliques {
+			if c.Name == dropped || c.Join == (c.Name == sci.Name) {
+				t.Fatalf("%s runs clique %s join=%t", name, c.Name, c.Join)
+			}
+		}
+	}
+}
+
+// TestDiffAfterRemapIsStable: two independent map+plan passes over the
+// unchanged ENS-Lyon platform change no agent. The pipeline is
+// deterministic end to end, so re-mapping an unchanged platform never
+// churns the deployment.
+func TestDiffAfterRemapIsStable(t *testing.T) {
+	dep, _, _, tr := deployEnsLyon(t)
+	_, _, p2, resolve2 := planEnsLyon(t)
+	rep := applyDelta(t, tr, dep, p2, resolve2)
+	if rep.Changed() || len(rep.Renewed) != 0 {
+		t.Fatalf("re-planning an unchanged platform changed the deployment: %s", rep)
+	}
+	if dep.Plan != p2 {
+		t.Fatal("the re-planned delta did not commit its plan")
+	}
 }

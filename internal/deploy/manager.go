@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -160,10 +161,10 @@ func planRoles(plan *Plan, resolve map[string]string, opts ApplyOptions, epochs 
 		if name == plan.Forecaster {
 			roles.Forecaster = true
 		}
-		if contains(plan.Gateways, name) {
+		if slices.Contains(plan.Gateways, name) {
 			roles.Gateway = true
 		}
-		if contains(plan.MemoryServers, name) {
+		if slices.Contains(plan.MemoryServers, name) {
 			roles.Memory = true
 			for _, rh := range plan.Replicas[name] {
 				node, err := id(rh)

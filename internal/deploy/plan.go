@@ -21,6 +21,7 @@ package deploy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -165,7 +166,7 @@ func NewPlan(m *env.Merged, cfg PlanConfig) (*Plan, error) {
 			// Cover the path into the network: add the gateway when it
 			// is a mapped machine.
 			if gw := canon(nw.GatewayHop); gw != "" {
-				if m.Doc.FindMachine(gw) != nil && !contains(members, gw) {
+				if m.Doc.FindMachine(gw) != nil && !slices.Contains(members, gw) {
 					spec.Members = append(spec.Members, gw)
 					sort.Strings(spec.Members)
 				}
@@ -177,7 +178,7 @@ func NewPlan(m *env.Merged, cfg PlanConfig) (*Plan, error) {
 			// representative pair stands for its attachment too (this is
 			// what lets myri0↔myri1 be answered from the myri1↔myri2
 			// measurement in the paper's plan).
-			if gw := canon(nw.GatewayHop); gw != "" && m.Doc.FindMachine(gw) != nil && !contains(spec.Represents, gw) {
+			if gw := canon(nw.GatewayHop); gw != "" && m.Doc.FindMachine(gw) != nil && !slices.Contains(spec.Represents, gw) {
 				spec.Represents = append(spec.Represents, gw)
 				sort.Strings(spec.Represents)
 			}
@@ -336,15 +337,6 @@ func mapNames(in []string, f func(string) string) []string {
 		out[i] = f(s)
 	}
 	return out
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 func withoutHost(list []string, h string) []string {

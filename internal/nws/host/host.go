@@ -10,6 +10,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,6 +121,10 @@ func (a *Agent) Host() string { return a.st.Host() }
 // (e.g. a test driver querying the forecaster from the same host).
 func (a *Agent) Station() *proto.Station { return a.st }
 
+// Roles returns the role assignment the agent was built with: what it
+// runs, next to the node it runs on (Host).
+func (a *Agent) Roles() Roles { return a.roles }
+
 // Members returns the clique members running on this agent.
 func (a *Agent) Members() []*clique.Member { return a.members }
 
@@ -224,13 +229,7 @@ func (a *Agent) Start() {
 			}
 			a.rt.Go("pwsched:"+pw.Cfg.Name, sch.Run)
 		}
-		isMember := false
-		for _, m := range pw.Cfg.Members {
-			if m == hostName {
-				isMember = true
-			}
-		}
-		if isMember {
+		if slices.Contains(pw.Cfg.Members, hostName) {
 			ag := &clique.ProbeAgent{
 				Cfg:       pw.Cfg,
 				Port:      a.port("pw:" + pw.Cfg.Name),

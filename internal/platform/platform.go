@@ -24,9 +24,8 @@ import (
 type Platform interface {
 	// Name identifies the platform kind ("sim", "tcp", ...).
 	Name() string
+	// Transport delivers control-plane messages between hosts; its
 	// Runtime provides time and concurrency for NWS components.
-	Runtime() proto.Runtime
-	// Transport delivers control-plane messages between hosts.
 	Transport() proto.Transport
 	// Prober runs the §2.2 measurement experiments.
 	Prober() sensor.Prober
@@ -44,21 +43,8 @@ type Platform interface {
 	// ResetAccounting separates the mapping era from the monitoring era
 	// in the platform's traffic accounting (no-op where not applicable).
 	ResetAccounting()
-}
-
-// Validator is optionally implemented by platforms that can check a
-// deployment plan against ground truth (e.g. the simulator's true
-// topology). Platforms without it get the topology-independent
-// connectivity validation only.
-type Validator interface {
+	// ValidatePlan checks a deployment plan's §2.3 constraints: against
+	// ground truth where the platform knows it (the simulator's true
+	// topology), the topology-independent connectivity check otherwise.
 	ValidatePlan(plan *deploy.Plan, resolve map[string]string) (*deploy.Validation, error)
-}
-
-// ValidatePlan validates plan on p: the full ground-truth §2.3 check
-// when p implements Validator, the connectivity-only check otherwise.
-func ValidatePlan(p Platform, plan *deploy.Plan, resolve map[string]string) (*deploy.Validation, error) {
-	if v, ok := p.(Validator); ok {
-		return v.ValidatePlan(plan, resolve)
-	}
-	return deploy.ValidateConnectivity(plan), nil
 }

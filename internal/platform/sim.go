@@ -25,9 +25,6 @@ func NewSimPlatform(net *simnet.Network, tr *proto.SimTransport) *SimPlatform {
 // Name implements Platform.
 func (p *SimPlatform) Name() string { return "sim" }
 
-// Runtime implements Platform.
-func (p *SimPlatform) Runtime() proto.Runtime { return p.tr.Runtime() }
-
 // Transport implements Platform.
 func (p *SimPlatform) Transport() proto.Transport { return p.tr }
 
@@ -54,7 +51,7 @@ func (p *SimPlatform) Alive(id string) bool {
 	return p.net.Topology().Node(id) != nil && !p.net.HostDown(id)
 }
 
-// ValidatePlan implements Validator against the true topology.
+// ValidatePlan implements Platform against the true topology.
 func (p *SimPlatform) ValidatePlan(plan *deploy.Plan, resolve map[string]string) (*deploy.Validation, error) {
 	return deploy.Validate(plan, p.net.Topology(), resolve)
 }

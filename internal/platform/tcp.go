@@ -3,6 +3,7 @@ package platform
 import (
 	"time"
 
+	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
@@ -36,9 +37,6 @@ func NewTCPPlatform(hosts []string) *TCPPlatform {
 // Name implements Platform.
 func (p *TCPPlatform) Name() string { return "tcp" }
 
-// Runtime implements Platform (wall clock).
-func (p *TCPPlatform) Runtime() proto.Runtime { return p.tr.Runtime() }
-
 // Transport implements Platform.
 func (p *TCPPlatform) Transport() proto.Transport { return p.tr }
 
@@ -61,6 +59,12 @@ func (p *TCPPlatform) Alive(id string) bool { return p.tr.Active(id) }
 // ResetAccounting implements Platform (no-op: the kernel owns loopback
 // traffic accounting).
 func (p *TCPPlatform) ResetAccounting() {}
+
+// ValidatePlan implements Platform: loopback has no topology to check
+// collisions against, so only connectivity is validated.
+func (p *TCPPlatform) ValidatePlan(plan *deploy.Plan, resolve map[string]string) (*deploy.Validation, error) {
+	return deploy.ValidateConnectivity(plan), nil
+}
 
 // staticProber answers the §2.2 experiments with canned values: over
 // loopback the control plane is real but the physics are not worth

@@ -2,11 +2,11 @@
 // NWS hierarchy: the long-running counterpart of §4.3's "possible
 // platform evolution". A Reconciler watches a live deployment on any
 // platform.Platform, and every interval re-enters the pipeline — probe
-// liveness, re-Map the live hosts with ENV, re-Plan, diff against the
-// plan actually running — and applies only the delta through the
-// incremental deploy path, so healthy cliques keep monitoring while
-// dead sensors are cut out, partitioned machines drop off, and
-// returning or joining machines are folded back in.
+// liveness, re-Map the live hosts with ENV, re-Plan — and hands the
+// fresh plan to the incremental deploy path, which changes only the
+// agents whose roles differ from what they run, so healthy cliques keep
+// monitoring while dead sensors are cut out, partitioned machines drop
+// off, and returning or joining machines are folded back in.
 //
 // Detection is two-layered: platform health (is the node up at all)
 // plus an active reachability probe from each mapping run's anchor, so
@@ -19,7 +19,7 @@ package reconcile
 import (
 	"context"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,12 +49,13 @@ type Round struct {
 	// Live and Dead partition the candidate node IDs by the health
 	// probe's verdict.
 	Live, Dead []string
-	// Diff is the drift between the running plan and the freshly
-	// computed one (nil if the pass failed before planning).
-	Diff *deploy.Diff
+	// Diff renders Delta: the drift between what the agents ran and the
+	// freshly computed plan (empty when no agent had to change).
+	Diff string
 	// Validation is the fresh plan's §2.3 validation.
 	Validation *deploy.Validation
-	// Delta reports the incremental apply (nil when Diff was empty).
+	// Delta reports the incremental apply (nil when it changed no
+	// agent, or the pass failed before applying).
 	Delta *deploy.DeltaReport
 	// RepairedAt timestamps the end of the repair (zero when there was
 	// none).
@@ -64,8 +65,8 @@ type Round struct {
 	Err error
 }
 
-// Drifted reports whether the round saw a non-empty diff.
-func (r Round) Drifted() bool { return r.Diff != nil && !r.Diff.Empty() }
+// Drifted reports whether the round had to change some agent.
+func (r Round) Drifted() bool { return r.Delta != nil }
 
 // Repaired reports whether the round applied a repair successfully.
 func (r Round) Repaired() bool { return r.Delta != nil && r.Err == nil && r.RepairedAt > 0 }
@@ -137,7 +138,7 @@ func (r *Reconciler) Run(ctx context.Context) error {
 // sleep waits d on the platform runtime, checking ctx about once a
 // second so SIGINT-driven cancellation does not hang a wall-clock loop.
 func (r *Reconciler) sleep(ctx context.Context, d time.Duration) error {
-	rt := r.pl.Platform().Runtime()
+	rt := r.pl.Platform().Transport().Runtime()
 	const chunk = time.Second
 	for d > 0 {
 		if err := ctx.Err(); err != nil {
@@ -153,12 +154,12 @@ func (r *Reconciler) sleep(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-// Step executes one reconcile pass: probe, re-map, re-plan, diff,
-// repair. It records and returns the round. When the pipeline carries a
+// Step executes one reconcile pass: probe, re-map, re-plan, apply the
+// delta. It records and returns the round. When the pipeline carries a
 // telemetry registry, the pass is traced as a "round" span with
 // children for each stage, and the round counters land on the registry.
 func (r *Reconciler) Step(ctx context.Context) Round {
-	rt := r.pl.Platform().Runtime()
+	rt := r.pl.Platform().Transport().Runtime()
 	tele := r.pl.Telemetry()
 	round := Round{Started: rt.Now()}
 	sp := tele.StartSpan("reconcile", "round")
@@ -196,16 +197,6 @@ func (r *Reconciler) Step(ctx context.Context) Round {
 		return r.record(round)
 	}
 	round.Validation = pr.Validation
-	ds := sp.Child("diff")
-	round.Diff = deploy.DiffPlans(r.dep.Plan, pr.Plan)
-	ds.End()
-	if round.Diff.Empty() {
-		return r.record(round)
-	}
-	sp.Annotate("dead", fmt.Sprint(len(dead)))
-	tele.Counter("reconcile", "drifts", nil).Inc()
-	r.pl.Observe(core.PhaseReconcile, "drift detected (%d dead): %s",
-		len(dead), strings.TrimSpace(round.Diff.String()))
 
 	// ApplyDelta advances r.dep.Plan/Resolve in place; the pre-repair
 	// view is what the anti-entropy step below needs to know which
@@ -214,9 +205,17 @@ func (r *Reconciler) Step(ctx context.Context) Round {
 	as := sp.Child("apply_delta")
 	delta, err := r.dep.ApplyDelta(ctx, pr.Plan, m.Resolve)
 	as.End()
-	round.Delta = delta
+	if delta != nil && delta.Changed() {
+		round.Delta, round.Diff = delta, delta.String()
+		sp.Annotate("dead", fmt.Sprint(len(dead)))
+		tele.Counter("reconcile", "drifts", nil).Inc()
+		r.pl.Observe(core.PhaseReconcile, "drift detected (%d dead): %s", len(dead), round.Diff)
+	}
 	if err != nil {
 		round.Err = fmt.Errorf("reconcile: %w", err)
+		return r.record(round)
+	}
+	if round.Delta == nil {
 		return r.record(round)
 	}
 	bs := sp.Child("backfill")
@@ -230,8 +229,7 @@ func (r *Reconciler) Step(ctx context.Context) Round {
 	round.RepairedAt = rt.Now()
 	tele.Counter("reconcile", "repairs", nil).Inc()
 	tele.Histogram("reconcile", "repair_sec", nil).ObserveDuration(round.RepairedAt - round.Started)
-	r.pl.Observe(core.PhaseReconcile, "repaired in %v: %s",
-		round.RepairedAt-round.Started, delta)
+	r.pl.Observe(core.PhaseReconcile, "repaired in %v", round.RepairedAt-round.Started)
 	return r.record(round)
 }
 
@@ -388,9 +386,9 @@ func (r *Reconciler) liveRuns() (live, dead []string, runs []core.MapRun) {
 	for _, tmpl := range r.cfg.Runs {
 		for _, id := range candidateOrder(tmpl) {
 			switch {
-			case seenLive[id] && !contains(live, id):
+			case seenLive[id] && !slices.Contains(live, id):
 				live = append(live, id)
-			case !seenLive[id] && seenDead[id] && !contains(dead, id):
+			case !seenLive[id] && seenDead[id] && !slices.Contains(dead, id):
 				dead = append(dead, id)
 			}
 		}
@@ -407,13 +405,4 @@ func candidateOrder(run core.MapRun) []string {
 		}
 	}
 	return out
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
