@@ -68,6 +68,14 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal("mapping file lacks ENV properties")
 	}
 
+	// A run naming the external traceroute target is refused: exit 1
+	// and a message naming it, not a panic.
+	refused := exec.Command(envmap, "-topo", topoFile, "-hosts", "world")
+	msg, err := refused.CombinedOutput()
+	if refused.ProcessState == nil || refused.ProcessState.ExitCode() != 1 || !strings.Contains(string(msg), "world is the external traceroute target") {
+		t.Fatalf("envmap -topo -hosts world: %v, want exit 1 naming world\n%s", err, msg)
+	}
+
 	out = run(nwsdeploy, "-gridml", mapping, "-master", "the-doors.ens-lyon.fr",
 		"-topo", topoFile, "-o", plan)
 	if !strings.Contains(out, "complete=true") {
@@ -184,7 +192,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	// A simulated watch has nothing to repair: -watch needs -tcp.
 	cmd := exec.Command(nwsmanager, "-topo", topoFile, "-watch")
-	msg, err := cmd.CombinedOutput()
+	msg, err = cmd.CombinedOutput()
 	if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 2 || !strings.Contains(string(msg), "-watch requires -tcp") {
 		t.Fatalf("nwsmanager -topo -watch: %v, want exit 2 naming -tcp\n%s", err, msg)
 	}

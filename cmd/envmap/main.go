@@ -7,8 +7,9 @@
 //
 // With -topo pointing at a spec that carries Masters/NamesOf metadata
 // (the enslyon kind does), envmap runs one mapping per master and merges
-// them (any number of runs fold into one view); otherwise give -master
-// (and optionally -hosts).
+// them (any number of runs fold into one view); otherwise it maps every
+// host but the external target from the first. -master and -hosts
+// replace either with one run (the master defaults to the first host).
 package main
 
 import (
@@ -23,12 +24,13 @@ import (
 	"nwsenv/internal/core"
 	"nwsenv/internal/env"
 	"nwsenv/internal/simnet"
+	"nwsenv/internal/topo"
 )
 
 func main() {
 	topoFile := flag.String("topo", "", "topology spec file (required)")
 	master := flag.String("master", "", "mapping master (node ID); overrides spec metadata")
-	hostsCSV := flag.String("hosts", "", "comma-separated node IDs to map (default: all hosts)")
+	hostsCSV := flag.String("hosts", "", "comma-separated node IDs to map in one run (default: the spec's runs)")
 	tree := flag.Bool("tree", false, "print the structural tree and network list")
 	strict := flag.Bool("strict-paper", false, "classify exactly as §4.2.2.4 (no bottleneck fallback)")
 	bidi := flag.Bool("bidirectional", false, "also measure host→master bandwidth (detects asymmetric routes, §4.3 future work)")
@@ -44,15 +46,14 @@ func main() {
 	check(err)
 	sim, tp := se.Sim, se.Topo
 
-	var runs []core.MapRun
-	switch {
-	case *master != "":
-		runs = []core.MapRun{{Master: *master, Hosts: pickHosts(tp, *hostsCSV)}}
-	case len(se.Spec.Masters) > 0:
-		runs = se.MapRuns()
-	default:
+	runs := se.Spec.Runs(tp)
+	if *master != "" || *hostsCSV != "" {
 		hosts := pickHosts(tp, *hostsCSV)
-		runs = []core.MapRun{{Master: hosts[0], Hosts: hosts}}
+		m := *master
+		if m == "" {
+			m = hosts[0]
+		}
+		runs = []core.MapRun{{Master: m, Hosts: hosts}}
 	}
 	for i := range runs {
 		runs[i].StrictPaper = *strict
@@ -101,17 +102,12 @@ func main() {
 	check(os.WriteFile(*out, enc, 0o644))
 }
 
+// pickHosts is the -hosts list, or every mappable host.
 func pickHosts(tp *simnet.Topology, csv string) []string {
 	if csv != "" {
 		return strings.Split(csv, ",")
 	}
-	var hosts []string
-	for _, h := range tp.HostIDs() {
-		if h != tp.ExternalTarget {
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
+	return topo.Mappable(tp)
 }
 
 func printTree(n *env.StructNode, depth int) {

@@ -57,7 +57,7 @@ func main() {
 func mapAndPlan(topoFile, master, mappingOut, out string) {
 	se, err := cli.LoadSim(topoFile)
 	check(err)
-	runs := se.MapRuns()
+	runs := se.Spec.Runs(se.Topo)
 	opts := []core.Option{
 		core.WithAutoAliases(),
 		core.WithObserver(func(e core.Event) {

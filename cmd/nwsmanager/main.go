@@ -189,7 +189,7 @@ func run(ctx context.Context, o options) bool {
 		var err error
 		se, err = cli.LoadSim(o.topoFile)
 		check(err)
-		plat, runs = se.Plat, se.MapRuns()
+		plat, runs = se.Plat, se.Spec.Runs(se.Topo)
 	}
 	// The registry reads the platform's clock: deterministic readings on
 	// the simulator, honest wall-clock timings on sockets.

@@ -16,15 +16,16 @@
 // deployment, detects drift (dead sensors, partitioned or degraded
 // links, churning machines) by probing liveness and re-running ENV,
 // re-plans, and applies only the delta, with deterministic seeded fault
-// scenarios in internal/simnet and recovery metrics in internal/metrics
-// making every repair claim assertable. Client traffic enters through
+// scenarios and recovery scoring in internal/scenlab making every repair
+// claim assertable. Client traffic enters through
 // the versioned query plane: internal/query is the batching, caching
 // client facade over the NWS services, and internal/nws/gateway the
 // deployable Query Gateway role fronting it for end users (planned,
 // applied and re-homed like the name server). The benchmark harness in
 // bench_test.go regenerates every figure and quantitative claim of the
-// paper (see EXPERIMENTS.md, including the §4.3 fault-scenario table
-// and the query-plane throughput table); README.md holds the API
+// paper (see EXPERIMENTS.md, the ledger rendered from the committed
+// artifacts, including its "§4.3 platform evolution" fault-scenario
+// table and its "Query plane" section); README.md holds the API
 // quickstart, the "Querying a deployment" guide and the nwsmanager
 // -watch guide.
 package nwsenv

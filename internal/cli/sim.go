@@ -1,7 +1,7 @@
 // Package cli shares the simulated-platform bootstrap the command-line
 // tools and the scenario lab repeat: read a topology spec, build the
-// network, wrap it as a Platform, derive the pipeline's mapping runs
-// from the spec metadata, and drive the virtual clock through a deploy.
+// network, wrap it as a Platform, and drive the virtual clock through
+// a deploy. The spec's mapping runs come from topo.Spec.Runs.
 package cli
 
 import (
@@ -52,15 +52,6 @@ func LoadSim(topoFile string) (*SimEnv, error) {
 		Net:  net,
 		Plat: platform.NewSimPlatform(net, proto.NewSimTransport(net)),
 	}, nil
-}
-
-// MapRuns converts the spec's metadata-derived runs into pipeline runs.
-func (e *SimEnv) MapRuns() []core.MapRun {
-	var runs []core.MapRun
-	for _, r := range e.Spec.Runs(e.Topo) {
-		runs = append(runs, core.MapRun{Master: r.Master, Hosts: r.Hosts, Names: r.Names})
-	}
-	return runs
 }
 
 // DeploySim runs the whole pipeline in a simulation process and drives

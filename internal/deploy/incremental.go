@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"time"
 
+	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/nws/host"
 )
 
@@ -134,16 +133,6 @@ func (d *Deployment) ApplyDelta(ctx context.Context, newPlan *Plan, newResolve m
 // agent joins the rings that did not move. The first apply finds no
 // incarnation table and starts every clique at epoch 0.
 func (d *Deployment) decide(newPlan *Plan, newResolve map[string]string) (*DeltaReport, map[string]host.Roles, error) {
-	running := map[string]bool{}
-	for _, a := range d.Agents {
-		r := a.Roles()
-		for _, c := range r.Cliques {
-			running[ringKey(c.Name, c.Members, c.TokenGap)] = true
-		}
-		for _, p := range r.Pairwise {
-			running[ringKey(p.Cfg.Name, p.Cfg.Members, p.Cfg.TokenGap)] = true
-		}
-	}
 	rep := &DeltaReport{}
 	renewed := map[string]bool{}
 	first := d.epochs == nil
@@ -157,7 +146,7 @@ func (d *Deployment) decide(newPlan *Plan, newResolve map[string]string) (*Delta
 		for i, m := range spec.Members {
 			members[i] = newResolve[m]
 		}
-		if running[ringKey(spec.Name, members, spec.Period)] {
+		if d.runsRing(spec.Name, members, spec.Period) {
 			continue
 		}
 		renewed[spec.Name] = true
@@ -195,7 +184,7 @@ func (d *Deployment) decide(newPlan *Plan, newResolve map[string]string) (*Delta
 			// Torn down by a failed apply: started below if planned.
 		case !planned[name]:
 			rep.Stopped = append(rep.Stopped, name)
-		case a.Host() == newResolve[name] && roleSignature(a.Roles()) == roleSignature(roles[name]):
+		case a.Host() == newResolve[name] && sameRoles(a.Roles(), roles[name]):
 			rep.Kept = append(rep.Kept, name)
 		default:
 			rep.Restarted = append(rep.Restarted, name)
@@ -211,37 +200,51 @@ func (d *Deployment) decide(newPlan *Plan, newResolve map[string]string) (*Delta
 	return rep, build, nil
 }
 
-// ringKey identifies a ring as its members see it: the clique's name,
-// its ordered member nodes and its period.
-func ringKey(name string, members []string, period time.Duration) string {
-	return fmt.Sprintf("%s %v [%s]", name, period, strings.Join(members, ","))
+// runsRing reports whether some running agent runs the ring: the
+// clique's name, its ordered member nodes and its period.
+func (d *Deployment) runsRing(name string, members []string, period time.Duration) bool {
+	same := func(c clique.Config) bool {
+		return c.Name == name && c.TokenGap == period && slices.Equal(c.Members, members)
+	}
+	for _, a := range d.Agents {
+		r := a.Roles()
+		if slices.ContainsFunc(r.Cliques, same) ||
+			slices.ContainsFunc(r.Pairwise, func(p host.PairwiseRole) bool { return same(p.Cfg) }) {
+			return true
+		}
+	}
+	return false
 }
 
-// roleSignature folds the deployment-managed fields of a role
-// assignment into a comparable key. StartDelay is deliberately
-// excluded: it only staggers the initial bootstrap and shifts with
-// clique ordering, so it must not force rebuilds on its own.
-func roleSignature(r host.Roles) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ns=%t mem=%t fc=%t gw=%t nshost=%s memhost=%s repl=%s|",
-		r.NameServer, r.Memory, r.Forecaster, r.Gateway, r.NSHost, r.MemoryHost,
-		strings.Join(r.MemoryReplicas, ","))
-	cl := cliqueKeys(r)
-	sort.Strings(cl)
-	for _, k := range cl {
-		b.WriteString(k)
+// sameRoles reports whether two role assignments run the same
+// deployment-managed roles. StartDelay and Join are deliberately
+// ignored: StartDelay only staggers the initial bootstrap and shifts
+// with clique ordering, and Join is decided per apply, so neither may
+// force a rebuild on its own. Rings match by name, in any order.
+func sameRoles(a, b host.Roles) bool {
+	if a.NameServer != b.NameServer || a.Memory != b.Memory || a.Forecaster != b.Forecaster ||
+		a.Gateway != b.Gateway || a.NSHost != b.NSHost || a.MemoryHost != b.MemoryHost ||
+		!slices.Equal(a.MemoryReplicas, b.MemoryReplicas) ||
+		len(a.Cliques) != len(b.Cliques) || len(a.Pairwise) != len(b.Pairwise) {
+		return false
 	}
-	return b.String()
+	for _, c := range a.Cliques {
+		if !slices.ContainsFunc(b.Cliques, func(d clique.Config) bool { return sameRing(c, d) }) {
+			return false
+		}
+	}
+	for _, p := range a.Pairwise {
+		if !slices.ContainsFunc(b.Pairwise, func(q host.PairwiseRole) bool {
+			return sameRing(p.Cfg, q.Cfg) && p.Scheduler == q.Scheduler && p.RunScheduler == q.RunScheduler
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
-func cliqueKeys(r host.Roles) []string {
-	var out []string
-	for _, c := range r.Cliques {
-		out = append(out, fmt.Sprintf("c:%s e%d|", ringKey(c.Name, c.Members, c.TokenGap), c.Epoch))
-	}
-	for _, p := range r.Pairwise {
-		out = append(out, fmt.Sprintf("p:%s e%d sched=%s run=%t|",
-			ringKey(p.Cfg.Name, p.Cfg.Members, p.Cfg.TokenGap), p.Cfg.Epoch, p.Scheduler, p.RunScheduler))
-	}
-	return out
+// sameRing reports whether two ring configurations are one incarnation
+// of one ring: name, ordered members, period and epoch.
+func sameRing(c, d clique.Config) bool {
+	return c.Name == d.Name && c.TokenGap == d.TokenGap && c.Epoch == d.Epoch && slices.Equal(c.Members, d.Members)
 }

@@ -313,20 +313,20 @@ func TestRoleSignatureIgnoresStartDelay(t *testing.T) {
 		}
 	}
 	a, b := mk(0), mk(3*time.Second)
-	if roleSignature(a) != roleSignature(b) {
-		t.Fatal("StartDelay leaked into the role signature")
+	if !sameRoles(a, b) {
+		t.Fatal("StartDelay leaked into the role comparison")
 	}
 	// Epoch, by contrast, must force a rebuild.
 	c := mk(0)
 	c.Cliques[0].Epoch = epochStride
-	if roleSignature(a) == roleSignature(c) {
-		t.Fatal("Epoch missing from the role signature")
+	if sameRoles(a, c) {
+		t.Fatal("Epoch missing from the role comparison")
 	}
 	// So must gaining (or losing) the query gateway.
 	g := mk(0)
 	g.Gateway = true
-	if roleSignature(a) == roleSignature(g) {
-		t.Fatal("Gateway missing from the role signature")
+	if sameRoles(a, g) {
+		t.Fatal("Gateway missing from the role comparison")
 	}
 }
 
@@ -553,12 +553,12 @@ func TestApplyDeltaGrowth(t *testing.T) {
 	}
 }
 
-// TestDiffDetectsShrinkAndMoves: one delta drops a host, drops a clique
+// TestApplyDeltaShrinkAndMoves: one delta drops a host, drops a clique
 // and moves the name server. The leaver is stopped, every other host is
 // rebound to the new name server, only the shrunk clique is renewed, and
 // the rebuilt members of every other clique join the rings that kept
 // running.
-func TestDiffDetectsShrinkAndMoves(t *testing.T) {
+func TestApplyDeltaShrinkAndMoves(t *testing.T) {
 	dep, plan, resolve, tr := deployEnsLyon(t)
 
 	const victim, dropped = "sci3.popc.private", "clique-myri"
@@ -593,11 +593,11 @@ func TestDiffDetectsShrinkAndMoves(t *testing.T) {
 	}
 }
 
-// TestDiffAfterRemapIsStable: two independent map+plan passes over the
+// TestApplyDeltaAfterRemapIsStable: two independent map+plan passes over the
 // unchanged ENS-Lyon platform change no agent. The pipeline is
 // deterministic end to end, so re-mapping an unchanged platform never
 // churns the deployment.
-func TestDiffAfterRemapIsStable(t *testing.T) {
+func TestApplyDeltaAfterRemapIsStable(t *testing.T) {
 	dep, _, _, tr := deployEnsLyon(t)
 	_, _, p2, resolve2 := planEnsLyon(t)
 	rep := applyDelta(t, tr, dep, p2, resolve2)

@@ -31,7 +31,8 @@
 // A→B and B→A run concurrently; on a half-duplex shared segment each
 // achieves about half its solo rate, on a switched segment both keep
 // full rate. This is a user-level observable in the exact spirit of the
-// original tests and is documented as a substitution in EXPERIMENTS.md.
+// original tests, and the one substitution for an experiment of the
+// paper; this comment is its record.
 package env
 
 import (

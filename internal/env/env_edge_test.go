@@ -1,4 +1,4 @@
-package env
+package env_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	. "nwsenv/internal/env"
 	"nwsenv/internal/gridml"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"

@@ -1,4 +1,6 @@
-package env
+// The black-box tests build their platforms with topo, which imports
+// env, so they live outside the package.
+package env_test
 
 import (
 	"context"
@@ -6,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	. "nwsenv/internal/env"
 	"nwsenv/internal/gridml"
+	"nwsenv/internal/platform"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
@@ -303,41 +307,6 @@ func TestThresholdSensitivityJammed(t *testing.T) {
 	}
 }
 
-func TestHostToHostSplitOnBandwidthRatio(t *testing.T) {
-	// Dumbbell seen from one side with hosts from both: the remote hosts
-	// sit behind a 10 Mbps bottleneck (ratio 10 > 3) and must be split
-	// from the local ones even though the traceroute prefix differs
-	// anyway; test the splitter directly on synthetic data too.
-	groups := splitByBandwidth(
-		[]string{"a", "b", "c", "d"},
-		map[string]float64{"a": 100e6, "b": 95e6, "c": 10e6, "d": 9e6},
-		3,
-	)
-	if len(groups) != 2 {
-		t.Fatalf("groups %v", groups)
-	}
-	if len(groups[0]) != 2 || len(groups[1]) != 2 {
-		t.Fatalf("group sizes %v", groups)
-	}
-}
-
-func TestIPClassFallback(t *testing.T) {
-	// §4.3 "Machines without hostname": domain falls back to the IP
-	// class.
-	if d := domainOf("192.168.81.1", "192.168.81.1"); d != "192.168.81.0" {
-		t.Fatalf("class C fallback: %s", d)
-	}
-	if d := domainOf("10.1.2.3", "10.1.2.3"); d != "10.0.0.0" {
-		t.Fatalf("class A fallback: %s", d)
-	}
-	if d := domainOf("150.1.2.3", "150.1.2.3"); d != "150.1.0.0" {
-		t.Fatalf("class B fallback: %s", d)
-	}
-	if d := domainOf("host.dom.org", "1.2.3.4"); d != "dom.org" {
-		t.Fatalf("normal domain: %s", d)
-	}
-}
-
 func TestDumbbellMasterSideView(t *testing.T) {
 	// §4.3 master/slave information loss: mapping from l0 sees both
 	// clusters but cannot see the inter-cluster link quality directly —
@@ -389,6 +358,45 @@ func TestRandomLANClassificationAccuracy(t *testing.T) {
 				t.Errorf("seed %d: segment %s classified %v, truth shared=%v",
 					seed, seg, nw.Class, wantShared)
 			}
+		}
+	}
+}
+
+// TestMapperRejections: a run that names the substrate's external
+// traceroute target, as master or among its hosts, is refused with an
+// error naming it, on the simulated ENS-Lyon testbed and on a static
+// substrate alike (envmap -hosts world used to panic in Traceroute).
+func TestMapperRejections(t *testing.T) {
+	ens := topo.NewEnsLyon()
+	onSim := func(cfg Config) error {
+		sim := vclock.New()
+		net := simnet.NewNetwork(sim, ens.Topo)
+		var err error
+		sim.Go("map", func() { _, err = mapSim(net, cfg) })
+		if runErr := sim.RunUntil(time.Hour); runErr != nil {
+			return runErr
+		}
+		return err
+	}
+	onStatic := func(cfg Config) error {
+		_, err := NewMapperOn(platform.NewStaticSubstrate([]string{"a", "b"}), cfg).Run(context.Background())
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(Config) error
+		cfg  Config
+		ext  string
+	}{
+		{"enslyon -hosts world", onSim, Config{Master: "world", Hosts: []string{"world"}}, "world"},
+		{"enslyon world among hosts", onSim, Config{Master: "the-doors", Hosts: []string{"the-doors", "world"}}, "world"},
+		{"enslyon world as master", onSim, Config{Master: "world", Hosts: []string{"the-doors"}}, "world"},
+		{"static -hosts external", onStatic, Config{Master: "external", Hosts: []string{"external"}}, "external"},
+		{"static external among hosts", onStatic, Config{Master: "a", Hosts: []string{"a", "external"}}, "external"},
+	} {
+		err := tc.run(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.ext+" is the external traceroute target") {
+			t.Errorf("%s: got %v, want a refusal naming %s", tc.name, err, tc.ext)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package env
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"nwsenv/internal/gridml"
@@ -29,7 +30,14 @@ func NewMapperOn(sub Substrate, cfg Config) *Mapper {
 // Run performs the full ENV pipeline and returns the mapping result.
 // ctx is checked between probes, so an aborted mapping campaign stops
 // within one experiment.
+//
+// A run that names the substrate's external target as its master or
+// among its hosts is refused: every host traceroutes to that target, so
+// it cannot be mapped.
 func (m *Mapper) Run(ctx context.Context) (*Result, error) {
+	if ext := m.sub.ExternalTarget(); ext != "" && (m.cfg.Master == ext || slices.Contains(m.cfg.Hosts, ext)) {
+		return nil, fmt.Errorf("env: %s is the external traceroute target and cannot be mapped", ext)
+	}
 	m.ctx = ctx
 	m.stats.Started = m.sub.Now()
 

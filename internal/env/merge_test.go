@@ -1,8 +1,9 @@
-package env
+package env_test
 
 import (
 	"testing"
 
+	. "nwsenv/internal/env"
 	"nwsenv/internal/gridml"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"

@@ -25,38 +25,19 @@ func (t TopologySpec) Build(seed int64) (*simnet.Topology, []core.MapRun, error)
 			SiteDomains:     g.SiteDomains,
 			Seed:            seed,
 		})
-		return tp, singleRun(tp), nil
+		return tp, topo.MapAll(tp), nil
 	case "lan":
 		tp, _ := topo.RandomLAN(seed, t.LAN.Subnets, t.LAN.HostsPerSubnet)
-		return tp, singleRun(tp), nil
+		return tp, topo.MapAll(tp), nil
 	case "enslyon":
 		spec := topo.EnsLyonSpec()
 		tp, err := spec.Build()
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenlab: enslyon: %w", err)
 		}
-		var runs []core.MapRun
-		for _, r := range spec.Runs(tp) {
-			runs = append(runs, core.MapRun{Master: r.Master, Hosts: r.Hosts, Names: r.Names})
-		}
-		return tp, runs, nil
+		return tp, spec.Runs(tp), nil
 	}
 	return nil, nil, fmt.Errorf("scenlab: unknown topology kind %q", t.Kind)
-}
-
-// singleRun maps every host (minus the external traceroute target) in
-// one run anchored at the first host in creation order.
-func singleRun(tp *simnet.Topology) []core.MapRun {
-	var hosts []string
-	for _, h := range tp.HostIDs() {
-		if h != tp.ExternalTarget {
-			hosts = append(hosts, h)
-		}
-	}
-	if len(hosts) == 0 {
-		return nil
-	}
-	return []core.MapRun{{Master: hosts[0], Hosts: hosts}}
 }
 
 // PlanVictimsFor derives the deterministic fault-victim candidates of

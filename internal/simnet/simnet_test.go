@@ -273,6 +273,15 @@ func TestTracerouteShowsOnlyRouters(t *testing.T) {
 	}
 }
 
+// TestTracerouteToItself: a one-node path has no hops between its ends,
+// and is an error, not a slice out of range.
+func TestTracerouteToItself(t *testing.T) {
+	_, net := lan(t)
+	if hops, err := net.Topology().Traceroute("a", "a"); err == nil {
+		t.Fatalf("traceroute a->a gave %+v, want an error", hops)
+	}
+}
+
 func TestTracerouteNonResponding(t *testing.T) {
 	topo := NewTopology()
 	topo.AddHost("a", "1", "a", "x")

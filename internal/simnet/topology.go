@@ -631,11 +631,14 @@ type TracerouteHop struct {
 
 // Traceroute reports the layer-3 hops (routers only — switches and hubs
 // are invisible, as on a real network) on the path from src to dst,
-// excluding the endpoints.
+// excluding the endpoints. A path of one node (src == dst) is an error.
 func (t *Topology) Traceroute(src, dst string) ([]TracerouteHop, error) {
 	p, err := t.Path(src, dst)
 	if err != nil {
 		return nil, err
+	}
+	if len(p) < 2 {
+		return nil, fmt.Errorf("simnet: traceroute %s->%s: a path of %d node(s) has no hops to report", src, dst, len(p))
 	}
 	var hops []TracerouteHop
 	for _, id := range p[1 : len(p)-1] {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/simnet"
 )
 
@@ -144,22 +146,12 @@ func (s *Spec) Build() (*simnet.Topology, error) {
 	return t, nil
 }
 
-// MapRunSpec describes one ENV mapping run derived from spec metadata.
-type MapRunSpec struct {
-	// Master is the run's point of view (node ID).
-	Master string
-	// Hosts are the node IDs the run maps, master first.
-	Hosts []string
-	// Names maps node IDs to display FQDNs.
-	Names map[string]string
-}
-
 // Runs derives the mapping runs the spec's metadata describes: one run
-// per declared master over its named hosts (master first, rest sorted),
-// or — when the spec names no masters — a single run from the first
-// host over every host except the external target.
-func (s *Spec) Runs(t *simnet.Topology) []MapRunSpec {
-	var runs []MapRunSpec
+// per declared master over its named hosts (master first, rest sorted;
+// every mappable host when it names none), or, when the spec names no
+// masters, MapAll's one run.
+func (s *Spec) Runs(t *simnet.Topology) []env.Config {
+	var runs []env.Config
 	for _, m := range s.Masters {
 		names := s.NamesOf[m]
 		var hosts []string
@@ -167,28 +159,30 @@ func (s *Spec) Runs(t *simnet.Topology) []MapRunSpec {
 			hosts = append(hosts, id)
 		}
 		if len(hosts) == 0 {
-			hosts = s.allHosts(t)
+			hosts = Mappable(t)
 		}
-		runs = append(runs, MapRunSpec{Master: m, Hosts: masterFirst(hosts, m), Names: names})
+		runs = append(runs, env.Config{Master: m, Hosts: masterFirst(hosts, m), Names: names})
 	}
 	if len(runs) > 0 {
 		return runs
 	}
-	hosts := s.allHosts(t)
+	return MapAll(t)
+}
+
+// Mappable lists the hosts a mapping run can map, in creation order:
+// every host but the external traceroute target.
+func Mappable(t *simnet.Topology) []string {
+	return slices.DeleteFunc(t.HostIDs(), func(h string) bool { return h == t.ExternalTarget })
+}
+
+// MapAll is the one run over every mappable host, the first as master;
+// nil when the topology has none.
+func MapAll(t *simnet.Topology) []env.Config {
+	hosts := Mappable(t)
 	if len(hosts) == 0 {
 		return nil
 	}
-	return []MapRunSpec{{Master: hosts[0], Hosts: hosts}}
-}
-
-func (s *Spec) allHosts(t *simnet.Topology) []string {
-	var hosts []string
-	for _, h := range t.HostIDs() {
-		if h != t.ExternalTarget {
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
+	return []env.Config{{Master: hosts[0], Hosts: hosts}}
 }
 
 // masterFirst orders hosts with the master first and the rest sorted.
