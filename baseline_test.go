@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"nwsenv/internal/deploy"
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 	"nwsenv/internal/vclock"
@@ -277,7 +277,7 @@ func TestBlindPartitionCollidesWhereENVDoesNot(t *testing.T) {
 		resolve[h] = h
 	}
 	p := BlindPartition(hosts, "the-doors", 3, 500*time.Millisecond)
-	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{})
+	dep, err := deploy.Apply(context.Background(), tr, env.SimSubstrate{Net: net}, p, resolve, deploy.ApplyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestFullMeshFrequencyCollapses(t *testing.T) {
 			resolve[h] = h
 		}
 		p := FullMesh(hosts, hosts[0], 200*time.Millisecond)
-		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{})
+		dep, err := deploy.Apply(context.Background(), tr, env.SimSubstrate{Net: net}, p, resolve, deploy.ApplyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

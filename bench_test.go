@@ -285,7 +285,7 @@ func runDeployment(b *testing.B, plan *deploy.Plan, resolve map[string]string, w
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, e.Topo)
 	tr := proto.NewSimTransport(net)
-	dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{})
+	dep, err := deploy.Apply(context.Background(), tr, env.SimSubstrate{Net: net}, plan, resolve, deploy.ApplyOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func BenchmarkE7CliqueFrequency(b *testing.B) {
 					b.Fatal(err)
 				}
 				st := proto.NewStation(tr.Runtime(), ep)
-				m := clique.NewMember(cfg, st, sensor.SimProber{Net: net}, nil)
+				m := clique.NewMember(cfg, st, env.SimSubstrate{Net: net}, nil)
 				members = append(members, m)
 				sim.Go("m:"+h, m.Run)
 			}
@@ -686,7 +686,7 @@ func BenchmarkE13CompositionAccuracy(b *testing.B) {
 		}
 		net.ResetAccounting()
 		tr := proto.NewSimTransport(net)
-		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, plan, resolve, deploy.ApplyOptions{})
+		dep, err := deploy.Apply(context.Background(), tr, env.SimSubstrate{Net: net}, plan, resolve, deploy.ApplyOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -760,7 +760,7 @@ func BenchmarkE14TokenRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			st := proto.NewStation(tr.Runtime(), ep)
-			m := clique.NewMember(cfg, st, sensor.SimProber{Net: net}, store)
+			m := clique.NewMember(cfg, st, env.SimSubstrate{Net: net}, store)
 			members = append(members, m)
 			sim.Go("m:"+h, m.Run)
 		}
@@ -848,7 +848,7 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 			p.MemoryOf[h] = "a"
 		}
 		tr := proto.NewSimTransport(net)
-		dep, err := deploy.Apply(context.Background(), tr, sensor.SimProber{Net: net}, p, resolve, deploy.ApplyOptions{PairwiseSwitched: pairwise})
+		dep, err := deploy.Apply(context.Background(), tr, env.SimSubstrate{Net: net}, p, resolve, deploy.ApplyOptions{PairwiseSwitched: pairwise})
 		if err != nil {
 			b.Fatal(err)
 		}

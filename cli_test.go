@@ -196,6 +196,12 @@ func TestCLIPipeline(t *testing.T) {
 	if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 2 || !strings.Contains(string(msg), "-watch requires -tcp") {
 		t.Fatalf("nwsmanager -topo -watch: %v, want exit 2 naming -tcp\n%s", err, msg)
 	}
+	// A non-positive reconcile period is refused, not replaced.
+	cmd = exec.Command(nwsmanager, "-tcp", "-hosts", "alpha,beta", "-watch", "-duration", "1s", "-reconcile-interval", "0")
+	msg, err = cmd.CombinedOutput()
+	if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 2 || !strings.Contains(string(msg), "-reconcile-interval") {
+		t.Fatalf("nwsmanager -reconcile-interval 0: %v, want exit 2 naming the flag\n%s", err, msg)
+	}
 
 	// The watch loop on the TCP platform (wall clock).
 	out = run(nwsmanager, "-tcp", "-hosts", "alpha,beta,gamma", "-watch",

@@ -83,10 +83,8 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "with -tcp: serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	flag.Parse()
 	if o.interval <= 0 {
-		// reconcile.New would put its own 5-minute default in place of
-		// a non-positive interval; keep this flag's default instead, the
-		// period the watch banner prints.
-		o.interval = 2 * time.Minute
+		fmt.Fprintln(os.Stderr, "nwsmanager: -reconcile-interval must be positive")
+		os.Exit(2)
 	}
 
 	// Long-running modes stop cleanly on SIGINT/SIGTERM: the context
@@ -133,18 +131,6 @@ func main() {
 	}
 	if !run(ctx, o) {
 		os.Exit(1)
-	}
-}
-
-// wireCodecTelemetry attaches the transport's codec counters
-// (proto/encode_total, proto/bytes_out, proto/bytes_in) to reg. Both
-// transport implementations expose the hook; the interface assertion
-// keeps main agnostic of which one the platform carries.
-func wireCodecTelemetry(p platform.Platform, reg *telemetry.Registry) {
-	if t, ok := p.Transport().(interface {
-		SetTelemetry(*telemetry.Registry)
-	}); ok {
-		t.SetTelemetry(reg)
 	}
 }
 
@@ -197,7 +183,7 @@ func run(ctx context.Context, o options) bool {
 	if se != nil {
 		simnet.RegisterTelemetry(reg, se.Net)
 	}
-	wireCodecTelemetry(plat, reg)
+	plat.Transport().SetTelemetry(reg)
 	pl := core.NewPipeline(plat, pipelineOptions(o, reg)...)
 
 	var out *core.Outcome

@@ -106,7 +106,7 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 		len(m.Results), len(merged.Networks), merged.Stats.Probes, float64(merged.Stats.ProbeBytes)/1e6)
 
 	// Resolve canonical names to node IDs using run metadata and the
-	// platform's name source.
+	// platform's host names.
 	record := func(id, name string) {
 		if mach := merged.Doc.FindMachine(name); mach != nil {
 			m.Resolve[mach.CanonicalName()] = id
@@ -114,18 +114,22 @@ func (p *Pipeline) Map(ctx context.Context, runs ...MapRun) (*Mapping, error) {
 	}
 	for _, run := range runs {
 		for _, id := range run.Hosts {
-			if n, ok := run.Names[id]; ok {
-				record(id, n)
-				continue
-			}
-			if n := p.plat.NodeName(id); n != "" {
-				record(id, n)
-			} else {
-				record(id, id)
-			}
+			record(id, p.hostName(run, id))
 		}
 	}
 	return m, nil
+}
+
+// hostName is the name a run knows a host by: the run's own name for
+// it, else the platform's DNS name, else the node ID.
+func (p *Pipeline) hostName(run MapRun, id string) string {
+	if n, ok := run.Names[id]; ok {
+		return n
+	}
+	if info, _ := p.plat.Substrate().HostInfo(id); info.DNS != "" {
+		return info.DNS
+	}
+	return id
 }
 
 // PlanResult is the artifact of the Plan stage: the §5.1 plan and its
@@ -148,14 +152,7 @@ func (p *Pipeline) Plan(m *Mapping) (*PlanResult, error) {
 	defer stage.End()
 	master := p.cfg.master
 	if master == "" && len(m.Runs) > 0 {
-		first := m.Runs[0]
-		if n, ok := first.Names[first.Master]; ok {
-			master = n
-		} else if n := p.plat.NodeName(first.Master); n != "" {
-			master = n
-		} else {
-			master = first.Master
-		}
+		master = p.hostName(m.Runs[0], m.Runs[0].Master)
 	}
 	plan, err := deploy.NewPlan(m.Merged, deploy.PlanConfig{
 		Master: master, TokenGap: p.cfg.tokenGap, ReplicationFactor: p.cfg.replication,
@@ -189,7 +186,7 @@ func (p *Pipeline) Apply(ctx context.Context, pr *PlanResult) (*deploy.Deploymen
 	defer stage.End()
 	p.plat.ResetAccounting()
 	p.Observe(PhaseApply, "starting %d agents on %s", len(pr.Plan.Hosts), p.plat.Name())
-	dep, err := deploy.Apply(ctx, p.plat.Transport(), p.plat.Prober(), pr.Plan, pr.Mapping.Resolve, deploy.ApplyOptions{
+	dep, err := deploy.Apply(ctx, p.plat.Transport(), p.plat.Substrate(), pr.Plan, pr.Mapping.Resolve, deploy.ApplyOptions{
 		PairwiseSwitched: p.cfg.pairwiseSwitched,
 		Telemetry:        p.cfg.tele,
 		Holds:            p.cfg.holds,

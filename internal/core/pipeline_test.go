@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/nws/sensor"
@@ -22,19 +23,58 @@ import (
 // TCP sockets (mirroring internal/nws/tcp_integration_test.go, but
 // through the platform abstraction): Map reads the static segment view,
 // Plan validates it, Apply starts real agents whose registry, storage
-// and token-ring traffic are gob-encoded TCP exchanges, and measured
-// samples land in the memory server.
+// and token-ring traffic are codec-framed TCP exchanges, and measured
+// samples land in the memory server. The pairwise case schedules four
+// hosts in rounds of two disjoint pairs, which probe at once through
+// the platform's one shared StaticSubstrate (CI runs this test under
+// -race).
 func TestTCPPlatformPipeline(t *testing.T) {
-	hosts := []string{"alpha", "beta", "gamma"}
+	t.Run("ring", func(t *testing.T) {
+		hosts := []string{"alpha", "beta", "gamma"}
+		tcpPipeline(t, hosts, []string{sensor.BandwidthSeries("alpha", "beta")})
+	})
+	t.Run("pairwise", func(t *testing.T) {
+		hosts := []string{"alpha", "beta", "gamma", "delta"}
+		var log clique.HoldLog
+		// alpha-beta and gamma-delta are the third round's pairs.
+		tcpPipeline(t, hosts, []string{sensor.BandwidthSeries("alpha", "beta"), sensor.BandwidthSeries("gamma", "delta")},
+			WithPairwiseSwitched(), WithHoldLog(&log))
+		rounds := map[int64][]clique.Hold{}
+		for _, h := range log.Take() {
+			if h.Partner == "" {
+				t.Fatalf("ring hold %+v in a pairwise deployment", h)
+			}
+			rounds[h.Epoch] = append(rounds[h.Epoch], h)
+		}
+		full := 0
+		for r, hs := range rounds {
+			if len(hs) > 2 {
+				t.Fatalf("round %d logged %d probes: %+v", r, len(hs), hs)
+			}
+			if len(hs) == 2 {
+				full++
+				if a, b := hs[0], hs[1]; a.Host == b.Host || a.Host == b.Partner || a.Partner == b.Host || a.Partner == b.Partner {
+					t.Fatalf("round %d pairs share a host: %+v", r, hs)
+				}
+			}
+		}
+		if full == 0 {
+			t.Fatalf("no round probed two pairs: %v", rounds)
+		}
+	})
+}
+
+// tcpPipeline maps, plans and applies hosts on a loopback TCP platform
+// and waits until each of series holds three samples of the segment's
+// 100 Mbps.
+func tcpPipeline(t *testing.T, hosts, series []string, opts ...Option) {
+	t.Helper()
 	plat := platform.NewTCPPlatform(hosts)
 	stop := prototest.Teardown(t, plat.Transport().Runtime())
-	pl := NewPipeline(plat,
-		WithGridLabel("loopback"),
-		WithTokenGap(20*time.Millisecond),
-	)
+	pl := NewPipeline(plat, append([]Option{WithGridLabel("loopback"), WithTokenGap(20 * time.Millisecond)}, opts...)...)
 	ctx := context.Background()
 
-	m, err := pl.Map(ctx, MapRun{Master: "alpha", Hosts: hosts})
+	m, err := pl.Map(ctx, MapRun{Master: hosts[0], Hosts: hosts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +85,7 @@ func TestTCPPlatformPipeline(t *testing.T) {
 	if nw.Class.String() != "switched" {
 		t.Fatalf("loopback segment classified %s, want switched", nw.Class)
 	}
-	if len(nw.Hosts) != 3 {
+	if len(nw.Hosts) != len(hosts) {
 		t.Fatalf("segment hosts %v", nw.Hosts)
 	}
 
@@ -56,7 +96,7 @@ func TestTCPPlatformPipeline(t *testing.T) {
 	if !pr.Validation.Complete {
 		t.Fatalf("plan incomplete: %v", pr.Validation.MissingPairs)
 	}
-	if pr.Plan.Master != "alpha" {
+	if pr.Plan.Master != hosts[0] {
 		t.Fatalf("master %q", pr.Plan.Master)
 	}
 
@@ -65,11 +105,11 @@ func TestTCPPlatformPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop(dep.Stop)
-	if len(dep.Agents) != 3 {
+	if len(dep.Agents) != len(hosts) {
 		t.Fatalf("agents %d", len(dep.Agents))
 	}
 
-	// The ring must produce measurements over real sockets: poll the
+	// The cliques must produce measurements over real sockets: poll the
 	// memory server from a client station on the wall clock.
 	ep, err := plat.Transport().Open("client")
 	if err != nil {
@@ -77,26 +117,27 @@ func TestTCPPlatformPipeline(t *testing.T) {
 	}
 	client := proto.NewStation(plat.Transport().Runtime(), ep)
 	stop(client.Close)
-	qc := query.New(client, m.Resolve[pr.Plan.NameServer])
-	series := sensor.BandwidthSeries("alpha", "beta")
 	deadline := time.Now().Add(10 * time.Second)
-	var got int
-	for time.Now().Before(deadline) {
-		samples, err := qc.Fetch(series, 0)
-		if err == nil {
-			got = len(samples)
-			if got >= 3 {
-				for _, s := range samples {
-					if s.Value != 100 { // Mbps, the platform's canned prober value
-						t.Fatalf("sample %+v", s)
-					}
+	for _, name := range series {
+		var got int
+		for got < 3 {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d samples of %s arrived over TCP", got, name)
+			}
+			// A fresh client per poll: one would cache a series not yet
+			// measured as missing for query.NegativeTTL.
+			samples, err := query.New(client, m.Resolve[pr.Plan.NameServer]).Fetch(name, 0)
+			if got = len(samples); err != nil || got < 3 {
+				time.Sleep(50 * time.Millisecond)
+				continue
+			}
+			for _, s := range samples {
+				if s.Value != 100 { // Mbps, the static segment's bandwidth
+					t.Fatalf("sample %+v", s)
 				}
-				return
 			}
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("only %d samples of %s arrived over TCP", got, series)
 }
 
 // TestMapCancellation aborts a mapping campaign mid-flight: the context

@@ -306,7 +306,7 @@ func TestApplyAndQueryEndToEnd(t *testing.T) {
 	// live estimate of a never-directly-measured pair.
 	e, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	prober := sensor.SimProber{Net: net}
+	prober := env.SimSubstrate{Net: net}
 	dep := applyTorn(t, tr, prober, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
@@ -344,7 +344,7 @@ func TestDeploymentCollisionRate(t *testing.T) {
 	// its probe volume (the §2.3 goal).
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
+	applyTorn(t, tr, env.SimSubstrate{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
@@ -401,7 +401,7 @@ func TestPairwiseSwitchedDeployment(t *testing.T) {
 	run := func(pairwise bool) (perPair float64, pairCollisions int) {
 		net, p, resolve := build()
 		tr := proto.NewSimTransport(net)
-		applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{PairwiseSwitched: pairwise})
+		applyTorn(t, tr, env.SimSubstrate{Net: net}, p, resolve, ApplyOptions{PairwiseSwitched: pairwise})
 		sim := net.Sim()
 		if err := sim.RunUntil(5 * time.Minute); err != nil {
 			t.Fatal(err)

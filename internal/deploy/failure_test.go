@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/query"
@@ -19,7 +20,7 @@ import (
 func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
+	dep := applyTorn(t, tr, env.SimSubstrate{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -55,7 +56,7 @@ func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 func TestDeploymentMemoryDeathDegradesOnlyItsSite(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
+	dep := applyTorn(t, tr, env.SimSubstrate{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + time.Minute); err != nil {
@@ -109,7 +110,7 @@ func (*privateDownError) Error() string { return "private memory down" }
 func TestEstimatesTrackLoadDynamics(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
+	dep := applyTorn(t, tr, env.SimSubstrate{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 2*time.Minute); err != nil {
@@ -197,7 +198,7 @@ func forecastData(d *Deployment, port proto.Port) PairData {
 func TestForecastEstimatorComposesPredictions(t *testing.T) {
 	_, net, p, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, p, resolve, ApplyOptions{})
+	dep := applyTorn(t, tr, env.SimSubstrate{Net: net}, p, resolve, ApplyOptions{})
 	sim := net.Sim()
 	base := sim.Now()
 	if err := sim.RunUntil(base + 3*time.Minute); err != nil {

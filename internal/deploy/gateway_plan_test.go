@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/nws/sensor"
 )
 
 // TestPlanGatewayReplicaPlacement: GatewayReplicas=N plans N gateway
@@ -136,7 +136,7 @@ func TestApplyDeltaGatewayReplicaSet(t *testing.T) {
 	}
 
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, single, resolve, ApplyOptions{})
+	dep := applyTorn(t, tr, env.SimSubstrate{Net: net}, single, resolve, ApplyOptions{})
 	rep := applyDelta(t, tr, dep, replicated, resolve)
 	slices.Sort(rep.Restarted)
 	want := slices.Sorted(slices.Values(replicated.Gateways[1:]))

@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/nws/host"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/nws/sensor"
 )
 
 // deployEnsLyon applies the full ENS-Lyon plan on the simulated
@@ -21,7 +21,7 @@ func deployEnsLyon(t *testing.T) (*Deployment, *Plan, map[string]string, *proto.
 	t.Helper()
 	_, net, plan, resolve := planEnsLyon(t)
 	tr := proto.NewSimTransport(net)
-	dep := applyTorn(t, tr, sensor.SimProber{Net: net}, plan, resolve, ApplyOptions{})
+	dep := applyTorn(t, tr, env.SimSubstrate{Net: net}, plan, resolve, ApplyOptions{})
 	sim := net.Sim()
 	if err := sim.RunUntil(sim.Now() + time.Minute); err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func (c *cancelAfter) Err() error {
 func TestApplyEpochs(t *testing.T) {
 	t.Run("first apply", func(t *testing.T) {
 		_, net, plan, resolve := planEnsLyon(t)
-		dep := &Deployment{Plan: &Plan{}, tr: proto.NewSimTransport(net), prober: sensor.SimProber{Net: net}}
+		dep := &Deployment{Plan: &Plan{}, tr: proto.NewSimTransport(net), prober: env.SimSubstrate{Net: net}}
 		rep, build, err := dep.decide(plan, resolve)
 		if err != nil {
 			t.Fatal(err)
@@ -461,7 +461,7 @@ func TestApplyEpochs(t *testing.T) {
 	t.Run("canceled first apply", func(t *testing.T) {
 		_, net, plan, resolve := planEnsLyon(t)
 		tr := proto.NewSimTransport(net)
-		prober := sensor.SimProber{Net: net}
+		prober := env.SimSubstrate{Net: net}
 		ctx := &cancelAfter{Context: context.Background(), n: 3}
 		if _, err := Apply(ctx, tr, prober, plan, resolve, ApplyOptions{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("apply canceled after 3 agents: %v, want context.Canceled", err)
@@ -498,7 +498,7 @@ func TestApplyDeltaGrowth(t *testing.T) {
 	}
 
 	tr := proto.NewSimTransport(net)
-	prober := sensor.SimProber{Net: net}
+	prober := env.SimSubstrate{Net: net}
 	opts := ApplyOptions{}
 	dep := applyTorn(t, tr, prober, &initial, resolve, opts)
 	sim := net.Sim()

@@ -238,11 +238,10 @@ func (d *Deployment) Stop() error {
 // deployment's name server. One client should be reused across queries:
 // its discovery cache and lookup singleflight amortize the directory
 // traffic.
-func (d *Deployment) QueryClient(port proto.Port, opts ...query.Option) *query.Client {
-	if d.opts.Telemetry != nil {
-		opts = append([]query.Option{query.WithTelemetry(d.opts.Telemetry)}, opts...)
-	}
-	return query.New(port, d.Resolve[d.Plan.NameServer], opts...)
+func (d *Deployment) QueryClient(port proto.Port) *query.Client {
+	qc := query.New(port, d.Resolve[d.Plan.NameServer])
+	qc.SetTelemetry(d.opts.Telemetry)
+	return qc
 }
 
 // PairDataVia builds a PairData over any batched fetch function — the

@@ -482,7 +482,7 @@ func (m *Mapper) probeBW(src, dst string) (float64, error) {
 	if err := m.canceled(); err != nil {
 		return 0, err
 	}
-	v, err := m.sub.ProbeBW(src, dst, probeBytes, "env:"+m.cfg.Master)
+	v, err := m.sub.Bandwidth(src, dst, probeBytes, "env:"+m.cfg.Master)
 	if err != nil {
 		return 0, fmt.Errorf("env: probe %s->%s: %w", src, dst, err)
 	}

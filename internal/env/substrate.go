@@ -21,21 +21,28 @@ type HostInfo struct {
 	Props map[string]string
 }
 
-// Substrate abstracts the measurable platform under an ENV run: the
-// user-level observables the mapper consumes (traceroute, timed
-// transfers, concurrent transfers) without naming a concrete network.
-// The simulator implements it over virtual time; real deployments
-// implement it over real probes (or a static description when the
-// platform is already known, as on a loopback testbed).
+// Substrate abstracts the measurable platform: the user-level
+// observables the mapper consumes (traceroute, timed transfers,
+// concurrent transfers) and the §2.2 experiments the NWS sensors run
+// (small round trip, bulk transfer, TCP connect; it satisfies
+// sensor.Prober), without naming a concrete network. The simulator
+// implements it over virtual time; real deployments implement it over
+// real probes (or a static description when the platform is already
+// known, as on a loopback testbed).
 type Substrate interface {
 	// Now is the substrate's clock, for mapping-cost accounting.
 	Now() time.Duration
 	// Traceroute reports the layer-3 hop identifiers from src to dst,
 	// excluding the endpoints, in path order.
 	Traceroute(src, dst string) ([]string, error)
-	// ProbeBW times a bulk transfer and returns the achieved bandwidth
-	// in bits/s. The tag marks the flow for traffic accounting.
-	ProbeBW(src, dst string, bytes int64, tag string) (float64, error)
+	// Latency times a small-message round trip.
+	Latency(src, dst string, bytes int64) (time.Duration, error)
+	// Bandwidth times a bulk transfer and returns the achieved
+	// bandwidth in bits/s. The tag marks the flow for traffic
+	// accounting.
+	Bandwidth(src, dst string, bytes int64, tag string) (float64, error)
+	// ConnectTime times a TCP connection establishment.
+	ConnectTime(src, dst string) (time.Duration, error)
 	// ProbeBWWhile measures probeSrc→probeDst while a larger
 	// jamSrc→jamDst transfer is in flight, returning the jammed
 	// bandwidth in bits/s.
@@ -66,13 +73,23 @@ func (s SimSubstrate) Traceroute(src, dst string) ([]string, error) {
 	return ids, nil
 }
 
-// ProbeBW implements Substrate.
-func (s SimSubstrate) ProbeBW(src, dst string, bytes int64, tag string) (float64, error) {
+// Latency implements Substrate.
+func (s SimSubstrate) Latency(src, dst string, bytes int64) (time.Duration, error) {
+	return s.Net.Ping(src, dst, bytes)
+}
+
+// Bandwidth implements Substrate.
+func (s SimSubstrate) Bandwidth(src, dst string, bytes int64, tag string) (float64, error) {
 	st, err := s.Net.Transfer(src, dst, bytes, tag)
 	if err != nil {
 		return 0, err
 	}
 	return st.AvgBps, nil
+}
+
+// ConnectTime implements Substrate.
+func (s SimSubstrate) ConnectTime(src, dst string) (time.Duration, error) {
+	return s.Net.ConnectTime(src, dst)
 }
 
 // ProbeBWWhile implements Substrate: the jamming flow runs in its own

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/simnet"
@@ -53,7 +54,7 @@ func newRigLinks(t *testing.T, links [][]simnet.LinkOption, cfg Config) *rig {
 	r := &rig{sim: sim, tr: tr, net: net, hosts: hosts}
 	cfg.Name = "test"
 	cfg.Members = hosts
-	prober := sensor.SimProber{Net: net}
+	prober := env.SimSubstrate{Net: net}
 	for _, h := range hosts {
 		ep, err := tr.Open(h)
 		if err != nil {
@@ -336,7 +337,7 @@ func TestPairwiseSchedulerMeasuresAllPairs(t *testing.T) {
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, topo)
 	tr := proto.NewSimTransport(net)
-	prober := sensor.SimProber{Net: net}
+	prober := env.SimSubstrate{Net: net}
 
 	var mu sync.Mutex
 	counts := map[string]int{}
@@ -396,7 +397,7 @@ func TestPairwiseNoCollisionsOnSwitch(t *testing.T) {
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, topo)
 	tr := proto.NewSimTransport(net)
-	prober := sensor.SimProber{Net: net}
+	prober := env.SimSubstrate{Net: net}
 	rounds := 0
 	for _, h := range hosts[1:] {
 		ep, _ := tr.Open(h)
@@ -589,7 +590,7 @@ func TestJoiningMemberDoesNotBootstrap(t *testing.T) {
 		}
 		st := proto.NewStation(r.tr.Runtime(), ep)
 		cfg.Name, cfg.Members, cfg.Join = "test", r.hosts, true
-		r.members[0] = NewMember(cfg, st, sensor.SimProber{Net: r.net}, r.record)
+		r.members[0] = NewMember(cfg, st, env.SimSubstrate{Net: r.net}, r.record)
 		r.stations[0] = st
 		r.sim.Go("member:h0 again", r.members[0].Run)
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
 	"nwsenv/internal/nws/sensor"
 )
@@ -43,7 +44,7 @@ func TestRebuiltMemberResetsSequenceWatermark(t *testing.T) {
 		TokenGap: 500 * time.Millisecond, TokenTimeout: 10 * time.Second,
 	}
 	st := proto.NewStation(r.tr.Runtime(), ep)
-	reborn := NewMember(cfg, st, sensor.SimProber{Net: r.net}, r.record)
+	reborn := NewMember(cfg, st, env.SimSubstrate{Net: r.net}, r.record)
 	rebuiltAt := r.sim.Now()
 	r.sim.Go("member:h0-reborn", reborn.Run)
 	if err := r.sim.RunUntil(rebuiltAt + 4*time.Minute); err != nil {

@@ -76,13 +76,12 @@ type Server struct {
 }
 
 // New creates a gateway on st, querying the deployment through the name
-// server on nsHost. Query-plane tuning (the forecast cache TTL,
-// telemetry) is passed through to the embedded query.Client.
-func New(st proto.Port, nsHost string, opts ...query.Option) *Server {
+// server on nsHost.
+func New(st proto.Port, nsHost string) *Server {
 	s := &Server{
 		st:    st,
 		ns:    nameserver.NewClient(st, nsHost),
-		qc:    query.New(st, nsHost, opts...),
+		qc:    query.New(st, nsHost),
 		limit: maxConcurrentRequests,
 		shed:  defaultShedThreshold,
 

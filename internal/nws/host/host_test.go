@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nwsenv/internal/env"
 	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/nws/forecast"
 	"nwsenv/internal/nws/memory"
@@ -31,7 +32,7 @@ func deploy(t *testing.T) (*vclock.Sim, *simnet.Network, []*Agent) {
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, topo)
 	tr := proto.NewSimTransport(net)
-	prober := sensor.SimProber{Net: net}
+	prober := env.SimSubstrate{Net: net}
 	cc := clique.Config{Name: "lan", Members: hosts, TokenGap: time.Second}
 
 	var agents []*Agent

@@ -36,10 +36,9 @@ func NewSimTransport(net *simnet.Network) *SimTransport {
 	}
 }
 
-// SetTelemetry wires the transport's codec counters
-// (proto/encode_total, proto/bytes_out, proto/bytes_in) into reg.
-// Simulated messages are never byte-encoded, so each is counted at its
-// WireSize — the cost the network charges and the bytes TCP would write.
+// SetTelemetry implements Transport. Simulated messages are never
+// byte-encoded, so each is counted at its WireSize — the cost the
+// network charges and the bytes TCP would write.
 func (t *SimTransport) SetTelemetry(reg *telemetry.Registry) {
 	t.mu.Lock()
 	t.stats = newWireStats(reg)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"nwsenv/internal/telemetry"
 )
 
 // ErrClosed marks calls issued through a closed station: the definitive
@@ -19,6 +21,10 @@ type Transport interface {
 	// Open claims the endpoint for host. Each host endpoint may be opened
 	// once at a time.
 	Open(host string) (Endpoint, error)
+	// SetTelemetry wires the transport's codec counters
+	// (proto/encode_total, proto/bytes_out, proto/bytes_in) into reg.
+	// Call before opening endpoints; a nil registry leaves them unwired.
+	SetTelemetry(reg *telemetry.Registry)
 }
 
 // Endpoint is one host's attachment to the transport.

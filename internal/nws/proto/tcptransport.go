@@ -55,9 +55,7 @@ func NewTCPTransport() *TCPTransport {
 	}
 }
 
-// SetTelemetry wires the transport's codec counters
-// (proto/encode_total, proto/bytes_out, proto/bytes_in) into reg. Call
-// before opening endpoints; a nil registry leaves the counters unwired.
+// SetTelemetry implements Transport.
 func (t *TCPTransport) SetTelemetry(reg *telemetry.Registry) {
 	t.mu.Lock()
 	t.stats = newWireStats(reg)

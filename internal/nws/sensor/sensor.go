@@ -7,12 +7,11 @@ package sensor
 import (
 	"fmt"
 	"time"
-
-	"nwsenv/internal/simnet"
 )
 
 // Prober abstracts the network experiments a sensor can run, decoupling
-// the NWS logic from the simulated (or real) network underneath.
+// the NWS logic from the simulated (or real) network underneath. Each
+// platform's env.Substrate implements it.
 type Prober interface {
 	// Latency measures a small-message round-trip time.
 	Latency(from, to string, bytes int64) (time.Duration, error)
@@ -22,28 +21,6 @@ type Prober interface {
 	Bandwidth(from, to string, bytes int64, tag string) (float64, error)
 	// ConnectTime measures a TCP connection establishment.
 	ConnectTime(from, to string) (time.Duration, error)
-}
-
-// SimProber runs probes on a simulated network.
-type SimProber struct{ Net *simnet.Network }
-
-// Latency implements Prober.
-func (p SimProber) Latency(from, to string, bytes int64) (time.Duration, error) {
-	return p.Net.Ping(from, to, bytes)
-}
-
-// Bandwidth implements Prober.
-func (p SimProber) Bandwidth(from, to string, bytes int64, tag string) (float64, error) {
-	st, err := p.Net.Transfer(from, to, bytes, tag)
-	if err != nil {
-		return 0, err
-	}
-	return st.AvgBps, nil
-}
-
-// ConnectTime implements Prober.
-func (p SimProber) ConnectTime(from, to string) (time.Duration, error) {
-	return p.Net.ConnectTime(from, to)
 }
 
 // Experiment sizes from §2.2.

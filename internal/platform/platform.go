@@ -2,9 +2,10 @@
 // on. The paper's contribution — gather topology with ENV, compute a
 // plan, apply it — is explicitly meant for real grids, so nothing above
 // this package may assume a simulator: a Platform bundles the runtime
-// (time + concurrency), the message transport, the measurement prober,
-// the name-resolution source, and the accounting hook that used to be
-// passed around as loose simulator-typed arguments.
+// (time + concurrency), the message transport, the one measurement
+// surface that answers both ENV's probes and the sensors' (and names
+// the hosts), and the accounting hook that used to be passed around as
+// loose simulator-typed arguments.
 //
 // Two implementations are provided: SimPlatform wraps the discrete-event
 // simulator standing in for the 2003 ENS-Lyon testbed, and TCPPlatform
@@ -16,7 +17,6 @@ import (
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/nws/sensor"
 )
 
 // Platform is everything the staged Map/Plan/Apply pipeline needs from
@@ -27,19 +27,16 @@ type Platform interface {
 	// Transport delivers control-plane messages between hosts; its
 	// Runtime provides time and concurrency for NWS components.
 	Transport() proto.Transport
-	// Prober runs the §2.2 measurement experiments.
-	Prober() sensor.Prober
-	// Substrate exposes the user-level observables ENV maps with.
+	// Substrate answers every probe run on the platform: the
+	// user-level observables ENV maps with, the §2.2 experiments the
+	// sensors run, and each host's name (HostInfo).
 	Substrate() env.Substrate
 	// Alive reports whether the node currently responds at all: the
 	// liveness a reconcile loop reads to notice §4.3 "platform
 	// evolution" (machines dying, joining or rebooting) without waiting
 	// for probe timeouts. Reachability along a particular path is still
-	// probed through the Prober.
+	// probed through the Substrate.
 	Alive(id string) bool
-	// NodeName resolves a node ID to its display/DNS name ("" when the
-	// platform has no name for it).
-	NodeName(id string) string
 	// ResetAccounting separates the mapping era from the monitoring era
 	// in the platform's traffic accounting (no-op where not applicable).
 	ResetAccounting()

@@ -4,7 +4,6 @@ import (
 	"nwsenv/internal/deploy"
 	"nwsenv/internal/env"
 	"nwsenv/internal/nws/proto"
-	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/simnet"
 )
 
@@ -28,19 +27,8 @@ func (p *SimPlatform) Name() string { return "sim" }
 // Transport implements Platform.
 func (p *SimPlatform) Transport() proto.Transport { return p.tr }
 
-// Prober implements Platform.
-func (p *SimPlatform) Prober() sensor.Prober { return sensor.SimProber{Net: p.net} }
-
 // Substrate implements Platform.
 func (p *SimPlatform) Substrate() env.Substrate { return env.SimSubstrate{Net: p.net} }
-
-// NodeName implements Platform with the node's DNS entry.
-func (p *SimPlatform) NodeName(id string) string {
-	if node := p.net.Topology().Node(id); node != nil {
-		return node.DNS
-	}
-	return ""
-}
 
 // ResetAccounting implements Platform.
 func (p *SimPlatform) ResetAccounting() { p.net.ResetAccounting() }

@@ -8,12 +8,12 @@ import (
 )
 
 // StaticSubstrate is a declarative env.Substrate: instead of probing a
-// network, it answers the mapper's experiments from a static description
-// of the platform (one segment, a nominal bandwidth, shared or
-// switched). It is the mapping source for deployments whose topology is
-// already known — a loopback testbed, a lab LAN — where re-measuring it
-// with bulk transfers would be pure waste; real-probe substrates plug in
-// behind the same interface.
+// network, it answers the mapper's and the sensors' experiments from a
+// static description of the platform (one segment, a nominal bandwidth,
+// shared or switched). It is the measurement source for deployments
+// whose topology is already known — a loopback testbed, a lab LAN —
+// where re-measuring it with bulk transfers would be pure waste;
+// real-probe substrates plug in behind the same interface.
 //
 // The canned answers reproduce the contention signatures ENV's
 // thresholds detect: concurrent flows sharing a sender uplink or a
@@ -35,6 +35,10 @@ type StaticSubstrate struct {
 	// description costs no time).
 	Clock func() time.Duration
 }
+
+// segmentRTT is the round trip a StaticSubstrate reports between any
+// two of its hosts.
+const segmentRTT = 2 * time.Millisecond
 
 // NewStaticSubstrate describes a flat segment of the given hosts with
 // synthetic addresses, a 100 Mbps switched default, and a "lan-gw"
@@ -69,12 +73,28 @@ func (s *StaticSubstrate) Traceroute(src, dst string) ([]string, error) {
 	return []string{s.Gateway}, nil
 }
 
-// ProbeBW implements env.Substrate with the nominal bandwidth.
-func (s *StaticSubstrate) ProbeBW(src, dst string, bytes int64, tag string) (float64, error) {
+// Latency implements env.Substrate with the segment's round trip.
+func (s *StaticSubstrate) Latency(src, dst string, bytes int64) (time.Duration, error) {
+	if err := s.checkPair(src, dst); err != nil {
+		return 0, err
+	}
+	return segmentRTT, nil
+}
+
+// Bandwidth implements env.Substrate with the nominal bandwidth.
+func (s *StaticSubstrate) Bandwidth(src, dst string, bytes int64, tag string) (float64, error) {
 	if err := s.checkPair(src, dst); err != nil {
 		return 0, err
 	}
 	return s.BandwidthBps, nil
+}
+
+// ConnectTime implements env.Substrate: a handshake of 1.5 round trips.
+func (s *StaticSubstrate) ConnectTime(src, dst string) (time.Duration, error) {
+	if err := s.checkPair(src, dst); err != nil {
+		return 0, err
+	}
+	return segmentRTT + segmentRTT/2, nil
 }
 
 // ProbeBWWhile implements env.Substrate: on a shared segment any two

@@ -55,26 +55,27 @@ func TestStaticSubstrateShared(t *testing.T) {
 	}
 }
 
-// TestStaticSubstrateUnknownHost: probing an undeclared host errors
-// instead of fabricating data.
+// TestStaticSubstrateUnknownHost: every probe, the mapper's and the
+// sensors', errors on an undeclared host instead of fabricating data.
 func TestStaticSubstrateUnknownHost(t *testing.T) {
 	sub := NewStaticSubstrate([]string{"a", "b"})
-	if _, err := sub.ProbeBW("a", "ghost", 1<<20, "t"); err == nil {
-		t.Fatal("probe to unknown host must error")
-	}
-	if _, err := sub.Traceroute("ghost", sub.ExternalTarget()); err == nil {
-		t.Fatal("traceroute from unknown host must error")
+	for name, probe := range map[string]func() error{
+		"latency":    func() error { _, err := sub.Latency("a", "ghost", 4); return err },
+		"bandwidth":  func() error { _, err := sub.Bandwidth("a", "ghost", 1<<20, "t"); return err },
+		"connect":    func() error { _, err := sub.ConnectTime("ghost", "b"); return err },
+		"traceroute": func() error { _, err := sub.Traceroute("ghost", sub.ExternalTarget()); return err },
+	} {
+		if probe() == nil {
+			t.Errorf("%s involving an unknown host must error", name)
+		}
 	}
 }
 
 // TestTCPPlatformNames: a loopback platform knows its nodes by ID only —
-// NodeName is empty (core's pipeline falls back to the ID) and the
-// substrate's view of a host carries an address but no DNS name.
+// the substrate's view of a host carries an address but no DNS name,
+// so core's pipeline falls back to the ID.
 func TestTCPPlatformNames(t *testing.T) {
 	plat := NewTCPPlatform([]string{"n1", "n2"})
-	if got := plat.NodeName("n1"); got != "" {
-		t.Fatalf("NodeName %q, want empty", got)
-	}
 	info, ok := plat.Substrate().HostInfo("n2")
 	if !ok || info.IP == "" || info.DNS != "" {
 		t.Fatalf("substrate host info %+v ok=%v", info, ok)

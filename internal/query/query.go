@@ -138,18 +138,6 @@ type Option func(*Client)
 // disables forecast caching).
 func WithForecastTTL(d time.Duration) Option { return func(c *Client) { c.forecastTTL = d } }
 
-// WithTelemetry counts the client's cache and batching behavior on the
-// registry — query/lookup_hits (series resolved from the discovery
-// cache), query/lookup_calls (directory round-trips, single + bulk),
-// query/batch_calls (batched backend round-trips, fetch + forecast),
-// query/forecast_hits (forecasts answered from the forecast cache),
-// query/forecast_calls (forecasts that went to a forecaster) — and
-// traces each batched request (lookup, fan-out, per-backend round-trip)
-// as spans.
-func WithTelemetry(r *telemetry.Registry) Option {
-	return func(c *Client) { c.SetTelemetry(r) }
-}
-
 // flight deduplicates concurrent directory lookups for one key: the
 // first caller performs the lookup, everyone else blocks on done (a
 // runtime inbox, so virtual time keeps advancing) until it closes.
@@ -227,8 +215,14 @@ func New(port proto.Port, nsHost string, opts ...Option) *Client {
 	return c
 }
 
-// SetTelemetry wires (or re-wires) the registry counters; see
-// WithTelemetry. Call before issuing traffic.
+// SetTelemetry counts the client's cache and batching behavior on r —
+// query/lookup_hits (series resolved from the discovery cache),
+// query/lookup_calls (directory round-trips, single + bulk),
+// query/batch_calls (batched backend round-trips, fetch + forecast),
+// query/forecast_hits (forecasts answered from the forecast cache),
+// query/forecast_calls (forecasts that went to a forecaster) — and
+// traces each batched request (lookup, fan-out, per-backend round-trip)
+// as spans. Call before issuing traffic.
 func (c *Client) SetTelemetry(r *telemetry.Registry) {
 	c.tele = r
 	c.tLookupHits = r.Counter("query", "lookup_hits", nil)

@@ -94,11 +94,12 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
-// counters wires a per-test registry: the returned option counts the
-// client on it, and count reads one query/<name> counter back.
-func (r *rig) counters() (opt query.Option, count func(name string) int64) {
+// counters counts qc on a per-test registry; the returned count reads
+// one query/<name> counter back.
+func (r *rig) counters(qc *query.Client) (count func(name string) int64) {
 	reg := telemetry.New(r.sim.Now)
-	return query.WithTelemetry(reg), func(name string) int64 {
+	qc.SetTelemetry(reg)
+	return func(name string) int64 {
 		return reg.Counter("query", name, nil).Value()
 	}
 }
@@ -158,8 +159,8 @@ func (r *rig) run(t *testing.T, fn func()) {
 func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	counted, count := r.counters()
-	qc := query.New(r.st, "ns", counted)
+	qc := query.New(r.st, "ns")
+	count := r.counters(qc)
 	reqs := []proto.SeriesRequest{
 		{Series: "a1", Count: 1}, {Series: "b1", Count: 1}, {Series: "a2", Count: 1},
 		{Series: "b2", Count: 1}, {Series: "a3", Count: 1},
@@ -203,8 +204,8 @@ func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 func TestFetchSemantics(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	counted, count := r.counters()
-	qc := query.New(r.st, "ns", counted)
+	qc := query.New(r.st, "ns")
+	count := r.counters(qc)
 	r.run(t, func() {
 		// n <= 0: the full retained window.
 		all, err := qc.Fetch("a1", 0)
@@ -268,8 +269,8 @@ func TestBackendDownIsPerSeries(t *testing.T) {
 func TestLookupSingleflight(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	counted, count := r.counters()
-	qc := query.New(r.st, "ns", counted)
+	qc := query.New(r.st, "ns")
+	count := r.counters(qc)
 	r.run(t, func() {
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 8; i++ {
@@ -292,8 +293,8 @@ func TestLookupSingleflight(t *testing.T) {
 func TestForecastManyAndCache(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
-	counted, count := r.counters()
-	qc := query.New(r.st, "ns", query.WithForecastTTL(30*time.Second), counted)
+	qc := query.New(r.st, "ns", query.WithForecastTTL(30*time.Second))
+	count := r.counters(qc)
 	reqs := []proto.SeriesRequest{{Series: "a1"}, {Series: "b1"}}
 	r.run(t, func() {
 		res := qc.ForecastMany(reqs)

@@ -337,7 +337,7 @@ func (r *Reconciler) record(round Round) Round {
 // machine itself died).
 func (r *Reconciler) liveRuns() (live, dead []string, runs []core.MapRun) {
 	plat := r.pl.Platform()
-	prober := plat.Prober()
+	sub := plat.Substrate()
 
 	seenLive := map[string]bool{}
 	seenDead := map[string]bool{}
@@ -368,7 +368,7 @@ func (r *Reconciler) liveRuns() (live, dead []string, runs []core.MapRun) {
 			}
 			ok := plat.Alive(id)
 			if ok {
-				if _, err := prober.Latency(anchor, id, 4); err != nil {
+				if _, err := sub.Latency(anchor, id, 4); err != nil {
 					ok = false
 				}
 			}

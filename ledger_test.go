@@ -18,8 +18,8 @@ import (
 
 // The claims ledger: every number EXPERIMENTS.md states about the
 // paper's results is rendered from the committed artifacts the gates
-// read (BENCH_paper.json, bench-gates.json, scenarios/ and
-// lab-baselines/), between a "<!-- ledger:NAME -->" and a
+// read (BENCH_paper.json, BENCH_gateway.json, bench-gates.json,
+// scenarios/ and lab-baselines/), between a "<!-- ledger:NAME -->" and a
 // "<!-- /ledger:NAME -->" line. TestLedger renders each block again and
 // fails on any difference, printing the fresh block to paste in.
 
@@ -83,6 +83,7 @@ func TestLedger(t *testing.T) {
 		{"e-rows", renderPaperRows},
 		{"scenarios", renderScenarios},
 		{"gates", renderGates},
+		{"gateway", renderGatewayStorm},
 	} {
 		want, err := b.render()
 		if err != nil {
@@ -102,31 +103,37 @@ func TestLedger(t *testing.T) {
 	}
 }
 
-// renderPaperRows renders the E-row index and every metric the paper
-// entry's equal row holds exactly.
-func renderPaperRows() (string, error) {
+// benchArtifact is the part of a BENCH_<entry>.json file the ledger
+// reads.
+type benchArtifact struct {
+	Benchmarks map[string]struct {
+		Metrics map[string]float64 `json:"metrics"`
+	} `json:"benchmarks"`
+}
+
+// equalRow returns the metrics the named entry's equal row holds
+// exactly (empty: every custom metric) and the entry's artifact.
+func equalRow(entry string) ([]string, *benchArtifact, error) {
 	entries, err := loadGateEntries()
 	if err != nil {
-		return "", err
+		return nil, nil, err
 	}
-	var only []string
-	found := false
 	for _, e := range entries {
 		for _, g := range e.Gates {
-			if e.Name == "paper" && g.Kind == "equal" {
-				only, found = g.Metrics, true
+			if e.Name == entry && g.Kind == "equal" {
+				var art benchArtifact
+				return g.Metrics, &art, readJSON("BENCH_"+entry+".json", &art)
 			}
 		}
 	}
-	if !found {
-		return "", fmt.Errorf("bench-gates.json has no equal row in its paper entry")
-	}
-	var art struct {
-		Benchmarks map[string]struct {
-			Metrics map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := readJSON("BENCH_paper.json", &art); err != nil {
+	return nil, nil, fmt.Errorf("bench-gates.json has no equal row in its %s entry", entry)
+}
+
+// renderPaperRows renders the E-row index and every metric the paper
+// entry's equal row holds exactly.
+func renderPaperRows() (string, error) {
+	only, art, err := equalRow("paper")
+	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
@@ -232,6 +239,31 @@ func renderScenarios() (string, error) {
 		}
 		b.WriteString("\n")
 	}
+	return b.String(), nil
+}
+
+// renderGatewayStorm renders the storm's values the gateway entry's
+// equal row holds exactly, one row per gateway count.
+func renderGatewayStorm() (string, error) {
+	only, art, err := equalRow("gateway")
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "| Benchmark | %s |\n|---|%s\n", strings.Join(only, " | "), strings.Repeat("---|", len(only)))
+	for _, name := range slices.Sorted(maps.Keys(art.Benchmarks)) {
+		fmt.Fprintf(&b, "| `%s` |", name)
+		for _, m := range only {
+			v, ok := art.Benchmarks[name].Metrics[m]
+			if !ok {
+				return "", fmt.Errorf("BENCH_gateway.json's %s has no %s", name, m)
+			}
+			fmt.Fprintf(&b, " %s |", num(v))
+		}
+		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "\nThe `gateway` entry's `equal` row of `bench-gates.json` holds these %d values of `BENCH_gateway.json` exactly.\n",
+		len(only)*len(art.Benchmarks))
 	return b.String(), nil
 }
 
