@@ -115,8 +115,7 @@ func planFromFile(gridmlFile, topoFile, master, out string) {
 		check(err)
 		tp, err := spec.Build()
 		check(err)
-		resolve := resolveNames(doc, spec)
-		v, err := deploy.Validate(plan, tp, resolve)
+		v, err := deploy.Validate(plan, tp, spec.Resolve(doc))
 		check(err)
 		printValidation(v)
 		if !v.Complete {
@@ -143,31 +142,6 @@ func writePlan(plan *deploy.Plan, out string) {
 		return
 	}
 	check(os.WriteFile(out, enc, 0o644))
-}
-
-// resolveNames maps canonical machine names to node IDs using the spec's
-// per-run name tables and node DNS entries.
-func resolveNames(doc *gridml.Document, spec *topo.Spec) map[string]string {
-	resolve := map[string]string{}
-	record := func(id, name string) {
-		if m := doc.FindMachine(name); m != nil {
-			resolve[m.CanonicalName()] = id
-		}
-	}
-	for _, names := range spec.NamesOf {
-		for id, name := range names {
-			record(id, name)
-		}
-	}
-	for _, n := range spec.Nodes {
-		if n.Kind == "host" {
-			if n.DNS != "" {
-				record(n.ID, n.DNS)
-			}
-			record(n.ID, n.ID)
-		}
-	}
-	return resolve
 }
 
 func check(err error) {

@@ -359,7 +359,6 @@ func applyPlanFile(ctx context.Context, pl *core.Pipeline, se *cli.SimEnv, o opt
 	plan, err := deploy.DecodeConfig(pdata)
 	check(err)
 
-	resolve := map[string]string{}
 	var doc *gridml.Document
 	if o.gridmlFile != "" {
 		gdata, err := os.ReadFile(o.gridmlFile)
@@ -367,30 +366,7 @@ func applyPlanFile(ctx context.Context, pl *core.Pipeline, se *cli.SimEnv, o opt
 		doc, err = gridml.Decode(gdata)
 		check(err)
 	}
-	record := func(id, name string) {
-		canonical := name
-		if doc != nil {
-			if m := doc.FindMachine(name); m != nil {
-				canonical = m.CanonicalName()
-			}
-		}
-		if _, dup := resolve[canonical]; !dup {
-			resolve[canonical] = id
-		}
-	}
-	for _, names := range se.Spec.NamesOf {
-		for id, name := range names {
-			record(id, name)
-		}
-	}
-	for _, n := range se.Spec.Nodes {
-		if n.Kind == "host" {
-			if n.DNS != "" {
-				record(n.ID, n.DNS)
-			}
-			record(n.ID, n.ID)
-		}
-	}
+	resolve := se.Spec.Resolve(doc)
 
 	dep, err := pl.Apply(ctx, &core.PlanResult{Mapping: &core.Mapping{Resolve: resolve}, Plan: plan})
 	return &core.Outcome{Plan: plan, Resolve: resolve, Deployment: dep}, err

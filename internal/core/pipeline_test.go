@@ -117,6 +117,7 @@ func tcpPipeline(t *testing.T, hosts, series []string, opts ...Option) {
 	}
 	client := proto.NewStation(plat.Transport().Runtime(), ep)
 	stop(client.Close)
+	qc := query.New(client, m.Resolve[pr.Plan.NameServer])
 	deadline := time.Now().Add(10 * time.Second)
 	for _, name := range series {
 		var got int
@@ -124,9 +125,8 @@ func tcpPipeline(t *testing.T, hosts, series []string, opts ...Option) {
 			if time.Now().After(deadline) {
 				t.Fatalf("only %d samples of %s arrived over TCP", got, name)
 			}
-			// A fresh client per poll: one would cache a series not yet
-			// measured as missing for query.NegativeTTL.
-			samples, err := query.New(client, m.Resolve[pr.Plan.NameServer]).Fetch(name, 0)
+			res := qc.FetchMany([]proto.SeriesRequest{{Series: name}})
+			samples, err := res[0].Samples, res[0].Err
 			if got = len(samples); err != nil || got < 3 {
 				time.Sleep(50 * time.Millisecond)
 				continue

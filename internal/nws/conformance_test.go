@@ -12,9 +12,9 @@ package nws_test
 // passes for a role exactly when the role exhibits query.Client
 // semantics — structured ErrSeriesUnknown/ErrBackendDown failures
 // (never hangs, never stringly errors), eviction of bindings onto
-// failed backends so recovery needs no TTL wait, a short negative
-// window for lookup misses, and cached bindings that keep answering
-// through a directory lease gap. A role growing its own parallel
+// failed backends so recovery needs no TTL wait, no cached misses (a
+// series the directory gains is found by the next query), and cached
+// bindings that keep answering through a directory lease gap. A role growing its own parallel
 // resolver would drift from the table and fail here first.
 
 import (
@@ -58,11 +58,6 @@ const (
 	seriesB = "beta"
 )
 
-// negativeWindow is the query plane's short negative-cache TTL for
-// lookup misses: scenarios sleep just past it when they need a fresh
-// resolution after a miss.
-const negativeWindow = query.NegativeTTL
-
 // queryFn is one role's way of resolving and reading a series through
 // the deployment. It must be called from a simulation process (the rig
 // step helpers do) and returns nil on success or the role's structured
@@ -80,7 +75,7 @@ type rig struct {
 
 // newRig builds and seeds the stack. All links share one switch with
 // millisecond-scale latencies, so probe round-trips stay well inside
-// the query plane's negative-cache window.
+// the query plane's discovery TTL.
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	topo := simnet.NewTopology()
@@ -263,18 +258,15 @@ var scenarios = []scenario{
 	},
 	{
 		// A series that does not exist yet: the miss is ErrSeriesUnknown
-		// and is negative-cached for the short window only — briefly
-		// still unknown right after the series appears, found promptly
-		// once the window lapses. A long negative window would hide a
-		// series exactly when a client is polling for it.
+		// and is not remembered, so the first query after the series
+		// appears finds it. A cached miss would hide a series exactly
+		// when a client is polling for it.
 		Name: "late-appearing-series",
 		Run: func(t *testing.T, r *rig, q queryFn) {
 			const series = "gamma"
 			r.Expect(t, "before the series exists", q, series, query.ErrSeriesUnknown)
 			r.Store(t, memHostA, series, 20)
-			r.Expect(t, "inside the negative window", q, series, query.ErrSeriesUnknown)
-			r.Advance(t, negativeWindow+time.Second)
-			r.Expect(t, "after the negative window", q, series, nil)
+			r.Expect(t, "first query after the series appears", q, series, nil)
 		},
 	},
 	{
@@ -317,7 +309,6 @@ var scenarios = []scenario{
 			r.Advance(t, 90*time.Second) // past the discovery TTL
 			r.Expect(t, "cold re-resolution sees the expired lease", q, series, query.ErrSeriesUnknown)
 			r.Register(t, proto.Registration{Name: series, Kind: "series", Host: memHostA, Owner: "memory." + memHostA})
-			r.Advance(t, negativeWindow+time.Second)
 			r.Expect(t, "after re-registration", q, series, nil)
 		},
 	},
@@ -369,10 +360,7 @@ func forecastProbe(r *rig) queryFn {
 		if got := len(res); got != 1 {
 			return fmt.Errorf("series %s: %d results for 1 query", series, got)
 		}
-		if res[0].Error != "" {
-			return query.CodedError(res[0].Code, res[0].Error)
-		}
-		return nil
+		return query.DecodeOutcome("forecaster "+fcHost, res[0].Error, res[0].Code, res[0].Lag)
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // Steps 2 and 3 go through an embedded query.Client — the same unified
 // resolution plane every other consumer of the deployment uses — so the
 // forecaster inherits its TTL'd discovery cache, lookup singleflight,
-// bulk cold-batch discovery, negative caching, eviction of failed
-// backends, and one batched fetch per owning memory server, instead of
-// maintaining a parallel series→owner cache.
+// bulk cold-batch discovery, eviction of failed backends, and one
+// batched fetch per owning memory server, instead of maintaining a
+// parallel series→owner cache.
 //
 // Step 4 is remembered, and step 3 moves only windows that changed. The
 // answer to a forecast is predict.Run over the series' current window,
@@ -148,15 +148,11 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 	}
 	results := make([]proto.ForecastResult, len(req.Queries))
 	fetched, tokens := s.qc.FetchWindows(fetches)
-	// Failures and unchanged windows first: the unchanged ones read the
-	// entries their tokens came from, which a replay below may evict.
+	// Unchanged windows first: they read the entries their tokens came
+	// from, which a replay below may evict.
 	for i, fr := range fetched {
-		switch {
-		case failed(fr.Err):
-			results[i] = proto.ForecastResult{
-				Series: fr.Series, Error: fr.Err.Error(), Code: query.ErrCode(fr.Err),
-			}
-		case tokens[i] == fetches[i].Token:
+		results[i].Series = fr.Series
+		if !failed(fr.Err) && tokens[i] == fetches[i].Token {
 			var ok bool
 			if results[i], ok = s.memo.held(fr.Series, fetches[i].Count, tokens[i]); !ok {
 				results[i] = proto.ForecastResult{Series: fr.Series, Error: "forecaster: no window held for " + fr.Series}
@@ -167,17 +163,11 @@ func (s *Server) handleBatchForecast(req proto.Message) {
 		if !failed(fr.Err) && tokens[i] != fetches[i].Token {
 			results[i] = s.memo.forecast(fr.Series, fetches[i].Count, tokens[i], fr.Samples)
 		}
-	}
-	for i, fr := range fetched {
-		// A prediction computed from a degraded (replica-served, lagging)
-		// history keeps the staleness advisory: the lag watermark rides
-		// the result exactly as it does on the fetch path, so gateway
-		// clients can rehydrate query.DegradedError end to end.
-		var de *query.DegradedError
-		if results[i].Error == "" && errors.As(fr.Err, &de) {
-			results[i].Replica, results[i].Lag = true, de.Lag
-			results[i].Error = fr.Err.Error()
-			results[i].Code = proto.CodeDegraded
+		// A failed fetch is the series' outcome. A prediction from a
+		// degraded (replica-served, lagging) history keeps the staleness
+		// advisory, lag watermark included, as on the fetch path.
+		if results[i].Error == "" {
+			results[i].Error, results[i].Code, results[i].Replica, results[i].Lag = query.EncodeOutcome(fr.Err)
 		}
 	}
 	s.memo.entriesG.Set(float64(len(s.memo.entries)))

@@ -16,7 +16,6 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -210,11 +209,7 @@ func (a *admission) run() {
 		s.inflightG.Set(float64(s.inflight.Add(1)))
 	}
 	defer s.release()
-	if a.req.Type == proto.MsgQueryFetch {
-		s.handleFetch(a.req)
-	} else {
-		s.handleForecast(a.req)
-	}
+	s.handle(a.req)
 }
 
 func (s *Server) recycle(a *admission) {
@@ -269,9 +264,15 @@ func queryReplyType(t proto.MsgType) proto.MsgType {
 	return proto.MsgQueryFetchReply
 }
 
-func (s *Server) handleFetch(req proto.Message) {
+// handle answers an admitted query batch through the embedded query
+// client, each series' outcome in its wire form.
+func (s *Server) handle(req proto.Message) {
 	if s.tele != nil {
-		sp := s.tele.StartSpan("gateway", "fetch",
+		name := "forecast"
+		if req.Type == proto.MsgQueryFetch {
+			name = "fetch"
+		}
+		sp := s.tele.StartSpan("gateway", name,
 			telemetry.Attr{Key: "queries", Value: strconv.Itoa(len(req.Queries))})
 		defer sp.End()
 	}
@@ -279,54 +280,26 @@ func (s *Server) handleFetch(req proto.Message) {
 		s.st.ReplyError(req, "gateway: unsupported protocol version %d (max %d)", req.Version, proto.V3)
 		return
 	}
-	res := s.qc.FetchMany(req.Queries)
-	out := make([]proto.SeriesResult, len(res))
-	for i, r := range res {
-		out[i] = proto.SeriesResult{Series: r.Series, Samples: r.Samples}
-		if r.Err != nil {
-			out[i].Error = r.Err.Error()
-			out[i].Code = query.ErrCode(r.Err)
-			// A degraded answer keeps its samples; the lag watermark rides
-			// the result so the caller can rehydrate the advisory.
-			var de *query.DegradedError
-			if errors.As(r.Err, &de) {
-				out[i].Replica, out[i].Lag = true, de.Lag
-			}
+	reply := proto.Message{Type: queryReplyType(req.Type), Version: proto.V3}
+	if req.Type == proto.MsgQueryFetch {
+		res := s.qc.FetchMany(req.Queries)
+		reply.Results = make([]proto.SeriesResult, len(res))
+		for i, r := range res {
+			out := proto.SeriesResult{Series: r.Series, Samples: r.Samples}
+			out.Error, out.Code, out.Replica, out.Lag = query.EncodeOutcome(r.Err)
+			reply.Results[i] = out
+		}
+	} else {
+		res := s.qc.ForecastMany(req.Queries)
+		reply.Forecasts = make([]proto.ForecastResult, len(res))
+		for i, r := range res {
+			p := r.Prediction
+			out := proto.ForecastResult{Series: r.Series, Value: p.Value, MAE: p.MAE, MSE: p.MSE, Method: p.Method, Count: p.N}
+			out.Error, out.Code, out.Replica, out.Lag = query.EncodeOutcome(r.Err)
+			reply.Forecasts[i] = out
 		}
 	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgQueryFetchReply, Version: proto.V3, Results: out})
-}
-
-func (s *Server) handleForecast(req proto.Message) {
-	if s.tele != nil {
-		sp := s.tele.StartSpan("gateway", "forecast",
-			telemetry.Attr{Key: "queries", Value: strconv.Itoa(len(req.Queries))})
-		defer sp.End()
-	}
-	if req.Version > proto.V3 {
-		s.st.ReplyError(req, "gateway: unsupported protocol version %d (max %d)", req.Version, proto.V3)
-		return
-	}
-	res := s.qc.ForecastMany(req.Queries)
-	out := make([]proto.ForecastResult, len(res))
-	for i, r := range res {
-		out[i] = proto.ForecastResult{
-			Series: r.Series, Value: r.Prediction.Value, MAE: r.Prediction.MAE,
-			MSE: r.Prediction.MSE, Method: r.Prediction.Method, Count: r.Prediction.N,
-		}
-		if r.Err != nil {
-			out[i].Error = r.Err.Error()
-			out[i].Code = query.ErrCode(r.Err)
-			// Parity with handleFetch: a degraded prediction carries its lag
-			// watermark so ForecastMany callers get the same staleness
-			// advisory fetchers do.
-			var de *query.DegradedError
-			if errors.As(r.Err, &de) {
-				out[i].Replica, out[i].Lag = true, de.Lag
-			}
-		}
-	}
-	s.st.Reply(req, proto.Message{Type: proto.MsgQueryForecastReply, Version: proto.V3, Forecasts: out})
+	s.st.Reply(req, reply)
 }
 
 // Client is an end user's handle on a deployment's query gateways. It
@@ -454,7 +427,7 @@ func probe(st proto.Port, host string) bool {
 	return err == nil
 }
 
-// DiscoverAll finds every live gateway replica of a deployment through
+// discoverAll finds every live gateway replica of a deployment through
 // its name server. The directory can hold stale entries for up to the
 // registration TTL after a planned gateway move (the old agent rebuilds
 // without the role but its entry lives on), so each candidate of the
@@ -466,7 +439,7 @@ func probe(st proto.Port, host string) bool {
 // directory and an answerless candidate list both wrap
 // query.ErrBackendDown, so discovery fits the same errors.Is vocabulary
 // as every other resolution path.
-func DiscoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
+func discoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
 	regs, err := nameserver.NewClient(st, nsHost).LookupKind("gateway", "")
 	if err != nil {
 		return nil, fmt.Errorf("%w: gateway discovery: name server: %v", query.ErrBackendDown, err)
@@ -490,7 +463,7 @@ func DiscoverAll(st proto.Port, nsHost string) ([]proto.Registration, error) {
 // client over the full set: the one-call path from "I know the name
 // server" to a failover-capable handle on the query plane.
 func Connect(st proto.Port, nsHost string) (*Client, error) {
-	regs, err := DiscoverAll(st, nsHost)
+	regs, err := discoverAll(st, nsHost)
 	if err != nil {
 		return nil, err
 	}
@@ -515,25 +488,9 @@ func (c *Client) FetchMany(reqs []proto.SeriesRequest) ([]query.Result, error) {
 	}
 	out := make([]query.Result, len(reply.Results))
 	for i, r := range reply.Results {
-		out[i] = query.Result{Series: r.Series, Samples: r.Samples}
-		if r.Code == proto.CodeDegraded {
-			// Rehydrate the staleness advisory with its lag watermark; the
-			// samples stay usable.
-			out[i].Err = &query.DegradedError{Lag: r.Lag, Msg: "via gateway: " + r.Error}
-		} else {
-			out[i].Err = wireError(r.Code, r.Error)
-		}
+		out[i] = query.Result{Series: r.Series, Samples: r.Samples, Err: query.DecodeOutcome("via gateway", r.Error, r.Code, r.Lag)}
 	}
 	return out, nil
-}
-
-// Fetch is the single-series convenience over FetchMany.
-func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
-	res, err := c.FetchMany([]proto.SeriesRequest{{Series: series, Count: n}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Samples, res[0].Err
 }
 
 // ForecastMany predicts every requested series in one round-trip to a
@@ -552,26 +509,10 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) ([]query.ForecastResul
 	out := make([]query.ForecastResult, len(reply.Forecasts))
 	for i, f := range reply.Forecasts {
 		out[i] = query.ForecastResult{
-			Series: f.Series,
-			Prediction: predict.Prediction{
-				Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count,
-			},
-		}
-		if f.Code == proto.CodeDegraded {
-			out[i].Err = &query.DegradedError{Lag: f.Lag, Msg: "via gateway: " + f.Error}
-		} else {
-			out[i].Err = wireError(f.Code, f.Error)
+			Series:     f.Series,
+			Prediction: predict.Prediction{Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count},
+			Err:        query.DecodeOutcome("via gateway", f.Error, f.Code, f.Lag),
 		}
 	}
 	return out, nil
-}
-
-// wireError rehydrates a gateway-serialized query error from its typed
-// code, so errors.Is keeps working across the wire without anyone
-// depending on message wording.
-func wireError(code, msg string) error {
-	if msg == "" {
-		return nil
-	}
-	return query.CodedError(code, "via gateway: "+msg)
 }

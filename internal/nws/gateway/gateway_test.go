@@ -154,7 +154,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
 	r.run(t, func() {
-		regs, err := DiscoverAll(r.st, "ns")
+		regs, err := discoverAll(r.st, "ns")
 		if err != nil {
 			t.Errorf("discover: %v", err)
 			return
@@ -195,15 +195,15 @@ func TestGatewayEndToEnd(t *testing.T) {
 			t.Errorf("ghost forecast: %v", fres[2].Err)
 		}
 
-		// Single-series convenience.
-		if got, err := gc.Fetch("x", 2); err != nil || len(got) != 2 {
-			t.Errorf("single fetch: %+v err %v", got, err)
+		// One series, its newest two samples.
+		if one, err := gc.FetchMany([]proto.SeriesRequest{{Series: "x", Count: 2}}); err != nil || one[0].Err != nil || len(one[0].Samples) != 2 {
+			t.Errorf("single fetch: %+v err %v", one, err)
 		}
 	})
 }
 
 // TestDiscoverSkipsStaleRegistration: after a planned gateway move the
-// old host's directory entry lives until its TTL; DiscoverAll must probe
+// old host's directory entry lives until its TTL; discoverAll must probe
 // past it (the old host answers queries with "no role") and settle on
 // the candidate actually serving the role, even when the stale name
 // sorts first.
@@ -218,7 +218,7 @@ func TestDiscoverSkipsStaleRegistration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		regs, err := DiscoverAll(r.st, "ns")
+		regs, err := discoverAll(r.st, "ns")
 		if err != nil {
 			t.Errorf("discover: %v", err)
 			return

@@ -2,12 +2,20 @@
 // versioned query plane in front of the per-service clients. Where the
 // ad-hoc clients (nameserver.Client, memory.Client, forecast.Client)
 // each did a fresh directory lookup and one blocking round-trip per
-// series, a query.Client keeps a TTL'd discovery cache, deduplicates
-// concurrent lookups (singleflight), batches multi-series queries into
-// one round-trip per backend, scatters those round-trips from the
-// calling process and gathers them under one deadline, caches forecasts
-// per series, and reports failures as structured errors
-// (ErrSeriesUnknown, ErrBackendDown) instead of stringly proto errors.
+// series, a query.Client keeps a TTL'd discovery cache of the bindings
+// the directory returned, deduplicates concurrent lookups
+// (singleflight), batches multi-series queries into one round-trip per
+// backend, scatters those round-trips from the calling process and
+// gathers them under one deadline, caches forecasts per series, and
+// reports failures as structured errors (ErrSeriesUnknown,
+// ErrBackendDown) instead of stringly proto errors.
+//
+// The directory alone says a series is unknown: a miss is never cached,
+// so a series is unknown only to the batch whose directory answer
+// lacked it, and the next batch asks again. A series' outcome crosses
+// the wire in one form: EncodeOutcome writes an error as a result's
+// Error, Code, Replica and Lag, and DecodeOutcome turns them back into
+// the error, so errors.Is and errors.As hold across every hop.
 //
 // The facade runs identically on the simulated and the TCP platform:
 // all concurrency goes through the proto.Runtime (virtual-clock-safe
@@ -100,13 +108,6 @@ const (
 	// series directory for a couple of names.
 	bulkThreshold = 4
 
-	// NegativeTTL bounds how long a lookup miss is cached. Much shorter
-	// than the positive TTL: a missing series is often one that is
-	// about to appear (a deployment still warming up, a just-migrated
-	// backend), and a long negative window would hide it exactly when a
-	// client is polling for it.
-	NegativeTTL = 5 * time.Second
-
 	// maxForecastEntries caps the per-series forecast cache of one
 	// client. A gateway's client lives for the whole deployment and is
 	// keyed by (series, count), so without a bound the map would grow
@@ -149,10 +150,6 @@ type flight struct {
 type regEntry struct {
 	reg     proto.Registration
 	expires time.Duration
-	// missing marks a negative entry: the directory answered and the
-	// series was not there. Misses cost one lookup per TTL, not one per
-	// query.
-	missing bool
 }
 
 type fcEntry struct {
@@ -173,12 +170,8 @@ type Client struct {
 	series      map[string]regEntry // series -> owning memory registration
 	forecasters []proto.Registration
 	fcExpires   time.Duration
-	// bulkAt timestamps the last full series-directory refresh: a series
-	// still missing after a fresh bulk view is unknown, not uncached.
-	bulkAt    time.Duration
-	bulkFresh bool
-	flights   map[string]*flight
-	forecasts map[fcKey]fcEntry
+	flights     map[string]*flight
+	forecasts   map[fcKey]fcEntry
 	// fanouts recycles batch records; bounded by the peak number of
 	// batches in flight at once.
 	fanouts []*fanout
@@ -421,80 +414,74 @@ func (c *Client) land(key string, err error) {
 	f.done.Close()
 }
 
+// batchDir is one batch's view of the directory. With bulk set the
+// batch resolves with one listing of every series instead of per-name
+// lookups. Once that listing came back (listed) or the directory failed
+// (down), the cache alone decides the batch's remaining series: one it
+// lacks is unknown, or fails with down. So a batch makes at most one
+// listing, and a cold batch against a dead name server pays one lookup
+// timeout, not one per series.
+type batchDir struct {
+	bulk, listed bool
+	down         error
+}
+
 // resolve returns the directory registration owning series, through the
-// TTL'd cache and lookup singleflight. bulkHint tells the resolver more
-// unresolved lookups are coming, so a single directory round-trip
-// listing every series beats per-name lookups.
-func (c *Client) resolve(series string, bulkHint bool) (proto.Registration, error) {
+// TTL'd cache and lookup singleflight, and records what the batch
+// learned from the directory in d.
+func (c *Client) resolve(series string, d *batchDir) (proto.Registration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.rt.Now()
-	if e, ok := c.series[series]; ok && e.expires > now {
+	if e, ok := c.series[series]; ok && e.expires > c.rt.Now() {
 		c.tLookupHits.Inc()
-		if e.missing {
-			return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
-		}
 		return e.reg, nil
 	}
-	// A fresh bulk view that does not contain the series settles it as
-	// unknown — for the short negative window only, so a series that
-	// registers moments later is picked up promptly.
-	if bulkHint && c.bulkFresh && c.bulkAt+NegativeTTL > now {
-		return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
+	if d.down != nil {
+		return proto.Registration{}, d.down
 	}
 	key := "name:" + series
-	if bulkHint {
+	if d.bulk {
+		if d.listed {
+			return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
+		}
 		key = "bulk"
 	}
-	run, ferr := c.await(key)
-	if !run {
-		// The flight landed; the bulk flight may have resolved us.
-		if e, ok := c.series[series]; ok && e.expires > c.rt.Now() && !e.missing {
-			return e.reg, nil
-		}
-		if ferr != nil {
-			return proto.Registration{}, ferr
-		}
-		return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
-	}
-	c.tLookupCalls.Inc()
-	c.mu.Unlock()
-	sp := c.tele.StartSpan("query", "lookup", telemetry.Attr{Key: "key", Value: key})
-	var err error
-	if bulkHint {
-		var regs []proto.Registration
-		regs, err = c.ns.LookupKind("series", "")
-		c.mu.Lock()
-		if err == nil {
+	run, err := c.await(key)
+	if run {
+		c.tLookupCalls.Inc()
+		c.mu.Unlock()
+		sp := c.tele.StartSpan("query", "lookup", telemetry.Attr{Key: "key", Value: key})
+		if d.bulk {
+			var regs []proto.Registration
+			regs, err = c.ns.LookupKind("series", "")
+			c.mu.Lock()
 			exp := c.rt.Now() + c.ttl
 			for _, r := range regs {
 				c.series[r.Name] = regEntry{reg: r, expires: exp}
 			}
-			c.bulkAt, c.bulkFresh = c.rt.Now(), true
-		}
-	} else {
-		var reg proto.Registration
-		var found bool
-		reg, found, err = c.ns.LookupName(series)
-		c.mu.Lock()
-		if err == nil {
-			ttl := c.ttl
-			if !found {
-				ttl = NegativeTTL
+		} else {
+			var reg proto.Registration
+			var found bool
+			reg, found, err = c.ns.LookupName(series)
+			c.mu.Lock()
+			if found {
+				c.series[series] = regEntry{reg: reg, expires: c.rt.Now() + c.ttl}
 			}
-			c.series[series] = regEntry{reg: reg, missing: !found, expires: c.rt.Now() + ttl}
 		}
+		sp.End()
+		if err != nil {
+			err = fmt.Errorf("%w: name server: %v", ErrBackendDown, err)
+		}
+		c.land(key, err)
 	}
-	sp.End()
-	if err != nil {
-		err = fmt.Errorf("%w: name server: %v", ErrBackendDown, err)
+	// The flight landed, ours or one we joined: its answer is the
+	// batch's.
+	d.listed, d.down = d.bulk && err == nil, err
+	if e, ok := c.series[series]; ok && e.expires > c.rt.Now() {
+		return e.reg, nil
 	}
-	c.land(key, err)
 	if err != nil {
 		return proto.Registration{}, err
-	}
-	if e, ok := c.series[series]; ok && e.expires > c.rt.Now() && !e.missing {
-		return e.reg, nil
 	}
 	return proto.Registration{}, fmt.Errorf("%w: %s", ErrSeriesUnknown, series)
 }
@@ -508,18 +495,7 @@ func (c *Client) dropBackend(host string) {
 			delete(c.series, name)
 		}
 	}
-	// The bulk view no longer reflects reality for this backend: let the
-	// next batch re-ask the directory instead of declaring its series
-	// unknown.
-	c.bulkFresh = false
 	c.mu.Unlock()
-}
-
-// Fetch returns the newest n samples of one series (n <= 0: the full
-// retained window). Errors wrap ErrSeriesUnknown or ErrBackendDown.
-func (c *Client) Fetch(series string, n int) ([]proto.Sample, error) {
-	res := c.FetchMany([]proto.SeriesRequest{{Series: series, Count: n}})
-	return res[0].Samples, res[0].Err
 }
 
 // FetchMany answers every requested series, batching into one
@@ -575,10 +551,6 @@ func (c *Client) fetch(reqs []proto.SeriesRequest, windows bool) ([]Result, []pr
 			continue
 		}
 		hits++
-		if e.missing {
-			results[i].Err = fmt.Errorf("%w: %s", ErrSeriesUnknown, q.Series)
-			continue
-		}
 		f.bind(i, e.reg.Host, e.reg.Replicas)
 	}
 	c.mu.Unlock()
@@ -588,29 +560,11 @@ func (c *Client) fetch(reqs []proto.SeriesRequest, windows bool) ([]Result, []pr
 	// amortizes discovery into one bulk directory round-trip; smaller
 	// gaps stay on per-name lookups so a 2-series query never downloads
 	// the whole series directory.
-	bulk := len(f.misses) > bulkThreshold
-	// A directory that stopped answering fails the whole unresolved
-	// remainder at once: without this, a cold batch against a dead name
-	// server would serialize one full lookup timeout per series.
-	var nsDown error
+	d := batchDir{bulk: len(f.misses) > bulkThreshold}
 	for _, i := range f.misses {
-		q := reqs[i]
-		if nsDown != nil {
-			c.mu.Lock()
-			e, ok := c.series[q.Series]
-			fresh := ok && e.expires > c.rt.Now() && !e.missing
-			c.mu.Unlock()
-			if !fresh {
-				results[i].Err = nsDown
-				continue
-			}
-		}
-		reg, err := c.resolve(q.Series, bulk)
+		reg, err := c.resolve(reqs[i].Series, &d)
 		if err != nil {
 			results[i].Err = err
-			if errors.Is(err, ErrBackendDown) {
-				nsDown = err
-			}
 			continue
 		}
 		f.bind(i, reg.Host, reg.Replicas)
@@ -808,23 +762,19 @@ func (c *Client) forecastAnswered(results []ForecastResult, idxs []int, batch []
 			continue
 		}
 		f := reply.Forecasts[k]
-		if f.Error != "" && f.Code != proto.CodeDegraded {
-			results[i].Err = CodedError(f.Code, fmt.Sprintf("forecaster %s: %s", host, f.Error))
-			continue
+		if f.Error != "" {
+			// A failure has no prediction. A degraded one, computed from
+			// a lagging replica's history, stands with its advisory, as on
+			// FetchMany, but is not cached: the next probe should see
+			// fresh degradation state, not a TTL'd echo of this one.
+			if results[i].Err = DecodeOutcome("forecaster "+host, f.Error, f.Code, f.Lag); f.Code != proto.CodeDegraded {
+				continue
+			}
 		}
 		results[i].Prediction = predict.Prediction{
 			Value: f.Value, MAE: f.MAE, MSE: f.MSE, Method: f.Method, N: f.Count,
 		}
-		if f.Code == proto.CodeDegraded {
-			// A prediction computed from a lagging replica's history:
-			// usable, but the staleness advisory rides along with its
-			// lag watermark intact — the same contract FetchMany keeps.
-			// Not cached: the next probe should see fresh degradation
-			// state, not a TTL'd echo of this one.
-			results[i].Err = &DegradedError{Lag: f.Lag, Msg: "forecaster " + host}
-			continue
-		}
-		if c.forecastTTL > 0 {
+		if results[i].Err == nil && c.forecastTTL > 0 {
 			c.mu.Lock()
 			c.storeForecast(fcKey{batch[k].Series, batch[k].Count}, fcEntry{pred: results[i].Prediction, expires: exp})
 			c.mu.Unlock()
@@ -890,41 +840,50 @@ func (c *Client) dropForecaster(host string) {
 	c.mu.Unlock()
 }
 
-// CodedError rehydrates a per-series wire error (its proto.Code*
-// classification plus the human-readable message) into the structured
-// vocabulary, so errors.Is works across serialization boundaries
-// without anyone sniffing message text.
-func CodedError(code, msg string) error {
-	switch code {
-	case proto.CodeUnknownSeries:
-		return fmt.Errorf("%w: %s", ErrSeriesUnknown, msg)
-	case proto.CodeBackendDown:
-		return fmt.Errorf("%w: %s", ErrBackendDown, msg)
-	case proto.CodeDegraded:
-		return &DegradedError{Msg: msg}
-	case proto.CodeOverloaded:
-		return &OverloadedError{Msg: msg}
-	default:
-		return errors.New("query: " + msg)
+// EncodeOutcome writes a series' error in its wire form (the Error,
+// Code, Replica and Lag of a proto.SeriesResult or ForecastResult): its
+// message, its proto.Code* class ("" when it has none), and for a
+// degraded answer the replica flag and lag. A nil error is all zeros.
+func EncodeOutcome(err error) (msg, code string, replica bool, lag int64) {
+	if err == nil {
+		return "", "", false, 0
 	}
-}
-
-// ErrCode classifies a query error as its wire code ("" when the error
-// is nil or carries no classification) — the inverse of CodedError,
-// used by the gateway to serialize structured errors.
-func ErrCode(err error) string {
+	var de *DegradedError
+	if errors.As(err, &de) {
+		replica, lag = true, de.Lag
+	}
 	switch {
 	case errors.Is(err, ErrSeriesUnknown):
-		return proto.CodeUnknownSeries
+		code = proto.CodeUnknownSeries
 	case errors.Is(err, ErrBackendDown):
-		return proto.CodeBackendDown
+		code = proto.CodeBackendDown
 	case errors.Is(err, ErrDegraded):
-		return proto.CodeDegraded
+		code = proto.CodeDegraded
 	case errors.Is(err, ErrOverloaded):
-		return proto.CodeOverloaded
-	default:
-		return ""
+		code = proto.CodeOverloaded
 	}
+	return err.Error(), code, replica, lag
+}
+
+// DecodeOutcome is EncodeOutcome's inverse: the structured error a wire
+// outcome stands for (nil when msg is empty), so errors.Is and errors.As
+// work across the wire without anyone sniffing message text. from names
+// the hop it came back through ("forecaster fc", "via gateway"). A
+// degraded outcome keeps its lag, and from is its provenance.
+func DecodeOutcome(from, msg, code string, lag int64) error {
+	switch {
+	case msg == "":
+		return nil
+	case code == proto.CodeUnknownSeries:
+		return fmt.Errorf("%w: %s: %s", ErrSeriesUnknown, from, msg)
+	case code == proto.CodeBackendDown:
+		return fmt.Errorf("%w: %s: %s", ErrBackendDown, from, msg)
+	case code == proto.CodeDegraded:
+		return &DegradedError{Lag: lag, Msg: from}
+	case code == proto.CodeOverloaded:
+		return &OverloadedError{Msg: from + ": " + msg}
+	}
+	return errors.New("query: " + from + ": " + msg)
 }
 
 // storeForecast inserts a cache entry, sweeping expired entries (and,

@@ -3,6 +3,7 @@ package query_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,38 +202,94 @@ func TestFetchManyOneRoundTripPerBackend(t *testing.T) {
 	}
 }
 
+// fetchOne is FetchMany with one request.
+func fetchOne(qc *query.Client, series string, n int) ([]proto.Sample, error) {
+	res := qc.FetchMany([]proto.SeriesRequest{{Series: series, Count: n}})
+	return res[0].Samples, res[0].Err
+}
+
 func TestFetchSemantics(t *testing.T) {
 	r := newRig(t)
 	r.seed(t)
 	qc := query.New(r.st, "ns")
-	count := r.counters(qc)
 	r.run(t, func() {
 		// n <= 0: the full retained window.
-		all, err := qc.Fetch("a1", 0)
+		all, err := fetchOne(qc, "a1", 0)
 		if err != nil || len(all) != 20 {
 			t.Errorf("full window: %d samples, err %v", len(all), err)
 		}
-		neg, err := qc.Fetch("a1", -3)
+		neg, err := fetchOne(qc, "a1", -3)
 		if err != nil || len(neg) != 20 {
 			t.Errorf("negative n: %d samples, err %v", len(neg), err)
 		}
-		last, err := qc.Fetch("a1", 2)
+		last, err := fetchOne(qc, "a1", 2)
 		if err != nil || len(last) != 2 || last[1].Value != 20 {
 			t.Errorf("last 2: %+v err %v", last, err)
 		}
-		// Unknown series is a structured error, and the miss is cached:
-		// repeating the query within the TTL costs no directory traffic.
-		if _, err := qc.Fetch("nope", 1); !errors.Is(err, query.ErrSeriesUnknown) {
+		// An unknown series is a structured error, and the miss is not
+		// remembered: a series registered between two fetches of one
+		// client is found by the second.
+		if _, err := fetchOne(qc, "late", 1); !errors.Is(err, query.ErrSeriesUnknown) {
 			t.Errorf("unknown series: %v", err)
 		}
-		lookups := count("lookup_calls")
-		if _, err := qc.Fetch("nope", 1); !errors.Is(err, query.ErrSeriesUnknown) {
-			t.Errorf("unknown series (cached): %v", err)
+		if err := memory.NewClient(r.st, "m1").Store("late", proto.Sample{At: time.Second, Value: 7}); err != nil {
+			t.Fatal(err)
 		}
-		if got := count("lookup_calls"); got != lookups {
-			t.Errorf("negative lookup not cached: %d -> %d directory calls", lookups, got)
+		if got, err := fetchOne(qc, "late", 1); err != nil || len(got) != 1 || got[0].Value != 7 {
+			t.Errorf("series registered after a miss: %+v err %v", got, err)
 		}
 	})
+}
+
+// TestOutcomeRoundTrip: every outcome a series can have crosses the
+// wire through EncodeOutcome and comes back from DecodeOutcome as the
+// same class, a degraded answer with its lag; an answer without error
+// costs the encoder nothing.
+func TestOutcomeRoundTrip(t *testing.T) {
+	classes := []error{query.ErrSeriesUnknown, query.ErrBackendDown, query.ErrDegraded, query.ErrOverloaded}
+	for _, tc := range []struct {
+		name  string
+		err   error
+		class error // nil: none of classes
+		lag   int64
+	}{
+		{"ok", nil, nil, 0},
+		{"unknown", fmt.Errorf("%w: s", query.ErrSeriesUnknown), query.ErrSeriesUnknown, 0},
+		{"backend down", fmt.Errorf("%w: memory m1: timeout", query.ErrBackendDown), query.ErrBackendDown, 0},
+		{"degraded", &query.DegradedError{Lag: 7, Msg: "memory m2"}, query.ErrDegraded, 7},
+		{"overloaded", &query.OverloadedError{RetryAfter: time.Second, Msg: "gateway g"}, query.ErrOverloaded, 0},
+		{"uncoded", errors.New("series s is empty"), nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			msg, code, replica, lag := query.EncodeOutcome(tc.err)
+			got := query.DecodeOutcome("via hop", msg, code, lag)
+			if (got == nil) != (tc.err == nil) {
+				t.Fatalf("%v encoded as (%q, %q) decodes to %v", tc.err, msg, code, got)
+			}
+			for _, c := range classes {
+				if is := errors.Is(got, c); is != (c == tc.class) {
+					t.Errorf("decoded %v: errors.Is(%v) = %v", got, c, is)
+				}
+			}
+			var de *query.DegradedError
+			if isDeg := tc.class == query.ErrDegraded; errors.As(got, &de) != isDeg || replica != isDeg {
+				t.Errorf("decoded %v: errors.As DegradedError = %v, replica %v; want %v", got, de != nil, replica, isDeg)
+			}
+			if de != nil && de.Lag != tc.lag {
+				t.Errorf("lag %d, want %d", de.Lag, tc.lag)
+			}
+			var oe *query.OverloadedError
+			if errors.As(got, &oe) != (tc.class == query.ErrOverloaded) {
+				t.Errorf("decoded %v: errors.As OverloadedError = %v", got, oe != nil)
+			}
+			if got != nil && !strings.Contains(got.Error(), "via hop") {
+				t.Errorf("decoded %q lost its hop", got)
+			}
+		})
+	}
+	if n := testing.AllocsPerRun(100, func() { query.EncodeOutcome(nil) }); n != 0 {
+		t.Errorf("encoding no error allocates %v times", n)
+	}
 }
 
 // TestBackendDownIsPerSeries: a dead memory server fails only its own
@@ -275,7 +332,7 @@ func TestLookupSingleflight(t *testing.T) {
 		done := r.st.Runtime().NewInbox("collect")
 		for i := 0; i < 8; i++ {
 			r.st.Runtime().Go(fmt.Sprintf("q%d", i), func() {
-				if _, err := qc.Fetch("a1", 1); err != nil {
+				if _, err := fetchOne(qc, "a1", 1); err != nil {
 					t.Errorf("fetch: %v", err)
 				}
 				done.Send(proto.Message{})

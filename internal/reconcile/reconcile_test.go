@@ -283,7 +283,12 @@ func TestReconcileGatewayRehomed(t *testing.T) {
 			qerr = fmt.Errorf("discovered gateway on %s, want %s", gc.Host, gwID)
 			return
 		}
-		samples, qerr = gc.Fetch(sensor.LatencySeries(src, dst), 1)
+		res, err := gc.FetchMany([]proto.SeriesRequest{{Series: sensor.LatencySeries(src, dst), Count: 1}})
+		if err != nil {
+			qerr = err
+			return
+		}
+		samples, qerr = res[0].Samples, res[0].Err
 	})
 	advance(t, e.sim, e.sim.Now()+2*time.Minute)
 	if !done {

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"nwsenv/internal/env"
+	"nwsenv/internal/gridml"
 	"nwsenv/internal/simnet"
 )
 
@@ -183,6 +185,40 @@ func MapAll(t *simnet.Topology) []env.Config {
 		return nil
 	}
 	return []env.Config{{Master: hosts[0], Hosts: hosts}}
+}
+
+// Resolve maps each name a published plan may give a host to its node
+// ID: the host's per-run display names, its DNS name and its ID, each
+// read as the canonical name of the GridML machine answering to it when
+// doc (which may be nil) has one. A name two hosts claim stays with the
+// first: runs by master, their hosts by ID, then hosts in spec order.
+func (s *Spec) Resolve(doc *gridml.Document) map[string]string {
+	resolve := map[string]string{}
+	record := func(id, name string) {
+		if doc != nil {
+			if m := doc.FindMachine(name); m != nil {
+				name = m.CanonicalName()
+			}
+		}
+		if _, dup := resolve[name]; !dup {
+			resolve[name] = id
+		}
+	}
+	for _, m := range slices.Sorted(maps.Keys(s.NamesOf)) {
+		names := s.NamesOf[m]
+		for _, id := range slices.Sorted(maps.Keys(names)) {
+			record(id, names[id])
+		}
+	}
+	for _, n := range s.Nodes {
+		if n.Kind == "host" {
+			if n.DNS != "" {
+				record(n.ID, n.DNS)
+			}
+			record(n.ID, n.ID)
+		}
+	}
+	return resolve
 }
 
 // masterFirst orders hosts with the master first and the rest sorted.

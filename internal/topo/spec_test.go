@@ -1,9 +1,11 @@
 package topo
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
+	"nwsenv/internal/gridml"
 	"nwsenv/internal/simnet"
 )
 
@@ -117,5 +119,30 @@ func TestSpecRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestSpecResolve: a plan's names map to node IDs through the spec's run
+// names, DNS names and IDs, read through GridML when a mapping is given;
+// a name two hosts claim stays with the first.
+func TestSpecResolve(t *testing.T) {
+	s := &Spec{
+		Nodes: []NodeSpec{
+			{ID: "a", Kind: "host", DNS: "x.example"},
+			{ID: "b", Kind: "host", DNS: "a"}, // claims a's ID
+			{ID: "sw", Kind: "switch"},
+		},
+		NamesOf: map[string]map[string]string{"a": {"b": "x.example", "a": "alpha"}},
+	}
+	want := map[string]string{"alpha": "a", "x.example": "b", "a": "a", "b": "b"}
+	if got := s.Resolve(nil); !maps.Equal(got, want) {
+		t.Errorf("without GridML: %v, want %v", got, want)
+	}
+	doc := &gridml.Document{Sites: []*gridml.Site{{Machines: []*gridml.Machine{
+		{Name: "b", Label: &gridml.Label{Name: "beta.example", Aliases: []gridml.Alias{{Name: "x.example"}}}},
+	}}}}
+	want = map[string]string{"alpha": "a", "beta.example": "b", "a": "a"}
+	if got := s.Resolve(doc); !maps.Equal(got, want) {
+		t.Errorf("through GridML: %v, want %v", got, want)
 	}
 }
