@@ -102,7 +102,7 @@ func (s SimSubstrate) ProbeBWWhile(probeSrc, probeDst string, probeBytes int64, 
 		_, err := s.Net.Transfer(jamSrc, jamDst, jamBytes, tag)
 		done.Send(err)
 	})
-	lat, _ := s.Net.Topology().PathLatency(jamSrc, jamDst)
+	lat, _ := s.Net.Latency(jamSrc, jamDst)
 	sim.Sleep(lat + lat/2 + 1)
 
 	st, err := s.Net.Transfer(probeSrc, probeDst, probeBytes, tag)

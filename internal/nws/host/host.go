@@ -77,7 +77,7 @@ type Agent struct {
 	mu sync.Mutex
 	// inboxes maps a routing key to its role's inbox. Start fills it
 	// before it installs the router, which reads it without mu.
-	inboxes map[string]proto.Inbox
+	inboxes map[roleKey]proto.Inbox
 	members []*clique.Member
 	closed  bool
 
@@ -88,12 +88,24 @@ type Agent struct {
 	memFrom *memory.Server
 }
 
-// routing keys
-const (
-	keyNS       = "ns"
-	keyMemory   = "memory"
-	keyForecast = "forecast"
-	keyGateway  = "gateway"
+// roleKey routes a message to a role's inbox: the role, and the clique
+// or pairwise group it serves ("" for the host-wide roles). A struct,
+// so routing a group's message builds no key string.
+type roleKey struct{ role, group string }
+
+func (k roleKey) String() string {
+	if k.group == "" {
+		return k.role
+	}
+	return k.role + ":" + k.group
+}
+
+// routing keys of the host-wide roles
+var (
+	keyNS       = roleKey{role: "ns"}
+	keyMemory   = roleKey{role: "memory"}
+	keyForecast = roleKey{role: "forecast"}
+	keyGateway  = roleKey{role: "gateway"}
 )
 
 // NewAgent opens the host endpoint on tr and prepares (but does not
@@ -109,7 +121,7 @@ func NewAgent(tr proto.Transport, hostName string, roles Roles, prober sensor.Pr
 		rt:      newRoleRuntime(rt),
 		roles:   roles,
 		prober:  prober,
-		inboxes: map[string]proto.Inbox{},
+		inboxes: map[roleKey]proto.Inbox{},
 	}
 	return a, nil
 }
@@ -168,8 +180,8 @@ func (p *rolePort) RecvTimeout(d time.Duration) (proto.Message, bool) {
 func (p *rolePort) Wait(d time.Duration) bool { return p.a.st.Wait(d) }
 func (p *rolePort) Close() error              { p.inbox.Close(); return nil }
 
-func (a *Agent) port(key string) *rolePort {
-	inbox := a.rt.NewInbox(a.st.Host() + ":" + key)
+func (a *Agent) port(key roleKey) *rolePort {
+	inbox := a.rt.NewInbox(a.st.Host() + ":" + key.String())
 	a.mu.Lock()
 	a.inboxes[key] = inbox
 	a.mu.Unlock()
@@ -217,7 +229,7 @@ func (a *Agent) Start() {
 	store := a.storeFn()
 	for _, cfg := range a.roles.Cliques {
 		cfg := cfg
-		m := clique.NewMember(cfg, a.port("clique:"+cfg.Name), a.prober, store)
+		m := clique.NewMember(cfg, a.port(roleKey{"clique", cfg.Name}), a.prober, store)
 		a.members = append(a.members, m)
 		a.rt.Go(fmt.Sprintf("clique:%s:%s", cfg.Name, hostName), m.Run)
 	}
@@ -225,14 +237,14 @@ func (a *Agent) Start() {
 		pw := pw
 		if pw.RunScheduler {
 			sch := &clique.PairwiseScheduler{
-				Cfg: pw.Cfg, Port: a.port("pwsched:" + pw.Cfg.Name),
+				Cfg: pw.Cfg, Port: a.port(roleKey{"pwsched", pw.Cfg.Name}),
 			}
 			a.rt.Go("pwsched:"+pw.Cfg.Name, sch.Run)
 		}
 		if slices.Contains(pw.Cfg.Members, hostName) {
 			ag := &clique.ProbeAgent{
 				Cfg:       pw.Cfg,
-				Port:      a.port("pw:" + pw.Cfg.Name),
+				Port:      a.port(roleKey{"pw", pw.Cfg.Name}),
 				Prober:    a.prober,
 				Store:     store,
 				Scheduler: pw.Scheduler,
@@ -257,9 +269,11 @@ func (a *Agent) storeFn() clique.StoreFn {
 // route is the station's application router: it hands each message to
 // the inbox of the role it addresses, on the delivering context. The
 // agent's own answers (pong, no such role) go out from a process of
-// their own, so the delivering context never sends.
+// their own, so the delivering context never sends. Each answer's
+// closure captures a copy of the request made in its branch: one that
+// captured msg would move every routed message to the heap.
 func (a *Agent) route(msg proto.Message) {
-	key := ""
+	var key roleKey
 	switch msg.Type {
 	case proto.MsgRegister, proto.MsgRegisterBulk, proto.MsgUnregister, proto.MsgLookup:
 		key = keyNS
@@ -271,21 +285,24 @@ func (a *Agent) route(msg proto.Message) {
 	case proto.MsgQueryFetch, proto.MsgQueryForecast:
 		key = keyGateway
 	case proto.MsgToken, proto.MsgTokenAck, proto.MsgElection, proto.MsgElectionOK, proto.MsgCoordinator:
-		key = "clique:" + msg.Clique
+		key = roleKey{"clique", msg.Clique}
 	case proto.MsgProbeCmd:
-		key = "pw:" + msg.Clique
+		key = roleKey{"pw", msg.Clique}
 	case proto.MsgProbeDone:
-		key = "pwsched:" + msg.Clique
+		key = roleKey{"pwsched", msg.Clique}
 	case proto.MsgPing:
-		a.rt.Go("pong:"+a.st.Host(), func() { a.st.Reply(msg, proto.Message{Type: proto.MsgPong}) })
+		req := msg
+		a.rt.Go("pong:"+a.st.Host(), func() { a.st.Reply(req, proto.Message{Type: proto.MsgPong}) })
 		return
 	default:
-		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(msg, "host %s: no role for %v", a.st.Host(), msg.Type) })
+		req := msg
+		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(req, "host %s: no role for %v", a.st.Host(), req.Type) })
 		return
 	}
 	inbox := a.inboxes[key]
 	if inbox == nil {
-		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(msg, "host %s: role %s not deployed", a.st.Host(), key) })
+		req := msg
+		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(req, "host %s: role %s not deployed", a.st.Host(), key) })
 		return
 	}
 	inbox.Send(msg)

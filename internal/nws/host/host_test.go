@@ -262,3 +262,38 @@ func TestAgentServesRequestsQueuedBeforeStart(t *testing.T) {
 	a.Stop()
 	client.Close()
 }
+
+// TestRoutingAllocatesNothing: a memory store and a clique token travel
+// through the agent's station (a self-send, so no network event) into
+// their role inboxes without a heap allocation. Only the router's rarely
+// taken answers (pong, no such role) copy the message they capture.
+func TestRoutingAllocatesNothing(t *testing.T) {
+	topo := simnet.NewTopology()
+	topo.AddSwitch("sw")
+	topo.AddHost("h0", "10.0.0.1", "h0.lan", "lan")
+	topo.Connect("h0", "sw")
+	tr := proto.NewSimTransport(simnet.NewNetwork(vclock.New(), topo))
+	a, err := NewAgent(tr, "h0", Roles{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Stop()
+	memory, token := a.port(keyMemory), a.port(roleKey{"clique", "a-clique-name-longer-than-a-stack-buffer"})
+	a.st.Route(a.route)
+	store := proto.Message{Type: proto.MsgStore, Series: "bandwidth.h0.h1", Samples: []proto.Sample{{Value: 1}}}
+	tok := proto.Message{Type: proto.MsgToken, Clique: "a-clique-name-longer-than-a-stack-buffer"}
+	route := func() {
+		a.st.Send("h0", store)
+		a.st.Send("h0", tok)
+		if _, ok := memory.inbox.TryRecv(); !ok {
+			t.Fatal("store not routed to the memory inbox")
+		}
+		if _, ok := token.inbox.TryRecv(); !ok {
+			t.Fatal("token not routed to the clique inbox")
+		}
+	}
+	route() // warm the inboxes' rings
+	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+		t.Fatalf("routing a store and a token allocates %v times, want 0", allocs)
+	}
+}

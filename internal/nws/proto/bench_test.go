@@ -94,7 +94,7 @@ func BenchmarkSimDelivery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	deliver() // route cache and pools warm
+	deliver() // pair resolution and pools warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

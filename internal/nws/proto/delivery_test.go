@@ -293,3 +293,182 @@ func TestHostileLengthPrefixAllocatesWhatArrives(t *testing.T) {
 
 // hostileHeader is a frame header claiming MaxFrameSize-1 payload bytes.
 const hostileHeader = "\xff\xff\xff\x03"
+
+// faultPlane is the network of the fault table: a and b are joined by a
+// short path through r1 (2 ms) and a long one through r2 (10 ms). Every
+// arrival at an open endpoint is recorded with its virtual instant.
+type faultPlane struct {
+	sim    *vclock.Sim
+	net    *simnet.Network
+	tr     *SimTransport
+	eps    map[string]Endpoint
+	landed map[string][]time.Duration
+}
+
+// newFaultPlane builds the plane; prepare, when set, puts a fault state
+// in place before any exchange resolves a pair.
+func newFaultPlane(t *testing.T, prepare func(*simnet.Network)) *faultPlane {
+	t.Helper()
+	topo := simnet.NewTopology()
+	topo.AddRouter("r1", "10.0.0.253", "r1")
+	topo.AddRouter("r2", "10.0.0.254", "r2")
+	for i, h := range []string{"a", "b"} {
+		topo.AddHost(h, "10.0.0."+string(rune('1'+i)), h, "x")
+	}
+	topo.Connect("a", "r1", simnet.LinkLatency(time.Millisecond))
+	topo.Connect("r1", "b", simnet.LinkLatency(time.Millisecond))
+	topo.Connect("a", "r2", simnet.LinkLatency(5*time.Millisecond))
+	topo.Connect("r2", "b", simnet.LinkLatency(5*time.Millisecond))
+	sim := vclock.New()
+	f := &faultPlane{sim: sim, net: simnet.NewNetwork(sim, topo), eps: map[string]Endpoint{}, landed: map[string][]time.Duration{}}
+	f.tr = NewSimTransport(f.net)
+	if prepare != nil {
+		prepare(f.net)
+	}
+	for _, h := range []string{"a", "b"} {
+		ep, err := f.tr.Open(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.Handle(func(Message) { f.landed[h] = append(f.landed[h], sim.Now()) })
+		f.eps[h] = ep
+	}
+	return f
+}
+
+// drive runs the clock one virtual second on.
+func (f *faultPlane) drive(t *testing.T) {
+	t.Helper()
+	if err := f.sim.RunUntil(f.sim.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// send sends one message from a to b and drives the clock: the delay it
+// landed after, or landed=false.
+func (f *faultPlane) send(t *testing.T) (delay time.Duration, landed bool, err error) {
+	t.Helper()
+	before, at := len(f.landed["b"]), f.sim.Now()
+	err = f.eps["a"].Send("b", Message{Type: MsgPing})
+	f.drive(t)
+	if len(f.landed["b"]) == before {
+		return 0, false, err
+	}
+	return f.landed["b"][before] - at, true, err
+}
+
+// prices is what every pricing entry point charges a→b: a message's
+// delay, a ping's round trip, a connect and a 1 MB transfer's data phase.
+type prices struct {
+	message, ping, connect, transfer time.Duration
+}
+
+func (f *faultPlane) prices(t *testing.T) prices {
+	t.Helper()
+	var p prices
+	delay, landed, err := f.send(t)
+	if err != nil || !landed {
+		t.Fatalf("message a->b: landed=%v err=%v", landed, err)
+	}
+	p.message = delay
+	var probeErr error
+	f.sim.Go("probes", func() {
+		var st simnet.TransferStats
+		if p.ping, probeErr = f.net.Ping("a", "b", 4); probeErr != nil {
+			return
+		}
+		if p.connect, probeErr = f.net.ConnectTime("a", "b"); probeErr != nil {
+			return
+		}
+		st, probeErr = f.net.Transfer("a", "b", 1e6, "")
+		p.transfer = st.Duration
+	})
+	for i := 0; i < 5; i++ {
+		f.drive(t)
+	}
+	if probeErr != nil {
+		t.Fatal(probeErr)
+	}
+	return p
+}
+
+// deliveryFaults is what a reused pair resolution must keep of the
+// fault semantics: each case first prices a→b, so the faults below land
+// on resolved pairs.
+var deliveryFaults = []struct {
+	name string
+	body func(t *testing.T, f *faultPlane)
+}{
+	{"a message in flight when its destination crashes is dropped", func(t *testing.T, f *faultPlane) {
+		f.sim.At(f.sim.Now()+time.Millisecond, func() { f.net.CrashHost("b") })
+		if _, landed, err := f.send(t); landed || err != nil {
+			t.Errorf("message to a host that crashed in flight: landed=%v err=%v", landed, err)
+		}
+	}},
+	{"a send from a crashed host fails", func(t *testing.T, f *faultPlane) {
+		f.net.CrashHost("a")
+		if _, landed, err := f.send(t); landed || err == nil {
+			t.Errorf("send from a crashed host: landed=%v err=%v", landed, err)
+		}
+	}},
+	{"SetBlocked silences the pair until lifted", func(t *testing.T, f *faultPlane) {
+		f.tr.SetBlocked("a", "b", true)
+		if _, landed, err := f.send(t); landed || err != nil {
+			t.Errorf("blocked pair: landed=%v err=%v", landed, err)
+		}
+		f.tr.SetBlocked("a", "b", false)
+		if _, landed, err := f.send(t); !landed || err != nil {
+			t.Errorf("unblocked pair: landed=%v err=%v", landed, err)
+		}
+	}},
+	{"after RestoreHost the pair prices as on a fresh network", func(t *testing.T, f *faultPlane) {
+		f.net.CrashHost("b")
+		if _, landed, _ := f.send(t); landed {
+			t.Error("message to a crashed host landed")
+		}
+		f.net.RestoreHost("b")
+		samePrices(t, f, nil)
+	}},
+	{"after HealLink the pair prices as on a fresh network", func(t *testing.T, f *faultPlane) {
+		f.net.CutLink("r1", "b")
+		f.send(t)
+		f.net.HealLink("r1", "b")
+		samePrices(t, f, nil)
+	}},
+	{"after a CutLink that forces the long path the pair prices as on a fresh network", func(t *testing.T, f *faultPlane) {
+		f.net.CutLink("r1", "b")
+		samePrices(t, f, func(n *simnet.Network) { n.CutLink("r1", "b") })
+	}},
+	{"after SetRoute the pair prices as on a fresh network", func(t *testing.T, f *faultPlane) {
+		f.net.Topology().SetRoute("a", "b", []string{"a", "r2", "b"})
+		samePrices(t, f, func(n *simnet.Network) { n.Topology().SetRoute("a", "b", []string{"a", "r2", "b"}) })
+	}},
+	{"after DegradeLink the pair prices as on a fresh network", func(t *testing.T, f *faultPlane) {
+		f.net.DegradeLink("r1", "b", 0.25)
+		samePrices(t, f, func(n *simnet.Network) { n.DegradeLink("r1", "b", 0.25) })
+	}},
+}
+
+// samePrices checks that f's resolved pairs price a→b as a network built
+// with the fault state prepare puts in place before any exchange.
+func samePrices(t *testing.T, f *faultPlane, prepare func(*simnet.Network)) {
+	t.Helper()
+	got, want := f.prices(t), newFaultPlane(t, prepare).prices(t)
+	if got != want {
+		t.Errorf("reused resolutions price %+v, a fresh network %+v", got, want)
+	}
+}
+
+// TestDeliveryFaultSemantics: a host pair is resolved once and reused
+// until the platform changes; every fault and repair moves the
+// topology's version, so the next exchange sees what a freshly built
+// network would.
+func TestDeliveryFaultSemantics(t *testing.T) {
+	for _, c := range deliveryFaults {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFaultPlane(t, nil)
+			f.prices(t)
+			c.body(t, f)
+		})
+	}
+}

@@ -61,7 +61,8 @@ func (t *SimTransport) Open(host string) (Endpoint, error) {
 	if _, busy := t.eps[host]; busy {
 		return nil, fmt.Errorf("proto: endpoint %q already open", host)
 	}
-	ep := &simEndpoint{t: t, host: host}
+	self, _ := t.net.Pair(host, host) // host is a known node: no error
+	ep := &simEndpoint{t: t, host: host, self: self}
 	t.eps[host] = ep
 	return ep, nil
 }
@@ -92,6 +93,9 @@ func (t *SimTransport) isBlocked(a, b string) bool {
 type simEndpoint struct {
 	t    *SimTransport
 	host string
+	// self is the network's host→host pair: it tells whether the host
+	// is down.
+	self *simnet.Pair
 	// handler receives every message delivered here; nil (before
 	// Handle, after Close) drops them.
 	handler func(Message)
@@ -116,7 +120,7 @@ func (e *simEndpoint) Send(to string, m Message) error {
 	}
 	stats := t.stats
 	t.mu.Unlock()
-	if t.net.HostDown(e.host) {
+	if down, _ := e.self.Down(); down {
 		return fmt.Errorf("proto: host %s is down", e.host)
 	}
 	// A partition drops traffic silently: the sender only learns through
@@ -135,9 +139,13 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		}
 		return nil
 	}
+	p, err := t.net.Pair(e.host, to)
+	if err != nil {
+		return err
+	}
 	// Messages to dead hosts vanish (like packets to a crashed machine):
 	// the sender notices only through timeouts, as with real NWS.
-	if t.net.HostDown(to) {
+	if _, down := p.Down(); down {
 		return nil
 	}
 	size := m.WireSize()
@@ -145,8 +153,8 @@ func (e *simEndpoint) Send(to string, m Message) error {
 	t.mu.Lock()
 	d := t.newDeliveryLocked()
 	t.mu.Unlock()
-	d.to, d.m, d.size, d.stats = to, m, size, stats
-	if err := t.net.Deliver(e.host, to, size, d.arrive); err != nil {
+	d.to, d.p, d.m, d.size, d.stats = to, p, m, size, stats
+	if err := p.Deliver(size, d.arrive); err != nil {
 		t.mu.Lock()
 		t.recycleLocked(d)
 		t.mu.Unlock()
@@ -161,6 +169,7 @@ func (e *simEndpoint) Send(to string, m Message) error {
 type delivery struct {
 	t      *SimTransport
 	to     string
+	p      *simnet.Pair
 	m      Message
 	size   int64
 	stats  wireStats
@@ -190,7 +199,7 @@ func (t *SimTransport) recycleLocked(d *delivery) {
 // recycles the record.
 func (d *delivery) land() {
 	t := d.t
-	to, m, size, stats := d.to, d.m, d.size, d.stats
+	to, p, m, size, stats := d.to, d.p, d.m, d.size, d.stats
 	t.mu.Lock()
 	var h func(Message)
 	if dst := t.eps[to]; dst != nil {
@@ -198,7 +207,7 @@ func (d *delivery) land() {
 	}
 	t.recycleLocked(d)
 	t.mu.Unlock()
-	if h == nil || t.net.HostDown(to) {
+	if _, down := p.Down(); h == nil || down {
 		return
 	}
 	stats.received(size)

@@ -109,6 +109,11 @@ type Network struct {
 	// settles counts individual flow-settle operations: the unit of
 	// work of the fair-share engine, so it is its cost meter.
 	settles int64
+
+	// pairs holds the resolved node pairs (pair.go), keyed by the
+	// nodes' positions in creation order: a lookup hashes two integers,
+	// not two names.
+	pairs map[uint64]*Pair
 }
 
 // NewNetwork binds a topology to a simulation.
@@ -125,6 +130,7 @@ func NewNetwork(sim *vclock.Sim, topo *Topology) *Network {
 		collisionIdx: map[collisionKey]*CollisionEvent{},
 		probeBytes:   map[string]int64{},
 		probeCount:   map[string]int{},
+		pairs:        map[uint64]*Pair{},
 	}
 }
 
@@ -173,25 +179,33 @@ func (n *Network) pathResources(path []string) []*resource {
 // phase. A non-empty tag marks the flow as a measurement probe for
 // collision accounting. Must be called from a simulation process.
 func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferStats, error) {
-	if err := n.topo.checkEndpoints(src, dst); err != nil {
+	p, err := n.Pair(src, dst)
+	if err != nil {
+		return TransferStats{}, err
+	}
+	if err := p.check(); err != nil {
 		return TransferStats{}, err
 	}
 	if src == dst {
 		return TransferStats{}, fmt.Errorf("simnet: transfer to self (%s)", src)
 	}
-	r, err := n.topo.route(src, dst)
+	r, err := p.route()
 	if err != nil {
 		return TransferStats{}, err
 	}
 	if bytes <= 0 {
 		bytes = 1
 	}
+	n.mu.Lock()
+	res := p.resourcesLocked()
+	n.mu.Unlock()
 
 	n.sim.Sleep(r.lat)
 
 	f := &flow{
 		src: src, dst: dst, tag: tag,
 		bytes: float64(bytes), remaining: float64(bytes),
+		res:      res,
 		done:     vclock.NewChan[xferOutcome](n.sim, "xfer:"+src+"->"+dst),
 		started:  n.sim.Now(),
 		aloneBps: r.bw,
@@ -202,7 +216,6 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 	n.nextFlowID++
 	f.id = n.nextFlowID
 	f.settledAt = f.started
-	f.res = n.pathResources(r.path)
 	if tag != "" {
 		n.noteCollisionsLocked(f)
 		n.probeBytes[tag] += bytes
@@ -241,7 +254,12 @@ func (n *Network) removeFlowLocked(f *flow) {
 
 // Latency returns the one-way path latency from src to dst.
 func (n *Network) Latency(src, dst string) (time.Duration, error) {
-	return n.topo.PathLatency(src, dst)
+	p, err := n.Pair(src, dst)
+	if err != nil {
+		return 0, err
+	}
+	r, err := p.route()
+	return r.lat, err
 }
 
 // Ping blocks the calling process for a full round trip of a small
@@ -250,19 +268,12 @@ func (n *Network) Latency(src, dst string) (time.Duration, error) {
 // "a 4 byte TCP socket transfer is timed from one host to another one
 // and back").
 func (n *Network) Ping(src, dst string, bytes int64) (time.Duration, error) {
-	if err := n.topo.checkEndpoints(src, dst); err != nil {
-		return 0, err
-	}
-	fwd, err := n.topo.route(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	back, err := n.topo.PathLatency(dst, src)
+	fwd, back, err := n.roundTrip(src, dst)
 	if err != nil {
 		return 0, err
 	}
 	start := n.sim.Now()
-	n.sim.Sleep(fwd.lat + serialization(fwd.bw, bytes) + back)
+	n.sim.Sleep(fwd.lat + serialization(fwd.bw, bytes) + back.lat)
 	return n.sim.Now() - start, nil
 }
 
@@ -270,20 +281,32 @@ func (n *Network) Ping(src, dst string, bytes int64) (time.Duration, error) {
 // its duration (§2.2: "TCP socket connect-disconnect time is measured
 // directly").
 func (n *Network) ConnectTime(src, dst string) (time.Duration, error) {
-	if err := n.topo.checkEndpoints(src, dst); err != nil {
-		return 0, err
-	}
-	fwd, err := n.topo.PathLatency(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	back, err := n.topo.PathLatency(dst, src)
+	fwd, back, err := n.roundTrip(src, dst)
 	if err != nil {
 		return 0, err
 	}
 	start := n.sim.Now()
-	n.sim.Sleep(fwd + back + fwd) // SYN, SYN-ACK, ACK observed by the client
+	n.sim.Sleep(fwd.lat + back.lat + fwd.lat) // SYN, SYN-ACK, ACK observed by the client
 	return n.sim.Now() - start, nil
+}
+
+// roundTrip resolves the two routes of an exchange from src to dst and
+// back.
+func (n *Network) roundTrip(src, dst string) (fwd, back route, err error) {
+	p, err := n.Pair(src, dst)
+	if err != nil {
+		return route{}, route{}, err
+	}
+	if err := p.check(); err != nil {
+		return route{}, route{}, err
+	}
+	if fwd, err = p.route(); err != nil {
+		return route{}, route{}, err
+	}
+	if back, err = p.reverse().route(); err != nil {
+		return route{}, route{}, err
+	}
+	return fwd, back, nil
 }
 
 // serialization approximates the transmission delay of a small message
@@ -293,22 +316,6 @@ func serialization(bw float64, bytes int64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(bytes*8) / bw * float64(time.Second))
-}
-
-// Deliver schedules fn to run after the one-way message delay from src to
-// dst (latency plus serialization of bytes). It is the primitive used by
-// the NWS control-plane transport; control messages are assumed too small
-// to contend for bandwidth. The route and its cost are one cache lookup.
-func (n *Network) Deliver(src, dst string, bytes int64, fn func()) error {
-	if err := n.topo.checkEndpoints(src, dst); err != nil {
-		return err
-	}
-	r, err := n.topo.route(src, dst)
-	if err != nil {
-		return err
-	}
-	n.sim.Post(r.lat+serialization(r.bw, bytes), fn)
-	return nil
 }
 
 // noteCollisionsLocked records probe-vs-probe contention created by

@@ -86,6 +86,10 @@ type Node struct {
 	// Props carries host attributes surfaced by ENV's extra-information
 	// phase (CPU model, clock, OS, ...).
 	Props map[string]string
+
+	// idx is the node's position in its topology's creation order: it
+	// indexes a Network's table of resolved pairs.
+	idx int
 }
 
 // HasZone reports whether the node belongs to zone z.

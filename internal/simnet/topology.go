@@ -57,6 +57,13 @@ type Topology struct {
 	linkRouteIdx map[*Link]map[routeKey]struct{}
 
 	cacheHits, cacheMisses int64
+
+	// version moves whenever a cached route or a node's fault state may
+	// change: at every route-cache invalidation, which every structural
+	// change and every fault or repair makes. A Network's resolved host
+	// pairs (pair.go) stay valid while their stamp matches it; it starts
+	// at 1, so a pair stamped 0 was never resolved.
+	version uint64
 }
 
 // NewTopology returns an empty topology.
@@ -72,6 +79,7 @@ func NewTopology() *Topology {
 		routeCache:    map[routeKey]route{},
 		nodeRouteIdx:  map[string]map[routeKey]struct{}{},
 		linkRouteIdx:  map[*Link]map[routeKey]struct{}{},
+		version:       1,
 	}
 }
 
@@ -82,6 +90,7 @@ func (t *Topology) addNode(n *Node) *Node {
 	if len(n.Zones) == 0 {
 		n.Zones = []string{"default"}
 	}
+	n.idx = len(t.order)
 	t.nodes[n.ID] = n
 	t.order = append(t.order, n.ID)
 	return n
@@ -215,6 +224,7 @@ func (t *Topology) findLink(a, b string) *Link {
 // Used on structural changes (Connect, SetRoute) and on fault repairs,
 // where new, better paths may appear anywhere.
 func (t *Topology) invalidateAllRoutesLocked() {
+	t.version++
 	if len(t.routeCache) == 0 {
 		return
 	}
@@ -228,6 +238,7 @@ func (t *Topology) invalidateAllRoutesLocked() {
 // create a route, and surviving paths that avoid the element keep their
 // optimality.
 func (t *Topology) invalidateNodeRoutes(id string) {
+	t.version++
 	for key := range t.nodeRouteIdx[id] {
 		t.dropRouteKey(key)
 	}
@@ -236,6 +247,7 @@ func (t *Topology) invalidateNodeRoutes(id string) {
 
 // invalidateLinkRoutes evicts only the cached paths crossing l.
 func (t *Topology) invalidateLinkRoutes(l *Link) {
+	t.version++
 	for key := range t.linkRouteIdx[l] {
 		t.dropRouteKey(key)
 	}
@@ -266,6 +278,7 @@ func (t *Topology) dropRouteKey(key routeKey) {
 // element it traverses. It returns the priced route.
 func (t *Topology) cacheRoute(key routeKey, p []string) route {
 	r := t.costRoute(p)
+	r.cached = true
 	t.routeCache[key] = r
 	if p == nil {
 		return r
@@ -393,7 +406,7 @@ func (t *Topology) route(src, dst string) (route, error) {
 		r = t.cacheRoute(key, t.dijkstra(src, dst))
 	}
 	if r.path == nil {
-		return route{}, fmt.Errorf("simnet: no route from %s to %s", src, dst)
+		return route{cached: true}, fmt.Errorf("simnet: no route from %s to %s", src, dst)
 	}
 	return r, nil
 }
@@ -432,6 +445,10 @@ type route struct {
 	// bw is the alone bandwidth (bits/s): the minimum directed link
 	// capacity and hub domain capacity along the path.
 	bw float64
+	// cached marks a route (or a proven absence of route) read from the
+	// route cache, as opposed to an override or a self route priced on
+	// the fly: a lookup of it counts as a cache hit or miss.
+	cached bool
 }
 
 // costRoute prices path p in one walk over its hops.
