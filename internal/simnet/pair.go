@@ -5,8 +5,9 @@ package simnet
 // price, and the resources a transfer over it occupies. The resolution
 // is stamped with the topology's version and reused while the stamp
 // matches, so a steady-state message or probe hashes no host-name pair,
-// builds no resource key and takes no lock. Like every pricing entry
-// point, a Pair is used from the simulation: its processes and events.
+// builds no resource key and reads the endpoints' fault state without
+// a lock. Like every pricing entry point, a Pair is used from the
+// simulation: its processes and events.
 type Pair struct {
 	n        *Network
 	src, dst *Node
@@ -60,7 +61,7 @@ func (p *Pair) resolve() {
 		return
 	}
 	p.version = t.version
-	p.srcDown, p.dstDown = t.downNodes[p.src.ID], t.downNodes[p.dst.ID]
+	p.srcDown, p.dstDown = t.NodeDown(p.src.ID), t.NodeDown(p.dst.ID)
 	p.err = t.checkEndpoints(p.src.ID, p.dst.ID)
 	p.routed = false
 }
