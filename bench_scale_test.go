@@ -1,5 +1,6 @@
-// Scale benchmarks, routing half: heap-Dijkstra and fault-scoped
-// route-cache invalidation on the 1,000-host SyntheticGrid. The transfer
+// Scale benchmarks, routing half: the route search, fault-scoped
+// route-cache invalidation and the validator's collision analysis on
+// SyntheticGrid platforms of up to 1,000 hosts. The transfer
 // half (BenchmarkScaleGridTransfers and its reference twin) lives in
 // internal/simnet/scalebench_test.go, beside the test-only reference
 // simulator; the scale entry of bench-gates.json (`benchjson scale`)
@@ -8,9 +9,11 @@
 package nwsenv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"nwsenv/internal/deploy"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/topo"
 )
@@ -33,8 +36,8 @@ func scalePairs(tp *simnet.Topology, n int, seed int64) [][2]string {
 	return pairs
 }
 
-// BenchmarkScaleRoutingCold measures heap-Dijkstra itself: every query
-// below hits a cold cache on a 1,000-host grid.
+// BenchmarkScaleRoutingCold measures the route search itself: every
+// query below hits a cold cache on a 1,000-host grid.
 func BenchmarkScaleRoutingCold(b *testing.B) {
 	const queries = 100
 	b.ResetTimer()
@@ -95,4 +98,49 @@ func BenchmarkScaleFaultRerouting(b *testing.B) {
 	for i := 0; i < b.N && i < len(victims); i++ {
 		tp.SetNodeDown(victims[i], false)
 	}
+}
+
+// BenchmarkScaleValidate measures deploy.Validate on a cold route cache:
+// a 4-site grid of 200, 400 or 1,000 hosts with one clique per site
+// (50, 100 or 250 members) and a bridge clique of each site's first
+// host, so the collision analysis routes every ordered member pair of
+// every clique once. It reports the collision risks found.
+func BenchmarkScaleValidate(b *testing.B) {
+	for _, hosts := range []int{200, 400, 1000} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			cfg := topo.GridConfig{Sites: 4, SwitchesPerSite: 5, HostsPerSwitch: hosts / 20, Seed: 42}
+			var risks int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tp, truth := topo.SyntheticGrid(cfg)
+				p := siteCliquePlan(cfg, truth)
+				b.StartTimer()
+				v, err := deploy.Validate(p, tp, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				risks = len(v.CollisionRisks)
+			}
+			b.ReportMetric(float64(risks), "risks")
+		})
+	}
+}
+
+// siteCliquePlan is a plan over the grid's hosts, the external target
+// aside: one clique per site, then a bridge clique of each site's first
+// host.
+func siteCliquePlan(cfg topo.GridConfig, truth map[string]topo.NetworkTruth) *deploy.Plan {
+	p := &deploy.Plan{}
+	bridge := deploy.CliqueSpec{Name: "bridge"}
+	for s := 0; s < cfg.Sites; s++ {
+		site := deploy.CliqueSpec{Name: fmt.Sprintf("site%d", s)}
+		for w := 0; w < cfg.SwitchesPerSite; w++ {
+			site.Members = append(site.Members, truth[fmt.Sprintf("s%d-%d", s, w)].Hosts...)
+		}
+		bridge.Members = append(bridge.Members, site.Members[0])
+		p.Cliques = append(p.Cliques, site)
+		p.Hosts = append(p.Hosts, site.Members...)
+	}
+	p.Cliques = append(p.Cliques, bridge)
+	return p
 }

@@ -172,7 +172,8 @@ type Member struct {
 	prober sensor.Prober
 	store  StoreFn
 	ring   ring
-	tag    string // the probes' collision tag
+	tag    string        // the probes' collision tag
+	links  []sensor.Link // by member index: the link from this host to it
 
 	stopped atomic.Bool
 	mu      sync.Mutex
@@ -193,7 +194,11 @@ func NewMember(cfg Config, port proto.Port, prober sensor.Prober, store StoreFn)
 		store = func(sensor.Measurement) {}
 	}
 	m := &Member{cfg: cfg, port: port, prober: prober, store: store, tag: "clique:" + cfg.Name, epoch: cfg.Epoch,
-		ring: ring{n: len(cfg.Members), idx: idx, watchdog: cfg.TokenTimeout, ackWait: cfg.AckTimeout, vote: cfg.ElectTimeout}}
+		ring:  ring{n: len(cfg.Members), idx: idx, watchdog: cfg.TokenTimeout, ackWait: cfg.AckTimeout, vote: cfg.ElectTimeout},
+		links: make([]sensor.Link, len(cfg.Members))}
+	for i, to := range cfg.Members {
+		m.links[i] = sensor.NewLink(port.Host(), to)
+	}
 	labels := map[string]string{"clique": cfg.Name}
 	for c, name := range map[counter]string{cHeld: "token_passes", cStale: "stale_tokens",
 		cElection: "elections", cEpochBump: "epoch_bumps", cProbeError: "probe_errors"} {
@@ -281,11 +286,10 @@ func (m *Member) apply(s state, fx []effect, deadline *time.Duration) (ev event,
 // results, rests TokenGap and logs the hold; a Stop cuts it short.
 func (m *Member) hold(epoch, seq int64) {
 	rt := m.port.Runtime()
-	me := m.port.Host()
-	h := Hold{Clique: m.cfg.Name, Host: me, Epoch: epoch, Seq: seq, From: rt.Now()}
+	h := Hold{Clique: m.cfg.Name, Host: m.port.Host(), Epoch: epoch, Seq: seq, From: rt.Now()}
 	i := 1
 	for ; i < m.ring.n && !m.stopped.Load(); i++ {
-		ms, err := sensor.LinkExperiments(m.prober, rt.Now, me, m.cfg.Members[m.ring.at(i)], m.tag)
+		ms, err := sensor.LinkExperiments(m.prober, rt.Now, m.links[m.ring.at(i)], m.tag)
 		if err != nil {
 			m.count(cProbeError)
 			continue

@@ -110,6 +110,7 @@ func (a *ProbeAgent) Run() {
 	if store == nil {
 		store = func(sensor.Measurement) {}
 	}
+	links := map[string]sensor.Link{} // by partner, named once
 	for {
 		msg, ok := a.Port.Recv()
 		if !ok {
@@ -120,7 +121,12 @@ func (a *ProbeAgent) Run() {
 		}
 		now := a.Port.Runtime().Now
 		h := Hold{Clique: a.Cfg.Name, Host: a.Port.Host(), Partner: msg.Name, Epoch: msg.Epoch, From: now()}
-		ms, err := sensor.LinkExperiments(a.Prober, now, h.Host, msg.Name, "pairwise:"+a.Cfg.Name)
+		l, ok := links[msg.Name]
+		if !ok {
+			l = sensor.NewLink(h.Host, msg.Name)
+			links[msg.Name] = l
+		}
+		ms, err := sensor.LinkExperiments(a.Prober, now, l, "pairwise:"+a.Cfg.Name)
 		h.To = now()
 		a.Cfg.Holds.add(h)
 		reply := proto.Message{Type: proto.MsgProbeDone, Clique: a.Cfg.Name, Name: msg.Name, Epoch: msg.Epoch}

@@ -163,7 +163,14 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 // message it took but could not merge (a window, or a store past the
 // cap), if any. A lone store's frame is a frame of one entry.
 func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, n int, rest proto.Message, held bool) {
-	entries := []proto.SeriesResult{entry(first)}
+	// The frame carries at most what is queued, first included, and at
+	// most f.frame stores of one sample or more. A fresh slice per
+	// frame: on the simulator the replica receives this very slice.
+	f.mu.Lock()
+	queued := q.inflight
+	f.mu.Unlock()
+	entries := make([]proto.SeriesResult, 1, max(1, min(queued, f.frame)))
+	entries[0] = entry(first)
 	samples := len(first.Samples)
 	for {
 		m, ok := q.inbox.TryRecv()

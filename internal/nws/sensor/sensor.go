@@ -44,26 +44,41 @@ type Measurement struct {
 	Value  float64 // ms for latencies, Mbps for bandwidth
 }
 
-// LinkExperiments runs the full §2.2 experiment set from `from` to `to`
-// and returns the three measurements. Latencies are reported in
-// milliseconds and bandwidth in Mbps (the units NWS reports).
-func LinkExperiments(p Prober, now func() time.Duration, from, to, tag string) ([]Measurement, error) {
+// Link is one directed host pair a sensor measures, with the names of
+// its three series, built once for a link probed again and again.
+type Link struct {
+	From, To                    string
+	latency, bandwidth, connect string
+}
+
+// NewLink names the series of the link from `from` to `to`.
+func NewLink(from, to string) Link {
+	return Link{From: from, To: to,
+		latency: LatencySeries(from, to), bandwidth: BandwidthSeries(from, to), connect: ConnectSeries(from, to)}
+}
+
+// LinkExperiments runs the full §2.2 experiment set over l and returns
+// the three measurements. Latencies are reported in milliseconds and
+// bandwidth in Mbps (the units NWS reports).
+func LinkExperiments(p Prober, now func() time.Duration, l Link, tag string) ([]Measurement, error) {
+	from, to := l.From, l.To
 	rtt, err := p.Latency(from, to, LatencyProbeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("sensor: latency %s->%s: %w", from, to, err)
 	}
-	out := []Measurement{{Series: LatencySeries(from, to), At: now(), Value: float64(rtt.Microseconds()) / 1000}}
+	out := make([]Measurement, 0, 3)
+	out = append(out, Measurement{Series: l.latency, At: now(), Value: float64(rtt.Microseconds()) / 1000})
 
 	bps, err := p.Bandwidth(from, to, BandwidthProbeBytes, tag)
 	if err != nil {
 		return nil, fmt.Errorf("sensor: bandwidth %s->%s: %w", from, to, err)
 	}
-	out = append(out, Measurement{Series: BandwidthSeries(from, to), At: now(), Value: bps / 1e6})
+	out = append(out, Measurement{Series: l.bandwidth, At: now(), Value: bps / 1e6})
 
 	ct, err := p.ConnectTime(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("sensor: connect %s->%s: %w", from, to, err)
 	}
-	out = append(out, Measurement{Series: ConnectSeries(from, to), At: now(), Value: float64(ct.Microseconds()) / 1000})
+	out = append(out, Measurement{Series: l.connect, At: now(), Value: float64(ct.Microseconds()) / 1000})
 	return out, nil
 }

@@ -28,7 +28,7 @@ func TestLinkExperimentsProduceThreeSeries(t *testing.T) {
 	var ms []Measurement
 	var err error
 	sim.Go("probe", func() {
-		ms, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, "a", "b", "test")
+		ms, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, NewLink("a", "b"), "test")
 	})
 	if e := sim.Run(); e != nil {
 		t.Fatal(e)
@@ -61,7 +61,7 @@ func TestLinkExperimentsErrorOnUnreachable(t *testing.T) {
 	sim, net := rig(t)
 	var err error
 	sim.Go("probe", func() {
-		_, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, "a", "ghost", "t")
+		_, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, NewLink("a", "ghost"), "t")
 	})
 	if e := sim.Run(); e != nil {
 		t.Fatal(e)

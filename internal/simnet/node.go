@@ -161,6 +161,10 @@ type Link struct {
 	LatAtoB, LatBtoA time.Duration
 	// VLANs restricts which VLANs may traverse the link (nil = all).
 	VLANs []int
+
+	// idx is the link's position in its topology's link list: it
+	// indexes the topology's route index.
+	idx int
 }
 
 func (l *Link) allowsVLAN(v int) bool {

@@ -1,9 +1,9 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -48,21 +48,26 @@ type Topology struct {
 	// routeCache holds computed routes (src/dst pair → path and its
 	// cost, a nil path for a proven absence of route). The key is a
 	// struct, not "src->dst", so the per-message lookup on the delivery
-	// hot path never builds a key string. nodeRouteIdx and linkRouteIdx
-	// index the positive entries by the elements they traverse, so a
-	// fault evicts only the paths it actually breaks instead of wiping
-	// the cache.
-	routeCache   map[routeKey]route
-	nodeRouteIdx map[string]map[routeKey]struct{}
-	linkRouteIdx map[*Link]map[routeKey]struct{}
+	// hot path never builds a key string. nodeRoutes and linkRoutes,
+	// by node and link index, list the keys of the positive entries
+	// cached through each element, so a fault evicts only the paths it
+	// actually breaks instead of wiping the cache. A list may still
+	// name an entry since evicted or re-routed: an eviction re-checks
+	// the cached path before dropping it.
+	routeCache map[routeKey]route
+	nodeRoutes [][]routeKey
+	linkRoutes [][]routeKey
 
 	cacheHits, cacheMisses int64
+	// search answers the route-cache misses (search.go).
+	search routeSearch
 
 	// version moves whenever a cached route or a node's fault state may
 	// change: at every route-cache invalidation, which every structural
 	// change and every fault or repair makes. A Network's resolved host
-	// pairs (pair.go) stay valid while their stamp matches it; it starts
-	// at 1, so a pair stamped 0 was never resolved.
+	// pairs (pair.go) and the route search's kept run (search.go) stay
+	// valid while their stamp matches it; it starts at 1, so a pair
+	// stamped 0 was never resolved.
 	version uint64
 }
 
@@ -77,8 +82,6 @@ func NewTopology() *Topology {
 		downNodes:     map[string]bool{},
 		disabledLinks: map[*Link]bool{},
 		routeCache:    map[routeKey]route{},
-		nodeRouteIdx:  map[string]map[routeKey]struct{}{},
-		linkRouteIdx:  map[*Link]map[routeKey]struct{}{},
 		version:       1,
 	}
 }
@@ -93,6 +96,7 @@ func (t *Topology) addNode(n *Node) *Node {
 	n.idx = len(t.order)
 	t.nodes[n.ID] = n
 	t.order = append(t.order, n.ID)
+	t.nodeRoutes = append(t.nodeRoutes, nil)
 	return n
 }
 
@@ -181,7 +185,9 @@ func (t *Topology) Connect(a, b string, opts ...LinkOption) *Link {
 		o(l)
 	}
 	idx := len(t.links)
+	l.idx = idx
 	t.links = append(t.links, l)
+	t.linkRoutes = append(t.linkRoutes, nil)
 	t.adj[a] = append(t.adj[a], idx)
 	t.adj[b] = append(t.adj[b], idx)
 	// First link between a pair wins the directed lookup, matching the
@@ -229,8 +235,8 @@ func (t *Topology) invalidateAllRoutesLocked() {
 		return
 	}
 	t.routeCache = map[routeKey]route{}
-	t.nodeRouteIdx = map[string]map[routeKey]struct{}{}
-	t.linkRouteIdx = map[*Link]map[routeKey]struct{}{}
+	clear(t.nodeRoutes)
+	clear(t.linkRoutes)
 }
 
 // invalidateNodeRoutes evicts only the cached paths that traverse node
@@ -239,39 +245,34 @@ func (t *Topology) invalidateAllRoutesLocked() {
 // optimality.
 func (t *Topology) invalidateNodeRoutes(id string) {
 	t.version++
-	for key := range t.nodeRouteIdx[id] {
-		t.dropRouteKey(key)
+	idx := t.nodes[id].idx
+	for _, key := range t.nodeRoutes[idx] {
+		if r, ok := t.routeCache[key]; ok && slices.Contains(r.path, id) {
+			delete(t.routeCache, key)
+		}
 	}
-	delete(t.nodeRouteIdx, id)
+	t.nodeRoutes[idx] = t.nodeRoutes[idx][:0]
 }
 
 // invalidateLinkRoutes evicts only the cached paths crossing l.
 func (t *Topology) invalidateLinkRoutes(l *Link) {
 	t.version++
-	for key := range t.linkRouteIdx[l] {
-		t.dropRouteKey(key)
-	}
-	delete(t.linkRouteIdx, l)
-}
-
-// dropRouteKey evicts one cached path and de-indexes it from every
-// element it traversed, so a re-cached route is never spuriously
-// evicted by a later fault on the old path and the index stays exact.
-func (t *Topology) dropRouteKey(key routeKey) {
-	r, ok := t.routeCache[key]
-	delete(t.routeCache, key)
-	p := r.path
-	if !ok || p == nil {
-		return
-	}
-	for _, id := range p {
-		delete(t.nodeRouteIdx[id], key)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if l := t.findLink(p[i], p[i+1]); l != nil {
-			delete(t.linkRouteIdx[l], key)
+	for _, key := range t.linkRoutes[l.idx] {
+		if r, ok := t.routeCache[key]; ok && t.crosses(r.path, l) {
+			delete(t.routeCache, key)
 		}
 	}
+	t.linkRoutes[l.idx] = t.linkRoutes[l.idx][:0]
+}
+
+// crosses reports whether path p uses link l.
+func (t *Topology) crosses(p []string, l *Link) bool {
+	for i := 0; i+1 < len(p); i++ {
+		if t.findLink(p[i], p[i+1]) == l {
+			return true
+		}
+	}
+	return false
 }
 
 // cacheRoute prices a computed path, stores it and indexes it by every
@@ -280,31 +281,19 @@ func (t *Topology) cacheRoute(key routeKey, p []string) route {
 	r := t.costRoute(p)
 	r.cached = true
 	t.routeCache[key] = r
-	if p == nil {
-		return r
-	}
-	for _, id := range p {
-		set := t.nodeRouteIdx[id]
-		if set == nil {
-			set = map[routeKey]struct{}{}
-			t.nodeRouteIdx[id] = set
+	for i, id := range p {
+		n := t.nodes[id].idx
+		t.nodeRoutes[n] = append(t.nodeRoutes[n], key)
+		if i+1 < len(p) {
+			l := t.findLink(id, p[i+1]).idx
+			t.linkRoutes[l] = append(t.linkRoutes[l], key)
 		}
-		set[key] = struct{}{}
-	}
-	for i := 0; i+1 < len(p); i++ {
-		l := t.findLink(p[i], p[i+1])
-		set := t.linkRouteIdx[l]
-		if set == nil {
-			set = map[routeKey]struct{}{}
-			t.linkRouteIdx[l] = set
-		}
-		set[key] = struct{}{}
 	}
 	return r
 }
 
 // RouteCacheStats reports cumulative route-cache hits and misses (a miss
-// runs Dijkstra). Useful to quantify fault-scoped invalidation.
+// runs the route search). Useful to quantify fault-scoped invalidation.
 func (t *Topology) RouteCacheStats() (hits, misses int64) {
 	return t.cacheHits, t.cacheMisses
 }
@@ -403,7 +392,7 @@ func (t *Topology) route(src, dst string) (route, error) {
 		t.cacheHits++
 	} else {
 		t.cacheMisses++
-		r = t.cacheRoute(key, t.dijkstra(src, dst))
+		r = t.cacheRoute(key, t.shortestPath(src, dst))
 	}
 	if r.path == nil {
 		return route{cached: true}, fmt.Errorf("simnet: no route from %s to %s", src, dst)
@@ -411,10 +400,20 @@ func (t *Topology) route(src, dst string) (route, error) {
 	return r, nil
 }
 
+// shortestPath is the route a cache miss computes: nil when there is
+// none.
+func (t *Topology) shortestPath(src, dst string) []string {
+	a, b := t.nodes[src], t.nodes[dst]
+	if a == nil || b == nil {
+		return nil
+	}
+	return t.search.path(t, a, b)
+}
+
 // retagVLANs returns the VLAN ids a router could usefully re-tag onto
 // for a route toward the given endpoints: every VLAN pinned on some link
 // ACL plus the endpoint VLANs. Links without an ACL accept any tag, so
-// no other VLAN can ever unlock an edge — this keeps the Dijkstra state
+// no other VLAN can ever unlock an edge — this keeps the route search's state
 // space proportional to the VLANs actually in play instead of the whole
 // VLAN universe of the platform.
 func (t *Topology) retagVLANs(srcVLAN, dstVLAN int) []int {
@@ -470,156 +469,6 @@ func (t *Topology) costRoute(p []string) route {
 		}
 	}
 	return r
-}
-
-// vlanKey is the Dijkstra search state: a packet's position and current
-// VLAN tag.
-type vlanKey struct {
-	node string
-	vlan int
-}
-
-type vlanState struct {
-	cost time.Duration
-	hops int
-	prev vlanKey
-	has  bool
-	done bool
-}
-
-// pqEntry is one (possibly stale) priority-queue element.
-type pqEntry struct {
-	k    vlanKey
-	cost time.Duration
-	hops int
-	seq  int
-}
-
-type routePQ []pqEntry
-
-func (q routePQ) Len() int { return len(q) }
-func (q routePQ) Less(i, j int) bool {
-	if q[i].cost != q[j].cost {
-		return q[i].cost < q[j].cost
-	}
-	if q[i].hops != q[j].hops {
-		return q[i].hops < q[j].hops
-	}
-	return q[i].seq < q[j].seq
-}
-func (q routePQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *routePQ) Push(x interface{}) { *q = append(*q, x.(pqEntry)) }
-func (q *routePQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
-// dijkstra computes the minimum-latency path with hop count as
-// tie-breaker, using a binary heap over (node, VLAN) states. A packet
-// carries one VLAN tag per layer-2 segment, every link must allow the
-// current tag, and only routers may re-tag traffic onto another VLAN
-// (inter-VLAN routing).
-func (t *Topology) dijkstra(src, dst string) []string {
-	srcNode, dstNode := t.nodes[src], t.nodes[dst]
-	if srcNode == nil || dstNode == nil {
-		return nil
-	}
-	retag := t.retagVLANs(srcNode.VLAN, dstNode.VLAN)
-
-	states := map[vlanKey]*vlanState{{src, srcNode.VLAN}: {}}
-	goal := vlanKey{dst, dstNode.VLAN}
-	var pq routePQ
-	seq := 0
-	push := func(k vlanKey, cost time.Duration, hops int) {
-		seq++
-		heap.Push(&pq, pqEntry{k: k, cost: cost, hops: hops, seq: seq})
-	}
-	push(vlanKey{src, srcNode.VLAN}, 0, 0)
-	found := false
-	for pq.Len() > 0 {
-		e := heap.Pop(&pq).(pqEntry)
-		cur := e.k
-		curSt := states[cur]
-		if curSt == nil || curSt.done ||
-			e.cost > curSt.cost || (e.cost == curSt.cost && e.hops > curSt.hops) {
-			continue // stale entry superseded by a better relaxation
-		}
-		if cur == goal {
-			found = true
-			break
-		}
-		curSt.done = true
-
-		relax := func(k vlanKey, cost time.Duration, hops int) {
-			st := states[k]
-			if st != nil && st.done {
-				return
-			}
-			if st == nil || cost < st.cost || (cost == st.cost && hops < st.hops) {
-				states[k] = &vlanState{cost: cost, hops: hops, prev: cur, has: true}
-				push(k, cost, hops)
-			}
-		}
-
-		// A crashed node neither forwards nor re-tags; routing flows
-		// around it (and never into it, below).
-		if t.downNodes[cur.node] {
-			continue
-		}
-		// Routers re-tag traffic onto any useful VLAN at no cost.
-		if t.nodes[cur.node].Kind == Router {
-			for _, v := range retag {
-				if v != cur.vlan {
-					relax(vlanKey{cur.node, v}, curSt.cost, curSt.hops)
-				}
-			}
-		}
-		// Hosts never forward transit traffic, except gateways.
-		if n := t.nodes[cur.node]; n.Kind == Host && cur.node != src && !n.Forwards {
-			continue
-		}
-		for _, idx := range t.adj[cur.node] {
-			l := t.links[idx]
-			if t.disabledLinks[l] {
-				continue
-			}
-			next := l.B
-			lat := l.LatAtoB
-			if next == cur.node {
-				next = l.A
-				lat = l.LatBtoA
-			}
-			if t.downNodes[next] {
-				continue
-			}
-			if !l.allowsVLAN(cur.vlan) {
-				continue
-			}
-			relax(vlanKey{next, cur.vlan}, curSt.cost+lat, curSt.hops+1)
-		}
-	}
-	if !found {
-		return nil
-	}
-	// Reconstruct, skipping zero-length re-tag steps at routers.
-	var path []string
-	for at := goal; ; {
-		if len(path) == 0 || path[len(path)-1] != at.node {
-			path = append(path, at.node)
-		}
-		st := states[at]
-		if !st.has {
-			break
-		}
-		at = st.prev
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }
 
 // PathLatency sums one-way latencies along the routed path from src to dst.

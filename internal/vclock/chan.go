@@ -44,13 +44,6 @@ func NewChan[T any](sim *Sim, name string) *Chan[T] {
 // Name returns the channel's diagnostic name.
 func (c *Chan[T]) Name() string { return c.name }
 
-// Len returns the number of buffered values.
-func (c *Chan[T]) Len() int {
-	c.sim.mu.Lock()
-	defer c.sim.mu.Unlock()
-	return c.n
-}
-
 // pushLocked appends v to the ring, doubling it when full. Caller holds
 // sim.mu.
 func (c *Chan[T]) pushLocked(v T) {

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// Len returns the number of buffered values.
+func (c *Chan[T]) Len() int {
+	c.sim.mu.Lock()
+	defer c.sim.mu.Unlock()
+	return c.n
+}
+
 // TestChanRingFIFO: random bursts of sends and receives on a buffered
 // channel — wrapping the ring and growing it mid-wrap — deliver in send
 // order and report the buffered count.
