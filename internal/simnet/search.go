@@ -65,7 +65,7 @@ func (s *routeSearch) path(t *Topology, src, dst *Node) []string {
 	if _, explicit := t.explicitVLANs[dst.VLAN]; dst.VLAN != src.VLAN && !explicit {
 		class = dst.VLAN
 	}
-	if s.epoch == 0 || s.version != t.version || s.nodes != len(t.order) || s.src != src.idx || s.class != class {
+	if s.version != t.version || s.nodes != len(t.order) || s.src != src.idx || s.class != class {
 		s.start(t, src, class, dst.VLAN)
 	}
 	goal := s.state(dst.idx, dst.VLAN)
