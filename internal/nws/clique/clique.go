@@ -248,6 +248,7 @@ func (m *Member) Run() {
 				ev.kind, next = evKinds[msg.Type]
 				ev.from, ev.epoch, ev.seq = slices.Index(m.cfg.Members, msg.From), msg.Epoch, msg.TokenSeq
 				next = next && ev.from >= 0
+				m.port.Drop(msg)
 			}
 		}
 		if m.stopped.Load() {

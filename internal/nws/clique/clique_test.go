@@ -435,7 +435,7 @@ type roundTap struct {
 	rounds *int
 }
 
-func (p roundTap) Recv() (proto.Message, bool) {
+func (p roundTap) Recv() (*proto.Message, bool) {
 	msg, ok := p.Port.Recv()
 	if ok && msg.Type == proto.MsgProbeCmd {
 		*p.rounds = max(*p.rounds, int(msg.Epoch)+1)

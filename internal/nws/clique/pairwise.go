@@ -87,6 +87,7 @@ func (s *PairwiseScheduler) Run() {
 			if msg.Type == proto.MsgProbeDone && msg.Clique == cfg.Name {
 				done++
 			}
+			s.Port.Drop(msg)
 		}
 		if !s.Port.Wait(cfg.TokenGap) {
 			return // the station closed: the scheduler's host was stopped
@@ -117,19 +118,22 @@ func (a *ProbeAgent) Run() {
 			return
 		}
 		if msg.Type != proto.MsgProbeCmd || msg.Clique != a.Cfg.Name {
+			a.Port.Drop(msg)
 			continue
 		}
+		partner, epoch := msg.Name, msg.Epoch
+		a.Port.Drop(msg)
 		now := a.Port.Runtime().Now
-		h := Hold{Clique: a.Cfg.Name, Host: a.Port.Host(), Partner: msg.Name, Epoch: msg.Epoch, From: now()}
-		l, ok := links[msg.Name]
+		h := Hold{Clique: a.Cfg.Name, Host: a.Port.Host(), Partner: partner, Epoch: epoch, From: now()}
+		l, ok := links[partner]
 		if !ok {
-			l = sensor.NewLink(h.Host, msg.Name)
-			links[msg.Name] = l
+			l = sensor.NewLink(h.Host, partner)
+			links[partner] = l
 		}
 		ms, err := sensor.LinkExperiments(a.Prober, now, l, "pairwise:"+a.Cfg.Name)
 		h.To = now()
 		a.Cfg.Holds.add(h)
-		reply := proto.Message{Type: proto.MsgProbeDone, Clique: a.Cfg.Name, Name: msg.Name, Epoch: msg.Epoch}
+		reply := proto.Message{Type: proto.MsgProbeDone, Clique: a.Cfg.Name, Name: partner, Epoch: epoch}
 		if err != nil {
 			reply.Error = err.Error()
 		} else {

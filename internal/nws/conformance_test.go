@@ -28,6 +28,7 @@ import (
 	"nwsenv/internal/nws/memory"
 	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/vclock"
@@ -391,3 +392,13 @@ func gatewayProbe(r *rig) queryFn {
 func TestConformanceMemoryFetch(t *testing.T)        { runConformance(t, memoryProbe) }
 func TestConformanceForecastResolution(t *testing.T) { runConformance(t, forecastProbe) }
 func TestConformanceGatewayDiscovery(t *testing.T)   { runConformance(t, gatewayProbe) }
+
+// TestConformancePoisoned runs the table against all three roles with
+// every released message poisoned: a role or station that touches a
+// message after replying to it or dropping it fails here.
+func TestConformancePoisoned(t *testing.T) {
+	prototest.PoisonMessages(t)
+	t.Run("memory", TestConformanceMemoryFetch)
+	t.Run("forecast", TestConformanceForecastResolution)
+	t.Run("gateway", TestConformanceGatewayDiscovery)
+}

@@ -45,7 +45,7 @@ type resultPort struct {
 	bytes *atomic.Int64
 }
 
-func (p resultPort) Reply(req proto.Message, m proto.Message) error {
+func (p resultPort) Reply(req *proto.Message, m proto.Message) error {
 	if m.Type == proto.MsgBatchFetchReply {
 		bare := m
 		bare.Results = nil

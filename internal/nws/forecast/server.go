@@ -136,7 +136,7 @@ func (s *Server) boundedCount(n int) int {
 // memory server. Per-series failures (unknown, backend down, empty,
 // insufficient history) are inline in the results; only a
 // protocol-level problem fails the whole batch.
-func (s *Server) handleBatchForecast(req proto.Message) {
+func (s *Server) handleBatchForecast(req *proto.Message) {
 	if req.Version > proto.V3 {
 		s.st.ReplyError(req, "forecaster: unsupported protocol version %d (max %d)", req.Version, proto.V3)
 		return

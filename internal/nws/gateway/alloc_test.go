@@ -130,7 +130,7 @@ func TestAdmissionRecordsCarryNothing(t *testing.T) {
 				if _, err := gc.FetchMany([]proto.SeriesRequest{{Series: "x", Count: 1}}); err != nil {
 					t.Errorf("fetch: %v", err)
 				}
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 		}
 		for i := 0; i < 4; i++ {

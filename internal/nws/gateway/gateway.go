@@ -52,7 +52,7 @@ type Server struct {
 	st    proto.Port
 	ns    *nameserver.Client
 	qc    *query.Client
-	sem   proto.Inbox // admission tokens, limit deep (filled in Run)
+	sem   proto.Inbox // admission tokens (semToken), limit deep (filled in Run)
 	limit int         // concurrent admitted requests
 	shed  int         // waiters beyond which new requests are shed
 
@@ -127,7 +127,7 @@ func (s *Server) SetTelemetry(r *telemetry.Registry) {
 // their request while the gateway keeps accepting traffic.
 func (s *Server) Run() {
 	for i := 0; i < s.limit; i++ {
-		s.sem.Send(proto.Message{})
+		s.sem.Send(semToken)
 	}
 	reg := proto.Registration{Name: s.Name(), Kind: "gateway", Host: s.st.Host()}
 	s.ns.Register(reg)
@@ -164,7 +164,7 @@ func (s *Server) Run() {
 // TCP those are different goroutines.
 type admission struct {
 	s   *Server
-	req proto.Message
+	req *proto.Message
 	// queued: the request still has to wait for a token.
 	queued bool
 	serve  func()
@@ -185,7 +185,7 @@ func (s *Server) spawn(req *proto.Message, queued bool) {
 		a = &admission{s: s}
 		a.serve = a.run
 	}
-	a.req, a.queued = *req, queued
+	a.req, a.queued = req, queued
 	name := s.forecastName
 	if req.Type == proto.MsgQueryFetch {
 		name = s.fetchName
@@ -213,7 +213,7 @@ func (a *admission) run() {
 }
 
 func (s *Server) recycle(a *admission) {
-	a.req, a.queued = proto.Message{}, false
+	a.req, a.queued = nil, false
 	s.mu.Lock()
 	s.free = append(s.free, a)
 	s.mu.Unlock()
@@ -225,11 +225,11 @@ func (s *Server) recycle(a *admission) {
 // by the queue-depth gauge) — unless the waiter line has reached the
 // shed threshold, in which case the request is answered immediately
 // with a typed CodeOverloaded reply carrying a retry-after hint.
-func (s *Server) admit(req proto.Message) {
+func (s *Server) admit(req *proto.Message) {
 	if _, ok := s.sem.TryRecv(); ok {
 		s.requests.Inc()
 		s.inflightG.Set(float64(s.inflight.Add(1)))
-		s.spawn(&req, false)
+		s.spawn(req, false)
 		return
 	}
 	// The token Recv would block: this is a genuine queue event.
@@ -246,13 +246,17 @@ func (s *Server) admit(req proto.Message) {
 	}
 	s.queued.Inc()
 	s.depth.Set(float64(s.waiting.Add(1)))
-	s.spawn(&req, true)
+	s.spawn(req, true)
 }
+
+// semToken is the one admission token every slot of the semaphore
+// holds: it carries nothing, and no one replies to it.
+var semToken = &proto.Message{}
 
 // release returns an admission token and settles the inflight gauge.
 func (s *Server) release() {
 	s.inflightG.Set(float64(s.inflight.Add(-1)))
-	s.sem.Send(proto.Message{})
+	s.sem.Send(semToken)
 }
 
 // queryReplyType maps a query request type to its reply type, for
@@ -266,7 +270,7 @@ func queryReplyType(t proto.MsgType) proto.MsgType {
 
 // handle answers an admitted query batch through the embedded query
 // client, each series' outcome in its wire form.
-func (s *Server) handle(req proto.Message) {
+func (s *Server) handle(req *proto.Message) {
 	if s.tele != nil {
 		name := "forecast"
 		if req.Type == proto.MsgQueryFetch {

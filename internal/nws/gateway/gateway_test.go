@@ -10,6 +10,7 @@ import (
 	"nwsenv/internal/nws/memory"
 	"nwsenv/internal/nws/nameserver"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/query"
 	"nwsenv/internal/simnet"
 	"nwsenv/internal/telemetry"
@@ -246,7 +247,7 @@ func TestGatewayPipelinesConcurrentClients(t *testing.T) {
 				} else if res[0].Err != nil || res[1].Err != nil {
 					t.Errorf("results: %v %v", res[0].Err, res[1].Err)
 				}
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 		}
 		for i := 0; i < users; i++ {
@@ -302,7 +303,7 @@ func TestGatewayAdmissionSaturation(t *testing.T) {
 				} else if !errors.Is(res[0].Err, query.ErrBackendDown) {
 					t.Errorf("sat%d: want ErrBackendDown from the hole, got %v", i, res[0].Err)
 				}
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 			r.pause(100 * time.Millisecond) // deterministic arrival order
 		}
@@ -337,6 +338,18 @@ func TestGatewayAdmissionSaturation(t *testing.T) {
 	})
 }
 
+// TestGatewayStormsPoisoned runs the admission storms — concurrent
+// clients, a saturated limit, shedding, a retried overloaded replica —
+// with every released message poisoned: a queued or shed request the
+// gateway touches after answering it fails here.
+func TestGatewayStormsPoisoned(t *testing.T) {
+	prototest.PoisonMessages(t)
+	t.Run("pipelines", TestGatewayPipelinesConcurrentClients)
+	t.Run("saturation", TestGatewayAdmissionSaturation)
+	t.Run("overload", TestGatewayOverloadShedsTyped)
+	t.Run("retry", TestBalancedClientRetriesOverloadedReplica)
+}
+
 // TestGatewayOverloadShedsTyped: past the shed threshold the gateway
 // answers a typed CodeOverloaded with a retry-after hint instead of
 // queueing without bound, and admits traffic again once the storm
@@ -352,7 +365,7 @@ func TestGatewayOverloadShedsTyped(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			r.st.Runtime().Go(fmt.Sprintf("hold%d", i), func() {
 				gc.FetchMany([]proto.SeriesRequest{{Series: "slow", Count: 1}})
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 			r.pause(100 * time.Millisecond)
 		}
@@ -392,7 +405,7 @@ func TestBalancedClientRetriesOverloadedReplica(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			r.st.Runtime().Go(fmt.Sprintf("hold%d", i), func() {
 				hold.FetchMany([]proto.SeriesRequest{{Series: "slow", Count: 1}})
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 			r.pause(100 * time.Millisecond)
 		}
@@ -468,7 +481,7 @@ func TestConnectDiscoversAllReplicas(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			r.st.Runtime().Go(fmt.Sprintf("hold%d", i), func() {
 				hold.FetchMany([]proto.SeriesRequest{{Series: "slow", Count: 1}})
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 			r.pause(100 * time.Millisecond)
 		}

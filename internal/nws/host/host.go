@@ -164,17 +164,18 @@ func (p *rolePort) Send(to string, m proto.Message) error {
 func (p *rolePort) Call(to string, m proto.Message, timeout time.Duration) (proto.Message, error) {
 	return p.a.st.Call(to, m, timeout)
 }
-func (p *rolePort) CallMany(reqs []proto.Request, timeout time.Duration, each func(int, proto.Message, error)) {
+func (p *rolePort) CallMany(reqs []proto.Request, timeout time.Duration, each func(int, *proto.Message, error)) {
 	p.a.st.CallMany(reqs, timeout, each)
 }
-func (p *rolePort) Reply(req proto.Message, m proto.Message) error {
+func (p *rolePort) Reply(req *proto.Message, m proto.Message) error {
 	return p.a.st.Reply(req, m)
 }
-func (p *rolePort) ReplyError(req proto.Message, format string, args ...interface{}) error {
+func (p *rolePort) ReplyError(req *proto.Message, format string, args ...interface{}) error {
 	return p.a.st.ReplyError(req, format, args...)
 }
-func (p *rolePort) Recv() (proto.Message, bool) { return p.inbox.Recv() }
-func (p *rolePort) RecvTimeout(d time.Duration) (proto.Message, bool) {
+func (p *rolePort) Drop(m *proto.Message)        { p.a.st.Drop(m) }
+func (p *rolePort) Recv() (*proto.Message, bool) { return p.inbox.Recv() }
+func (p *rolePort) RecvTimeout(d time.Duration) (*proto.Message, bool) {
 	return p.inbox.RecvTimeout(d)
 }
 func (p *rolePort) Wait(d time.Duration) bool { return p.a.st.Wait(d) }
@@ -269,10 +270,8 @@ func (a *Agent) storeFn() clique.StoreFn {
 // route is the station's application router: it hands each message to
 // the inbox of the role it addresses, on the delivering context. The
 // agent's own answers (pong, no such role) go out from a process of
-// their own, so the delivering context never sends. Each answer's
-// closure captures a copy of the request made in its branch: one that
-// captured msg would move every routed message to the heap.
-func (a *Agent) route(msg proto.Message) {
+// their own, so the delivering context never sends.
+func (a *Agent) route(msg *proto.Message) {
 	var key roleKey
 	switch msg.Type {
 	case proto.MsgRegister, proto.MsgRegisterBulk, proto.MsgUnregister, proto.MsgLookup:
@@ -291,18 +290,15 @@ func (a *Agent) route(msg proto.Message) {
 	case proto.MsgProbeDone:
 		key = roleKey{"pwsched", msg.Clique}
 	case proto.MsgPing:
-		req := msg
-		a.rt.Go("pong:"+a.st.Host(), func() { a.st.Reply(req, proto.Message{Type: proto.MsgPong}) })
+		a.rt.Go("pong:"+a.st.Host(), func() { a.st.Reply(msg, proto.Message{Type: proto.MsgPong}) })
 		return
 	default:
-		req := msg
-		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(req, "host %s: no role for %v", a.st.Host(), req.Type) })
+		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(msg, "host %s: no role for %v", a.st.Host(), msg.Type) })
 		return
 	}
 	inbox := a.inboxes[key]
 	if inbox == nil {
-		req := msg
-		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(req, "host %s: role %s not deployed", a.st.Host(), key) })
+		a.rt.Go("noroute:"+a.st.Host(), func() { a.st.ReplyError(msg, "host %s: role %s not deployed", a.st.Host(), key) })
 		return
 	}
 	inbox.Send(msg)

@@ -265,8 +265,10 @@ func TestAgentServesRequestsQueuedBeforeStart(t *testing.T) {
 
 // TestRoutingAllocatesNothing: a memory store and a clique token travel
 // through the agent's station (a self-send, so no network event) into
-// their role inboxes without a heap allocation. Only the router's rarely
-// taken answers (pong, no such role) copy the message they capture.
+// their role inboxes without a heap allocation, as long as each role
+// gives back what it takes (Drop here; Reply for a request). Only the
+// router's rarely taken answers (pong, no such role) allocate their
+// closure.
 func TestRoutingAllocatesNothing(t *testing.T) {
 	topo := simnet.NewTopology()
 	topo.AddSwitch("sw")
@@ -285,15 +287,84 @@ func TestRoutingAllocatesNothing(t *testing.T) {
 	route := func() {
 		a.st.Send("h0", store)
 		a.st.Send("h0", tok)
-		if _, ok := memory.inbox.TryRecv(); !ok {
+		m, ok := memory.inbox.TryRecv()
+		if !ok {
 			t.Fatal("store not routed to the memory inbox")
 		}
-		if _, ok := token.inbox.TryRecv(); !ok {
+		memory.Drop(m)
+		if m, ok = token.inbox.TryRecv(); !ok {
 			t.Fatal("token not routed to the clique inbox")
 		}
+		token.Drop(m)
 	}
 	route() // warm the inboxes' rings
 	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
 		t.Fatalf("routing a store and a token allocates %v times, want 0", allocs)
+	}
+}
+
+// TestMessageHopAllocatesNothing: a store called across the simulated
+// network from one host's station to another host's memory role, and
+// the role's ack back, allocate nothing once warm. The request and the
+// ack each travel as one message from the sender's free list to the
+// receiver — delivery record, routing and role inbox hand the pointer
+// on — and the role's Reply and the caller's receipt give them back.
+func TestMessageHopAllocatesNothing(t *testing.T) {
+	topo := simnet.NewTopology()
+	topo.AddSwitch("sw")
+	topo.AddHost("h0", "10.0.0.1", "h0.lan", "lan")
+	topo.AddHost("h1", "10.0.0.2", "h1.lan", "lan")
+	topo.Connect("h0", "sw", simnet.LinkLatency(time.Millisecond))
+	topo.Connect("h1", "sw", simnet.LinkLatency(time.Millisecond))
+	sim := vclock.New()
+	tr := proto.NewSimTransport(simnet.NewNetwork(sim, topo))
+	a, err := NewAgent(tr, "h1", Roles{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	role := a.port(keyMemory)
+	a.st.Route(a.route)
+	ep, err := tr.Open("h0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller := proto.NewStation(tr.Runtime(), ep)
+	sim.Go("role", func() {
+		for {
+			req, ok := role.Recv()
+			if !ok {
+				return
+			}
+			role.Reply(req, proto.Message{Type: proto.MsgStoreAck})
+		}
+	})
+	store := proto.Message{Type: proto.MsgStore, Series: "bandwidth.h0.h1", Samples: []proto.Sample{{Value: 1}}}
+	calls := 0
+	sim.Go("caller", func() {
+		for caller.Wait(time.Second) {
+			if _, err := caller.Call("h1", store, time.Second); err != nil {
+				t.Error(err)
+				return
+			}
+			calls++
+		}
+	})
+	hop := func() {
+		if err := sim.RunUntil(sim.Now() + time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hop() // warm the pools, rings and pair resolutions
+	hop()
+	if allocs := testing.AllocsPerRun(100, hop); allocs != 0 {
+		t.Fatalf("a store and its ack across the network allocate %v times, want 0", allocs)
+	}
+	if calls < 100 {
+		t.Fatalf("%d calls made, want one a virtual second", calls)
+	}
+	caller.Close()
+	a.Stop()
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -109,17 +109,18 @@ func newReplPair(t *testing.T, frame int) *replPair {
 				return
 			}
 			fresh := 0
-			if req.Type == proto.MsgReplStore || req.Type == proto.MsgReplWindow {
-				p.frames = append(p.frames, req)
-				for _, e := range frameEntries(req) {
+			frame := req.Type == proto.MsgReplStore || req.Type == proto.MsgReplWindow
+			if frame {
+				p.frames = append(p.frames, *req)
+				for _, e := range frameEntries(*req) {
 					if r := p.replica.series[e.Series]; r == nil || !r.registered {
 						fresh++
 					}
 				}
 			}
 			before := stamps.Load()
-			p.replica.serve(req)
-			if req.Type == proto.MsgReplStore || req.Type == proto.MsgReplWindow {
+			p.replica.serve(req) // releases req
+			if frame {
 				p.drawn = append(p.drawn, int(stamps.Load()-before))
 				p.fresh = append(p.fresh, fresh)
 			}
@@ -158,7 +159,7 @@ func (p *replPair) feed(t *testing.T, seed uint64) {
 					continue
 				}
 				n := 1 + rng.IntN(3)
-				p.primary.serve(proto.Message{Type: proto.MsgStore, From: "c", Series: name, Samples: samples(at, n)})
+				p.primary.serve(&proto.Message{Type: proto.MsgStore, From: "c", Series: name, Samples: samples(at, n)})
 				at += n
 			}
 			p.sim.Sleep(time.Minute) // both senders drain

@@ -149,7 +149,7 @@ func (s *Server) Run() {
 }
 
 // serve answers one request.
-func (s *Server) serve(req proto.Message) {
+func (s *Server) serve(req *proto.Message) {
 	switch req.Type {
 	case proto.MsgStore:
 		s.handleStore(req)
@@ -209,7 +209,7 @@ func (s *Server) ownedRegistrations() []proto.Registration {
 	return regs
 }
 
-func (s *Server) handleStore(req proto.Message) {
+func (s *Server) handleStore(req *proto.Message) {
 	if req.Series == "" {
 		s.st.ReplyError(req, "memory: empty series")
 		return
@@ -280,7 +280,7 @@ func (s *Server) setWindow(r *record, w []proto.Sample) {
 // one round-trip. Unknown series come back empty; results keep the
 // request order. A tokened request is stamped with its window's token,
 // and carries no samples when the requester's token is that one.
-func (s *Server) handleBatchFetch(req proto.Message) {
+func (s *Server) handleBatchFetch(req *proto.Message) {
 	if req.Version > proto.V3 {
 		s.st.ReplyError(req, "memory: unsupported protocol version %d (max %d)", req.Version, proto.V3)
 		return
@@ -344,7 +344,7 @@ func (s *Server) handleBatchFetch(req proto.Message) {
 // stale — ownership moved here), and the reply always acks, with the
 // lag after the frame's last store: replication is at-most-once by
 // design.
-func (s *Server) handleReplStore(req proto.Message) {
+func (s *Server) handleReplStore(req *proto.Message) {
 	var lag int64
 	s.mu.Lock()
 	for _, e := range req.Results {
@@ -368,7 +368,7 @@ func (s *Server) handleReplStore(req proto.Message) {
 // wholesale (anti-entropy backfill): dedup-safe however many times it
 // is delivered, and it declares the replica caught up to the sender's
 // cumulative total.
-func (s *Server) handleReplWindow(req proto.Message) {
+func (s *Server) handleReplWindow(req *proto.Message) {
 	s.mu.Lock()
 	if r := s.record(req.Series); !r.registered {
 		r.origin = req.From
@@ -382,7 +382,7 @@ func (s *Server) handleReplWindow(req proto.Message) {
 
 // handleReplSync hands a repairing primary every series this server
 // holds as a replica of the dead primary host named in req.Name.
-func (s *Server) handleReplSync(req proto.Message) {
+func (s *Server) handleReplSync(req *proto.Message) {
 	s.st.Reply(req, proto.Message{Type: proto.MsgReplSyncReply, Version: proto.V3, Results: s.heldFrom(req.Name)})
 }
 
@@ -415,7 +415,7 @@ func (s *Server) heldFrom(dead string) []proto.SeriesResult {
 // survivor req.Reg.Host — itself, when it was in the dead primary's
 // replica set — and pushing full windows to its own replica set. The
 // ack reports series adopted (Count) and samples backfilled (Total).
-func (s *Server) handleReplRepair(req proto.Message) {
+func (s *Server) handleReplRepair(req *proto.Message) {
 	dead, survivor := req.Reg.Name, req.Reg.Host
 	var results []proto.SeriesResult
 	if survivor == s.st.Host() {

@@ -212,14 +212,14 @@ type replyPort struct {
 	last proto.Message
 }
 
-func (p *replyPort) Reply(req proto.Message, m proto.Message) error {
+func (p *replyPort) Reply(req *proto.Message, m proto.Message) error {
 	p.last = m
 	return nil
 }
 
 func (p *replyPort) ask(s *Server, req proto.Message) proto.Message {
 	p.last = proto.Message{}
-	s.serve(req)
+	s.serve(&req)
 	return p.last
 }
 

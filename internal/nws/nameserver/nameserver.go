@@ -52,7 +52,7 @@ func (s *Server) Run() {
 	}
 }
 
-func (s *Server) handleRegister(req proto.Message) {
+func (s *Server) handleRegister(req *proto.Message) {
 	reg := req.Reg
 	if reg.Name == "" {
 		s.st.ReplyError(req, "nameserver: empty registration name")
@@ -72,7 +72,7 @@ func (s *Server) handleRegister(req proto.Message) {
 // it owns. Entries without a name are skipped (a bulk refresh must not
 // fail wholesale over one malformed entry); Count reports how many were
 // accepted.
-func (s *Server) handleRegisterBulk(req proto.Message) {
+func (s *Server) handleRegisterBulk(req *proto.Message) {
 	now := s.st.Runtime().Now()
 	accepted := 0
 	for _, reg := range req.Regs {
@@ -89,7 +89,7 @@ func (s *Server) handleRegisterBulk(req proto.Message) {
 	s.st.Reply(req, proto.Message{Type: proto.MsgRegisterAck, Count: accepted})
 }
 
-func (s *Server) handleLookup(req proto.Message) {
+func (s *Server) handleLookup(req *proto.Message) {
 	now := s.st.Runtime().Now()
 	var out []proto.Registration
 	if req.Name != "" {

@@ -123,7 +123,7 @@ var deliverySemantics = []struct {
 		if _, err := a.Call("b", Message{Type: MsgPing}, 5*time.Second); !errors.Is(err, ErrClosed) {
 			t.Errorf("call through a closing station: err %v, want ErrClosed", err)
 		}
-		a.deliver(Message{Type: MsgPong, ReplyTo: 1}) // the reply, landing after Close
+		a.deliver(&Message{Type: MsgPong, ReplyTo: 1}) // the reply, landing after Close
 		a.Runtime().Sleep(60 * time.Millisecond)
 		if m, ok := a.Recv(); ok {
 			t.Errorf("closed station delivered %+v", m)
@@ -140,7 +140,7 @@ var deliverySemantics = []struct {
 		a.CallMany([]Request{
 			{To: "c", Msg: Message{Type: MsgPing, Count: 1}},
 			{To: "b", Msg: Message{Type: MsgPing, Count: 2}},
-		}, timeout, func(i int, reply Message, err error) {
+		}, timeout, func(i int, reply *Message, err error) {
 			at := rt.Now() - start
 			switch i {
 			case 0:
@@ -166,9 +166,9 @@ var deliverySemantics = []struct {
 		a.CallMany([]Request{
 			{To: "nowhere", Msg: Message{Type: MsgPing}},
 			{To: "b", Msg: Message{Type: MsgPing, Count: 2}},
-		}, 5*time.Second, func(i int, reply Message, err error) {
+		}, 5*time.Second, func(i int, reply *Message, err error) {
 			got[i] = err
-			if i == 1 && reply.Count != 2 {
+			if i == 1 && (reply == nil || reply.Count != 2) {
 				t.Errorf("answering target: %+v", reply)
 			}
 		})
@@ -330,7 +330,7 @@ func newFaultPlane(t *testing.T, prepare func(*simnet.Network)) *faultPlane {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep.Handle(func(Message) { f.landed[h] = append(f.landed[h], sim.Now()) })
+		ep.Handle(func(*Message) { f.landed[h] = append(f.landed[h], sim.Now()) })
 		f.eps[h] = ep
 	}
 	return f
@@ -349,7 +349,7 @@ func (f *faultPlane) drive(t *testing.T) {
 func (f *faultPlane) send(t *testing.T) (delay time.Duration, landed bool, err error) {
 	t.Helper()
 	before, at := len(f.landed["b"]), f.sim.Now()
-	err = f.eps["a"].Send("b", Message{Type: MsgPing})
+	err = f.eps["a"].Send("b", &Message{Type: MsgPing})
 	f.drive(t)
 	if len(f.landed["b"]) == before {
 		return 0, false, err

@@ -138,7 +138,7 @@ func stillServesV3(t *testing.T, tr *TCPTransport, srv *Station) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	if err := ep.Send(srv.Host(), Message{Type: MsgPing, From: "peer", ID: 99}); err != nil {
+	if err := ep.Send(srv.Host(), &Message{Type: MsgPing, From: "peer", ID: 99}); err != nil {
 		t.Fatalf("proper peer refused after the bad one: %v", err)
 	}
 	got, ok := srv.RecvTimeout(5 * time.Second)

@@ -5,6 +5,12 @@
 // simnet/vclock substrate and a real TCP transport over loopback
 // sockets. Both speak one encoding, the binary codec in codec.go: TCP
 // writes its frames, the simulator charges their exact length.
+//
+// Messages travel by pointer, from the sending station to the role that
+// receives them, under the one ownership rule stated on Inbox: a role
+// owns a message its Recv returned until it replies to it or drops it,
+// and never after. Released messages go back to the runtime's free
+// list, zeroed; the arrays their slices pointed at are never reused.
 package proto
 
 import (

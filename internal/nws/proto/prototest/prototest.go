@@ -36,17 +36,18 @@ func (p *StubPort) Runtime() proto.Runtime { return p.RT }
 func (p *StubPort) Call(to string, m proto.Message, d time.Duration) (proto.Message, error) {
 	return proto.Message{Type: proto.MsgRegisterAck}, nil
 }
-func (p *StubPort) CallMany(reqs []proto.Request, d time.Duration, each func(int, proto.Message, error)) {
+func (p *StubPort) CallMany(reqs []proto.Request, d time.Duration, each func(int, *proto.Message, error)) {
 	CallEach(p.Call, reqs, d, each)
 }
-func (p *StubPort) Send(to string, m proto.Message) error          { return nil }
-func (p *StubPort) Reply(req proto.Message, m proto.Message) error { return nil }
-func (p *StubPort) ReplyError(req proto.Message, format string, args ...interface{}) error {
+func (p *StubPort) Send(to string, m proto.Message) error           { return nil }
+func (p *StubPort) Reply(req *proto.Message, m proto.Message) error { return nil }
+func (p *StubPort) ReplyError(req *proto.Message, format string, args ...interface{}) error {
 	return nil
 }
-func (p *StubPort) Recv() (proto.Message, bool) { return proto.Message{}, false }
-func (p *StubPort) RecvTimeout(d time.Duration) (proto.Message, bool) {
-	return proto.Message{}, false
+func (p *StubPort) Drop(m *proto.Message)        {}
+func (p *StubPort) Recv() (*proto.Message, bool) { return nil, false }
+func (p *StubPort) RecvTimeout(d time.Duration) (*proto.Message, bool) {
+	return nil, false
 }
 func (p *StubPort) Wait(d time.Duration) bool {
 	p.RT.Sleep(d)
@@ -58,11 +59,21 @@ var _ proto.Port = (*StubPort)(nil)
 
 // CallEach implements Port.CallMany as a loop over call, one request at
 // a time: the scatter of a test double whose Call is scripted.
-func CallEach(call func(string, proto.Message, time.Duration) (proto.Message, error), reqs []proto.Request, d time.Duration, each func(int, proto.Message, error)) {
+func CallEach(call func(string, proto.Message, time.Duration) (proto.Message, error), reqs []proto.Request, d time.Duration, each func(int, *proto.Message, error)) {
 	for i, r := range reqs {
 		reply, err := call(r.To, r.Msg, d)
-		each(i, reply, err)
+		each(i, &reply, err)
 	}
+}
+
+// PoisonMessages makes every message released to a free list poisoned
+// for the rest of the test (proto.PoisonReleased), so a role or
+// station that touches a message after replying to it or dropping it
+// fails loudly. The setting is process-wide: a test that calls it must
+// not run in parallel with others.
+func PoisonMessages(tb testing.TB) {
+	was := proto.PoisonReleased(true)
+	tb.Cleanup(func() { proto.PoisonReleased(was) })
 }
 
 // How long Teardown waits for what a test built to end: virtual time on

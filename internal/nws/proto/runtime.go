@@ -2,6 +2,7 @@ package proto
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nwsenv/internal/vclock"
@@ -24,29 +25,106 @@ type Runtime interface {
 	After(d time.Duration, fn func()) (cancel func())
 	// NewInbox creates a mailbox for message hand-off.
 	NewInbox(name string) Inbox
+	// messages is the runtime's free list of messages (see Inbox).
+	messages() *msgFree
 }
 
 // Inbox is an unbounded FIFO mailbox of messages, on both runtimes: Send
 // never blocks and never applies backpressure. Load is shed where it is
 // admitted — the gateway's admission queue, the replica fan-out's
 // bounded in-flight window — not here. Several receivers may share one.
+//
+// Messages travel by pointer, and this is the one ownership rule for
+// them. A message that arrives from the transport was taken from its
+// runtime's free list by the sending station; the endpoint, the
+// station and the inbox hand that one pointer on, so whoever a Send
+// gives it to owns it. A role owns a message its Recv returned until it
+// replies to it (Port.Reply, Port.ReplyError) or drops it (Port.Drop),
+// and never after: both give it back to the free list, where it is
+// zeroed and reused for the next message sent. A message its owner
+// forgets is left to the collector. Recycling zeroes the struct only: the arrays its slices
+// (Samples, Results, Regs, ...) pointed at are never reused, since a
+// memory server or replica may have kept them.
 type Inbox interface {
 	// Recv blocks until a message arrives; ok=false after Close.
-	Recv() (Message, bool)
+	Recv() (*Message, bool)
 	// RecvTimeout is Recv with a timeout; ok=false on timeout or close.
-	RecvTimeout(d time.Duration) (Message, bool)
+	RecvTimeout(d time.Duration) (*Message, bool)
 	// TryRecv never blocks.
-	TryRecv() (Message, bool)
-	// Send enqueues m; after Close it drops m.
-	Send(m Message)
+	TryRecv() (*Message, bool)
+	// Send enqueues m, which the inbox then owns; after Close it drops m.
+	Send(m *Message)
 	// Close releases receivers once the messages already queued are taken.
 	Close()
+}
+
+// msgFree is a runtime's free list of messages: a station takes one for
+// each message it sends and gives it back once the receiver is done
+// with it. A sync.Pool, so the goroutines of the real runtime share it
+// without contending for a lock.
+type msgFree struct{ pool sync.Pool }
+
+// get returns a zeroed message.
+func (f *msgFree) get() *Message {
+	if m, ok := f.pool.Get().(*Message); ok {
+		return m
+	}
+	return new(Message)
+}
+
+// put zeroes m and keeps it for a later get. Under PoisonReleased it
+// poisons m instead and never hands it out again.
+func (f *msgFree) put(m *Message) {
+	if poisonReleased.Load() {
+		poison(m)
+		return
+	}
+	*m = Message{}
+	f.pool.Put(m)
+}
+
+// poisonReleased is PoisonReleased's switch.
+var poisonReleased atomic.Bool
+
+// PoisonReleased is a hook for tests: while on is set, a message given
+// back to a free list is filled with poison (a released type, negative
+// IDs, marked strings) instead of being reused, and a station panics
+// when it is handed a poisoned message to deliver or reply to,
+// or released twice. A use after release then fails loudly instead of
+// reading the next message's fields. It returns the previous setting.
+func PoisonReleased(on bool) (was bool) { return poisonReleased.Swap(on) }
+
+// msgReleased is the type of a poisoned message.
+const msgReleased MsgType = -1
+
+// releasedMark fills every string field of a poisoned message.
+const releasedMark = "\u2620released"
+
+func poison(m *Message) {
+	mustLive(m)
+	*m = Message{
+		Type: msgReleased, Version: -1, From: releasedMark, ID: -1, ReplyTo: -1, Error: releasedMark,
+		Reg:  Registration{Name: releasedMark, Kind: releasedMark, Host: releasedMark, Owner: releasedMark},
+		Kind: releasedMark, Name: releasedMark, Series: releasedMark, Count: -1,
+		Clique: releasedMark, TokenSeq: -1, Epoch: -1, Total: -1, Code: releasedMark, RetryAfter: -1,
+	}
+}
+
+// mustLive panics on a poisoned message: one handed on after its owner
+// released it.
+func mustLive(m *Message) {
+	if m.Type == msgReleased {
+		panic("proto: use of a released message")
+	}
 }
 
 // ---- Simulated runtime ----
 
 // SimRuntime adapts a vclock simulation to the Runtime interface.
-type SimRuntime struct{ Sim *vclock.Sim }
+type SimRuntime struct {
+	Sim  *vclock.Sim
+	msgs msgFree
+}
 
 // NewSimRuntime wraps sim.
 func NewSimRuntime(sim *vclock.Sim) *SimRuntime { return &SimRuntime{Sim: sim} }
@@ -61,27 +139,32 @@ func (r *SimRuntime) After(d time.Duration, fn func()) func() {
 }
 
 func (r *SimRuntime) NewInbox(name string) Inbox {
-	return &simInbox{ch: vclock.NewChan[Message](r.Sim, name)}
+	return &simInbox{ch: vclock.NewChan[*Message](r.Sim, name)}
 }
 
-type simInbox struct{ ch *vclock.Chan[Message] }
+func (r *SimRuntime) messages() *msgFree { return &r.msgs }
 
-func (b *simInbox) Recv() (Message, bool)                       { return b.ch.Recv() }
-func (b *simInbox) RecvTimeout(d time.Duration) (Message, bool) { return b.ch.RecvTimeout(d) }
-func (b *simInbox) TryRecv() (Message, bool)                    { return b.ch.TryRecv() }
+type simInbox struct{ ch *vclock.Chan[*Message] }
+
+func (b *simInbox) Recv() (*Message, bool)                       { return b.ch.Recv() }
+func (b *simInbox) RecvTimeout(d time.Duration) (*Message, bool) { return b.ch.RecvTimeout(d) }
+func (b *simInbox) TryRecv() (*Message, bool)                    { return b.ch.TryRecv() }
 
 // Send drops messages arriving after Close (mailbox semantics, like
 // realInbox): a component torn down by an incremental redeploy must not
 // crash late senders.
-func (b *simInbox) Send(m Message) { b.ch.TrySend(m) }
-func (b *simInbox) Close()         { b.ch.Close() }
+func (b *simInbox) Send(m *Message) { b.ch.TrySend(m) }
+func (b *simInbox) Close()          { b.ch.Close() }
 
 // ---- Real-time runtime ----
 
 // RealRuntime implements Runtime on the wall clock, for running NWS
 // components over real sockets. Processes are goroutines (names are
 // ignored) and inboxes are growable mailboxes.
-type RealRuntime struct{ epoch time.Time }
+type RealRuntime struct {
+	epoch time.Time
+	msgs  msgFree
+}
 
 // NewRealRuntime returns a runtime whose Now starts at zero.
 func NewRealRuntime() *RealRuntime { return &RealRuntime{epoch: time.Now()} }
@@ -99,6 +182,8 @@ func (r *RealRuntime) NewInbox(name string) Inbox {
 	return &realInbox{wake: make(chan struct{}, 1)}
 }
 
+func (r *RealRuntime) messages() *msgFree { return &r.msgs }
+
 // inboxRetain is the largest ring (in messages) a drained realInbox
 // keeps for its next burst; a larger one is given back to the collector.
 const inboxRetain = 64
@@ -109,9 +194,9 @@ const inboxRetain = 64
 // which releases every receiver for good.
 type realInbox struct {
 	mu     sync.Mutex
-	buf    []Message // ring; len is zero or a power of two
-	head   int       // index of the oldest message
-	n      int       // messages queued
+	buf    []*Message // ring; len is zero or a power of two
+	head   int        // index of the oldest message
+	n      int        // messages queued
 	closed bool
 	wake   chan struct{}
 }
@@ -125,14 +210,14 @@ func (b *realInbox) arm() {
 	}
 }
 
-func (b *realInbox) Send(m Message) {
+func (b *realInbox) Send(m *Message) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
 	if b.n == len(b.buf) {
-		grown := make([]Message, max(1, 2*b.n))
+		grown := make([]*Message, max(1, 2*b.n))
 		k := copy(grown, b.buf[b.head:])
 		copy(grown[k:], b.buf[:b.head])
 		b.buf, b.head = grown, 0
@@ -143,14 +228,14 @@ func (b *realInbox) Send(m Message) {
 }
 
 // pop moves the oldest message, if any, into m.
-func (b *realInbox) pop(m *Message) bool {
+func (b *realInbox) pop(m **Message) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.n == 0 {
 		return false
 	}
 	*m = b.buf[b.head]
-	b.buf[b.head] = Message{} // drop the slot's payload references
+	b.buf[b.head] = nil
 	b.head = (b.head + 1) & (len(b.buf) - 1)
 	b.n--
 	switch {
@@ -164,12 +249,12 @@ func (b *realInbox) pop(m *Message) bool {
 	return true
 }
 
-func (b *realInbox) TryRecv() (m Message, ok bool) {
+func (b *realInbox) TryRecv() (m *Message, ok bool) {
 	ok = b.pop(&m)
 	return m, ok
 }
 
-func (b *realInbox) Recv() (m Message, ok bool) {
+func (b *realInbox) Recv() (m *Message, ok bool) {
 	for !b.pop(&m) {
 		if _, open := <-b.wake; !open {
 			ok = b.pop(&m) // what was queued before Close
@@ -180,7 +265,7 @@ func (b *realInbox) Recv() (m Message, ok bool) {
 }
 
 // RecvTimeout takes a queued message before it allocates a timer.
-func (b *realInbox) RecvTimeout(d time.Duration) (m Message, ok bool) {
+func (b *realInbox) RecvTimeout(d time.Duration) (m *Message, ok bool) {
 	if b.pop(&m) {
 		return m, true
 	}

@@ -25,7 +25,7 @@ var inboxRuntimes = []struct {
 	{"real", func(t *testing.T, body func(rt Runtime)) { body(NewRealRuntime()) }},
 }
 
-func numbered(i int) Message { return Message{Type: MsgPing, ID: int64(i)} }
+func numbered(i int) *Message { return &Message{Type: MsgPing, ID: int64(i)} }
 
 // wantNext reports whether the next message of box, taken by one of the
 // three receive calls in rotation, is number i. The helpers and cases
@@ -36,7 +36,7 @@ func numbered(i int) Message { return Message{Type: MsgPing, ID: int64(i)} }
 // written once for both runtimes.)
 func wantNext(t *testing.T, box Inbox, i int) bool {
 	t.Helper()
-	var m Message
+	var m *Message
 	var ok bool
 	switch i % 3 {
 	case 0:
@@ -47,7 +47,7 @@ func wantNext(t *testing.T, box Inbox, i int) bool {
 		m, ok = box.RecvTimeout(time.Hour)
 	}
 	if !ok || m.ID != int64(i) {
-		t.Errorf("message %d: got ID %d ok=%v", i, m.ID, ok)
+		t.Errorf("message %d: got %+v ok=%v", i, m, ok)
 		return false
 	}
 	return true
@@ -137,7 +137,7 @@ var inboxContract = []struct {
 		released := rt.NewInbox("released")
 		rt.Go("parked", func() {
 			if _, ok := box.Recv(); !ok {
-				released.Send(Message{})
+				released.Send(&Message{})
 			}
 			released.Close()
 		})
@@ -192,12 +192,12 @@ var inboxContract = []struct {
 		for s := 0; s < senders; s++ {
 			rt.Go("sender", func() {
 				for i := 0; i < each; i++ {
-					box.Send(Message{Type: MsgPing, From: string(rune('a' + s)), ID: int64(i)})
+					box.Send(&Message{Type: MsgPing, From: string(rune('a' + s)), ID: int64(i)})
 					if i%50 == 0 {
 						rt.Sleep(time.Microsecond)
 					}
 				}
-				finished.Send(Message{})
+				finished.Send(&Message{})
 			})
 		}
 		for r := 0; r < receivers; r++ {
@@ -209,7 +209,7 @@ var inboxContract = []struct {
 					}
 					got++
 				}
-				finished.Send(Message{Count: got})
+				finished.Send(&Message{Count: got})
 			})
 		}
 		rt.Sleep(20 * time.Microsecond)
@@ -266,9 +266,9 @@ func TestRealInboxPopRearmsWake(t *testing.T) {
 		default:
 			t.Fatalf("no wake token with %d messages queued", 2-i)
 		}
-		var m Message
+		var m *Message
 		if !box.pop(&m) || m.ID != int64(i) {
-			t.Fatalf("pop %d: got ID %d", i, m.ID)
+			t.Fatalf("pop %d: got %+v", i, m)
 		}
 	}
 }
@@ -304,8 +304,9 @@ func TestRealInboxGivesBurstCapacityBack(t *testing.T) {
 	if len(box.buf) != inboxRetain {
 		t.Fatalf("box drained from %d messages retains %d slots, want them kept", inboxRetain, len(box.buf))
 	}
+	m := &Message{}
 	if allocs := testing.AllocsPerRun(100, func() {
-		box.Send(Message{})
+		box.Send(m)
 		box.Recv()
 	}); allocs != 0 {
 		t.Fatalf("steady-state Send+Recv allocates %v times", allocs)

@@ -98,18 +98,20 @@ type simEndpoint struct {
 	self *simnet.Pair
 	// handler receives every message delivered here; nil (before
 	// Handle, after Close) drops them.
-	handler func(Message)
+	handler func(*Message)
 }
 
 func (e *simEndpoint) Host() string { return e.host }
 
-func (e *simEndpoint) Handle(h func(Message)) {
+func (e *simEndpoint) Handle(h func(*Message)) {
 	e.t.mu.Lock()
 	e.handler = h
 	e.t.mu.Unlock()
 }
 
-func (e *simEndpoint) Send(to string, m Message) error {
+// Send hands m, as it is, to the destination's handler when it lands;
+// a message that goes nowhere goes back to the free list.
+func (e *simEndpoint) Send(to string, m *Message) error {
 	t := e.t
 	// No pair is blocked unless a test made it so: skip the lookup
 	// while the map is empty.
@@ -121,11 +123,13 @@ func (e *simEndpoint) Send(to string, m Message) error {
 	stats := t.stats
 	t.mu.Unlock()
 	if down, _ := e.self.Down(); down {
+		t.rt.msgs.put(m)
 		return fmt.Errorf("proto: host %s is down", e.host)
 	}
 	// A partition drops traffic silently: the sender only learns through
 	// timeouts.
 	if pairBlocked {
+		t.rt.msgs.put(m)
 		return nil
 	}
 	if to == e.host {
@@ -136,16 +140,20 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		t.mu.Unlock()
 		if h != nil {
 			h(m)
+		} else {
+			t.rt.msgs.put(m)
 		}
 		return nil
 	}
 	p, err := t.net.Pair(e.host, to)
 	if err != nil {
+		t.rt.msgs.put(m)
 		return err
 	}
 	// Messages to dead hosts vanish (like packets to a crashed machine):
 	// the sender notices only through timeouts, as with real NWS.
 	if _, down := p.Down(); down {
+		t.rt.msgs.put(m)
 		return nil
 	}
 	size := m.WireSize()
@@ -158,6 +166,7 @@ func (e *simEndpoint) Send(to string, m Message) error {
 		t.mu.Lock()
 		t.recycleLocked(d)
 		t.mu.Unlock()
+		t.rt.msgs.put(m)
 		return err
 	}
 	return nil
@@ -165,12 +174,13 @@ func (e *simEndpoint) Send(to string, m Message) error {
 
 // delivery is one message in flight. Records are pooled per transport
 // and each builds its arrival callback once, so steady-state traffic
-// allocates neither a callback nor a heap copy of the message.
+// allocates neither a callback nor a message: the record carries the
+// sender's.
 type delivery struct {
 	t      *SimTransport
 	to     string
 	p      *simnet.Pair
-	m      Message
+	m      *Message
 	size   int64
 	stats  wireStats
 	arrive func()
@@ -201,13 +211,14 @@ func (d *delivery) land() {
 	t := d.t
 	to, p, m, size, stats := d.to, d.p, d.m, d.size, d.stats
 	t.mu.Lock()
-	var h func(Message)
+	var h func(*Message)
 	if dst := t.eps[to]; dst != nil {
 		h = dst.handler
 	}
 	t.recycleLocked(d)
 	t.mu.Unlock()
 	if _, down := p.Down(); h == nil || down {
+		t.rt.msgs.put(m)
 		return
 	}
 	stats.received(size)

@@ -31,14 +31,17 @@ type Transport interface {
 type Endpoint interface {
 	Host() string
 	// Send delivers m to the endpoint of the named host (asynchronous,
-	// at-most-once; delivery fails silently if the peer is down).
-	Send(to string, m Message) error
+	// at-most-once; delivery fails silently if the peer is down). m
+	// comes from the runtime's free list and Send takes it, error or
+	// not: the caller never touches it again (see Inbox).
+	Send(to string, m *Message) error
 	// Handle registers h, the function every message addressed to this
-	// host is handed to. NewStation calls it once, before the endpoint
-	// receives anything. h runs on the delivering context — a simulation
-	// event, a TCP reader goroutine, the sender of a self-send — so it
-	// only enqueues: it never parks, calls or writes a socket.
-	Handle(h func(Message))
+	// host is handed to, with its ownership. NewStation calls it once,
+	// before the endpoint receives anything. h runs on the delivering
+	// context — a simulation event, a TCP reader goroutine, the sender
+	// of a self-send — so it only enqueues: it never parks, calls or
+	// writes a socket.
+	Handle(h func(*Message))
 	// Close detaches the endpoint.
 	Close() error
 }
@@ -50,8 +53,9 @@ type Endpoint interface {
 // lands, in one hand-off. A Station is the communication object every
 // NWS server is built on.
 type Station struct {
-	rt Runtime
-	ep Endpoint
+	rt   Runtime
+	ep   Endpoint
+	msgs *msgFree
 
 	mu      sync.Mutex
 	nextID  int64
@@ -61,7 +65,7 @@ type Station struct {
 	closing Inbox
 	// route, once Route sets it, receives the application messages
 	// instead of app.
-	route  func(Message)
+	route  func(*Message)
 	closed bool
 	// boxes recycles drained call inboxes. Only the success path
 	// recycles: every reply removes its pending entry before it is
@@ -78,6 +82,7 @@ func NewStation(rt Runtime, ep Endpoint) *Station {
 	s := &Station{
 		rt:      rt,
 		ep:      ep,
+		msgs:    rt.messages(),
 		pending: map[int64]Inbox{},
 		app:     rt.NewInbox("app:" + ep.Host()),
 		closing: rt.NewInbox("closing:" + ep.Host()),
@@ -95,7 +100,8 @@ func (s *Station) Runtime() Runtime { return s.rt }
 // deliver is the endpoint's handler: a reply goes to the call box of the
 // call it answers (a late reply, whose call has given up, is dropped),
 // anything else to the application router.
-func (s *Station) deliver(m Message) {
+func (s *Station) deliver(m *Message) {
+	mustLive(m)
 	s.mu.Lock()
 	if m.ReplyTo != 0 {
 		box := s.pending[m.ReplyTo]
@@ -103,6 +109,8 @@ func (s *Station) deliver(m Message) {
 		s.mu.Unlock()
 		if box != nil {
 			box.Send(m)
+		} else {
+			s.msgs.put(m)
 		}
 		return
 	}
@@ -121,7 +129,7 @@ func (s *Station) deliver(m Message) {
 // context, instead of queueing it for Recv; the messages already queued
 // go to fn first, in order. fn has the endpoint handler's obligations:
 // it only enqueues. A host agent routes its roles' traffic this way.
-func (s *Station) Route(fn func(Message)) {
+func (s *Station) Route(fn func(*Message)) {
 	for {
 		// Arrivals keep queueing behind the backlog until it is empty
 		// under the lock, so none overtakes it.
@@ -146,11 +154,13 @@ func (s *Station) newID() int64 {
 
 // Send transmits a one-way message (no reply expected).
 func (s *Station) Send(to string, m Message) error {
-	m.From = s.ep.Host()
-	if m.ID == 0 {
-		m.ID = s.newID()
+	out := s.msgs.get()
+	*out = m
+	out.From = s.ep.Host()
+	if out.ID == 0 {
+		out.ID = s.newID()
 	}
-	return s.ep.Send(to, m)
+	return s.ep.Send(to, out)
 }
 
 // Request is one call of a scatter: a message and the host it goes to.
@@ -162,7 +172,12 @@ type Request struct {
 // Call sends a request and blocks the calling process until the matching
 // reply arrives or the timeout expires.
 func (s *Station) Call(to string, m Message, timeout time.Duration) (reply Message, err error) {
-	s.CallMany([]Request{{To: to, Msg: m}}, timeout, func(_ int, r Message, e error) { reply, err = r, e })
+	s.CallMany([]Request{{To: to, Msg: m}}, timeout, func(_ int, r *Message, e error) {
+		if r != nil {
+			reply = *r
+		}
+		err = e
+	})
 	return reply, err
 }
 
@@ -171,15 +186,17 @@ func (s *Station) Call(to string, m Message, timeout time.Duration) (reply Messa
 // err) runs on the calling process exactly once per request: as its
 // reply arrives (in arrival order), when its Send fails, or at the
 // deadline. reply and err follow Call: a served error reply comes with
-// a non-nil err, a timeout or teardown with a zero reply.
-func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i int, reply Message, err error)) {
+// a non-nil err, a failed send, a timeout or teardown with a nil reply.
+// reply is lent: it goes back to the free list when each returns, so
+// each copies what it keeps of it (its slices may be kept as they are).
+func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i int, reply *Message, err error)) {
 	n := len(reqs)
 	host := s.ep.Host()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		for i := range reqs {
-			each(i, Message{}, fmt.Errorf("%w: %s", ErrClosed, host))
+			each(i, nil, fmt.Errorf("%w: %s", ErrClosed, host))
 		}
 		return
 	}
@@ -209,15 +226,17 @@ func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i in
 	}
 	waiting := n
 	for i := range reqs {
-		m := reqs[i].Msg
-		m.From, m.ID = host, base+int64(i)
+		m := s.msgs.get()
+		*m = reqs[i].Msg
+		id := base + int64(i)
+		m.From, m.ID = host, id
 		if err := s.ep.Send(reqs[i].To, m); err != nil {
 			s.mu.Lock()
-			delete(s.pending, m.ID)
+			delete(s.pending, id)
 			s.mu.Unlock()
 			done[i] = true
 			waiting--
-			each(i, Message{}, err)
+			each(i, nil, err)
 		}
 	}
 	deadline := s.rt.Now() + timeout
@@ -234,6 +253,7 @@ func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i in
 		} else {
 			each(i, reply, nil)
 		}
+		s.msgs.put(reply)
 	}
 	s.mu.Lock()
 	closed := s.closed
@@ -257,9 +277,9 @@ func (s *Station) CallMany(reqs []Request, timeout time.Duration, each func(i in
 		// pending boxes, and callers (retry loops like KeepRegistered)
 		// must see ErrClosed, not a fabricated timeout.
 		if closed {
-			each(i, Message{}, fmt.Errorf("%w: %s", ErrClosed, host))
+			each(i, nil, fmt.Errorf("%w: %s", ErrClosed, host))
 		} else {
-			each(i, Message{}, fmt.Errorf("proto: %s: call %v to %s timed out after %v", host, r.Msg.Type, r.To, timeout))
+			each(i, nil, fmt.Errorf("proto: %s: call %v to %s timed out after %v", host, r.Msg.Type, r.To, timeout))
 		}
 	}
 }
@@ -270,23 +290,35 @@ type replyError struct{ to, msg string }
 
 func (e *replyError) Error() string { return "proto: " + e.to + " replied: " + e.msg }
 
-// Reply answers request req with m.
-func (s *Station) Reply(req Message, m Message) error {
-	m.From = s.ep.Host()
-	m.ReplyTo = req.ID
-	return s.ep.Send(req.From, m)
+// Reply answers request req with m and releases req: the caller owns
+// req until this call and never after (see Inbox).
+func (s *Station) Reply(req *Message, m Message) error {
+	mustLive(req)
+	out := s.msgs.get()
+	*out = m
+	out.From = s.ep.Host()
+	out.ReplyTo = req.ID
+	to := req.From
+	s.msgs.put(req)
+	return s.ep.Send(to, out)
 }
 
-// ReplyError answers request req with an error.
-func (s *Station) ReplyError(req Message, format string, args ...interface{}) error {
+// ReplyError answers request req with an error and releases req, as
+// Reply does.
+func (s *Station) ReplyError(req *Message, format string, args ...interface{}) error {
 	return s.Reply(req, Message{Type: req.Type, Error: fmt.Sprintf(format, args...)})
 }
 
-// Recv returns the next application (non-reply) message.
-func (s *Station) Recv() (Message, bool) { return s.app.Recv() }
+// Drop gives back a received message the caller will not reply to; it
+// must not touch m again (see Inbox).
+func (s *Station) Drop(m *Message) { s.msgs.put(m) }
+
+// Recv returns the next application (non-reply) message, which the
+// caller then owns (see Inbox).
+func (s *Station) Recv() (*Message, bool) { return s.app.Recv() }
 
 // RecvTimeout is Recv with a timeout.
-func (s *Station) RecvTimeout(d time.Duration) (Message, bool) {
+func (s *Station) RecvTimeout(d time.Duration) (*Message, bool) {
 	return s.app.RecvTimeout(d)
 }
 
@@ -327,6 +359,10 @@ func (s *Station) Close() error {
 // server, forecaster, clique member, sensor) is written against. A
 // Station is a Port; a host agent multiplexing several roles onto one
 // station hands each role a Port routing its share of the traffic.
+//
+// A message Recv returns belongs to the role until it replies to it
+// (Reply, ReplyError) or drops it (Drop), and never after: see Inbox for
+// the rule. Send, Call and Reply take the outgoing message by value.
 type Port interface {
 	Host() string
 	Runtime() Runtime
@@ -334,11 +370,15 @@ type Port interface {
 	Call(to string, m Message, timeout time.Duration) (Message, error)
 	// CallMany scatters requests and gathers their replies under one
 	// deadline; see Station.CallMany.
-	CallMany(reqs []Request, timeout time.Duration, each func(i int, reply Message, err error))
-	Reply(req Message, m Message) error
-	ReplyError(req Message, format string, args ...interface{}) error
-	Recv() (Message, bool)
-	RecvTimeout(d time.Duration) (Message, bool)
+	CallMany(reqs []Request, timeout time.Duration, each func(i int, reply *Message, err error))
+	// Reply answers req and releases it.
+	Reply(req *Message, m Message) error
+	// ReplyError answers req with an error and releases it.
+	ReplyError(req *Message, format string, args ...interface{}) error
+	// Drop releases a received message that gets no reply.
+	Drop(m *Message)
+	Recv() (*Message, bool)
+	RecvTimeout(d time.Duration) (*Message, bool)
 	// Wait pauses for d or until the station closes; see Station.Wait.
 	Wait(d time.Duration) bool
 	Close() error

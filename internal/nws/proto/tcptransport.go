@@ -38,7 +38,7 @@ const handshakeTimeout = 2 * time.Second
 // proving the NWS components run on the plain standard library network
 // stack, not only in simulation.
 type TCPTransport struct {
-	rt Runtime
+	rt *RealRuntime
 
 	mu    sync.Mutex
 	addrs map[string]string // host -> "127.0.0.1:port"
@@ -136,7 +136,7 @@ type tcpEndpoint struct {
 
 	// handler receives every message arriving here. Set once, by
 	// Handle, before the accept loop starts.
-	handler func(Message)
+	handler func(*Message)
 
 	mu       sync.Mutex
 	conns    map[string]*outConn
@@ -148,7 +148,7 @@ func (e *tcpEndpoint) Host() string { return e.host }
 
 // Handle registers the message handler and starts accepting
 // connections; it must be called once.
-func (e *tcpEndpoint) Handle(h func(Message)) {
+func (e *tcpEndpoint) Handle(h func(*Message)) {
 	e.handler = h
 	go e.acceptLoop()
 }
@@ -196,12 +196,13 @@ func (e *tcpEndpoint) serveConn(c net.Conn) {
 }
 
 // readFrames reads frames — a 4-byte little-endian payload length, then
-// the codec payload — and hands each decoded message to the handler.
-// The payload buffer is reused across frames; Decode copies strings and
-// gives samples fresh backing, so nothing in a delivered Message
-// aliases it.
+// the codec payload — and hands each decoded message, taken from the
+// runtime's free list, to the handler. The payload buffer is reused
+// across frames; Decode copies strings and gives samples fresh backing,
+// so nothing in a delivered Message aliases it.
 func (e *tcpEndpoint) readFrames(r io.Reader) {
 	stats := e.t.statsRef()
+	msgs := &e.t.rt.msgs
 	var hdr [frameHeaderSize]byte
 	var buf []byte
 	for {
@@ -216,8 +217,9 @@ func (e *tcpEndpoint) readFrames(r io.Reader) {
 		if buf, err = readPayload(r, buf[:0], int(n)); err != nil {
 			return
 		}
-		var m Message
-		if err := Decode(buf, &m); err != nil {
+		m := msgs.get()
+		if err := Decode(buf, m); err != nil {
+			msgs.put(m)
 			return
 		}
 		if cap(buf) > frameRetain {
@@ -245,11 +247,14 @@ func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-func (e *tcpEndpoint) Send(to string, m Message) error {
+// Send writes m's frame and gives m back to the free list: the frame
+// is all that leaves the host.
+func (e *tcpEndpoint) Send(to string, m *Message) error {
 	if to == e.host {
 		e.handler(m)
 		return nil
 	}
+	defer e.t.rt.msgs.put(m)
 	e.t.mu.Lock()
 	addr, ok := e.t.addrs[to]
 	stats := e.t.stats
@@ -278,7 +283,7 @@ func (e *tcpEndpoint) Send(to string, m Message) error {
 		}
 	}
 	b := append(oc.buf[:0], 0, 0, 0, 0)
-	b = AppendEncode(b, &m)
+	b = AppendEncode(b, m)
 	oc.buf = b
 	if cap(b) > frameRetain {
 		oc.buf = nil

@@ -93,7 +93,8 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 
 		out0, in0 := counters(simReg)
 		sim.Go("send", func() {
-			if err := simA.Send("b", m); err != nil {
+			out := m // the endpoint takes what it is handed
+			if err := simA.Send("b", &out); err != nil {
 				t.Errorf("shape %d: sim send: %v", i, err)
 			}
 		})
@@ -109,7 +110,8 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 		}
 
 		out0, in0 = counters(tcpReg)
-		if err := tcpA.Send("b", m); err != nil {
+		out := m
+		if err := tcpA.Send("b", &out); err != nil {
 			t.Fatalf("shape %d: tcp send: %v", i, err)
 		}
 		if _, ok := tcpBIn.RecvTimeout(5 * time.Second); !ok {
@@ -129,7 +131,7 @@ func TestSimBytesEqualSocketBytes(t *testing.T) {
 		reg  *telemetry.Registry
 	}{{"sim", simA, simAIn, simReg}, {"tcp", tcpA, tcpAIn, tcpReg}} {
 		before := plane.reg.Snapshot().Flatten()
-		if err := plane.ep.Send("a", Message{Type: MsgPing}); err != nil {
+		if err := plane.ep.Send("a", &Message{Type: MsgPing}); err != nil {
 			t.Fatalf("%s self-send: %v", plane.name, err)
 		}
 		if _, ok := plane.in.TryRecv(); !ok {

@@ -35,6 +35,10 @@ type Fanout struct {
 	mu     sync.Mutex
 	queues map[string]*sendQueue
 	closed bool
+	// free recycles the queues' messages: each queue gets its own copy
+	// of a store, which its sender gives back once the store is in a
+	// frame. Bounded by the in-flight windows.
+	free []*proto.Message
 }
 
 type sendQueue struct {
@@ -83,23 +87,19 @@ func (f *Fanout) Replicas() []string {
 // primary's cumulative per-series count after accepting these samples;
 // samples must be a caller-owned copy (they are retained in the queue).
 func (f *Fanout) Store(series string, samples []proto.Sample, total int64) {
-	f.send(proto.Message{
-		Type: proto.MsgReplStore, Version: proto.V3,
-		Series: series, Samples: samples, Total: total,
-	})
+	f.send(proto.MsgReplStore, series, samples, total)
 }
 
 // Window pushes a full-window replacement (anti-entropy backfill) to
 // every replica: the receiver discards its copy of the series and
 // adopts samples with applied = total.
 func (f *Fanout) Window(series string, samples []proto.Sample, total int64) {
-	f.send(proto.Message{
-		Type: proto.MsgReplWindow, Version: proto.V3,
-		Series: series, Samples: samples, Total: total,
-	})
+	f.send(proto.MsgReplWindow, series, samples, total)
 }
 
-func (f *Fanout) send(m proto.Message) {
+// send queues a store or window message for every replica, each queue
+// its own, built in place in a recycled message.
+func (f *Fanout) send(typ proto.MsgType, series string, samples []proto.Sample, total int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -111,8 +111,24 @@ func (f *Fanout) send(m proto.Message) {
 			continue
 		}
 		q.inflight++
-		q.inbox.Send(m)
+		var qm *proto.Message
+		if n := len(f.free); n > 0 {
+			qm = f.free[n-1]
+			f.free = f.free[:n-1]
+		} else {
+			qm = new(proto.Message)
+		}
+		*qm = proto.Message{Type: typ, Version: proto.V3, Series: series, Samples: samples, Total: total}
+		q.inbox.Send(qm)
 	}
+}
+
+// recycle gives back a queue message whose store has been taken.
+func (f *Fanout) recycle(m *proto.Message) {
+	*m = proto.Message{}
+	f.mu.Lock()
+	f.free = append(f.free, m)
+	f.mu.Unlock()
 }
 
 // Stop closes every sender queue; in-flight deliveries finish or time
@@ -130,7 +146,7 @@ func (f *Fanout) Stop() {
 }
 
 func (f *Fanout) sender(host string, q *sendQueue) {
-	var m proto.Message
+	var m *proto.Message
 	held := false // m was taken by the last merge and leads this frame
 	for {
 		if !held {
@@ -142,10 +158,14 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 		// Wait out the instant, so the stores landing with this one
 		// queue before the frame is cut.
 		f.port.Runtime().Settle()
-		frame, n := m, 1
+		var frame proto.Message
+		n := 1
 		held = false
 		if m.Type == proto.MsgReplStore {
 			frame, n, m, held = f.merge(q, m)
+		} else {
+			frame = *m
+			f.recycle(m)
 		}
 		_, err := f.port.Call(host, frame, f.timeout)
 		f.mu.Lock()
@@ -159,10 +179,11 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 }
 
 // merge takes the stores queued behind first into one frame of at most
-// f.frame samples. It returns the frame, the stores it carries, and the
-// message it took but could not merge (a window, or a store past the
-// cap), if any. A lone store's frame is a frame of one entry.
-func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, n int, rest proto.Message, held bool) {
+// f.frame samples, recycling each message it takes in. It returns the
+// frame, the stores it carries, and the message it took but could not
+// merge (a window, or a store past the cap), if any. A lone store's
+// frame is a frame of one entry.
+func (f *Fanout) merge(q *sendQueue, first *proto.Message) (frame proto.Message, n int, rest *proto.Message, held bool) {
 	// The frame carries at most what is queued, first included, and at
 	// most f.frame stores of one sample or more. A fresh slice per
 	// frame: on the simulator the replica receives this very slice.
@@ -172,6 +193,7 @@ func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, 
 	entries := make([]proto.SeriesResult, 1, max(1, min(queued, f.frame)))
 	entries[0] = entry(first)
 	samples := len(first.Samples)
+	f.recycle(first)
 	for {
 		m, ok := q.inbox.TryRecv()
 		if !ok {
@@ -183,12 +205,13 @@ func (f *Fanout) merge(q *sendQueue, first proto.Message) (frame proto.Message, 
 		}
 		entries = append(entries, entry(m))
 		samples += len(m.Samples)
+		f.recycle(m)
 	}
 	return proto.Message{Type: proto.MsgReplStore, Version: proto.V3, Results: entries}, len(entries), rest, held
 }
 
 // entry is store m as one entry of a frame: Lag carries its total, as
 // in a ReplSyncReply.
-func entry(m proto.Message) proto.SeriesResult {
+func entry(m *proto.Message) proto.SeriesResult {
 	return proto.SeriesResult{Series: m.Series, Samples: m.Samples, Lag: m.Total}
 }

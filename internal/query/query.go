@@ -256,7 +256,7 @@ type fanout struct {
 	tokens    []proto.WindowToken
 	forecasts []ForecastResult
 	// each is landed, built once per record.
-	each func(w int, reply proto.Message, err error)
+	each func(w int, reply *proto.Message, err error)
 }
 
 // binding sends request i to backend groups[g].
@@ -378,7 +378,7 @@ func (c *Client) scatter(root *telemetry.ActiveSpan, typ proto.MsgType, f *fanou
 
 // landed is a group's reply (or failure), handed to the batch it
 // answers.
-func (f *fanout) landed(w int, reply proto.Message, err error) {
+func (f *fanout) landed(w int, reply *proto.Message, err error) {
 	g := &f.groups[w]
 	g.span.End()
 	g.err = err
@@ -597,7 +597,7 @@ func (c *Client) fetch(reqs []proto.SeriesRequest, windows bool) ([]Result, []pr
 			}
 			continue
 		}
-		c.fetchAnswered(results, tokens, idxs, reply, g.host, from, g.replicas)
+		c.fetchAnswered(results, tokens, idxs, &reply, g.host, from, g.replicas)
 	}
 	c.putFanout(f)
 	return results, tokens
@@ -606,7 +606,7 @@ func (c *Client) fetch(reqs []proto.SeriesRequest, windows bool) ([]Result, []pr
 // fetchAnswered fills the results (and the tokens, when kept) at idxs
 // from a batch reply that from served for the primary host; a replica's
 // answer re-homes the series it served onto from.
-func (c *Client) fetchAnswered(results []Result, tokens []proto.WindowToken, idxs []int, reply proto.Message, host, from string, replicas []string) {
+func (c *Client) fetchAnswered(results []Result, tokens []proto.WindowToken, idxs []int, reply *proto.Message, host, from string, replicas []string) {
 	var served []string
 	for k, i := range idxs {
 		if k >= len(reply.Results) {
@@ -747,7 +747,7 @@ func (c *Client) ForecastMany(reqs []proto.SeriesRequest) []ForecastResult {
 // forecastAnswered fills the results at idxs (asked for as batch) from
 // host's batch reply, or fails them with err, dropping host from the
 // forecaster list.
-func (c *Client) forecastAnswered(results []ForecastResult, idxs []int, batch []proto.SeriesRequest, reply proto.Message, host string, err error) {
+func (c *Client) forecastAnswered(results []ForecastResult, idxs []int, batch []proto.SeriesRequest, reply *proto.Message, host string, err error) {
 	if err != nil {
 		c.dropForecaster(host)
 		for _, i := range idxs {

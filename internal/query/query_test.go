@@ -27,7 +27,7 @@ type countingEndpoint struct {
 	counts map[proto.MsgType]int
 }
 
-func (e *countingEndpoint) Send(to string, m proto.Message) error {
+func (e *countingEndpoint) Send(to string, m *proto.Message) error {
 	e.mu.Lock()
 	e.counts[m.Type]++
 	e.mu.Unlock()
@@ -335,7 +335,7 @@ func TestLookupSingleflight(t *testing.T) {
 				if _, err := fetchOne(qc, "a1", 1); err != nil {
 					t.Errorf("fetch: %v", err)
 				}
-				done.Send(proto.Message{})
+				done.Send(&proto.Message{})
 			})
 		}
 		for i := 0; i < 8; i++ {

@@ -43,7 +43,7 @@ func (p *servingPort) Call(to string, m proto.Message, d time.Duration) (proto.M
 	return proto.Message{}, nil
 }
 
-func (p *servingPort) CallMany(reqs []proto.Request, d time.Duration, each func(int, proto.Message, error)) {
+func (p *servingPort) CallMany(reqs []proto.Request, d time.Duration, each func(int, *proto.Message, error)) {
 	prototest.CallEach(p.Call, reqs, d, each)
 }
 

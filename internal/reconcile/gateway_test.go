@@ -9,6 +9,7 @@ import (
 	"nwsenv/internal/core"
 	"nwsenv/internal/nws/gateway"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/prototest"
 	"nwsenv/internal/nws/sensor"
 	"nwsenv/internal/query"
 )
@@ -21,7 +22,17 @@ import (
 // telemetry-observable, and the reconcile loop must re-place the dead
 // replica so the deployment converges back to three gateways on live
 // hosts, each rebuilt host being exactly the one whose role changed.
-func TestReconcileGatewayReplicaKilledMidStorm(t *testing.T) {
+func TestReconcileGatewayReplicaKilledMidStorm(t *testing.T) { gatewayKilledMidStorm(t) }
+
+// TestReconcileGatewayStormFaultPoisoned is the storm above with every
+// released message poisoned: the failover, the repair and the
+// rebuilt gateway must not touch a message after releasing it.
+func TestReconcileGatewayStormFaultPoisoned(t *testing.T) {
+	prototest.PoisonMessages(t)
+	gatewayKilledMidStorm(t)
+}
+
+func gatewayKilledMidStorm(t *testing.T) {
 	// k=1 memory replication rides along: the gateway victim may also
 	// host a site's memory server, and the storm gauges the query edge,
 	// not memory durability — replica-served (degraded) answers count.

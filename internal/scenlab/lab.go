@@ -97,6 +97,9 @@ func Run(spec *Spec, seed int64) (*Result, error) {
 	}
 	sim := vclock.New()
 	net := simnet.NewNetwork(sim, tp)
+	if j := spec.Jitter; j != nil {
+		net.SetJitter(j.Max(), j.Seed)
+	}
 	tr := proto.NewSimTransport(net)
 	plat := platform.NewSimPlatform(net, tr)
 	// The run's telemetry plane reads the virtual clock, so every

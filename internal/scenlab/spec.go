@@ -57,6 +57,10 @@ type Spec struct {
 	// Fault is the declarative fault schedule, compiled against the
 	// deployed plan.
 	Fault FaultSpec `json:"fault"`
+	// Jitter, when set, is a network condition for the whole run,
+	// beside any fault: every control-plane message waits a seeded
+	// random delay on top of its path latency.
+	Jitter *JitterSpec `json:"jitter,omitempty"`
 	// SLO holds the release-gate assertions evaluated over the run.
 	SLO SLOSpec `json:"slo"`
 }
@@ -92,6 +96,19 @@ type LANSpec struct {
 	Subnets        int `json:"subnets"`
 	HostsPerSubnet int `json:"hosts_per_subnet"`
 }
+
+// JitterSpec sets simnet.Network.SetJitter: each message's extra delay
+// is uniform in [0, MaxMS) milliseconds, drawn by a generator seeded
+// with Seed (apart from the scenario seed, so one schedule of faults
+// can be replayed under several jitter draws). Messages between one
+// ordered pair of hosts keep their order.
+type JitterSpec struct {
+	MaxMS int64 `json:"max_ms"`
+	Seed  int64 `json:"seed"`
+}
+
+// Max is the bound of the extra delay.
+func (j *JitterSpec) Max() time.Duration { return time.Duration(j.MaxMS) * time.Millisecond }
 
 // Phases are the virtual-time spans of the three run phases. All must
 // be positive: a scenario without a recovery window cannot assert
@@ -281,6 +298,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Gateways < 0 {
 		return fmt.Errorf("scenlab: %s: gateways must not be negative", s.Name)
+	}
+	if s.Jitter != nil && s.Jitter.MaxMS <= 0 {
+		return fmt.Errorf("scenlab: %s: jitter max_ms must be positive (got %d)", s.Name, s.Jitter.MaxMS)
 	}
 	if s.SLO.Invariants != "" && s.SLO.Invariants != "all" {
 		return fmt.Errorf("scenlab: %s: slo invariants %q: the only value is \"all\"", s.Name, s.SLO.Invariants)

@@ -11,7 +11,8 @@ import (
 // FuzzDecodeSpec: a hostile scenario file never panics Decode, a spec
 // Decode accepts survives json.Marshal → Decode unchanged, and Validate
 // and FaultSpec.Compile never panic on whatever the JSON holds, over a
-// fixed victim and link list. The committed scenarios seed the corpus.
+// fixed victim and link list. The committed scenarios seed the corpus,
+// each also under a jitter condition (valid, and with a bound of zero).
 func FuzzDecodeSpec(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -23,6 +24,18 @@ func FuzzDecodeSpec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		var m map[string]any
+		if err := json.Unmarshal(data, &m); err != nil {
+			f.Fatal(err)
+		}
+		for _, bound := range []int{3000, 0} {
+			m["jitter"] = map[string]any{"max_ms": bound, "seed": 1}
+			jittered, err := json.Marshal(m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(jittered)
+		}
 	}
 	victims := []string{"h1", "h2", "h3"}
 	links := [][2]string{{"h1", "s1"}, {"h2", "s1"}, {"h3", "s2"}}

@@ -46,6 +46,16 @@ func TestDecodeRejections(t *testing.T) {
 		{"missing fault kind",
 			func(s string) string { return strings.Replace(s, `"kind": "crash", `, ``, 1) },
 			"fault kind missing"},
+		{"zero jitter bound",
+			func(s string) string {
+				return strings.Replace(s, `"slo":`, `"jitter": {"max_ms": 0, "seed": 1}, "slo":`, 1)
+			},
+			"jitter max_ms must be positive"},
+		{"unknown jitter key",
+			func(s string) string {
+				return strings.Replace(s, `"slo":`, `"jitter": {"max_ms": 10, "mean_ms": 5}, "slo":`, 1)
+			},
+			"unknown field"},
 		{"zero warmup",
 			func(s string) string { return strings.Replace(s, `"warmup_sec": 60`, `"warmup_sec": 0`, 1) },
 			"must all be positive"},

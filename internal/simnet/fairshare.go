@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 	"time"
@@ -24,50 +23,99 @@ import (
 const farFuture = time.Duration(math.MaxInt64)
 
 // flowHeap is a min-heap of active flows ordered by projected completion
-// instant, with flow id as deterministic tie-breaker.
+// instant, with flow id as deterministic tie-breaker. Each flow keeps its
+// slot in heapIdx (-1 when out), so a rate change repositions it in
+// place. A typed heap, like routeSearch's: no interface call per
+// comparison and no boxing per push or pop.
 type flowHeap []*flow
 
-func (h flowHeap) Len() int { return len(h) }
-func (h flowHeap) Less(i, j int) bool {
+func (h flowHeap) less(i, j int) bool {
 	if h[i].compAt != h[j].compAt {
 		return h[i].compAt < h[j].compAt
 	}
 	return h[i].id < h[j].id
 }
-func (h flowHeap) Swap(i, j int) {
+
+func (h flowHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i
 	h[j].heapIdx = j
 }
-func (h *flowHeap) Push(x interface{}) {
-	f := x.(*flow)
-	f.heapIdx = len(*h)
-	*h = append(*h, f)
+
+func (h flowHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.swap(i, p)
+		i = p
+	}
 }
-func (h *flowHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	f.heapIdx = -1
-	*h = old[:n-1]
-	return f
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (h flowHeap) down(i int) bool {
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h.swap(i, c)
+		i = c
+	}
+	return i > i0
+}
+
+// fix restores the order around slot i after its key changed.
+func (h flowHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
 }
 
 // update repositions f after its compAt changed, inserting it if absent.
 func (h *flowHeap) update(f *flow) {
 	if f.heapIdx < 0 {
-		heap.Push(h, f)
+		f.heapIdx = len(*h)
+		*h = append(*h, f)
+		h.up(f.heapIdx)
 		return
 	}
-	heap.Fix(h, f.heapIdx)
+	h.fix(f.heapIdx)
 }
 
 // remove drops f from the heap.
 func (h *flowHeap) remove(f *flow) {
-	if f.heapIdx >= 0 {
-		heap.Remove(h, f.heapIdx)
+	if i := f.heapIdx; i >= 0 {
+		h.cut(i)
 	}
+}
+
+// pop removes and returns the flow due first.
+func (h *flowHeap) pop() *flow { return h.cut(0) }
+
+// cut takes slot i out: the last flow moves into it and is re-sifted.
+func (h *flowHeap) cut(i int) *flow {
+	old := *h
+	last := len(old) - 1
+	f := old[i]
+	if i != last {
+		old.swap(i, last)
+	}
+	old[last] = nil
+	*h = old[:last]
+	if i != last {
+		h.fix(i)
+	}
+	f.heapIdx = -1
+	return f
 }
 
 // settleFlowLocked advances f's progress to the current instant.
@@ -258,7 +306,7 @@ func (n *Network) onCompletion() {
 	now := n.sim.Now()
 	var finished []*flow
 	for len(n.compHeap) > 0 && n.compHeap[0].compAt <= now {
-		f := heap.Pop(&n.compHeap).(*flow)
+		f := n.compHeap.pop()
 		n.settleFlowLocked(f, now)
 		finished = append(finished, f)
 	}

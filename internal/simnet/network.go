@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -114,6 +115,10 @@ type Network struct {
 	// nodes' positions in creation order: a lookup hashes two integers,
 	// not two names.
 	pairs map[uint64]*Pair
+	// jitter bounds the extra delay of each message, drawn from
+	// jitterRNG (SetJitter); 0 means none.
+	jitter    time.Duration
+	jitterRNG *rand.Rand
 }
 
 // NewNetwork binds a topology to a simulation.

@@ -1,5 +1,10 @@
 package simnet
 
+import (
+	"math/rand/v2"
+	"time"
+)
+
 // A Pair is one ordered pair of nodes of a Network, resolved once: the
 // endpoint checks of an exchange between them, their route and its
 // price, and the resources a transfer over it occupies. The resolution
@@ -25,6 +30,9 @@ type Pair struct {
 	// res lists the resources a transfer over r occupies; nil until a
 	// transfer needs them.
 	res []*resource
+	// lastArrival is when the pair's latest jittered message lands: the
+	// next one lands no earlier, so the pair stays FIFO.
+	lastArrival time.Duration
 }
 
 // Pair returns the network's handle on exchanges from src to dst, or
@@ -120,6 +128,30 @@ func (p *Pair) Deliver(bytes int64, fn func()) error {
 	if err != nil {
 		return err
 	}
-	p.n.sim.Post(r.lat+serialization(r.bw, bytes), fn)
+	d := r.lat + serialization(r.bw, bytes)
+	if p.n.jitter > 0 {
+		d = p.jittered(d)
+	}
+	p.n.sim.Post(d, fn)
 	return nil
+}
+
+// SetJitter is a network condition: every later message (Pair.Deliver)
+// waits a further delay drawn uniformly from [0, max) by a generator
+// seeded with seed, on top of its path latency, while the messages of
+// one ordered pair still land in the order they were sent. It holds
+// beside any fault until it is set again; max <= 0 turns it off.
+func (n *Network) SetJitter(max time.Duration, seed int64) {
+	n.jitter = max
+	n.jitterRNG = rand.New(rand.NewPCG(uint64(seed), 0))
+}
+
+// jittered adds a jitter draw to the one-way delay d, holding the
+// arrival behind the pair's last one.
+func (p *Pair) jittered(d time.Duration) time.Duration {
+	n := p.n
+	now := n.sim.Now()
+	at := max(now+d+time.Duration(n.jitterRNG.Int64N(int64(n.jitter))), p.lastArrival)
+	p.lastArrival = at
+	return at - now
 }

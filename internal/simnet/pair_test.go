@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,4 +108,87 @@ func TestPairsCountRouteLookupsAcrossFaults(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestJitterBoundedAndFIFO: under SetJitter every message lands between
+// its plain one-way delay and that delay plus the bound, the messages
+// of one ordered pair land in the order they were sent (a late draw
+// holds the ones behind it), and one seed replays the same arrivals.
+// Without jitter every message lands after exactly its plain delay.
+func TestJitterBoundedAndFIFO(t *testing.T) {
+	const bound = 300 * time.Millisecond
+	arrivals := func(jitter time.Duration, seed int64) (sent, landed []time.Duration, plain time.Duration) {
+		topo := NewTopology()
+		topo.AddHost("a", "10.3.0.1", "a.lan", "lan")
+		topo.AddHost("b", "10.3.0.2", "b.lan", "lan")
+		topo.AddSwitch("sw")
+		topo.Connect("a", "sw", LinkLatency(2*time.Millisecond))
+		topo.Connect("sw", "b", LinkLatency(2*time.Millisecond))
+		sim := vclock.New()
+		net := NewNetwork(sim, topo)
+		if jitter > 0 {
+			net.SetJitter(jitter, seed)
+		}
+		p, err := net.Pair("a", "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := p.route()
+		plain = r.lat + serialization(r.bw, 64)
+		sim.Go("sender", func() {
+			for i := 0; i < 200; i++ {
+				sent = append(sent, sim.Now())
+				if err := p.Deliver(64, func() { landed = append(landed, sim.Now()) }); err != nil {
+					t.Error(err)
+				}
+				if i%3 == 0 {
+					sim.Sleep(40 * time.Millisecond) // bursts of three at one instant
+				}
+			}
+		})
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sent, landed, plain
+	}
+
+	sent, landed, plain := arrivals(0, 0)
+	for i := range sent {
+		if landed[i]-sent[i] != plain {
+			t.Fatalf("without jitter message %d took %v, want %v", i, landed[i]-sent[i], plain)
+		}
+	}
+
+	sent, landed, plain = arrivals(bound, 1)
+	if len(landed) != len(sent) {
+		t.Fatalf("%d of %d messages landed", len(landed), len(sent))
+	}
+	held, spread := 0, time.Duration(0)
+	for i := range sent {
+		d := landed[i] - sent[i]
+		if i > 0 && landed[i] < landed[i-1] {
+			t.Fatalf("message %d landed at %v, before message %d at %v", i, landed[i], i-1, landed[i-1])
+		}
+		if d < plain {
+			t.Fatalf("message %d took %v, less than the plain delay %v", i, d, plain)
+		}
+		if i > 0 && landed[i] == landed[i-1] {
+			held++ // held behind the previous message
+			continue
+		}
+		if d >= plain+bound {
+			t.Fatalf("message %d took %v, past the bound %v", i, d, plain+bound)
+		}
+		spread = max(spread, d-plain)
+	}
+	if spread < bound/2 {
+		t.Fatalf("largest draw %v of a %v bound over %d messages", spread, bound, len(sent))
+	}
+	if _, again, _ := arrivals(bound, 1); !slices.Equal(again, landed) {
+		t.Fatal("one jitter seed replayed different arrivals")
+	}
+	if _, other, _ := arrivals(bound, 2); slices.Equal(other, landed) {
+		t.Fatal("two jitter seeds drew the same arrivals")
+	}
+	t.Logf("%d of %d messages held behind an earlier draw", held, len(sent))
 }

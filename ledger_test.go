@@ -84,6 +84,7 @@ func TestLedger(t *testing.T) {
 		{"scenarios", renderScenarios},
 		{"gates", renderGates},
 		{"gateway", renderGatewayStorm},
+		{"probe-law", renderProbeLaw},
 	} {
 		want, err := b.render()
 		if err != nil {
@@ -238,6 +239,21 @@ func renderScenarios() (string, error) {
 			}
 		}
 		b.WriteString("\n")
+	}
+	return b.String(), nil
+}
+
+// renderProbeLaw renders ENV's probe law on the grid family
+// TestENVProbeLaw checks (probelaw_test.go).
+func renderProbeLaw() (string, error) {
+	var b strings.Builder
+	g := probeLawGrid(0)
+	fmt.Fprintf(&b, "On `SyntheticGrid{Sites: %d, SwitchesPerSite: %d, HostsPerSwitch: h}`, one ENV run over every host (`topo.MapAll` through `core.Pipeline.Map`) makes exactly %d·hosts + %d bandwidth probes, and its virtual time is linear in hosts: from one size to the next, the virtual seconds per host stay within %s%% of those across the whole range. `TestENVProbeLaw` checks both at:\n\n",
+		g.Sites, g.SwitchesPerSite, probeLawSlope, probeLawBase, num(100*probeLawStep))
+	b.WriteString("| h | hosts | probes |\n|---|---|---|\n")
+	for _, h := range probeLawSizes {
+		n := probeLawHosts(h)
+		fmt.Fprintf(&b, "| %d | %d | %d |\n", h, n, probeLawSlope*n+probeLawBase)
 	}
 	return b.String(), nil
 }

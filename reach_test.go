@@ -28,16 +28,14 @@ import (
 // it is kept. A symbol that gains a product caller must leave the list:
 // the test fails on stale entries.
 var reachAllow = map[string]string{
-	// Interface satisfiers, called through container/heap and errors.
-	"internal/simnet.flowHeap.Len":          "heap.Interface",
-	"internal/simnet.flowHeap.Less":         "heap.Interface",
-	"internal/simnet.flowHeap.Swap":         "heap.Interface",
+	// Interface satisfiers, called through errors.
 	"internal/query.DegradedError.Unwrap":   "errors.Is/As chain to ErrDegraded",
 	"internal/query.OverloadedError.Unwrap": "errors.Is/As chain to ErrOverloaded",
 
 	// Deliberate test hooks on the sim transport and deployments.
-	"internal/nws/proto.SimTransport.SetBlocked": "pair black holes for transport and failover tests: a CutLink partition refuses the send at once, so only this exercises the ack-timeout path",
-	"internal/nws/proto/prototest.Teardown":      "shared *test helper package: the teardown check of deployment-building tests",
+	"internal/nws/proto.SimTransport.SetBlocked":  "pair black holes for transport and failover tests: a CutLink partition refuses the send at once, so only this exercises the ack-timeout path",
+	"internal/nws/proto/prototest.Teardown":       "shared *test helper package: the teardown check of deployment-building tests",
+	"internal/nws/proto/prototest.PoisonMessages": "shared *test helper package: the poison-mode runs of the conformance, scenario and gateway storm tests",
 
 	// Options kept because a caller outside the package sets a second value.
 	"internal/query.WithForecastTTL": "root BenchmarkQueryForecastBatch disables the forecast cache",
@@ -45,7 +43,7 @@ var reachAllow = map[string]string{
 	// Product API whose only callers today are tests, each kept for a
 	// named reference role or planned caller.
 	"internal/metrics.Accuracy":                 "E13's scorer against ground truth, shared by the root benchmark and metrics' unit tests",
-	"internal/nws/nameserver.Client.Unregister": "client half of MsgUnregister; planned caller: a closing role leaving the directory (ROADMAP direction 3)",
+	"internal/nws/nameserver.Client.Unregister": "client half of MsgUnregister; planned caller: a closing role leaving the directory (ROADMAP direction 6)",
 	"internal/nws/predict.Battery.Methods":      "reference oracle predict.Run is tested against: names the battery's members",
 	"internal/nws/predict.Battery.MethodError":  "reference oracle predict.Run is tested against: E12's per-member error column",
 	"internal/nws/predict.Battery.Forecast":     "reference oracle predict.Run is tested against: the streaming battery's answer",
