@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
@@ -251,6 +252,47 @@ func TestInteropLegacyRawGobDialer(t *testing.T) {
 		Samples: []Sample{{At: 3 * time.Second, Value: 9.5}}})
 	closedByPeer(t, conn)
 	stillServesV3(t, tr, srv)
+}
+
+// TestTCPPeerSendsReleasedType: a peer may put any type in a frame,
+// poisoned messages' type -1 (a Type varint of 2^64-1) among them.
+// Outside poison mode the station serves it like any other message: the
+// receiver gets it, its reply goes back, and nothing panics.
+func TestTCPPeerSendsReleasedType(t *testing.T) {
+	tr, srv := refusalRig(t)
+	ep, err := tr.Open("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	replies := make(chan Message, 1)
+	ep.Handle(func(m *Message) { replies <- *m })
+
+	payload := AppendEncode(nil, &Message{Type: msgReleased, From: "peer", ID: 7})
+	if typ := "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"; !strings.HasPrefix(string(payload), typ) {
+		t.Fatalf("payload % x does not open with the varint of 2^64-1", payload)
+	}
+	conn := rawDial(t, tr)
+	frame := binary.LittleEndian.AppendUint32([]byte(wireHello), uint32(len(payload)))
+	if _, err := conn.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+
+	req, ok := srv.RecvTimeout(5 * time.Second)
+	if !ok || req.Type != msgReleased || req.ID != 7 {
+		t.Fatalf("delivery to srv: %+v ok=%v, want the type -1 request", req, ok)
+	}
+	if err := srv.ReplyError(req, "no role for %v", req.Type); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-replies:
+		if r.ReplyTo != 7 || !strings.Contains(r.Error, "no role") {
+			t.Fatalf("reply %+v, want an error answering ID 7", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no reply to the type -1 request")
+	}
 }
 
 // TestTCPSilentDialerIsHungUpOn: a peer that connects and never sends

@@ -1,7 +1,8 @@
-// Package prototest provides test doubles for the proto interfaces and
-// the teardown check of tests that build on a proto.Runtime. Like
-// testing/fstest, it is a non-test package so every role package can
-// share the same stubs instead of growing private copies.
+// Package prototest provides test doubles for the proto interfaces, the
+// teardown check of tests that build on a proto.Runtime and the switch
+// of poison mode. Like testing/fstest, it is a non-test package so every
+// role package can share the same stubs instead of growing private
+// copies.
 package prototest
 
 import (
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/nws/proto/internal/releasehook"
 )
 
 // StubPort is an embeddable no-op proto.Port: every method answers
@@ -66,14 +68,16 @@ func CallEach(call func(string, proto.Message, time.Duration) (proto.Message, er
 	}
 }
 
-// PoisonMessages makes every message released to a free list poisoned
-// for the rest of the test (proto.PoisonReleased), so a role or
-// station that touches a message after replying to it or dropping it
-// fails loudly. The setting is process-wide: a test that calls it must
-// not run in parallel with others.
+// PoisonMessages turns on poison mode for the rest of the test: every
+// runtime built after the call poisons each message released to its
+// free list instead of reusing it, and its stations panic on a poisoned
+// message, so a role or station that touches a message after replying
+// to it or dropping it fails loudly. Call it before building anything.
+// The switch is process-wide: a test that calls it must not run in
+// parallel with others.
 func PoisonMessages(tb testing.TB) {
-	was := proto.PoisonReleased(true)
-	tb.Cleanup(func() { proto.PoisonReleased(was) })
+	was := releasehook.Poison.Swap(true)
+	tb.Cleanup(func() { releasehook.Poison.Store(was) })
 }
 
 // How long Teardown waits for what a test built to end: virtual time on

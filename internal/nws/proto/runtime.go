@@ -2,9 +2,9 @@ package proto
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"nwsenv/internal/nws/proto/internal/releasehook"
 	"nwsenv/internal/vclock"
 )
 
@@ -62,7 +62,19 @@ type Inbox interface {
 // each message it sends and gives it back once the receiver is done
 // with it. A sync.Pool, so the goroutines of the real runtime share it
 // without contending for a lock.
-type msgFree struct{ pool sync.Pool }
+type msgFree struct {
+	pool sync.Pool
+	// poison is the test hook's poison mode (prototest.PoisonMessages),
+	// fixed when the runtime is built: a released message is poisoned
+	// (a released type, negative IDs, marked strings) instead of reused,
+	// and a station panics when it is handed a poisoned message to
+	// deliver or reply to, or releases one twice. A use after release
+	// then fails loudly instead of reading the next message's fields.
+	poison bool
+}
+
+// init readies f, reading the poison hook.
+func (f *msgFree) init() { f.poison = releasehook.Poison.Load() }
 
 // get returns a zeroed message.
 func (f *msgFree) get() *Message {
@@ -72,10 +84,10 @@ func (f *msgFree) get() *Message {
 	return new(Message)
 }
 
-// put zeroes m and keeps it for a later get. Under PoisonReleased it
-// poisons m instead and never hands it out again.
+// put zeroes m and keeps it for a later get; in poison mode it poisons
+// m instead and never hands it out again.
 func (f *msgFree) put(m *Message) {
-	if poisonReleased.Load() {
+	if f.poison {
 		poison(m)
 		return
 	}
@@ -83,16 +95,14 @@ func (f *msgFree) put(m *Message) {
 	f.pool.Put(m)
 }
 
-// poisonReleased is PoisonReleased's switch.
-var poisonReleased atomic.Bool
-
-// PoisonReleased is a hook for tests: while on is set, a message given
-// back to a free list is filled with poison (a released type, negative
-// IDs, marked strings) instead of being reused, and a station panics
-// when it is handed a poisoned message to deliver or reply to,
-// or released twice. A use after release then fails loudly instead of
-// reading the next message's fields. It returns the previous setting.
-func PoisonReleased(on bool) (was bool) { return poisonReleased.Swap(on) }
+// mustLive panics, in poison mode only, on a poisoned message: one
+// handed on after its owner released it. Outside it a released message
+// is zeroed, and a peer may send any type, msgReleased's included.
+func (f *msgFree) mustLive(m *Message) {
+	if f.poison && m.Type == msgReleased {
+		panic("proto: use of a released message")
+	}
+}
 
 // msgReleased is the type of a poisoned message.
 const msgReleased MsgType = -1
@@ -101,20 +111,14 @@ const msgReleased MsgType = -1
 const releasedMark = "\u2620released"
 
 func poison(m *Message) {
-	mustLive(m)
+	if m.Type == msgReleased {
+		panic("proto: message released twice")
+	}
 	*m = Message{
 		Type: msgReleased, Version: -1, From: releasedMark, ID: -1, ReplyTo: -1, Error: releasedMark,
 		Reg:  Registration{Name: releasedMark, Kind: releasedMark, Host: releasedMark, Owner: releasedMark},
 		Kind: releasedMark, Name: releasedMark, Series: releasedMark, Count: -1,
 		Clique: releasedMark, TokenSeq: -1, Epoch: -1, Total: -1, Code: releasedMark, RetryAfter: -1,
-	}
-}
-
-// mustLive panics on a poisoned message: one handed on after its owner
-// released it.
-func mustLive(m *Message) {
-	if m.Type == msgReleased {
-		panic("proto: use of a released message")
 	}
 }
 
@@ -127,7 +131,11 @@ type SimRuntime struct {
 }
 
 // NewSimRuntime wraps sim.
-func NewSimRuntime(sim *vclock.Sim) *SimRuntime { return &SimRuntime{Sim: sim} }
+func NewSimRuntime(sim *vclock.Sim) *SimRuntime {
+	r := &SimRuntime{Sim: sim}
+	r.msgs.init()
+	return r
+}
 
 func (r *SimRuntime) Now() time.Duration        { return r.Sim.Now() }
 func (r *SimRuntime) Sleep(d time.Duration)     { r.Sim.Sleep(d) }
@@ -167,7 +175,11 @@ type RealRuntime struct {
 }
 
 // NewRealRuntime returns a runtime whose Now starts at zero.
-func NewRealRuntime() *RealRuntime { return &RealRuntime{epoch: time.Now()} }
+func NewRealRuntime() *RealRuntime {
+	r := &RealRuntime{epoch: time.Now()}
+	r.msgs.init()
+	return r
+}
 
 func (r *RealRuntime) Now() time.Duration        { return time.Since(r.epoch) }
 func (r *RealRuntime) Sleep(d time.Duration)     { time.Sleep(d) }

@@ -101,7 +101,7 @@ func (s *Station) Runtime() Runtime { return s.rt }
 // call it answers (a late reply, whose call has given up, is dropped),
 // anything else to the application router.
 func (s *Station) deliver(m *Message) {
-	mustLive(m)
+	s.msgs.mustLive(m)
 	s.mu.Lock()
 	if m.ReplyTo != 0 {
 		box := s.pending[m.ReplyTo]
@@ -293,7 +293,7 @@ func (e *replyError) Error() string { return "proto: " + e.to + " replied: " + e
 // Reply answers request req with m and releases req: the caller owns
 // req until this call and never after (see Inbox).
 func (s *Station) Reply(req *Message, m Message) error {
-	mustLive(req)
+	s.msgs.mustLive(req)
 	out := s.msgs.get()
 	*out = m
 	out.From = s.ep.Host()
@@ -312,6 +312,11 @@ func (s *Station) ReplyError(req *Message, format string, args ...interface{}) e
 // Drop gives back a received message the caller will not reply to; it
 // must not touch m again (see Inbox).
 func (s *Station) Drop(m *Message) { s.msgs.put(m) }
+
+// NewMessage takes a zeroed message from rt's free list, for a role
+// that queues messages of its own on an Inbox: whoever receives it owns
+// it under the Inbox rule and gives it back with Port.Drop.
+func NewMessage(rt Runtime) *Message { return rt.messages().get() }
 
 // Recv returns the next application (non-reply) message, which the
 // caller then owns (see Inbox).

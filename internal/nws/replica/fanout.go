@@ -35,10 +35,6 @@ type Fanout struct {
 	mu     sync.Mutex
 	queues map[string]*sendQueue
 	closed bool
-	// free recycles the queues' messages: each queue gets its own copy
-	// of a store, which its sender gives back once the store is in a
-	// frame. Bounded by the in-flight windows.
-	free []*proto.Message
 }
 
 type sendQueue struct {
@@ -98,7 +94,8 @@ func (f *Fanout) Window(series string, samples []proto.Sample, total int64) {
 }
 
 // send queues a store or window message for every replica, each queue
-// its own, built in place in a recycled message.
+// its own from the runtime's free list; the sender drops it once its
+// store is in a frame.
 func (f *Fanout) send(typ proto.MsgType, series string, samples []proto.Sample, total int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -111,24 +108,10 @@ func (f *Fanout) send(typ proto.MsgType, series string, samples []proto.Sample, 
 			continue
 		}
 		q.inflight++
-		var qm *proto.Message
-		if n := len(f.free); n > 0 {
-			qm = f.free[n-1]
-			f.free = f.free[:n-1]
-		} else {
-			qm = new(proto.Message)
-		}
+		qm := proto.NewMessage(f.port.Runtime())
 		*qm = proto.Message{Type: typ, Version: proto.V3, Series: series, Samples: samples, Total: total}
 		q.inbox.Send(qm)
 	}
-}
-
-// recycle gives back a queue message whose store has been taken.
-func (f *Fanout) recycle(m *proto.Message) {
-	*m = proto.Message{}
-	f.mu.Lock()
-	f.free = append(f.free, m)
-	f.mu.Unlock()
 }
 
 // Stop closes every sender queue; in-flight deliveries finish or time
@@ -165,7 +148,7 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 			frame, n, m, held = f.merge(q, m)
 		} else {
 			frame = *m
-			f.recycle(m)
+			f.port.Drop(m)
 		}
 		_, err := f.port.Call(host, frame, f.timeout)
 		f.mu.Lock()
@@ -179,7 +162,7 @@ func (f *Fanout) sender(host string, q *sendQueue) {
 }
 
 // merge takes the stores queued behind first into one frame of at most
-// f.frame samples, recycling each message it takes in. It returns the
+// f.frame samples, dropping each message it takes in. It returns the
 // frame, the stores it carries, and the message it took but could not
 // merge (a window, or a store past the cap), if any. A lone store's
 // frame is a frame of one entry.
@@ -193,7 +176,7 @@ func (f *Fanout) merge(q *sendQueue, first *proto.Message) (frame proto.Message,
 	entries := make([]proto.SeriesResult, 1, max(1, min(queued, f.frame)))
 	entries[0] = entry(first)
 	samples := len(first.Samples)
-	f.recycle(first)
+	f.port.Drop(first)
 	for {
 		m, ok := q.inbox.TryRecv()
 		if !ok {
@@ -205,7 +188,7 @@ func (f *Fanout) merge(q *sendQueue, first *proto.Message) (frame proto.Message,
 		}
 		entries = append(entries, entry(m))
 		samples += len(m.Samples)
-		f.recycle(m)
+		f.port.Drop(m)
 	}
 	return proto.Message{Type: proto.MsgReplStore, Version: proto.V3, Results: entries}, len(entries), rest, held
 }
