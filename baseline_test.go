@@ -318,9 +318,9 @@ func TestFullMeshFrequencyCollapses(t *testing.T) {
 		}
 		dep.Stop()
 		count := 0
-		for _, rec := range net.Records() {
-			if rec.Src == hosts[0] && rec.Dst == hosts[1] && rec.Tag != "" {
-				count++
+		for _, row := range net.Traffic() {
+			if row.Src == hosts[0] && row.Dst == hosts[1] && row.Tag != "" {
+				count += row.Done
 			}
 		}
 		return float64(count)

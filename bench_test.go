@@ -416,9 +416,9 @@ func BenchmarkE7CliqueFrequency(b *testing.B) {
 				m.Stop()
 			}
 			count := 0
-			for _, rec := range net.Records() {
-				if rec.Src == "h0" && rec.Dst == "h1" && rec.Tag != "" {
-					count++
+			for _, row := range net.Traffic() {
+				if row.Src == "h0" && row.Dst == "h1" && row.Tag != "" {
+					count += row.Done
 				}
 			}
 			rows = append(rows, row{n, float64(count) / window.Minutes()})
@@ -856,12 +856,12 @@ func BenchmarkE15PairwiseAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		count := 0
-		for _, rec := range net.Records() {
-			if rec.Tag == "" {
+		for _, row := range net.Traffic() {
+			if row.Tag == "" {
 				continue
 			}
-			if (rec.Src == "b" && rec.Dst == "c") || (rec.Src == "c" && rec.Dst == "b") {
-				count++
+			if (row.Src == "b" && row.Dst == "c") || (row.Src == "c" && row.Dst == "b") {
+				count += row.Done
 			}
 		}
 		if err := dep.Stop(); err != nil {

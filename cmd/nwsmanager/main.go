@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -243,12 +242,9 @@ func run(ctx context.Context, o options) bool {
 	}
 
 	if se != nil {
-		reportSim(se.Net, elapsed)
-		if o.query != "" {
-			querySim(se.Sim, dep, o.query)
-		}
+		reportSim(se, dep, elapsed, o.query)
 	} else {
-		reportTCP(plat, rec, dep, runs[0].Hosts, o.query)
+		reportTCP(plat, rec, dep, o.query)
 	}
 	healthy := true
 	if err := dep.Stop(); err != nil {
@@ -305,10 +301,8 @@ func tcpHosts(csv string) []string {
 }
 
 // reportTCP reads the freshest samples back through a real client
-// station — an end user of the query plane, one batched round-trip for
-// every pair instead of a blocking fetch per series — and answers
-// -query over the same discovered gateways.
-func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.Deployment, hosts []string, queryPair string) {
+// station, an end user of the query plane.
+func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.Deployment, queryPair string) {
 	if rec != nil {
 		rounds := rec.Rounds()
 		repairs, transient := reconcile.Tally(rounds)
@@ -319,20 +313,19 @@ func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.De
 	check(err)
 	client := proto.NewStation(plat.Transport().Runtime(), ep)
 	defer client.Close()
-	fetch := queryPlane(client, dep)
+	check(readings(client, dep, queryPair))
+}
 
-	var pairs [][2]string
-	var reqs []proto.SeriesRequest
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a == b {
-				continue
-			}
-			pairs = append(pairs, [2]string{a, b})
-			reqs = append(reqs, proto.SeriesRequest{
-				Series: sensor.BandwidthSeries(dep.Resolve[a], dep.Resolve[b]), Count: 1,
-			})
-		}
+// readings prints the freshest bandwidth reading of every pair the plan
+// measures and answers -query, both over the deployment's query plane
+// from port: one batched round-trip for every pair instead of a
+// blocking fetch per series.
+func readings(port proto.Port, dep *deploy.Deployment, queryPair string) error {
+	fetch := queryPlane(port, dep)
+	pairs := dep.Plan.MeasuredPairs()
+	reqs := make([]proto.SeriesRequest, len(pairs))
+	for i, pr := range pairs {
+		reqs[i] = proto.SeriesRequest{Series: sensor.BandwidthSeries(dep.Resolve[pr[0]], dep.Resolve[pr[1]]), Count: 1}
 	}
 	res, _ := fetch(reqs) // per-series failures ride in the results
 	fmt.Println("  latest bandwidth readings:")
@@ -343,9 +336,10 @@ func reportTCP(plat platform.Platform, rec *reconcile.Reconciler, dep *deploy.De
 		fmt.Printf("    %-20s %8.2f Mbps (%d samples seen)\n",
 			pairs[i][0]+" -> "+pairs[i][1], r.Samples[0].Value, len(r.Samples))
 	}
-	if queryPair != "" {
-		check(estimate(dep, fetch, queryPair))
+	if queryPair == "" {
+		return nil
 	}
+	return estimate(dep, fetch, queryPair)
 }
 
 // applyPlanFile keeps the file-based workflow: apply the plan published
@@ -373,9 +367,11 @@ func applyPlanFile(ctx context.Context, pl *core.Pipeline, se *cli.SimEnv, o opt
 }
 
 // reportSim prints the §2.3 observability report for a monitoring
-// window.
-func reportSim(net *simnet.Network, duration time.Duration) {
-	report := metrics.Observe(net, "", duration)
+// window, then the readings of every measured pair and the -query
+// estimate as an end user on the master's station, inside the
+// simulation, within a virtual minute.
+func reportSim(se *cli.SimEnv, dep *deploy.Deployment, duration time.Duration, queryPair string) {
+	report := metrics.Observe(se.Net, "", duration)
 	fmt.Printf("monitored %v of virtual time\n", duration)
 	fmt.Printf("  probes        : %d (%.1f MB injected)\n", report.Probes, float64(report.ProbeBytes)/1e6)
 	fmt.Printf("  collisions    : %d (rate %.4f)\n", report.Collisions, report.CollisionRate)
@@ -383,26 +379,17 @@ func reportSim(net *simnet.Network, duration time.Duration) {
 		report.MinPairPerMinute, report.P50PairPerMinute, report.P95PairPerMinute,
 		report.MaxPairPerMinute, len(report.PairFrequency))
 
-	// Show the freshest bandwidth readings per pair.
-	type row struct {
-		pair string
-		bps  float64
-	}
-	var rows []row
-	last := map[string]simnet.TransferStats{}
-	for _, rec := range net.Records() {
-		if strings.HasPrefix(rec.Tag, "clique:") {
-			last[rec.Src+" -> "+rec.Dst] = rec
+	var err error
+	se.Sim.Go("report", func() {
+		master := dep.Agents[dep.Plan.Master]
+		if master == nil {
+			err = fmt.Errorf("master agent %q missing", dep.Plan.Master)
+			return
 		}
-	}
-	for pair, rec := range last {
-		rows = append(rows, row{pair, rec.AvgBps})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].pair < rows[j].pair })
-	fmt.Println("  latest bandwidth readings:")
-	for _, r := range rows {
-		fmt.Printf("    %-30s %8.2f Mbps\n", r.pair, r.bps/1e6)
-	}
+		err = readings(master.Station(), dep, queryPair)
+	})
+	check(se.Sim.RunUntil(se.Sim.Now() + time.Minute))
+	check(err)
 }
 
 // queryPlane locates the deployment's query gateways through the
@@ -447,22 +434,6 @@ func estimate(dep *deploy.Deployment, fetch func([]proto.SeriesRequest) ([]query
 	fmt.Printf("estimate %s -> %s: %.2f Mbps, %.2f ms RTT (%s)\n",
 		parts[0], parts[1], est.BandwidthMbps, est.LatencyMS, kind)
 	return nil
-}
-
-// querySim answers -query as an end user on the master's station,
-// inside the simulation, within a virtual minute.
-func querySim(sim *vclock.Sim, dep *deploy.Deployment, pair string) {
-	var err error
-	sim.Go("query", func() {
-		master := dep.Agents[dep.Plan.Master]
-		if master == nil {
-			err = fmt.Errorf("master agent %q missing", dep.Plan.Master)
-			return
-		}
-		err = estimate(dep, queryPlane(master.Station(), dep), pair)
-	})
-	check(sim.RunUntil(sim.Now() + time.Minute))
-	check(err)
 }
 
 // writeSnapshot refreshes the live snapshot.json under dir: the

@@ -406,15 +406,9 @@ func TestPairwiseSwitchedDeployment(t *testing.T) {
 		if err := sim.RunUntil(5 * time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		count := 0
-		for _, rec := range net.Records() {
-			if rec.Tag == "" {
-				continue
-			}
-			if (rec.Src == "b" && rec.Dst == "c") || (rec.Src == "c" && rec.Dst == "b") {
-				count++
-			}
-		}
+		count := completed(net, func(row simnet.TrafficRow) bool {
+			return row.Tag != "" && (row.Src == "b" && row.Dst == "c" || row.Src == "c" && row.Dst == "b")
+		})
 		for _, c := range net.Collisions() {
 			if strings.HasPrefix(c.TagA, "pairwise:") && strings.HasPrefix(c.TagB, "pairwise:") {
 				pairCollisions++

@@ -31,23 +31,33 @@ func TestDeploymentSurvivesMemberDeath(t *testing.T) {
 	dep.Agents[victim].Stop()
 	tr.Network().CrashHost(resolve[victim])
 	killAt := sim.Now()
+	// Survivor pairs in the sci clique still measure after the death +
+	// recovery window.
+	survivor := func(row simnet.TrafficRow) bool {
+		return row.Tag != "" && strings.HasPrefix(row.Src, "sci") &&
+			!strings.Contains(row.Src, "sci4") && !strings.Contains(row.Dst, "sci4")
+	}
+	if err := sim.RunUntil(killAt + 90*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	recovered := completed(net, survivor)
 	if err := sim.RunUntil(base + 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Survivor pairs in the sci clique still measured after the death +
-	// recovery window.
-	var lastSurvivor time.Duration
-	for _, rec := range net.Records() {
-		if rec.Tag == "" || strings.Contains(rec.Src, "sci4") || strings.Contains(rec.Dst, "sci4") {
-			continue
-		}
-		if strings.HasPrefix(rec.Src, "sci") && rec.End > lastSurvivor {
-			lastSurvivor = rec.End
+	if completed(net, survivor) == recovered {
+		t.Fatalf("sci clique stalled after member death: no survivor measurement after %v (killed at %v)", killAt+90*time.Second, killAt)
+	}
+}
+
+// completed sums the Done counts of the traffic-table rows keep selects.
+func completed(net *simnet.Network, keep func(simnet.TrafficRow) bool) int {
+	n := 0
+	for _, row := range net.Traffic() {
+		if keep(row) {
+			n += row.Done
 		}
 	}
-	if lastSurvivor < killAt+90*time.Second {
-		t.Fatalf("sci clique stalled after member death: last survivor measurement %v (killed at %v)", lastSurvivor, killAt)
-	}
+	return n
 }
 
 // TestDeploymentMemoryDeathDegradesOnlyItsSite: killing the private

@@ -13,6 +13,7 @@ import (
 	"nwsenv/internal/nws/clique"
 	"nwsenv/internal/nws/host"
 	"nwsenv/internal/nws/proto"
+	"nwsenv/internal/simnet"
 )
 
 // deployEnsLyon applies the full ENS-Lyon plan on the simulated
@@ -506,6 +507,8 @@ func TestApplyDeltaGrowth(t *testing.T) {
 	if err := sim.RunUntil(base + time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	fromSci1 := func(row simnet.TrafficRow) bool { return row.Tag != "" && row.Src == "sci1" }
+	sci1Before := completed(net, fromSci1)
 	// Remember the untouched myri agent to prove it survives the update.
 	myriAgent := dep.Agents["myri1.popc.private"]
 	if myriAgent == nil {
@@ -541,14 +544,7 @@ func TestApplyDeltaGrowth(t *testing.T) {
 	if err := sim.RunUntil(base + 4*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	seen := false
-	for _, rec := range net.Records() {
-		if rec.Tag != "" && rec.Src == "sci1" && rec.End > base+time.Minute {
-			seen = true
-			break
-		}
-	}
-	if !seen {
+	if completed(net, fromSci1) == sci1Before {
 		t.Fatal("added sci clique produced no measurements after ApplyDelta")
 	}
 }

@@ -37,18 +37,19 @@ type Report struct {
 	P50PairPerMinute, P95PairPerMinute, P99PairPerMinute float64
 }
 
-// Observe builds a report from a network's accounting over the window,
-// counting only probes whose tag has the given prefix ("" = all).
+// Observe builds a report over the window from a network's traffic
+// table (one row per source, destination and tag) and collisions,
+// counting only the completed probes whose tag has the given prefix.
 func Observe(net *simnet.Network, tagPrefix string, window time.Duration) Report {
 	r := Report{Window: window, PairFrequency: map[string]float64{}}
 	minutes := window.Minutes()
-	for _, rec := range net.Records() {
-		if rec.Tag == "" || !strings.HasPrefix(rec.Tag, tagPrefix) {
+	for _, row := range net.Traffic() {
+		if row.Tag == "" || row.Done == 0 || !strings.HasPrefix(row.Tag, tagPrefix) {
 			continue
 		}
-		r.Probes++
-		r.ProbeBytes += rec.Bytes
-		r.PairFrequency[rec.Src+"->"+rec.Dst] += 1 / minutes
+		r.Probes += row.Done
+		r.ProbeBytes += row.DoneBytes
+		r.PairFrequency[row.Src+"->"+row.Dst] += float64(row.Done) / minutes
 	}
 	for _, c := range net.Collisions() {
 		if strings.HasPrefix(c.TagA, tagPrefix) && strings.HasPrefix(c.TagB, tagPrefix) {

@@ -290,7 +290,7 @@ func (m *Member) hold(epoch, seq int64) {
 	h := Hold{Clique: m.cfg.Name, Host: m.port.Host(), Epoch: epoch, Seq: seq, From: rt.Now()}
 	i := 1
 	for ; i < m.ring.n && !m.stopped.Load(); i++ {
-		ms, err := sensor.LinkExperiments(m.prober, rt.Now, m.links[m.ring.at(i)], m.tag)
+		ms, err := sensor.LinkExperiments(m.prober, rt.Now, &m.links[m.ring.at(i)], m.tag)
 		if err != nil {
 			m.count(cProbeError)
 			continue

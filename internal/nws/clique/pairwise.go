@@ -111,7 +111,7 @@ func (a *ProbeAgent) Run() {
 	if store == nil {
 		store = func(sensor.Measurement) {}
 	}
-	links := map[string]sensor.Link{} // by partner, named once
+	links := map[string]*sensor.Link{} // by partner, named once
 	for {
 		msg, ok := a.Port.Recv()
 		if !ok {
@@ -125,12 +125,11 @@ func (a *ProbeAgent) Run() {
 		a.Port.Drop(msg)
 		now := a.Port.Runtime().Now
 		h := Hold{Clique: a.Cfg.Name, Host: a.Port.Host(), Partner: partner, Epoch: epoch, From: now()}
-		l, ok := links[partner]
-		if !ok {
-			l = sensor.NewLink(h.Host, partner)
-			links[partner] = l
+		if links[partner] == nil {
+			l := sensor.NewLink(h.Host, partner)
+			links[partner] = &l
 		}
-		ms, err := sensor.LinkExperiments(a.Prober, now, l, "pairwise:"+a.Cfg.Name)
+		ms, err := sensor.LinkExperiments(a.Prober, now, links[partner], "pairwise:"+a.Cfg.Name)
 		h.To = now()
 		a.Cfg.Holds.add(h)
 		reply := proto.Message{Type: proto.MsgProbeDone, Clique: a.Cfg.Name, Name: partner, Epoch: epoch}

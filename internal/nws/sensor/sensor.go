@@ -60,7 +60,7 @@ func NewLink(from, to string) Link {
 // LinkExperiments runs the full §2.2 experiment set over l and returns
 // the three measurements. Latencies are reported in milliseconds and
 // bandwidth in Mbps (the units NWS reports).
-func LinkExperiments(p Prober, now func() time.Duration, l Link, tag string) ([]Measurement, error) {
+func LinkExperiments(p Prober, now func() time.Duration, l *Link, tag string) ([]Measurement, error) {
 	from, to := l.From, l.To
 	rtt, err := p.Latency(from, to, LatencyProbeBytes)
 	if err != nil {

@@ -28,7 +28,8 @@ func TestLinkExperimentsProduceThreeSeries(t *testing.T) {
 	var ms []Measurement
 	var err error
 	sim.Go("probe", func() {
-		ms, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, NewLink("a", "b"), "test")
+		l := NewLink("a", "b")
+		ms, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, &l, "test")
 	})
 	if e := sim.Run(); e != nil {
 		t.Fatal(e)
@@ -61,7 +62,8 @@ func TestLinkExperimentsErrorOnUnreachable(t *testing.T) {
 	sim, net := rig(t)
 	var err error
 	sim.Go("probe", func() {
-		_, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, NewLink("a", "ghost"), "t")
+		l := NewLink("a", "ghost")
+		_, err = LinkExperiments(env.SimSubstrate{Net: net}, sim.Now, &l, "t")
 	})
 	if e := sim.Run(); e != nil {
 		t.Fatal(e)

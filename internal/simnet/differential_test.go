@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +13,8 @@ import (
 )
 
 // Differential property test: Network's fair-share engine must produce
-// the same rates, completion times and completion order as the
-// independent reference simulator of reference_test.go (global
+// the same rates, completion times, completion order and traffic table
+// as the independent reference simulator of reference_test.go (global
 // progressive filling at every event) over randomized
 // arrival/departure/crash/degrade/cut sequences on seeded topologies.
 // Tolerances cover only the nanosecond event-grid ceiling and float
@@ -29,7 +31,7 @@ type flowSim interface {
 	RestoreLink(a, b string)
 	CutLink(a, b string)
 	HealLink(a, b string)
-	Records() []TransferStats
+	Traffic() []TrafficRow
 }
 
 // newFlowSim builds the engine under test or the reference.
@@ -72,6 +74,17 @@ type diffResult struct {
 	ran bool
 	err error
 	st  TransferStats
+	// returned is when the Transfer call returned.
+	returned time.Duration
+}
+
+// diffRun is what one engine made of a schedule: each op's outcome, the
+// indices of the transfer ops in the order their calls returned, and
+// the traffic table at the horizon.
+type diffRun struct {
+	results []diffResult
+	order   []int
+	traffic []TrafficRow
 }
 
 // genDiffOps builds a deterministic operation schedule for a seed. It is
@@ -127,11 +140,10 @@ func genDiffOps(seed int64, subnets int, hosts []string) []diffOp {
 	return ops
 }
 
-// runDiffOps executes the schedule on net and returns the per-op transfer
-// outcomes plus the completion records.
-func runDiffOps(t *testing.T, sim *vclock.Sim, net flowSim, ops []diffOp, horizon time.Duration) ([]diffResult, []TransferStats) {
+// runDiffOps executes the schedule on net.
+func runDiffOps(t *testing.T, sim *vclock.Sim, net flowSim, ops []diffOp, horizon time.Duration) diffRun {
 	t.Helper()
-	results := make([]diffResult, len(ops))
+	run := diffRun{results: make([]diffResult, len(ops))}
 	for i, o := range ops {
 		i, o := i, o
 		sim.Go(fmt.Sprintf("op%d", i), func() {
@@ -139,7 +151,8 @@ func runDiffOps(t *testing.T, sim *vclock.Sim, net flowSim, ops []diffOp, horizo
 			switch o.kind {
 			case diffTransfer:
 				st, err := net.Transfer(o.src, o.dst, o.bytes, o.tag)
-				results[i] = diffResult{ran: true, err: err, st: st}
+				run.results[i] = diffResult{ran: true, err: err, st: st, returned: sim.Now()}
+				run.order = append(run.order, i)
 			case diffCrash:
 				net.CrashHost(o.host)
 				sim.Sleep(o.dur)
@@ -158,16 +171,57 @@ func runDiffOps(t *testing.T, sim *vclock.Sim, net flowSim, ops []diffOp, horizo
 	if err := sim.RunUntil(horizon); err != nil {
 		t.Fatal(err)
 	}
-	return results, net.Records()
+	run.traffic = net.Traffic()
+	return run
 }
 
-// compareDiff requires the engine's per-op outcomes and completion
-// records to match the reference's.
-func compareDiff(t *testing.T, label string, inc, ref []diffResult, incRec, refRec []TransferStats) {
+// trafficOf folds the ops' own Transfer results into the traffic table
+// they imply, sorted by key. A call that returned later than its op was
+// issued started a flow, since a refused one returns at once; it
+// completed the flow if it returned no error, and an aborted one counts
+// in Started only.
+func trafficOf(ops []diffOp, results []diffResult) []TrafficRow {
+	var rows []TrafficRow
+	at := map[[3]string]int{}
+	for i, o := range ops {
+		r := results[i]
+		if !r.ran || (r.err != nil && r.returned == o.at) {
+			continue
+		}
+		k := [3]string{o.src, o.dst, o.tag}
+		j, ok := at[k]
+		if !ok {
+			j = len(rows)
+			at[k] = j
+			rows = append(rows, TrafficRow{Src: o.src, Dst: o.dst, Tag: o.tag})
+		}
+		rows[j].Started++
+		rows[j].StartedBytes += o.bytes
+		if r.err == nil {
+			rows[j].Done++
+			rows[j].DoneBytes += o.bytes
+		}
+	}
+	return sortedTraffic(rows)
+}
+
+// sortedTraffic returns a copy of rows sorted by key.
+func sortedTraffic(rows []TrafficRow) []TrafficRow {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, func(a, b TrafficRow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Tag, b.Tag))
+	})
+	return out
+}
+
+// compareDiff requires the engine's per-op outcomes, return order and
+// traffic table to match the reference's, and each table to be the
+// fold of its own run's Transfer results.
+func compareDiff(t *testing.T, label string, ops []diffOp, inc, ref diffRun) {
 	t.Helper()
 	near := func(a, b time.Duration) bool { d := a - b; return d <= diffEndTol && d >= -diffEndTol }
-	for i := range inc {
-		a, b := inc[i], ref[i]
+	for i := range inc.results {
+		a, b := inc.results[i], ref.results[i]
 		if !a.ran || !b.ran {
 			continue // fault op
 		}
@@ -194,15 +248,18 @@ func compareDiff(t *testing.T, label string, inc, ref []diffResult, incRec, refR
 			t.Errorf("%s op %d: start divergence: engine %v vs reference %v", label, i, a.st.Start, b.st.Start)
 		}
 	}
-	if len(incRec) != len(refRec) {
-		t.Fatalf("%s: engine completed %d transfers, reference %d", label, len(incRec), len(refRec))
+	if !slices.Equal(inc.order, ref.order) {
+		t.Errorf("%s: completion order diverges: engine returned ops %v, reference %v", label, inc.order, ref.order)
 	}
-	for i := range incRec {
-		a, b := incRec[i], refRec[i]
-		if a.Src != b.Src || a.Dst != b.Dst || a.Tag != b.Tag || a.Bytes != b.Bytes || !near(a.Start, b.Start) {
-			t.Errorf("%s: completion order diverges at record %d: engine %s->%s %dB @%v, reference %s->%s %dB @%v",
-				label, i, a.Src, a.Dst, a.Bytes, a.End, b.Src, b.Dst, b.Bytes, b.End)
-			break
+	if !slices.Equal(inc.traffic, ref.traffic) {
+		t.Errorf("%s: traffic tables diverge:\nengine    %+v\nreference %+v", label, inc.traffic, ref.traffic)
+	}
+	for _, run := range []struct {
+		name string
+		diffRun
+	}{{"engine", inc}, {"reference", ref}} {
+		if got, want := sortedTraffic(run.traffic), trafficOf(ops, run.results); !slices.Equal(got, want) {
+			t.Errorf("%s: %s traffic table is not the fold of its transfers:\ntable %+v\nfold  %+v", label, run.name, got, want)
 		}
 	}
 }
@@ -210,44 +267,54 @@ func compareDiff(t *testing.T, label string, inc, ref []diffResult, incRec, refR
 func TestDifferentialIncrementalVsNaive(t *testing.T) {
 	const subnets, perSubnet = 3, 3
 	for seed := int64(1); seed <= 50; seed++ {
-		run := func(reference bool) ([]diffResult, []TransferStats) {
+		var ops []diffOp
+		run := func(reference bool) diffRun {
 			topo, hosts := randomLAN(seed, subnets, perSubnet)
 			sim := vclock.New()
-			return runDiffOps(t, sim, newFlowSim(sim, topo, reference), genDiffOps(seed, subnets, hosts), 4*time.Hour)
+			ops = genDiffOps(seed, subnets, hosts)
+			return runDiffOps(t, sim, newFlowSim(sim, topo, reference), ops, 4*time.Hour)
 		}
-		inc, incRec := run(false)
-		ref, refRec := run(true)
-		compareDiff(t, fmt.Sprintf("seed %d", seed), inc, ref, incRec, refRec)
+		inc := run(false)
+		compareDiff(t, fmt.Sprintf("seed %d", seed), ops, inc, run(true))
 	}
 }
 
 // TestDifferentialPureContention has no faults: dense overlapping
 // transfers between few hosts so every arrival and departure reshuffles
-// shares. Engine and reference must agree pairwise on every completion.
+// shares, with twins that complete at one instant. Engine and reference
+// must agree pairwise on every completion and on the order the calls
+// return.
 func TestDifferentialPureContention(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		run := func(reference bool) ([]diffResult, []TransferStats) {
+		var ops []diffOp
+		run := func(reference bool) diffRun {
 			topo, hosts := randomLAN(98+seed, 2, 3)
 			sim := vclock.New()
 			rng := rand.New(rand.NewSource(4241 + seed))
-			var ops []diffOp
+			ops = nil
 			for i := 0; i < 40; i++ {
 				src := hosts[rng.Intn(len(hosts))]
 				dst := hosts[rng.Intn(len(hosts))]
 				if src == dst {
 					continue
 				}
-				ops = append(ops, diffOp{
+				op := diffOp{
 					at:   time.Duration(rng.Intn(3000)) * time.Millisecond,
 					kind: diffTransfer,
 					src:  src, dst: dst,
 					bytes: int64(1+rng.Intn(25)) * 999_983,
-				})
+				}
+				ops = append(ops, op)
+				if i%5 == 0 {
+					// A twin on the same path at the same instant: the
+					// two complete together, and their calls must
+					// return in arrival order.
+					ops = append(ops, op)
+				}
 			}
 			return runDiffOps(t, sim, newFlowSim(sim, topo, reference), ops, time.Hour)
 		}
-		inc, incRec := run(false)
-		ref, refRec := run(true)
-		compareDiff(t, fmt.Sprintf("seed %d", seed), inc, ref, incRec, refRec)
+		inc := run(false)
+		compareDiff(t, fmt.Sprintf("seed %d", seed), ops, inc, run(true))
 	}
 }

@@ -312,9 +312,16 @@ func (n *Network) onCompletion() {
 	}
 	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
 	n.departLocked(finished)
-	stats := n.finishFlowsLocked(finished)
+	n.finishFlowsLocked(finished)
 	n.mu.Unlock()
-	for i, f := range finished {
-		f.done.Send(xferOutcome{stats: stats[i]})
+	for _, f := range finished {
+		dur, bps := now-f.started, f.aloneBps
+		if dur > 0 {
+			bps = f.bytes * 8 / dur.Seconds()
+		}
+		f.done.Send(xferOutcome{stats: TransferStats{
+			Src: f.row.Src, Dst: f.row.Dst, Tag: f.row.Tag, Bytes: int64(f.bytes),
+			Start: f.started, End: now, Duration: dur, AvgBps: bps, AloneBps: f.aloneBps,
+		}})
 	}
 }

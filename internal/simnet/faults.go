@@ -21,7 +21,7 @@ func (n *Network) CrashHost(id string) {
 	err := fmt.Errorf("simnet: host %s is down", id)
 	n.mu.Lock()
 	n.topo.SetNodeDown(id, true)
-	aborted := n.abortLocked(func(f *flow) bool { return f.src == id || f.dst == id })
+	aborted := n.abortLocked(func(f *flow) bool { return f.row.Src == id || f.row.Dst == id })
 	n.mu.Unlock()
 	n.failFlows(aborted, err)
 }

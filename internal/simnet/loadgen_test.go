@@ -20,6 +20,8 @@ type LoadGen struct {
 	Seed int64
 	// Until stops the generator at that virtual time (0 = forever).
 	Until time.Duration
+	// Log, when set, collects each completed transfer's result.
+	Log *[]TransferStats
 }
 
 // Start launches the generator as a simulation process on net.
@@ -37,8 +39,12 @@ func (g LoadGen) Start(net *Network) {
 				return
 			}
 			// Background traffic carries no probe tag.
-			if _, err := net.Transfer(g.Src, g.Dst, g.Bytes, ""); err != nil {
+			st, err := net.Transfer(g.Src, g.Dst, g.Bytes, "")
+			if err != nil {
 				return
+			}
+			if g.Log != nil {
+				*g.Log = append(*g.Log, st)
 			}
 		}
 	})

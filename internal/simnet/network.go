@@ -26,6 +26,18 @@ type TransferStats struct {
 	AloneBps float64
 }
 
+// TrafficRow is one row of the network's traffic table: what the flows
+// from Src to Dst under Tag carried since the last ResetAccounting.
+// Started and StartedBytes count the flows as they start, aborted ones
+// included; Done and DoneBytes count the ones that completed. The table
+// holds one row per key, so it grows with the pairs measured, not with
+// the transfers.
+type TrafficRow struct {
+	Src, Dst, Tag           string
+	Started, Done           int
+	StartedBytes, DoneBytes int64
+}
+
 // CollisionEvent records two tagged probe flows competing for a resource —
 // exactly the situation the NWS clique protocol exists to prevent (§2.3).
 // Repeated collisions of the same (TagA, TagB, Resource) triple are
@@ -61,10 +73,9 @@ type xferOutcome struct {
 }
 
 type flow struct {
-	id       int64
-	src, dst string
-	tag      string
-	bytes    float64
+	id    int64
+	row   *TrafficRow // the flow's source, destination and tag
+	bytes float64
 	// remaining is the outstanding byte count as of settledAt: a flow is
 	// settled lazily, only when its own rate changes.
 	remaining float64
@@ -102,11 +113,9 @@ type Network struct {
 	linkFactor map[*Link]float64
 	completion *vclock.Event
 
-	records      []TransferStats
+	traffic      []*TrafficRow // the table's rows, first seen first (Pair.rowLocked)
 	collisions   []*CollisionEvent
 	collisionIdx map[collisionKey]*CollisionEvent
-	probeBytes   map[string]int64 // bytes transferred per tag
-	probeCount   map[string]int
 	// settles counts individual flow-settle operations: the unit of
 	// work of the fair-share engine, so it is its cost meter.
 	settles int64
@@ -133,8 +142,6 @@ func NewNetwork(sim *vclock.Sim, topo *Topology) *Network {
 		resources:    map[string]*resource{},
 		linkFactor:   map[*Link]float64{},
 		collisionIdx: map[collisionKey]*CollisionEvent{},
-		probeBytes:   map[string]int64{},
-		probeCount:   map[string]int{},
 		pairs:        map[uint64]*Pair{},
 	}
 }
@@ -208,7 +215,6 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 	n.sim.Sleep(r.lat)
 
 	f := &flow{
-		src: src, dst: dst, tag: tag,
 		bytes: float64(bytes), remaining: float64(bytes),
 		res:      res,
 		done:     vclock.NewChan[xferOutcome](n.sim, "xfer:"+src+"->"+dst),
@@ -221,10 +227,11 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 	n.nextFlowID++
 	f.id = n.nextFlowID
 	f.settledAt = f.started
+	f.row = p.rowLocked(tag)
+	f.row.Started++
+	f.row.StartedBytes += bytes
 	if tag != "" {
 		n.noteCollisionsLocked(f)
-		n.probeBytes[tag] += bytes
-		n.probeCount[tag]++
 	}
 	n.addFlowLocked(f)
 	n.recomputeComponentLocked([]*flow{f})
@@ -333,7 +340,7 @@ func (n *Network) noteCollisionsLocked(f *flow) {
 	var candidates []*flow
 	for _, r := range f.res {
 		for id, g := range r.flows {
-			if g.tag != "" && !seen[id] {
+			if g.row.Tag != "" && !seen[id] {
 				seen[id] = true
 				candidates = append(candidates, g)
 			}
@@ -345,7 +352,7 @@ func (n *Network) noteCollisionsLocked(f *flow) {
 			shared := false
 			for _, rg := range g.res {
 				if rf == rg {
-					n.recordCollisionLocked(g.tag, f.tag, rf.key)
+					n.recordCollisionLocked(g.row.Tag, f.row.Tag, rf.key)
 					shared = true
 					break
 				}
@@ -371,36 +378,27 @@ func (n *Network) recordCollisionLocked(tagA, tagB, resource string) {
 	n.collisions = append(n.collisions, c)
 }
 
-// finishFlowsLocked records the finished flows' statistics and returns
-// them, one per flow, for the outcome sends the caller performs outside
-// the lock. finished must be sorted by flow id.
-func (n *Network) finishFlowsLocked(finished []*flow) []TransferStats {
-	now := n.sim.Now()
-	stats := make([]TransferStats, 0, len(finished))
+// finishFlowsLocked counts the finished flows in the traffic table.
+func (n *Network) finishFlowsLocked(finished []*flow) {
 	for _, f := range finished {
-		dur := now - f.started
-		var bps float64
-		if dur > 0 {
-			bps = f.bytes * 8 / dur.Seconds()
-		} else {
-			bps = f.aloneBps
-		}
-		st := TransferStats{
-			Src: f.src, Dst: f.dst, Tag: f.tag, Bytes: int64(f.bytes),
-			Start: f.started, End: now, Duration: dur,
-			AvgBps: bps, AloneBps: f.aloneBps,
-		}
-		n.records = append(n.records, st)
-		stats = append(stats, st)
+		f.row.Done++
+		f.row.DoneBytes += int64(f.bytes)
 	}
-	return stats
 }
 
-// Records returns all completed transfer statistics, in completion order.
-func (n *Network) Records() []TransferStats {
+// Traffic returns the traffic table's rows in the order their keys
+// were first seen, leaving out those ResetAccounting cleared and no
+// flow has touched since.
+func (n *Network) Traffic() []TrafficRow {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]TransferStats(nil), n.records...)
+	out := make([]TrafficRow, 0, len(n.traffic))
+	for _, r := range n.traffic {
+		if r.Started > 0 || r.Done > 0 {
+			out = append(out, *r)
+		}
+	}
+	return out
 }
 
 // Collisions returns all probe-vs-probe contention aggregates in
@@ -416,27 +414,28 @@ func (n *Network) Collisions() []CollisionEvent {
 	return out
 }
 
-// ProbeTraffic reports total probe bytes and probe count per tag prefix.
+// ProbeTraffic reports the bytes and count of tagged flows started.
 func (n *Network) ProbeTraffic() (bytes int64, count int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, b := range n.probeBytes {
-		bytes += b
-	}
-	for _, c := range n.probeCount {
-		count += c
+	for _, r := range n.traffic {
+		if r.Tag != "" {
+			bytes += r.StartedBytes
+			count += r.Started
+		}
 	}
 	return bytes, count
 }
 
-// ResetAccounting clears records, collisions and probe counters (used
-// between experiment phases).
+// ResetAccounting clears the traffic table and the collisions (used
+// between experiment phases). A row keeps its place, zeroed, so a flow
+// in flight across the reset counts its completion after it.
 func (n *Network) ResetAccounting() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.records = nil
+	for _, r := range n.traffic {
+		r.Started, r.Done, r.StartedBytes, r.DoneBytes = 0, 0, 0, 0
+	}
 	n.collisions = nil
 	n.collisionIdx = map[collisionKey]*CollisionEvent{}
-	n.probeBytes = map[string]int64{}
-	n.probeCount = map[string]int{}
 }

@@ -30,6 +30,8 @@ type Pair struct {
 	// res lists the resources a transfer over r occupies; nil until a
 	// transfer needs them.
 	res []*resource
+	// rows are the pair's traffic-table rows, one per tag.
+	rows []*TrafficRow
 	// lastArrival is when the pair's latest jittered message lands: the
 	// next one lands no earlier, so the pair stays FIFO.
 	lastArrival time.Duration
@@ -92,7 +94,7 @@ func (p *Pair) route() (route, error) {
 		p.r, p.routeErr = t.route(p.src.ID, p.dst.ID)
 		p.routed, p.res = true, nil
 	} else if p.r.cached {
-		t.cacheHits++
+		t.cacheHits.Add(1)
 	}
 	return p.r, p.routeErr
 }
@@ -106,6 +108,20 @@ func (p *Pair) resourcesLocked() []*resource {
 		p.res = p.n.pathResources(p.r.path)
 	}
 	return p.res
+}
+
+// rowLocked returns the pair's traffic row for tag, adding it to the
+// network's table on its first flow.
+func (p *Pair) rowLocked(tag string) *TrafficRow {
+	for _, r := range p.rows {
+		if r.Tag == tag {
+			return r
+		}
+	}
+	r := &TrafficRow{Src: p.src.ID, Dst: p.dst.ID, Tag: tag}
+	p.rows = append(p.rows, r)
+	p.n.traffic = append(p.n.traffic, r)
+	return r
 }
 
 // Down reports whether the pair's source and destination are crashed

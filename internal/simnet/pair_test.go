@@ -100,7 +100,7 @@ func TestPairsCountRouteLookupsAcrossFaults(t *testing.T) {
 				net.Topology().SetRoute("b", "a", []string{"b", "r2", "a"})
 				twin.SetRoute("b", "a", []string{"b", "r2", "a"})
 			}
-			gotH, gotM := net.RouteCacheStats()
+			gotH, gotM := net.Topology().RouteCacheStats()
 			wantH, wantM := twin.RouteCacheStats()
 			if gotH != wantH || gotM != wantM {
 				t.Errorf("step %d (%s %s->%s): %d hits, %d misses; lookups without pairs: %d, %d", step, op, src, dst, gotH, gotM, wantH, wantM)

@@ -17,9 +17,9 @@ import (
 // every live flow, re-runs progressive filling over all of them, and
 // finds the next completion by linear scan — O(total flows × path length)
 // per event. It shares with Network only the Topology (routing and the
-// fault overlay) and the TransferStats/xferOutcome types; flow records,
-// resource table, allocation, completion, abort and rescale paths are its
-// own, so a bookkeeping bug in Network cannot hide in both.
+// fault overlay) and the TransferStats/TrafficRow/xferOutcome types; its
+// flow log, resource table, allocation, completion, abort and rescale
+// paths are its own, so a bookkeeping bug in Network cannot hide in both.
 
 // refCompletionEps is the residual byte count below which a flow is
 // complete.
@@ -43,6 +43,7 @@ type refFlow struct {
 	started          time.Duration
 	aloneBps         float64
 	done             *vclock.Chan[xferOutcome]
+	finished         bool
 }
 
 // ReferenceNetwork executes transfers over a Topology by global
@@ -58,7 +59,8 @@ type ReferenceNetwork struct {
 	factor     map[*Link]float64
 	lastSettle time.Duration
 	completion *vclock.Event
-	records    []TransferStats
+	// log lists every flow that started, in start order.
+	log []*refFlow
 }
 
 // NewReferenceNetwork binds a topology to a simulation. It is exported
@@ -79,11 +81,29 @@ func NewReferenceNetwork(sim *vclock.Sim, topo *Topology) *ReferenceNetwork {
 // Topology returns the underlying topology.
 func (r *ReferenceNetwork) Topology() *Topology { return r.topo }
 
-// Records returns all completed transfer statistics, in completion order.
-func (r *ReferenceNetwork) Records() []TransferStats {
+// Traffic has Network.Traffic's contract, folded from the reference's
+// own log of started flows.
+func (r *ReferenceNetwork) Traffic() []TrafficRow {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]TransferStats(nil), r.records...)
+	var rows []TrafficRow
+	at := map[[3]string]int{}
+	for _, f := range r.log {
+		k := [3]string{f.src, f.dst, f.tag}
+		i, ok := at[k]
+		if !ok {
+			i = len(rows)
+			at[k] = i
+			rows = append(rows, TrafficRow{Src: f.src, Dst: f.dst, Tag: f.tag})
+		}
+		rows[i].Started++
+		rows[i].StartedBytes += int64(f.bytes)
+		if f.finished {
+			rows[i].Done++
+			rows[i].DoneBytes += int64(f.bytes)
+		}
+	}
+	return rows
 }
 
 // edgeCap is the current capacity of one link direction in bytes/s.
@@ -164,6 +184,7 @@ func (r *ReferenceNetwork) Transfer(src, dst string, bytes int64, tag string) (T
 	f.res = r.pathResources(path)
 	r.settleAll()
 	r.flows = append(r.flows, f)
+	r.log = append(r.log, f)
 	r.recompute()
 	r.mu.Unlock()
 
@@ -286,6 +307,7 @@ func (r *ReferenceNetwork) onCompletion() {
 	finished := r.remove(func(f *refFlow) bool { return f.remaining <= refCompletionEps })
 	stats := make([]TransferStats, len(finished))
 	for i, f := range finished {
+		f.finished = true
 		dur := now - f.started
 		bps := f.aloneBps
 		if dur > 0 {
@@ -297,7 +319,6 @@ func (r *ReferenceNetwork) onCompletion() {
 			AvgBps: bps, AloneBps: f.aloneBps,
 		}
 	}
-	r.records = append(r.records, stats...)
 	r.recompute()
 	r.mu.Unlock()
 	for i, f := range finished {

@@ -30,7 +30,7 @@ var scaleConfigs = map[int]topo.GridConfig{
 // transferSim is what the churn drives: simnet.Network or the reference.
 type transferSim interface {
 	Transfer(src, dst string, bytes int64, tag string) (simnet.TransferStats, error)
-	Records() []simnet.TransferStats
+	Traffic() []simnet.TrafficRow
 	Topology() *simnet.Topology
 }
 
@@ -108,7 +108,11 @@ func runScaleTransfers(b *testing.B, hosts int, reference bool) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if got := len(net.Records()); got != expected {
+		got := 0
+		for _, row := range net.Traffic() {
+			got += row.Done
+		}
+		if got != expected {
 			b.Fatalf("completed %d transfers, want %d", got, expected)
 		}
 		b.StartTimer()

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -484,25 +485,30 @@ func TestLoadGenPerturbsProbe(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	run := func() []TransferStats {
+	type replay struct {
+		load, probes []TransferStats
+		traffic      []TrafficRow
+	}
+	run := func() replay {
+		var r replay
 		sim, net := hubNet(t)
-		LoadGen{Src: "a", Dst: "b", Bytes: 2_000_000, Period: 50 * time.Millisecond, Jitter: 0.5, Seed: 7, Until: 2 * time.Second}.Start(net)
+		LoadGen{Src: "a", Dst: "b", Bytes: 2_000_000, Period: 50 * time.Millisecond, Jitter: 0.5, Seed: 7, Until: 2 * time.Second, Log: &r.load}.Start(net)
 		sim.Go("probe", func() {
 			for i := 0; i < 5; i++ {
-				net.Transfer("c", "b", 1_000_000, "p")
+				st, _ := net.Transfer("c", "b", 1_000_000, "p")
+				r.probes = append(r.probes, st)
 				sim.Sleep(100 * time.Millisecond)
 			}
 		})
 		sim.RunUntil(3 * time.Second)
-		return net.Records()
+		r.traffic = net.Traffic()
+		return r
 	}
 	r1, r2 := run(), run()
-	if len(r1) != len(r2) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(r1), len(r2))
+	if len(r1.load) == 0 || !slices.Equal(r1.load, r2.load) || !slices.Equal(r1.probes, r2.probes) {
+		t.Fatalf("transfer results differ:\n%+v %+v\n%+v %+v", r1.load, r1.probes, r2.load, r2.probes)
 	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("record %d differs:\n%+v\n%+v", i, r1[i], r2[i])
-		}
+	if !slices.Equal(r1.traffic, r2.traffic) {
+		t.Fatalf("traffic tables differ:\n%+v\n%+v", r1.traffic, r2.traffic)
 	}
 }

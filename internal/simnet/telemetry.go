@@ -11,15 +11,6 @@ func (n *Network) SettleCount() int64 {
 	return n.settles
 }
 
-// RouteCacheStats reports the topology's route-cache hit/miss counters
-// under the network lock, so snapshotting them is safe while transfers
-// are in flight.
-func (n *Network) RouteCacheStats() (hits, misses int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.topo.RouteCacheStats()
-}
-
 // RegisterTelemetry surfaces the network's internal accounting on r as
 // pull-based collectors (read at snapshot time under the network lock):
 // flow settles, route-cache hits/misses/hit-rate, completed transfers,
@@ -32,24 +23,28 @@ func RegisterTelemetry(r *telemetry.Registry, n *Network) {
 		return float64(n.SettleCount())
 	})
 	r.Collect("simnet", "route_cache_hits", nil, func() float64 {
-		h, _ := n.RouteCacheStats()
+		h, _ := n.topo.RouteCacheStats()
 		return float64(h)
 	})
 	r.Collect("simnet", "route_cache_misses", nil, func() float64 {
-		_, m := n.RouteCacheStats()
+		_, m := n.topo.RouteCacheStats()
 		return float64(m)
 	})
 	r.Collect("simnet", "route_cache_hit_rate", nil, func() float64 {
-		h, m := n.RouteCacheStats()
+		h, m := n.topo.RouteCacheStats()
 		if h+m == 0 {
 			return 0
 		}
 		return float64(h) / float64(h+m)
 	})
 	r.Collect("simnet", "transfers", nil, func() float64 {
+		done := 0
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.records))
+		for _, row := range n.traffic {
+			done += row.Done
+		}
+		n.mu.Unlock()
+		return float64(done)
 	})
 	r.Collect("simnet", "collision_events", nil, func() float64 {
 		total := 0

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,7 +59,8 @@ type Topology struct {
 	nodeRoutes [][]routeKey
 	linkRoutes [][]routeKey
 
-	cacheHits, cacheMisses int64
+	// Atomic: a telemetry snapshot may read them from another goroutine.
+	cacheHits, cacheMisses atomic.Int64
 	// search answers the route-cache misses (search.go).
 	search routeSearch
 
@@ -295,7 +297,7 @@ func (t *Topology) cacheRoute(key routeKey, p []string) route {
 // RouteCacheStats reports cumulative route-cache hits and misses (a miss
 // runs the route search). Useful to quantify fault-scoped invalidation.
 func (t *Topology) RouteCacheStats() (hits, misses int64) {
-	return t.cacheHits, t.cacheMisses
+	return t.cacheHits.Load(), t.cacheMisses.Load()
 }
 
 // SetNodeDown crashes (or restores) a node: a down node neither
@@ -389,9 +391,9 @@ func (t *Topology) route(src, dst string) (route, error) {
 	key := routeKey{src, dst}
 	r, ok := t.routeCache[key]
 	if ok {
-		t.cacheHits++
+		t.cacheHits.Add(1)
 	} else {
-		t.cacheMisses++
+		t.cacheMisses.Add(1)
 		r = t.cacheRoute(key, t.shortestPath(src, dst))
 	}
 	if r.path == nil {
