@@ -12,7 +12,8 @@ func (n *Network) SettleCount() int64 {
 }
 
 // RegisterTelemetry surfaces the network's internal accounting on r as
-// pull-based collectors (read at snapshot time under the network lock):
+// pull-based collectors (read at snapshot time under the network lock,
+// the atomic route-cache counters without it):
 // flow settles, route-cache hits/misses/hit-rate, completed transfers,
 // collision events, and probe traffic.
 func RegisterTelemetry(r *telemetry.Registry, n *Network) {
