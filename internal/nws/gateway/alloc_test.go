@@ -15,17 +15,17 @@ import (
 // batchAllocs is what one warm 20-series batch allocates end to end on
 // the simulated stack: only the answers that travel in replies.
 //
-//	2  each memory server's Results and their one Samples backing
-//	   (two servers: 4)
+//	1  each memory server's Results (two servers: 2)
 //	1  the gateway's query.Client results
 //	1  the gateway's reply Results
 //	1  the end user's []query.Result
 //
-// Everything else — the per-backend grouping and requests, admission,
-// the delivery events, mailbox buffers, call boxes — is recycled. The
-// budget allows one more.
+// The samples are capacity-pinned subslices of the memory servers'
+// append-only windows, not copies. Everything else — the per-backend
+// grouping and requests, admission, the delivery events, mailbox
+// buffers, call boxes — is recycled. The budget allows one more.
 const (
-	batchAllocs      = 7
+	batchAllocs      = 5
 	batchAllocBudget = batchAllocs + 1
 )
 

@@ -223,11 +223,18 @@ func (s *Server) handleStore(req *proto.Message) {
 	s.setWindow(r, appendWindow(r.window, req.Samples, s.retention))
 	r.total += int64(len(req.Samples))
 	total, registered := r.total, r.registered
+	fanned := req.Samples
+	if w := r.window; len(fanned) <= len(w) {
+		// The fan-out retains the samples past this request: hand it the
+		// copy the window already holds, pinned (windows are
+		// append-only).
+		fanned = w[len(w)-len(fanned) : len(w) : len(w)]
+	} else {
+		fanned = append([]proto.Sample(nil), fanned...)
+	}
 	s.mu.Unlock()
-	if s.fan != nil && len(req.Samples) > 0 {
-		// The fan-out retains the samples past this request, and decoded
-		// slices share the frame's backing array: copy.
-		s.fan.Store(req.Series, append([]proto.Sample(nil), req.Samples...), total)
+	if s.fan != nil && len(fanned) > 0 {
+		s.fan.Store(req.Series, fanned, total)
 	}
 	if s.ns != nil && !registered {
 		// Advertise series ownership so forecasters can find the right
@@ -294,11 +301,9 @@ func (s *Server) handleBatchFetch(req *proto.Message) {
 	}
 	var none record // an unknown series: empty, token 0
 	s.mu.Lock()
-	// The first pass points each answer at the newest samples of its
-	// live window; the second copies them all into one backing array
-	// before the lock drops, capacity-pinned so a receiver's append
-	// cannot reach a neighbor.
-	total := 0
+	// Each answer is the newest samples of its live window, capacity-
+	// pinned so a receiver's append cannot reach what the window writes
+	// next: windows are append-only, so the answer never changes.
 	for i, q := range req.Queries {
 		r := s.series[q.Series]
 		if r == nil {
@@ -315,8 +320,7 @@ func (s *Server) handleBatchFetch(req *proto.Message) {
 		// still apply to it.
 		if !unchanged(i) {
 			w := r.window
-			results[i].Samples = w[len(w)-clampCount(len(w), q.Count):]
-			total += len(results[i].Samples)
+			results[i].Samples = w[len(w)-clampCount(len(w), q.Count) : len(w) : len(w)]
 		}
 		if r.origin != "" {
 			// Served from a replica copy: mark it so clients can surface
@@ -324,14 +328,6 @@ func (s *Server) handleBatchFetch(req *proto.Message) {
 			// watermark alongside.
 			results[i].Replica = true
 			results[i].Lag = r.lag()
-		}
-	}
-	backing := make([]proto.Sample, 0, total)
-	for i := range results {
-		if !unchanged(i) {
-			start := len(backing)
-			backing = append(backing, results[i].Samples...)
-			results[i].Samples = backing[start:len(backing):len(backing)]
 		}
 	}
 	s.mu.Unlock()
@@ -477,18 +473,31 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 	return adopted, backfilled
 }
 
-// appendWindow appends add to the window buf and keeps the newest
-// retention samples, sliding them down in place: a series at retention —
-// the steady state of every long-lived feed — stores without
-// reallocating. add is copied in (a decoded frame is never retained), and
-// the slide is safe because no reader keeps buf's backing array past the
-// server lock: fetch, sync, persist and the fan-out all copy out.
-func appendWindow(buf, add []proto.Sample, retention int) []proto.Sample {
-	buf = append(buf, add...)
-	if over := len(buf) - retention; over > 0 {
-		buf = buf[:copy(buf, buf[over:])]
+// appendWindow appends add to the window w and keeps the newest
+// retention samples. Windows are append-only: a sample once in a window
+// is never overwritten, so a reader may keep a capacity-pinned subslice
+// of one past the server lock (a fetch answer, a fan-out store). Below
+// retention w grows as append grows it. At retention it lives in a
+// buffer of twice the retention: a store writes past the window's end
+// and moves its start forward, and only when the buffer's end is
+// reached are the newest samples copied into a fresh buffer, so a trim
+// costs amortized O(1) per sample. add is copied in (a decoded frame is
+// never retained).
+func appendWindow(w, add []proto.Sample, retention int) []proto.Sample {
+	n := len(w) + len(add)
+	if n > cap(w) && n > retention {
+		keep := min(n, retention)
+		fresh := make([]proto.Sample, 0, max(2*retention, keep))
+		if len(add) < keep {
+			fresh = append(fresh, w[len(w)-(keep-len(add)):]...)
+		}
+		return append(fresh, add[len(add)-min(len(add), keep):]...)
 	}
-	return buf
+	w = append(w, add...)
+	if over := len(w) - retention; over > 0 {
+		w = w[over:]
+	}
+	return w
 }
 
 // mergeWindows prepends the survivor's window onto samples a rehomed

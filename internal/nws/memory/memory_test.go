@@ -309,8 +309,9 @@ func TestHandOverAnswersAsBefore(t *testing.T) {
 }
 
 // TestAppendWindowSteadyState: a series at retention takes single-sample
-// stores without reallocating its window, and the window is always the
-// newest retention samples.
+// stores with one allocation per retention stores (the copy into a fresh
+// buffer when the old one's end is reached), and the window is always
+// the newest retention samples.
 func TestAppendWindowSteadyState(t *testing.T) {
 	var buf []proto.Sample
 	at := 0
@@ -330,14 +331,55 @@ func TestAppendWindowSteadyState(t *testing.T) {
 		}
 	}
 	one := next()
-	if allocs := testing.AllocsPerRun(100, func() { buf = appendWindow(buf, one, DefaultRetention) }); allocs != 0 {
-		t.Fatalf("a store onto a window at retention allocates %v times, want 0", allocs)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4*DefaultRetention; i++ {
+			buf = appendWindow(buf, one, DefaultRetention)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("%d stores onto a window at retention allocate %v times, want at most 4", 4*DefaultRetention, allocs)
 	}
 }
 
-// TestFetchReplyOutlivesLaterStores pins "readers copy out", which
-// appendWindow's in-place slide relies on: a BatchFetch reply obtained
-// before later stores slid the window is unchanged by them.
+// TestAppendWindowNeverOverwrites: every window appendWindow ever
+// returned still holds the samples it held then, whatever the stores
+// after it (single samples, runs, runs longer than the retention).
+func TestAppendWindowNeverOverwrites(t *testing.T) {
+	const retention = 4
+	var w []proto.Sample
+	var held [][]proto.Sample
+	var want [][]float64
+	at := 0
+	for i := 0; i < 40; i++ {
+		add := make([]proto.Sample, 1+i%3*3) // 1, 4 or 7 samples
+		for k := range add {
+			at++
+			add[k] = proto.Sample{At: time.Duration(at), Value: float64(at)}
+		}
+		w = appendWindow(w, add, retention)
+		if len(w) != min(at, retention) || w[len(w)-1].Value != float64(at) {
+			t.Fatalf("store %d: window %+v, want the newest %d of %d", i, w, retention, at)
+		}
+		vals := make([]float64, len(w))
+		for k, sm := range w {
+			vals[k] = sm.Value
+		}
+		held, want = append(held, w), append(want, vals)
+		for h, old := range held {
+			for k, sm := range old {
+				if sm.Value != want[h][k] {
+					t.Fatalf("store %d overwrote window %d: sample %d = %v, want %v", i, h, k, sm.Value, want[h][k])
+				}
+			}
+		}
+	}
+}
+
+// TestFetchReplyOutlivesLaterStores: a BatchFetch answer on the
+// simulated plane is a capacity-pinned subslice of the server's live
+// window, and it is unchanged by more than twice the retention of later
+// stores, whose window moves on past it. Appending to the answer does
+// not reach the window.
 func TestFetchReplyOutlivesLaterStores(t *testing.T) {
 	r := rig(t, false) // retention 5
 	r.run(t, func(c *Client) {
@@ -349,15 +391,21 @@ func TestFetchReplyOutlivesLaterStores(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		for i := 8; i <= 20; i++ {
+		held := before[0].Samples
+		if len(held) != 5 || cap(held) != len(held) {
+			t.Errorf("answer %+v (cap %d), want the newest 5, capacity-pinned", held, cap(held))
+			return
+		}
+		_ = append(held, proto.Sample{Value: -1})
+		for i := 8; i <= 7+3*5; i++ {
 			c.Store("s", proto.Sample{At: time.Duration(i) * time.Second, Value: float64(i)})
 		}
-		for i, sm := range before[0].Samples {
+		for i, sm := range held {
 			if want := float64(3 + i); sm.Value != want {
-				t.Errorf("earlier reply changed under later stores: sample %d = %v, want %v", i, sm.Value, want)
+				t.Errorf("earlier answer changed under later stores: sample %d = %v, want %v", i, sm.Value, want)
 			}
 		}
-		if got, _ := c.Fetch("s", 0); len(got) != 5 || got[0].Value != 16 || got[4].Value != 20 {
+		if got, _ := c.Fetch("s", 0); len(got) != 5 || got[0].Value != 18 || got[4].Value != 22 {
 			t.Errorf("window after later stores %+v", got)
 		}
 	})

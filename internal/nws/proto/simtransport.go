@@ -17,8 +17,11 @@ type SimTransport struct {
 	net *simnet.Network
 	rt  *SimRuntime
 
-	mu      sync.Mutex
-	eps     map[string]*simEndpoint
+	mu  sync.Mutex
+	eps map[string]*simEndpoint
+	// gen counts the Opens and Closes: a peer resolved at another
+	// generation looks its destination endpoint up again.
+	gen     uint64
 	blocked map[string]bool // "a|b" unordered pair -> messages dropped
 	stats   wireStats
 	// free recycles delivery records; bounded by the peak number of
@@ -62,8 +65,9 @@ func (t *SimTransport) Open(host string) (Endpoint, error) {
 		return nil, fmt.Errorf("proto: endpoint %q already open", host)
 	}
 	self, _ := t.net.Pair(host, host) // host is a known node: no error
-	ep := &simEndpoint{t: t, host: host, self: self}
+	ep := &simEndpoint{t: t, host: host, self: self, peers: map[string]*simPeer{}}
 	t.eps[host] = ep
+	t.gen++
 	return ep, nil
 }
 
@@ -99,6 +103,50 @@ type simEndpoint struct {
 	// handler receives every message delivered here; nil (before
 	// Handle, after Close) drops them.
 	handler func(*Message)
+	// peers holds the destinations this endpoint has sent to, each
+	// resolved once, and last the one it sent to last; guarded by the
+	// transport's lock.
+	peers map[string]*simPeer
+	last  *simPeer
+}
+
+// simPeer is one destination of an endpoint: the network pair the
+// messages travel over (whose version stamp tells a crash or restore)
+// and the destination's open endpoint, nil when none is open, as of
+// transport generation gen.
+type simPeer struct {
+	to  string
+	p   *simnet.Pair
+	dst *simEndpoint
+	gen uint64
+}
+
+// peerLocked returns the endpoint's peer to, resolving it on first use.
+// Caller holds the transport's lock.
+func (e *simEndpoint) peerLocked(to string) (*simPeer, error) {
+	t := e.t
+	pe := e.last
+	if pe == nil || pe.to != to {
+		if pe = e.peers[to]; pe == nil {
+			p, err := t.net.Pair(e.host, to)
+			if err != nil {
+				return nil, err
+			}
+			pe = &simPeer{to: to, p: p}
+			e.peers[to] = pe
+		}
+		e.last = pe
+	}
+	pe.revalidateLocked(t)
+	return pe, nil
+}
+
+// revalidateLocked brings the peer's destination endpoint up to the
+// transport's generation. Caller holds the transport's lock.
+func (pe *simPeer) revalidateLocked(t *SimTransport) {
+	if pe.gen != t.gen {
+		pe.dst, pe.gen = t.eps[pe.to], t.gen
+	}
 }
 
 func (e *simEndpoint) Host() string { return e.host }
@@ -113,29 +161,22 @@ func (e *simEndpoint) Handle(h func(*Message)) {
 // a message that goes nowhere goes back to the free list.
 func (e *simEndpoint) Send(to string, m *Message) error {
 	t := e.t
-	// No pair is blocked unless a test made it so: skip the lookup
-	// while the map is empty.
-	var pairBlocked bool
-	t.mu.Lock()
-	if len(t.blocked) > 0 {
-		pairBlocked = t.isBlocked(e.host, to)
-	}
-	stats := t.stats
-	t.mu.Unlock()
 	if down, _ := e.self.Down(); down {
 		t.rt.msgs.put(m)
 		return fmt.Errorf("proto: host %s is down", e.host)
 	}
+	t.mu.Lock()
 	// A partition drops traffic silently: the sender only learns through
-	// timeouts.
-	if pairBlocked {
+	// timeouts. No pair is blocked unless a test made it so: skip the
+	// lookup while the map is empty.
+	if len(t.blocked) > 0 && t.isBlocked(e.host, to) {
+		t.mu.Unlock()
 		t.rt.msgs.put(m)
 		return nil
 	}
 	if to == e.host {
 		// Local delivery: no network charge and nothing counted, as on
 		// TCP, where a self-send goes straight to the handler.
-		t.mu.Lock()
 		h := e.handler
 		t.mu.Unlock()
 		if h != nil {
@@ -145,24 +186,26 @@ func (e *simEndpoint) Send(to string, m *Message) error {
 		}
 		return nil
 	}
-	p, err := t.net.Pair(e.host, to)
+	pe, err := e.peerLocked(to)
 	if err != nil {
+		t.mu.Unlock()
 		t.rt.msgs.put(m)
 		return err
 	}
 	// Messages to dead hosts vanish (like packets to a crashed machine):
 	// the sender notices only through timeouts, as with real NWS.
-	if _, down := p.Down(); down {
+	if _, down := pe.p.Down(); down {
+		t.mu.Unlock()
 		t.rt.msgs.put(m)
 		return nil
 	}
-	size := m.WireSize()
-	stats.encoded(size)
-	t.mu.Lock()
+	stats := t.stats
 	d := t.newDeliveryLocked()
 	t.mu.Unlock()
-	d.to, d.p, d.m, d.size, d.stats = to, p, m, size, stats
-	if err := p.Deliver(size, d.arrive); err != nil {
+	size := m.WireSize()
+	stats.encoded(size)
+	d.pe, d.m, d.size, d.stats = pe, m, size, stats
+	if err := pe.p.Deliver(size, d.arrive); err != nil {
 		t.mu.Lock()
 		t.recycleLocked(d)
 		t.mu.Unlock()
@@ -178,8 +221,7 @@ func (e *simEndpoint) Send(to string, m *Message) error {
 // sender's.
 type delivery struct {
 	t      *SimTransport
-	to     string
-	p      *simnet.Pair
+	pe     *simPeer
 	m      *Message
 	size   int64
 	stats  wireStats
@@ -209,15 +251,16 @@ func (t *SimTransport) recycleLocked(d *delivery) {
 // recycles the record.
 func (d *delivery) land() {
 	t := d.t
-	to, p, m, size, stats := d.to, d.p, d.m, d.size, d.stats
+	pe, m, size, stats := d.pe, d.m, d.size, d.stats
 	t.mu.Lock()
+	pe.revalidateLocked(t)
 	var h func(*Message)
-	if dst := t.eps[to]; dst != nil {
-		h = dst.handler
+	if pe.dst != nil {
+		h = pe.dst.handler
 	}
 	t.recycleLocked(d)
 	t.mu.Unlock()
-	if _, down := p.Down(); h == nil || down {
+	if _, down := pe.p.Down(); h == nil || down {
 		t.rt.msgs.put(m)
 		return
 	}
@@ -229,6 +272,7 @@ func (e *simEndpoint) Close() error {
 	t := e.t
 	t.mu.Lock()
 	delete(t.eps, e.host)
+	t.gen++
 	e.handler = nil
 	t.mu.Unlock()
 	return nil

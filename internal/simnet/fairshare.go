@@ -2,7 +2,7 @@ package simnet
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -130,30 +130,36 @@ func (n *Network) settleFlowLocked(f *flow, now time.Duration) {
 // componentLocked walks the flow⇄resource sharing graph from the seed
 // flows and returns the full connected component (which may span several
 // seeds' disjoint components — the filling below handles a union of
-// components identically), sorted by flow id for determinism.
+// components identically), leaving the component's resources in
+// n.compRes. Both lists are scratch, valid until the next walk, in
+// visiting order: nothing the filling computes depends on it.
 func (n *Network) componentLocked(seeds []*flow) []*flow {
-	visited := map[int64]bool{}
-	var comp, stack []*flow
+	n.epoch++
+	e := n.epoch
+	comp, res := n.comp[:0], n.compRes[:0]
 	for _, f := range seeds {
-		if !visited[f.id] {
-			visited[f.id] = true
-			stack = append(stack, f)
+		if f.mark != e {
+			f.mark = e
+			comp = append(comp, f)
 		}
 	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		comp = append(comp, f)
-		for _, r := range f.res {
-			for id, g := range r.flows {
-				if !visited[id] {
-					visited[id] = true
-					stack = append(stack, g)
+	// comp is its own work queue: the walk appends behind i.
+	for i := 0; i < len(comp); i++ {
+		for _, r := range comp[i].res {
+			if r.mark == e {
+				continue
+			}
+			r.mark = e
+			res = append(res, r)
+			for _, s := range r.flows {
+				if g := s.f; g.mark != e {
+					g.mark = e
+					comp = append(comp, g)
 				}
 			}
 		}
 	}
-	sort.Slice(comp, func(i, j int) bool { return comp[i].id < comp[j].id })
+	n.comp, n.compRes = comp, res
 	return comp
 }
 
@@ -161,37 +167,34 @@ func (n *Network) componentLocked(seeds []*flow) []*flow {
 // re-runs progressive filling restricted to it. Because every flow on a
 // component resource belongs to the component by construction, the
 // restricted filling reproduces a global filling's allocation for those
-// flows exactly (up to float associativity). Callers must follow
-// with scheduleNextLocked.
+// flows exactly (up to float associativity). Every float operation is
+// per flow or per resource, so neither the order of the component nor
+// that of its resources moves a rate. Callers must follow with
+// scheduleNextLocked.
 func (n *Network) recomputeComponentLocked(seeds []*flow) {
 	if len(seeds) == 0 {
 		return
 	}
 	comp := n.componentLocked(seeds)
+	res := n.compRes
 	now := n.sim.Now()
 
-	capLeft := map[*resource]float64{}
-	load := map[*resource]int{}
 	for _, f := range comp {
 		n.settleFlowLocked(f, now)
 		f.rate = 0
-		for _, r := range f.res {
-			if _, ok := capLeft[r]; !ok {
-				capLeft[r] = r.cap
-				load[r] = len(r.flows)
-			}
-		}
+	}
+	for _, r := range res {
+		r.capLeft, r.load = r.cap, len(r.flows)
 	}
 
-	unfrozen := make([]*flow, len(comp))
-	copy(unfrozen, comp)
+	unfrozen := append(n.unfrozen[:0], comp...)
 	for len(unfrozen) > 0 {
 		inc := math.Inf(1)
-		for r, cnt := range load {
-			if cnt <= 0 {
+		for _, r := range res {
+			if r.load <= 0 {
 				continue
 			}
-			if share := capLeft[r] / float64(cnt); share < inc {
+			if share := r.capLeft / float64(r.load); share < inc {
 				inc = share
 			}
 		}
@@ -202,23 +205,23 @@ func (n *Network) recomputeComponentLocked(seeds []*flow) {
 		for _, f := range unfrozen {
 			f.rate += inc
 		}
-		for r, cnt := range load {
-			if cnt > 0 {
-				capLeft[r] -= inc * float64(cnt)
+		for _, r := range res {
+			if r.load > 0 {
+				r.capLeft -= inc * float64(r.load)
 			}
 		}
-		var still []*flow
+		still := unfrozen[:0]
 		for _, f := range unfrozen {
 			frozen := false
 			for _, r := range f.res {
-				if capLeft[r] <= 1e-9*r.cap {
+				if r.capLeft <= 1e-9*r.cap {
 					frozen = true
 					break
 				}
 			}
 			if frozen {
 				for _, r := range f.res {
-					load[r]--
+					r.load--
 				}
 			} else {
 				still = append(still, f)
@@ -226,6 +229,7 @@ func (n *Network) recomputeComponentLocked(seeds []*flow) {
 		}
 		unfrozen = still
 	}
+	n.unfrozen = unfrozen
 
 	for _, f := range comp {
 		f.compAt = projectCompletion(f, now)
@@ -250,27 +254,29 @@ func projectCompletion(f *flow, now time.Duration) time.Duration {
 	return now + time.Duration(d)
 }
 
-// scheduleNextLocked (re)schedules the single completion event at the
-// heap minimum.
+// scheduleNextLocked (re)arms the single completion event at the heap
+// minimum. The event is built once and re-armed in place (Event.Reset
+// orders it exactly as a cancel and a fresh At would).
 func (n *Network) scheduleNextLocked() {
 	var due time.Duration = farFuture
 	if len(n.compHeap) > 0 {
 		due = n.compHeap[0].compAt
 	}
-	if due == farFuture {
-		if n.completion != nil {
+	switch {
+	case due == farFuture:
+		if n.armed {
 			n.completion.Cancel()
-			n.completion = nil
+			n.armed = false
 		}
 		return
+	case n.armed && n.completion.When() == due:
+		return
+	case n.completion == nil:
+		n.completion = n.sim.At(due, n.onCompletion)
+	default:
+		n.completion.Reset(due)
 	}
-	if n.completion != nil {
-		if n.completion.When() == due {
-			return
-		}
-		n.completion.Cancel()
-	}
-	n.completion = n.sim.At(due, n.onCompletion)
+	n.armed = true
 }
 
 // departLocked drops the departed flows (sorted by id) from the engine
@@ -281,47 +287,46 @@ func (n *Network) departLocked(departed []*flow) {
 	for _, f := range departed {
 		n.removeFlowLocked(f)
 	}
-	seen := map[int64]bool{}
-	var neighbors []*flow
+	n.epoch++
+	e := n.epoch
+	neighbors := n.touched[:0]
 	for _, f := range departed {
 		for _, r := range f.res {
-			for id, g := range r.flows {
-				if !seen[id] {
-					seen[id] = true
+			if r.mark == e {
+				continue
+			}
+			r.mark = e
+			for _, s := range r.flows {
+				if g := s.f; g.mark != e {
+					g.mark = e
 					neighbors = append(neighbors, g)
 				}
 			}
 		}
 	}
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i].id < neighbors[j].id })
+	n.touched = neighbors
 	n.recomputeComponentLocked(neighbors)
 	n.scheduleNextLocked()
 }
 
 // onCompletion pops every flow due at the current instant and finishes
-// it.
+// it: its Transfer call receives the outcome, in flow-id order.
 func (n *Network) onCompletion() {
 	n.mu.Lock()
-	n.completion = nil
+	defer n.mu.Unlock()
+	n.armed = false
 	now := n.sim.Now()
-	var finished []*flow
+	finished := n.ended[:0]
 	for len(n.compHeap) > 0 && n.compHeap[0].compAt <= now {
 		f := n.compHeap.pop()
 		n.settleFlowLocked(f, now)
 		finished = append(finished, f)
 	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
+	slices.SortFunc(finished, byID)
+	n.ended = finished
 	n.departLocked(finished)
 	n.finishFlowsLocked(finished)
-	n.mu.Unlock()
 	for _, f := range finished {
-		dur, bps := now-f.started, f.aloneBps
-		if dur > 0 {
-			bps = f.bytes * 8 / dur.Seconds()
-		}
-		f.done.Send(xferOutcome{stats: TransferStats{
-			Src: f.row.Src, Dst: f.row.Dst, Tag: f.row.Tag, Bytes: int64(f.bytes),
-			Start: f.started, End: now, Duration: dur, AvgBps: bps, AloneBps: f.aloneBps,
-		}})
+		n.finishLocked(f, xferOutcome{start: f.started, end: now})
 	}
 }

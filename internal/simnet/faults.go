@@ -2,7 +2,7 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Fault injection: the controlled "platform evolution" of §4.3. Faults
@@ -21,9 +21,8 @@ func (n *Network) CrashHost(id string) {
 	err := fmt.Errorf("simnet: host %s is down", id)
 	n.mu.Lock()
 	n.topo.SetNodeDown(id, true)
-	aborted := n.abortLocked(func(f *flow) bool { return f.row.Src == id || f.row.Dst == id })
+	n.abortLocked(func(f *flow) bool { return f.row.Src == id || f.row.Dst == id }, err)
 	n.mu.Unlock()
-	n.failFlows(aborted, err)
 }
 
 // RestoreHost brings a crashed host back (a machine joining, or
@@ -78,22 +77,16 @@ func (n *Network) CutLink(a, b string) {
 	err := fmt.Errorf("simnet: link %s-%s is cut", a, b)
 	n.mu.Lock()
 	n.topo.SetLinkDisabled(a, b, true)
-	cut := map[*resource]bool{}
-	for _, key := range []string{"edge:" + a + "->" + b, "edge:" + b + "->" + a} {
-		if r, ok := n.resources[key]; ok {
-			cut[r] = true
-		}
-	}
-	aborted := n.abortLocked(func(f *flow) bool {
+	ab, ba := n.resources["edge:"+a+"->"+b], n.resources["edge:"+b+"->"+a]
+	n.abortLocked(func(f *flow) bool {
 		for _, r := range f.res {
-			if cut[r] {
+			if r == ab || r == ba {
 				return true
 			}
 		}
 		return false
-	})
+	}, err)
 	n.mu.Unlock()
-	n.failFlows(aborted, err)
 }
 
 // HealLink restores a cut link.
@@ -111,7 +104,7 @@ func (n *Network) rescaleLinkLocked(l *Link) {
 	if !ok {
 		factor = 1
 	}
-	var touched []*flow
+	touched := n.touched[:0]
 	for _, key := range []string{"edge:" + l.A + "->" + l.B, "edge:" + l.B + "->" + l.A} {
 		r, exists := n.resources[key]
 		if !exists {
@@ -122,34 +115,29 @@ func (n *Network) rescaleLinkLocked(l *Link) {
 		} else {
 			r.cap = l.BWBtoA * factor / 8
 		}
-		for _, f := range r.flows {
-			touched = append(touched, f)
+		for _, s := range r.flows {
+			touched = append(touched, s.f)
 		}
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i].id < touched[j].id })
+	n.touched = touched
 	n.recomputeComponentLocked(touched)
 	n.scheduleNextLocked()
 }
 
 // abortLocked removes the flows matching pred from the active set,
-// recomputes the survivors' shares and returns the aborted flows in id
-// order; the caller must fail them outside the lock.
-func (n *Network) abortLocked(pred func(*flow) bool) []*flow {
-	var aborted []*flow
+// recomputes the survivors' shares and delivers err to each aborted
+// flow's blocked Transfer call, in flow-id order.
+func (n *Network) abortLocked(pred func(*flow) bool, err error) {
+	aborted := n.ended[:0]
 	for _, f := range n.active {
 		if pred(f) {
 			aborted = append(aborted, f)
 		}
 	}
-	sort.Slice(aborted, func(i, j int) bool { return aborted[i].id < aborted[j].id })
+	slices.SortFunc(aborted, byID)
+	n.ended = aborted
 	n.departLocked(aborted)
-	return aborted
-}
-
-// failFlows delivers the abort error to each flow's blocked Transfer
-// call. Safe from scheduler context (Chan.Send does not block).
-func (n *Network) failFlows(aborted []*flow, err error) {
 	for _, f := range aborted {
-		f.done.Send(xferOutcome{err: err})
+		n.finishLocked(f, xferOutcome{err: err})
 	}
 }

@@ -1,9 +1,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,20 +60,43 @@ type collisionKey struct {
 type resource struct {
 	key string
 	cap float64 // bytes per second
-	// flows indexes the active flows crossing this resource; it is the
-	// flow⇄resource index the fair-share engine walks to find the
-	// connected component a change can affect.
-	flows map[int64]*flow
+	// flows lists the active flows crossing this resource, in no
+	// particular order; it is the flow⇄resource index the fair-share
+	// engine walks to find the connected component a change can
+	// affect.
+	flows []flowSlot
+	// mark is the last epoch (Network.epoch) that visited the resource;
+	// capLeft and load are its unallocated capacity and unfrozen flow
+	// count during a progressive filling (fairshare.go).
+	mark    uint64
+	capLeft float64
+	load    int
+}
+
+// flowSlot is one entry of a resource's flow list: the flow and the
+// index k of the resource in the flow's path, where the flow keeps
+// this entry's position (flow.slot[k]).
+type flowSlot struct {
+	f *flow
+	k int
 }
 
 // xferOutcome is what a finished (or aborted) flow reports back to the
-// blocked Transfer call.
+// blocked Transfer call: when its data phase started and ended, or why
+// it was aborted.
 type xferOutcome struct {
-	stats TransferStats
-	err   error
+	start, end time.Duration
+	err        error
 }
 
+// A flow is one transfer in its data phase. Flows are recycled: a flow
+// goes back on the network's free list, outcome channel included, as
+// its outcome is sent (finishLocked), when it is on no resource and off
+// the completion heap. The outcome travels by value, so the Transfer
+// call still blocked on the channel reads nothing of the flow, and a
+// transfer that reuses the flow meanwhile has a receive of its own.
 type flow struct {
+	n     *Network
 	id    int64
 	row   *TrafficRow // the flow's source, destination and tag
 	bytes float64
@@ -81,14 +105,24 @@ type flow struct {
 	remaining float64
 	settledAt time.Duration
 	rate      float64 // bytes per second
-	res       []*resource
-	done      *vclock.Chan[xferOutcome]
-	started   time.Duration
-	aloneBps  float64
+	// res is the path's resource list (shared with its Pair); slot[k]
+	// is the flow's position in res[k].flows.
+	res     []*resource
+	slot    []int
+	done    *vclock.Chan[xferOutcome]
+	started time.Duration
 	// heapIdx/compAt place the flow in the completion min-heap (-1 when
-	// not enqueued).
-	heapIdx int
-	compAt  time.Duration
+	// not enqueued); activeIdx is its position in Network.active.
+	heapIdx   int
+	compAt    time.Duration
+	activeIdx int
+	// mark is the last epoch (Network.epoch) that visited the flow.
+	mark uint64
+	// pair and tag are the transfer's, for begin: the event that starts
+	// the data phase once the path latency has passed (start).
+	pair  *Pair
+	tag   string
+	begin func()
 }
 
 // Network executes transfers over a Topology in virtual time, sharing
@@ -96,22 +130,39 @@ type flow struct {
 // flow⇄resource index and recomputes, on each flow arrival, departure or
 // fault, only the connected component of flows that transitively share a
 // resource with the change; completions are scheduled from a min-heap
-// (fairshare.go).
+// (fairshare.go). In steady state a transfer allocates nothing: flows,
+// their outcome channels and the completion event are reused, and the
+// graph walks mark what they visit with an epoch instead of building
+// sets.
 type Network struct {
 	sim  *vclock.Sim
 	topo *Topology
 
 	mu         sync.Mutex
 	nextFlowID int64
-	// active indexes all in-flight flows by id.
-	active map[int64]*flow
+	// active lists all in-flight flows, in no particular order.
+	active []*flow
 	// compHeap orders active flows by projected completion time.
 	compHeap  flowHeap
 	resources map[string]*resource
 	// linkFactor scales the capacity of degraded links (fault injection);
 	// absent links run at nominal capacity.
 	linkFactor map[*Link]float64
+	// completion is the one completion event, re-armed by Reset; armed
+	// reports that it is pending.
 	completion *vclock.Event
+	armed      bool
+	// freeFlows holds the finished flows for reuse.
+	freeFlows []*flow
+	// epoch numbers the graph walks: a flow or resource whose mark
+	// equals it has been visited by the current one.
+	epoch uint64
+	// Scratch of the engine's walks, reused from one change to the
+	// next: a component's flows and resources, the unfrozen flows of a
+	// filling, the flows a departure or fault touches, the flows
+	// finishing or aborting, and the collision candidates.
+	comp, unfrozen, touched, ended, candidates []*flow
+	compRes                                    []*resource
 
 	traffic      []*TrafficRow // the table's rows, first seen first (Pair.rowLocked)
 	collisions   []*CollisionEvent
@@ -124,6 +175,8 @@ type Network struct {
 	// nodes' positions in creation order: a lookup hashes two integers,
 	// not two names.
 	pairs map[uint64]*Pair
+	// lastPair is the handle Pair returned last.
+	lastPair *Pair
 	// jitter bounds the extra delay of each message, drawn from
 	// jitterRNG (SetJitter); 0 means none.
 	jitter    time.Duration
@@ -138,7 +191,6 @@ func NewNetwork(sim *vclock.Sim, topo *Topology) *Network {
 	return &Network{
 		sim:          sim,
 		topo:         topo,
-		active:       map[int64]*flow{},
 		resources:    map[string]*resource{},
 		linkFactor:   map[*Link]float64{},
 		collisionIdx: map[collisionKey]*CollisionEvent{},
@@ -156,7 +208,7 @@ func (n *Network) resourceFor(key string, capBits float64) *resource {
 	if r, ok := n.resources[key]; ok {
 		return r
 	}
-	r := &resource{key: key, cap: capBits / 8, flows: map[int64]*flow{}}
+	r := &resource{key: key, cap: capBits / 8}
 	n.resources[key] = r
 	return r
 }
@@ -209,60 +261,107 @@ func (n *Network) Transfer(src, dst string, bytes int64, tag string) (TransferSt
 		bytes = 1
 	}
 	n.mu.Lock()
-	res := p.resourcesLocked()
+	f := n.newFlowLocked()
+	f.pair, f.tag, f.res = p, tag, p.resourcesLocked()
 	n.mu.Unlock()
+	f.bytes = float64(bytes)
 
-	n.sim.Sleep(r.lat)
-
-	f := &flow{
-		bytes: float64(bytes), remaining: float64(bytes),
-		res:      res,
-		done:     vclock.NewChan[xferOutcome](n.sim, "xfer:"+src+"->"+dst),
-		started:  n.sim.Now(),
-		aloneBps: r.bw,
-		heapIdx:  -1,
-	}
-
-	n.mu.Lock()
-	n.nextFlowID++
-	f.id = n.nextFlowID
-	f.settledAt = f.started
-	f.row = p.rowLocked(tag)
-	f.row.Started++
-	f.row.StartedBytes += bytes
-	if tag != "" {
-		n.noteCollisionsLocked(f)
-	}
-	n.addFlowLocked(f)
-	n.recomputeComponentLocked([]*flow{f})
-	n.scheduleNextLocked()
-	n.mu.Unlock()
-
+	// The data phase starts once the path latency has passed: an event,
+	// not a wake of this process, which waits for the outcome alone.
+	n.sim.Post(r.lat, f.begin)
 	out, _ := f.done.Recv()
 	if out.err != nil {
 		return TransferStats{}, out.err
 	}
-	return out.stats, nil
+	dur, bps := out.end-out.start, r.bw
+	if dur > 0 {
+		bps = float64(bytes) * 8 / dur.Seconds()
+	}
+	return TransferStats{
+		Src: src, Dst: dst, Tag: tag, Bytes: bytes,
+		Start: out.start, End: out.end, Duration: dur, AvgBps: bps, AloneBps: r.bw,
+	}, nil
+}
+
+// newFlowLocked takes a flow off the free list, or builds one with its
+// outcome channel and data-phase callback.
+func (n *Network) newFlowLocked() *flow {
+	if k := len(n.freeFlows); k > 0 {
+		f := n.freeFlows[k-1]
+		n.freeFlows[k-1] = nil
+		n.freeFlows = n.freeFlows[:k-1]
+		return f
+	}
+	f := &flow{n: n, done: vclock.NewChan[xferOutcome](n.sim, "simnet.transfer"), heapIdx: -1}
+	f.begin = f.start
+	return f
+}
+
+// start begins f's data phase: the flow is numbered, counted in
+// its traffic row, checked for probe collisions and added to the
+// engine, and the shares of its component are recomputed.
+func (f *flow) start() {
+	n := f.n
+	n.mu.Lock()
+	n.nextFlowID++
+	f.id = n.nextFlowID
+	f.remaining = f.bytes
+	f.started = n.sim.Now()
+	f.settledAt, f.rate = f.started, 0
+	f.row = f.pair.rowLocked(f.tag)
+	f.row.Started++
+	f.row.StartedBytes += int64(f.bytes)
+	if f.tag != "" {
+		n.noteCollisionsLocked(f)
+	}
+	n.addFlowLocked(f)
+	n.touched = append(n.touched[:0], f)
+	n.recomputeComponentLocked(n.touched)
+	n.scheduleNextLocked()
+	n.mu.Unlock()
+}
+
+// finishLocked sends a departed flow its outcome and puts it on the
+// free list.
+func (n *Network) finishLocked(f *flow, out xferOutcome) {
+	f.done.Send(out)
+	f.row, f.res, f.pair, f.tag = nil, nil, nil, ""
+	n.freeFlows = append(n.freeFlows, f)
 }
 
 // addFlowLocked inserts f into the active set and the flow⇄resource
 // index.
 func (n *Network) addFlowLocked(f *flow) {
-	n.active[f.id] = f
-	for _, r := range f.res {
-		r.flows[f.id] = f
+	f.activeIdx = len(n.active)
+	n.active = append(n.active, f)
+	f.slot = f.slot[:0]
+	for k, r := range f.res {
+		f.slot = append(f.slot, len(r.flows))
+		r.flows = append(r.flows, flowSlot{f, k})
 	}
 }
 
 // removeFlowLocked drops f from the active set, the flow⇄resource index
-// and the completion heap.
+// and the completion heap. Each list's last entry moves into f's place.
 func (n *Network) removeFlowLocked(f *flow) {
-	delete(n.active, f.id)
-	for _, r := range f.res {
-		delete(r.flows, f.id)
+	last := len(n.active) - 1
+	moved := n.active[last]
+	n.active[f.activeIdx], moved.activeIdx = moved, f.activeIdx
+	n.active[last] = nil
+	n.active = n.active[:last]
+	for k, r := range f.res {
+		i, last := f.slot[k], len(r.flows)-1
+		m := r.flows[last]
+		r.flows[i] = m
+		m.f.slot[m.k] = i
+		r.flows[last] = flowSlot{}
+		r.flows = r.flows[:last]
 	}
 	n.compHeap.remove(f)
 }
+
+// byID orders flows by id, the engine's deterministic order.
+func byID(a, b *flow) int { return cmp.Compare(a.id, b.id) }
 
 // Latency returns the one-way path latency from src to dst.
 func (n *Network) Latency(src, dst string) (time.Duration, error) {
@@ -336,17 +435,18 @@ func serialization(bw float64, bytes int64) time.Duration {
 // path order. Candidates come from the flow⇄resource index, in flow-id
 // order.
 func (n *Network) noteCollisionsLocked(f *flow) {
-	seen := map[int64]bool{}
-	var candidates []*flow
+	n.epoch++
+	candidates := n.candidates[:0]
 	for _, r := range f.res {
-		for id, g := range r.flows {
-			if g.row.Tag != "" && !seen[id] {
-				seen[id] = true
+		for _, s := range r.flows {
+			if g := s.f; g.row.Tag != "" && g.mark != n.epoch {
+				g.mark = n.epoch
 				candidates = append(candidates, g)
 			}
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
+	slices.SortFunc(candidates, byID)
+	n.candidates = candidates
 	for _, g := range candidates {
 		for _, rf := range f.res {
 			shared := false

@@ -17,9 +17,16 @@ import (
 // every live flow, re-runs progressive filling over all of them, and
 // finds the next completion by linear scan — O(total flows × path length)
 // per event. It shares with Network only the Topology (routing and the
-// fault overlay) and the TransferStats/TrafficRow/xferOutcome types; its
+// fault overlay) and the TransferStats/TrafficRow types; its
 // flow log, resource table, allocation, completion, abort and rescale
 // paths are its own, so a bookkeeping bug in Network cannot hide in both.
+
+// refOutcome is what a finished (or aborted) reference flow reports
+// back to its blocked Transfer call.
+type refOutcome struct {
+	stats TransferStats
+	err   error
+}
 
 // refCompletionEps is the residual byte count below which a flow is
 // complete.
@@ -42,7 +49,7 @@ type refFlow struct {
 	res              []*refResource
 	started          time.Duration
 	aloneBps         float64
-	done             *vclock.Chan[xferOutcome]
+	done             *vclock.Chan[refOutcome]
 	finished         bool
 }
 
@@ -178,7 +185,7 @@ func (r *ReferenceNetwork) Transfer(src, dst string, bytes int64, tag string) (T
 		bytes: float64(bytes), remaining: float64(bytes),
 		started:  r.sim.Now(),
 		aloneBps: alone,
-		done:     vclock.NewChan[xferOutcome](r.sim, "ref:"+src+"->"+dst),
+		done:     vclock.NewChan[refOutcome](r.sim, "ref:"+src+"->"+dst),
 	}
 	r.mu.Lock()
 	f.res = r.pathResources(path)
@@ -322,7 +329,7 @@ func (r *ReferenceNetwork) onCompletion() {
 	r.recompute()
 	r.mu.Unlock()
 	for i, f := range finished {
-		f.done.Send(xferOutcome{stats: stats[i]})
+		f.done.Send(refOutcome{stats: stats[i]})
 	}
 }
 
@@ -336,7 +343,7 @@ func (r *ReferenceNetwork) abort(fault func(), pred func(*refFlow) bool, err err
 	r.recompute()
 	r.mu.Unlock()
 	for _, f := range aborted {
-		f.done.Send(xferOutcome{err: err})
+		f.done.Send(refOutcome{err: err})
 	}
 }
 

@@ -73,7 +73,8 @@ type Sim struct {
 	clock  atomic.Int64
 	seq    int64
 	events []queued // binary min-heap on (at, seq)
-	// dead counts the canceled events still in events; see sweepLocked.
+	// dead counts the dead slots (queued.dead) still in events; see
+	// sweepLocked.
 	dead int
 	// ready[head:] are the processes to resume at the current instant,
 	// in seq order: a wake due now needs no heap. See readyLocked.
@@ -193,6 +194,10 @@ type Event struct {
 	resume   func() *proc
 	canceled bool
 	fired    bool
+	// seq is the sequence number of the event's live heap slot. A slot
+	// whose seq differs was left behind by Reset and is dead, like a
+	// canceled one (queued.dead).
+	seq int64
 	// pooled marks an ephemeral event: recycled by the run loop the
 	// moment it fires or is popped canceled. Only events whose pointer
 	// never leaves the kernel (its own wakes, Post callbacks) may be
@@ -217,6 +222,26 @@ func (e *Event) Cancel() bool {
 	return true
 }
 
+// Reset reschedules the event to run at at (clamped to the current
+// time), whether it is still pending, has fired or was canceled. It is
+// Cancel followed by At with the same callback — the event takes the
+// next sequence number, so it fires in the same order among the events
+// of its instant — without building a new Event. Only an event returned
+// by At or After may be reset.
+func (e *Event) Reset(at time.Duration) {
+	s := e.sim
+	s.mu.Lock()
+	if !e.fired && !e.canceled {
+		s.cancelLocked(e)
+	}
+	if at < s.now {
+		at = s.now
+	}
+	e.at, e.canceled, e.fired = at, false, false
+	s.push(e)
+	s.mu.Unlock()
+}
+
 // cancelLocked marks a queued event canceled and sweeps the canceled
 // events out of the heap once they outnumber the live ones and
 // sweepFloor. Callers hold s.mu and guarantee e is queued, neither
@@ -234,15 +259,15 @@ func (s *Sim) cancelLocked(e *Event) {
 // it frees.
 const sweepFloor = 64
 
-// sweepLocked removes every canceled event from the heap, returns the
-// pooled ones to the pool and restores the heap property. Pop order is
+// sweepLocked removes every dead slot from the heap, returns the
+// pooled events to the pool and restores the heap property. Pop order is
 // the total order on (at, seq), so the heap's shape does not change
 // which event fires next. Callers hold s.mu.
 func (s *Sim) sweepLocked() {
 	h := s.events
 	k := 0
 	for _, q := range h {
-		if q.ev.canceled {
+		if q.dead() {
 			s.recycleLocked(q.ev)
 			continue
 		}
@@ -281,7 +306,7 @@ func (s *Sim) readyLocked(p *proc) {
 
 // readyFirst reports whether the oldest readied resume fires before the
 // heap's top. Callers hold s.mu, with a readied entry left and no
-// canceled event on top of the heap.
+// dead slot on top of the heap.
 func (s *Sim) readyFirst() bool {
 	if len(s.events) == 0 {
 		return true
@@ -299,6 +324,10 @@ type queued struct {
 	ev  *Event
 }
 
+// dead reports whether the slot will never fire: its event was
+// canceled, or Reset moved it to a newer slot.
+func (q queued) dead() bool { return q.ev.canceled || q.seq != q.ev.seq }
+
 func (a queued) before(b queued) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -310,6 +339,7 @@ func (a queued) before(b queued) bool {
 // hold s.mu.
 func (s *Sim) push(ev *Event) {
 	s.seq++
+	ev.seq = s.seq
 	q := queued{at: ev.at, seq: s.seq, ev: ev}
 	h := append(s.events, q)
 	i := len(h) - 1
@@ -573,7 +603,7 @@ func (s *Sim) run(deadline time.Duration, hasDeadline bool) error {
 	}()
 
 	for !s.stopped {
-		for len(s.events) > 0 && s.events[0].ev.canceled {
+		for len(s.events) > 0 && s.events[0].dead() {
 			s.dead--
 			s.recycleLocked(s.pop())
 		}

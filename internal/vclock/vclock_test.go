@@ -609,3 +609,51 @@ func TestSettleOutsideProcessPanics(t *testing.T) {
 	}()
 	New().Settle()
 }
+
+// TestResetOrdersAsCancelAndAt: re-arming one event with Reset fires the
+// callbacks in exactly the order that canceling it and scheduling a
+// fresh one with At gives, among other events at the same instants,
+// whether the event was pending, fired or canceled when re-armed, and
+// with enough re-arms to sweep the dead slots they leave.
+func TestResetOrdersAsCancelAndAt(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		run := func(reset bool) []string {
+			s := New()
+			rng := rand.New(rand.NewSource(seed))
+			var log []string
+			var ev *Event
+			armed := false
+			fire := func() { armed = false; log = append(log, fmt.Sprintf("%d armed", s.Now())) }
+			for i := 0; i < 300; i++ {
+				at := time.Duration(rng.Intn(40)) * time.Millisecond
+				s.At(at, func() { log = append(log, fmt.Sprintf("%d e%d", s.Now(), i)) })
+				switch due := time.Duration(rng.Intn(40)) * time.Millisecond; {
+				case rng.Intn(5) == 0 && armed:
+					ev.Cancel()
+					armed = false
+				case reset && ev != nil:
+					ev.Reset(due)
+					armed = true
+				default:
+					if armed {
+						ev.Cancel()
+					}
+					ev, armed = s.At(due, fire), true
+				}
+				if rng.Intn(7) == 0 {
+					if err := s.RunUntil(s.Now() + time.Duration(rng.Intn(10))*time.Millisecond); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return log
+		}
+		want, got := run(false), run(true)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Reset fires in another order than Cancel and At:\n got %v\nwant %v", seed, got, want)
+		}
+	}
+}
