@@ -486,12 +486,11 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 func appendWindow(w, add []proto.Sample, retention int) []proto.Sample {
 	n := len(w) + len(add)
 	if n > cap(w) && n > retention {
-		keep := min(n, retention)
-		fresh := make([]proto.Sample, 0, max(2*retention, keep))
-		if len(add) < keep {
-			fresh = append(fresh, w[len(w)-(keep-len(add)):]...)
+		fresh := make([]proto.Sample, 0, 2*retention)
+		if len(add) < retention {
+			fresh = append(fresh, w[len(w)-(retention-len(add)):]...)
 		}
-		return append(fresh, add[len(add)-min(len(add), keep):]...)
+		return append(fresh, add[len(add)-min(len(add), retention):]...)
 	}
 	w = append(w, add...)
 	if over := len(w) - retention; over > 0 {

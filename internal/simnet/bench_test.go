@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"nwsenv/internal/vclock"
 )
@@ -44,7 +43,7 @@ func BenchmarkSequentialTransfers(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	if err := sim.RunUntil(time.Duration(b.N+1) * time.Hour); err != nil {
+	if err := sim.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -62,7 +61,7 @@ func BenchmarkConcurrentFlows(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
-	if err := sim.RunUntil(time.Duration(b.N+1) * time.Hour); err != nil {
+	if err := sim.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
