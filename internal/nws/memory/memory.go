@@ -222,18 +222,18 @@ func (s *Server) handleStore(req *proto.Message) {
 	r.origin = ""
 	s.setWindow(r, appendWindow(r.window, req.Samples, s.retention))
 	r.total += int64(len(req.Samples))
-	total, registered := r.total, r.registered
-	fanned := req.Samples
-	if w := r.window; len(fanned) <= len(w) {
+	total, registered, w := r.total, r.registered, r.window
+	s.mu.Unlock()
+	if s.fan != nil && len(req.Samples) > 0 {
 		// The fan-out retains the samples past this request: hand it the
 		// copy the window already holds, pinned (windows are
-		// append-only).
-		fanned = w[len(w)-len(fanned) : len(w) : len(w)]
-	} else {
-		fanned = append([]proto.Sample(nil), fanned...)
-	}
-	s.mu.Unlock()
-	if s.fan != nil && len(fanned) > 0 {
+		// append-only), or a copy of a store longer than the window.
+		fanned := req.Samples
+		if len(fanned) <= len(w) {
+			fanned = w[len(w)-len(fanned) : len(w) : len(w)]
+		} else {
+			fanned = append([]proto.Sample(nil), fanned...)
+		}
 		s.fan.Store(req.Series, fanned, total)
 	}
 	if s.ns != nil && !registered {
@@ -382,8 +382,8 @@ func (s *Server) handleReplSync(req *proto.Message) {
 	s.st.Reply(req, proto.Message{Type: proto.MsgReplSyncReply, Version: proto.V3, Results: s.heldFrom(req.Name)})
 }
 
-// heldFrom copies out every series this server holds as a replica of
-// the primary host dead, in name order. Each result reuses Lag as this
+// heldFrom returns every series this server holds as a replica of the
+// primary host dead, in name order, each window capacity-pinned. Each result reuses Lag as this
 // server's watermark for the series, so the adopter can pin its totals
 // monotonically.
 func (s *Server) heldFrom(dead string) []proto.SeriesResult {
@@ -395,7 +395,7 @@ func (s *Server) heldFrom(dead string) []proto.SeriesResult {
 		}
 		results = append(results, proto.SeriesResult{
 			Series:  name,
-			Samples: append([]proto.Sample(nil), r.window...),
+			Samples: r.window[:len(r.window):len(r.window)],
 			Replica: true,
 			Lag:     r.watermark(),
 		})
@@ -457,7 +457,7 @@ func (s *Server) adoptSeries(results []proto.SeriesResult) (adopted int, backfil
 		backfilled += int64(len(res.Samples))
 		pushes = append(pushes, push{
 			name:    res.Series,
-			samples: append([]proto.Sample(nil), window...),
+			samples: window[:len(window):len(window)],
 			total:   r.total,
 		})
 	}
@@ -527,7 +527,8 @@ func clampCount(have, want int) int {
 // HandOver installs a copy of every record s holds in to, replacing
 // to's contents: an in-place rebuild hands the old server's state to
 // the new one before the new one runs. The copy is taken under s's lock
-// and installed under to's. Each written window takes a fresh stamp, so
+// and installed under to's; the two share each window, capacity-pinned
+// (windows are append-only). Each written window takes a fresh stamp, so
 // no token issued before the handover matches after it; the
 // replication bookkeeping (origin and counters) comes along, and the
 // directory registrations do not, so to advertises its series afresh.
@@ -542,7 +543,7 @@ func (s *Server) HandOver(to *Server) {
 		}
 		c := &record{origin: r.origin, total: r.total, applied: r.applied, seen: r.seen}
 		if r.token != 0 {
-			to.setWindow(c, append([]proto.Sample(nil), r.window...))
+			to.setWindow(c, r.window[:len(r.window):len(r.window)])
 		}
 		series[name] = c
 	}

@@ -104,10 +104,8 @@ type simEndpoint struct {
 	// Handle, after Close) drops them.
 	handler func(*Message)
 	// peers holds the destinations this endpoint has sent to, each
-	// resolved once, and last the one it sent to last; guarded by the
-	// transport's lock.
+	// resolved once; guarded by the transport's lock.
 	peers map[string]*simPeer
-	last  *simPeer
 }
 
 // simPeer is one destination of an endpoint: the network pair the
@@ -125,17 +123,14 @@ type simPeer struct {
 // Caller holds the transport's lock.
 func (e *simEndpoint) peerLocked(to string) (*simPeer, error) {
 	t := e.t
-	pe := e.last
-	if pe == nil || pe.to != to {
-		if pe = e.peers[to]; pe == nil {
-			p, err := t.net.Pair(e.host, to)
-			if err != nil {
-				return nil, err
-			}
-			pe = &simPeer{to: to, p: p}
-			e.peers[to] = pe
+	pe := e.peers[to]
+	if pe == nil {
+		p, err := t.net.Pair(e.host, to)
+		if err != nil {
+			return nil, err
 		}
-		e.last = pe
+		pe = &simPeer{to: to, p: p}
+		e.peers[to] = pe
 	}
 	pe.revalidateLocked(t)
 	return pe, nil

@@ -81,7 +81,9 @@ func (f *Fanout) Replicas() []string {
 
 // Store fans one accepted store out to every replica. total is the
 // primary's cumulative per-series count after accepting these samples;
-// samples must be a caller-owned copy (they are retained in the queue).
+// samples are retained in the queue, so they must never change: a
+// caller-owned copy, or a capacity-pinned subslice of an append-only
+// window.
 func (f *Fanout) Store(series string, samples []proto.Sample, total int64) {
 	f.send(proto.MsgReplStore, series, samples, total)
 }

@@ -175,8 +175,6 @@ type Network struct {
 	// nodes' positions in creation order: a lookup hashes two integers,
 	// not two names.
 	pairs map[uint64]*Pair
-	// lastPair is the handle Pair returned last.
-	lastPair *Pair
 	// jitter bounds the extra delay of each message, drawn from
 	// jitterRNG (SetJitter); 0 means none.
 	jitter    time.Duration

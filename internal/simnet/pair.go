@@ -16,8 +16,6 @@ import (
 type Pair struct {
 	n        *Network
 	src, dst *Node
-	// rev is the opposite direction's handle, once asked for.
-	rev *Pair
 
 	// version is the topology version the fields below were resolved
 	// at (0: never).
@@ -43,18 +41,11 @@ type Pair struct {
 // the error an exchange naming an unknown endpoint fails with. The
 // handle is the same for the network's lifetime.
 func (n *Network) Pair(src, dst string) (*Pair, error) {
-	// A sensor's experiments ask for one pair several times running:
-	// the last handle answers those without hashing a name.
-	if p := n.lastPair; p != nil && p.src.ID == src && p.dst.ID == dst {
-		return p, nil
-	}
 	a, b := n.topo.nodes[src], n.topo.nodes[dst]
 	if a == nil || b == nil {
 		return nil, n.topo.checkEndpoints(src, dst)
 	}
-	p := n.pair(a, b)
-	n.lastPair = p
-	return p, nil
+	return n.pair(a, b), nil
 }
 
 // pair returns the handle on a→b.
@@ -69,13 +60,7 @@ func (n *Network) pair(a, b *Node) *Pair {
 }
 
 // reverse returns the handle on the opposite direction.
-func (p *Pair) reverse() *Pair {
-	if p.rev == nil {
-		p.rev = p.n.pair(p.dst, p.src)
-		p.rev.rev = p
-	}
-	return p.rev
-}
+func (p *Pair) reverse() *Pair { return p.n.pair(p.dst, p.src) }
 
 // resolve brings the pair up to the topology's version: a structural
 // change, a fault or a repair since the last resolution re-reads the
